@@ -1,14 +1,12 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Ablation benchmarks for the design choices called out in DESIGN.md §7.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_bench::workloads::Workload;
 use st_core::bader_cong::{BaderCong, Config};
+use st_core::multiroot::Multiroot;
 use st_core::sv::{self, GraftVariant, SvConfig};
 use st_core::traversal::TraversalConfig;
+use st_core::Engine;
 use st_graph::preprocess::eliminate_degree2;
 use st_smp::StealPolicy;
 
@@ -37,7 +35,7 @@ fn ablate_steal(c: &mut Criterion) {
             ..Config::default()
         };
         group.bench_function(name, |b| {
-            b.iter(|| BaderCong::new(cfg.clone()).spanning_forest(&g, 4))
+            b.iter(|| Engine::new(4).run(&BaderCong::new(cfg.clone()), &g))
         });
     }
     group.finish();
@@ -54,7 +52,7 @@ fn ablate_stub(c: &mut Criterion) {
             ..Config::default()
         };
         group.bench_with_input(BenchmarkId::new("factor", factor), &cfg, |b, cfg| {
-            b.iter(|| BaderCong::new(cfg.clone()).spanning_forest(&g, 4))
+            b.iter(|| Engine::new(4).run(&BaderCong::new(cfg.clone()), &g))
         });
     }
     group.finish();
@@ -73,7 +71,9 @@ fn ablate_sv_grafting(c: &mut Criterion) {
             variant,
             ..SvConfig::default()
         };
-        group.bench_function(name, |b| b.iter(|| sv::spanning_forest(&g, 4, cfg)));
+        group.bench_function(name, |b| {
+            b.iter(|| Engine::new(4).run(&sv::Sv::new(cfg), &g))
+        });
     }
     group.finish();
 }
@@ -110,7 +110,7 @@ fn ablate_deg2(c: &mut Criterion) {
             ..Config::default()
         };
         group.bench_function(name, |b| {
-            b.iter(|| BaderCong::new(cfg.clone()).spanning_forest(&g, 4))
+            b.iter(|| Engine::new(4).run(&BaderCong::new(cfg.clone()), &g))
         });
     }
     // The reduction step alone, for attribution.
@@ -132,7 +132,7 @@ fn ablate_chunk(c: &mut Criterion) {
             ..Config::default()
         };
         group.bench_with_input(BenchmarkId::new("batch", batch), &cfg, |b, cfg| {
-            b.iter(|| BaderCong::new(cfg.clone()).spanning_forest(&g, 4))
+            b.iter(|| Engine::new(4).run(&BaderCong::new(cfg.clone()), &g))
         });
     }
     group.finish();
@@ -161,7 +161,7 @@ fn ablate_frontier(c: &mut Criterion) {
             ..Config::default()
         };
         group.bench_function(name, |b| {
-            b.iter(|| BaderCong::new(cfg.clone()).spanning_forest(&g, 4))
+            b.iter(|| Engine::new(4).run(&BaderCong::new(cfg.clone()), &g))
         });
     }
     let no_donate = Config {
@@ -172,7 +172,7 @@ fn ablate_frontier(c: &mut Criterion) {
         ..Config::default()
     };
     group.bench_function("t64_no_donate", |b| {
-        b.iter(|| BaderCong::new(no_donate.clone()).spanning_forest(&g, 4))
+        b.iter(|| Engine::new(4).run(&BaderCong::new(no_donate.clone()), &g))
     });
     group.finish();
 }
@@ -181,22 +181,21 @@ fn ablate_frontier(c: &mut Criterion) {
 /// multi-root concurrent extension, on a many-component input (2D60)
 /// and a single-component input (torus).
 fn ablate_driver(c: &mut Criterion) {
-    use st_core::multiroot::spanning_forest_multiroot;
     let many = Workload::Mesh2D60.build(scale(), 7);
     let one = Workload::TorusRowMajor.build(scale(), 7);
     let mut group = c.benchmark_group("ablate_driver");
     group.sample_size(10);
     group.bench_function("rounds_mesh2d60", |b| {
-        b.iter(|| BaderCong::with_defaults().spanning_forest(&many, 4))
+        b.iter(|| Engine::new(4).run(&BaderCong::with_defaults(), &many))
     });
     group.bench_function("multiroot_mesh2d60", |b| {
-        b.iter(|| spanning_forest_multiroot(&many, 4, TraversalConfig::default()))
+        b.iter(|| Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &many))
     });
     group.bench_function("rounds_torus", |b| {
-        b.iter(|| BaderCong::with_defaults().spanning_forest(&one, 4))
+        b.iter(|| Engine::new(4).run(&BaderCong::with_defaults(), &one))
     });
     group.bench_function("multiroot_torus", |b| {
-        b.iter(|| spanning_forest_multiroot(&one, 4, TraversalConfig::default()))
+        b.iter(|| Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &one))
     });
     group.finish();
 }

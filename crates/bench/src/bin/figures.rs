@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Regenerates every result figure and in-text claim of the paper.
 //!
 //! ```text
@@ -26,6 +22,7 @@ use st_bench::runner::{run_cell, Algorithm, Mode, ResultRow};
 use st_bench::workloads::Workload;
 use st_core::bader_cong::BaderCong;
 use st_core::sv::{self, GraftVariant, SvConfig};
+use st_core::Engine;
 use st_model::analytic;
 use st_model::sim::{simulate_bader_cong, simulate_sv, TraversalSimConfig};
 use st_model::MachineProfile;
@@ -208,7 +205,7 @@ fn races(opts: &Opts) {
     ] {
         let g = w.build(n, opts.seed);
         for p in [2usize, 4, 8] {
-            let f = BaderCong::with_defaults().spanning_forest(&g, p);
+            let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
             assert!(f.is_valid_for(&g));
             let per_million = f.stats.multi_colored as f64 * 1e6 / g.num_vertices() as f64;
             println!(
@@ -299,7 +296,7 @@ fn lockvariant(opts: &Opts) {
             let mut times: Vec<f64> = (0..3)
                 .map(|_| {
                     let s = std::time::Instant::now();
-                    let f = sv::spanning_forest(&g, p, cfg);
+                    let f = Engine::new(p).run(&sv::Sv::new(cfg), &g);
                     assert!(f.is_valid_for(&g));
                     s.elapsed().as_secs_f64()
                 })

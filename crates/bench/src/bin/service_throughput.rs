@@ -11,8 +11,8 @@
 //! under two execution models:
 //!
 //! * `naive` — what callers wrote before the service existed: each job
-//!   calls the (now deprecated) one-shot entry point, which spawns a
-//!   fresh team of width `max(teams)`, runs, and tears it down. With
+//!   spawns a fresh team of width `max(teams)` and a fresh workspace,
+//!   runs, and tears both down. With
 //!   `C` clients this oversubscribes the machine with `C × p` transient
 //!   threads and pays the spawn/join tax on every job.
 //! * `service` — one [`Service`](st_service::Service) with the given
@@ -40,11 +40,13 @@ use std::time::Instant;
 
 use serde::Serialize;
 use st_core::bader_cong::BaderCong;
+use st_core::Workspace;
 use st_graph::gen::random_gnm;
 use st_graph::CsrGraph;
 use st_obs::PoolSnapshot;
 use st_service::net::{Client, RemoteGraph, Server, ServerConfig, SubmitRequest};
 use st_service::Service;
+use st_smp::Executor;
 
 #[derive(Clone, Debug, Serialize)]
 struct ModelResult {
@@ -288,13 +290,7 @@ fn model_result(
 /// p50/p99 (ns) of the service's cached-path wall histogram — the
 /// server-side counterpart of the hot model's client stopwatch.
 fn cached_quantiles_ns(svc: &Service) -> (u64, u64) {
-    let families = svc.telemetry().histogram_families();
-    let snap = families
-        .iter()
-        .find(|f| f.name == "st_service_cached_wall_seconds")
-        .and_then(|f| f.series.first())
-        .map(|s| s.snapshot.clone())
-        .expect("cached-wall family is always exported");
+    let snap = svc.telemetry().gauges().merged(st_obs::Hist::CachedWall);
     (snap.quantile(0.50), snap.quantile(0.99))
 }
 
@@ -314,12 +310,11 @@ fn main() {
     // once sequentially so every timed job can be validated in O(1).
     let expected_trees = st_core::seq::bfs_forest(&g).num_trees();
 
-    // Naive model: a fresh team per job, the pre-service calling
-    // convention this benchmark exists to retire.
+    // Naive model: a fresh team and workspace per job, the pre-service
+    // calling convention this benchmark exists to retire.
     let (naive_wall, naive_lats) = drive(opts.clients, opts.jobs, expected_trees, || {
-        let algo = BaderCong::with_defaults();
-        #[allow(deprecated)] // the baseline IS the deprecated pattern
-        let forest = algo.spanning_forest(&g, naive_p);
+        let exec = Executor::new(naive_p);
+        let forest = BaderCong::with_defaults().run_on(&g, &exec, &mut Workspace::new());
         forest.num_trees()
     });
     let naive = model_result("naive", total_jobs, naive_wall, &naive_lats, None, None);

@@ -216,17 +216,6 @@ pub fn hcs_core_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> HcsOutc
     }
 }
 
-/// Full HCS spanning forest with a one-shot team of `p` processors.
-#[deprecated(
-    since = "0.6.0",
-    note = "spawns a fresh team per call; use `Engine::job(&g).algorithm(&Hcs).run()` or the st-service submission API"
-)]
-pub fn spanning_forest(g: &CsrGraph, p: usize) -> SpanningForest {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    spanning_forest_on(g, &exec, &mut ws)
-}
-
 /// Full HCS spanning forest on an existing team: hooks, then parallel
 /// orientation.
 pub fn spanning_forest_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
@@ -270,16 +259,14 @@ impl SpanningAlgorithm for Hcs {
 }
 
 #[cfg(test)]
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use st_graph::gen;
     use st_graph::validate::{count_components, is_spanning_forest};
 
     fn check(g: &CsrGraph, p: usize) -> SpanningForest {
-        let f = spanning_forest(g, p);
+        let f = Engine::new(p).run(&Hcs, g);
         assert!(
             is_spanning_forest(g, &f.parents),
             "invalid HCS forest p={p}"

@@ -48,18 +48,6 @@ use crate::traversal::{steal_sweep, TraversalConfig};
 const UNCLAIMED: u32 = 0;
 
 /// Computes a spanning forest with the multi-root concurrent strategy on
-/// a one-shot team of `p` processors (see [`spanning_forest_multiroot_on`]).
-#[deprecated(
-    since = "0.6.0",
-    note = "spawns a fresh team per call; use `Engine::job(&g).algorithm(&Multiroot::new(cfg)).run()` or the st-service submission API"
-)]
-pub fn spanning_forest_multiroot(g: &CsrGraph, p: usize, cfg: TraversalConfig) -> SpanningForest {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    spanning_forest_multiroot_on(g, &exec, &mut ws, cfg)
-}
-
-/// Computes a spanning forest with the multi-root concurrent strategy on
 /// an existing team and workspace.
 ///
 /// `cfg.starvation_threshold` is ignored (there is no fallback: idle
@@ -288,16 +276,14 @@ impl SpanningAlgorithm for Multiroot {
 }
 
 #[cfg(test)]
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use st_graph::gen;
     use st_graph::validate::{count_components, is_spanning_forest};
 
     fn check(g: &CsrGraph, p: usize) -> SpanningForest {
-        let f = spanning_forest_multiroot(g, p, TraversalConfig::default());
+        let f = Engine::new(p).run(&Multiroot::new(TraversalConfig::default()), g);
         assert!(
             is_spanning_forest(g, &f.parents),
             "invalid multiroot forest at p = {p}"
@@ -351,7 +337,7 @@ mod tests {
                 seed,
                 ..TraversalConfig::default()
             };
-            let f = spanning_forest_multiroot(&g, 4, cfg);
+            let f = Engine::new(4).run(&Multiroot::new(cfg), &g);
             assert!(is_spanning_forest(&g, &f.parents), "seed {seed}");
             assert_eq!(f.num_trees(), reference, "seed {seed}");
         }
@@ -382,7 +368,10 @@ mod tests {
 
     #[test]
     fn empty_and_edgeless() {
-        let f = spanning_forest_multiroot(&CsrGraph::empty(0), 2, TraversalConfig::default());
+        let f = Engine::new(2).run(
+            &Multiroot::new(TraversalConfig::default()),
+            &CsrGraph::empty(0),
+        );
         assert!(f.parents.is_empty());
         let f = check(&CsrGraph::empty(6), 3);
         assert_eq!(f.num_trees(), 6);
@@ -391,7 +380,7 @@ mod tests {
     #[test]
     fn agrees_with_round_driver_on_structure() {
         let g = gen::mesh3d_p(12, 12, 12, 0.4, 5);
-        let round = crate::bader_cong::BaderCong::with_defaults().spanning_forest(&g, 4);
+        let round = Engine::new(4).run(&crate::bader_cong::BaderCong::with_defaults(), &g);
         let multi = check(&g, 4);
         assert_eq!(round.num_trees(), multi.num_trees());
         assert_eq!(round.num_tree_edges(), multi.num_tree_edges());

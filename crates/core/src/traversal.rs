@@ -73,9 +73,8 @@
 //! *into* bottom-up drop the pre-switch frontier (queues and private
 //! buffers) entirely.
 //!
-//! The entry point with team context, [`Traversal::run_worker_ctx`],
-//! is required for the barriers; the legacy [`Traversal::run_worker`]
-//! stays pure top-down regardless of the configured direction.
+//! The worker entry point, [`Traversal::run_worker_ctx`], takes the
+//! team context the bottom-up barriers need.
 //!
 //! ## Engine integration
 //!
@@ -123,8 +122,7 @@ pub enum Direction {
     /// Direction-optimizing: start top-down, switch to bottom-up when
     /// the frontier gets dense (`frontier × alpha > unvisited` and
     /// `frontier × beta > n`), and back once a sweep claims fewer than
-    /// `n / beta` vertices. Only [`Traversal::run_worker_ctx`] honors
-    /// it; the legacy [`Traversal::run_worker`] entry stays top-down.
+    /// `n / beta` vertices.
     Hybrid,
 }
 
@@ -437,7 +435,7 @@ impl<'a> Traversal<'a> {
 
     /// Resets the detector and round-local flags between per-component
     /// rounds. Must only be called while no worker is inside
-    /// [`run_worker`](Self::run_worker) (i.e. between barriers).
+    /// [`run_worker_ctx`](Self::run_worker_ctx) (i.e. between barriers).
     pub fn begin_round(&self) {
         debug_assert!(self
             .queues
@@ -527,10 +525,13 @@ impl<'a> Traversal<'a> {
         }
     }
 
-    /// Runs processor `rank`'s share of the current round. Returns the
-    /// number of vertices this processor dequeued and processed, plus the
-    /// round outcome. All `p` processors must call this exactly once per
-    /// round.
+    /// Runs processor `ctx.rank()`'s share of the current round. Returns
+    /// the number of vertices this processor dequeued and processed,
+    /// plus the round outcome. All `p` ranks must call it exactly once
+    /// per round (the barrier schedules of the directions are uniform
+    /// by construction); [`Direction::Hybrid`] and
+    /// [`Direction::BottomUp`] sweeps synchronize through the team
+    /// barrier.
     ///
     /// Observability: the hot loop tallies into plain locals
     /// ([`WorkerTally`]) and this wrapper flushes them to the rank's
@@ -538,25 +539,6 @@ impl<'a> Traversal<'a> {
     /// always-on cost per round is a handful of Relaxed adds. The whole
     /// shift is recorded as one [`Phase::Traverse`] span (no-op without
     /// `obs-trace`).
-    pub fn run_worker(&self, rank: usize) -> (usize, TraversalOutcome) {
-        let t0 = now_ns();
-        let mut tally = WorkerTally::default();
-        let mut state = WorkerState::new(rank, &self.cfg);
-        let outcome = match self.top_down_segment(rank, &mut state, &mut tally, false) {
-            SegmentExit::Done(outcome) => outcome,
-            SegmentExit::Switch => unreachable!("switch raised without a team context"),
-        };
-        self.flush_tally(rank, &state, &tally);
-        self.trace.rank(rank).record(Phase::Traverse, t0);
-        (state.processed, outcome)
-    }
-
-    /// [`run_worker`](Self::run_worker) with a team context: required
-    /// for [`Direction::Hybrid`] and [`Direction::BottomUp`], whose
-    /// sweeps synchronize through the team barrier. All `p` ranks must
-    /// call it exactly once per round (the barrier schedules of the
-    /// directions are uniform by construction). With
-    /// [`Direction::TopDown`] it is exactly `run_worker`.
     pub fn run_worker_ctx(&self, ctx: &TeamCtx<'_>) -> (usize, TraversalOutcome) {
         let rank = ctx.rank();
         let t0 = now_ns();
@@ -1183,7 +1165,7 @@ impl<'a> Traversal<'a> {
 }
 
 /// Per-worker round-local tallies: plain `u64`s bumped in the hot loop
-/// and flushed once per [`Traversal::run_worker`] call to the rank's
+/// and flushed once per [`Traversal::run_worker_ctx`] call to the rank's
 /// cache-padded [`CounterSlot`](st_obs::CounterSlot), keeping atomic
 /// traffic out of the per-vertex path.
 #[derive(Default)]
@@ -1335,7 +1317,7 @@ mod tests {
         t.begin_round();
         t.seed(0, root, NO_VERTEX);
         exec.run(|ctx| {
-            let (_, outcome) = t.run_worker(ctx.rank());
+            let (_, outcome) = t.run_worker_ctx(&ctx);
             assert_eq!(outcome, TraversalOutcome::Completed);
         });
         let steals = t.counters().merged().get(Counter::Steals) as usize;
@@ -1420,7 +1402,7 @@ mod tests {
         let t = ws.traversal(&g, &exec, cfg);
         t.begin_round();
         t.seed(0, 0, NO_VERTEX);
-        let outcomes = exec.run(|ctx| t.run_worker(ctx.rank()).1);
+        let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx).1);
         assert!(
             outcomes.iter().all(|&o| o == TraversalOutcome::Starved),
             "expected starvation, got {outcomes:?}"
@@ -1451,7 +1433,7 @@ mod tests {
             t.seed((v as usize) % p, v, v - 1);
         }
         let processed: Vec<usize> = exec.run(|ctx| {
-            let (count, outcome) = t.run_worker(ctx.rank());
+            let (count, outcome) = t.run_worker_ctx(&ctx);
             assert_eq!(outcome, TraversalOutcome::Completed);
             count
         });
@@ -1546,7 +1528,7 @@ mod tests {
         let t = ws.traversal(&g, &exec, cfg);
         t.begin_round();
         t.seed(0, 0, NO_VERTEX);
-        let outcomes = exec.run(|ctx| t.run_worker(ctx.rank()).1);
+        let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx).1);
         assert!(
             outcomes.iter().all(|&o| o == TraversalOutcome::Starved),
             "expected starvation, got {outcomes:?}"
@@ -1577,7 +1559,7 @@ mod tests {
             t.begin_round();
             t.seed(0, 0, NO_VERTEX);
             exec.run(|ctx| {
-                t.run_worker(ctx.rank());
+                t.run_worker_ctx(&ctx);
             });
             let parents = t.parents_vec();
             assert!(is_spanning_tree(&g, &parents, 0), "n = {n}");

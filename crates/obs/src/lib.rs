@@ -19,18 +19,18 @@
 //!   counters, and recorded spans.
 //! * [`chrome`] — a Chrome trace-event (Perfetto-loadable) JSON writer
 //!   for those spans.
-//! * [`pool`] — aggregate gauges for the multi-tenant job service
-//!   (admission/outcome counters, per-lane queue depth, team busyness,
-//!   result-cache hit rates).
+//! * [`pool`] — the multi-tenant job service's metrics, declared once
+//!   in one table (admission/outcome counters, per-lane queue depth,
+//!   team busyness, result-cache hit rates, latency histograms) from
+//!   which the storage, the snapshot, and the page are derived.
 //! * [`hist`] — lock-free log-linear latency [`Histogram`]s with
 //!   cache-padded sharding, exact-bucket quantiles, and cumulative
 //!   ladders for Prometheus `_bucket` rendering.
 //! * [`journal`] — per-job [`TraceId`]s and the bounded structured
 //!   [`EventJournal`] of lifecycle events (JSONL ring buffer).
-//! * [`prometheus`] — text-exposition rendering of a [`PoolSnapshot`]
-//!   (plus latency histogram families) for scrape endpoints, and
-//!   [`lint_exposition`], an offline grammar checker for the rendered
-//!   page.
+//! * [`prometheus`] — text-exposition rendering of that table for
+//!   scrape endpoints, and [`lint_exposition`], an offline grammar
+//!   checker for the rendered page.
 //!
 //! The layer is algorithm-agnostic: `st-core` owns *when* to count
 //! (claim races, publications, grafts); this crate owns the storage,
@@ -50,9 +50,6 @@ pub use counters::{Counter, CounterSet, CounterSlot, CounterSnapshot, NUM_COUNTE
 pub use hist::{Histogram, HistogramSnapshot, ShardedHistogram};
 pub use journal::{EventJournal, JobEvent, JobEventKind, TraceId};
 pub use metrics::{JobMetrics, PhaseTotal};
-pub use pool::{JobOutcomeKind, PoolGauges, PoolSnapshot, QUEUE_LANES};
-pub use prometheus::{
-    lint_exposition, render_pool_prometheus, render_service_prometheus, HistogramFamily,
-    HistogramSeries, PROMETHEUS_CONTENT_TYPE,
-};
+pub use pool::{Hist, JobOutcomeKind, PoolGauges, PoolSnapshot, RejectReason, QUEUE_LANES};
+pub use prometheus::{lint_exposition, render_service_prometheus, PROMETHEUS_CONTENT_TYPE};
 pub use trace::{now_ns, Phase, SpanEvent, SpanRing, TraceSet, DEFAULT_SPAN_CAPACITY, NUM_PHASES};

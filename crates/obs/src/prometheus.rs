@@ -1,14 +1,14 @@
-//! Prometheus text exposition of the service pool gauges and latency
-//! histograms.
+//! Prometheus text exposition of the service's metrics.
 //!
-//! The service's `/metrics` endpoint (HTTP, plus the wire op `METRICS`)
-//! renders one [`PoolSnapshot`] — and optionally a set of
-//! [`HistogramFamily`]s — in the [Prometheus text exposition format]:
-//! for each metric family a `# HELP` line, a `# TYPE` line, then the
-//! samples. Counters follow the `_total` suffix convention; durations
-//! are exported in seconds as Prometheus prescribes; the per-outcome
-//! and per-lane breakdowns use labels so dashboards can aggregate or
-//! slice without new metric names. Histograms render the canonical
+//! [`render_service_prometheus`] walks the declaration table
+//! ([`FAMILIES`]) and renders every family from a [`PoolGauges`] in the
+//! [Prometheus text exposition format]: for each family a `# HELP`
+//! line, a `# TYPE` line, then the samples. The service's `/metrics`
+//! endpoint and the wire op `METRICS` both serve this page. Counters
+//! follow the `_total` suffix convention; durations are exported in
+//! seconds as Prometheus prescribes; the per-outcome and per-lane
+//! breakdowns use labels so dashboards can aggregate or slice without
+//! new metric names. Histograms render the canonical
 //! `_bucket{le=…}`/`_sum`/`_count` triple over a fixed ladder of
 //! second-denominated bounds ([`DEFAULT_LATENCY_BOUNDS_NS`]),
 //! cumulative by construction.
@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::hist::HistogramSnapshot;
-use crate::pool::PoolSnapshot;
+use crate::pool::{PoolGauges, PoolSnapshot, Series, FAMILIES};
 
 /// Content type remote scrapers should be told (`text/plain; version
 /// 0.0.4` is the canonical exposition content type).
@@ -58,66 +58,21 @@ pub const DEFAULT_LATENCY_BOUNDS_NS: [u64; 18] = [
     30_000_000_000,
 ];
 
-/// One labeled series inside a [`HistogramFamily`]: a label set (e.g.
-/// `lane="high"` or `algorithm="bader-cong"`) and the merged snapshot
-/// to render under it.
-pub struct HistogramSeries {
-    /// Label pairs attached to every `_bucket`/`_sum`/`_count` sample
-    /// (the `le` label is appended by the renderer).
-    pub labels: Vec<(&'static str, String)>,
-    /// The histogram data, in nanoseconds.
-    pub snapshot: HistogramSnapshot,
-}
-
-/// One histogram metric family: a name, help text, and its labeled
-/// series.
-pub struct HistogramFamily {
-    /// Family name (`st_service_…_seconds`); the renderer appends the
-    /// `_bucket`/`_sum`/`_count` suffixes.
-    pub name: &'static str,
-    /// HELP text.
-    pub help: &'static str,
-    /// The labeled series to render.
-    pub series: Vec<HistogramSeries>,
-}
-
 struct Page {
     out: String,
 }
 
 impl Page {
-    fn new() -> Self {
-        Self {
-            out: String::with_capacity(4096),
-        }
-    }
-
     /// Opens a metric family: HELP + TYPE header lines.
-    fn family(&mut self, name: &str, kind: &str, help: &str) -> &mut Self {
+    fn family(&mut self, name: &str, kind: &str, help: &str) {
         debug_assert!(is_valid_metric_name(name), "bad metric name {name}");
         let _ = writeln!(self.out, "# HELP {name} {help}");
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
-        self
     }
 
-    /// One unlabeled sample.
-    fn sample(&mut self, name: &str, value: f64) -> &mut Self {
-        let _ = writeln!(self.out, "{name} {}", fmt_value(value));
-        self
-    }
-
-    /// One sample carrying a single label.
-    fn labeled(&mut self, name: &str, label: &str, label_value: &str, value: f64) -> &mut Self {
-        let _ = writeln!(
-            self.out,
-            "{name}{{{label}=\"{label_value}\"}} {}",
-            fmt_value(value)
-        );
-        self
-    }
-
-    /// One sample carrying an arbitrary label set (rendered in order).
-    fn multi_labeled(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
+    /// One sample carrying a label set (rendered in order; none for an
+    /// unlabeled sample).
+    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         let _ = write!(self.out, "{name}");
         if !labels.is_empty() {
             let _ = write!(self.out, "{{");
@@ -130,38 +85,24 @@ impl Page {
             let _ = write!(self.out, "}}");
         }
         let _ = writeln!(self.out, " {}", fmt_value(value));
-        self
     }
 
     /// Renders one histogram series: the cumulative `_bucket` ladder
     /// (in seconds), then `_sum` and `_count` under the same labels.
-    fn histogram_series(&mut self, family: &str, series: &HistogramSeries) {
-        let cum = series.snapshot.cumulative_le(&DEFAULT_LATENCY_BOUNDS_NS);
+    fn histogram_series(&mut self, family: &str, base: &[(&str, &str)], snap: &HistogramSnapshot) {
+        let cum = snap.cumulative_le(&DEFAULT_LATENCY_BOUNDS_NS);
         let bucket = format!("{family}_bucket");
-        let base: Vec<(&str, &str)> = series
-            .labels
-            .iter()
-            .map(|(k, v)| (*k, v.as_str()))
-            .collect();
         for (i, &bound_ns) in DEFAULT_LATENCY_BOUNDS_NS.iter().enumerate() {
             let le = fmt_value(bound_ns as f64 / 1e9);
-            let mut labels = base.clone();
+            let mut labels = base.to_vec();
             labels.push(("le", le.as_str()));
-            self.multi_labeled(&bucket, &labels, cum[i] as f64);
+            self.sample(&bucket, &labels, cum[i] as f64);
         }
-        let mut labels = base.clone();
+        let mut labels = base.to_vec();
         labels.push(("le", "+Inf"));
-        self.multi_labeled(&bucket, &labels, series.snapshot.count as f64);
-        self.multi_labeled(
-            &format!("{family}_sum"),
-            &base,
-            series.snapshot.sum as f64 / 1e9,
-        );
-        self.multi_labeled(
-            &format!("{family}_count"),
-            &base,
-            series.snapshot.count as f64,
-        );
+        self.sample(&bucket, &labels, snap.count as f64);
+        self.sample(&format!("{family}_sum"), base, snap.sum as f64 / 1e9);
+        self.sample(&format!("{family}_count"), base, snap.count as f64);
     }
 }
 
@@ -186,244 +127,38 @@ pub(crate) fn is_valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-/// Renders `snap` as a Prometheus text-format page with no histogram
-/// families (the pre-telemetry page; the wire `METRICS` op still
-/// serves it).
-pub fn render_pool_prometheus(snap: &PoolSnapshot) -> String {
-    render_service_prometheus(snap, &[])
-}
-
-/// Renders `snap` plus the given latency histogram families as a
-/// Prometheus text-format page.
+/// Renders every family of the declaration table ([`FAMILIES`]) from
+/// `gauges` as one Prometheus text-format page, in table order.
 ///
-/// Every metric is prefixed `st_service_`; nanosecond totals are
-/// converted to seconds. Alongside the raw gauges the page carries the
-/// SLO series ROADMAP item 5 needs: deadline-miss ratio, result-cache
-/// hit ratio, and per-lane rejects.
-pub fn render_service_prometheus(snap: &PoolSnapshot, histograms: &[HistogramFamily]) -> String {
-    let mut p = Page::new();
-    p.family(
-        "st_service_jobs_submitted_total",
-        "counter",
-        "Jobs accepted by the admission queue or served from the result cache.",
-    )
-    .sample("st_service_jobs_submitted_total", snap.submitted as f64);
-    p.family(
-        "st_service_jobs_rejected_total",
-        "counter",
-        "Submissions rejected at admission, any reason.",
-    )
-    .sample("st_service_jobs_rejected_total", snap.rejected as f64);
-
-    p.family(
-        "st_service_lane_rejected_total",
-        "counter",
-        "Submissions rejected at admission, by target priority lane.",
-    );
-    for (lane, v) in [
-        ("high", snap.rejected_high),
-        ("normal", snap.rejected_normal),
-        ("low", snap.rejected_low),
-    ] {
-        p.labeled("st_service_lane_rejected_total", "lane", lane, v as f64);
-    }
-
-    p.family(
-        "st_service_reject_reason_total",
-        "counter",
-        "Submissions rejected at admission, by reason.",
-    );
-    for (reason, v) in [
-        ("backpressure", snap.rejected_backpressure()),
-        ("quota", snap.rejected_quota),
-        ("deadline_unmeetable", snap.rejected_deadline_unmeetable),
-    ] {
-        p.labeled("st_service_reject_reason_total", "reason", reason, v as f64);
-    }
-
-    p.family(
-        "st_service_lane_dequeued_total",
-        "counter",
-        "Jobs the scheduler drained from each priority lane (its per-lane service rate).",
-    );
-    for (lane, v) in [
-        ("high", snap.dequeued_high),
-        ("normal", snap.dequeued_normal),
-        ("low", snap.dequeued_low),
-    ] {
-        p.labeled("st_service_lane_dequeued_total", "lane", lane, v as f64);
-    }
-
-    p.family(
-        "st_service_jobs_finished_total",
-        "counter",
-        "Jobs that left the service, by outcome (cached = served from the result cache without executing).",
-    );
-    for (outcome, v) in [
-        ("completed", snap.completed),
-        ("cached", snap.completed_cached),
-        ("cancelled", snap.cancelled),
-        ("deadline_exceeded", snap.deadline_exceeded),
-        ("panicked", snap.panicked),
-    ] {
-        p.labeled(
-            "st_service_jobs_finished_total",
-            "outcome",
-            outcome,
-            v as f64,
-        );
-    }
-
-    p.family(
-        "st_service_queue_depth",
-        "gauge",
-        "Jobs currently waiting in the admission queue.",
-    )
-    .sample("st_service_queue_depth", snap.queue_depth as f64);
-
-    p.family(
-        "st_service_lane_queue_depth",
-        "gauge",
-        "Jobs currently waiting, by priority lane.",
-    );
-    for (lane, v) in [
-        ("high", snap.queue_depth_high),
-        ("normal", snap.queue_depth_normal),
-        ("low", snap.queue_depth_low),
-    ] {
-        p.labeled("st_service_lane_queue_depth", "lane", lane, v as f64);
-    }
-
-    p.family(
-        "st_service_queue_depth_peak",
-        "gauge",
-        "High-water mark of the admission queue depth.",
-    )
-    .sample("st_service_queue_depth_peak", snap.max_queue_depth as f64);
-    p.family(
-        "st_service_busy_teams",
-        "gauge",
-        "Executor teams currently running a job.",
-    )
-    .sample("st_service_busy_teams", snap.busy_teams as f64);
-
-    p.family(
-        "st_service_pool_resizes_total",
-        "counter",
-        "Elastic team resizes, by direction.",
-    );
-    for (direction, v) in [("grow", snap.teams_grown), ("shrink", snap.teams_shrunk)] {
-        p.labeled(
-            "st_service_pool_resizes_total",
-            "direction",
-            direction,
-            v as f64,
-        );
-    }
-
-    p.family(
-        "st_service_queue_wait_seconds_total",
-        "counter",
-        "Summed queue wait of finished jobs, seconds.",
-    )
-    .sample(
-        "st_service_queue_wait_seconds_total",
-        snap.queue_ns_total as f64 / 1e9,
-    );
-    p.family(
-        "st_service_exec_seconds_total",
-        "counter",
-        "Summed execution time of finished jobs, seconds.",
-    )
-    .sample(
-        "st_service_exec_seconds_total",
-        snap.exec_ns_total as f64 / 1e9,
-    );
-
-    p.family(
-        "st_service_result_cache_hits_total",
-        "counter",
-        "Catalog-addressed submissions served from the result cache.",
-    )
-    .sample("st_service_result_cache_hits_total", snap.cache_hits as f64);
-    p.family(
-        "st_service_result_cache_misses_total",
-        "counter",
-        "Catalog-addressed submissions that had to execute.",
-    )
-    .sample(
-        "st_service_result_cache_misses_total",
-        snap.cache_misses as f64,
-    );
-
-    p.family(
-        "st_service_updates_incremental_total",
-        "counter",
-        "Batch updates whose spanning forest was repaired in place.",
-    )
-    .sample(
-        "st_service_updates_incremental_total",
-        snap.updates_incremental as f64,
-    );
-    p.family(
-        "st_service_updates_recomputed_total",
-        "counter",
-        "Batch updates that fell back to a full recompute.",
-    )
-    .sample(
-        "st_service_updates_recomputed_total",
-        snap.updates_recomputed as f64,
-    );
-    p.family(
-        "st_service_update_edges_added_total",
-        "counter",
-        "Edges actually added across all applied batch updates.",
-    )
-    .sample(
-        "st_service_update_edges_added_total",
-        snap.update_edges_added as f64,
-    );
-    p.family(
-        "st_service_update_edges_removed_total",
-        "counter",
-        "Edges actually removed across all applied batch updates.",
-    )
-    .sample(
-        "st_service_update_edges_removed_total",
-        snap.update_edges_removed as f64,
-    );
-
-    // SLO ratio gauges: ready-made series so dashboards and alert rules
-    // need no PromQL division (and stay correct across counter resets).
-    let finished = snap.finished();
-    let miss_ratio = if finished == 0 {
-        0.0
-    } else {
-        snap.deadline_exceeded as f64 / finished as f64
+/// Every family is present even when zero — scrapers need stable
+/// series — and each stored value is read once, so the page agrees
+/// with itself (a ratio gauge with the counters it divides).
+pub fn render_service_prometheus(gauges: &PoolGauges) -> String {
+    let raw = gauges.load();
+    let snap = PoolSnapshot::from_slots(&raw);
+    let mut p = Page {
+        out: String::with_capacity(32 * 1024),
     };
-    p.family(
-        "st_service_deadline_miss_ratio",
-        "gauge",
-        "Fraction of finished jobs that exceeded their deadline.",
-    )
-    .sample("st_service_deadline_miss_ratio", miss_ratio);
-    let lookups = snap.cache_hits + snap.cache_misses;
-    let hit_ratio = if lookups == 0 {
-        0.0
-    } else {
-        snap.cache_hits as f64 / lookups as f64
-    };
-    p.family(
-        "st_service_result_cache_hit_ratio",
-        "gauge",
-        "Fraction of catalog-addressed submissions served from the result cache.",
-    )
-    .sample("st_service_result_cache_hit_ratio", hit_ratio);
-
-    for family in histograms {
-        p.family(family.name, "histogram", family.help);
-        for series in &family.series {
-            p.histogram_series(family.name, series);
+    for f in FAMILIES {
+        p.family(f.name, f.kind.name(), f.help);
+        match f.series {
+            Series::Slots(samples) => {
+                for &(value, slot, divisor) in samples {
+                    let label = f.label.map(|key| (key, value));
+                    p.sample(f.name, label.as_slice(), raw[slot] as f64 / divisor);
+                }
+            }
+            Series::Derived(compute) => p.sample(f.name, &[], compute(&snap)),
+            Series::Histogram(hist) => {
+                let series = gauges
+                    .label_values(hist)
+                    .iter()
+                    .zip(gauges.histograms(hist));
+                for (&value, h) in series {
+                    let label = f.label.map(|key| (key, value));
+                    p.histogram_series(f.name, label.as_slice(), &h.snapshot());
+                }
+            }
         }
     }
     p.out
@@ -608,8 +343,7 @@ pub fn lint_exposition(page: &str) -> Result<HashMap<String, f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Histogram;
-    use crate::pool::{JobOutcomeKind, PoolGauges};
+    use crate::pool::{JobOutcomeKind, RejectReason};
 
     /// Test-local shim over [`lint_exposition`] that panics on
     /// violations (the historical interface of this module's tests).
@@ -619,16 +353,16 @@ mod tests {
 
     #[test]
     fn rendered_page_passes_the_grammar() {
-        let g = PoolGauges::new();
+        let g = PoolGauges::new(&[]);
         for lane in [0, 1, 1, 2] {
             g.on_submit(lane);
         }
         g.on_dequeue(1);
-        g.on_finish(JobOutcomeKind::Completed, 1_500_000_000, 500_000_000);
-        g.on_reject(2);
-        g.on_cache_hit();
+        g.on_finish(JobOutcomeKind::Completed, 1, 0, 1_500_000_000, 500_000_000);
+        g.on_reject(2, RejectReason::Backpressure);
+        g.on_cache_hit(0);
         g.on_cache_miss();
-        let page = render_pool_prometheus(&g.snapshot());
+        let page = render_service_prometheus(&g);
         let samples = check_exposition(&page);
 
         assert_eq!(samples["st_service_jobs_submitted_total"], 5.0);
@@ -668,26 +402,12 @@ mod tests {
 
     #[test]
     fn histograms_render_and_lint() {
-        let h = Histogram::new();
+        let g = PoolGauges::new(&[]);
         // 1ms, 3ms, 40ms, 2s — spread across the ladder.
         for ns in [1_000_000u64, 3_000_000, 40_000_000, 2_000_000_000] {
-            h.record(ns);
+            g.on_finish(JobOutcomeKind::Completed, 0, 0, 0, ns);
         }
-        let families = [HistogramFamily {
-            name: "st_service_job_wall_seconds",
-            help: "End-to-end job latency.",
-            series: vec![
-                HistogramSeries {
-                    labels: vec![("lane", "high".to_owned())],
-                    snapshot: h.snapshot(),
-                },
-                HistogramSeries {
-                    labels: vec![("lane", "normal".to_owned())],
-                    snapshot: Histogram::new().snapshot(),
-                },
-            ],
-        }];
-        let page = render_service_prometheus(&PoolSnapshot::default(), &families);
+        let page = render_service_prometheus(&g);
         let samples = check_exposition(&page);
         assert_eq!(
             samples["st_service_job_wall_seconds_count{lane=\"high\"}"],
@@ -712,7 +432,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_every_family_at_zero() {
-        let page = render_pool_prometheus(&PoolSnapshot::default());
+        let page = render_service_prometheus(&PoolGauges::new(&[]));
         let samples = check_exposition(&page);
         assert!(samples.values().all(|&v| v == 0.0));
         // Every family the exporter promises is present even when zero

@@ -324,12 +324,6 @@ impl GraphCatalog {
         }
     }
 
-    /// The current graph under `id`, with the exact ref it resolves to.
-    #[deprecated(note = "use `resolve_latest`, or `resolve_pinned` for an exact version")]
-    pub fn resolve(&self, id: GraphId) -> Option<(Arc<CsrGraph>, GraphRef)> {
-        self.resolve_latest(id)
-    }
-
     /// Unregisters `id`. Later submissions addressing it fail with
     /// [`JobError::UnknownGraph`](crate::JobError::UnknownGraph);
     /// in-flight jobs keep their `Arc` and finish normally.
@@ -582,7 +576,13 @@ mod tests {
         let batch = EdgeBatch::new().delete(1, 2).insert(0, 3);
         let (v2, out) = cat.apply(gref.id, &batch, 0.5).expect("applies");
         assert_eq!(v2.version, 2);
-        assert_eq!(out, BatchOutcome { edges_added: 1, edges_removed: 1 });
+        assert_eq!(
+            out,
+            BatchOutcome {
+                edges_added: 1,
+                edges_removed: 1
+            }
+        );
         let (g, exact) = cat.resolve_latest(gref.id).unwrap();
         assert_eq!(exact, v2);
         assert!(g.neighbors(0).contains(&3));
@@ -658,16 +658,6 @@ mod tests {
         assert_eq!(r1, r2);
         assert!(Arc::ptr_eq(&a, &b), "second resolve reuses the memo");
         assert!(!a.neighbors(0).contains(&1));
-    }
-
-    #[test]
-    fn deprecated_resolve_still_delegates() {
-        let cat = GraphCatalog::new();
-        let gref = cat.register(Arc::new(gen::chain(3)));
-        #[allow(deprecated)]
-        let (g, exact) = cat.resolve(gref.id).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(exact, gref);
     }
 
     #[test]

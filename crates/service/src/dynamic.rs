@@ -152,7 +152,17 @@ pub(crate) fn apply_update(
     };
     // Service-path updates to one graph serialize here; conflicts below
     // can only come from direct catalog writers (apply/publish).
-    let mut up = slot.lock().unwrap();
+    let mut up = slot.lock().unwrap_or_else(|poisoned| {
+        // An earlier apply panicked mid-repair. The catalog was not
+        // touched (install is the last step), but the maintainer's
+        // forest and scratch may be half-written: drop both so this
+        // apply reseeds from the live version.
+        slot.clear_poison();
+        let mut up = poisoned.into_inner();
+        up.forest = None;
+        up.ws = Workspace::new();
+        up
+    });
     loop {
         let (view, gref) = catalog.view(id).ok_or(UpdateError::UnknownGraph(id))?;
         let n = view.num_vertices();
@@ -235,4 +245,47 @@ pub(crate) fn drop_updater(
     id: GraphId,
 ) {
     updaters.lock().unwrap().remove(&id);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use st_graph::gen;
+    use st_graph::validate::count_components;
+
+    #[test]
+    fn a_panic_inside_the_updater_does_not_wedge_the_graph() {
+        let catalog = GraphCatalog::new();
+        let pool = ExecutorPool::new([2]);
+        let updaters = Mutex::new(HashMap::new());
+        let cfg = DynConfig::default();
+        let id = catalog.register(Arc::new(gen::torus2d(8, 8))).id;
+        let first = EdgeBatch::new().insert(0, 27);
+        let seeded =
+            apply_update(&catalog, &pool, &updaters, cfg, id, &first).expect("seeding apply");
+
+        let slot = Arc::clone(&updaters.lock().unwrap()[&id]);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = slot.lock().unwrap();
+            panic!("simulated panic while holding the updater");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(updaters.lock().unwrap()[&id].is_poisoned());
+
+        // Cut the torus into two halves: every edge between rows 3
+        // and 4, plus the wrap-around edges between rows 7 and 0.
+        let mut cut = EdgeBatch::new();
+        for col in 0..8u32 {
+            cut = cut
+                .delete(3 * 8 + col, 4 * 8 + col)
+                .delete(col, 7 * 8 + col);
+        }
+        let report = apply_update(&catalog, &pool, &updaters, cfg, id, &cut)
+            .expect("a poisoned updater must recover, not panic");
+        let (live, _) = catalog.resolve_latest(id).expect("graph is registered");
+        assert_eq!(report.graph.version, seeded.graph.version + 1);
+        assert_eq!(report.components, count_components(&live));
+        assert_eq!(report.components, 2, "the cut splits the torus in two");
+        assert!(!updaters.lock().unwrap()[&id].is_poisoned());
+    }
 }

@@ -4,7 +4,7 @@
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
 use st_core::SpanningForest;
-use st_obs::{JobOutcomeKind, TraceId};
+use st_obs::{JobOutcomeKind, RejectReason, TraceId};
 use st_smp::CancelToken;
 
 /// Admission-queue priority class. Within a class, jobs run in
@@ -82,7 +82,10 @@ impl std::fmt::Display for JobError {
                 f.write_str("deadline shorter than the expected queue delay")
             }
             JobError::StaleVersion(current) => {
-                write!(f, "pinned graph version is stale (catalog is at v{current})")
+                write!(
+                    f,
+                    "pinned graph version is stale (catalog is at v{current})"
+                )
             }
         }
     }
@@ -91,10 +94,10 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 impl JobError {
-    /// The [`PoolGauges`](st_obs::PoolGauges) lane this terminal error
-    /// lands in. `Backpressure` never reaches a gauge through this path
+    /// The `outcome` this terminal error is counted under.
+    /// `Backpressure` never reaches a gauge through this path
     /// (rejections are counted at admission) and `ShuttingDown` is
-    /// folded into the cancelled lane.
+    /// folded into the cancelled outcome.
     pub(crate) fn outcome_kind(&self) -> JobOutcomeKind {
         match self {
             JobError::Cancelled
@@ -106,6 +109,34 @@ impl JobError {
             | JobError::StaleVersion(_) => JobOutcomeKind::Cancelled,
             JobError::DeadlineExceeded => JobOutcomeKind::DeadlineExceeded,
             JobError::Panicked(_) => JobOutcomeKind::Panicked,
+        }
+    }
+
+    /// The `reason` an admission rejection with this error is counted
+    /// under; every refusal that is neither a quota nor an unmeetable
+    /// deadline counts as backpressure.
+    pub(crate) fn reject_reason(&self) -> RejectReason {
+        match self {
+            JobError::QuotaExceeded => RejectReason::Quota,
+            JobError::DeadlineUnmeetable => RejectReason::DeadlineUnmeetable,
+            _ => RejectReason::Backpressure,
+        }
+    }
+
+    /// The stable lowercase name the journal's `finished` event carries
+    /// for a job that ended with this error. Errors that are job
+    /// outcomes use their `outcome` label value.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            JobError::Cancelled | JobError::DeadlineExceeded | JobError::Panicked(_) => {
+                self.outcome_kind().name()
+            }
+            JobError::Backpressure => "backpressure",
+            JobError::ShuttingDown => "shutting_down",
+            JobError::UnknownGraph => "unknown_graph",
+            JobError::QuotaExceeded => "quota_exceeded",
+            JobError::DeadlineUnmeetable => "deadline_unmeetable",
+            JobError::StaleVersion(_) => "stale_version",
         }
     }
 
@@ -130,6 +161,15 @@ pub(crate) trait CancelObserver: Send + Sync {
     /// A handle cancelled the job with this trace id; if it is still
     /// queued, sweep it out and resolve it now.
     fn on_handle_cancel(&self, trace: TraceId);
+}
+
+/// A job as every accounting hook sees it: its shared state (token,
+/// trace id, result slot), its admission lane, and its algorithm's
+/// histogram index.
+pub(crate) struct JobTag {
+    pub(crate) state: Arc<JobState>,
+    pub(crate) lane: usize,
+    pub(crate) algo: usize,
 }
 
 /// The result slot a job resolves into, guarded by [`JobState::slot`].

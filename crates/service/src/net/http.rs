@@ -259,6 +259,10 @@ fn reject(stream: &mut TcpStream, status: &str, body: &[u8]) {
 }
 
 /// Writes one HTTP/1.1 response with an explicit Content-Length.
+///
+/// Head and body go out in a single write: on a `nodelay` socket two
+/// writes can leave as two segments, and a client whose one `read`
+/// returns only the first would see a response without its body.
 fn write_response(
     stream: &mut TcpStream,
     status: &str,
@@ -267,12 +271,13 @@ fn write_response(
     close: bool,
 ) -> std::io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 

@@ -15,8 +15,10 @@
 //!   [`Status::DeadlineUnmeetable`];
 //! * deadlines and `CANCEL` drive the job's
 //!   [`CancelToken`](st_smp::CancelToken) exactly as local handles do;
-//! * `METRICS` renders the live [`PoolSnapshot`](st_obs::PoolSnapshot)
-//!   in Prometheus text format.
+//! * `METRICS` renders the full observability page — the same one HTTP
+//!   `/metrics` serves ([`Service::render_metrics`](crate::Service::render_metrics)):
+//!   every counter, gauge, and latency histogram, in Prometheus text
+//!   format.
 //!
 //! # Wire format
 //!

@@ -8,14 +8,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use st_core::engine::{SpanningAlgorithm, Workspace};
-use st_core::{BaderCong, RuntimeConfig};
+use st_core::{BaderCong, RuntimeConfig, SpanningForest};
 use st_graph::{CsrGraph, EdgeBatch};
-use st_obs::{JobEventKind, JobOutcomeKind, PoolGauges, PoolSnapshot, TraceId};
+use st_obs::{PoolSnapshot, TraceId};
 use st_smp::{CancelToken, ExecutorPool};
 
 use crate::catalog::{CacheKey, GraphCatalog, GraphId, ResultCache};
 use crate::dynamic::{self, UpdateError, UpdateReport};
-use crate::job::{CancelObserver, JobError, JobHandle, JobState, Priority};
+use crate::job::{CancelObserver, JobError, JobHandle, JobState, JobTag, Priority};
 use crate::sizing::preferred_width;
 use crate::spec::{GraphSel, JobSpec};
 use crate::telemetry::{Telemetry, DEFAULT_JOURNAL_CAPACITY, DEFAULT_SLOW_JOB_MS};
@@ -26,19 +26,13 @@ type BoxedAlgorithm = Box<dyn SpanningAlgorithm + Send + Sync>;
 
 /// One admitted job, queued until a dispatcher picks it up.
 struct QueuedJob {
+    /// Handle state, lane, and algorithm label index.
+    tag: JobTag,
     graph: Arc<CsrGraph>,
     algo: BoxedAlgorithm,
-    state: Arc<JobState>,
     submitted_at: Instant,
     /// Explicit width request; `None` = let the sizing oracle decide.
     preferred_p: Option<usize>,
-    /// Admission lane the job waits in (for per-lane gauge accounting).
-    lane: usize,
-    /// The job's trace id (same id as `state.trace`, duplicated so the
-    /// dispatcher never locks the state just to journal an event).
-    trace: TraceId,
-    /// Bounded algorithm label for the per-algorithm histograms.
-    algo_label: &'static str,
     /// When the job came through the catalog-addressed path: the key to
     /// publish its forest under on completion.
     cache_slot: Option<CacheKey>,
@@ -141,7 +135,7 @@ impl Admission {
     /// Removes a still-queued job by trace id (the eager cancel sweep).
     fn remove_by_trace(&mut self, trace: TraceId) -> Option<QueuedJob> {
         for lane in &mut self.lanes {
-            if let Some(i) = lane.iter().position(|j| j.trace == trace) {
+            if let Some(i) = lane.iter().position(|j| j.tag.state.trace == trace) {
                 let job = lane.remove(i).expect("position came from this lane");
                 self.len -= 1;
                 self.release_tenant(job.tenant);
@@ -175,7 +169,6 @@ struct Shared {
     /// change right after returning their lease — the one moment a
     /// saturated pool reliably has an idle team.
     pending_resizes: Mutex<HashMap<usize, usize>>,
-    gauges: PoolGauges,
     pool: ExecutorPool,
     catalog: Arc<GraphCatalog>,
     cache: ResultCache,
@@ -220,9 +213,9 @@ impl Shared {
         if old == target || self.pool.try_resize_team(team, target) {
             self.pending_resizes.lock().unwrap().remove(&team);
             if target > old {
-                self.gauges.on_team_grown();
+                self.telemetry.gauges().on_team_grown();
             } else if target < old {
-                self.gauges.on_team_shrunk();
+                self.telemetry.gauges().on_team_shrunk();
             }
         }
     }
@@ -246,33 +239,19 @@ impl CancelObserver for Shared {
             return;
         };
         // Accounting mirrors the dispatcher's dead-job path, done
-        // outside the queue lock: dequeue gauges, journal, outcome
-        // classification from the token (deadline wins over cancel),
-        // then the handle resolves and a blocked submitter gets the
-        // freed slot.
-        self.gauges.on_dequeue(job.lane);
-        self.telemetry.journal().record_now(
-            job.trace,
-            JobEventKind::Dequeued,
-            Some(job.lane as u8),
-            None,
-            None,
-        );
-        let queue_ns = elapsed_ns(job.submitted_at);
-        let err = JobError::from_token(&job.state.token);
-        self.gauges.on_finish(err.outcome_kind(), queue_ns, 0);
-        self.telemetry.on_finished(
-            job.trace,
-            job.lane as u8,
-            None,
-            outcome_name(err.outcome_kind()),
-            queue_ns,
+        // outside the queue lock: the dequeue, then the finish with the
+        // outcome classified from the token (deadline wins over
+        // cancel), then a blocked submitter gets the freed slot.
+        self.telemetry.on_dequeued(&job.tag);
+        let err = JobError::from_token(&job.tag.state.token);
+        finish(
+            self,
+            &job.tag,
+            Err(err),
+            elapsed_ns(job.submitted_at),
             0,
-            false,
-            job.algo_label,
             None,
         );
-        job.state.finish(Err(err));
         self.space.notify_one();
     }
 }
@@ -540,7 +519,6 @@ impl ServiceBuilder {
             tenant_quota,
             queue_delay_est: Default::default(),
             pending_resizes: Mutex::new(HashMap::new()),
-            gauges: PoolGauges::new(),
             pool: ExecutorPool::new(teams),
             catalog: self.catalog.unwrap_or_default(),
             cache: ResultCache::new(cache_capacity),
@@ -757,17 +735,14 @@ impl Service {
     /// per-lane queue depth, busy teams, cache hit rates, queue/exec
     /// time totals).
     pub fn snapshot(&self) -> PoolSnapshot {
-        self.shared.gauges.snapshot()
+        self.shared.telemetry.gauges().snapshot()
     }
 
     /// The full observability page in Prometheus text exposition —
     /// pool gauges, SLO series, and latency histograms. Served by the
     /// TCP front-end's `METRICS` op and the HTTP `/metrics` endpoint.
     pub fn render_metrics(&self) -> String {
-        st_obs::render_service_prometheus(
-            &self.snapshot(),
-            &self.shared.telemetry.histogram_families(),
-        )
+        st_obs::render_service_prometheus(self.shared.telemetry.gauges())
     }
 
     /// The service's telemetry plane: event journal, latency
@@ -829,14 +804,12 @@ impl Service {
             batch,
         );
         if let Ok(report) = &out {
-            self.shared.gauges.on_update(
+            self.shared.telemetry.gauges().on_update(
                 report.incremental,
                 report.outcome.edges_added as u64,
                 report.outcome.edges_removed as u64,
+                elapsed_ns(started),
             );
-            self.shared
-                .telemetry
-                .on_update(report.incremental, elapsed_ns(started));
         }
         out
     }
@@ -889,34 +862,23 @@ impl Service {
         // Front-ends may pre-mint the id (the TCP server does, so the
         // wire reply and the journal agree); otherwise mint here.
         let trace = spec.trace.map(TraceId).unwrap_or_else(TraceId::mint);
-        let lane = spec.priority.lane();
-        let state = JobState::new(token, trace);
-        let journal = self.shared.telemetry.journal();
-        journal.record_now(
-            trace,
-            JobEventKind::Submitted,
-            Some(lane as u8),
-            None,
-            Some(spec.algorithm.name().to_owned()),
-        );
+        let tag = JobTag {
+            state: JobState::new(token, trace),
+            lane: spec.priority.lane(),
+            algo: Telemetry::algo_index(spec.algorithm.name()),
+        };
+        let telemetry = &self.shared.telemetry;
+        telemetry.on_submitted(&tag);
         // A cache hit completes instantly, so any live deadline is met
         // trivially — but a deadline that is already expired at
         // submission (e.g. Duration::ZERO) must still report
         // DeadlineExceeded, exactly as the executed path would.
-        if state.token.is_cancelled() {
-            let err = JobError::from_token(&state.token);
-            self.shared.gauges.on_submit_unqueued();
-            self.shared.gauges.on_finish(err.outcome_kind(), 0, 0);
-            journal.record_now(
-                trace,
-                JobEventKind::Finished,
-                Some(lane as u8),
-                None,
-                Some(outcome_name(err.outcome_kind()).to_owned()),
-            );
-            state.finish(Err(err));
+        if tag.state.token.is_cancelled() {
+            telemetry.gauges().on_submit_unqueued();
+            let err = JobError::from_token(&tag.state.token);
+            finish(&self.shared, &tag, Err(err), 0, 0, None);
             return Ok(Submitted {
-                handle: JobHandle::new(state),
+                handle: JobHandle::new(tag.state),
                 cached: false,
             });
         }
@@ -924,40 +886,30 @@ impl Service {
             // Short-circuit: the forest is already known for this exact
             // (graph version, algorithm, seed, width). No queue entry,
             // no team lease — the handle resolves before it is returned.
-            // `on_cache_hit` counts the completion under the dedicated
-            // cached series; the zero-latency hit stays out of the
-            // execution histograms.
-            self.shared.gauges.on_cache_hit();
-            self.shared
-                .telemetry
-                .on_cached(trace, lane as u8, elapsed_ns(arrived));
-            state.finish(Ok(forest));
+            // The completion counts under the dedicated cached series;
+            // the zero-latency hit stays out of the execution
+            // histograms.
+            telemetry.on_cache_hit(&tag, elapsed_ns(arrived));
+            tag.state.finish(Ok(forest));
             return Ok(Submitted {
-                handle: JobHandle::new(state),
+                handle: JobHandle::new(tag.state),
                 cached: true,
             });
         }
-        self.shared.gauges.on_cache_miss();
+        telemetry.gauges().on_cache_miss();
         // A stale pin that the cache could not serve cannot execute:
         // the pinned version's CSR is gone (superseded or evicted).
         let Some(graph) = graph else {
             let current = stale.unwrap_or(gref.version);
-            return Err(self.reject(
-                trace,
-                lane,
-                "stale_version",
-                JobError::StaleVersion(current),
-            ));
+            return Err(self.reject(&tag, JobError::StaleVersion(current)));
         };
+        let state = Arc::clone(&tag.state);
         let job = QueuedJob {
+            tag,
             graph,
             algo: spec.algorithm.instantiate(spec.seed),
-            state: Arc::clone(&state),
             submitted_at: arrived,
             preferred_p: spec.processors,
-            lane,
-            trace,
-            algo_label: spec.algorithm.name(),
             cache_slot: Some(key),
             tenant: spec.tenant,
         };
@@ -1005,45 +957,30 @@ impl Service {
         }
     }
 
-    /// Records a rejected submission: the reason-tagged reject gauge
-    /// plus the journal's terminal event for the trace.
-    fn reject(&self, trace: TraceId, lane: usize, reason: &str, err: JobError) -> JobError {
-        match err {
-            JobError::QuotaExceeded => self.shared.gauges.on_reject_quota(lane),
-            JobError::DeadlineUnmeetable => {
-                self.shared.gauges.on_reject_deadline_unmeetable(lane);
-            }
-            _ => self.shared.gauges.on_reject(lane),
-        }
-        self.shared.telemetry.journal().record_now(
-            trace,
-            JobEventKind::Finished,
-            Some(lane as u8),
-            None,
-            Some(reason.to_owned()),
-        );
+    /// Records a rejected submission (the reason-tagged reject gauge
+    /// plus the journal's terminal event for the trace) and hands the
+    /// error back.
+    fn reject(&self, job: &JobTag, err: JobError) -> JobError {
+        self.shared.telemetry.on_rejected(job, &err);
         err
     }
 
     fn enqueue(&self, job: QueuedJob, block: bool) -> Result<(), JobError> {
-        let lane = job.lane;
-        let (trace, algo_label) = (job.trace, job.algo_label);
+        let lane = job.tag.lane;
         // Register the eager-cancel hook before the job can be queued,
         // so a cancel racing this submission can never miss the sweep.
-        job.state
+        job.tag
+            .state
             .set_cancel_observer(Arc::downgrade(&self.shared) as Weak<dyn CancelObserver>);
         let mut q = self.shared.queue.lock().unwrap();
         loop {
             if q.shutdown {
                 drop(q);
-                self.shared.telemetry.journal().record_now(
-                    trace,
-                    JobEventKind::Finished,
-                    Some(lane as u8),
-                    None,
-                    Some("shutting_down".to_owned()),
-                );
-                return Err(JobError::ShuttingDown);
+                let err = JobError::ShuttingDown;
+                self.shared
+                    .telemetry
+                    .journal_finished(&job.tag, None, err.name());
+                return Err(err);
             }
             // Per-tenant quota: rejected even on the blocking path —
             // the tenant is over *its own* cap, so waiting for global
@@ -1052,12 +989,7 @@ impl Service {
             if let Some(quota) = self.shared.tenant_quota {
                 if q.tenant_load(job.tenant) >= quota {
                     drop(q);
-                    return Err(self.reject(
-                        trace,
-                        lane,
-                        "quota_exceeded",
-                        JobError::QuotaExceeded,
-                    ));
+                    return Err(self.reject(&job.tag, JobError::QuotaExceeded));
                 }
             }
             // Deadline-aware admission: when this lane's observed queue
@@ -1065,19 +997,14 @@ impl Service {
             // job would almost surely expire in the queue — reject now
             // so the tenant can retry elsewhere instead of burning a
             // bounded slot on a doomed job.
-            if let Some(deadline) = job.state.token.deadline() {
+            if let Some(deadline) = job.tag.state.token.deadline() {
                 let remaining = deadline
                     .saturating_duration_since(Instant::now())
                     .as_nanos()
                     .min(u128::from(u64::MAX)) as u64;
                 if self.shared.queue_delay_estimate_ns(lane) > remaining {
                     drop(q);
-                    return Err(self.reject(
-                        trace,
-                        lane,
-                        "deadline_unmeetable",
-                        JobError::DeadlineUnmeetable,
-                    ));
+                    return Err(self.reject(&job.tag, JobError::DeadlineUnmeetable));
                 }
             }
             if q.len < self.shared.capacity {
@@ -1085,21 +1012,18 @@ impl Service {
             }
             if !block {
                 drop(q);
-                return Err(self.reject(trace, lane, "backpressure", JobError::Backpressure));
+                return Err(self.reject(&job.tag, JobError::Backpressure));
             }
             q = self.shared.space.wait(q).unwrap();
         }
         q.charge_tenant(job.tenant);
-        q.lanes[lane].push_back(job);
-        q.len += 1;
-        self.shared.gauges.on_submit(lane);
         // Journaled while still holding the queue lock: the dispatcher
         // can only pop (and journal `dequeued`) after this lock drops,
         // so a trace's events always read submitted < admitted <
         // dequeued.
-        self.shared
-            .telemetry
-            .on_admitted(trace, lane as u8, algo_label);
+        self.shared.telemetry.on_admitted(&job.tag);
+        q.lanes[lane].push_back(job);
+        q.len += 1;
         drop(q);
         self.shared.work.notify_one();
         Ok(())
@@ -1207,31 +1131,24 @@ impl JobBuilder<'_> {
             Some(d) => CancelToken::with_deadline(Instant::now() + d),
             None => CancelToken::new(),
         };
-        let trace = TraceId::mint();
-        let lane = self.priority.lane();
-        let state = JobState::new(token, trace);
         let algo = self
             .algo
             .unwrap_or_else(|| Box::new(BaderCong::with_defaults()));
         // Custom algorithms outside the catalog set share one "other"
         // histogram label — the Prometheus series set stays bounded.
-        let algo_label = Telemetry::algo_label(algo.name());
-        self.service.shared.telemetry.journal().record_now(
-            trace,
-            JobEventKind::Submitted,
-            Some(lane as u8),
-            None,
-            Some(algo_label.to_owned()),
-        );
+        let tag = JobTag {
+            state: JobState::new(token, TraceId::mint()),
+            lane: self.priority.lane(),
+            algo: Telemetry::algo_index(algo.name()),
+        };
+        self.service.shared.telemetry.on_submitted(&tag);
+        let state = Arc::clone(&tag.state);
         let job = QueuedJob {
+            tag,
             graph: self.graph,
             algo,
-            state: Arc::clone(&state),
             submitted_at: Instant::now(),
             preferred_p: self.preferred_p,
-            lane,
-            trace,
-            algo_label,
             // Ad-hoc graphs have no catalog identity, so their results
             // cannot be cached or shared.
             cache_slot: None,
@@ -1261,19 +1178,12 @@ fn dispatcher(shared: &Shared) {
                 q = shared.work.wait(q).unwrap();
             }
         };
-        shared.gauges.on_dequeue(job.lane);
+        shared.telemetry.on_dequeued(&job.tag);
         let queue_ns = elapsed_ns(job.submitted_at);
         // Every dequeue feeds the lane's queue-delay estimator — the
         // drained and cancelled paths included, since they waited just
         // as long as a job that goes on to run.
-        shared.note_queue_delay(job.lane, queue_ns);
-        shared.telemetry.journal().record_now(
-            job.trace,
-            st_obs::JobEventKind::Dequeued,
-            Some(job.lane as u8),
-            None,
-            None,
-        );
+        shared.note_queue_delay(job.tag.lane, queue_ns);
         shared.space.notify_one();
         if draining {
             // Classify from the token, exactly as the executed path
@@ -1281,28 +1191,13 @@ fn dispatcher(shared: &Shared) {
             // queue reports `DeadlineExceeded`, not a bogus
             // shutdown-cancellation — shutdown is merely when the
             // queue got around to noticing.
-            let err = if job.state.token.is_cancelled() {
-                JobError::from_token(&job.state.token)
+            let token = &job.tag.state.token;
+            let err = if token.is_cancelled() {
+                JobError::from_token(token)
             } else {
                 JobError::ShuttingDown
             };
-            let outcome = match err {
-                JobError::ShuttingDown => "shutting_down",
-                ref e => outcome_name(e.outcome_kind()),
-            };
-            shared.gauges.on_finish(err.outcome_kind(), queue_ns, 0);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                None,
-                outcome,
-                queue_ns,
-                0,
-                false,
-                job.algo_label,
-                None,
-            );
-            job.state.finish(Err(err));
+            finish(shared, &job.tag, Err(err), queue_ns, 0, None);
             continue;
         }
         run_job(shared, job, &mut ws);
@@ -1319,21 +1214,16 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     let queue_ns = elapsed_ns(job.submitted_at);
     // A token that fired while the job sat in the queue: resolve without
     // paying for a lease.
-    if job.state.token.is_cancelled() {
-        let err = JobError::from_token(&job.state.token);
-        shared.gauges.on_finish(err.outcome_kind(), queue_ns, 0);
-        shared.telemetry.on_finished(
-            job.trace,
-            job.lane as u8,
-            None,
-            outcome_name(err.outcome_kind()),
+    let token = &job.tag.state.token;
+    if token.is_cancelled() {
+        finish(
+            shared,
+            &job.tag,
+            Err(JobError::from_token(token)),
             queue_ns,
             0,
-            false,
-            job.algo_label,
             None,
         );
-        job.state.finish(Err(err));
         return;
     }
 
@@ -1346,100 +1236,63 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     });
     let lease = shared.pool.lease(preferred);
     let team = lease.team_id() as u32;
-    shared.gauges.on_team_busy();
-    shared.telemetry.on_started(job.trace, job.lane as u8, team);
+    shared.telemetry.gauges().on_team_busy();
+    shared.telemetry.on_started(&job.tag, team);
     ws.note_queue_wait(queue_ns);
-    ws.note_trace_id(job.trace.as_u64());
+    ws.note_trace_id(job.tag.state.trace.as_u64());
     let started = Instant::now();
     // The guard isolates tenant panics: the lease returns the team on
     // unwind (Executor survives panicked jobs) and the dispatcher
     // replaces its workspace, so the pool keeps serving other tenants.
     let run = catch_unwind(AssertUnwindSafe(|| {
         job.algo.prepare(ws, &job.graph);
-        job.algo
-            .run_with_cancel(&job.graph, &lease, ws, &job.state.token)
+        job.algo.run_with_cancel(&job.graph, &lease, ws, token)
     }));
     drop(lease);
-    shared.gauges.on_team_idle();
+    shared.telemetry.gauges().on_team_idle();
     // The lease just came back: if the elastic controller posted a
     // width change for this team, this is the guaranteed-idle window
     // to land it, even when the pool as a whole is saturated.
     shared.apply_pending_resize(team as usize);
     let exec_ns = elapsed_ns(started);
 
-    match run {
+    let result = match run {
         Ok(Ok(forest)) => {
             if let Some(key) = job.cache_slot {
                 shared.cache.insert(key, forest.clone());
             }
-            shared
-                .gauges
-                .on_finish(JobOutcomeKind::Completed, queue_ns, exec_ns);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                Some(team),
-                "completed",
-                queue_ns,
-                exec_ns,
-                true,
-                job.algo_label,
-                Some(&forest.stats.metrics),
-            );
-            job.state.finish(Ok(forest));
+            Ok(forest)
         }
-        Ok(Err(st_core::Cancelled)) => {
-            let err = JobError::from_token(&job.state.token);
-            shared
-                .gauges
-                .on_finish(err.outcome_kind(), queue_ns, exec_ns);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                Some(team),
-                outcome_name(err.outcome_kind()),
-                queue_ns,
-                exec_ns,
-                false,
-                job.algo_label,
-                None,
-            );
-            job.state.finish(Err(err));
-        }
+        Ok(Err(st_core::Cancelled)) => Err(JobError::from_token(token)),
         Err(payload) => {
             // Mid-run unwind can leave the workspace's scratch in an
             // arbitrary state; a fresh arena is the safe restart.
             *ws = Workspace::new();
-            shared
-                .gauges
-                .on_finish(JobOutcomeKind::Panicked, queue_ns, exec_ns);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                Some(team),
-                "panicked",
-                queue_ns,
-                exec_ns,
-                false,
-                job.algo_label,
-                None,
-            );
-            job.state
-                .finish(Err(JobError::Panicked(panic_message(&*payload))));
+            Err(JobError::Panicked(panic_message(&*payload)))
         }
-    }
+    };
+    finish(shared, &job.tag, result, queue_ns, exec_ns, Some(team));
 }
 
-/// Stable lowercase outcome names used in journal `finished` events
-/// (matching the `outcome` label values of
-/// `st_service_jobs_finished_total`).
-fn outcome_name(kind: JobOutcomeKind) -> &'static str {
-    match kind {
-        JobOutcomeKind::Completed => "completed",
-        JobOutcomeKind::Cancelled => "cancelled",
-        JobOutcomeKind::DeadlineExceeded => "deadline_exceeded",
-        JobOutcomeKind::Panicked => "panicked",
-    }
+/// The one way a job with a handle leaves the service: every surface
+/// that accounts for it — outcome counters and time totals, latency
+/// histograms (completed executions only), in-flight table, slow-job
+/// log, and the journal's `finished` event — records the result, then
+/// the handle resolves. `team` is the team that ran the job, `None`
+/// when it never ran.
+fn finish(
+    shared: &Shared,
+    job: &JobTag,
+    result: Result<SpanningForest, JobError>,
+    queue_ns: u64,
+    exec_ns: u64,
+    team: Option<u32>,
+) {
+    let outcome = result.as_ref().map(|forest| &forest.stats.metrics);
+    shared
+        .telemetry
+        .on_finished(job, team, outcome, queue_ns, exec_ns);
+    job.state.finish(result);
 }
 
 /// Best-effort extraction of a panic payload's message.

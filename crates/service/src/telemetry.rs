@@ -1,15 +1,18 @@
-//! Server-side telemetry: latency histograms, the job event journal,
-//! the in-flight table, and the slow-job log.
+//! Server-side telemetry: the metrics, the job event journal, the
+//! in-flight table, and the slow-job log.
 //!
-//! [`Telemetry`] is the service's answer to two questions the plain
-//! [`PoolGauges`](st_obs::PoolGauges) cannot address: *what is the
-//! latency distribution* (per priority lane and per algorithm, as
-//! lock-free [`ShardedHistogram`]s the dispatchers record into), and
-//! *what happened to this particular job* (the bounded
-//! [`EventJournal`] of lifecycle events keyed by [`TraceId`], the
-//! in-flight table behind `/debug/jobs`, and the slow-job log that
-//! keeps the full [`JobMetrics`](st_obs::JobMetrics) of any job whose
-//! wall latency crossed the configured threshold).
+//! [`Telemetry`] answers three questions. *How is the pool doing* —
+//! the table-declared [`PoolGauges`]: counters, gauges, and the
+//! per-lane and per-algorithm latency histograms the dispatchers
+//! record into. *What happened to this particular job* — the bounded
+//! [`EventJournal`] of lifecycle events keyed by [`TraceId`] and the
+//! in-flight table behind `/debug/jobs`. *Why was it slow* — the
+//! slow-job log that keeps the full [`JobMetrics`] of any job whose
+//! wall latency crossed the configured threshold.
+//!
+//! The lifecycle hooks take a [`JobTag`] and update every surface a
+//! transition touches, so the gauges, the journal, and the in-flight
+//! table cannot disagree about a job.
 //!
 //! Everything here is bounded: histograms are fixed arrays, the
 //! journal and slow log are drop-oldest rings, and the in-flight table
@@ -18,10 +21,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-use st_obs::hist::ShardedHistogram;
 use st_obs::journal::{escape_json_into, EventJournal, JobEventKind, TraceId};
-use st_obs::{HistogramFamily, HistogramSeries, JobMetrics, QUEUE_LANES};
+use st_obs::{Hist, JobMetrics, JobOutcomeKind, PoolGauges};
 
+use crate::job::{JobError, JobTag};
 use crate::spec::AlgorithmId;
 
 /// Default journal capacity when neither the builder nor
@@ -36,10 +39,7 @@ pub const DEFAULT_SLOW_JOB_MS: u64 = 1000;
 /// Slow-job reports retained (drop-oldest).
 const SLOW_LOG_CAPACITY: usize = 32;
 
-/// Lowercase lane names, index-aligned with the admission lanes.
-pub(crate) const LANE_NAMES: [&str; QUEUE_LANES] = ["high", "normal", "low"];
-
-/// Histogram bucket for jobs whose algorithm is not one of the
+/// Histogram label for jobs whose algorithm is not one of the
 /// catalog-addressable [`AlgorithmId`]s (in-process submissions of
 /// custom [`SpanningAlgorithm`](st_core::engine::SpanningAlgorithm)s).
 const OTHER_ALGORITHM: &str = "other";
@@ -75,26 +75,13 @@ pub struct SlowJob {
     pub metrics_json: String,
 }
 
-/// The service's telemetry plane: histograms, journal, in-flight
-/// table, slow-job log.
+/// The service's telemetry plane: metrics, journal, in-flight table,
+/// slow-job log.
 pub struct Telemetry {
+    /// Every table-declared service metric.
+    gauges: PoolGauges,
     /// Lifecycle event ring.
     journal: EventJournal,
-    /// Queue-wait latency per admission lane, nanoseconds.
-    lane_queue: [ShardedHistogram; QUEUE_LANES],
-    /// Execution latency per admission lane, nanoseconds.
-    lane_exec: [ShardedHistogram; QUEUE_LANES],
-    /// Wall (queue + exec) latency per admission lane, nanoseconds.
-    lane_wall: [ShardedHistogram; QUEUE_LANES],
-    /// Wall latency of result-cache hits — split out so the zero-cost
-    /// hot path cannot understate the real-execution percentiles.
-    cached_wall: ShardedHistogram,
-    /// Execution latency per algorithm, nanoseconds.
-    algo_exec: Vec<(&'static str, ShardedHistogram)>,
-    /// Per-batch update latency, incremental-maintenance path.
-    update_incremental: ShardedHistogram,
-    /// Per-batch update latency, full-recompute fallback path.
-    update_recomputed: ShardedHistogram,
     /// Wall-latency threshold past which a job's full metrics are kept.
     slow_threshold_ns: u64,
     /// Recent slow-job reports (drop-oldest ring).
@@ -112,50 +99,39 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-/// The number of dispatcher-side recorder shards. Dispatcher threads
-/// are the only recorders, one per team; 8 covers every realistic team
-/// layout without a cache-padded array per core.
-const HIST_SHARDS: usize = 8;
-
-fn lane_histograms() -> [ShardedHistogram; QUEUE_LANES] {
-    std::array::from_fn(|_| ShardedHistogram::new(HIST_SHARDS))
-}
-
 impl Telemetry {
     /// A fresh telemetry plane with the given journal capacity and
     /// slow-job threshold.
     pub fn new(journal_capacity: usize, slow_threshold_ns: u64) -> Self {
-        let algo_exec = AlgorithmId::ALL
+        let algorithms: Vec<&'static str> = AlgorithmId::ALL
             .iter()
             .map(|a| a.name())
             .chain([OTHER_ALGORITHM])
-            .map(|name| (name, ShardedHistogram::new(HIST_SHARDS)))
             .collect();
         Self {
+            gauges: PoolGauges::new(&algorithms),
             journal: EventJournal::new(journal_capacity),
-            lane_queue: lane_histograms(),
-            lane_exec: lane_histograms(),
-            lane_wall: lane_histograms(),
-            cached_wall: ShardedHistogram::new(HIST_SHARDS),
-            algo_exec,
-            update_incremental: ShardedHistogram::new(HIST_SHARDS),
-            update_recomputed: ShardedHistogram::new(HIST_SHARDS),
             slow_threshold_ns,
             slow: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)),
             inflight: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The label a submission records its algorithm histogram under:
-    /// the engine algorithm's name when it matches a catalog
-    /// [`AlgorithmId`], `"other"` for custom algorithms (bounded label
-    /// set — Prometheus series must not grow with tenant creativity).
-    pub(crate) fn algo_label(engine_name: &str) -> &'static str {
+    /// The index a submission records its algorithm histogram under:
+    /// the engine algorithm's position among the catalog
+    /// [`AlgorithmId`]s, or the trailing `"other"` slot for custom
+    /// algorithms (bounded label set — Prometheus series must not grow
+    /// with tenant creativity).
+    pub(crate) fn algo_index(engine_name: &str) -> usize {
         AlgorithmId::ALL
             .iter()
-            .map(|a| a.name())
-            .find(|n| *n == engine_name)
-            .unwrap_or(OTHER_ALGORITHM)
+            .position(|a| a.name() == engine_name)
+            .unwrap_or(AlgorithmId::ALL.len())
+    }
+
+    /// The service's metrics: counters, gauges, latency histograms.
+    pub fn gauges(&self) -> &PoolGauges {
+        &self.gauges
     }
 
     /// The lifecycle event journal.
@@ -170,12 +146,30 @@ impl Telemetry {
 
     // ---- lifecycle hooks (called by the service/dispatchers) ----
 
-    /// Records a job entering the in-flight table at admission.
-    pub(crate) fn on_admitted(&self, trace: TraceId, lane: u8, algorithm: &'static str) {
+    /// Journals a submission's `submitted` event, naming its algorithm.
+    pub(crate) fn on_submitted(&self, job: &JobTag) {
+        self.journal.record_now(
+            job.state.trace,
+            JobEventKind::Submitted,
+            Some(job.lane as u8),
+            None,
+            Some(self.algo_name(job).to_owned()),
+        );
+    }
+
+    /// The job's algorithm label.
+    fn algo_name(&self, job: &JobTag) -> &'static str {
+        self.gauges.label_values(Hist::AlgoExec)[job.algo]
+    }
+
+    /// Records a job entering the queue: its in-flight entry, the
+    /// queue gauges, and the `admitted` event.
+    pub(crate) fn on_admitted(&self, job: &JobTag) {
+        let trace = job.state.trace;
         let entry = InflightJob {
             trace,
-            lane,
-            algorithm,
+            lane: job.lane as u8,
+            algorithm: self.algo_name(job),
             stage: "queued",
             team: None,
             submitted_t_ns: self.journal.now_ns(),
@@ -184,56 +178,75 @@ impl Telemetry {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(trace.as_u64(), entry);
-        self.journal
-            .record_now(trace, JobEventKind::Admitted, Some(lane), None, None);
+        self.gauges.on_submit(job.lane);
+        self.journal.record_now(
+            trace,
+            JobEventKind::Admitted,
+            Some(job.lane as u8),
+            None,
+            None,
+        );
+    }
+
+    /// Records a job leaving its queue lane (for a dispatcher, or swept
+    /// out by an eager cancel).
+    pub(crate) fn on_dequeued(&self, job: &JobTag) {
+        self.gauges.on_dequeue(job.lane);
+        self.journal.record_now(
+            job.state.trace,
+            JobEventKind::Dequeued,
+            Some(job.lane as u8),
+            None,
+            None,
+        );
     }
 
     /// Marks an in-flight job as running on `team` and journals the
     /// start.
-    pub(crate) fn on_started(&self, trace: TraceId, lane: u8, team: u32) {
-        if let Some(job) = self
+    pub(crate) fn on_started(&self, job: &JobTag, team: u32) {
+        let trace = job.state.trace;
+        if let Some(entry) = self
             .inflight
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get_mut(&trace.as_u64())
         {
-            job.stage = "running";
-            job.team = Some(team);
+            entry.stage = "running";
+            entry.team = Some(team);
         }
-        self.journal
-            .record_now(trace, JobEventKind::Started, Some(lane), Some(team), None);
+        self.journal.record_now(
+            trace,
+            JobEventKind::Started,
+            Some(job.lane as u8),
+            Some(team),
+            None,
+        );
     }
 
-    /// Journals the job's end, removes it from the in-flight table,
-    /// and — for completed real executions — records the latency
-    /// histograms and, past the threshold, the slow-job report.
-    #[allow(clippy::too_many_arguments)]
+    /// Records a job's end: its outcome in the gauges (and, for a
+    /// completed execution, the latency histograms), removal from the
+    /// in-flight table, the slow-job report past the threshold, and the
+    /// `finished` event naming the outcome.
     pub(crate) fn on_finished(
         &self,
-        trace: TraceId,
-        lane: u8,
+        job: &JobTag,
         team: Option<u32>,
-        outcome: &str,
+        outcome: Result<&JobMetrics, &JobError>,
         queue_ns: u64,
         exec_ns: u64,
-        completed: bool,
-        algorithm: &'static str,
-        metrics: Option<&JobMetrics>,
     ) {
+        let trace = job.state.trace;
+        let (kind, detail) = match outcome {
+            Ok(_) => (JobOutcomeKind::Completed, JobOutcomeKind::Completed.name()),
+            Err(e) => (e.outcome_kind(), e.name()),
+        };
+        self.gauges
+            .on_finish(kind, job.lane, job.algo, queue_ns, exec_ns);
         self.inflight
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .remove(&trace.as_u64());
-        if completed {
-            let lane_i = (lane as usize).min(QUEUE_LANES - 1);
-            self.lane_queue[lane_i].record(queue_ns);
-            self.lane_exec[lane_i].record(exec_ns);
-            self.lane_wall[lane_i].record(queue_ns + exec_ns);
-            if let Some((_, h)) = self.algo_exec.iter().find(|(n, _)| *n == algorithm) {
-                h.record(exec_ns);
-            }
-        }
-        if let Some(m) = metrics {
+        if let Ok(m) = outcome {
             // A hybrid run that executed any bottom-up round switched
             // direction at least once — worth a discrete event, since
             // switch behavior is exactly what distribution-level
@@ -244,7 +257,7 @@ impl Telemetry {
                 self.journal.record_now(
                     trace,
                     JobEventKind::DirectionSwitched,
-                    Some(lane),
+                    Some(job.lane as u8),
                     team,
                     Some(format!("rounds_top_down={td},rounds_bottom_up={bu}")),
                 );
@@ -262,37 +275,32 @@ impl Telemetry {
                 });
             }
         }
+        self.journal_finished(job, team, detail);
+    }
+
+    /// Records a submission resolved from the result cache: a cached
+    /// completion whose wall latency goes to the dedicated cached
+    /// series, never to the execution histograms.
+    pub(crate) fn on_cache_hit(&self, job: &JobTag, wall_ns: u64) {
+        self.gauges.on_cache_hit(wall_ns);
+        self.journal_finished(job, None, "cache_hit");
+    }
+
+    /// Records a submission admission refused with `err`.
+    pub(crate) fn on_rejected(&self, job: &JobTag, err: &JobError) {
+        self.gauges.on_reject(job.lane, err.reject_reason());
+        self.journal_finished(job, None, err.name());
+    }
+
+    /// Journals a trace's terminal `finished` event.
+    pub(crate) fn journal_finished(&self, job: &JobTag, team: Option<u32>, detail: &str) {
         self.journal.record_now(
-            trace,
+            job.state.trace,
             JobEventKind::Finished,
-            Some(lane),
+            Some(job.lane as u8),
             team,
-            Some(outcome.to_owned()),
+            Some(detail.to_owned()),
         );
-    }
-
-    /// Records a submission resolved from the result cache (its wall
-    /// latency goes to the dedicated cached series, not the execution
-    /// histograms).
-    pub(crate) fn on_cached(&self, trace: TraceId, lane: u8, wall_ns: u64) {
-        self.cached_wall.record(wall_ns);
-        self.journal.record_now(
-            trace,
-            JobEventKind::Finished,
-            Some(lane),
-            None,
-            Some("cache_hit".to_owned()),
-        );
-    }
-
-    /// Records one applied batch update's wall latency under the
-    /// maintenance path that ran.
-    pub(crate) fn on_update(&self, incremental: bool, wall_ns: u64) {
-        if incremental {
-            self.update_incremental.record(wall_ns);
-        } else {
-            self.update_recomputed.record(wall_ns);
-        }
     }
 
     // ---- read side (HTTP observability plane, tests, bench) ----
@@ -301,76 +309,8 @@ impl Telemetry {
     /// nanoseconds (0 when nothing completed) — the server-side numbers
     /// the bench report pairs with its client-side stopwatch.
     pub fn wall_quantiles(&self) -> (u64, u64) {
-        let mut merged = self.lane_wall[0].snapshot();
-        for lane in &self.lane_wall[1..] {
-            merged.merge(&lane.snapshot());
-        }
+        let merged = self.gauges.merged(Hist::JobWall);
         (merged.quantile(0.50), merged.quantile(0.99))
-    }
-
-    /// The latency histogram families for the Prometheus page.
-    pub fn histogram_families(&self) -> Vec<HistogramFamily> {
-        let lane_series = |hists: &[ShardedHistogram; QUEUE_LANES]| -> Vec<HistogramSeries> {
-            hists
-                .iter()
-                .zip(LANE_NAMES)
-                .map(|(h, name)| HistogramSeries {
-                    labels: vec![("lane", name.to_owned())],
-                    snapshot: h.snapshot(),
-                })
-                .collect()
-        };
-        vec![
-            HistogramFamily {
-                name: "st_service_job_queue_seconds",
-                help: "Queue wait of completed jobs, by priority lane.",
-                series: lane_series(&self.lane_queue),
-            },
-            HistogramFamily {
-                name: "st_service_job_exec_seconds",
-                help: "Execution time of completed jobs, by priority lane.",
-                series: lane_series(&self.lane_exec),
-            },
-            HistogramFamily {
-                name: "st_service_job_wall_seconds",
-                help: "End-to-end latency (queue + exec) of completed jobs, by priority lane.",
-                series: lane_series(&self.lane_wall),
-            },
-            HistogramFamily {
-                name: "st_service_update_seconds",
-                help: "Wall latency of applied batch updates, by maintenance mode.",
-                series: vec![
-                    HistogramSeries {
-                        labels: vec![("mode", "incremental".to_owned())],
-                        snapshot: self.update_incremental.snapshot(),
-                    },
-                    HistogramSeries {
-                        labels: vec![("mode", "recomputed".to_owned())],
-                        snapshot: self.update_recomputed.snapshot(),
-                    },
-                ],
-            },
-            HistogramFamily {
-                name: "st_service_cached_wall_seconds",
-                help: "End-to-end latency of submissions served from the result cache.",
-                series: vec![HistogramSeries {
-                    labels: Vec::new(),
-                    snapshot: self.cached_wall.snapshot(),
-                }],
-            },
-            HistogramFamily {
-                name: "st_service_algo_exec_seconds",
-                help: "Execution time of completed jobs, by algorithm.",
-                series: self
-                    .algo_exec
-                    .iter()
-                    .map(|(name, h)| HistogramSeries {
-                        labels: vec![("algorithm", (*name).to_owned())],
-                        snapshot: h.snapshot(),
-                    })
-                    .collect(),
-            },
-        ]
     }
 
     /// The in-flight table as a JSON array (sorted by trace id so the
@@ -455,63 +395,54 @@ pub(crate) fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobState;
+    use st_smp::CancelToken;
+
+    fn tag(lane: usize, algorithm: &str) -> JobTag {
+        JobTag {
+            state: JobState::new(CancelToken::new(), TraceId::mint()),
+            lane,
+            algo: Telemetry::algo_index(algorithm),
+        }
+    }
 
     #[test]
     fn algo_labels_are_bounded() {
-        assert_eq!(Telemetry::algo_label("bader-cong"), "bader-cong");
-        assert_eq!(Telemetry::algo_label("sv"), "sv");
-        assert_eq!(Telemetry::algo_label("my-custom-algo"), "other");
-        assert_eq!(Telemetry::algo_label(""), "other");
+        let t = Telemetry::new(1, u64::MAX);
+        let label = |name| t.gauges().label_values(Hist::AlgoExec)[Telemetry::algo_index(name)];
+        assert_eq!(label("bader-cong"), "bader-cong");
+        assert_eq!(label("sv"), "sv");
+        assert_eq!(label("my-custom-algo"), "other");
+        assert_eq!(label(""), "other");
     }
 
     #[test]
     fn completed_jobs_feed_histograms_and_inflight_drains() {
         let t = Telemetry::new(64, u64::MAX);
-        let id = TraceId::mint();
-        t.on_admitted(id, 0, "bader-cong");
+        let job = tag(0, "bader-cong");
+        t.on_admitted(&job);
         assert_eq!(t.inflight_len(), 1);
-        t.on_started(id, 0, 2);
-        t.on_finished(
-            id,
-            0,
-            Some(2),
-            "completed",
-            1_000_000,
-            4_000_000,
-            true,
-            "bader-cong",
-            None,
-        );
+        t.on_started(&job, 2);
+        let m = JobMetrics::default();
+        t.on_finished(&job, Some(2), Ok(&m), 1_000_000, 4_000_000);
         assert_eq!(t.inflight_len(), 0);
         let (p50, p99) = t.wall_quantiles();
         assert!(p50 >= 5_000_000, "wall = queue + exec, p50 = {p50}");
         assert!(p99 >= p50);
-        let families = t.histogram_families();
-        let wall = families
-            .iter()
-            .find(|f| f.name == "st_service_job_wall_seconds")
-            .unwrap();
-        let high = &wall.series[0];
-        assert_eq!(high.labels, vec![("lane", "high".to_owned())]);
-        assert_eq!(high.snapshot.count, 1);
-        let algo = families
-            .iter()
-            .find(|f| f.name == "st_service_algo_exec_seconds")
-            .unwrap();
-        let bc = algo
-            .series
-            .iter()
-            .find(|s| s.labels[0].1 == "bader-cong")
-            .unwrap();
-        assert_eq!(bc.snapshot.count, 1);
+        let g = t.gauges();
+        assert_eq!(g.label_values(Hist::JobWall)[0], "high");
+        assert_eq!(g.histograms(Hist::JobWall)[0].snapshot().count, 1);
+        let algo = g.label_values(Hist::AlgoExec);
+        let bc = algo.iter().position(|n| *n == "bader-cong").unwrap();
+        assert_eq!(g.histograms(Hist::AlgoExec)[bc].snapshot().count, 1);
     }
 
     #[test]
     fn non_completed_outcomes_skip_latency_histograms() {
         let t = Telemetry::new(64, u64::MAX);
-        let id = TraceId::mint();
-        t.on_admitted(id, 1, "sv");
-        t.on_finished(id, 1, None, "cancelled", 500, 0, false, "sv", None);
+        let job = tag(1, "sv");
+        t.on_admitted(&job);
+        t.on_finished(&job, None, Err(&JobError::Cancelled), 500, 0);
         assert_eq!(t.wall_quantiles(), (0, 0));
         assert_eq!(t.inflight_len(), 0);
     }
@@ -519,16 +450,11 @@ mod tests {
     #[test]
     fn cached_hits_use_their_own_series() {
         let t = Telemetry::new(64, u64::MAX);
-        let id = TraceId::mint();
-        t.on_cached(id, 1, 2_000);
+        let job = tag(1, "bader-cong");
+        t.on_cache_hit(&job, 2_000);
         assert_eq!(t.wall_quantiles(), (0, 0), "cache hits stay out of wall");
-        let families = t.histogram_families();
-        let cached = families
-            .iter()
-            .find(|f| f.name == "st_service_cached_wall_seconds")
-            .unwrap();
-        assert_eq!(cached.series[0].snapshot.count, 1);
-        let events = t.journal().events_for(id);
+        assert_eq!(t.gauges().merged(Hist::CachedWall).count, 1);
+        let events = t.journal().events_for(job.state.trace);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].detail.as_deref(), Some("cache_hit"));
     }
@@ -536,38 +462,18 @@ mod tests {
     #[test]
     fn slow_jobs_keep_full_metrics() {
         let t = Telemetry::new(64, 1_000_000); // 1ms threshold
-        let fast = TraceId::mint();
-        let slow = TraceId::mint();
+        let fast = tag(0, "hcs");
+        let slow = tag(0, "hcs");
         let m = JobMetrics {
-            trace_id: slow.as_u64(),
+            trace_id: slow.state.trace.as_u64(),
             p: 2,
             ..JobMetrics::default()
         };
-        t.on_finished(
-            fast,
-            0,
-            Some(0),
-            "completed",
-            100,
-            100,
-            true,
-            "hcs",
-            Some(&m),
-        );
-        t.on_finished(
-            slow,
-            0,
-            Some(0),
-            "completed",
-            1_000_000,
-            5_000_000,
-            true,
-            "hcs",
-            Some(&m),
-        );
+        t.on_finished(&fast, Some(0), Ok(&m), 100, 100);
+        t.on_finished(&slow, Some(0), Ok(&m), 1_000_000, 5_000_000);
         let reports = t.slow_jobs();
         assert_eq!(reports.len(), 1, "only the slow job is kept");
-        assert_eq!(reports[0].trace, slow);
+        assert_eq!(reports[0].trace, slow.state.trace);
         assert_eq!(reports[0].wall_ns, 6_000_000);
         assert!(reports[0].metrics_json.contains("\"trace_id\""));
         let json = t.slow_jobs_json();
@@ -578,11 +484,11 @@ mod tests {
     #[test]
     fn inflight_json_is_valid() {
         let t = Telemetry::new(64, u64::MAX);
-        let a = TraceId::mint();
-        let b = TraceId::mint();
-        t.on_admitted(a, 0, "bader-cong");
-        t.on_admitted(b, 2, "other");
-        t.on_started(b, 2, 1);
+        let a = tag(0, "bader-cong");
+        let b = tag(2, "other");
+        t.on_admitted(&a);
+        t.on_admitted(&b);
+        t.on_started(&b, 1);
         let json = t.inflight_json();
         let v = serde_json::parse_value(&json).expect("inflight JSON parses");
         match v {
@@ -597,15 +503,15 @@ mod tests {
     #[test]
     fn direction_switch_is_journaled() {
         let t = Telemetry::new(64, u64::MAX);
-        let id = TraceId::mint();
+        let job = tag(1, "sv");
         let mut m = JobMetrics::default();
         // Simulate a hybrid run with both directions exercised.
         let set = st_obs::CounterSet::new(1);
         set.rank(0).add(st_obs::Counter::RoundsTopDown, 3);
         set.rank(0).add(st_obs::Counter::RoundsBottomUp, 2);
         m.totals = set.merged();
-        t.on_finished(id, 1, Some(0), "completed", 10, 10, true, "sv", Some(&m));
-        let events = t.journal().events_for(id);
+        t.on_finished(&job, Some(0), Ok(&m), 10, 10);
+        let events = t.journal().events_for(job.state.trace);
         let kinds: Vec<_> = events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,

@@ -84,22 +84,20 @@ pub mod prelude {
     pub use st_core::connected::{components_from_forest, connected_components};
     pub use st_core::engine::{Cancelled, Engine, EngineJob, SpanningAlgorithm, Workspace};
     pub use st_core::mst::{self, MstResult};
-    #[allow(deprecated)] // the shim stays exported until it is removed
-    pub use st_core::multiroot::spanning_forest_multiroot;
     pub use st_core::multiroot::Multiroot;
     pub use st_core::result::{AlgoStats, SpanningForest};
     pub use st_core::seq;
     pub use st_core::sv::{self, GraftVariant, SvConfig};
     pub use st_core::traversal::TraversalConfig;
+    pub use st_core::{DynForest, UpdateStats};
     pub use st_graph::gen;
     pub use st_graph::label::{random_permutation, relabel};
     pub use st_graph::validate::{is_spanning_forest, is_spanning_tree};
     pub use st_graph::{CsrGraph, EdgeList, GraphBuilder, VertexId, NO_VERTEX};
+    pub use st_graph::{EdgeBatch, GraphView};
     pub use st_obs::{
         lint_exposition, write_chrome_trace, Counter, JobMetrics, Phase, PhaseTotal, TraceId,
     };
-    pub use st_core::{DynForest, UpdateStats};
-    pub use st_graph::{EdgeBatch, GraphView};
     pub use st_service::net::{Client, Server, ServerConfig, SubmitRequest};
     pub use st_service::{
         AlgorithmId, GraphCatalog, GraphId, GraphRef, GraphSel, JobError, JobHandle, JobSpec,

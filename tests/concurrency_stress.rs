@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Concurrency stress: oversubscription, repeated runs, adversarial
 //! configurations. On the single-core CI host every thread interleaving
 //! is scheduler-driven, which is exactly the hostile environment these
@@ -16,7 +12,7 @@ fn oversubscribed_teams() {
     // must still terminate and produce valid forests.
     let g = gen::random_connected(3_000, 2_000, 5);
     for p in [8usize, 16] {
-        let f = BaderCong::with_defaults().spanning_forest(&g, p);
+        let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
         assert!(is_spanning_forest(&g, &f.parents), "p = {p}");
     }
 }
@@ -97,7 +93,7 @@ fn repeated_runs_are_all_valid() {
             },
             ..Config::default()
         };
-        let f = BaderCong::new(cfg.clone()).spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&BaderCong::new(cfg.clone()), &g);
         assert!(is_spanning_forest(&g, &f.parents), "run {i}");
         assert_eq!(f.num_trees(), reference, "run {i}");
     }
@@ -108,7 +104,7 @@ fn sv_repeated_runs_are_all_valid() {
     let g = gen::mesh2d_p(40, 40, 0.55, 3);
     let reference = count_components(&g);
     for _ in 0..10 {
-        let f = sv::spanning_forest(&g, 4, SvConfig::default());
+        let f = Engine::new(4).run(&sv::Sv::new(SvConfig::default()), &g);
         assert!(is_spanning_forest(&g, &f.parents));
         assert_eq!(f.num_trees(), reference);
     }
@@ -127,7 +123,7 @@ fn tiny_idle_timeout_stress() {
         ..Config::default()
     };
     for _ in 0..5 {
-        let f = BaderCong::new(cfg.clone()).spanning_forest(&g, 8);
+        let f = Engine::new(8).run(&BaderCong::new(cfg.clone()), &g);
         assert!(is_spanning_forest(&g, &f.parents));
     }
 }
@@ -153,7 +149,7 @@ fn aggressive_starvation_threshold_on_mixed_graph() {
         ..Config::default()
     };
     for _ in 0..3 {
-        let f = BaderCong::new(cfg.clone()).spanning_forest(&g, 8);
+        let f = Engine::new(8).run(&BaderCong::new(cfg.clone()), &g);
         assert!(is_spanning_forest(&g, &f.parents));
         assert_eq!(f.num_trees(), 1);
     }
@@ -169,7 +165,7 @@ fn steal_one_policy_under_oversubscription() {
         },
         ..Config::default()
     };
-    let f = BaderCong::new(cfg.clone()).spanning_forest(&g, 8);
+    let f = Engine::new(8).run(&BaderCong::new(cfg.clone()), &g);
     assert!(is_spanning_forest(&g, &f.parents));
 }
 
@@ -183,7 +179,7 @@ fn many_tiny_components_in_one_session() {
         el.push(3 * c + 1, 3 * c + 2);
     }
     let g = CsrGraph::from_edge_list(&el);
-    let f = BaderCong::with_defaults().spanning_forest(&g, 4);
+    let f = Engine::new(4).run(&BaderCong::with_defaults(), &g);
     assert!(is_spanning_forest(&g, &f.parents));
     assert_eq!(f.num_trees(), 1_000);
     // Stub absorption means no parallel rounds at all -> at most the
@@ -212,7 +208,7 @@ fn publish_threshold_sweep() {
                     },
                     ..Config::default()
                 };
-                let f = BaderCong::new(cfg.clone()).spanning_forest(g, p);
+                let f = Engine::new(p).run(&BaderCong::new(cfg.clone()), g);
                 let root = f
                     .parents
                     .iter()
@@ -244,7 +240,7 @@ fn round_end_drain_with_tiny_threshold() {
         ..Config::default()
     };
     for p in [2usize, 4, 8] {
-        let f = BaderCong::new(cfg.clone()).spanning_forest(&g, p);
+        let f = Engine::new(p).run(&BaderCong::new(cfg.clone()), &g);
         assert!(is_spanning_forest(&g, &f.parents), "p = {p}");
         assert_eq!(f.num_trees(), reference, "p = {p}");
     }
@@ -253,7 +249,7 @@ fn round_end_drain_with_tiny_threshold() {
 #[test]
 fn hcs_under_oversubscription() {
     let g = gen::random_gnm(2_000, 3_000, 11);
-    let f = st_core::hcs::spanning_forest(&g, 12);
+    let f = Engine::new(12).run(&st_core::hcs::Hcs, &g);
     assert!(is_spanning_forest(&g, &f.parents));
 }
 
@@ -267,13 +263,12 @@ fn sv_lock_variant_under_contention() {
         variant: GraftVariant::Lock,
         ..SvConfig::default()
     };
-    let f = sv::spanning_forest(&g, 8, cfg);
+    let f = Engine::new(8).run(&sv::Sv::new(cfg), &g);
     assert!(is_spanning_forest(&g, &f.parents));
 }
 
 #[test]
 fn multiroot_driver_under_oversubscription() {
-    use st_core::multiroot::spanning_forest_multiroot;
     // Heavily disconnected input, more threads than cores, repeated:
     // the no-barrier driver with concurrent root claiming and deferred
     // merging must stay correct under every interleaving.
@@ -284,7 +279,7 @@ fn multiroot_driver_under_oversubscription() {
             seed,
             ..TraversalConfig::default()
         };
-        let f = spanning_forest_multiroot(&g, 8, cfg);
+        let f = Engine::new(8).run(&Multiroot::new(cfg), &g);
         assert!(is_spanning_forest(&g, &f.parents), "seed {seed}");
         assert_eq!(f.num_trees(), reference, "seed {seed}");
     }
@@ -293,11 +288,10 @@ fn multiroot_driver_under_oversubscription() {
 #[test]
 fn multiroot_matches_round_driver_everywhere() {
     use st_bench::workloads::Workload;
-    use st_core::multiroot::spanning_forest_multiroot;
     for w in Workload::fig4_panels() {
         let g = w.build(1_500, 11);
-        let round = BaderCong::with_defaults().spanning_forest(&g, 4);
-        let multi = spanning_forest_multiroot(&g, 4, TraversalConfig::default());
+        let round = Engine::new(4).run(&BaderCong::with_defaults(), &g);
+        let multi = Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &g);
         assert!(is_spanning_forest(&g, &multi.parents), "{}", w.id());
         assert_eq!(round.num_trees(), multi.num_trees(), "{}", w.id());
     }

@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Determinism guarantees across the workspace.
 //!
 //! Reproducibility is a deliverable: generators, simulators, and the
@@ -96,11 +92,11 @@ fn racy_algorithm_is_semantically_stable() {
     // partition may not.
     let g = Workload::Ad3.build(2_000, 6);
     let reference = st_core::connected::components_from_forest(
-        &BaderCong::with_defaults().spanning_forest(&g, 1).parents,
+        &Engine::new(1).run(&BaderCong::with_defaults(), &g).parents,
     );
     for p in [2usize, 4, 8] {
         for run in 0..3 {
-            let f = BaderCong::with_defaults().spanning_forest(&g, p);
+            let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
             let cc = st_core::connected::components_from_forest(&f.parents);
             assert_eq!(cc.count, reference.count, "p={p} run={run}");
         }

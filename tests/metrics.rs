@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Metrics-consistency suite: the observability layer's counters must
 //! obey their documented invariants across processor counts, every
 //! engine job must return a populated `JobMetrics`, and the exporters
@@ -26,7 +22,7 @@ fn traversal_metrics(g: &CsrGraph, p: usize) -> JobMetrics {
         t.begin_round();
         t.seed(0, 0, NO_VERTEX);
         exec.run(|ctx| {
-            let (_, outcome) = t.run_worker(ctx.rank());
+            let (_, outcome) = t.run_worker_ctx(&ctx);
             assert_eq!(outcome, TraversalOutcome::Completed);
         });
     }
@@ -105,7 +101,7 @@ fn counters_are_zero_after_begin_job() {
         t.begin_round();
         t.seed(0, 0, NO_VERTEX);
         exec.run(|ctx| {
-            t.run_worker(ctx.rank());
+            t.run_worker_ctx(&ctx);
         });
     }
     let m = ws.finish_job(&exec);
@@ -247,7 +243,7 @@ fn steal_into_uses_exact_length_not_stale_mirror() {
 #[test]
 fn multiroot_metrics_obey_the_same_invariants() {
     let g = gen::mesh2d_p(40, 40, 0.6, 3);
-    let f = spanning_forest_multiroot(&g, 4, TraversalConfig::default());
+    let f = Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &g);
     let m = &f.stats.metrics;
     assert!(m.get(Counter::StolenItems) <= m.get(Counter::ItemsPublished));
     assert_eq!(

@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Property-based tests (proptest) over arbitrary graphs.
 //!
 //! Graphs are generated from arbitrary edge lists — including self-loops
@@ -41,21 +37,21 @@ proptest! {
 
     #[test]
     fn bader_cong_always_produces_valid_forests(g in arb_graph(), p in 1usize..5) {
-        let f = BaderCong::with_defaults().spanning_forest(&g, p);
+        let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
         prop_assert!(is_spanning_forest(&g, &f.parents));
         prop_assert_eq!(f.num_trees(), count_components(&g));
     }
 
     #[test]
     fn sv_always_produces_valid_forests(g in arb_graph(), p in 1usize..5) {
-        let f = sv::spanning_forest(&g, p, SvConfig::default());
+        let f = Engine::new(p).run(&sv::Sv::new(SvConfig::default()), &g);
         prop_assert!(is_spanning_forest(&g, &f.parents));
         prop_assert_eq!(f.num_trees(), count_components(&g));
     }
 
     #[test]
     fn hcs_always_produces_valid_forests(g in arb_graph(), p in 1usize..5) {
-        let f = hcs::spanning_forest(&g, p);
+        let f = Engine::new(p).run(&hcs::Hcs, &g);
         prop_assert!(is_spanning_forest(&g, &f.parents));
         prop_assert_eq!(f.num_trees(), count_components(&g));
     }
@@ -71,7 +67,7 @@ proptest! {
 
     #[test]
     fn tree_edge_count_is_n_minus_components(g in arb_graph()) {
-        let f = BaderCong::with_defaults().spanning_forest(&g, 3);
+        let f = Engine::new(3).run(&BaderCong::with_defaults(), &g);
         let c = count_components(&g);
         prop_assert_eq!(f.num_tree_edges(), g.num_vertices() - c);
     }
@@ -84,7 +80,7 @@ proptest! {
         let perm = random_permutation(g.num_vertices(), seed);
         let h = relabel(&g, &perm);
         prop_assert_eq!(count_components(&g), count_components(&h));
-        let f = BaderCong::with_defaults().spanning_forest(&h, 2);
+        let f = Engine::new(2).run(&BaderCong::with_defaults(), &h);
         prop_assert!(is_spanning_forest(&h, &f.parents));
         // A forest of the relabeled graph maps back to a forest of the
         // original.
@@ -116,7 +112,7 @@ proptest! {
 
     #[test]
     fn spanning_tree_depths_bounded_by_n(g in arb_connected_graph(), p in 1usize..4) {
-        let f = BaderCong::with_defaults().spanning_forest(&g, p);
+        let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
         prop_assert!(is_spanning_forest(&g, &f.parents));
         let depths = forest_depths(&f.parents);
         prop_assert!(depths.iter().all(|&d| (d as usize) < g.num_vertices()));
@@ -270,11 +266,7 @@ proptest! {
 
     #[test]
     fn multiroot_driver_always_produces_valid_forests(g in arb_graph(), p in 1usize..5) {
-        let f = st_core::multiroot::spanning_forest_multiroot(
-            &g,
-            p,
-            TraversalConfig::default(),
-        );
+        let f = Engine::new(p).run(&Multiroot::new(TraversalConfig::default()), &g);
         prop_assert!(is_spanning_forest(&g, &f.parents));
         prop_assert_eq!(f.num_trees(), count_components(&g));
     }
@@ -288,7 +280,7 @@ proptest! {
             },
             ..Config::default()
         };
-        let f = BaderCong::new(cfg.clone()).spanning_forest(&g, p);
+        let f = Engine::new(p).run(&BaderCong::new(cfg.clone()), &g);
         prop_assert!(is_spanning_forest(&g, &f.parents));
         prop_assert_eq!(f.num_trees(), count_components(&g));
     }

@@ -399,3 +399,148 @@ fn swept_deadline_job_reconciles_journal_gauges_and_exposition() {
     release.store(true, Ordering::Release);
     assert!(gated.wait().is_ok());
 }
+
+/// The page's series set, one `family TYPE {label=value,…}` entry per
+/// distinct series (histogram `_bucket`/`_sum`/`_count` samples fold
+/// into their family, and `le` is dropped).
+fn series_set(page: &str) -> std::collections::BTreeSet<String> {
+    let mut types = std::collections::HashMap::new();
+    let mut set = std::collections::BTreeSet::new();
+    for line in page.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE name kind");
+            types.insert(name.to_owned(), kind.to_owned());
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let series = line.rsplit_once(' ').expect("series value").0;
+        let (name, labels) = match series.split_once('{') {
+            Some((name, rest)) => (name, rest.trim_end_matches('}')),
+            None => (series, ""),
+        };
+        let family = if types.contains_key(name) {
+            name
+        } else {
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|s| name.strip_suffix(s))
+                .filter(|base| types.contains_key(*base))
+                .expect("every sample belongs to a TYPE-declared family")
+        };
+        let labels: Vec<&str> = labels
+            .split(',')
+            .filter(|kv| !kv.is_empty() && !kv.starts_with("le="))
+            .collect();
+        set.insert(format!(
+            "{family} {} {{{}}}",
+            types[family],
+            labels.join(",")
+        ));
+    }
+    set
+}
+
+#[test]
+fn exposition_series_set_is_pinned() {
+    let svc = Service::builder().teams([2, 1]).queue_capacity(8).build();
+    let fresh = series_set(&svc.render_metrics());
+
+    // A mixed workload: every lane, every catalog algorithm, a cache
+    // hit, a deadline miss, and a batch update.
+    let gref = svc.catalog().register(Arc::new(gen::torus2d(16, 16)));
+    for (i, algo) in AlgorithmId::ALL.into_iter().enumerate() {
+        let prio = [Priority::High, Priority::Normal, Priority::Low][i % 3];
+        svc.submit_spec(JobSpec::new(gref.id).algorithm(algo).priority(prio))
+            .unwrap()
+            .handle
+            .wait()
+            .unwrap();
+    }
+    assert!(svc.submit_spec(JobSpec::new(gref.id)).unwrap().cached);
+    let missed = svc
+        .submit_spec(JobSpec::new(gref.id).seed(9).deadline(Duration::ZERO))
+        .unwrap();
+    assert!(missed.handle.wait().is_err());
+    svc.apply(gref.id, &EdgeBatch::new().insert(0, 100))
+        .expect("valid batch");
+    let after = series_set(&svc.render_metrics());
+
+    let pinned: std::collections::BTreeSet<String> =
+        PINNED_SERIES.iter().map(|s| (*s).to_owned()).collect();
+    assert_eq!(fresh, pinned, "fresh page series set drifted");
+    assert_eq!(after, pinned, "series set must not depend on traffic");
+
+    // Every row of the declaration table is on the live page, under
+    // its declared TYPE and label key.
+    for family in bader_cong_spanning::obs::pool::FAMILIES {
+        let kind = family.kind.name();
+        let label = family
+            .label
+            .map_or("{}".to_owned(), |key| format!("{{{key}=\""));
+        assert!(
+            after
+                .iter()
+                .any(|s| s.starts_with(&format!("{} {kind} {label}", family.name))),
+            "table row {} ({kind}) missing from the page",
+            family.name
+        );
+    }
+}
+
+/// The series set of the `/metrics` page, captured before the metrics
+/// plane was generated from its declaration table.
+const PINNED_SERIES: &[&str] = &[
+    "st_service_algo_exec_seconds histogram {algorithm=\"bader-cong\"}",
+    "st_service_algo_exec_seconds histogram {algorithm=\"hcs\"}",
+    "st_service_algo_exec_seconds histogram {algorithm=\"multiroot\"}",
+    "st_service_algo_exec_seconds histogram {algorithm=\"other\"}",
+    "st_service_algo_exec_seconds histogram {algorithm=\"sv\"}",
+    "st_service_busy_teams gauge {}",
+    "st_service_cached_wall_seconds histogram {}",
+    "st_service_deadline_miss_ratio gauge {}",
+    "st_service_exec_seconds_total counter {}",
+    "st_service_job_exec_seconds histogram {lane=\"high\"}",
+    "st_service_job_exec_seconds histogram {lane=\"low\"}",
+    "st_service_job_exec_seconds histogram {lane=\"normal\"}",
+    "st_service_job_queue_seconds histogram {lane=\"high\"}",
+    "st_service_job_queue_seconds histogram {lane=\"low\"}",
+    "st_service_job_queue_seconds histogram {lane=\"normal\"}",
+    "st_service_job_wall_seconds histogram {lane=\"high\"}",
+    "st_service_job_wall_seconds histogram {lane=\"low\"}",
+    "st_service_job_wall_seconds histogram {lane=\"normal\"}",
+    "st_service_jobs_finished_total counter {outcome=\"cached\"}",
+    "st_service_jobs_finished_total counter {outcome=\"cancelled\"}",
+    "st_service_jobs_finished_total counter {outcome=\"completed\"}",
+    "st_service_jobs_finished_total counter {outcome=\"deadline_exceeded\"}",
+    "st_service_jobs_finished_total counter {outcome=\"panicked\"}",
+    "st_service_jobs_rejected_total counter {}",
+    "st_service_jobs_submitted_total counter {}",
+    "st_service_lane_dequeued_total counter {lane=\"high\"}",
+    "st_service_lane_dequeued_total counter {lane=\"low\"}",
+    "st_service_lane_dequeued_total counter {lane=\"normal\"}",
+    "st_service_lane_queue_depth gauge {lane=\"high\"}",
+    "st_service_lane_queue_depth gauge {lane=\"low\"}",
+    "st_service_lane_queue_depth gauge {lane=\"normal\"}",
+    "st_service_lane_rejected_total counter {lane=\"high\"}",
+    "st_service_lane_rejected_total counter {lane=\"low\"}",
+    "st_service_lane_rejected_total counter {lane=\"normal\"}",
+    "st_service_pool_resizes_total counter {direction=\"grow\"}",
+    "st_service_pool_resizes_total counter {direction=\"shrink\"}",
+    "st_service_queue_depth gauge {}",
+    "st_service_queue_depth_peak gauge {}",
+    "st_service_queue_wait_seconds_total counter {}",
+    "st_service_reject_reason_total counter {reason=\"backpressure\"}",
+    "st_service_reject_reason_total counter {reason=\"deadline_unmeetable\"}",
+    "st_service_reject_reason_total counter {reason=\"quota\"}",
+    "st_service_result_cache_hit_ratio gauge {}",
+    "st_service_result_cache_hits_total counter {}",
+    "st_service_result_cache_misses_total counter {}",
+    "st_service_update_edges_added_total counter {}",
+    "st_service_update_edges_removed_total counter {}",
+    "st_service_update_seconds histogram {mode=\"incremental\"}",
+    "st_service_update_seconds histogram {mode=\"recomputed\"}",
+    "st_service_updates_incremental_total counter {}",
+    "st_service_updates_recomputed_total counter {}",
+];
