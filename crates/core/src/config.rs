@@ -44,7 +44,7 @@
 //! | `ST_ELASTIC_BACKLOG` | integer ≥ 1 | queue depth that counts as sustained backlog |
 //! | `ST_ELASTIC_MAX_WIDTH` | integer 1–512 | widest a team may grow |
 //! | `ST_DELTA_REBUILD_FRACTION` | finite float 0–1 | patched-row fraction past which a COW delta is flattened to a fresh CSR |
-//! | `ST_DYN_RECOMPUTE_FRACTION` | finite float ≥ 0 | touched-component fraction past which a batch triggers full recompute instead of incremental maintenance |
+//! | `ST_DYN_RECOMPUTE_FRACTION` | finite float ≥ 0 | repair-work budget of a batch update, as a fraction of n + m; a repair that would do more work recomputes the forest instead (0 always recomputes, > 1 never does) |
 
 use std::fmt;
 
@@ -137,9 +137,10 @@ pub struct RuntimeConfig {
     /// `ST_DELTA_REBUILD_FRACTION`: patched-row fraction past which the
     /// catalog flattens a COW delta into a fresh CSR.
     pub delta_rebuild_fraction: Option<f64>,
-    /// `ST_DYN_RECOMPUTE_FRACTION`: touched-component fraction past
-    /// which a batch falls back to full recompute (0 forces recompute
-    /// on every batch; > 1 never recomputes).
+    /// `ST_DYN_RECOMPUTE_FRACTION`: repair-work budget of a batch
+    /// update as a fraction of n + m; a repair that would do more work
+    /// falls back to full recompute (0 forces recompute on every
+    /// batch; above 1 never recomputes).
     pub dyn_recompute_fraction: Option<f64>,
 }
 

@@ -27,9 +27,13 @@
 //! forest is a true spanning forest of the new graph (the oracle
 //! equivalence suite checks this against full recomputation). What it
 //! does *not* promise is that incremental is always cheaper: a batch
-//! that touches most of the graph costs more than a recompute, which is
-//! why the service consults [`DynForest::touched_estimate`] against a
-//! knob and falls back to the full Bader–Cong run past it.
+//! that touches most of the graph costs more than a recompute. So
+//! [`DynForest::apply_batch_within`] meters the work a repair actually
+//! does — vertices the smaller-side search dequeues, edges the
+//! replacement search will scan, vertices relabeled, re-root steps —
+//! and stops with [`OverBudget`] as soon as the next charge would pass
+//! its budget. The service then drops the half-repaired forest and
+//! falls back to the full Bader–Cong run.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,6 +79,25 @@ impl UpdateStats {
         self.tree_splits += other.tree_splits;
         self.replacements += other.replacements;
         self.relabeled += other.relabeled;
+    }
+}
+
+/// A budgeted repair ([`DynForest::apply_batch_within`]) stopped
+/// because finishing would cost more work than its budget. The forest
+/// is left half-repaired and must be discarded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OverBudget;
+
+/// Repair work a budgeted batch may still do, in units of one vertex
+/// visited or one edge scanned.
+struct Meter(usize);
+
+impl Meter {
+    /// Pays for `work` units, or fails when the budget cannot cover them.
+    #[inline]
+    fn charge(&mut self, work: usize) -> Result<(), OverBudget> {
+        self.0 = self.0.checked_sub(work).ok_or(OverBudget)?;
+        Ok(())
     }
 }
 
@@ -192,10 +215,10 @@ impl DynForest {
 
     /// Upper-bound estimate of the vertices a batch will touch: the
     /// total size of every component that a cross-component insertion
-    /// merges or a tree-edge deletion cuts. The service divides this by
-    /// n and compares against the recompute knob *before* mutating
-    /// anything — past the knob, a fresh parallel run is cheaper than
-    /// incremental maintenance.
+    /// merges or a tree-edge deletion cuts. Any batch that touches a
+    /// giant component is charged its whole size, so the service no
+    /// longer decides on this bound; it meters the actual repair with
+    /// [`apply_batch_within`](Self::apply_batch_within) instead.
     pub fn touched_estimate(&self, batch: &st_graph::EdgeBatch) -> usize {
         let mut labels: Vec<u64> = Vec::new();
         for &(u, v) in &batch.deletes {
@@ -232,10 +255,31 @@ impl DynForest {
         exec: &Executor,
         ws: &mut Workspace,
     ) -> UpdateStats {
+        self.apply_batch_within(g_after, batch, exec, ws, usize::MAX)
+            .expect("an unbounded budget is never exceeded")
+    }
+
+    /// [`apply_batch`](Self::apply_batch) with a repair-work budget.
+    /// One unit each: a vertex dequeued by a cut's smaller-side search
+    /// (charged as the search walks), an edge incident to the cut-off
+    /// side that the replacement search may scan (charged before the
+    /// scan starts), a vertex relabeled by a merge or a split, and a
+    /// re-root step. Returns [`OverBudget`] as soon as the next charge
+    /// would exceed `budget`; the forest is then half-repaired and must
+    /// be discarded.
+    pub fn apply_batch_within<G: Neighbors + Sync>(
+        &mut self,
+        g_after: &G,
+        batch: &st_graph::EdgeBatch,
+        exec: &Executor,
+        ws: &mut Workspace,
+        budget: usize,
+    ) -> Result<UpdateStats, OverBudget> {
+        let mut meter = Meter(budget);
         let mut stats = UpdateStats::default();
-        stats.absorb(self.delete_edges(g_after, &batch.deletes, exec, ws));
-        stats.absorb(self.insert_edges(&batch.inserts, exec, ws));
-        stats
+        stats.absorb(self.delete_edges(g_after, &batch.deletes, exec, ws, &mut meter)?);
+        stats.absorb(self.insert_edges(&batch.inserts, exec, ws, &mut meter)?);
+        Ok(stats)
     }
 
     // ------------------------------------------------------------------
@@ -246,12 +290,13 @@ impl DynForest {
     /// no-ops; cross-component edges merge trees, at most one tree link
     /// per component pair (extra parallel edges lose the CAS race or
     /// find the components already joined).
-    pub fn insert_edges(
+    fn insert_edges(
         &mut self,
         inserts: &[(VertexId, VertexId)],
         exec: &Executor,
         ws: &mut Workspace,
-    ) -> UpdateStats {
+        meter: &mut Meter,
+    ) -> Result<UpdateStats, OverBudget> {
         let mut stats = UpdateStats::default();
         // Map the distinct component labels at the batch's endpoints to
         // dense local indices 0..k. Each local remembers a member vertex
@@ -279,7 +324,7 @@ impl DynForest {
             edges.push((a, b, u, v));
         }
         if edges.is_empty() {
-            return stats;
+            return Ok(stats);
         }
         let k = label_of.len();
 
@@ -354,6 +399,7 @@ impl DynForest {
                     continue;
                 }
                 let loser_label = label_of[l as usize];
+                meter.charge(self.comp_size[&loser_label] as usize)?;
                 stats.relabeled += self.relabel_tree(rep_of[l as usize], winner_label);
                 self.comp_size.remove(&loser_label);
             }
@@ -361,21 +407,28 @@ impl DynForest {
         }
         // Splice the trees along the hook edges. The hooks form a
         // forest over the locals, so each edge joins two distinct trees
-        // regardless of processing order: re-root the u side at u, then
-        // hang it under v.
+        // regardless of processing order: re-root one side at its
+        // endpoint, then hang it under the other. The side re-rooted is
+        // the one whose endpoint is nearer its root, so joining a small
+        // tree to a giant one never walks the giant's long paths.
         for l in 0..k {
             let i = hooks.load(l, Ordering::Acquire);
             if i == EMPTY {
                 continue;
             }
             let (_, _, u, v) = edges[i as usize];
-            self.reroot_at(u);
-            self.parents[u as usize] = v;
-            self.adj[u as usize].push(v);
-            self.adj[v as usize].push(u);
+            let (x, y) = if self.nearer_root(u, v, meter)? {
+                (u, v)
+            } else {
+                (v, u)
+            };
+            self.reroot_at(x, meter)?;
+            self.parents[x as usize] = y;
+            self.adj[x as usize].push(y);
+            self.adj[y as usize].push(x);
             stats.tree_merges += 1;
         }
-        stats
+        Ok(stats)
     }
 
     // ------------------------------------------------------------------
@@ -383,13 +436,14 @@ impl DynForest {
     // ------------------------------------------------------------------
 
     /// Processes `deletes` against the post-batch graph `g_after`.
-    pub fn delete_edges<G: Neighbors + Sync>(
+    fn delete_edges<G: Neighbors + Sync>(
         &mut self,
         g_after: &G,
         deletes: &[(VertexId, VertexId)],
         exec: &Executor,
         ws: &mut Workspace,
-    ) -> UpdateStats {
+        meter: &mut Meter,
+    ) -> Result<UpdateStats, OverBudget> {
         let mut stats = UpdateStats::default();
         for &(u, v) in deletes {
             // Non-tree edges never touch the forest. (A duplicate
@@ -404,14 +458,14 @@ impl DynForest {
             };
             self.cut(child, parent);
             // Both halves are rooted trees now; find the smaller one.
-            let (side, side_epoch) = self.smaller_side(child, parent);
+            let (side, side_epoch) = self.smaller_side(child, parent, meter)?;
             let old_label = self.comp[child as usize];
-            match self.find_replacement(g_after, &side, side_epoch, old_label, exec, ws) {
+            match self.find_replacement(g_after, (&side, side_epoch), old_label, exec, ws, meter)? {
                 Some((x, y)) => {
                     // Heal: re-root the cut-off side at x and hang it
                     // back under y. Labels and sizes are untouched —
                     // the component never actually split.
-                    self.reroot_at(x);
+                    self.reroot_at(x, meter)?;
                     self.parents[x as usize] = y;
                     self.adj[x as usize].push(y);
                     self.adj[y as usize].push(x);
@@ -420,6 +474,7 @@ impl DynForest {
                 None => {
                     // True split: the smaller side becomes a fresh
                     // component.
+                    meter.charge(side.len())?;
                     let label = self.next_label;
                     self.next_label += 1;
                     for &x in &side {
@@ -437,7 +492,7 @@ impl DynForest {
                 }
             }
         }
-        stats
+        Ok(stats)
     }
 
     /// Removes the tree edge (child, parent); the child side is left as
@@ -456,8 +511,15 @@ impl DynForest {
 
     /// Alternating BFS from both cut endpoints over the tree adjacency;
     /// returns the vertex list of the smaller side and the epoch its
-    /// members are marked with — O(min(|A|, |B|)) on each side.
-    fn smaller_side(&mut self, a: VertexId, b: VertexId) -> (Vec<VertexId>, u32) {
+    /// members are marked with — O(min(|A|, |B|)) on each side. Every
+    /// dequeue is charged as it happens, so a cut through the middle of
+    /// a giant tree stops at the budget instead of walking half of it.
+    fn smaller_side(
+        &mut self,
+        a: VertexId,
+        b: VertexId,
+        meter: &mut Meter,
+    ) -> Result<(Vec<VertexId>, u32), OverBudget> {
         if self.epoch >= u32::MAX - 2 {
             self.mark.fill(0);
             self.epoch = 0;
@@ -474,6 +536,7 @@ impl DynForest {
             // Expand one vertex on the A side, then one on B; the side
             // that runs out of frontier first is the smaller tree.
             if ha < qa.len() {
+                meter.charge(1)?;
                 let x = qa[ha];
                 ha += 1;
                 for &y in &self.adj[x as usize] {
@@ -483,9 +546,10 @@ impl DynForest {
                     }
                 }
             } else {
-                return (qa, ea);
+                return Ok((qa, ea));
             }
             if hb < qb.len() {
+                meter.charge(1)?;
                 let x = qb[hb];
                 hb += 1;
                 for &y in &self.adj[x as usize] {
@@ -495,7 +559,7 @@ impl DynForest {
                     }
                 }
             } else {
-                return (qb, eb);
+                return Ok((qb, eb));
             }
         }
     }
@@ -506,15 +570,16 @@ impl DynForest {
     /// over the team: vertices are dealt round-robin into the
     /// workspace's per-rank queues and the first find wins a CAS
     /// election; ranks poll the slot and bail early once it is decided.
+    /// The whole scan is charged before it starts.
     fn find_replacement<G: Neighbors + Sync>(
         &self,
         g_after: &G,
-        side: &[VertexId],
-        side_epoch: u32,
+        (side, side_epoch): (&[VertexId], u32),
         old_label: u64,
         exec: &Executor,
         ws: &mut Workspace,
-    ) -> Option<(VertexId, VertexId)> {
+        meter: &mut Meter,
+    ) -> Result<Option<(VertexId, VertexId)>, OverBudget> {
         let accept = |x: VertexId, y: VertexId| {
             self.mark[y as usize] != side_epoch && self.comp[y as usize] == old_label
                 // Guard against a stale mark from an earlier epoch that
@@ -525,16 +590,17 @@ impl DynForest {
                 && x != y
         };
         let scan_size: usize = side.iter().map(|&x| g_after.degree(x)).sum();
+        meter.charge(scan_size)?;
         let p = exec.size();
         if scan_size < PAR_SCAN_THRESHOLD || p < 2 || side.len() < p {
             for &x in side {
                 for &y in g_after.neighbors(x) {
                     if accept(x, y) {
-                        return Some((x, y));
+                        return Ok(Some((x, y)));
                     }
                 }
             }
-            return None;
+            return Ok(None);
         }
         // Parallel election. Seed the per-rank queues round-robin.
         while ws.queues.len() < p {
@@ -571,10 +637,10 @@ impl DynForest {
                 }
             }
         });
-        match slot.load(Ordering::Acquire) {
+        Ok(match slot.load(Ordering::Acquire) {
             NO_WINNER => None,
             packed => Some(((packed >> 32) as VertexId, packed as VertexId)),
-        }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -583,15 +649,35 @@ impl DynForest {
 
     /// Makes `v` the root of its tree by reversing the parent pointers
     /// along the single path v → old root; every other pointer in the
-    /// tree is already oriented correctly.
-    fn reroot_at(&mut self, v: VertexId) {
+    /// tree is already oriented correctly. Each step is charged.
+    fn reroot_at(&mut self, v: VertexId, meter: &mut Meter) -> Result<(), OverBudget> {
         let mut prev = NO_VERTEX;
         let mut cur = v;
         while cur != NO_VERTEX {
+            meter.charge(1)?;
             let next = self.parents[cur as usize];
             self.parents[cur as usize] = prev;
             prev = cur;
             cur = next;
+        }
+        Ok(())
+    }
+
+    /// True when `u` is at most as deep in its tree as `v` is in its
+    /// own. Walks both root paths in lockstep, so it costs (and is
+    /// charged) about twice the smaller depth.
+    fn nearer_root(&self, u: VertexId, v: VertexId, meter: &mut Meter) -> Result<bool, OverBudget> {
+        let (mut a, mut b) = (u, v);
+        loop {
+            meter.charge(2)?;
+            a = self.parents[a as usize];
+            if a == NO_VERTEX {
+                return Ok(true);
+            }
+            b = self.parents[b as usize];
+            if b == NO_VERTEX {
+                return Ok(false);
+            }
         }
     }
 
@@ -748,10 +834,8 @@ mod tests {
         // enough cross-component edges to take the parallel CAS path.
         let n = 512u32;
         let pairs: Vec<_> = (0..n / 2).map(|i| (2 * i, 2 * i + 1)).collect();
-        let g = st_graph::CsrGraph::from_edge_list(&st_graph::EdgeList::from_edges(
-            n as usize,
-            pairs,
-        ));
+        let g =
+            st_graph::CsrGraph::from_edge_list(&st_graph::EdgeList::from_edges(n as usize, pairs));
         let mut batch = EdgeBatch::new();
         for i in 0..(n / 2 - 1) {
             batch = batch.insert(2 * i + 1, 2 * i + 2);
@@ -837,6 +921,102 @@ mod tests {
     }
 
     #[test]
+    fn cutting_the_middle_of_a_long_path_runs_over_a_small_budget() {
+        let exec = Executor::new(2);
+        let mut ws = Workspace::new();
+        let g = gen::chain(1000);
+        let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
+        let batch = EdgeBatch::new().delete(499, 500);
+        let (next, _) = GraphView::Flat(Arc::new(g)).apply(&batch).unwrap();
+        // Either side of the cut has 500 vertices: the smaller-side
+        // search alone needs ~1000 dequeues.
+        assert_eq!(
+            forest.apply_batch_within(&next, &batch, &exec, &mut ws, 100),
+            Err(OverBudget)
+        );
+    }
+
+    #[test]
+    fn an_unbounded_budget_matches_apply_batch() {
+        // One thread, so the CAS-hook races resolve the same way twice.
+        let exec = Executor::new(1);
+        let g = gen::random_gnm(300, 450, 11);
+        let mut ws = Workspace::new();
+        let mut plain = DynForest::from_forest(&crate::seq::bfs_forest(&g));
+        let mut metered = plain.clone();
+        let mut view = GraphView::Flat(Arc::new(g));
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20 {
+            let batch = random_batch(&mut rng, &view, 12);
+            let (next, _) = view.apply(&batch).unwrap();
+            let a = plain.apply_batch(&next, &batch, &exec, &mut ws);
+            let b = metered
+                .apply_batch_within(&next, &batch, &exec, &mut ws, usize::MAX)
+                .unwrap();
+            assert_eq!(a, b);
+            assert_eq!(plain.forest().parents, metered.forest().parents);
+            view = next;
+        }
+        assert_oracle(&metered, &view.materialize());
+    }
+
+    #[test]
+    fn invariants_hold_after_every_successful_budgeted_batch() {
+        let exec = Executor::new(2);
+        let g = gen::random_gnm(400, 600, 5);
+        let mut ws = Workspace::new();
+        let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
+        let mut view = GraphView::Flat(Arc::new(g));
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let (mut repaired, mut over) = (0, 0);
+        for _ in 0..60 {
+            let batch = random_batch(&mut rng, &view, 8);
+            let (next, _) = view.apply(&batch).unwrap();
+            let flat = next.materialize();
+            match forest.apply_batch_within(&next, &batch, &exec, &mut ws, 150) {
+                Ok(_) => {
+                    repaired += 1;
+                    assert_oracle(&forest, &flat);
+                }
+                Err(OverBudget) => {
+                    // What the service does: drop the half-repaired
+                    // forest and reseed from a full run.
+                    over += 1;
+                    forest = DynForest::from_forest(&crate::seq::bfs_forest(&flat));
+                }
+            }
+            view = next;
+        }
+        assert!(repaired > 0 && over > 0, "{repaired} repaired, {over} over");
+    }
+
+    /// `ops` random edits of `g`: half insert a random pair, half
+    /// delete a random edge of `g`.
+    fn random_batch(state: &mut u64, g: &GraphView, ops: usize) -> EdgeBatch {
+        let mut next = || {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state
+        };
+        let n = g.num_vertices() as u64;
+        let mut batch = EdgeBatch::new();
+        for _ in 0..ops {
+            let u = (next() % n) as VertexId;
+            let row = g.neighbors(u);
+            batch = if next() % 2 == 0 || row.is_empty() {
+                match (next() % n) as VertexId {
+                    v if v == u => batch,
+                    v => batch.insert(u, v),
+                }
+            } else {
+                batch.delete(u, row[next() as usize % row.len()])
+            };
+        }
+        batch
+    }
+
+    #[test]
     fn large_cycle_uses_parallel_replacement_scan() {
         let exec = Executor::new(4);
         // One big cycle, so deleting an edge forces a half-graph side
@@ -844,9 +1024,8 @@ mod tests {
         let n = 20_000u32;
         let mut edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.push((n - 1, 0));
-        let g = st_graph::CsrGraph::from_edge_list(&st_graph::EdgeList::from_edges(
-            n as usize, edges,
-        ));
+        let g =
+            st_graph::CsrGraph::from_edge_list(&st_graph::EdgeList::from_edges(n as usize, edges));
         let batch = EdgeBatch::new().delete(0, 1);
         let (forest, flat) = maintained(g, std::slice::from_ref(&batch), &exec);
         assert_eq!(forest.num_components(), 1);

@@ -71,7 +71,7 @@ pub mod tree;
 
 pub use bader_cong::{BaderCong, Config};
 pub use config::{ConfigError, RuntimeConfig};
-pub use dyn_forest::{DynForest, UpdateStats};
+pub use dyn_forest::{DynForest, OverBudget, UpdateStats};
 pub use engine::{Cancelled, Engine, EngineJob, SpanningAlgorithm, Workspace};
 pub use result::{AlgoStats, SpanningForest};
 pub use traversal::{Direction, TraversalConfig};

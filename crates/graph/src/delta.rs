@@ -284,26 +284,43 @@ impl CsrDelta {
             return false;
         }
         let row = self.row_mut(v);
-        let at = row.binary_search(&target).expect_err("absence checked above");
+        let at = row
+            .binary_search(&target)
+            .expect_err("absence checked above");
         row.insert(at, target);
         true
     }
 
-    /// Flattens the overlay into a plain CSR (one merge pass over the
-    /// rows). The result is a fresh, offset-contiguous graph suitable
-    /// as the base of future deltas.
+    /// Flattens the overlay into a plain CSR. The patched rows are
+    /// sorted by vertex once; each run of unpatched base rows between
+    /// them is then one bulk copy of targets plus one shifted pass over
+    /// offsets, with no per-vertex lookup. The result is a fresh,
+    /// offset-contiguous graph suitable as the base of future deltas.
     pub fn materialize(&self) -> CsrGraph {
         let n = self.num_vertices();
+        let (base_offsets, base_targets) = (self.base.raw_offsets(), self.base.raw_targets());
+        let mut patched: Vec<(usize, &[VertexId])> = self
+            .rows
+            .iter()
+            .map(|(&v, row)| (v as usize, row.as_slice()))
+            .collect();
+        patched.sort_unstable_by_key(|&(v, _)| v);
         let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * self.num_edges);
         offsets.push(0usize);
-        let mut total = 0usize;
-        for v in 0..n {
-            total += self.neighbors(v as VertexId).len();
-            offsets.push(total);
-        }
-        let mut targets = Vec::with_capacity(total);
-        for v in 0..n {
-            targets.extend_from_slice(self.neighbors(v as VertexId));
+        // `next` is the first vertex whose row is not yet emitted; the
+        // sentinel (n, []) flushes the base rows after the last patch.
+        let mut next = 0usize;
+        for (v, row) in patched.into_iter().chain([(n, &[][..])]) {
+            let (lo, hi) = (base_offsets[next], base_offsets[v]);
+            let start = targets.len();
+            offsets.extend(base_offsets[next + 1..=v].iter().map(|&o| o - lo + start));
+            targets.extend_from_slice(&base_targets[lo..hi]);
+            if v < n {
+                targets.extend_from_slice(row);
+                offsets.push(targets.len());
+            }
+            next = v + 1;
         }
         CsrGraph::from_raw_parts(offsets, targets)
     }
@@ -411,7 +428,13 @@ mod tests {
         let d = delta_of(gen::chain(4));
         let batch = EdgeBatch::new().delete(1, 2).insert(0, 3);
         let (next, out) = d.apply(&batch).unwrap();
-        assert_eq!(out, BatchOutcome { edges_added: 1, edges_removed: 1 });
+        assert_eq!(
+            out,
+            BatchOutcome {
+                edges_added: 1,
+                edges_removed: 1
+            }
+        );
         assert_eq!(next.num_edges(), 3);
         assert!(!next.has_edge(1, 2));
         assert!(!next.has_edge(2, 1));
@@ -470,6 +493,69 @@ mod tests {
         assert_eq!(flat.num_edges(), next.num_edges());
         for v in 0..16u32 {
             assert_eq!(flat.neighbors(v), next.neighbors(v), "vertex {v}");
+        }
+    }
+
+    /// The bulk-copy flatten agrees with per-vertex overlay reads on
+    /// random batch streams: the first and last vertex patched, rows
+    /// emptied, deltas stacked on deltas, and deltas over a flattened
+    /// base.
+    #[test]
+    fn materialize_matches_neighbors_on_random_streams() {
+        let n = 200u32;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut d = delta_of(gen::random_gnm(n as usize, 300, 9));
+        for round in 0..40 {
+            // Toggling (0, n-1) patches the first and last rows.
+            let mut batch = if round % 2 == 0 {
+                EdgeBatch::new().insert(0, n - 1)
+            } else {
+                EdgeBatch::new().delete(0, n - 1)
+            };
+            for _ in 0..8 {
+                let (u, v) = ((next() % n as u64) as u32, (next() % n as u64) as u32);
+                if u != v {
+                    batch = batch.insert(u, v);
+                }
+            }
+            // Empty one row outright (deletes apply first, so pick a
+            // vertex no insert names).
+            let victim = (next() % n as u64) as VertexId;
+            let emptied = !batch
+                .inserts
+                .iter()
+                .any(|&(u, v)| u == victim || v == victim);
+            if emptied {
+                for &w in d.neighbors(victim) {
+                    batch = batch.delete(victim, w);
+                }
+            }
+            d = d.apply(&batch).unwrap().0;
+            assert!(!emptied || d.neighbors(victim).is_empty());
+            if round > 0 {
+                assert!(d.rows.contains_key(&0) && d.rows.contains_key(&(n - 1)));
+            }
+            let flat = d.materialize();
+            assert_eq!(flat.num_vertices(), d.num_vertices());
+            assert_eq!(flat.num_edges(), d.num_edges());
+            for v in 0..n {
+                assert_eq!(
+                    flat.neighbors(v),
+                    d.neighbors(v),
+                    "round {round}, vertex {v}"
+                );
+            }
+            // Every tenth round, restart the overlay on the flattened
+            // graph, as the catalog does past its rebuild threshold.
+            if round % 10 == 9 {
+                d = delta_of(flat);
+            }
         }
     }
 

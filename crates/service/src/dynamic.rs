@@ -3,8 +3,8 @@
 //! [`Service::apply`](crate::Service::apply) takes an [`EdgeBatch`] for
 //! a catalog graph, produces a new graph *version* (a copy-on-write
 //! overlay, flattened past a rebuild threshold), and keeps that graph's
-//! spanning forest current — incrementally when the batch touches a
-//! small part of the graph, by full recompute when it does not.
+//! spanning forest current — incrementally when the repair fits a
+//! work budget, by full recompute when it does not.
 //!
 //! The maintainer state lives here: one [`GraphUpdater`] per mutated
 //! graph, holding a [`DynForest`] synced to a specific catalog version
@@ -31,20 +31,38 @@ use crate::sizing::preferred_width;
 /// (overridden by `ST_DELTA_REBUILD_FRACTION` / the builder).
 pub const DEFAULT_DELTA_REBUILD_FRACTION: f64 = 0.25;
 
-/// Default touched-component fraction at or above which the maintainer
-/// abandons incremental repair and recomputes the forest from scratch
-/// (overridden by `ST_DYN_RECOMPUTE_FRACTION` / the builder). `0`
-/// forces recompute on every batch; anything above `1` never recomputes.
-pub const DEFAULT_DYN_RECOMPUTE_FRACTION: f64 = 0.2;
+/// Default repair-work budget, as a fraction of n + m: a batch whose
+/// incremental repair would do more work than this is abandoned and
+/// the forest recomputed from scratch (overridden by
+/// `ST_DYN_RECOMPUTE_FRACTION` / the builder). `0` recomputes every
+/// batch without trying a repair; anything above `1` never recomputes.
+/// At 1 a repair may do about one pass over the graph's worth of work;
+/// a unit of repair work costs far less than a unit of a recompute.
+pub const DEFAULT_DYN_RECOMPUTE_FRACTION: f64 = 1.0;
 
 /// Resolved dynamic-update knobs (builder → env → defaults).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DynConfig {
     /// Flatten a delta view whose patched fraction exceeds this.
     pub rebuild_fraction: f64,
-    /// Recompute instead of repairing when the batch's touched-component
-    /// estimate reaches this fraction of the vertex set.
+    /// Repair-work budget as a fraction of n + m; past it, recompute.
     pub recompute_fraction: f64,
+}
+
+impl DynConfig {
+    /// The work budget for one repair on a graph of `n` vertices and
+    /// `m` edges: `None` recomputes without trying (fraction 0),
+    /// `usize::MAX` never gives up (fraction above 1).
+    fn repair_budget(&self, n: usize, m: usize) -> Option<usize> {
+        let f = self.recompute_fraction;
+        if f == 0.0 {
+            None
+        } else if f > 1.0 {
+            Some(usize::MAX)
+        } else {
+            Some((f * (n + m) as f64) as usize)
+        }
+    }
 }
 
 impl Default for DynConfig {
@@ -131,10 +149,10 @@ fn run_static(g: &Arc<CsrGraph>, pool: &ExecutorPool, ws: &mut Workspace) -> Spa
         .expect("a fresh token is never cancelled")
 }
 
-/// The whole update: resolve the live view, decide incremental vs
-/// recompute from the *pre-batch* forest, compute the successor view
-/// outside the catalog lock, repair or recompute the forest against it,
-/// and install both atomically-by-version. Retries on install conflicts.
+/// The whole update: resolve the live view, compute the successor view
+/// outside the catalog lock, repair the forest against it within the
+/// work budget (recomputing it when the repair runs over), and install
+/// both atomically-by-version. Retries on install conflicts.
 pub(crate) fn apply_update(
     catalog: &GraphCatalog,
     pool: &ExecutorPool,
@@ -178,41 +196,36 @@ pub(crate) fn apply_update(
             up.version = gref.version;
         }
 
-        // Decide the maintenance path *before* mutating: the estimate
-        // sums the sizes of components the batch can touch, against the
-        // pre-batch forest. Strict `<` gives the knob its documented
-        // edge semantics (0 always recomputes, >1 never does).
-        let touched = up
-            .forest
-            .as_ref()
-            .expect("seeded above")
-            .touched_estimate(batch);
-        let incremental = (touched as f64) < cfg.recompute_fraction * n.max(1) as f64;
-
         // Successor view, computed outside the catalog lock.
         let (next, outcome) = view.apply(batch)?;
-        let (next_view, flat) = if next.patched_fraction() > cfg.rebuild_fraction {
+        let (next_view, mut flat) = if next.patched_fraction() > cfg.rebuild_fraction {
             let f = next.materialize();
             (GraphView::Flat(Arc::clone(&f)), Some(f))
         } else {
             (next, None)
         };
 
+        // Repair first, metered: a repair that runs over its budget
+        // leaves a half-repaired forest, which the recompute below
+        // replaces before anything installs.
         let up = &mut *up;
         let forest = up.forest.as_mut().expect("seeded above");
-        let stats = if incremental {
-            let p = preferred_width(n, next_view.num_edges(), &pool.team_sizes());
-            let lease = pool.lease(p);
-            forest.apply_batch(&next_view, batch, &lease, &mut up.ws)
-        } else {
-            let snapshot = match &flat {
-                Some(f) => Arc::clone(f),
-                None => next_view.materialize(),
-            };
-            let recomputed = run_static(&snapshot, pool, &mut up.ws);
+        let m = next_view.num_edges();
+        let repaired = cfg.repair_budget(n, m).and_then(|budget| {
+            let lease = pool.lease(preferred_width(n, m, &pool.team_sizes()));
+            forest
+                .apply_batch_within(&next_view, batch, &lease, &mut up.ws, budget)
+                .ok()
+        });
+        let incremental = repaired.is_some();
+        let stats = repaired.unwrap_or_else(|| {
+            // The snapshot also fills the catalog's flat memo for the
+            // new version, so the next read does not materialize again.
+            let snapshot = flat.get_or_insert_with(|| next_view.materialize());
+            let recomputed = run_static(snapshot, pool, &mut up.ws);
             *forest = DynForest::from_forest(&recomputed);
             UpdateStats::default()
-        };
+        });
         let components = forest.num_components();
 
         match catalog.install(id, gref.version, next_view, flat) {
@@ -252,6 +265,37 @@ mod tests {
     use super::*;
     use st_graph::gen;
     use st_graph::validate::count_components;
+
+    #[test]
+    fn a_repair_over_budget_recomputes_to_the_oracle_count() {
+        let catalog = GraphCatalog::new();
+        let pool = ExecutorPool::new([2]);
+        let updaters = Mutex::new(HashMap::new());
+        // A budget of ~20 units, far below the ~1000 dequeues a cut
+        // through the middle of a 1000-vertex path needs.
+        let cfg = DynConfig {
+            recompute_fraction: 0.01,
+            ..DynConfig::default()
+        };
+        let id = catalog.register(Arc::new(gen::chain(1000))).id;
+        let apply = |batch: &EdgeBatch| apply_update(&catalog, &pool, &updaters, cfg, id, batch);
+        assert!(apply(&EdgeBatch::new()).unwrap().incremental, "seeding");
+
+        let cut = apply(&EdgeBatch::new().delete(499, 500)).unwrap();
+        assert!(!cut.incremental, "the cut must run over and recompute");
+        let (live, gref) = catalog.resolve_latest(id).unwrap();
+        assert_eq!(gref, cut.graph);
+        assert_eq!(cut.components, count_components(&live));
+        assert_eq!(cut.components, 2);
+
+        // The recomputed forest is a sound base for the next repair:
+        // cutting off a leaf fits the budget.
+        let leaf = apply(&EdgeBatch::new().delete(998, 999)).unwrap();
+        assert!(leaf.incremental);
+        let (live, _) = catalog.resolve_latest(id).unwrap();
+        assert_eq!(leaf.components, count_components(&live));
+        assert_eq!(leaf.components, 3);
+    }
 
     #[test]
     fn a_panic_inside_the_updater_does_not_wedge_the_graph() {

@@ -561,9 +561,10 @@ fn handle_request(
                 Err(crate::dynamic::UpdateError::UnknownGraph(_)) => {
                     (resp(Status::UnknownGraph), false)
                 }
-                Err(crate::dynamic::UpdateError::Batch(e)) => {
-                    (resp_with(Status::Malformed, e.to_string().as_bytes()), false)
-                }
+                Err(crate::dynamic::UpdateError::Batch(e)) => (
+                    resp_with(Status::Malformed, e.to_string().as_bytes()),
+                    false,
+                ),
             }
         }
         _ => (resp(Status::Malformed), false),

@@ -414,10 +414,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the touched-component fraction at which
-    /// [`Service::apply`] abandons incremental forest repair for a full
-    /// recompute: `0` recomputes every batch, anything above `1` never
-    /// recomputes. Falls back to `ST_DYN_RECOMPUTE_FRACTION`, then
+    /// Sets the repair-work budget of [`Service::apply`], as a fraction
+    /// of the graph's n + m: an incremental forest repair that would do
+    /// more work than this is abandoned for a full recompute. `0`
+    /// recomputes every batch without trying a repair, anything above
+    /// `1` never recomputes. Falls back to `ST_DYN_RECOMPUTE_FRACTION`, then
     /// [`DEFAULT_DYN_RECOMPUTE_FRACTION`](crate::dynamic::DEFAULT_DYN_RECOMPUTE_FRACTION).
     ///
     /// # Panics
@@ -784,11 +785,12 @@ impl Service {
     /// graph `id`, producing a new version and keeping its spanning
     /// forest current.
     ///
-    /// The forest is repaired *incrementally* when the batch's
-    /// touched-component estimate stays under the recompute fraction
-    /// (see [`ServiceBuilder::dyn_recompute_fraction`]); otherwise the
-    /// static algorithm recomputes it from scratch. Either way the
-    /// report says which path ran and what the batch actually changed.
+    /// The forest is first repaired *incrementally*, with the repair's
+    /// work metered against a budget of the recompute fraction × (n + m)
+    /// (see [`ServiceBuilder::dyn_recompute_fraction`]). A repair that
+    /// runs over is discarded and the static algorithm recomputes the
+    /// forest from scratch. Either way the report says which path ran
+    /// and what the batch actually changed.
     ///
     /// Jobs already in flight keep the version they were admitted with;
     /// results cached against older versions stay valid for pinned

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use st_core::seq;
     pub use st_core::sv::{self, GraftVariant, SvConfig};
     pub use st_core::traversal::TraversalConfig;
-    pub use st_core::{DynForest, UpdateStats};
+    pub use st_core::{DynForest, OverBudget, UpdateStats};
     pub use st_graph::gen;
     pub use st_graph::label::{random_permutation, relabel};
     pub use st_graph::validate::{is_spanning_forest, is_spanning_tree};

@@ -319,14 +319,61 @@ fn recompute_fraction_zero_forces_the_fallback_path() {
         .dyn_recompute_fraction(0.0)
         .build();
     let gref = svc.catalog().register(Arc::new(gen::torus2d(8, 8)));
-    let report = svc
-        .apply(gref.id, &EdgeBatch::new().insert(0, 63))
-        .unwrap();
+    let report = svc.apply(gref.id, &EdgeBatch::new().insert(0, 63)).unwrap();
     assert!(!report.incremental, "fraction 0 must always recompute");
     assert_eq!(report.components, 1);
     let page = svc.render_metrics();
     assert!(page.contains("st_service_updates_recomputed_total 1"));
     assert!(page.contains("st_service_updates_incremental_total 0"));
+}
+
+/// Regression: at default knobs, small batches against a graph with a
+/// giant component repair incrementally. Charging each batch the whole
+/// size of every component it touched sent nearly all of them to the
+/// full recompute.
+#[test]
+fn small_batches_on_a_giant_component_stay_incremental_at_default_knobs() {
+    let svc = Service::builder().teams([2]).build();
+    let n = 1 << 12;
+    let gref = svc
+        .catalog()
+        .register(Arc::new(gen::random_gnm(n, 3 * n / 2, 12)));
+    let mut rng = Rng(0x0b5e_55ed);
+    let mut inserted: Vec<(VertexId, VertexId)> = Vec::new();
+    let batches = 40;
+    let mut incremental = 0;
+    for round in 0..batches {
+        // 16 edits, three inserts to one delete of an earlier insert.
+        let mut batch = EdgeBatch::new();
+        let mut fresh = Vec::new();
+        for op in 0..16 {
+            if op % 4 == 3 && !inserted.is_empty() {
+                let i = (rng.next() % inserted.len() as u64) as usize;
+                let (u, v) = inserted.swap_remove(i);
+                batch = batch.delete(u, v);
+            } else {
+                let (u, v) = (rng.vertex(n), rng.vertex(n));
+                if u != v {
+                    fresh.push((u, v));
+                    batch = batch.insert(u, v);
+                }
+            }
+        }
+        inserted.extend(fresh);
+        let report = svc.apply(gref.id, &batch).unwrap();
+        incremental += usize::from(report.incremental);
+        let (flat, _) = svc.catalog().resolve_latest(gref.id).unwrap();
+        assert_eq!(
+            report.components,
+            count_components(&flat),
+            "round {round}: maintained components diverged"
+        );
+    }
+    assert!(
+        incremental * 10 >= batches * 9,
+        "only {incremental} of {batches} batches repaired incrementally"
+    );
+    svc.shutdown();
 }
 
 #[test]
@@ -375,7 +422,8 @@ fn version_churn_never_dangles_in_flight_jobs() {
         })
         .collect();
     for i in 0..6 {
-        svc.apply(gref.id, &EdgeBatch::new().insert(i, i + 40)).unwrap();
+        svc.apply(gref.id, &EdgeBatch::new().insert(i, i + 40))
+            .unwrap();
     }
     assert!(svc.remove_graph(gref.id));
     for sub in waves {
@@ -390,12 +438,7 @@ fn version_churn_never_dangles_in_flight_jobs() {
 /// quiescence.
 #[test]
 fn concurrent_submissions_survive_version_churn() {
-    let svc = Arc::new(
-        Service::builder()
-            .teams([2, 2])
-            .queue_capacity(128)
-            .build(),
-    );
+    let svc = Arc::new(Service::builder().teams([2, 2]).queue_capacity(128).build());
     let n = 24 * 24;
     let gref = svc.catalog().register(Arc::new(gen::torus2d(24, 24)));
 
@@ -425,9 +468,7 @@ fn concurrent_submissions_survive_version_churn() {
     });
 
     let (flat, _) = svc.catalog().resolve_latest(gref.id).unwrap();
-    let report = svc
-        .apply(gref.id, &EdgeBatch::new().insert(0, 1))
-        .unwrap();
+    let report = svc.apply(gref.id, &EdgeBatch::new().insert(0, 1)).unwrap();
     assert_eq!(report.components, count_components(&flat));
 }
 

@@ -605,7 +605,11 @@ fn pinned_submissions_and_stale_versions_on_the_wire() {
     req.extend_from_slice(&remote.version.to_le_bytes()); // …to stale v1
     let (status, body) = c.raw_call(&req).unwrap();
     assert_eq!(status, Status::StaleVersion);
-    assert_eq!(body, up.version.to_le_bytes(), "payload is the live version");
+    assert_eq!(
+        body,
+        up.version.to_le_bytes(),
+        "payload is the live version"
+    );
 
     // Re-pinning at the live version executes normally.
     let live = bader_cong_spanning::service::net::RemoteGraph {
