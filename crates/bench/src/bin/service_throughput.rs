@@ -15,11 +15,11 @@
 //!   runs, and tears both down. With
 //!   `C` clients this oversubscribes the machine with `C × p` transient
 //!   threads and pays the spawn/join tax on every job.
-//! * `service` — one [`Service`](st_service::Service) with the given
+//! * `service` — one [`Service`] with the given
 //!   team layout and admission-queue capacity; clients submit through
 //!   the job builder and block in `wait()`.
 //! * `server_cold` — the same service behind the TCP front-end: `C`
-//!   loopback [`Client`](st_service::net::Client) connections submit
+//!   loopback [`Client`] connections submit
 //!   catalog-addressed jobs with per-job distinct seeds, so every job
 //!   misses the result cache and executes. Measures the full wire path
 //!   (framing + admission + execution + forest download).

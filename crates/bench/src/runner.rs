@@ -36,10 +36,10 @@ pub fn with_engine<R>(p: usize, f: impl FnOnce(&mut Engine) -> R) -> R {
 }
 
 /// The Bader–Cong configuration wall-mode cells run. The traversal
-/// frontier knobs (`ST_PUBLISH_THRESHOLD`, `ST_PUBLISH_ON_SLEEPERS`,
-/// `ST_LOCAL_BATCH`) are read from the environment by
+/// knobs `ST_PUBLISH_THRESHOLD` and `ST_DIRECTION` are read from the
+/// environment by
 /// [`TraversalConfig::default`](st_core::traversal::TraversalConfig),
-/// so sweeps need no recompile and no harness-side parsing.
+/// so those sweeps need no recompile and no harness-side parsing.
 pub fn bader_cong_wall_config() -> Config {
     Config::default()
 }

@@ -14,7 +14,7 @@
 //! count and the scheduling — handy as a determinism oracle in tests.
 //!
 //! Like SV, all scratch lives in the caller's
-//! [`Workspace`](crate::engine::Workspace) and the team comes from a
+//! [`Workspace`] and the team comes from a
 //! persistent [`Executor`] in the `*_on` entry points.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

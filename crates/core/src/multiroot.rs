@@ -26,7 +26,7 @@
 //! single deep component attracts many speculative root claims.
 //!
 //! The color/parent arrays and the per-rank queues come from the
-//! caller's [`Workspace`](crate::engine::Workspace), and the victim
+//! caller's [`Workspace`], and the victim
 //! selection shares [`crate::traversal`]'s steal sweep.
 
 use std::collections::VecDeque;

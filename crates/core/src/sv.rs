@@ -32,7 +32,7 @@
 //!
 //! All scratch state (hook array, election slots, per-root locks, edge
 //! list, per-rank graft lists) lives in the caller's
-//! [`Workspace`](crate::engine::Workspace), and the team comes from a
+//! [`Workspace`], and the team comes from a
 //! persistent [`Executor`]; the `*_on` entry points reuse both across
 //! runs. The legacy `p`-taking functions spawn a one-shot team.
 

@@ -200,12 +200,12 @@ pub(crate) fn runtime_env() -> &'static RuntimeConfig {
 }
 
 impl Default for TraversalConfig {
-    /// The two-level frontier defaults, with any `ST_PUBLISH_THRESHOLD`,
-    /// `ST_PUBLISH_ON_SLEEPERS`, or `ST_LOCAL_BATCH` environment
-    /// overrides applied (parsed and validated once per process via
-    /// [`RuntimeConfig::from_env`]). The CI stress job uses
-    /// `ST_PUBLISH_THRESHOLD=1` to pin the whole suite to the paper's
-    /// publish-everything protocol.
+    /// The two-level frontier defaults, with any `ST_PUBLISH_THRESHOLD`
+    /// or `ST_DIRECTION` environment override applied (parsed and
+    /// validated once per process via [`RuntimeConfig::from_env`]). The
+    /// CI stress job uses `ST_PUBLISH_THRESHOLD=1` to pin the whole
+    /// suite to the paper's publish-everything protocol, and the CI
+    /// smoke runs force the direction.
     fn default() -> Self {
         let mut cfg = Self::base();
         runtime_env().apply_frontier(&mut cfg);
@@ -534,7 +534,7 @@ impl<'a> Traversal<'a> {
     /// barrier.
     ///
     /// Observability: the hot loop tallies into plain locals
-    /// ([`WorkerTally`]) and this wrapper flushes them to the rank's
+    /// (`WorkerTally`) and this wrapper flushes them to the rank's
     /// [`CounterSlot`](st_obs::CounterSlot) once per round, so the
     /// always-on cost per round is a handful of Relaxed adds. The whole
     /// shift is recorded as one [`Phase::Traverse`] span (no-op without

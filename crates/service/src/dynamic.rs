@@ -6,7 +6,7 @@
 //! spanning forest current — incrementally when the repair fits a
 //! work budget, by full recompute when it does not.
 //!
-//! The maintainer state lives here: one [`GraphUpdater`] per mutated
+//! The maintainer state lives here: one `GraphUpdater` per mutated
 //! graph, holding a [`DynForest`] synced to a specific catalog version
 //! plus a private [`Workspace`] arena. Updates to one graph serialize
 //! on the updater's mutex; updates to different graphs proceed
@@ -26,25 +26,23 @@ use st_smp::{CancelToken, ExecutorPool};
 use crate::catalog::{ApplyError, GraphCatalog, GraphId, GraphRef};
 use crate::sizing::preferred_width;
 
-/// Default overlay patched-fraction above which a new version is
-/// flattened to a contiguous CSR instead of stacking another delta
-/// (overridden by `ST_DELTA_REBUILD_FRACTION` / the builder).
+/// Overlay patched-fraction above which a new version is flattened to
+/// a contiguous CSR instead of stacking another delta.
 pub const DEFAULT_DELTA_REBUILD_FRACTION: f64 = 0.25;
 
 /// Default repair-work budget, as a fraction of n + m: a batch whose
 /// incremental repair would do more work than this is abandoned and
 /// the forest recomputed from scratch (overridden by
-/// `ST_DYN_RECOMPUTE_FRACTION` / the builder). `0` recomputes every
-/// batch without trying a repair; anything above `1` never recomputes.
+/// [`ServiceBuilder::dyn_recompute_fraction`](crate::ServiceBuilder::dyn_recompute_fraction)).
+/// `0` recomputes every batch without trying a repair; anything above
+/// `1` never recomputes.
 /// At 1 a repair may do about one pass over the graph's worth of work;
 /// a unit of repair work costs far less than a unit of a recompute.
 pub const DEFAULT_DYN_RECOMPUTE_FRACTION: f64 = 1.0;
 
-/// Resolved dynamic-update knobs (builder → env → defaults).
+/// Resolved dynamic-update knobs (builder → defaults).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DynConfig {
-    /// Flatten a delta view whose patched fraction exceeds this.
-    pub rebuild_fraction: f64,
     /// Repair-work budget as a fraction of n + m; past it, recompute.
     pub recompute_fraction: f64,
 }
@@ -68,7 +66,6 @@ impl DynConfig {
 impl Default for DynConfig {
     fn default() -> Self {
         Self {
-            rebuild_fraction: DEFAULT_DELTA_REBUILD_FRACTION,
             recompute_fraction: DEFAULT_DYN_RECOMPUTE_FRACTION,
         }
     }
@@ -198,7 +195,7 @@ pub(crate) fn apply_update(
 
         // Successor view, computed outside the catalog lock.
         let (next, outcome) = view.apply(batch)?;
-        let (next_view, mut flat) = if next.patched_fraction() > cfg.rebuild_fraction {
+        let (next_view, mut flat) = if next.patched_fraction() > DEFAULT_DELTA_REBUILD_FRACTION {
             let f = next.materialize();
             (GraphView::Flat(Arc::clone(&f)), Some(f))
         } else {
@@ -275,7 +272,6 @@ mod tests {
         // through the middle of a 1000-vertex path needs.
         let cfg = DynConfig {
             recompute_fraction: 0.01,
-            ..DynConfig::default()
         };
         let id = catalog.register(Arc::new(gen::chain(1000))).id;
         let apply = |batch: &EdgeBatch| apply_update(&catalog, &pool, &updaters, cfg, id, batch);

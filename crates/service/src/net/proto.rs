@@ -162,9 +162,9 @@ pub enum ReadFrame {
 /// A clean close *between* frames is [`ReadFrame::Eof`]; a close
 /// mid-frame is an [`io::ErrorKind::UnexpectedEof`] error. Timeouts
 /// (`WouldBlock`/`TimedOut`) propagate to the caller, which may retry —
-/// partial progress is lost, so only use read timeouts with
-/// [`read_frame_interruptible`]-style outer loops that keep the partial
-/// buffer. This plain version is for blocking streams.
+/// partial progress is lost, so only use read timeouts with an outer
+/// loop that keeps the partial buffer, as the server's read loop does.
+/// This plain version is for blocking streams.
 pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> io::Result<ReadFrame> {
     let mut header = [0u8; 4];
     match read_full(r, &mut header)? {

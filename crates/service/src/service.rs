@@ -43,18 +43,16 @@ struct QueuedJob {
 /// The bounded, priority-laned admission queue.
 ///
 /// Lanes drain under deficit round-robin rather than strict priority:
-/// each lane has a weight, and a full rotation of the cursor grants
-/// every lane `weight` job credits. A saturated high lane therefore
-/// gets `weight_high / weight_low` times the bulk lane's throughput
-/// instead of starving it outright. Jobs are unit cost — the service
+/// each lane has a weight ([`DEFAULT_LANE_WEIGHTS`]), and a full
+/// rotation of the cursor grants every lane `weight` job credits. A
+/// saturated high lane therefore gets `weight_high / weight_low` times
+/// the bulk lane's throughput instead of starving it outright. Jobs are unit cost — the service
 /// cannot know a job's runtime at pop time — so the deficit counts
 /// jobs, not bytes.
 struct Admission {
     lanes: [VecDeque<QueuedJob>; Priority::LANES],
     len: usize,
     shutdown: bool,
-    /// Per-lane DRR weights (jobs granted per cursor rotation).
-    weights: [u32; Priority::LANES],
     /// Per-lane unspent credits for the current rotation.
     deficit: [u32; Priority::LANES],
     /// The lane the round-robin cursor currently serves.
@@ -65,12 +63,11 @@ struct Admission {
 }
 
 impl Admission {
-    fn new(weights: [u32; Priority::LANES]) -> Self {
+    fn new() -> Self {
         Self {
             lanes: Default::default(),
             len: 0,
             shutdown: false,
-            weights,
             // Start the cursor *past* the last lane with no credits:
             // the first pop advances onto lane 0 with a fresh quantum,
             // so a cold queue drains highest-priority-first.
@@ -128,7 +125,7 @@ impl Admission {
                 self.deficit[self.cursor] = 0;
             }
             self.cursor = (self.cursor + 1) % Priority::LANES;
-            self.deficit[self.cursor] = self.weights[self.cursor];
+            self.deficit[self.cursor] = DEFAULT_LANE_WEIGHTS[self.cursor];
         }
     }
 
@@ -177,7 +174,7 @@ struct Shared {
     /// path ([`Service::apply`]); the per-slot inner mutex serializes
     /// updates to one graph while leaving other graphs free.
     updaters: Mutex<HashMap<GraphId, Arc<Mutex<dynamic::GraphUpdater>>>>,
-    /// Resolved dynamic-update knobs (builder → env → defaults).
+    /// Resolved dynamic-update knobs (builder → defaults).
     dyn_cfg: dynamic::DynConfig,
 }
 
@@ -258,10 +255,10 @@ impl CancelObserver for Shared {
 
 /// Builds a [`Service`]; obtained from [`Service::builder`].
 ///
-/// Unset knobs fall back to the `ST_SERVICE_TEAMS` /
-/// `ST_SERVICE_QUEUE_CAP` environment variables (via
-/// [`RuntimeConfig::from_env`], so malformed values abort loudly), then
-/// to a machine-derived default layout.
+/// Unset team widths fall back to the `ST_SERVICE_TEAMS` environment
+/// variable (via [`RuntimeConfig::from_env`], so a malformed value
+/// aborts loudly), then to a machine-derived default layout. Every
+/// other unset knob takes its documented default.
 #[derive(Debug, Default)]
 pub struct ServiceBuilder {
     teams: Option<Vec<usize>>,
@@ -270,13 +267,11 @@ pub struct ServiceBuilder {
     result_cache_capacity: Option<usize>,
     journal_capacity: Option<usize>,
     slow_job_threshold: Option<Duration>,
-    lane_weights: Option<[u32; Priority::LANES]>,
     tenant_quota: Option<usize>,
     elastic: Option<bool>,
     elastic_idle_ms: Option<u64>,
     elastic_backlog: Option<usize>,
     elastic_max_width: Option<usize>,
-    delta_rebuild_fraction: Option<f64>,
     dyn_recompute_fraction: Option<f64>,
 }
 
@@ -314,16 +309,15 @@ impl ServiceBuilder {
     }
 
     /// Sets the result-cache capacity in entries; 0 disables caching.
-    /// Falls back to `ST_RESULT_CACHE_CAP`, then to
-    /// [`DEFAULT_RESULT_CACHE_CAPACITY`].
+    /// Defaults to [`DEFAULT_RESULT_CACHE_CAPACITY`].
     pub fn result_cache_capacity(mut self, cap: usize) -> Self {
         self.result_cache_capacity = Some(cap);
         self
     }
 
     /// Sets the event-journal capacity (lifecycle events retained for
-    /// `/debug/journal`, drop-oldest). Falls back to `ST_JOURNAL_CAP`,
-    /// then to [`DEFAULT_JOURNAL_CAPACITY`](crate::telemetry::DEFAULT_JOURNAL_CAPACITY).
+    /// `/debug/journal`, drop-oldest). Defaults to
+    /// [`DEFAULT_JOURNAL_CAPACITY`].
     pub fn journal_capacity(mut self, cap: usize) -> Self {
         self.journal_capacity = Some(cap);
         self
@@ -331,32 +325,17 @@ impl ServiceBuilder {
 
     /// Sets the slow-job threshold: a completed job whose wall latency
     /// (queue + exec) meets it has its full [`st_obs::JobMetrics`] kept
-    /// in the slow-job log. Falls back to `ST_SLOW_JOB_MS`, then to
-    /// [`DEFAULT_SLOW_JOB_MS`](crate::telemetry::DEFAULT_SLOW_JOB_MS).
+    /// in the slow-job log. Defaults to [`DEFAULT_SLOW_JOB_MS`]
+    /// milliseconds.
     pub fn slow_job_threshold(mut self, d: Duration) -> Self {
         self.slow_job_threshold = Some(d);
         self
     }
 
-    /// Sets the deficit-round-robin lane weights `[high, normal, low]`:
-    /// jobs granted to each lane per full cursor rotation, so a
-    /// saturated high lane gets `high/low` times the low lane's
-    /// dispatch rate instead of starving it. Falls back to
-    /// `ST_LANE_WEIGHTS`, then to [`DEFAULT_LANE_WEIGHTS`].
-    ///
-    /// # Panics
-    ///
-    /// [`build`](Self::build) panics on a zero weight (a zero-weight
-    /// lane would never drain).
-    pub fn lane_weights(mut self, weights: [u32; Priority::LANES]) -> Self {
-        self.lane_weights = Some(weights);
-        self
-    }
-
     /// Caps how many queued jobs one tenant may hold at once; a
     /// submission past the cap is rejected with
-    /// [`JobError::QuotaExceeded`] without blocking. Falls back to
-    /// `ST_TENANT_QUOTA`; unset means unlimited.
+    /// [`JobError::QuotaExceeded`] without blocking. Unset means
+    /// unlimited.
     ///
     /// # Panics
     ///
@@ -368,49 +347,32 @@ impl ServiceBuilder {
 
     /// Enables (or explicitly disables) the elastic controller, which
     /// widens teams under sustained backlog and narrows them again
-    /// after a sustained idle window. Falls back to `ST_ELASTIC`;
-    /// default off.
+    /// after a sustained idle window. Default off.
     pub fn elastic(mut self, on: bool) -> Self {
         self.elastic = Some(on);
         self
     }
 
     /// Sets how long the whole pool must sit idle (empty queue, no
-    /// leased team) before the controller shrinks one team. Falls back
-    /// to `ST_ELASTIC_IDLE_MS`, then [`DEFAULT_ELASTIC_IDLE_MS`].
+    /// leased team) before the controller shrinks one team. Defaults to
+    /// [`DEFAULT_ELASTIC_IDLE_MS`].
     pub fn elastic_idle_ms(mut self, ms: u64) -> Self {
         self.elastic_idle_ms = Some(ms);
         self
     }
 
     /// Sets the queue depth that counts as backlog; sustained backlog
-    /// (two consecutive controller ticks) grows one team. Falls back to
-    /// `ST_ELASTIC_BACKLOG`, then [`DEFAULT_ELASTIC_BACKLOG`].
+    /// (two consecutive controller ticks) grows one team. Defaults to
+    /// [`DEFAULT_ELASTIC_BACKLOG`].
     pub fn elastic_backlog(mut self, depth: usize) -> Self {
         self.elastic_backlog = Some(depth);
         self
     }
 
-    /// Caps how wide the controller may grow any team. Falls back to
-    /// `ST_ELASTIC_MAX_WIDTH`, then to the machine's available
-    /// parallelism.
+    /// Caps how wide the controller may grow any team. Defaults to the
+    /// machine's available parallelism.
     pub fn elastic_max_width(mut self, width: usize) -> Self {
         self.elastic_max_width = Some(width);
-        self
-    }
-
-    /// Sets the overlay patched-fraction above which a batch update
-    /// flattens the new graph version to a contiguous CSR instead of
-    /// stacking another delta. Falls back to
-    /// `ST_DELTA_REBUILD_FRACTION`, then
-    /// [`DEFAULT_DELTA_REBUILD_FRACTION`](crate::dynamic::DEFAULT_DELTA_REBUILD_FRACTION).
-    ///
-    /// # Panics
-    ///
-    /// [`build`](Self::build) panics unless the value is finite and in
-    /// `0.0..=1.0`.
-    pub fn delta_rebuild_fraction(mut self, fraction: f64) -> Self {
-        self.delta_rebuild_fraction = Some(fraction);
         self
     }
 
@@ -418,7 +380,7 @@ impl ServiceBuilder {
     /// of the graph's n + m: an incremental forest repair that would do
     /// more work than this is abandoned for a full recompute. `0`
     /// recomputes every batch without trying a repair, anything above
-    /// `1` never recomputes. Falls back to `ST_DYN_RECOMPUTE_FRACTION`, then
+    /// `1` never recomputes. Defaults to
     /// [`DEFAULT_DYN_RECOMPUTE_FRACTION`](crate::dynamic::DEFAULT_DYN_RECOMPUTE_FRACTION).
     ///
     /// # Panics
@@ -441,70 +403,38 @@ impl ServiceBuilder {
             !teams.is_empty() && teams.iter().all(|&p| p > 0),
             "team widths must be a non-empty list of sizes >= 1, got {teams:?}"
         );
-        let capacity = self
-            .queue_capacity
-            .or(env.service_queue_capacity)
-            .unwrap_or(DEFAULT_QUEUE_CAPACITY);
+        let capacity = self.queue_capacity.unwrap_or(DEFAULT_QUEUE_CAPACITY);
         assert!(capacity > 0, "queue capacity must be >= 1");
         let cache_capacity = self
             .result_cache_capacity
-            .or(env.result_cache_capacity)
             .unwrap_or(DEFAULT_RESULT_CACHE_CAPACITY);
-        let journal_capacity = self
-            .journal_capacity
-            .or(env.journal_capacity)
-            .unwrap_or(DEFAULT_JOURNAL_CAPACITY);
+        let journal_capacity = self.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY);
         let slow_threshold_ns = self
             .slow_job_threshold
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-            .or(env.slow_job_ms.map(|ms| ms.saturating_mul(1_000_000)))
-            .unwrap_or(DEFAULT_SLOW_JOB_MS * 1_000_000);
-        let weights = self
-            .lane_weights
-            .or(env.lane_weights)
-            .unwrap_or(DEFAULT_LANE_WEIGHTS);
+            .map_or(DEFAULT_SLOW_JOB_MS * 1_000_000, |d| {
+                u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+            });
         assert!(
-            weights.iter().all(|&w| w > 0),
-            "lane weights must all be >= 1, got {weights:?}"
-        );
-        let tenant_quota = self.tenant_quota.or(env.tenant_quota);
-        assert!(
-            tenant_quota != Some(0),
+            self.tenant_quota != Some(0),
             "a tenant quota of zero would reject every submission"
         );
         let elastic = ElasticConfig {
-            enabled: self.elastic.or(env.elastic).unwrap_or(false),
-            idle: Duration::from_millis(
-                self.elastic_idle_ms
-                    .or(env.elastic_idle_ms)
-                    .unwrap_or(DEFAULT_ELASTIC_IDLE_MS),
-            ),
+            enabled: self.elastic.unwrap_or(false),
+            idle: Duration::from_millis(self.elastic_idle_ms.unwrap_or(DEFAULT_ELASTIC_IDLE_MS)),
             backlog: self
                 .elastic_backlog
-                .or(env.elastic_backlog)
                 .unwrap_or(DEFAULT_ELASTIC_BACKLOG)
                 .max(1),
             max_width: self
                 .elastic_max_width
-                .or(env.elastic_max_width)
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
                 .max(1),
         };
         let dyn_cfg = dynamic::DynConfig {
-            rebuild_fraction: self
-                .delta_rebuild_fraction
-                .or(env.delta_rebuild_fraction)
-                .unwrap_or(dynamic::DEFAULT_DELTA_REBUILD_FRACTION),
             recompute_fraction: self
                 .dyn_recompute_fraction
-                .or(env.dyn_recompute_fraction)
                 .unwrap_or(dynamic::DEFAULT_DYN_RECOMPUTE_FRACTION),
         };
-        assert!(
-            dyn_cfg.rebuild_fraction.is_finite() && (0.0..=1.0).contains(&dyn_cfg.rebuild_fraction),
-            "delta rebuild fraction must be finite and in 0..=1, got {}",
-            dyn_cfg.rebuild_fraction
-        );
         assert!(
             dyn_cfg.recompute_fraction.is_finite() && dyn_cfg.recompute_fraction >= 0.0,
             "dynamic recompute fraction must be finite and >= 0, got {}",
@@ -513,11 +443,11 @@ impl ServiceBuilder {
 
         let num_teams = teams.len();
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Admission::new(weights)),
+            queue: Mutex::new(Admission::new()),
             space: Condvar::new(),
             work: Condvar::new(),
             capacity,
-            tenant_quota,
+            tenant_quota: self.tenant_quota,
             queue_delay_est: Default::default(),
             pending_resizes: Mutex::new(HashMap::new()),
             pool: ExecutorPool::new(teams),
@@ -553,28 +483,25 @@ impl ServiceBuilder {
     }
 }
 
-/// Default admission-queue capacity when neither the builder nor the
-/// environment sets one.
+/// Default admission-queue capacity when the builder sets none.
 const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-/// Default result-cache capacity (entries) when neither the builder nor
-/// `ST_RESULT_CACHE_CAP` sets one.
+/// Default result-cache capacity (entries) when the builder sets none.
 pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 64;
 
-/// Default deficit-round-robin lane weights `[high, normal, low]` when
-/// neither the builder nor `ST_LANE_WEIGHTS` sets them: a saturated
+/// Deficit-round-robin lane weights `[high, normal, low]`: a saturated
 /// high lane gets 4× the low lane's dispatch rate, never all of it.
 pub const DEFAULT_LANE_WEIGHTS: [u32; Priority::LANES] = [4, 2, 1];
 
 /// Default sustained-idle window before the elastic controller shrinks
-/// a team (overridden by `ST_ELASTIC_IDLE_MS` / the builder).
+/// a team (overridden by the builder).
 pub const DEFAULT_ELASTIC_IDLE_MS: u64 = 250;
 
 /// Default queue depth the elastic controller treats as backlog
-/// (overridden by `ST_ELASTIC_BACKLOG` / the builder).
+/// (overridden by the builder).
 pub const DEFAULT_ELASTIC_BACKLOG: usize = 4;
 
-/// Resolved elastic-controller settings (builder → env → defaults).
+/// Resolved elastic-controller settings (builder → defaults).
 #[derive(Clone, Copy, Debug)]
 struct ElasticConfig {
     enabled: bool,

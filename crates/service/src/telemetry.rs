@@ -10,7 +10,7 @@
 //! slow-job log that keeps the full [`JobMetrics`] of any job whose
 //! wall latency crossed the configured threshold.
 //!
-//! The lifecycle hooks take a [`JobTag`] and update every surface a
+//! The lifecycle hooks take a `JobTag` and update every surface a
 //! transition touches, so the gauges, the journal, and the in-flight
 //! table cannot disagree about a job.
 //!
@@ -27,13 +27,12 @@ use st_obs::{Hist, JobMetrics, JobOutcomeKind, PoolGauges};
 use crate::job::{JobError, JobTag};
 use crate::spec::AlgorithmId;
 
-/// Default journal capacity when neither the builder nor
-/// `ST_JOURNAL_CAP` sets one: six events per job means ~1350 jobs of
-/// history at ~100 bytes an event.
+/// Default journal capacity when the builder sets none: six events per
+/// job means ~1350 jobs of history at ~100 bytes an event.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
-/// Default slow-job threshold (wall latency, queue + exec) when
-/// neither the builder nor `ST_SLOW_JOB_MS` sets one.
+/// Default slow-job threshold (wall latency, queue + exec) when the
+/// builder sets none.
 pub const DEFAULT_SLOW_JOB_MS: u64 = 1000;
 
 /// Slow-job reports retained (drop-oldest).
