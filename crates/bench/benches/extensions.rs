@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use st_bench::workloads::Workload;
-use st_core::mst;
+use st_core::{mst, Engine};
 use st_graph::WeightedGraph;
 
 fn scale() -> usize {
@@ -19,7 +19,11 @@ fn bench_mst(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("kruskal", |b| b.iter(|| mst::kruskal(&wg)));
     for p in [1usize, 4] {
-        group.bench_function(format!("boruvka_p{p}"), |b| b.iter(|| mst::boruvka(&wg, p)));
+        let mut engine = Engine::new(p);
+        let (exec, ws) = engine.parts_mut();
+        group.bench_function(format!("boruvka_p{p}"), |b| {
+            b.iter(|| mst::boruvka(&wg, exec, ws))
+        });
     }
     group.finish();
 }

@@ -394,11 +394,13 @@ fn mst_table(opts: &Opts) {
         "{:<15} {:>9} {:>10} {:>12} {:>14} {:>14} {:>7}",
         "workload", "n", "m", "forest-wt", "kruskal", "boruvka(p)", "iters"
     );
+    let mut engine = Engine::new(opts.p);
     for w in [Workload::RandomM15, Workload::TorusRowMajor, Workload::Ad3] {
         let g = w.build(n, opts.seed);
         let wg = WeightedGraph::with_random_weights(&g, 1_000_000, opts.seed ^ 1);
         let (mk, k) = st_bench::timing::measure_with_result(3, || mst::kruskal(&wg));
-        let (mb, b) = st_bench::timing::measure_with_result(3, || mst::boruvka(&wg, opts.p));
+        let (exec, ws) = engine.parts_mut();
+        let (mb, b) = st_bench::timing::measure_with_result(3, || mst::boruvka(&wg, exec, ws));
         assert_eq!(k.total_weight, b.total_weight, "MSF weights disagree");
         println!(
             "{:<15} {:>9} {:>10} {:>12} {:>14} {:>14} {:>7}",

@@ -40,13 +40,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 use st_core::bader_cong::BaderCong;
-use st_core::Workspace;
+use st_core::Engine;
 use st_graph::gen::random_gnm;
 use st_graph::CsrGraph;
 use st_obs::PoolSnapshot;
 use st_service::net::{Client, RemoteGraph, Server, ServerConfig, SubmitRequest};
 use st_service::Service;
-use st_smp::Executor;
 
 #[derive(Clone, Debug, Serialize)]
 struct ModelResult {
@@ -313,8 +312,7 @@ fn main() {
     // Naive model: a fresh team and workspace per job, the pre-service
     // calling convention this benchmark exists to retire.
     let (naive_wall, naive_lats) = drive(opts.clients, opts.jobs, expected_trees, || {
-        let exec = Executor::new(naive_p);
-        let forest = BaderCong::with_defaults().run_on(&g, &exec, &mut Workspace::new());
+        let forest = Engine::new(naive_p).run(&BaderCong::with_defaults(), &g);
         forest.num_trees()
     });
     let naive = model_result("naive", total_jobs, naive_wall, &naive_lats, None, None);

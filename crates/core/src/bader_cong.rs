@@ -26,8 +26,8 @@ use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{now_ns, Counter, Phase};
 use st_smp::{CancelToken, Executor};
 
-use crate::engine::{Cancelled, SpanningAlgorithm, Workspace};
-use crate::orient::orient_forest_with_mask_on;
+use crate::engine::{Cancelled, Engine, SpanningAlgorithm, Workspace};
+use crate::orient::orient_forest_with_mask;
 use crate::result::{AlgoStats, SpanningForest};
 use crate::stub::grow_stub_into;
 use crate::sv::{self, SvConfig};
@@ -82,40 +82,15 @@ impl BaderCong {
         &self.cfg
     }
 
-    /// Computes a spanning forest of `g` on an existing team, with all
-    /// scratch state drawn from `ws`.
-    ///
-    /// Infallible entry point: runs with an inert cancellation token.
-    /// If [`Config::traversal`] carries a *live* token that fires
-    /// mid-run, this panics — use [`try_run_on`](Self::try_run_on) (or
-    /// [`SpanningAlgorithm::run_with_cancel`]) for cancellable jobs.
-    pub fn run_on(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
-        self.try_run_on(g, exec, ws, &CancelToken::none())
-            .expect("run cancelled mid-flight; use try_run_on for cancellable jobs")
-    }
-
-    /// Computes a spanning forest of `g` on an existing team, ending
-    /// early with `Err(Cancelled)` if `cancel` (or a live token already
-    /// in [`Config::traversal`]) fires. The token is polled at
-    /// publication boundaries, on the idle path, at round barriers, and
-    /// at the SV fallback's iteration barriers; the workspace and team
-    /// stay reusable after a cancelled run.
-    pub fn try_run_on(
+    /// Computes a spanning tree of a connected `g` rooted at `root` on
+    /// `engine`'s team; `None` when `g` is not connected or `root` is out
+    /// of range.
+    pub fn spanning_tree(
         &self,
+        engine: &mut Engine,
         g: &CsrGraph,
-        exec: &Executor,
-        ws: &mut Workspace,
-        cancel: &CancelToken,
-    ) -> Result<SpanningForest, Cancelled> {
-        if self.cfg.deg2_preprocess {
-            return self.forest_with_preprocess(g, exec, ws, cancel);
-        }
-        self.forest_direct(g, exec, ws, cancel)
-    }
-
-    /// Computes a spanning tree of a connected `g` rooted at `root`;
-    /// `None` when `g` is not connected or `root` is out of range.
-    pub fn spanning_tree(&self, g: &CsrGraph, root: VertexId, p: usize) -> Option<Vec<VertexId>> {
+        root: VertexId,
+    ) -> Option<Vec<VertexId>> {
         if (root as usize) >= g.num_vertices() {
             return None;
         }
@@ -124,11 +99,7 @@ impl BaderCong {
         // Degree-2 preprocessing changes vertex identity; the rooted-tree
         // entry point keeps it off so `root` stays meaningful.
         cfg.deg2_preprocess = false;
-        let exec = Executor::new(p);
-        let mut ws = Workspace::new();
-        let forest = BaderCong::new(cfg)
-            .forest_direct(g, &exec, &mut ws, &CancelToken::none())
-            .expect("inert token cannot cancel");
+        let forest = engine.run(&BaderCong::new(cfg), g);
         (forest.roots.len() == 1).then_some(forest.parents)
     }
 
@@ -146,19 +117,7 @@ impl BaderCong {
         let reduced_forest =
             BaderCong::new(inner_cfg).forest_direct(&red.reduced, exec, ws, cancel)?;
         let parents = red.expand_parents(&reduced_forest.parents);
-        let roots: Vec<VertexId> = parents
-            .iter()
-            .enumerate()
-            .filter(|&(_, &pp)| pp == NO_VERTEX)
-            .map(|(v, _)| v as VertexId)
-            .collect();
-        let mut stats = reduced_forest.stats;
-        stats.components = roots.len();
-        Ok(SpanningForest {
-            parents,
-            roots,
-            stats,
-        })
+        Ok(SpanningForest::from_parents(parents, reduced_forest.stats))
     }
 
     fn forest_direct(
@@ -294,18 +253,21 @@ impl SpanningAlgorithm for BaderCong {
         "bader-cong"
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
-        self.run_on(g, exec, ws)
-    }
-
-    fn run_with_cancel(
+    /// Ends early with `Err(Cancelled)` if `cancel` (or a live token
+    /// already in [`Config::traversal`]) fires. The token is polled at
+    /// publication boundaries, on the idle path, at round barriers, and
+    /// at the SV fallback's iteration barriers.
+    fn run(
         &self,
         g: &CsrGraph,
         exec: &Executor,
         ws: &mut Workspace,
         cancel: &CancelToken,
     ) -> Result<SpanningForest, Cancelled> {
-        self.try_run_on(g, exec, ws, cancel)
+        if self.cfg.deg2_preprocess {
+            return self.forest_with_preprocess(g, exec, ws, cancel);
+        }
+        self.forest_direct(g, exec, ws, cancel)
     }
 }
 
@@ -375,41 +337,29 @@ fn fallback(
             }
         })
         .collect();
-    let sv_out =
-        match sv::sv_core_cancellable(g, exec, ws, Some(&init), SvConfig::default(), cancel) {
-            Ok(out) => out,
-            Err(Cancelled) => {
-                let _ = ws.finish_job(exec);
-                return Err(Cancelled);
-            }
-        };
+    let sv_out = match sv::sv_core(g, exec, ws, Some(&init), SvConfig::default(), cancel) {
+        Ok(out) => out,
+        Err(Cancelled) => {
+            let _ = ws.finish_job(exec);
+            return Err(Cancelled);
+        }
+    };
 
     // Orient SV's tree edges while keeping the traversal's parents.
     let mask: Vec<bool> = colors
         .iter()
         .map(|&c| c != crate::traversal::UNCOLORED)
         .collect();
-    orient_forest_with_mask_on(n, &sv_out.tree_edges, &mask, &mut parents, exec, ws);
+    orient_forest_with_mask(n, &sv_out.tree_edges, &mask, &mut parents, exec, ws);
 
-    let roots: Vec<VertexId> = parents
-        .iter()
-        .enumerate()
-        .filter(|&(_, &pp)| pp == NO_VERTEX)
-        .map(|(v, _)| v as VertexId)
-        .collect();
     stats.fallback_triggered = true;
-    stats.components = roots.len();
     stats.iterations = sv_out.iterations;
     stats.grafts = sv_out.grafts;
     stats.shortcut_rounds = sv_out.shortcut_rounds;
     stats.barriers += sv_out.barriers;
     ws.trace.rank(0).record(Phase::Fallback, t_fallback);
     stats.metrics = ws.finish_job(exec);
-    Ok(SpanningForest {
-        parents,
-        roots,
-        stats,
-    })
+    Ok(SpanningForest::from_parents(parents, stats))
 }
 
 #[cfg(test)]
@@ -458,7 +408,7 @@ mod tests {
     fn spanning_tree_api() {
         let g = gen::random_connected(500, 700, 2);
         let t = BaderCong::with_defaults()
-            .spanning_tree(&g, 7, 4)
+            .spanning_tree(&mut Engine::new(4), &g, 7)
             .expect("graph is connected");
         assert!(is_spanning_tree(&g, &t, 7));
     }
@@ -467,9 +417,10 @@ mod tests {
     fn spanning_tree_rejects_disconnected_and_bad_root() {
         let g = gen::random_gnm(100, 30, 3);
         let algo = BaderCong::with_defaults();
-        assert!(algo.spanning_tree(&g, 0, 2).is_none());
+        let mut engine = Engine::new(2);
+        assert!(algo.spanning_tree(&mut engine, &g, 0).is_none());
         let g2 = gen::chain(5);
-        assert!(algo.spanning_tree(&g2, 500, 2).is_none());
+        assert!(algo.spanning_tree(&mut engine, &g2, 500).is_none());
     }
 
     #[test]
@@ -632,11 +583,11 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let algo = BaderCong::with_defaults();
-        let out = algo.try_run_on(&g, &exec, &mut ws, &token);
+        let out = algo.run(&g, &exec, &mut ws, &token);
         assert!(out.is_err(), "cancelled token must abort the job");
         // The same team and workspace must run clean jobs afterwards.
         let f = algo
-            .try_run_on(&g, &exec, &mut ws, &CancelToken::none())
+            .run(&g, &exec, &mut ws, &CancelToken::none())
             .expect("inert token cannot cancel");
         assert!(is_spanning_forest(&g, &f.parents));
     }
@@ -661,12 +612,14 @@ mod tests {
                     token.cancel();
                 })
             };
-            if let Ok(f) = algo.try_run_on(&g, &exec, &mut ws, &token) {
+            if let Ok(f) = algo.run(&g, &exec, &mut ws, &token) {
                 assert!(is_spanning_forest(&g, &f.parents));
             }
             canceller.join().unwrap();
             // Team stays healthy either way.
-            let f = algo.run_on(&g, &exec, &mut ws);
+            let f = algo
+                .run(&g, &exec, &mut ws, &CancelToken::none())
+                .expect("inert token cannot cancel");
             assert!(is_spanning_forest(&g, &f.parents), "delay {delay_us}us");
         }
     }
@@ -679,7 +632,7 @@ mod tests {
         let mut ws = Workspace::new();
         let g = gen::torus2d(40, 40);
         let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        let out = BaderCong::with_defaults().try_run_on(&g, &exec, &mut ws, &expired);
+        let out = BaderCong::with_defaults().run(&g, &exec, &mut ws, &expired);
         assert!(out.is_err(), "expired deadline must abort the job");
         assert!(expired.deadline_expired());
     }

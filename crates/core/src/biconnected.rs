@@ -27,8 +27,7 @@
 
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 
-use crate::bader_cong::BaderCong;
-use crate::connected::connected_components_on;
+use crate::connected::connected_components;
 use crate::engine::{Engine, SpanningAlgorithm};
 use crate::result::SpanningForest;
 
@@ -170,52 +169,42 @@ pub fn preorder(parents: &[VertexId]) -> Preorder {
     }
 }
 
-/// Computes the biconnectivity structure of `g` with `p` processors,
-/// building the spanning forest with the Bader–Cong algorithm and the
-/// auxiliary-graph connectivity with SV.
+/// Computes the biconnectivity structure of `g` on `engine`'s team,
+/// building the spanning forest with any spanning-forest producer and
+/// the auxiliary-graph connectivity with SV; both pipeline halves reuse
+/// the engine's workspace.
 ///
 /// ```
 /// use st_core::biconnected::biconnected_components;
+/// use st_core::{BaderCong, Engine};
 /// use st_graph::gen;
 ///
+/// let mut engine = Engine::new(2);
+/// let algo = BaderCong::with_defaults();
+///
 /// // A cycle is one block: no bridges, no articulation points.
-/// let bc = biconnected_components(&gen::cycle(6), 2);
+/// let bc = biconnected_components(&mut engine, &algo, &gen::cycle(6));
 /// assert_eq!(bc.num_blocks, 1);
 /// assert!(bc.bridges.is_empty());
 ///
 /// // A path is all bridges.
-/// let bc = biconnected_components(&gen::chain(4), 2);
+/// let bc = biconnected_components(&mut engine, &algo, &gen::chain(4));
 /// assert_eq!(bc.bridges.len(), 3);
 /// assert_eq!(bc.articulation_points, vec![1, 2]);
 /// ```
-pub fn biconnected_components(g: &CsrGraph, p: usize) -> Biconnectivity {
-    let mut engine = Engine::new(p);
-    biconnected_components_with(&mut engine, &BaderCong::with_defaults(), g)
-}
-
-/// As [`biconnected_components`], but on an existing [`Engine`] and with
-/// any spanning-forest producer: both pipeline halves (the forest and
-/// the auxiliary-graph connectivity) run on the engine's persistent team
-/// and reuse its workspace.
-pub fn biconnected_components_with(
+pub fn biconnected_components(
     engine: &mut Engine,
     algo: &dyn SpanningAlgorithm,
     g: &CsrGraph,
 ) -> Biconnectivity {
     let forest = engine.run(algo, g);
-    biconnected_from_forest_with(engine, g, forest)
+    biconnected_from_forest(engine, g, forest)
 }
 
 /// As [`biconnected_components`], but reusing an existing spanning
-/// forest of `g` (one-shot team for the auxiliary connectivity).
-pub fn biconnected_from_forest(g: &CsrGraph, forest: SpanningForest, p: usize) -> Biconnectivity {
-    let mut engine = Engine::new(p);
-    biconnected_from_forest_with(&mut engine, g, forest)
-}
-
-/// As [`biconnected_from_forest`], but the auxiliary-graph connectivity
-/// runs on `engine`'s team.
-pub fn biconnected_from_forest_with(
+/// forest of `g`; the auxiliary-graph connectivity runs on `engine`'s
+/// team.
+pub fn biconnected_from_forest(
     engine: &mut Engine,
     g: &CsrGraph,
     forest: SpanningForest,
@@ -281,7 +270,7 @@ pub fn biconnected_from_forest_with(
     }
     let aux_graph = CsrGraph::from_edge_list(&aux);
     let (exec, ws) = engine.parts_mut();
-    let aux_cc = connected_components_on(&aux_graph, exec, ws);
+    let aux_cc = connected_components(&aux_graph, exec, ws);
 
     // Blocks = aux components restricted to non-root vertices, compacted.
     let mut block_map: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
@@ -349,9 +338,15 @@ pub fn biconnected_from_forest_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bader_cong::BaderCong;
     use st_graph::gen::{chain, complete, cycle, random_gnm, torus2d};
     use st_graph::validate::count_components;
     use st_graph::EdgeList;
+
+    /// `biconnected_components` with Bader–Cong on a fresh engine of `p`.
+    fn bicc(g: &CsrGraph, p: usize) -> Biconnectivity {
+        biconnected_components(&mut Engine::new(p), &BaderCong::with_defaults(), g)
+    }
 
     /// Brute-force bridge oracle: removing the edge increases the
     /// component count.
@@ -398,7 +393,7 @@ mod tests {
     }
 
     fn check_against_brute(g: &CsrGraph, p: usize) -> Biconnectivity {
-        let bc = biconnected_components(g, p);
+        let bc = bicc(g, p);
         let mut got_bridges: Vec<(VertexId, VertexId)> = bc
             .bridges
             .iter()
@@ -477,7 +472,7 @@ mod tests {
     #[test]
     fn torus_is_biconnected() {
         let g = torus2d(5, 5);
-        let bc = biconnected_components(&g, 4);
+        let bc = bicc(&g, 4);
         assert_eq!(bc.num_blocks, 1);
         assert!(bc.bridges.is_empty());
         assert!(bc.articulation_points.is_empty());
@@ -523,7 +518,7 @@ mod tests {
         el.push(3, 4);
         el.push(4, 2);
         let g = CsrGraph::from_edge_list(&el);
-        let bc = biconnected_components(&g, 2);
+        let bc = bicc(&g, 2);
         let po = preorder(&bc.forest.parents);
         // Edges inside each triangle share a block; across, they differ.
         let b01 = bc.block_of_edge(0, 1, &po);
@@ -633,7 +628,7 @@ mod tests {
     /// The Tarjan–Vishkin block partition must equal the Hopcroft–
     /// Tarjan one (compared on our tree edges, as a partition).
     fn check_block_partition(g: &CsrGraph, p: usize) {
-        let bc = biconnected_components(&g.clone(), p);
+        let bc = bicc(&g.clone(), p);
         let oracle = blocks_hopcroft_tarjan(g);
         // Map: our block id -> oracle block id must be a bijection on
         // the tree edges.
@@ -688,8 +683,8 @@ mod tests {
         let mut engine = Engine::new(3);
         for seed in 0..3 {
             let g = random_gnm(40, 55, seed + 50);
-            let via_hcs = biconnected_components_with(&mut engine, &crate::hcs::Hcs, &g);
-            let via_default = biconnected_components(&g, 3);
+            let via_hcs = biconnected_components(&mut engine, &crate::hcs::Hcs, &g);
+            let via_default = bicc(&g, 3);
             assert_eq!(via_hcs.num_blocks, via_default.num_blocks);
             assert_eq!(via_hcs.articulation_points, via_default.articulation_points);
             let canon = |mut b: Vec<(VertexId, VertexId)>| {
@@ -721,7 +716,7 @@ mod tests {
 
     #[test]
     fn empty_and_singletons() {
-        let bc = biconnected_components(&CsrGraph::empty(3), 2);
+        let bc = bicc(&CsrGraph::empty(3), 2);
         assert_eq!(bc.num_blocks, 0);
         assert!(bc.bridges.is_empty());
         assert!(bc.articulation_points.is_empty());

@@ -8,7 +8,7 @@
 //! algorithm's output included).
 
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
-use st_smp::Executor;
+use st_smp::{CancelToken, Executor};
 
 use crate::engine::Workspace;
 use crate::sv::{self, SvConfig};
@@ -54,17 +54,11 @@ fn compact(reps: &[VertexId]) -> Components {
     }
 }
 
-/// Connected components via parallel SV with a one-shot team of `p`
-/// processors.
-pub fn connected_components(g: &CsrGraph, p: usize) -> Components {
-    let out = sv::sv_core(g, p, None, SvConfig::default());
-    compact(&out.labels)
-}
-
 /// Connected components via parallel SV on an existing team, with all
 /// scratch drawn from `ws`.
-pub fn connected_components_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> Components {
-    let out = sv::sv_core_on(g, exec, ws, None, SvConfig::default());
+pub fn connected_components(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> Components {
+    let out = sv::sv_core(g, exec, ws, None, SvConfig::default(), &CancelToken::none())
+        .expect("inert token cannot cancel");
     compact(&out.labels)
 }
 
@@ -105,6 +99,11 @@ mod tests {
     use st_graph::gen;
     use st_graph::validate::component_labels;
 
+    /// `connected_components` on a fresh team of `p`.
+    fn components(g: &CsrGraph, p: usize) -> Components {
+        connected_components(g, &Executor::new(p), &mut Workspace::new())
+    }
+
     /// Two labelings agree up to renaming.
     fn assert_same_partition(a: &[u32], b: &[u32]) {
         assert_eq!(a.len(), b.len());
@@ -120,7 +119,7 @@ mod tests {
     fn sv_components_match_reference() {
         for seed in 0..4 {
             let g = gen::random_gnm(500, 400, seed);
-            let cc = connected_components(&g, 4);
+            let cc = components(&g, 4);
             let reference = component_labels(&g);
             assert_same_partition(&cc.labels, &reference);
         }
@@ -129,7 +128,7 @@ mod tests {
     #[test]
     fn forest_components_match_reference() {
         let g = gen::mesh2d_p(25, 25, 0.55, 7);
-        let f = crate::engine::Engine::new(4).job(&g).run().unwrap();
+        let f = crate::engine::Engine::new(4).run(&crate::BaderCong::with_defaults(), &g);
         let cc = components_from_forest(&f.parents);
         assert_same_partition(&cc.labels, &component_labels(&g));
         assert_eq!(cc.count, f.roots.len());
@@ -143,7 +142,7 @@ mod tests {
             el.push(2, 3);
             st_graph::CsrGraph::from_edge_list(&el)
         };
-        let cc = connected_components(&g, 2);
+        let cc = components(&g, 2);
         assert_eq!(cc.count, 3);
         assert!(cc.same(0, 1));
         assert!(!cc.same(1, 2));
@@ -154,14 +153,14 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let cc = connected_components(&st_graph::CsrGraph::empty(0), 2);
+        let cc = components(&st_graph::CsrGraph::empty(0), 2);
         assert_eq!(cc.count, 0);
         assert!(cc.labels.is_empty());
     }
 
     #[test]
     fn singleton_components() {
-        let cc = connected_components(&st_graph::CsrGraph::empty(4), 2);
+        let cc = components(&st_graph::CsrGraph::empty(4), 2);
         assert_eq!(cc.count, 4);
         assert_eq!(cc.sizes(), vec![1, 1, 1, 1]);
     }

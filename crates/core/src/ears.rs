@@ -21,6 +21,7 @@
 
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 
+use crate::bader_cong::BaderCong;
 use crate::biconnected::{preorder, Preorder};
 use crate::engine::Engine;
 
@@ -78,15 +79,12 @@ impl std::fmt::Display for EarError {
 impl std::error::Error for EarError {}
 
 /// Computes an ear decomposition of a 2-edge-connected graph, using a
-/// parallel spanning tree (`p` processors) as the skeleton.
-pub fn ear_decomposition(g: &CsrGraph, p: usize) -> Result<EarDecomposition, EarError> {
+/// Bader–Cong spanning tree built on `engine`'s team as the skeleton.
+pub fn ear_decomposition(engine: &mut Engine, g: &CsrGraph) -> Result<EarDecomposition, EarError> {
     if g.num_edges() == 0 {
         return Err(EarError::Empty);
     }
-    let forest = Engine::new(p)
-        .job(g)
-        .run()
-        .expect("no cancel token: job cannot be cancelled");
+    let forest = engine.run(&BaderCong::with_defaults(), g);
     if forest.roots.len() != 1 {
         return Err(EarError::NotConnected);
     }
@@ -294,7 +292,7 @@ mod tests {
     #[test]
     fn cycle_is_a_single_ear() {
         let g = cycle(8);
-        let ed = ear_decomposition(&g, 2).unwrap();
+        let ed = ear_decomposition(&mut Engine::new(2), &g).unwrap();
         assert_eq!(ed.len(), 1);
         assert_eq!(ed.num_edges(), 8);
         assert_valid_ears(&g, &ed);
@@ -303,7 +301,7 @@ mod tests {
     #[test]
     fn complete_graph_decomposes() {
         let g = complete(6);
-        let ed = ear_decomposition(&g, 2).unwrap();
+        let ed = ear_decomposition(&mut Engine::new(2), &g).unwrap();
         // K6: m - n + 1 = 15 - 6 + 1 = 10 ears.
         assert_eq!(ed.len(), 10);
         assert_valid_ears(&g, &ed);
@@ -312,7 +310,7 @@ mod tests {
     #[test]
     fn torus_decomposes() {
         let g = torus2d(4, 4);
-        let ed = ear_decomposition(&g, 4).unwrap();
+        let ed = ear_decomposition(&mut Engine::new(4), &g).unwrap();
         assert_eq!(ed.len(), g.num_edges() - g.num_vertices() + 1);
         assert_valid_ears(&g, &ed);
     }
@@ -335,7 +333,7 @@ mod tests {
         el.push(5, 6);
         el.push(6, 7);
         let g = CsrGraph::from_edge_list(&el);
-        let ed = ear_decomposition(&g, 2).unwrap();
+        let ed = ear_decomposition(&mut Engine::new(2), &g).unwrap();
         assert_eq!(ed.len(), 2);
         assert_valid_ears(&g, &ed);
     }
@@ -352,7 +350,7 @@ mod tests {
         el.push(5, 3);
         el.push(2, 3);
         let g = CsrGraph::from_edge_list(&el);
-        match ear_decomposition(&g, 2) {
+        match ear_decomposition(&mut Engine::new(2), &g) {
             Err(EarError::HasBridge(a, b)) => {
                 assert!(
                     (a == 2 && b == 3) || (a == 3 && b == 2),
@@ -367,7 +365,7 @@ mod tests {
     fn tree_is_rejected() {
         let g = chain(5);
         assert!(matches!(
-            ear_decomposition(&g, 2),
+            ear_decomposition(&mut Engine::new(2), &g),
             Err(EarError::HasBridge(_, _))
         ));
     }
@@ -383,7 +381,7 @@ mod tests {
         el.push(5, 3);
         let g = CsrGraph::from_edge_list(&el);
         assert!(matches!(
-            ear_decomposition(&g, 2),
+            ear_decomposition(&mut Engine::new(2), &g),
             Err(EarError::NotConnected)
         ));
     }
@@ -391,7 +389,10 @@ mod tests {
     #[test]
     fn empty_is_rejected() {
         let g = CsrGraph::empty(3);
-        assert!(matches!(ear_decomposition(&g, 2), Err(EarError::Empty)));
+        assert!(matches!(
+            ear_decomposition(&mut Engine::new(2), &g),
+            Err(EarError::Empty)
+        ));
     }
 
     #[test]
@@ -415,7 +416,7 @@ mod tests {
             }
             el.dedup_simple();
             let g = CsrGraph::from_edge_list(&el);
-            let ed = ear_decomposition(&g, 3).unwrap();
+            let ed = ear_decomposition(&mut Engine::new(3), &g).unwrap();
             assert_eq!(ed.len(), g.num_edges() - g.num_vertices() + 1);
             assert_valid_ears(&g, &ed);
         }

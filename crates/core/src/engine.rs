@@ -113,9 +113,9 @@ impl Workspace {
         Self::default()
     }
 
-    /// Pre-grows the arena for an `n`-vertex, `m`-edge graph (the
-    /// default [`SpanningAlgorithm::prepare`]). Purely an allocation
-    /// hint — every entry point re-initializes what it uses. Fresh
+    /// Pre-grows the arena for an `n`-vertex, `m`-edge graph (what
+    /// [`Engine::run`] and the service do before every run). Purely an
+    /// allocation hint — every entry point re-initializes what it uses. Fresh
     /// array growth honors `ST_HUGEPAGES` (advised before first touch,
     /// so the initializing writes fault 2 MiB pages directly).
     pub fn reserve(&mut self, n: usize, m: usize) {
@@ -389,45 +389,28 @@ impl std::error::Error for Cancelled {}
 /// Implemented by [`BaderCong`](crate::bader_cong::BaderCong),
 /// [`Sv`](crate::sv::Sv), [`Hcs`](crate::hcs::Hcs), and
 /// [`Multiroot`](crate::multiroot::Multiroot); consumed by
-/// [`Engine::run`] and the trait-generic entry points of
-/// [`crate::biconnected`].
+/// [`Engine::run`], [`crate::biconnected`], and the service dispatcher.
 pub trait SpanningAlgorithm {
     /// Short stable identifier (e.g. for benchmark tables).
     fn name(&self) -> &'static str;
 
-    /// Pre-sizes the workspace for `g`. The default reserves the shared
-    /// arrays; override only when an algorithm needs additional scratch
-    /// grown ahead of time.
-    fn prepare(&self, ws: &mut Workspace, g: &CsrGraph) {
-        ws.reserve(g.num_vertices(), g.num_edges());
-    }
-
     /// Computes a spanning forest of `g` on `exec`'s team, using (and
     /// re-initializing) `ws` for all scratch state.
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest;
-
-    /// Like [`run`](Self::run), but cooperatively cancellable: the
-    /// algorithm polls `cancel` at its natural boundaries (publication
-    /// points and round barriers for the traversal family, iteration
-    /// barriers for graft-and-shortcut) and returns `Err(Cancelled)` as
-    /// soon as it observes the token fired, leaving `ws` and `exec`
-    /// reusable.
     ///
-    /// The default implementation checks once up front and otherwise
-    /// runs to completion — correct for any algorithm, prompt only for
-    /// those that override it (Bader–Cong and SV do).
-    fn run_with_cancel(
+    /// Cooperatively cancellable: the algorithm polls `cancel` at its
+    /// natural boundaries (publication points and round barriers for the
+    /// traversal family, iteration barriers for graft-and-shortcut;
+    /// Multiroot checks once, before it starts) and returns
+    /// `Err(Cancelled)` as soon as it observes the token fired, leaving
+    /// `ws` and `exec` reusable. Pass
+    /// [`CancelToken::none`] for a run that cannot be cancelled.
+    fn run(
         &self,
         g: &CsrGraph,
         exec: &Executor,
         ws: &mut Workspace,
         cancel: &CancelToken,
-    ) -> Result<SpanningForest, Cancelled> {
-        if cancel.is_cancelled() {
-            return Err(Cancelled);
-        }
-        Ok(self.run(g, exec, ws))
-    }
+    ) -> Result<SpanningForest, Cancelled>;
 }
 
 /// A persistent team plus its workspace: the one-stop handle for
@@ -465,87 +448,22 @@ impl Engine {
         &mut self.ws
     }
 
-    /// Splits the engine into its team and workspace, for `*_on` entry
-    /// points that take both.
+    /// Splits the engine into its team and workspace, for entry points
+    /// that take both (e.g. a cancellable [`SpanningAlgorithm::run`]).
     pub fn parts_mut(&mut self) -> (&Executor, &mut Workspace) {
         (&self.exec, &mut self.ws)
     }
 
     /// Runs `algo` on `g`, reusing this engine's team and workspace.
+    ///
+    /// Uncancellable: runs with [`CancelToken::none`], so it panics only
+    /// if a live token carried in the algorithm's own configuration
+    /// fires mid-run. Cancellable jobs call [`SpanningAlgorithm::run`]
+    /// on [`parts_mut`](Self::parts_mut) with their token.
     pub fn run<A: SpanningAlgorithm + ?Sized>(&mut self, algo: &A, g: &CsrGraph) -> SpanningForest {
-        algo.prepare(&mut self.ws, g);
-        algo.run(g, &self.exec, &mut self.ws)
-    }
-
-    /// Starts a job submission for `g`: the builder-style entry point
-    /// that unifies the per-algorithm `*_on` functions and one-shot
-    /// wrappers.
-    ///
-    /// ```
-    /// use st_core::{BaderCong, Engine};
-    /// use st_graph::gen::torus2d;
-    ///
-    /// let mut engine = Engine::new(2);
-    /// let g = torus2d(8, 8);
-    /// let forest = engine.job(&g).run().expect("not cancelled");
-    /// let sv = engine
-    ///     .job(&g)
-    ///     .algorithm(&st_core::sv::Sv::default())
-    ///     .run()
-    ///     .expect("not cancelled");
-    /// assert_eq!(forest.roots.len(), sv.roots.len());
-    /// ```
-    pub fn job<'e, 'g>(&'e mut self, g: &'g CsrGraph) -> EngineJob<'e, 'g> {
-        EngineJob {
-            engine: self,
-            g,
-            algo: None,
-            cancel: CancelToken::none(),
-        }
-    }
-}
-
-/// A pending job on an [`Engine`], built by [`Engine::job`].
-///
-/// Runs Bader–Cong with defaults unless [`algorithm`](Self::algorithm)
-/// picks something else. This is the local, synchronous sibling of the
-/// `st-service` submission builder: same vocabulary, no queue.
-pub struct EngineJob<'e, 'g> {
-    engine: &'e mut Engine,
-    g: &'g CsrGraph,
-    algo: Option<&'g dyn SpanningAlgorithm>,
-    cancel: CancelToken,
-}
-
-impl<'e, 'g> EngineJob<'e, 'g> {
-    /// Selects the algorithm (default: [`BaderCong`](crate::BaderCong)
-    /// with defaults).
-    pub fn algorithm(mut self, algo: &'g dyn SpanningAlgorithm) -> Self {
-        self.algo = Some(algo);
-        self
-    }
-
-    /// Attaches a cancellation token; the run returns
-    /// `Err(`[`Cancelled`]`)` once it fires.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Runs the job to completion (or cancellation) on the engine's
-    /// team.
-    pub fn run(self) -> Result<SpanningForest, Cancelled> {
-        let default_algo;
-        let algo = match self.algo {
-            Some(a) => a,
-            None => {
-                default_algo = crate::bader_cong::BaderCong::with_defaults();
-                &default_algo
-            }
-        };
-        let (exec, ws) = self.engine.parts_mut();
-        algo.prepare(ws, self.g);
-        algo.run_with_cancel(self.g, exec, ws, &self.cancel)
+        self.ws.reserve(g.num_vertices(), g.num_edges());
+        algo.run(g, &self.exec, &mut self.ws, &CancelToken::none())
+            .expect("run cancelled mid-flight by a token in the algorithm's configuration")
     }
 }
 

@@ -15,37 +15,23 @@
 //!
 //! Like SV, all scratch lives in the caller's
 //! [`Workspace`] and the team comes from a
-//! persistent [`Executor`] in the `*_on` entry points.
+//! persistent [`Executor`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use st_graph::{CsrGraph, VertexId, NO_VERTEX};
+use st_graph::{CsrGraph, VertexId};
 use st_obs::{now_ns, Counter, Phase};
 use st_smp::team::block_range;
-use st_smp::Executor;
+use st_smp::{CancelToken, Executor};
 
-use crate::engine::{SpanningAlgorithm, Workspace};
-use crate::orient::orient_forest_on;
-use crate::result::{AlgoStats, SpanningForest};
+use crate::engine::{Cancelled, SpanningAlgorithm, Workspace};
+use crate::result::SpanningForest;
+use crate::sv::{graft_job, SvOutcome};
 
-/// Raw result of the HCS engine (same shape as
-/// [`SvOutcome`](crate::sv::SvOutcome)).
-#[derive(Clone, Debug)]
-pub struct HcsOutcome {
-    /// One graph edge per hook; together a spanning forest.
-    pub tree_edges: Vec<(VertexId, VertexId)>,
-    /// Final hook array: component root labels.
-    pub labels: Vec<VertexId>,
-    /// Hook-and-shortcut iterations (including the final empty one).
-    pub iterations: usize,
-    /// Total hooks.
-    pub grafts: usize,
-    /// Total pointer-jumping rounds.
-    pub shortcut_rounds: usize,
-    /// Barrier episodes used.
-    pub barriers: usize,
-}
+/// Raw result of the HCS engine: the same shape as SV's, with hooks
+/// counted as grafts.
+pub type HcsOutcome = SvOutcome;
 
 const EMPTY: u64 = u64::MAX;
 
@@ -56,16 +42,21 @@ fn pack(target: VertexId, edge: usize) -> u64 {
     ((target as u64) << 32) | edge as u64
 }
 
-/// Runs min-hook-and-shortcut with a one-shot team of `p` processors.
-pub fn hcs_core(g: &CsrGraph, p: usize) -> HcsOutcome {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    hcs_core_on(g, &exec, &mut ws)
-}
-
 /// Runs min-hook-and-shortcut on an existing team, with all scratch in
 /// `ws`.
-pub fn hcs_core_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> HcsOutcome {
+///
+/// Cooperatively cancellable exactly like [`sv_core`](crate::sv::sv_core):
+/// rank 0 polls `cancel` at the top of each hook-and-shortcut iteration
+/// and raises a shared abort flag that every rank reads behind the
+/// iteration's hook barrier, so the team leaves the session together. A
+/// cancelled run abandons its partial hooks; the workspace and team stay
+/// reusable.
+pub fn hcs_core(
+    g: &CsrGraph,
+    exec: &Executor,
+    ws: &mut Workspace,
+    cancel: &CancelToken,
+) -> Result<HcsOutcome, Cancelled> {
     let p = exec.size();
     let n = g.num_vertices();
     ws.collect_edges(g);
@@ -92,6 +83,9 @@ pub fn hcs_core_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> HcsOutc
     let shortcut_rounds_total = AtomicUsize::new(0);
     let barriers = AtomicUsize::new(0);
     let iterations = AtomicUsize::new(0);
+    // Cancellation: rank 0 stores before the iteration's first barrier,
+    // everyone loads after the post-hook barrier (see `sv_core`).
+    let aborted = AtomicBool::new(false);
 
     exec.run(|ctx| {
         let rank = ctx.rank();
@@ -116,6 +110,9 @@ pub fn hcs_core_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> HcsOutc
         let mut my_hooks: u64 = 0;
         loop {
             let t_hook = now_ns();
+            if rank == 0 && cancel.is_cancelled() {
+                aborted.store(true, Ordering::Release);
+            }
             // Reset candidate slots.
             for v in my_verts.clone() {
                 cand[v].store(EMPTY, Ordering::Relaxed);
@@ -159,6 +156,9 @@ pub fn hcs_core_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> HcsOutc
             bar(&barriers);
             trace.rank(rank).record(Phase::Graft, t_hook);
 
+            if aborted.load(Ordering::Acquire) {
+                break;
+            }
             let changed = hook_epoch.load(Ordering::Acquire) == iter;
             if rank == 0 {
                 iterations.fetch_add(1, Ordering::Relaxed);
@@ -199,6 +199,10 @@ pub fn hcs_core_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> HcsOutc
         counters.rank(rank).add(Counter::Grafts, my_hooks);
     });
 
+    if aborted.load(Ordering::Acquire) {
+        let _ = ws.drain_graft(p);
+        return Err(Cancelled);
+    }
     let labels = ws.labels.snapshot_prefix(n);
     let tree_edges = ws.drain_graft(p);
     let grafts = tree_edges.len();
@@ -206,42 +210,14 @@ pub fn hcs_core_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> HcsOutc
     ws.counters
         .rank(0)
         .add(Counter::ShortcutRounds, shortcut_rounds as u64);
-    HcsOutcome {
+    Ok(HcsOutcome {
         tree_edges,
         labels,
         iterations: iterations.load(Ordering::Relaxed),
         grafts,
         shortcut_rounds,
         barriers: barriers.load(Ordering::Relaxed),
-    }
-}
-
-/// Full HCS spanning forest on an existing team: hooks, then parallel
-/// orientation.
-pub fn spanning_forest_on(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
-    ws.begin_job(exec);
-    let out = hcs_core_on(g, exec, ws);
-    let parents = orient_forest_on(g.num_vertices(), &out.tree_edges, exec, ws);
-    let roots: Vec<VertexId> = parents
-        .iter()
-        .enumerate()
-        .filter(|&(_, &pp)| pp == NO_VERTEX)
-        .map(|(v, _)| v as VertexId)
-        .collect();
-    let stats = AlgoStats {
-        components: roots.len(),
-        iterations: out.iterations,
-        grafts: out.grafts,
-        shortcut_rounds: out.shortcut_rounds,
-        barriers: out.barriers,
-        metrics: ws.finish_job(exec),
-        ..AlgoStats::default()
-    };
-    SpanningForest {
-        parents,
-        roots,
-        stats,
-    }
+    })
 }
 
 /// HCS as a [`SpanningAlgorithm`].
@@ -253,8 +229,16 @@ impl SpanningAlgorithm for Hcs {
         "hcs"
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
-        spanning_forest_on(g, exec, ws)
+    /// Hooks, then parallel orientation. `cancel` is polled at each
+    /// hook-and-shortcut iteration boundary (and before orientation).
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
+        graft_job(g, exec, ws, cancel, |ws| hcs_core(g, exec, ws, cancel))
     }
 }
 
@@ -263,7 +247,15 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use st_graph::gen;
+    use st_graph::label::{random_permutation, relabel};
     use st_graph::validate::{count_components, is_spanning_forest};
+
+    /// `hcs_core` on a fresh team of `p` and a fresh workspace.
+    fn core(g: &CsrGraph, p: usize) -> HcsOutcome {
+        let exec = Executor::new(p);
+        hcs_core(g, &exec, &mut Workspace::new(), &CancelToken::none())
+            .expect("inert token cannot cancel")
+    }
 
     fn check(g: &CsrGraph, p: usize) -> SpanningForest {
         let f = Engine::new(p).run(&Hcs, g);
@@ -291,8 +283,8 @@ mod tests {
     fn tree_edges_are_deterministic_across_p() {
         // Min-hooking with packed fetch_min is schedule-independent.
         let g = gen::random_gnm(800, 1_300, 4);
-        let mut e1 = hcs_core(&g, 1).tree_edges;
-        let mut e4 = hcs_core(&g, 4).tree_edges;
+        let mut e1 = core(&g, 1).tree_edges;
+        let mut e4 = core(&g, 4).tree_edges;
         e1.sort_unstable();
         e4.sort_unstable();
         assert_eq!(e1, e4);
@@ -307,18 +299,61 @@ mod tests {
         let mut ws = Workspace::new();
         let big = gen::random_gnm(900, 1_500, 6);
         let small = gen::random_gnm(60, 80, 7);
-        let reference = hcs_core(&big, 4).tree_edges;
+        let reference = core(&big, 4).tree_edges;
         for _ in 0..3 {
-            assert_eq!(hcs_core_on(&big, &exec, &mut ws).tree_edges, reference);
+            let reused = hcs_core(&big, &exec, &mut ws, &CancelToken::none()).unwrap();
+            assert_eq!(reused.tree_edges, reference);
             // Interleave a smaller graph to shuffle the arena prefix.
-            let _ = hcs_core_on(&small, &exec, &mut ws);
+            let _ = hcs_core(&small, &exec, &mut ws, &CancelToken::none());
         }
+    }
+
+    #[test]
+    fn deadline_cancels_a_run_in_flight() {
+        use std::time::{Duration, Instant};
+        // Random labels make HCS take about log n hook-and-shortcut
+        // iterations, each a full pass over the edges, so a deadline a
+        // few ms in lands mid-run. Release builds get a larger graph to
+        // keep the run well past the deadline.
+        let n = if cfg!(debug_assertions) {
+            100_000
+        } else {
+            400_000
+        };
+        let g = relabel(
+            &gen::random_gnm(n, 3 * n / 2, 12),
+            &random_permutation(n, 13),
+        );
+        let exec = Executor::new(2);
+        let mut ws = Workspace::new();
+        let reference = core(&g, 2).tree_edges;
+        let t0 = Instant::now();
+        Hcs.run(&g, &exec, &mut ws, &CancelToken::none())
+            .expect("inert token cannot cancel");
+        let full = t0.elapsed();
+        let deadline = Duration::from_millis(3);
+        assert!(
+            full >= 20 * deadline,
+            "graph too small for the test: an uncancelled run took {full:?}"
+        );
+        let token = CancelToken::with_deadline(Instant::now() + deadline);
+        assert_eq!(Hcs.run(&g, &exec, &mut ws, &token).err(), Some(Cancelled));
+        // The core itself stops at an iteration boundary: it has no
+        // check after its last iteration.
+        let token = CancelToken::with_deadline(Instant::now() + deadline);
+        assert!(hcs_core(&g, &exec, &mut ws, &token).is_err());
+        // The workspace cancelled runs leave behind still yields the
+        // deterministic edge set.
+        let again = hcs_core(&g, &exec, &mut ws, &CancelToken::none())
+            .expect("inert token cannot cancel")
+            .tree_edges;
+        assert_eq!(again, reference);
     }
 
     #[test]
     fn graft_count_matches() {
         let g = gen::random_gnm(400, 500, 2);
-        let out = hcs_core(&g, 4);
+        let out = core(&g, 4);
         assert_eq!(out.grafts, 400 - count_components(&g));
     }
 
@@ -327,7 +362,7 @@ mod tests {
         // Min-hooking guarantees every component's label is its minimum
         // vertex id.
         let g = gen::random_gnm(300, 400, 8);
-        let out = hcs_core(&g, 2);
+        let out = core(&g, 2);
         let ref_labels = st_graph::validate::component_labels(&g);
         let mut min_of_comp = std::collections::HashMap::new();
         for v in 0..300u32 {
@@ -341,13 +376,13 @@ mod tests {
     #[test]
     fn chain_iterations_logarithmic() {
         let g = gen::chain(1 << 12);
-        let out = hcs_core(&g, 2);
+        let out = core(&g, 2);
         assert!(out.iterations <= 16, "iterations = {}", out.iterations);
     }
 
     #[test]
     fn empty_and_singletons() {
-        let out = hcs_core(&CsrGraph::empty(5), 2);
+        let out = core(&CsrGraph::empty(5), 2);
         assert_eq!(out.grafts, 0);
         assert_eq!(out.labels, vec![0, 1, 2, 3, 4]);
     }

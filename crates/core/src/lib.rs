@@ -24,10 +24,15 @@
 //! * [`connected`] — connected components derived from the same
 //!   machinery (SV is natively a connectivity algorithm).
 //! * [`engine`] — the execution engine: every algorithm implements the
-//!   [`SpanningAlgorithm`] trait and runs on a persistent
-//!   [`Executor`](st_smp::Executor) team with a reusable [`Workspace`]
-//!   arena, so a sequence of runs pays no per-call thread spawns or
-//!   allocations (the paper's repeated-measurement methodology).
+//!   [`SpanningAlgorithm`] trait, whose one cancellable
+//!   [`run`](SpanningAlgorithm::run) is the algorithm's only entry
+//!   point, and runs on a persistent [`Executor`](st_smp::Executor) team
+//!   with a reusable [`Workspace`] arena, so a sequence of runs pays no
+//!   per-call thread spawns or allocations (the paper's
+//!   repeated-measurement methodology). The routines built on the
+//!   algorithms (orientation, connectivity, biconnectivity, ear
+//!   decomposition, Borůvka) likewise take a team; only
+//!   [`Engine::new`] spawns one.
 //!
 //! All parallel algorithms produce spanning *forests* (one rooted tree
 //! per connected component, encoded as a parent array with
@@ -72,6 +77,6 @@ pub mod tree;
 pub use bader_cong::{BaderCong, Config};
 pub use config::{ConfigError, RuntimeConfig};
 pub use dyn_forest::{DynForest, OverBudget, UpdateStats};
-pub use engine::{Cancelled, Engine, EngineJob, SpanningAlgorithm, Workspace};
+pub use engine::{Cancelled, Engine, SpanningAlgorithm, Workspace};
 pub use result::{AlgoStats, SpanningForest};
 pub use traversal::{Direction, TraversalConfig};

@@ -56,7 +56,9 @@ pub struct MstResult {
 /// );
 /// let k = mst::kruskal(&wg);
 /// assert_eq!(k.total_weight, 7); // edges (1,2) and (0,1)
-/// assert_eq!(k.total_weight, mst::boruvka(&wg, 2).total_weight);
+/// let mut engine = st_core::Engine::new(2);
+/// let (exec, ws) = engine.parts_mut();
+/// assert_eq!(k.total_weight, mst::boruvka(&wg, exec, ws).total_weight);
 /// ```
 pub fn kruskal(wg: &WeightedGraph) -> MstResult {
     let n = wg.num_vertices();
@@ -87,17 +89,10 @@ fn pack(w: Weight, edge: usize) -> u64 {
     ((w as u64) << 32) | edge as u64
 }
 
-/// Parallel Borůvka minimum spanning forest with a one-shot team of `p`
-/// processors.
-pub fn boruvka(wg: &WeightedGraph, p: usize) -> MstResult {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    boruvka_on(wg, &exec, &mut ws)
-}
-
-/// Parallel Borůvka on an existing team, with the hook array, snapshot,
-/// best-edge slots, and per-rank edge lists drawn from `ws`.
-pub fn boruvka_on(wg: &WeightedGraph, exec: &Executor, ws: &mut Workspace) -> MstResult {
+/// Parallel Borůvka minimum spanning forest on an existing team, with
+/// the hook array, snapshot, best-edge slots, and per-rank edge lists
+/// drawn from `ws`.
+pub fn boruvka(wg: &WeightedGraph, exec: &Executor, ws: &mut Workspace) -> MstResult {
     let p = exec.size();
     let n = wg.num_vertices();
     let edges: Vec<(VertexId, VertexId, Weight)> = wg.weighted_edges().collect();
@@ -239,16 +234,23 @@ mod tests {
     use st_graph::gen::{complete, random_connected, random_gnm, torus2d};
     use st_graph::validate::{count_components, is_spanning_forest};
 
+    /// `boruvka` on a fresh team of `p`.
+    fn boruvka_p(wg: &WeightedGraph, p: usize) -> MstResult {
+        boruvka(wg, &Executor::new(p), &mut Workspace::new())
+    }
+
     fn check_agreement(wg: &WeightedGraph, p: usize) {
         let k = kruskal(wg);
-        let b = boruvka(wg, p);
+        let exec = Executor::new(p);
+        let mut ws = Workspace::new();
+        let b = boruvka(wg, &exec, &mut ws);
         assert_eq!(
             k.total_weight, b.total_weight,
             "MSF weights disagree (p = {p})"
         );
         assert_eq!(k.tree_edges.len(), b.tree_edges.len());
         // Borůvka's edges must form a spanning forest of the topology.
-        let parents = orient_forest(wg.num_vertices(), &b.tree_edges, p);
+        let parents = orient_forest(wg.num_vertices(), &b.tree_edges, &exec, &mut ws);
         assert!(is_spanning_forest(wg.topology(), &parents));
     }
 
@@ -262,7 +264,7 @@ mod tests {
         );
         let k = kruskal(&wg);
         assert_eq!(k.total_weight, 6);
-        let b = boruvka(&wg, 2);
+        let b = boruvka_p(&wg, 2);
         assert_eq!(b.total_weight, 6);
         let mut be = b.tree_edges.clone();
         be.sort_unstable();
@@ -304,7 +306,7 @@ mod tests {
     fn boruvka_iterations_are_logarithmic() {
         let g = random_connected(4_096, 4_096, 5);
         let wg = WeightedGraph::with_random_weights(&g, 10_000, 6);
-        let b = boruvka(&wg, 4);
+        let b = boruvka_p(&wg, 4);
         assert!(
             b.iterations <= 15,
             "Borůvka took {} iterations on 4k vertices",
@@ -326,19 +328,19 @@ mod tests {
         let k = kruskal(&wg);
         assert_eq!(k.total_weight, 0);
         assert!(k.tree_edges.is_empty());
-        let b = boruvka(&wg, 2);
+        let b = boruvka_p(&wg, 2);
         assert_eq!(b.total_weight, 0);
         assert_eq!(b.iterations, 1);
     }
 
     #[test]
     fn reused_workspace_agrees_with_kruskal() {
-        let exec = st_smp::Executor::new(4);
-        let mut ws = crate::engine::Workspace::new();
+        let exec = Executor::new(4);
+        let mut ws = Workspace::new();
         for seed in 0..3 {
             let g = random_gnm(400, 700, seed);
             let wg = WeightedGraph::with_random_weights(&g, 777, seed);
-            let b = boruvka_on(&wg, &exec, &mut ws);
+            let b = boruvka(&wg, &exec, &mut ws);
             assert_eq!(b.total_weight, kruskal(&wg).total_weight, "seed {seed}");
         }
     }
@@ -347,8 +349,8 @@ mod tests {
     fn boruvka_is_deterministic_across_p() {
         let g = random_gnm(500, 900, 2);
         let wg = WeightedGraph::with_random_weights(&g, 100, 4);
-        let mut e1 = boruvka(&wg, 1).tree_edges;
-        let mut e4 = boruvka(&wg, 4).tree_edges;
+        let mut e1 = boruvka_p(&wg, 1).tree_edges;
+        let mut e4 = boruvka_p(&wg, 4).tree_edges;
         e1.sort_unstable();
         e4.sort_unstable();
         assert_eq!(e1, e4, "strict-min hooking is schedule-independent");

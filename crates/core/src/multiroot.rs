@@ -38,216 +38,19 @@ use rand::SeedableRng;
 use st_graph::dsu::DisjointSets;
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{now_ns, Counter, Phase};
-use st_smp::{Executor, IdleOutcome};
+use st_smp::{CancelToken, Executor, IdleOutcome};
 
-use crate::engine::{SpanningAlgorithm, Workspace};
+use crate::engine::{Cancelled, SpanningAlgorithm, Workspace};
 use crate::result::{AlgoStats, SpanningForest};
 use crate::traversal::{steal_sweep, TraversalConfig};
 
 /// Color value meaning "not yet claimed".
 const UNCLAIMED: u32 = 0;
 
-/// Computes a spanning forest with the multi-root concurrent strategy on
-/// an existing team and workspace.
-///
-/// `cfg.starvation_threshold` is ignored (there is no fallback: idle
-/// processors claim new roots instead of starving); the steal policy,
-/// idle timeout, and seed apply as in the round driver.
-pub fn spanning_forest_multiroot_on(
-    g: &CsrGraph,
-    exec: &Executor,
-    ws: &mut Workspace,
-    cfg: TraversalConfig,
-) -> SpanningForest {
-    let p = exec.size();
-    let n = g.num_vertices();
-    ws.begin_job(exec);
-    if n == 0 {
-        return SpanningForest {
-            parents: Vec::new(),
-            roots: Vec::new(),
-            stats: AlgoStats {
-                metrics: ws.finish_job(exec),
-                ..AlgoStats::default()
-            },
-        };
-    }
-
-    // color[v]: UNCLAIMED, or 1 + the id of the root whose tree claimed
-    // v. UNCLAIMED coincides with the traversal's UNCOLORED, so the
-    // frontier prep's reset covers it.
-    ws.prep_frontier(n, p, exec, None);
-    exec.detector().reset();
-    let color = &ws.color;
-    let parent = &ws.parent;
-    let queues = &ws.queues[..p];
-    let counters = &ws.counters;
-    let trace = &ws.trace;
-    let detector = exec.detector();
-
-    let cursor = AtomicUsize::new(0);
-    // Roots claimed, in claim order (for stats; merged roots drop out of
-    // the final root set).
-    let claimed_roots = Mutex::new(Vec::<VertexId>::new());
-
-    // Claims the next unclaimed vertex as a fresh root.
-    let claim_root = || -> Option<VertexId> {
-        loop {
-            let pos = cursor.fetch_add(1, Ordering::Relaxed);
-            if pos >= n {
-                return None;
-            }
-            if color.try_claim(pos, UNCLAIMED, pos as u32 + 1) {
-                claimed_roots.lock().unwrap().push(pos as VertexId);
-                return Some(pos as VertexId);
-            }
-        }
-    };
-
-    type RankOut = (usize, Vec<(VertexId, VertexId)>);
-    let per_rank: Vec<RankOut> = exec.run(|ctx| {
-        let rank = ctx.rank();
-        let my_q = &*queues[rank];
-        let slot = counters.rank(rank);
-        let ring = trace.rank(rank);
-        let t_run = now_ns();
-        let mut rng =
-            SmallRng::seed_from_u64(cfg.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut steal_buf: VecDeque<VertexId> = VecDeque::new();
-        let mut processed = 0usize;
-        // Hot-loop tallies stay plain u64s, flushed to `slot` at exit.
-        let mut discovered = 0u64;
-        let mut multi_colored = 0u64;
-        let mut published = 0u64;
-        let mut conflicts: Vec<(VertexId, VertexId)> = Vec::new();
-
-        loop {
-            while let Some(v) = my_q.pop() {
-                let my_tree = color.load(v as usize, Ordering::Acquire);
-                debug_assert_ne!(my_tree, UNCLAIMED);
-                for &w in g.neighbors(v) {
-                    let c = color.load(w as usize, Ordering::Acquire);
-                    if c == UNCLAIMED {
-                        if color.try_claim(w as usize, UNCLAIMED, my_tree) {
-                            parent.store(w as usize, v, Ordering::Release);
-                            my_q.push(w);
-                            discovered += 1;
-                            // Multiroot has no private buffer: every
-                            // discovery goes straight to the shared queue.
-                            published += 1;
-                        } else {
-                            // Lost the claim; whoever won may be another
-                            // tree.
-                            multi_colored += 1;
-                            let c2 = color.load(w as usize, Ordering::Acquire);
-                            if c2 != my_tree {
-                                conflicts.push((v, w));
-                            }
-                        }
-                    } else if c != my_tree {
-                        conflicts.push((v, w));
-                    }
-                }
-                processed += 1;
-                if detector.approx_sleeping() > 0 && my_q.approx_len() > 1 {
-                    detector.notify_work();
-                }
-            }
-            // Local queue empty: steal, then claim a fresh root, then
-            // sleep.
-            slot.incr(Counter::StealAttempts);
-            let got = steal_sweep(queues, rank, &mut rng, cfg.steal_policy, &mut steal_buf);
-            if got > 0 {
-                slot.incr(Counter::Steals);
-                slot.add(Counter::StolenItems, got as u64);
-                slot.add(Counter::ItemsPublished, got as u64);
-                continue;
-            }
-            slot.incr(Counter::FailedSweeps);
-            if let Some(r) = claim_root() {
-                my_q.push(r);
-                published += 1;
-                continue;
-            }
-            let t_idle = now_ns();
-            let outcome = detector.idle_wait(cfg.idle_timeout);
-            ring.record(Phase::Idle, t_idle);
-            match outcome {
-                IdleOutcome::AllDone => break,
-                IdleOutcome::Starved => unreachable!("threshold disabled"),
-                IdleOutcome::Retry => continue,
-            }
-        }
-        slot.add(Counter::Processed, processed as u64);
-        slot.add(Counter::Discovered, discovered);
-        slot.add(Counter::MultiColored, multi_colored);
-        slot.add(Counter::ItemsPublished, published);
-        ring.record(Phase::Traverse, t_run);
-        (processed, conflicts)
-    });
-
-    // --- Sequential merge pass: one merge edge per tree pair.
-    let mut parents: Vec<VertexId> = ws.parents_prefix(n);
-    let colors = ws.colors_prefix(n);
-    let mut dsu = DisjointSets::new(n);
-    let mut merges = 0usize;
-    let mut processed_total = Vec::with_capacity(p);
-    let mut all_conflicts: Vec<(VertexId, VertexId)> = Vec::new();
-    for (count, conflicts) in per_rank {
-        processed_total.push(count);
-        all_conflicts.extend(conflicts);
-    }
-    for (v, w) in all_conflicts {
-        let tv = colors[v as usize] - 1;
-        let tw = colors[w as usize] - 1;
-        if !dsu.union(tv, tw) {
-            continue; // trees already merged via another edge
-        }
-        // Re-root v's current tree at v and hang it under w.
-        let mut prev = w;
-        let mut cur = v;
-        while cur != NO_VERTEX {
-            let next = parents[cur as usize];
-            parents[cur as usize] = prev;
-            prev = cur;
-            cur = next;
-        }
-        merges += 1;
-    }
-
-    let roots: Vec<VertexId> = parents
-        .iter()
-        .enumerate()
-        .filter(|&(_, &pp)| pp == NO_VERTEX)
-        .map(|(v, _)| v as VertexId)
-        .collect();
-    let claimed = claimed_roots.into_inner().unwrap().len();
-    let metrics = ws.finish_job(exec);
-    let stats = AlgoStats {
-        components: roots.len(),
-        multi_colored: metrics.get(Counter::MultiColored) as usize,
-        steals: metrics.get(Counter::Steals) as usize,
-        stolen_items: metrics.get(Counter::StolenItems) as usize,
-        per_proc_processed: processed_total,
-        // Record speculative claims merged away in the grafts slot: the
-        // closest existing notion (merges = claims - components).
-        grafts: merges,
-        iterations: claimed,
-        barriers: 0,
-        metrics,
-        ..AlgoStats::default()
-    };
-    SpanningForest {
-        parents,
-        roots,
-        stats,
-    }
-}
-
 /// The multi-root strategy as a [`SpanningAlgorithm`].
 ///
 /// Not `Copy`: the embedded [`TraversalConfig`] carries a
-/// [`CancelToken`](st_smp::CancelToken).
+/// [`CancelToken`].
 #[derive(Clone, Debug, Default)]
 pub struct Multiroot {
     cfg: TraversalConfig,
@@ -270,8 +73,197 @@ impl SpanningAlgorithm for Multiroot {
         "multiroot"
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
-        spanning_forest_multiroot_on(g, exec, ws, self.cfg.clone())
+    /// The traversal config's `starvation_threshold` is ignored (there
+    /// is no fallback: idle processors claim new roots instead of
+    /// starving); the steal policy, idle timeout, and seed apply as in
+    /// the round driver.
+    ///
+    /// `cancel` is checked once, up front: a run that starts runs to
+    /// completion.
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
+        if cancel.is_cancelled() {
+            return Err(Cancelled);
+        }
+        let cfg = &self.cfg;
+        let p = exec.size();
+        let n = g.num_vertices();
+        ws.begin_job(exec);
+        if n == 0 {
+            return Ok(SpanningForest {
+                parents: Vec::new(),
+                roots: Vec::new(),
+                stats: AlgoStats {
+                    metrics: ws.finish_job(exec),
+                    ..AlgoStats::default()
+                },
+            });
+        }
+
+        // color[v]: UNCLAIMED, or 1 + the id of the root whose tree claimed
+        // v. UNCLAIMED coincides with the traversal's UNCOLORED, so the
+        // frontier prep's reset covers it.
+        ws.prep_frontier(n, p, exec, None);
+        exec.detector().reset();
+        let color = &ws.color;
+        let parent = &ws.parent;
+        let queues = &ws.queues[..p];
+        let counters = &ws.counters;
+        let trace = &ws.trace;
+        let detector = exec.detector();
+
+        let cursor = AtomicUsize::new(0);
+        // Roots claimed, in claim order (for stats; merged roots drop out of
+        // the final root set).
+        let claimed_roots = Mutex::new(Vec::<VertexId>::new());
+
+        // Claims the next unclaimed vertex as a fresh root.
+        let claim_root = || -> Option<VertexId> {
+            loop {
+                let pos = cursor.fetch_add(1, Ordering::Relaxed);
+                if pos >= n {
+                    return None;
+                }
+                if color.try_claim(pos, UNCLAIMED, pos as u32 + 1) {
+                    claimed_roots.lock().unwrap().push(pos as VertexId);
+                    return Some(pos as VertexId);
+                }
+            }
+        };
+
+        type RankOut = (usize, Vec<(VertexId, VertexId)>);
+        let per_rank: Vec<RankOut> = exec.run(|ctx| {
+            let rank = ctx.rank();
+            let my_q = &*queues[rank];
+            let slot = counters.rank(rank);
+            let ring = trace.rank(rank);
+            let t_run = now_ns();
+            let mut rng = SmallRng::seed_from_u64(
+                cfg.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            let mut steal_buf: VecDeque<VertexId> = VecDeque::new();
+            let mut processed = 0usize;
+            // Hot-loop tallies stay plain u64s, flushed to `slot` at exit.
+            let mut discovered = 0u64;
+            let mut multi_colored = 0u64;
+            let mut published = 0u64;
+            let mut conflicts: Vec<(VertexId, VertexId)> = Vec::new();
+
+            loop {
+                while let Some(v) = my_q.pop() {
+                    let my_tree = color.load(v as usize, Ordering::Acquire);
+                    debug_assert_ne!(my_tree, UNCLAIMED);
+                    for &w in g.neighbors(v) {
+                        let c = color.load(w as usize, Ordering::Acquire);
+                        if c == UNCLAIMED {
+                            if color.try_claim(w as usize, UNCLAIMED, my_tree) {
+                                parent.store(w as usize, v, Ordering::Release);
+                                my_q.push(w);
+                                discovered += 1;
+                                // Multiroot has no private buffer: every
+                                // discovery goes straight to the shared queue.
+                                published += 1;
+                            } else {
+                                // Lost the claim; whoever won may be another
+                                // tree.
+                                multi_colored += 1;
+                                let c2 = color.load(w as usize, Ordering::Acquire);
+                                if c2 != my_tree {
+                                    conflicts.push((v, w));
+                                }
+                            }
+                        } else if c != my_tree {
+                            conflicts.push((v, w));
+                        }
+                    }
+                    processed += 1;
+                    if detector.approx_sleeping() > 0 && my_q.approx_len() > 1 {
+                        detector.notify_work();
+                    }
+                }
+                // Local queue empty: steal, then claim a fresh root, then
+                // sleep.
+                slot.incr(Counter::StealAttempts);
+                let got = steal_sweep(queues, rank, &mut rng, cfg.steal_policy, &mut steal_buf);
+                if got > 0 {
+                    slot.incr(Counter::Steals);
+                    slot.add(Counter::StolenItems, got as u64);
+                    slot.add(Counter::ItemsPublished, got as u64);
+                    continue;
+                }
+                slot.incr(Counter::FailedSweeps);
+                if let Some(r) = claim_root() {
+                    my_q.push(r);
+                    published += 1;
+                    continue;
+                }
+                let t_idle = now_ns();
+                let outcome = detector.idle_wait(cfg.idle_timeout);
+                ring.record(Phase::Idle, t_idle);
+                match outcome {
+                    IdleOutcome::AllDone => break,
+                    IdleOutcome::Starved => unreachable!("threshold disabled"),
+                    IdleOutcome::Retry => continue,
+                }
+            }
+            slot.add(Counter::Processed, processed as u64);
+            slot.add(Counter::Discovered, discovered);
+            slot.add(Counter::MultiColored, multi_colored);
+            slot.add(Counter::ItemsPublished, published);
+            ring.record(Phase::Traverse, t_run);
+            (processed, conflicts)
+        });
+
+        // --- Sequential merge pass: one merge edge per tree pair.
+        let mut parents: Vec<VertexId> = ws.parents_prefix(n);
+        let colors = ws.colors_prefix(n);
+        let mut dsu = DisjointSets::new(n);
+        let mut merges = 0usize;
+        let mut processed_total = Vec::with_capacity(p);
+        let mut all_conflicts: Vec<(VertexId, VertexId)> = Vec::new();
+        for (count, conflicts) in per_rank {
+            processed_total.push(count);
+            all_conflicts.extend(conflicts);
+        }
+        for (v, w) in all_conflicts {
+            let tv = colors[v as usize] - 1;
+            let tw = colors[w as usize] - 1;
+            if !dsu.union(tv, tw) {
+                continue; // trees already merged via another edge
+            }
+            // Re-root v's current tree at v and hang it under w.
+            let mut prev = w;
+            let mut cur = v;
+            while cur != NO_VERTEX {
+                let next = parents[cur as usize];
+                parents[cur as usize] = prev;
+                prev = cur;
+                cur = next;
+            }
+            merges += 1;
+        }
+
+        let claimed = claimed_roots.into_inner().unwrap().len();
+        let metrics = ws.finish_job(exec);
+        let stats = AlgoStats {
+            multi_colored: metrics.get(Counter::MultiColored) as usize,
+            steals: metrics.get(Counter::Steals) as usize,
+            stolen_items: metrics.get(Counter::StolenItems) as usize,
+            per_proc_processed: processed_total,
+            // Record speculative claims merged away in the grafts slot: the
+            // closest existing notion (merges = claims - components).
+            grafts: merges,
+            iterations: claimed,
+            barriers: 0,
+            metrics,
+            ..AlgoStats::default()
+        };
+        Ok(SpanningForest::from_parents(parents, stats))
     }
 }
 
@@ -352,10 +344,14 @@ mod tests {
         let g = gen::mesh2d_p(30, 30, 0.6, 2);
         let reference = count_components(&g);
         for _ in 0..3 {
-            let f = spanning_forest_multiroot_on(&g, &exec, &mut ws, TraversalConfig::default());
+            let f = Multiroot::with_defaults()
+                .run(&g, &exec, &mut ws, &CancelToken::none())
+                .unwrap();
             assert!(is_spanning_forest(&g, &f.parents));
             assert_eq!(f.num_trees(), reference);
-            let f2 = crate::bader_cong::BaderCong::with_defaults().run_on(&g, &exec, &mut ws);
+            let f2 = crate::bader_cong::BaderCong::with_defaults()
+                .run(&g, &exec, &mut ws, &CancelToken::none())
+                .unwrap();
             assert!(is_spanning_forest(&g, &f2.parents));
         }
     }

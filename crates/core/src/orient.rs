@@ -26,23 +26,13 @@ fn forest_adjacency(n: usize, tree_edges: &[(VertexId, VertexId)]) -> CsrGraph {
 }
 
 /// Orients the forest given by `tree_edges` over `n` vertices into a
-/// parent array, using `p` processors. Each forest component is rooted
-/// at its smallest vertex id; vertices not covered by `tree_edges`
-/// become singleton roots.
-///
-/// Convenience wrapper spawning a one-shot team; pipelines that already
-/// hold a team use [`orient_forest_on`].
-pub fn orient_forest(n: usize, tree_edges: &[(VertexId, VertexId)], p: usize) -> Vec<VertexId> {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    orient_forest_on(n, tree_edges, &exec, &mut ws)
-}
-
-/// [`orient_forest`] on an existing team and workspace.
+/// parent array on `exec`'s team, with scratch drawn from `ws`. Each
+/// forest component is rooted at its smallest vertex id; vertices not
+/// covered by `tree_edges` become singleton roots.
 ///
 /// `tree_edges` must actually be a forest (cycles indicate a bug in the
 /// producing algorithm and surface as validation failures downstream).
-pub fn orient_forest_on(
+pub fn orient_forest(
     n: usize,
     tree_edges: &[(VertexId, VertexId)],
     exec: &Executor,
@@ -66,28 +56,12 @@ pub fn orient_forest_on(
 
 /// Orients `tree_edges` while preserving an existing partial orientation.
 ///
-/// Convenience wrapper spawning a one-shot team; see
-/// [`orient_forest_with_mask_on`].
-pub fn orient_forest_with_mask(
-    n: usize,
-    tree_edges: &[(VertexId, VertexId)],
-    oriented_mask: &[bool],
-    parents: &mut [VertexId],
-    p: usize,
-) {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    orient_forest_with_mask_on(n, tree_edges, oriented_mask, parents, &exec, &mut ws);
-}
-
-/// [`orient_forest_with_mask`] on an existing team and workspace.
-///
 /// `oriented_mask[v]` marks vertices whose `parents[v]` entry is already
 /// final (the starvation fallback's partially-built trees). These act as
 /// BFS seeds; every other vertex reached through `tree_edges` gets its
 /// parent assigned, and unreachable unoriented vertices become singleton
 /// roots.
-pub fn orient_forest_with_mask_on(
+pub fn orient_forest_with_mask(
     n: usize,
     tree_edges: &[(VertexId, VertexId)],
     oriented_mask: &[bool],
@@ -140,11 +114,34 @@ mod tests {
     use st_graph::gen::{chain, random_connected};
     use st_graph::validate::{check_spanning_forest, is_spanning_forest};
 
+    /// `orient_forest` on a fresh team of `p`.
+    fn orient(n: usize, edges: &[(VertexId, VertexId)], p: usize) -> Vec<VertexId> {
+        orient_forest(n, edges, &Executor::new(p), &mut Workspace::new())
+    }
+
+    /// `orient_forest_with_mask` on a fresh team of `p`.
+    fn orient_masked(
+        edges: &[(VertexId, VertexId)],
+        mask: &[bool],
+        parents: &mut [VertexId],
+        p: usize,
+    ) {
+        let exec = Executor::new(p);
+        orient_forest_with_mask(
+            mask.len(),
+            edges,
+            mask,
+            parents,
+            &exec,
+            &mut Workspace::new(),
+        );
+    }
+
     #[test]
     fn orients_a_simple_path() {
         // Forest edges of the path 0-1-2-3.
         let edges = vec![(0, 1), (1, 2), (2, 3)];
-        let parents = orient_forest(4, &edges, 2);
+        let parents = orient(4, &edges, 2);
         let g = chain(4);
         assert!(is_spanning_forest(&g, &parents));
     }
@@ -153,7 +150,7 @@ mod tests {
     fn orients_two_components_and_isolated() {
         // Components {0,1}, {2,3,4}, {5}.
         let edges = vec![(0, 1), (2, 3), (3, 4)];
-        let parents = orient_forest(6, &edges, 3);
+        let parents = orient(6, &edges, 3);
         let roots = parents.iter().filter(|&&p| p == NO_VERTEX).count();
         assert_eq!(roots, 3);
     }
@@ -163,7 +160,7 @@ mod tests {
         let g = random_connected(500, 400, 5);
         let seq = crate::seq::bfs_forest(&g);
         let edges: Vec<_> = seq.tree_edges().collect();
-        let parents = orient_forest(g.num_vertices(), &edges, 4);
+        let parents = orient(g.num_vertices(), &edges, 4);
         assert!(is_spanning_forest(&g, &parents));
     }
 
@@ -171,7 +168,7 @@ mod tests {
     fn orients_many_components_in_one_session() {
         // 100 disjoint 2-vertex components.
         let edges: Vec<(VertexId, VertexId)> = (0..100).map(|i| (2 * i, 2 * i + 1)).collect();
-        let parents = orient_forest(200, &edges, 4);
+        let parents = orient(200, &edges, 4);
         let roots = parents.iter().filter(|&&p| p == NO_VERTEX).count();
         assert_eq!(roots, 100);
     }
@@ -179,12 +176,12 @@ mod tests {
     #[test]
     fn shared_team_orients_repeatedly() {
         // Reusing one executor + workspace across orientations must give
-        // the same results as fresh one-shot teams.
+        // the same results as fresh teams.
         let exec = Executor::new(3);
         let mut ws = Workspace::new();
         for n in [10u32, 200, 50] {
             let edges: Vec<(VertexId, VertexId)> = (1..n).map(|v| (v - 1, v)).collect();
-            let on = orient_forest_on(n as usize, &edges, &exec, &mut ws);
+            let on = orient_forest(n as usize, &edges, &exec, &mut ws);
             assert!(is_spanning_forest(&chain(n as usize), &on), "n = {n}");
         }
     }
@@ -197,7 +194,7 @@ mod tests {
         parents[1] = 0;
         let mask = vec![true, true, false, false, false];
         let edges = vec![(1, 2), (2, 3), (3, 4)];
-        orient_forest_with_mask(5, &edges, &mask, &mut parents, 2);
+        orient_masked(&edges, &mask, &mut parents, 2);
         assert_eq!(parents[0], NO_VERTEX);
         assert_eq!(parents[1], 0);
         assert_eq!(parents[2], 1);
@@ -213,7 +210,7 @@ mod tests {
         parents[1] = 0;
         let mask = vec![true, true, false, false, false];
         let edges = vec![(3, 4)]; // component {3, 4}; vertex 2 isolated
-        orient_forest_with_mask(5, &edges, &mask, &mut parents, 2);
+        orient_masked(&edges, &mask, &mut parents, 2);
         let check = check_spanning_forest(
             &{
                 let mut el = st_graph::EdgeList::new(5);
@@ -231,7 +228,7 @@ mod tests {
         let mut parents = vec![NO_VERTEX; 4];
         let mask = vec![false; 4];
         let edges = vec![(0, 1), (1, 2), (2, 3)];
-        orient_forest_with_mask(4, &edges, &mask, &mut parents, 2);
+        orient_masked(&edges, &mask, &mut parents, 2);
         assert!(is_spanning_forest(&chain(4), &parents));
     }
 }

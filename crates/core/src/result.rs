@@ -17,6 +17,20 @@ pub struct SpanningForest {
 }
 
 impl SpanningForest {
+    /// A forest over `parents` with its roots read off in vertex order;
+    /// `stats.components` is set to the root count.
+    pub(crate) fn from_parents(parents: Vec<VertexId>, mut stats: AlgoStats) -> Self {
+        let roots: Vec<VertexId> = (0..parents.len() as VertexId)
+            .filter(|&v| parents[v as usize] == NO_VERTEX)
+            .collect();
+        stats.components = roots.len();
+        Self {
+            parents,
+            roots,
+            stats,
+        }
+    }
+
     /// Number of trees (= components).
     pub fn num_trees(&self) -> usize {
         self.roots.len()

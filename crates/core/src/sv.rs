@@ -33,19 +33,18 @@
 //! All scratch state (hook array, election slots, per-root locks, edge
 //! list, per-rank graft lists) lives in the caller's
 //! [`Workspace`], and the team comes from a
-//! persistent [`Executor`]; the `*_on` entry points reuse both across
-//! runs. The legacy `p`-taking functions spawn a one-shot team.
+//! persistent [`Executor`]; both are reused across runs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use st_graph::{CsrGraph, VertexId, NO_VERTEX};
+use st_graph::{CsrGraph, VertexId};
 use st_obs::{now_ns, Counter, Phase};
 use st_smp::team::block_range;
 use st_smp::{CancelToken, Executor};
 
 use crate::engine::{Cancelled, SpanningAlgorithm, Workspace};
-use crate::orient::orient_forest_on;
+use crate::orient::orient_forest;
 use crate::result::{AlgoStats, SpanningForest};
 
 /// How grafting races are resolved.
@@ -90,14 +89,6 @@ pub struct SvOutcome {
 /// Sentinel for an empty winner slot.
 const NO_WINNER: u64 = u64::MAX;
 
-/// Runs graft-and-shortcut with a one-shot team of `p` processors (see
-/// [`sv_core_on`]).
-pub fn sv_core(g: &CsrGraph, p: usize, init: Option<&[VertexId]>, cfg: SvConfig) -> SvOutcome {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    sv_core_on(g, &exec, &mut ws, init, cfg)
-}
-
 /// Runs graft-and-shortcut on an existing team, with all scratch in `ws`.
 ///
 /// `init` optionally pre-contracts vertices: `init[v]` is v's starting
@@ -105,24 +96,14 @@ pub fn sv_core(g: &CsrGraph, p: usize, init: Option<&[VertexId]>, cfg: SvConfig)
 /// `init[init[v]] == init[v]`). The Bader–Cong starvation fallback uses
 /// this to merge already-traversed trees into super-vertices. `None`
 /// starts from singletons (`D[v] = v`).
-pub fn sv_core_on(
-    g: &CsrGraph,
-    exec: &Executor,
-    ws: &mut Workspace,
-    init: Option<&[VertexId]>,
-    cfg: SvConfig,
-) -> SvOutcome {
-    sv_core_cancellable(g, exec, ws, init, cfg, &CancelToken::none())
-        .expect("inert token cannot cancel")
-}
-
-/// Like [`sv_core_on`], but cooperatively cancellable: rank 0 polls
-/// `cancel` at the top of each graft-and-shortcut iteration and raises a
-/// shared abort flag that every rank reads behind the iteration's graft
-/// barrier, so the whole team leaves the session together (the barrier
-/// sequence stays rank-uniform). A cancelled run abandons its partial
-/// grafts; the workspace and team stay reusable.
-pub fn sv_core_cancellable(
+///
+/// Cooperatively cancellable: rank 0 polls `cancel` at the top of each
+/// graft-and-shortcut iteration and raises a shared abort flag that
+/// every rank reads behind the iteration's graft barrier, so the whole
+/// team leaves the session together (the barrier sequence stays
+/// rank-uniform). A cancelled run abandons its partial grafts; the
+/// workspace and team stay reusable.
+pub fn sv_core(
     g: &CsrGraph,
     exec: &Executor,
     ws: &mut Workspace,
@@ -146,7 +127,7 @@ pub fn sv_core_cancellable(
         ws.ensure_locks(n);
     }
     ws.ensure_graft(p);
-    // Grow (never reset) the observability slots: sv_core_on may run
+    // Grow (never reset) the observability slots: sv_core may run
     // mid-job as the starvation fallback, whose counters must survive.
     ws.counters.ensure(p);
     ws.trace.ensure(p);
@@ -363,63 +344,6 @@ fn code(edge: usize, dir: u64) -> u64 {
     (edge as u64) * 2 + dir
 }
 
-/// Full SV spanning forest on an existing team: graft-and-shortcut, then
-/// parallel orientation of the collected tree edges into rooted parent
-/// arrays.
-pub fn spanning_forest_on(
-    g: &CsrGraph,
-    exec: &Executor,
-    ws: &mut Workspace,
-    cfg: SvConfig,
-) -> SpanningForest {
-    try_spanning_forest_on(g, exec, ws, cfg, &CancelToken::none())
-        .expect("inert token cannot cancel")
-}
-
-/// Cancellable [`spanning_forest_on`]: `cancel` is polled at each
-/// graft-and-shortcut iteration boundary (and before orientation).
-pub fn try_spanning_forest_on(
-    g: &CsrGraph,
-    exec: &Executor,
-    ws: &mut Workspace,
-    cfg: SvConfig,
-    cancel: &CancelToken,
-) -> Result<SpanningForest, Cancelled> {
-    ws.begin_job(exec);
-    let out = match sv_core_cancellable(g, exec, ws, None, cfg, cancel) {
-        Ok(out) => out,
-        Err(Cancelled) => {
-            let _ = ws.finish_job(exec);
-            return Err(Cancelled);
-        }
-    };
-    if cancel.is_cancelled() {
-        let _ = ws.finish_job(exec);
-        return Err(Cancelled);
-    }
-    let parents = orient_forest_on(g.num_vertices(), &out.tree_edges, exec, ws);
-    let roots: Vec<VertexId> = parents
-        .iter()
-        .enumerate()
-        .filter(|&(_, &pp)| pp == NO_VERTEX)
-        .map(|(v, _)| v as VertexId)
-        .collect();
-    let stats = AlgoStats {
-        components: roots.len(),
-        iterations: out.iterations,
-        grafts: out.grafts,
-        shortcut_rounds: out.shortcut_rounds,
-        barriers: out.barriers,
-        metrics: ws.finish_job(exec),
-        ..AlgoStats::default()
-    };
-    Ok(SpanningForest {
-        parents,
-        roots,
-        stats,
-    })
-}
-
 /// Shiloach–Vishkin as a [`SpanningAlgorithm`] (either graft variant).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sv {
@@ -446,19 +370,51 @@ impl SpanningAlgorithm for Sv {
         }
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
-        spanning_forest_on(g, exec, ws, self.cfg)
-    }
-
-    fn run_with_cancel(
+    /// Graft-and-shortcut, then parallel orientation of the collected
+    /// tree edges into rooted parent arrays. `cancel` is polled at each
+    /// graft-and-shortcut iteration boundary (and before orientation).
+    fn run(
         &self,
         g: &CsrGraph,
         exec: &Executor,
         ws: &mut Workspace,
         cancel: &CancelToken,
     ) -> Result<SpanningForest, Cancelled> {
-        try_spanning_forest_on(g, exec, ws, self.cfg, cancel)
+        graft_job(g, exec, ws, cancel, |ws| {
+            sv_core(g, exec, ws, None, self.cfg, cancel)
+        })
     }
+}
+
+/// One graft-and-shortcut job (SV's and HCS's `run`): opens the job
+/// window, runs `core`, orients its tree edges into a rooted forest, and
+/// closes the window. A fired `cancel` ends it with `Err(Cancelled)`
+/// before orientation.
+pub(crate) fn graft_job(
+    g: &CsrGraph,
+    exec: &Executor,
+    ws: &mut Workspace,
+    cancel: &CancelToken,
+    core: impl FnOnce(&mut Workspace) -> Result<SvOutcome, Cancelled>,
+) -> Result<SpanningForest, Cancelled> {
+    ws.begin_job(exec);
+    let out = match core(ws) {
+        Ok(out) if !cancel.is_cancelled() => out,
+        _ => {
+            let _ = ws.finish_job(exec);
+            return Err(Cancelled);
+        }
+    };
+    let parents = orient_forest(g.num_vertices(), &out.tree_edges, exec, ws);
+    let stats = AlgoStats {
+        iterations: out.iterations,
+        grafts: out.grafts,
+        shortcut_rounds: out.shortcut_rounds,
+        barriers: out.barriers,
+        metrics: ws.finish_job(exec),
+        ..AlgoStats::default()
+    };
+    Ok(SpanningForest::from_parents(parents, stats))
 }
 
 #[cfg(test)]
@@ -468,6 +424,20 @@ mod tests {
     use st_graph::gen;
     use st_graph::label::{random_permutation, relabel};
     use st_graph::validate::{count_components, is_spanning_forest};
+
+    /// `sv_core` on a fresh team of `p` and a fresh workspace.
+    fn core(g: &CsrGraph, p: usize, init: Option<&[VertexId]>) -> SvOutcome {
+        let exec = Executor::new(p);
+        sv_core(
+            g,
+            &exec,
+            &mut Workspace::new(),
+            init,
+            SvConfig::default(),
+            &CancelToken::none(),
+        )
+        .expect("inert token cannot cancel")
+    }
 
     fn check(g: &CsrGraph, p: usize, cfg: SvConfig) -> SpanningForest {
         let f = Engine::new(p).run(&Sv::new(cfg), g);
@@ -580,7 +550,7 @@ mod tests {
         // Path 0-1-2-3-4 where {0,1,2} is pre-merged into root 0.
         let g = gen::chain(5);
         let init = vec![0, 0, 0, 3, 4];
-        let out = sv_core(&g, 2, Some(&init), SvConfig::default());
+        let out = core(&g, 2, Some(&init));
         // Grafts must connect {0,1,2}, {3}, {4}: exactly 2 tree edges.
         assert_eq!(out.grafts, 2);
         let mut labels = out.labels.clone();
@@ -598,7 +568,7 @@ mod tests {
             el.push(3, 4);
             CsrGraph::from_edge_list(&el)
         };
-        let out = sv_core(&g, 2, None, SvConfig::default());
+        let out = core(&g, 2, None);
         assert_eq!(out.labels[0], out.labels[1]);
         assert_eq!(out.labels[1], out.labels[2]);
         assert_eq!(out.labels[3], out.labels[4]);
@@ -609,7 +579,7 @@ mod tests {
 
     #[test]
     fn empty_and_edgeless() {
-        let out = sv_core(&CsrGraph::empty(0), 2, None, SvConfig::default());
+        let out = core(&CsrGraph::empty(0), 2, None);
         assert_eq!(out.grafts, 0);
         let f = Engine::new(2).run(&Sv::default(), &CsrGraph::empty(4));
         assert_eq!(f.roots.len(), 4);
@@ -637,7 +607,7 @@ mod tests {
     fn graft_count_equals_n_minus_components() {
         for seed in 0..5 {
             let g = gen::random_gnm(300, 350, seed);
-            let out = sv_core(&g, 3, None, SvConfig::default());
+            let out = core(&g, 3, None);
             let c = count_components(&g);
             assert_eq!(out.grafts, 300 - c, "seed {seed}");
         }
@@ -646,13 +616,22 @@ mod tests {
     #[test]
     fn reused_workspace_matches_fresh_runs() {
         // Same team + workspace over several graphs; outcomes must match
-        // fresh one-shot runs (scratch fully re-initialized).
+        // runs on a fresh team and workspace (scratch fully
+        // re-initialized).
         let exec = Executor::new(3);
         let mut ws = Workspace::new();
         for (n, m, seed) in [(400usize, 600usize, 1u64), (50, 40, 2), (800, 900, 3)] {
             let g = gen::random_gnm(n, m, seed);
-            let reused = sv_core_on(&g, &exec, &mut ws, None, SvConfig::default());
-            let fresh = sv_core(&g, 3, None, SvConfig::default());
+            let reused = sv_core(
+                &g,
+                &exec,
+                &mut ws,
+                None,
+                SvConfig::default(),
+                &CancelToken::none(),
+            )
+            .expect("inert token cannot cancel");
+            let fresh = core(&g, 3, None);
             assert_eq!(reused.grafts, fresh.grafts, "seed {seed}");
             assert_eq!(reused.labels, fresh.labels, "seed {seed}");
         }
@@ -666,10 +645,12 @@ mod tests {
         let g = gen::random_gnm(600, 900, 4);
         let token = CancelToken::new();
         token.cancel();
-        let out = try_spanning_forest_on(&g, &exec, &mut ws, SvConfig::default(), &token);
+        let out = Sv::default().run(&g, &exec, &mut ws, &token);
         assert!(out.is_err(), "pre-cancelled token must abort");
         // Clean run afterwards on the same team + workspace.
-        let f = spanning_forest_on(&g, &exec, &mut ws, SvConfig::default());
+        let f = Sv::default()
+            .run(&g, &exec, &mut ws, &CancelToken::none())
+            .expect("inert token cannot cancel");
         assert!(is_spanning_forest(&g, &f.parents));
     }
 
@@ -688,11 +669,13 @@ mod tests {
                     token.cancel();
                 })
             };
-            if let Ok(f) = try_spanning_forest_on(&g, &exec, &mut ws, SvConfig::default(), &token) {
+            if let Ok(f) = Sv::default().run(&g, &exec, &mut ws, &token) {
                 assert!(is_spanning_forest(&g, &f.parents));
             }
             canceller.join().unwrap();
-            let f = spanning_forest_on(&g, &exec, &mut ws, SvConfig::default());
+            let f = Sv::default()
+                .run(&g, &exec, &mut ws, &CancelToken::none())
+                .expect("inert token cannot cancel");
             assert!(is_spanning_forest(&g, &f.parents), "delay {delay_us}us");
         }
     }

@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn lca_matches_naive_walk_on_random_trees() {
         let g = random_connected(300, 0, 9); // a random tree
-        let f = crate::engine::Engine::new(2).job(&g).run().unwrap();
+        let f = crate::engine::Engine::new(2).run(&crate::BaderCong::with_defaults(), &g);
         let parents = f.parents;
         let l = Lca::new(&parents);
         let depths = forest_depths(&parents);

@@ -130,11 +130,13 @@ mod tests {
 
     #[test]
     fn forests_are_valid() {
+        let mut engine = st_core::Engine::new(2);
         for seed in 0..3 {
             let g = random_gnm(400, 600, seed);
             let out = simulate_hcs(&g, 4, &MachineProfile::e4500());
             assert_eq!(out.tree_edges.len(), 400 - count_components(&g));
-            let parents = st_core::orient::orient_forest(400, &out.tree_edges, 2);
+            let (exec, ws) = engine.parts_mut();
+            let parents = st_core::orient::orient_forest(400, &out.tree_edges, exec, ws);
             assert!(is_spanning_forest(&g, &parents));
         }
     }
@@ -173,7 +175,11 @@ mod tests {
         // mirrors its semantics exactly.
         let g = random_gnm(500, 800, 9);
         let mut sim_edges = simulate_hcs(&g, 2, &MachineProfile::e4500()).tree_edges;
-        let mut real_edges = st_core::hcs::hcs_core(&g, 2).tree_edges;
+        let mut engine = st_core::Engine::new(2);
+        let (exec, ws) = engine.parts_mut();
+        let mut real_edges = st_core::hcs::hcs_core(&g, exec, ws, &st_smp::CancelToken::none())
+            .expect("inert token cannot cancel")
+            .tree_edges;
         sim_edges.sort_unstable();
         real_edges.sort_unstable();
         assert_eq!(sim_edges, real_edges);

@@ -187,7 +187,9 @@ mod tests {
         let out = simulate_sv(&g, 2, &e4500());
         assert_eq!(out.tree_edges.len(), 500 - count_components(&g));
         // Orient them via the core utility and validate.
-        let parents = st_core::orient::orient_forest(500, &out.tree_edges, 2);
+        let mut engine = st_core::Engine::new(2);
+        let (exec, ws) = engine.parts_mut();
+        let parents = st_core::orient::orient_forest(500, &out.tree_edges, exec, ws);
         assert!(is_spanning_forest(&g, &parents));
     }
 

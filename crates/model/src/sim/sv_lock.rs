@@ -192,11 +192,13 @@ mod tests {
 
     #[test]
     fn produces_valid_forests() {
+        let mut engine = st_core::Engine::new(2);
         for seed in 0..3 {
             let g = random_gnm(400, 500, seed);
             let out = simulate_sv_lock(&g, 4, &e4500());
             assert_eq!(out.tree_edges.len(), 400 - count_components(&g));
-            let parents = st_core::orient::orient_forest(400, &out.tree_edges, 2);
+            let (exec, ws) = engine.parts_mut();
+            let parents = st_core::orient::orient_forest(400, &out.tree_edges, exec, ws);
             assert!(is_spanning_forest(&g, &parents));
         }
     }

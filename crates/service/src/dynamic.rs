@@ -141,8 +141,8 @@ fn run_static(g: &Arc<CsrGraph>, pool: &ExecutorPool, ws: &mut Workspace) -> Spa
     let p = preferred_width(g.num_vertices(), g.num_edges(), &pool.team_sizes());
     let lease = pool.lease(p);
     let algo = BaderCong::with_defaults();
-    algo.prepare(ws, g);
-    algo.run_with_cancel(g, &lease, ws, &CancelToken::new())
+    ws.reserve(g.num_vertices(), g.num_edges());
+    algo.run(g, &lease, ws, &CancelToken::new())
         .expect("a fresh token is never cancelled")
 }
 

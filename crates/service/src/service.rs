@@ -1174,8 +1174,8 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     // unwind (Executor survives panicked jobs) and the dispatcher
     // replaces its workspace, so the pool keeps serving other tenants.
     let run = catch_unwind(AssertUnwindSafe(|| {
-        job.algo.prepare(ws, &job.graph);
-        job.algo.run_with_cancel(&job.graph, &lease, ws, token)
+        ws.reserve(job.graph.num_vertices(), job.graph.num_edges());
+        job.algo.run(&job.graph, &lease, ws, token)
     }));
     drop(lease);
     shared.telemetry.gauges().on_team_idle();

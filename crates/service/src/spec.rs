@@ -335,10 +335,9 @@ mod tests {
         let mut ws = Workspace::new();
         for algo in AlgorithmId::ALL {
             let boxed = algo.instantiate(7);
-            boxed.prepare(&mut ws, &g);
             let lease = pool.lease(2);
             let forest = boxed
-                .run_with_cancel(&g, &lease, &mut ws, &st_smp::CancelToken::new())
+                .run(&g, &lease, &mut ws, &st_smp::CancelToken::new())
                 .unwrap_or_else(|_| panic!("{algo} cancelled unexpectedly"));
             assert_eq!(forest.num_trees(), 1, "{algo}");
             assert!(forest.is_valid_for(&g), "{algo}");

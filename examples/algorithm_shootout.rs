@@ -26,7 +26,7 @@ fn main() {
     );
 
     // One persistent team serves every parallel algorithm and workload:
-    // threads spawn once, scratch is recycled (the engine/job API).
+    // threads spawn once, scratch is recycled.
     let mut engine = Engine::new(p);
     let bc = BaderCong::with_defaults();
     let sv_election = sv::Sv::new(SvConfig::default());
@@ -50,11 +50,7 @@ fn main() {
         };
         let mut time_job = |algo: &dyn SpanningAlgorithm| {
             let s = std::time::Instant::now();
-            let forest = engine
-                .job(&g)
-                .algorithm(algo)
-                .run()
-                .expect("no cancel token attached");
+            let forest = engine.run(algo, &g);
             let ms = s.elapsed().as_secs_f64() * 1e3;
             assert!(
                 is_spanning_forest(&g, &forest.parents),

@@ -24,7 +24,7 @@ fn analyze(name: &str, g: &CsrGraph, engine: &mut Engine) {
 
     // The new algorithm.
     let started = std::time::Instant::now();
-    let forest = engine.job(g).run().expect("no cancel token attached");
+    let forest = engine.run(&BaderCong::with_defaults(), g);
     let bc_time = started.elapsed();
     assert!(is_spanning_forest(g, &forest.parents));
 
@@ -88,10 +88,7 @@ fn main() {
         sv_row.stats.iterations,
         engine.run(&sv_algo, &hier).stats.iterations
     );
-    let f = engine
-        .job(&shuffled)
-        .run()
-        .expect("no cancel token attached");
+    let f = engine.run(&BaderCong::with_defaults(), &shuffled);
     assert!(is_spanning_forest(&shuffled, &f.parents));
     println!("  bader-cong: unaffected by labeling (validated)");
 }

@@ -38,7 +38,7 @@ fn main() {
         );
 
         // How did the domain fragment?
-        let forest = engine.job(&g).run().expect("no cancel token attached");
+        let forest = engine.run(&BaderCong::with_defaults(), &g);
         assert!(is_spanning_forest(&g, &forest.parents));
         let cc = components_from_forest(&forest.parents);
         let mut sizes = cc.sizes();
@@ -75,11 +75,7 @@ fn main() {
             ..Config::default()
         };
         let pre = BaderCong::new(cfg);
-        let f2 = engine
-            .job(&g)
-            .algorithm(&pre)
-            .run()
-            .expect("no cancel token attached");
+        let f2 = engine.run(&pre, &g);
         assert!(is_spanning_forest(&g, &f2.parents));
         assert_eq!(f2.num_trees(), forest.num_trees());
         println!("   preprocessed run agrees on the fragment structure ✓");

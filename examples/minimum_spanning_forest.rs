@@ -12,6 +12,8 @@ use st_graph::WeightedGraph;
 
 fn main() {
     let p = 4;
+    // One persistent team for Borůvka and the orientation check.
+    let mut engine = Engine::new(p);
 
     for (name, g) in [
         (
@@ -34,8 +36,9 @@ fn main() {
         let k = mst::kruskal(&wg);
         let k_ms = s.elapsed().as_secs_f64() * 1e3;
 
+        let (exec, ws) = engine.parts_mut();
         let s = std::time::Instant::now();
-        let b = mst::boruvka(&wg, p);
+        let b = mst::boruvka(&wg, exec, ws);
         let b_ms = s.elapsed().as_secs_f64() * 1e3;
 
         assert_eq!(
@@ -54,7 +57,7 @@ fn main() {
 
         // The Boruvka forest is also a valid spanning forest of the
         // topology — reuse the spanning-tree machinery to check.
-        let parents = st_core::orient::orient_forest(wg.num_vertices(), &b.tree_edges, p);
+        let parents = st_core::orient::orient_forest(wg.num_vertices(), &b.tree_edges, exec, ws);
         assert!(is_spanning_forest(wg.topology(), &parents));
         println!("   orientation + spanning-forest validation ✓");
     }

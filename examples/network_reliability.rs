@@ -12,11 +12,11 @@
 //! ```
 
 use bader_cong_spanning::prelude::*;
-use st_core::biconnected::biconnected_components;
 
-fn analyze(name: &str, g: &CsrGraph, p: usize) {
+fn analyze(name: &str, g: &CsrGraph, engine: &mut Engine) {
+    let p = engine.processors();
     let started = std::time::Instant::now();
-    let bc = biconnected_components(g, p);
+    let bc = biconnected_components(engine, &BaderCong::with_defaults(), g);
     let ms = started.elapsed().as_secs_f64() * 1e3;
 
     let n = g.num_vertices();
@@ -38,7 +38,8 @@ fn analyze(name: &str, g: &CsrGraph, p: usize) {
 }
 
 fn main() {
-    let p = 4;
+    // One persistent team for every network.
+    let mut engine = Engine::new(4);
 
     // Flat geographic model at two densities: sparser networks have
     // far more single points of failure.
@@ -51,19 +52,19 @@ fn main() {
         analyze(
             &format!("flat geographic network, mean degree ≈ {target_degree}"),
             &g,
-            p,
+            &mut engine,
         );
     }
 
     // Hierarchical model: the tree-like transit structure makes almost
     // every inter-level link a bridge.
     let g = gen::geographic_hier(gen::GeoHierParams::with_approx_n(30_000), 5);
-    analyze("hierarchical geographic network", &g, p);
+    analyze("hierarchical geographic network", &g, &mut engine);
 
     // A torus has no single point of failure at all.
     analyze(
         "2D torus (fully redundant fabric)",
         &gen::torus2d(100, 100),
-        p,
+        &mut engine,
     );
 }

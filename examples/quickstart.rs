@@ -21,12 +21,13 @@ fn main() {
 
     // The Bader-Cong algorithm: stub spanning tree + work-stealing
     // traversal, here with 4 processors. The engine owns a persistent
-    // team plus reusable scratch; `job(&g)` phrases one run as a job
-    // (attach `.algorithm(..)`, `.cancel(token)` as needed).
+    // team plus reusable scratch; `engine.run(&algo, &g)` reuses both
+    // (a cancellable run calls `algo.run` on `engine.parts_mut()` with
+    // a `CancelToken`).
     let p = 4;
     let mut engine = Engine::new(p);
     let started = std::time::Instant::now();
-    let forest = engine.job(&g).run().expect("no cancel token attached");
+    let forest = engine.run(&BaderCong::with_defaults(), &g);
     let elapsed = started.elapsed();
 
     // Always verify: the crate ships the oracle the tests use.

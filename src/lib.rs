@@ -55,10 +55,14 @@
 //! let sv_forest = engine.run(&sv::Sv::new(SvConfig::default()), &g);
 //! assert_eq!(sv_forest.num_trees(), forest.num_trees());
 //!
-//! // Or phrase a run as a job: pick the algorithm fluently and get a
-//! // `Result` you can cancel (see `CancelToken`).
-//! let sv = sv::Sv::new(SvConfig::default());
-//! let again = engine.job(&g).algorithm(&sv).run().expect("no cancel token attached");
+//! // A cancellable run calls the trait on the engine's team and
+//! // workspace with a `CancelToken`; a fired token ends the run early
+//! // with `Err(Cancelled)` and leaves both reusable.
+//! let token = CancelToken::new();
+//! token.cancel();
+//! let (exec, ws) = engine.parts_mut();
+//! assert_eq!(algo.run(&g, exec, ws, &token).err(), Some(Cancelled));
+//! let again = algo.run(&g, exec, ws, &CancelToken::none()).expect("inert token");
 //! assert_eq!(again.num_trees(), forest.num_trees());
 //! ```
 //!
@@ -78,11 +82,11 @@ pub use st_smp as smp;
 pub mod prelude {
     pub use st_core::bader_cong::{BaderCong, Config};
     pub use st_core::biconnected::{
-        biconnected_components, biconnected_components_with, Biconnectivity,
+        biconnected_components, biconnected_from_forest, Biconnectivity,
     };
     pub use st_core::config::{ConfigError, RuntimeConfig};
     pub use st_core::connected::{components_from_forest, connected_components};
-    pub use st_core::engine::{Cancelled, Engine, EngineJob, SpanningAlgorithm, Workspace};
+    pub use st_core::engine::{Cancelled, Engine, SpanningAlgorithm, Workspace};
     pub use st_core::mst::{self, MstResult};
     pub use st_core::multiroot::Multiroot;
     pub use st_core::result::{AlgoStats, SpanningForest};

@@ -3,7 +3,6 @@
 //! including the skewed-degree inputs that stress work stealing hardest.
 
 use bader_cong_spanning::prelude::*;
-use st_core::biconnected::biconnected_components;
 use st_core::ears::{ear_decomposition, EarError};
 use st_graph::gen::RmatParams;
 use st_graph::subgraph::largest_component;
@@ -42,7 +41,7 @@ fn giant_component_pipeline() {
     let sub = largest_component(&g);
     assert_eq!(count_components(&sub.graph), 1);
     let tree = BaderCong::with_defaults()
-        .spanning_tree(&sub.graph, 0, 4)
+        .spanning_tree(&mut Engine::new(4), &sub.graph, 0)
         .expect("giant component is connected");
     assert!(is_spanning_tree(&sub.graph, &tree, 0));
     let lifted = sub.lift_parents(&tree);
@@ -58,7 +57,7 @@ fn giant_component_pipeline() {
 fn biconnectivity_of_the_giant_component() {
     let g = gen::geographic_flat(3_000, gen::GeoFlatParams::with_target_degree(3_000, 4.0), 4);
     let sub = largest_component(&g);
-    let bc = biconnected_components(&sub.graph, 4);
+    let bc = biconnected_components(&mut Engine::new(4), &BaderCong::with_defaults(), &sub.graph);
     // Sanity: every bridge's removal must disconnect; spot-check a few
     // against the component count.
     let base = count_components(&sub.graph);
@@ -79,19 +78,20 @@ fn biconnectivity_of_the_giant_component() {
 fn ear_decomposition_of_biconnected_core() {
     // Torus: biconnected; ear count = m - n + 1.
     let g = gen::torus2d(12, 12);
-    let ed = ear_decomposition(&g, 4).expect("torus is 2-edge-connected");
+    let ed = ear_decomposition(&mut Engine::new(4), &g).expect("torus is 2-edge-connected");
     assert_eq!(ed.len(), g.num_edges() - g.num_vertices() + 1);
     assert_eq!(ed.num_edges(), g.num_edges());
 }
 
 #[test]
 fn ear_decomposition_rejects_what_it_must() {
+    let mut engine = Engine::new(2);
     assert!(matches!(
-        ear_decomposition(&gen::chain(10), 2),
+        ear_decomposition(&mut engine, &gen::chain(10)),
         Err(EarError::HasBridge(_, _))
     ));
     assert!(matches!(
-        ear_decomposition(&CsrGraph::empty(4), 2),
+        ear_decomposition(&mut engine, &CsrGraph::empty(4)),
         Err(EarError::Empty)
     ));
 }
@@ -101,7 +101,9 @@ fn mst_pipeline_on_scale_free_graph() {
     let g = gen::rmat(11, 6, RmatParams::standard(), 5);
     let wg = WeightedGraph::with_random_weights(&g, 10_000, 6);
     let k = mst::kruskal(&wg);
-    let b = mst::boruvka(&wg, 4);
+    let mut engine = Engine::new(4);
+    let (exec, ws) = engine.parts_mut();
+    let b = mst::boruvka(&wg, exec, ws);
     assert_eq!(k.total_weight, b.total_weight);
     assert_eq!(k.tree_edges.len(), g.num_vertices() - count_components(&g));
 }
@@ -124,7 +126,9 @@ fn workload_profiles_describe_topologies() {
 fn lca_supports_path_queries_on_spanning_trees() {
     use st_core::tree::Lca;
     let g = gen::random_connected(1_000, 500, 8);
-    let t = BaderCong::with_defaults().spanning_tree(&g, 0, 4).unwrap();
+    let t = BaderCong::with_defaults()
+        .spanning_tree(&mut Engine::new(4), &g, 0)
+        .unwrap();
     let lca = Lca::new(&t);
     // Tree-path length between u and v = depth(u) + depth(v) -
     // 2*depth(lca); must be >= the BFS distance in the graph.

@@ -81,10 +81,12 @@ fn sequential_baselines_agree() {
 
 #[test]
 fn components_agree_between_algorithms() {
+    let mut engine = Engine::new(4);
     for w in [Workload::Mesh2D60, Workload::Ad3, Workload::GeoFlat] {
         let g = w.build(N, SEED);
-        let from_sv = connected_components(&g, 4);
-        let forest = Engine::new(4).run(&BaderCong::with_defaults(), &g);
+        let (exec, ws) = engine.parts_mut();
+        let from_sv = connected_components(&g, exec, ws);
+        let forest = engine.run(&BaderCong::with_defaults(), &g);
         let from_forest = components_from_forest(&forest.parents);
         assert_eq!(from_sv.count, from_forest.count, "{}", w.id());
         // Partitions match up to relabeling.
@@ -100,6 +102,7 @@ fn components_agree_between_algorithms() {
 
 #[test]
 fn spanning_tree_entry_point_on_connected_workloads() {
+    let mut engine = Engine::new(4);
     for w in [
         Workload::TorusRowMajor,
         Workload::ChainSeq,
@@ -111,7 +114,7 @@ fn spanning_tree_entry_point_on_connected_workloads() {
         }
         let root = (g.num_vertices() / 2) as VertexId;
         let t = BaderCong::with_defaults()
-            .spanning_tree(&g, root, 4)
+            .spanning_tree(&mut engine, &g, root)
             .expect("connected graph must yield a tree");
         assert!(is_spanning_tree(&g, &t, root), "{}", w.id());
     }

@@ -72,15 +72,27 @@ fn sequential_algorithms_are_deterministic() {
 #[test]
 fn hcs_and_boruvka_are_schedule_independent() {
     let g = gen::random_gnm(800, 1_400, 4);
-    let mut h1 = st_core::hcs::hcs_core(&g, 1).tree_edges;
-    let mut h8 = st_core::hcs::hcs_core(&g, 8).tree_edges;
+    let wg = st_graph::WeightedGraph::with_random_weights(&g, 100, 5);
+    let mut one = Engine::new(1);
+    let mut eight = Engine::new(8);
+    let hcs = |engine: &mut Engine| {
+        let (exec, ws) = engine.parts_mut();
+        st_core::hcs::hcs_core(&g, exec, ws, &CancelToken::none())
+            .expect("inert token cannot cancel")
+            .tree_edges
+    };
+    let mut h1 = hcs(&mut one);
+    let mut h8 = hcs(&mut eight);
     h1.sort_unstable();
     h8.sort_unstable();
     assert_eq!(h1, h8);
 
-    let wg = st_graph::WeightedGraph::with_random_weights(&g, 100, 5);
-    let mut b1 = mst::boruvka(&wg, 1).tree_edges;
-    let mut b8 = mst::boruvka(&wg, 8).tree_edges;
+    let boruvka = |engine: &mut Engine| {
+        let (exec, ws) = engine.parts_mut();
+        mst::boruvka(&wg, exec, ws).tree_edges
+    };
+    let mut b1 = boruvka(&mut one);
+    let mut b8 = boruvka(&mut eight);
     b1.sort_unstable();
     b8.sort_unstable();
     assert_eq!(b1, b8);

@@ -115,11 +115,40 @@ fn engine_backs_the_application_layer() {
     // connectivity) on one shared engine.
     let mut engine = Engine::new(4);
     let g = gen::random_gnm(300, 500, 9);
-    let via_engine = biconnected_components_with(&mut engine, &BaderCong::with_defaults(), &g);
-    let standalone = st_core::biconnected::biconnected_components(&g, 4);
-    assert_eq!(via_engine.num_blocks, standalone.num_blocks);
-    assert_eq!(
-        via_engine.articulation_points,
-        standalone.articulation_points
-    );
+    let algo = BaderCong::with_defaults();
+    let via_engine = biconnected_components(&mut engine, &algo, &g);
+    let fresh = biconnected_components(&mut Engine::new(4), &algo, &g);
+    assert_eq!(via_engine.num_blocks, fresh.num_blocks);
+    assert_eq!(via_engine.articulation_points, fresh.articulation_points);
+}
+
+#[test]
+fn every_algorithm_honours_a_fired_token_then_runs_clean() {
+    // The one-`run` contract: a token fired before the run ends it with
+    // `Err(Cancelled)`, and the same team and workspace then produce a
+    // valid forest.
+    let g = gen::random_gnm(2_000, 3_000, 17);
+    let expected = count_components(&g);
+    let fired = CancelToken::new();
+    fired.cancel();
+    for p in [1usize, 4] {
+        let mut engine = Engine::new(p);
+        let (exec, ws) = engine.parts_mut();
+        for algo in algorithms() {
+            let name = algo.name();
+            assert_eq!(
+                algo.run(&g, exec, ws, &fired).err(),
+                Some(Cancelled),
+                "{name} (p={p}) ignored a fired token"
+            );
+            let f = algo
+                .run(&g, exec, ws, &CancelToken::none())
+                .unwrap_or_else(|_| panic!("{name} (p={p}): inert token cancelled"));
+            assert!(
+                is_spanning_forest(&g, &f.parents),
+                "{name} (p={p}): invalid forest after a cancelled run"
+            );
+            assert_eq!(f.roots.len(), expected, "{name} (p={p})");
+        }
+    }
 }

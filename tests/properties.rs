@@ -13,6 +13,15 @@ use st_graph::preprocess::eliminate_degree2;
 use st_graph::validate::{count_components, forest_depths};
 
 /// Strategy: a simple graph with 1..=60 vertices and arbitrary edges.
+/// HCS tree edges from a fresh engine of `p`.
+fn hcs_edges(g: &CsrGraph, p: usize) -> Vec<(VertexId, VertexId)> {
+    let mut engine = Engine::new(p);
+    let (exec, ws) = engine.parts_mut();
+    hcs::hcs_core(g, exec, ws, &CancelToken::none())
+        .expect("inert token cannot cancel")
+        .tree_edges
+}
+
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (1usize..60).prop_flat_map(|n| {
         let edge = (0..n as u32, 0..n as u32);
@@ -58,8 +67,8 @@ proptest! {
 
     #[test]
     fn hcs_is_deterministic_across_p(g in arb_graph()) {
-        let mut a = hcs::hcs_core(&g, 1).tree_edges;
-        let mut b = hcs::hcs_core(&g, 4).tree_edges;
+        let mut a = hcs_edges(&g, 1);
+        let mut b = hcs_edges(&g, 4);
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
@@ -125,7 +134,9 @@ proptest! {
         // BFS depth.
         let bfs = seq::bfs_tree(&g, 0).unwrap();
         let bfs_d = forest_depths(&bfs);
-        let f = BaderCong::with_defaults().spanning_tree(&g, 0, 3).unwrap();
+        let f = BaderCong::with_defaults()
+            .spanning_tree(&mut Engine::new(3), &g, 0)
+            .unwrap();
         let d = forest_depths(&f);
         for v in 0..g.num_vertices() {
             prop_assert!(d[v] >= bfs_d[v], "vertex {v}: {} < {}", d[v], bfs_d[v]);
@@ -154,7 +165,9 @@ proptest! {
 
     #[test]
     fn connected_components_match_reference(g in arb_graph(), p in 1usize..5) {
-        let cc = connected_components(&g, p);
+        let mut engine = Engine::new(p);
+        let (exec, ws) = engine.parts_mut();
+        let cc = connected_components(&g, exec, ws);
         let reference = st_graph::validate::component_labels(&g);
         prop_assert_eq!(cc.count as u32, reference.iter().copied().max().map_or(0, |x| x + 1));
         let mut map = std::collections::HashMap::new();
@@ -188,7 +201,7 @@ proptest! {
 
     #[test]
     fn biconnectivity_bridges_match_brute_force(g in arb_graph()) {
-        let bc = st_core::biconnected::biconnected_components(&g, 2);
+        let bc = biconnected_components(&mut Engine::new(2), &BaderCong::with_defaults(), &g);
         let mut got: Vec<(VertexId, VertexId)> = bc
             .bridges
             .iter()
@@ -217,7 +230,7 @@ proptest! {
             }
         }
         let g = b.build();
-        let ed = st_core::ears::ear_decomposition(&g, 2).unwrap();
+        let ed = st_core::ears::ear_decomposition(&mut Engine::new(2), &g).unwrap();
         prop_assert_eq!(ed.len(), g.num_edges() - g.num_vertices() + 1);
         prop_assert_eq!(ed.num_edges(), g.num_edges());
     }
@@ -254,7 +267,9 @@ proptest! {
     fn mst_weights_agree(g in arb_graph(), seed in any::<u64>(), p in 1usize..4) {
         let wg = st_graph::WeightedGraph::with_random_weights(&g, 1000, seed);
         let k = st_core::mst::kruskal(&wg);
-        let b = st_core::mst::boruvka(&wg, p);
+        let mut engine = Engine::new(p);
+        let (exec, ws) = engine.parts_mut();
+        let b = st_core::mst::boruvka(&wg, exec, ws);
         prop_assert_eq!(k.total_weight, b.total_weight);
         prop_assert_eq!(k.tree_edges.len(), b.tree_edges.len());
     }

@@ -44,12 +44,18 @@ impl SpanningAlgorithm for Gate {
         "gate"
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
         self.started.store(true, Ordering::Release);
         while !self.release.load(Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        self.inner.run(g, exec, ws)
+        self.inner.run(g, exec, ws, cancel)
     }
 }
 
@@ -65,12 +71,7 @@ impl SpanningAlgorithm for Notify {
         "notify"
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
-        self.started.store(true, Ordering::Release);
-        self.inner.run(g, exec, ws)
-    }
-
-    fn run_with_cancel(
+    fn run(
         &self,
         g: &CsrGraph,
         exec: &Executor,
@@ -78,7 +79,7 @@ impl SpanningAlgorithm for Notify {
         cancel: &CancelToken,
     ) -> Result<SpanningForest, Cancelled> {
         self.started.store(true, Ordering::Release);
-        self.inner.run_with_cancel(g, exec, ws, cancel)
+        self.inner.run(g, exec, ws, cancel)
     }
 }
 
@@ -90,7 +91,13 @@ impl SpanningAlgorithm for Boom {
         "boom"
     }
 
-    fn run(&self, _g: &CsrGraph, _exec: &Executor, _ws: &mut Workspace) -> SpanningForest {
+    fn run(
+        &self,
+        _g: &CsrGraph,
+        _exec: &Executor,
+        _ws: &mut Workspace,
+        _cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
         panic!("tenant bug: boom");
     }
 }
@@ -108,9 +115,15 @@ impl SpanningAlgorithm for Tagged {
         self.tag
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
         self.log.lock().unwrap().push(self.tag);
-        self.inner.run(g, exec, ws)
+        self.inner.run(g, exec, ws, cancel)
     }
 }
 
@@ -381,9 +394,15 @@ impl SpanningAlgorithm for Slow {
         "slow"
     }
 
-    fn run(&self, g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -> SpanningForest {
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
         std::thread::sleep(Duration::from_millis(self.ms));
-        self.inner.run(g, exec, ws)
+        self.inner.run(g, exec, ws, cancel)
     }
 }
 

@@ -321,13 +321,14 @@ impl SpanningAlgorithm for HoldTeam {
         g: &CsrGraph,
         exec: &bader_cong_spanning::smp::Executor,
         ws: &mut Workspace,
-    ) -> SpanningForest {
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
         self.started
             .store(true, std::sync::atomic::Ordering::Release);
         while !self.release.load(std::sync::atomic::Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        self.inner.run(g, exec, ws)
+        self.inner.run(g, exec, ws, cancel)
     }
 }
 
