@@ -2,7 +2,7 @@
 //! full recompute-per-batch on the service's batch-update path.
 //!
 //! ```text
-//! dynamic_updates [--scale L] [--seed S] [--batches K] [--teams W,W,..]
+//! dynamic_updates [--scale L] [--seed S] [--batches K] [--cores C]
 //!                 [--sizes B,B,..] [--out FILE]
 //! ```
 //!
@@ -39,7 +39,7 @@ use st_service::Service;
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: dynamic_updates [--scale L] [--seed S] [--batches K] [--teams W,W,..] \
+        "usage: dynamic_updates [--scale L] [--seed S] [--batches K] [--cores C] \
          [--sizes B,B,..] [--out FILE]"
     );
     std::process::exit(2)
@@ -49,7 +49,7 @@ struct Opts {
     scale: u32,
     seed: u64,
     batches: usize,
-    teams: Vec<usize>,
+    cores: usize,
     sizes: Vec<usize>,
     out: PathBuf,
 }
@@ -59,7 +59,7 @@ fn parse_args() -> Opts {
         scale: 16,
         seed: 42,
         batches: 8,
-        teams: vec![4, 2, 2],
+        cores: 8,
         sizes: vec![1, 4, 16, 64, 256, 1024, 4096, 16384, 65536],
         out: PathBuf::from("BENCH_dynamic.json"),
     };
@@ -82,15 +82,10 @@ fn parse_args() -> Opts {
                     .parse()
                     .unwrap_or_else(|_| usage("--batches must be an integer"))
             }
-            "--teams" => {
-                opts.teams = need("--teams needs a value")
-                    .split(',')
-                    .map(|w| {
-                        w.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--teams must be a comma list of widths"))
-                    })
-                    .collect()
+            "--cores" => {
+                opts.cores = need("--cores needs a value")
+                    .parse()
+                    .unwrap_or_else(|_| usage("--cores must be an integer"))
             }
             "--sizes" => {
                 opts.sizes = need("--sizes needs a value")
@@ -160,12 +155,12 @@ fn batch_stream(n: usize, batches: usize, size: usize, seed: u64) -> Vec<EdgeBat
 /// batch pays for it.
 fn run_mode(
     base: &Arc<CsrGraph>,
-    teams: &[usize],
+    cores: usize,
     recompute_fraction: f64,
     stream: &[EdgeBatch],
 ) -> (Vec<f64>, usize, u64) {
     let svc = Service::builder()
-        .teams(teams.iter().copied())
+        .cores(cores)
         .dyn_recompute_fraction(recompute_fraction)
         .build();
     let gref = svc.catalog().register(Arc::clone(base));
@@ -212,7 +207,7 @@ struct DynamicReport {
     workload: String,
     n: usize,
     m: usize,
-    teams: Vec<usize>,
+    cores: usize,
     batches_per_size: usize,
     host_parallelism: usize,
     sizes: Vec<SizeResult>,
@@ -235,8 +230,8 @@ fn main() {
     let m = n + n / 2;
     let base = Arc::new(random_gnm(n, m, opts.seed));
     eprintln!(
-        "dynamic-updates: n = {n}, m = {m}, teams {:?}, {} batches per size",
-        opts.teams, opts.batches
+        "dynamic-updates: n = {n}, m = {m}, {} cores, {} batches per size",
+        opts.cores, opts.batches
     );
 
     let mut sizes = Vec::with_capacity(opts.sizes.len());
@@ -244,14 +239,14 @@ fn main() {
         let stream = batch_stream(n, opts.batches, size, opts.seed ^ size as u64);
         // recompute_fraction above 1: the repair budget is unbounded,
         // so every batch takes the incremental path.
-        let (inc_lats, inc_components, inc_count) = run_mode(&base, &opts.teams, 2.0, &stream);
+        let (inc_lats, inc_components, inc_count) = run_mode(&base, opts.cores, 2.0, &stream);
         assert_eq!(
             inc_count,
             stream.len() as u64,
             "incremental mode fell back to recompute"
         );
         // recompute_fraction 0: every batch recomputes from scratch.
-        let (rec_lats, rec_components, rec_count) = run_mode(&base, &opts.teams, 0.0, &stream);
+        let (rec_lats, rec_components, rec_count) = run_mode(&base, opts.cores, 0.0, &stream);
         assert_eq!(rec_count, 0, "recompute mode took the incremental path");
         assert_eq!(
             inc_components, rec_components,
@@ -280,7 +275,7 @@ fn main() {
         workload: format!("random_gnm(2^{}, 1.5n) + mixed batches", opts.scale),
         n,
         m,
-        teams: opts.teams.clone(),
+        cores: opts.cores,
         batches_per_size: opts.batches,
         host_parallelism: std::thread::available_parallelism().map_or(1, |c| c.get()),
         sizes,

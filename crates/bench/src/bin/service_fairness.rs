@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! service_fairness [--secs T] [--scale L] [--seed S] [--bulk B]
-//!                  [--teams W,W,..] [--queue-cap Q] [--out FILE]
+//!                  [--cores C] [--queue-cap Q] [--out FILE]
 //! ```
 //!
 //! One chatty *interactive* tenant keeps a deep window of
@@ -65,7 +65,7 @@ struct FairnessReport {
     n: usize,
     m: usize,
     run_secs: f64,
-    teams: Vec<usize>,
+    cores: usize,
     queue_capacity: usize,
     lane_weights: Vec<u32>,
     host_parallelism: usize,
@@ -79,7 +79,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: service_fairness [--secs T] [--scale L] [--seed S] [--bulk B] \
-         [--teams W,W,..] [--queue-cap Q] [--out FILE]"
+         [--cores C] [--queue-cap Q] [--out FILE]"
     );
     std::process::exit(2)
 }
@@ -89,7 +89,7 @@ struct Opts {
     scale: u32,
     seed: u64,
     bulk: usize,
-    teams: Vec<usize>,
+    cores: usize,
     queue_cap: usize,
     out: PathBuf,
 }
@@ -100,7 +100,7 @@ fn parse_args() -> Opts {
         scale: 9,
         seed: 42,
         bulk: 4,
-        teams: vec![4, 2, 2],
+        cores: 8,
         queue_cap: 64,
         out: PathBuf::from("BENCH_service.json"),
     };
@@ -128,15 +128,10 @@ fn parse_args() -> Opts {
                     .parse()
                     .unwrap_or_else(|_| usage("--bulk must be an integer"))
             }
-            "--teams" => {
-                opts.teams = need("--teams needs a value")
-                    .split(',')
-                    .map(|w| {
-                        w.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--teams must be a comma list of widths"))
-                    })
-                    .collect()
+            "--cores" => {
+                opts.cores = need("--cores needs a value")
+                    .parse()
+                    .unwrap_or_else(|_| usage("--cores must be an integer"))
             }
             "--queue-cap" => {
                 opts.queue_cap = need("--queue-cap needs a value")
@@ -224,14 +219,14 @@ fn main() {
     eprintln!(
         "service-fairness: random_gnm(n = {n}, m = {m}), 1 interactive (high, window \
          {interactive_window}) vs {} bulk tenants (low, window {bulk_window}), {:.1}s, \
-         teams {:?}, queue cap {}",
-        opts.bulk, opts.secs, opts.teams, opts.queue_cap
+         {} cores, queue cap {}",
+        opts.bulk, opts.secs, opts.cores, opts.queue_cap
     );
     let g: Arc<CsrGraph> = Arc::new(random_gnm(n, m, opts.seed));
     let expected_trees = st_core::seq::bfs_forest(&g).num_trees();
 
     let svc = Service::builder()
-        .teams(opts.teams.iter().copied())
+        .cores(opts.cores)
         .queue_capacity(opts.queue_cap)
         .build();
     let until = Instant::now() + Duration::from_secs_f64(opts.secs);
@@ -342,7 +337,7 @@ fn main() {
         n: g.num_vertices(),
         m: g.num_edges(),
         run_secs: opts.secs,
-        teams: opts.teams.clone(),
+        cores: opts.cores,
         queue_capacity: opts.queue_cap,
         lane_weights: DEFAULT_LANE_WEIGHTS.to_vec(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |c| c.get()),

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! service_throughput [--clients C] [--jobs J] [--scale L] [--seed S]
-//!                    [--teams W,W,..] [--queue-cap Q] [--out FILE]
+//!                    [--cores C] [--queue-cap Q] [--out FILE]
 //! ```
 //!
 //! `C` client threads each submit `J` spanning-forest jobs over a shared
@@ -11,12 +11,12 @@
 //! under two execution models:
 //!
 //! * `naive` — what callers wrote before the service existed: each job
-//!   spawns a fresh team of width `max(teams)` and a fresh workspace,
+//!   spawns a fresh team of width `cores` and a fresh workspace,
 //!   runs, and tears both down. With
 //!   `C` clients this oversubscribes the machine with `C × p` transient
 //!   threads and pays the spawn/join tax on every job.
 //! * `service` — one [`Service`] with the given
-//!   team layout and admission-queue capacity; clients submit through
+//!   core budget and admission-queue capacity; clients submit through
 //!   the job builder and block in `wait()`.
 //! * `server_cold` — the same service behind the TCP front-end: `C`
 //!   loopback [`Client`] connections submit
@@ -73,7 +73,7 @@ struct ServiceReport {
     clients: usize,
     jobs_per_client: usize,
     total_jobs: usize,
-    teams: Vec<usize>,
+    cores: usize,
     queue_capacity: usize,
     naive_p: usize,
     host_parallelism: usize,
@@ -88,7 +88,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: service_throughput [--clients C] [--jobs J] [--scale L] [--seed S] \
-         [--teams W,W,..] [--queue-cap Q] [--out FILE]"
+         [--cores C] [--queue-cap Q] [--out FILE]"
     );
     std::process::exit(2)
 }
@@ -98,7 +98,7 @@ struct Opts {
     jobs: usize,
     scale: u32,
     seed: u64,
-    teams: Vec<usize>,
+    cores: usize,
     queue_cap: usize,
     out: PathBuf,
 }
@@ -113,7 +113,7 @@ fn parse_args() -> Opts {
         jobs: 100,
         scale: 9,
         seed: 42,
-        teams: vec![4, 2, 2],
+        cores: 8,
         queue_cap: 64,
         out: PathBuf::from("BENCH_service.json"),
     };
@@ -141,15 +141,10 @@ fn parse_args() -> Opts {
                     .parse()
                     .unwrap_or_else(|_| usage("--seed must be an integer"))
             }
-            "--teams" => {
-                opts.teams = need("--teams needs a value")
-                    .split(',')
-                    .map(|w| {
-                        w.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--teams must be a comma list of widths"))
-                    })
-                    .collect()
+            "--cores" => {
+                opts.cores = need("--cores needs a value")
+                    .parse()
+                    .unwrap_or_else(|_| usage("--cores must be an integer"))
             }
             "--queue-cap" => {
                 opts.queue_cap = need("--queue-cap needs a value")
@@ -297,12 +292,12 @@ fn main() {
     let opts = parse_args();
     let n = 1usize << opts.scale;
     let m = 3 * n / 2;
-    let naive_p = opts.teams.iter().copied().max().unwrap_or(1);
+    let naive_p = opts.cores;
     let total_jobs = opts.clients * opts.jobs;
     eprintln!(
         "service-throughput: random_gnm(n = {n}, m = {m}), {} clients x {} jobs, \
-         teams {:?}, queue cap {}",
-        opts.clients, opts.jobs, opts.teams, opts.queue_cap
+         {} cores, queue cap {}",
+        opts.clients, opts.jobs, opts.cores, opts.queue_cap
     );
     let g: Arc<CsrGraph> = Arc::new(random_gnm(n, m, opts.seed));
     // The forest's tree count is a seed-determined constant; compute it
@@ -319,7 +314,7 @@ fn main() {
 
     // Service model: one shared pool behind admission control.
     let svc = Service::builder()
-        .teams(opts.teams.iter().copied())
+        .cores(opts.cores)
         .queue_capacity(opts.queue_cap)
         .build();
     let (svc_wall, svc_lats) = drive(opts.clients, opts.jobs, expected_trees, || {
@@ -344,7 +339,7 @@ fn main() {
     let (server_cold, server_hot) = {
         let svc = Arc::new(
             Service::builder()
-                .teams(opts.teams.iter().copied())
+                .cores(opts.cores)
                 .queue_capacity(opts.queue_cap)
                 .result_cache_capacity(opts.clients * opts.jobs + 1)
                 .build(),
@@ -420,7 +415,7 @@ fn main() {
         clients: opts.clients,
         jobs_per_client: opts.jobs,
         total_jobs,
-        teams: opts.teams.clone(),
+        cores: opts.cores,
         queue_capacity: opts.queue_cap,
         naive_p,
         host_parallelism: std::thread::available_parallelism().map_or(1, |c| c.get()),

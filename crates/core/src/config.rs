@@ -16,8 +16,8 @@
 //!   reads [`hugepages`](RuntimeConfig::hugepages);
 //! * the Criterion benches read
 //!   [`bench_scale`](RuntimeConfig::bench_scale);
-//! * the `st-service` builder seeds its team layout from
-//!   [`service_teams`](RuntimeConfig::service_teams), and the TCP
+//! * the `st-service` builder seeds its core budget from
+//!   [`service_cores`](RuntimeConfig::service_cores), and the TCP
 //!   front-end's `ServerConfig::from_env` reads the listen address and
 //!   connection cap.
 //!
@@ -27,7 +27,7 @@
 //! | `ST_DIRECTION` | `top-down` / `bottom-up` / `hybrid` | traversal direction strategy |
 //! | `ST_HUGEPAGES` | bool | back CSR/workspace arrays with transparent huge pages |
 //! | `ST_BENCH_SCALE` | integer (log2 n) | default problem scale of the Criterion benches |
-//! | `ST_SERVICE_TEAMS` | comma list of integers ≥ 1 | service pool team widths, e.g. `4,2,2` |
+//! | `ST_SERVICE_CORES` | integer ≥ 1 | service core budget: the executor ladder's widest width and the dispatcher count |
 //! | `ST_LISTEN_ADDR` | `host:port` socket address | TCP bind address of the service front-end |
 //! | `ST_MAX_CONNECTIONS` | integer ≥ 1 | concurrent TCP connections before `Busy` |
 //!
@@ -79,8 +79,8 @@ pub struct RuntimeConfig {
     /// `ST_BENCH_SCALE`: default log2 problem size of the Criterion
     /// benches.
     pub bench_scale: Option<u32>,
-    /// `ST_SERVICE_TEAMS`: job-service team widths.
-    pub service_teams: Option<Vec<usize>>,
+    /// `ST_SERVICE_CORES`: the job service's core budget.
+    pub service_cores: Option<usize>,
     /// `ST_LISTEN_ADDR`: TCP bind address of the service front-end.
     pub listen_addr: Option<std::net::SocketAddr>,
     /// `ST_MAX_CONNECTIONS`: concurrent TCP connections the front-end
@@ -97,7 +97,7 @@ impl RuntimeConfig {
             direction: read("ST_DIRECTION", parse_direction)?,
             hugepages: read("ST_HUGEPAGES", parse_bool)?,
             bench_scale: read("ST_BENCH_SCALE", parse_scale)?,
-            service_teams: read("ST_SERVICE_TEAMS", parse_team_list)?,
+            service_cores: read("ST_SERVICE_CORES", parse_positive)?,
             listen_addr: read("ST_LISTEN_ADDR", parse_socket_addr)?,
             max_connections: read("ST_MAX_CONNECTIONS", parse_positive)?,
         })
@@ -169,18 +169,6 @@ fn parse_direction(s: &str) -> Result<Direction, &'static str> {
     }
 }
 
-fn parse_team_list(s: &str) -> Result<Vec<usize>, &'static str> {
-    const REASON: &str = "a comma-separated list of team widths ≥ 1, e.g. `4,2,2`";
-    let teams: Vec<usize> = s
-        .split(',')
-        .map(|part| parse_positive(part.trim()).map_err(|_| REASON))
-        .collect::<Result<_, _>>()?;
-    if teams.is_empty() {
-        return Err(REASON);
-    }
-    Ok(teams)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,12 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn team_lists_parse_and_validate() {
-        assert_eq!(parse_team_list("4,2,2"), Ok(vec![4, 2, 2]));
-        assert_eq!(parse_team_list(" 8 , 1 "), Ok(vec![8, 1]));
-        assert!(parse_team_list("4,0,2").is_err());
-        assert!(parse_team_list("").is_err());
-        assert!(parse_team_list("a,b").is_err());
+    fn core_budgets_parse_and_validate() {
+        assert_eq!(parse_positive("2"), Ok(2));
+        assert_eq!(parse_positive("64"), Ok(64));
+        assert!(parse_positive("0").is_err());
+        assert!(parse_positive("4,2,2").is_err(), "no longer a team list");
+        assert!(parse_positive("").is_err());
+        assert!(parse_positive("two").is_err());
     }
 
     #[test]
@@ -284,6 +273,6 @@ mod tests {
         // CI stress job sets ST_PUBLISH_THRESHOLD; tolerate that one).
         let cfg = RuntimeConfig::from_env().expect("clean env parses");
         assert_eq!(cfg.bench_scale, None);
-        assert_eq!(cfg.service_teams, None);
+        assert_eq!(cfg.service_cores, None);
     }
 }

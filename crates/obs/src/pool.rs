@@ -244,9 +244,6 @@ service_metrics! {
         Gauge "st_service_busy_teams"
             "Executor teams currently running a job."
             { busy_teams }
-        Counter "st_service_pool_resizes_total"
-            "Elastic team resizes, by direction."
-            direction { "grow" teams_grown, "shrink" teams_shrunk }
         Counter "st_service_queue_wait_seconds_total"
             "Summed queue wait of finished jobs, seconds."
             { queue_ns_total / 1e9 }
@@ -462,16 +459,6 @@ impl PoolGauges {
         self.slot(Slot::busy_teams, 0).fetch_sub(1, Relaxed);
     }
 
-    /// Records an elastic resize that widened a team.
-    pub fn on_team_grown(&self) {
-        self.add(Slot::teams_grown, 0, 1);
-    }
-
-    /// Records an elastic resize that narrowed a team.
-    pub fn on_team_shrunk(&self) {
-        self.add(Slot::teams_shrunk, 0, 1);
-    }
-
     /// Records one applied batch update: which maintenance path ran
     /// (incremental splice vs full recompute), what the batch actually
     /// changed, and its wall latency.
@@ -682,17 +669,6 @@ mod tests {
         assert_eq!(s.rejected_high, 1);
         assert_eq!(s.rejected_normal, 2);
         assert_eq!(s.rejected_low, 1);
-    }
-
-    #[test]
-    fn elastic_resizes_are_counted() {
-        let g = PoolGauges::new(&[]);
-        g.on_team_grown();
-        g.on_team_grown();
-        g.on_team_shrunk();
-        let s = g.snapshot();
-        assert_eq!(s.teams_grown, 2);
-        assert_eq!(s.teams_shrunk, 1);
     }
 
     #[test]

@@ -478,14 +478,6 @@ mod tests {
                 .count(),
             3
         );
-        assert_eq!(
-            samples
-                .keys()
-                .filter(|k| k.starts_with("st_service_pool_resizes_total"))
-                .count(),
-            2,
-            "grow and shrink directions"
-        );
     }
 
     #[test]

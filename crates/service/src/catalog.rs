@@ -19,7 +19,9 @@
 //! jobs are deterministic given `(graph version, algorithm, seed)`
 //! apart from scheduling noise in the stats, so a bounded
 //! least-recently-used map keyed on [`CacheKey`] lets the service
-//! answer repeat submissions without leasing a team at all.
+//! answer repeat submissions without leasing a team at all. It is
+//! bounded by entries and by bytes ([`RESULT_CACHE_MAX_BYTES`]), so a
+//! few forests of a huge graph cannot pin gigabytes.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -382,14 +384,26 @@ pub struct CacheKey {
     pub processors: usize,
 }
 
+/// Bytes of forest the result cache holds at most, whatever its entry
+/// capacity: 64 forests of a 2^26-vertex graph would otherwise pin
+/// 16 GiB. A forest larger than this is never cached.
+pub const RESULT_CACHE_MAX_BYTES: usize = 128 << 20;
+
 struct CacheEntry {
     forest: SpanningForest,
+    /// The forest's size, as [`forest_bytes`] counted it on insert.
+    bytes: usize,
     /// Logical access time for LRU ordering.
     tick: u64,
 }
 
-/// A bounded least-recently-used map from [`CacheKey`] to a finished
-/// forest.
+/// The bytes a cached forest pins: its parent and root arrays.
+fn forest_bytes(f: &SpanningForest) -> usize {
+    std::mem::size_of_val(f.parents.as_slice()) + std::mem::size_of_val(f.roots.as_slice())
+}
+
+/// A least-recently-used map from [`CacheKey`] to a finished forest,
+/// bounded by entries and by [`RESULT_CACHE_MAX_BYTES`].
 ///
 /// Capacity 0 disables caching entirely (`get` always misses, `insert`
 /// is a no-op). Eviction is an O(capacity) minimum-tick scan — the
@@ -399,11 +413,14 @@ struct CacheEntry {
 pub struct ResultCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
+    max_bytes: usize,
 }
 
 struct CacheInner {
     map: HashMap<CacheKey, CacheEntry>,
     clock: u64,
+    /// Sum of the cached entries' `bytes`.
+    bytes: usize,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -416,14 +433,22 @@ impl std::fmt::Debug for ResultCache {
 }
 
 impl ResultCache {
-    /// A cache holding at most `capacity` forests.
+    /// A cache holding at most `capacity` forests and at most
+    /// [`RESULT_CACHE_MAX_BYTES`] of them.
     pub fn new(capacity: usize) -> Self {
+        Self::with_byte_bound(capacity, RESULT_CACHE_MAX_BYTES)
+    }
+
+    /// A cache bounded by `capacity` forests and `max_bytes` bytes.
+    pub(crate) fn with_byte_bound(capacity: usize, max_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(CacheInner {
                 map: HashMap::with_capacity(capacity.min(1024)),
                 clock: 0,
+                bytes: 0,
             }),
             capacity,
+            max_bytes,
         }
     }
 
@@ -452,37 +477,55 @@ impl ResultCache {
         Some(entry.forest.clone())
     }
 
-    /// Stores `forest` under `key`, evicting the least-recently-used
-    /// entry if the cache is full.
+    /// Stores `forest` under `key`, evicting least-recently-used
+    /// entries until both the entry and the byte bound hold. A forest
+    /// larger than the byte bound is not cached.
     pub fn insert(&self, key: CacheKey, forest: SpanningForest) {
-        if self.capacity == 0 {
+        let bytes = forest_bytes(&forest);
+        if self.capacity == 0 || bytes > self.max_bytes {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let tick = inner.clock;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-            if let Some(oldest) = inner
+        if let Some(old) = inner.map.remove(&key) {
+            inner.bytes -= old.bytes;
+        }
+        // Terminates: an empty map satisfies both bounds.
+        while inner.map.len() >= self.capacity || inner.bytes + bytes > self.max_bytes {
+            let oldest = inner
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.tick)
                 .map(|(k, _)| *k)
-            {
-                inner.map.remove(&oldest);
-            }
+                .expect("a bound is exceeded only while entries remain");
+            let evicted = inner.map.remove(&oldest).expect("key came from the map");
+            inner.bytes -= evicted.bytes;
         }
-        inner.map.insert(key, CacheEntry { forest, tick });
+        inner.bytes += bytes;
+        inner.map.insert(
+            key,
+            CacheEntry {
+                forest,
+                bytes,
+                tick,
+            },
+        );
     }
 
     /// Drops every entry whose key addresses graph `id` (any version).
     /// Used when an id is removed from the catalog; republication does
     /// NOT need this — version bumps make old entries unmatchable.
     pub fn purge_graph(&self, id: GraphId) {
-        self.inner
-            .lock()
-            .unwrap()
-            .map
-            .retain(|k, _| k.graph.id != id);
+        let mut inner = self.inner.lock().unwrap();
+        let CacheInner { map, bytes, .. } = &mut *inner;
+        map.retain(|k, e| {
+            let keep = k.graph.id != id;
+            if !keep {
+                *bytes -= e.bytes;
+            }
+            keep
+        });
     }
 }
 
@@ -732,6 +775,47 @@ mod tests {
     }
 
     #[test]
+    fn byte_bound_evicts_lru_until_both_bounds_hold() {
+        let g = gen::chain(100); // 100 parents + 1 root = 404 bytes
+        let gref = GraphRef {
+            id: GraphId(3),
+            version: 1,
+        };
+        let one = forest_bytes(&forest_of(&g));
+        assert_eq!(one, 404);
+        // Room for eight entries but only two forests' worth of bytes.
+        let cache = ResultCache::with_byte_bound(8, 2 * one + one / 2);
+        cache.insert(key(gref, 1), forest_of(&g));
+        cache.insert(key(gref, 2), forest_of(&g));
+        assert!(cache.get(&key(gref, 1)).is_some()); // seed 2 is now LRU
+        cache.insert(key(gref, 3), forest_of(&g));
+        assert_eq!(cache.len(), 2, "the byte bound evicted an entry");
+        assert!(cache.get(&key(gref, 2)).is_none(), "LRU evicted");
+        assert!(cache.get(&key(gref, 1)).is_some());
+        assert!(cache.get(&key(gref, 3)).is_some());
+        // A larger forest evicts as many entries as it needs.
+        let big = forest_of(&gen::chain(200));
+        cache.insert(key(gref, 4), big);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&key(gref, 4)).is_some());
+        assert_eq!(cache.inner.lock().unwrap().bytes, 804);
+    }
+
+    #[test]
+    fn a_forest_over_the_byte_bound_is_not_cached() {
+        let gref = GraphRef {
+            id: GraphId(4),
+            version: 1,
+        };
+        let cache = ResultCache::with_byte_bound(8, 1_000);
+        cache.insert(key(gref, 1), forest_of(&gen::chain(10)));
+        cache.insert(key(gref, 2), forest_of(&gen::chain(1_000)));
+        assert!(cache.get(&key(gref, 2)).is_none(), "too big to cache");
+        assert!(cache.get(&key(gref, 1)).is_some(), "and it evicted nothing");
+        assert_eq!(ResultCache::new(8).max_bytes, RESULT_CACHE_MAX_BYTES);
+    }
+
+    #[test]
     fn purge_drops_every_version_of_one_graph() {
         let g = gen::chain(3);
         let a1 = GraphRef {
@@ -753,5 +837,10 @@ mod tests {
         cache.purge_graph(GraphId(1));
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(b, 1)).is_some());
+        assert_eq!(
+            cache.inner.lock().unwrap().bytes,
+            forest_bytes(&forest_of(&g)),
+            "purged entries leave the byte count"
+        );
     }
 }

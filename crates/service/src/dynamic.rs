@@ -136,9 +136,9 @@ impl From<BatchError> for UpdateError {
 }
 
 /// Seeds (or reseeds) a maintainer by running the static algorithm over
-/// a flat snapshot on a best-fit leased team.
+/// a flat snapshot on a team leased at the sizing grain.
 fn run_static(g: &Arc<CsrGraph>, pool: &ExecutorPool, ws: &mut Workspace) -> SpanningForest {
-    let p = preferred_width(g.num_vertices(), g.num_edges(), &pool.team_sizes());
+    let p = preferred_width(g.num_vertices(), g.num_edges(), pool.widths());
     let lease = pool.lease(p);
     let algo = BaderCong::with_defaults();
     ws.reserve(g.num_vertices(), g.num_edges());
@@ -209,7 +209,7 @@ pub(crate) fn apply_update(
         let forest = up.forest.as_mut().expect("seeded above");
         let m = next_view.num_edges();
         let repaired = cfg.repair_budget(n, m).and_then(|budget| {
-            let lease = pool.lease(preferred_width(n, m, &pool.team_sizes()));
+            let lease = pool.lease(preferred_width(n, m, pool.widths()));
             forest
                 .apply_batch_within(&next_view, batch, &lease, &mut up.ws, budget)
                 .ok()
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn a_repair_over_budget_recomputes_to_the_oracle_count() {
         let catalog = GraphCatalog::new();
-        let pool = ExecutorPool::new([2]);
+        let pool = ExecutorPool::new(st_smp::ladder(2));
         let updaters = Mutex::new(HashMap::new());
         // A budget of ~20 units, far below the ~1000 dequeues a cut
         // through the middle of a 1000-vertex path needs.
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn a_panic_inside_the_updater_does_not_wedge_the_graph() {
         let catalog = GraphCatalog::new();
-        let pool = ExecutorPool::new([2]);
+        let pool = ExecutorPool::new(st_smp::ladder(2));
         let updaters = Mutex::new(HashMap::new());
         let cfg = DynConfig::default();
         let id = catalog.register(Arc::new(gen::torus2d(8, 8))).id;

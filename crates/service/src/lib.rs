@@ -1,10 +1,10 @@
 //! Multi-tenant spanning-forest job service.
 //!
 //! [`st_core::Engine`] gives one caller a persistent team; this crate
-//! gives *many* callers a shared machine. A [`Service`] owns a sharded
-//! pool of persistent [`Executor`](st_smp::Executor) teams (e.g.
-//! `[4, 2, 2]` on an 8-core box) behind a bounded, priority-laned
-//! admission queue:
+//! gives *many* callers a shared machine. A [`Service`] owns one budget
+//! of cores over a ladder of persistent [`Executor`](st_smp::Executor)
+//! teams (widths `[2, 1, 1]` on a 2-core box, see [`st_smp::ladder`])
+//! behind a bounded, priority-laned admission queue:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -12,7 +12,7 @@
 //! use st_graph::gen;
 //! use st_service::{Priority, Service};
 //!
-//! let svc = Service::builder().teams([2, 1, 1]).queue_capacity(32).build();
+//! let svc = Service::builder().cores(2).queue_capacity(32).build();
 //! let g = Arc::new(gen::torus2d(32, 32));
 //!
 //! let handle = svc
@@ -39,14 +39,13 @@
 //!   round-robin ([`service::DEFAULT_LANE_WEIGHTS`]), so a saturated
 //!   high-priority tenant gets proportionally more throughput — never
 //!   all of it — and bulk jobs keep a bounded dispatch share.
-//! - **Elasticity.** An opt-in controller
-//!   ([`ServiceBuilder::elastic`]) widens teams under sustained
-//!   backlog and narrows them after sustained idleness, using the
-//!   pool's lease machinery so a running job is never disturbed.
-//! - **Adaptive sizing.** Each job is routed to the team width the §3
-//!   analytic cost model predicts will finish it soonest
-//!   ([`sizing::preferred_width`]) — small graphs take a narrow team and
-//!   leave the wide one free, large graphs take the wide one.
+//! - **One core budget.** Each job leases as many of the
+//!   [`ServiceBuilder::cores`] as its graph can use
+//!   ([`sizing::preferred_width`]: one rank per [`sizing::GRAIN`]
+//!   vertices + edges, a grain measured on real cores) — a large graph
+//!   gets the whole machine, a small one a single core. A lease waits
+//!   only while no core is free, so a small job can wait behind a large
+//!   one that holds every core; no more ranks than cores ever run.
 //! - **Deadlines and cancellation.** [`JobBuilder::deadline`] arms a
 //!   [`CancelToken`](st_smp::CancelToken) the traversal and
 //!   graft-and-shortcut kernels poll at their barrier and publication

@@ -366,6 +366,24 @@ fn resp_with(status: Status, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Appends `words` to `out` as little-endian `u32`s.
+fn extend_le_u32(out: &mut Vec<u8>, words: &[u32]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: `u32` has no padding and every byte pattern is a valid
+        // `u8`; the slice covers exactly the words' memory, whose bytes
+        // on a little-endian target are their little-endian encoding.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words))
+        };
+        out.extend_from_slice(bytes);
+    }
+    #[cfg(not(target_endian = "little"))]
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
 fn job_error_status(err: &JobError) -> Status {
     match err {
         JobError::Backpressure => Status::Backpressure,
@@ -493,17 +511,16 @@ fn handle_request(
             };
             match handle.wait() {
                 Ok(forest) => {
-                    let mut body =
-                        Vec::with_capacity(16 + 4 * (forest.parents.len() + forest.roots.len()));
-                    body.extend_from_slice(&(forest.parents.len() as u64).to_le_bytes());
-                    for &p in &forest.parents {
-                        body.extend_from_slice(&p.to_le_bytes());
-                    }
-                    body.extend_from_slice(&(forest.roots.len() as u64).to_le_bytes());
-                    for &r in &forest.roots {
-                        body.extend_from_slice(&r.to_le_bytes());
-                    }
-                    (resp_with(Status::Ok, &body), false)
+                    // Status byte and body in one buffer: the forest is
+                    // most of the reply, so it is copied exactly once.
+                    let words = forest.parents.len() + forest.roots.len();
+                    let mut out = Vec::with_capacity(1 + 16 + 4 * words);
+                    out.push(Status::Ok.code());
+                    out.extend_from_slice(&(forest.parents.len() as u64).to_le_bytes());
+                    extend_le_u32(&mut out, &forest.parents);
+                    out.extend_from_slice(&(forest.roots.len() as u64).to_le_bytes());
+                    extend_le_u32(&mut out, &forest.roots);
+                    (out, false)
                 }
                 Err(JobError::Panicked(msg)) => {
                     (resp_with(Status::Panicked, msg.as_bytes()), false)
@@ -568,5 +585,24 @@ fn handle_request(
             }
         }
         _ => (resp(Status::Malformed), false),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bulk_encoding_matches_per_word_little_endian() {
+        let words = [0u32, 1, 0xdead_beef, u32::MAX, 0x0102_0304];
+        let mut bulk = vec![0xaa];
+        extend_le_u32(&mut bulk, &words);
+        let mut per_word = vec![0xaa];
+        for w in words {
+            per_word.extend_from_slice(&w.to_le_bytes());
+        }
+        assert_eq!(bulk, per_word);
+        extend_le_u32(&mut bulk, &[]);
+        assert_eq!(bulk.len(), 1 + 4 * words.len());
     }
 }

@@ -11,7 +11,7 @@ use st_core::engine::{SpanningAlgorithm, Workspace};
 use st_core::{BaderCong, RuntimeConfig, SpanningForest};
 use st_graph::{CsrGraph, EdgeBatch};
 use st_obs::{PoolSnapshot, TraceId};
-use st_smp::{CancelToken, ExecutorPool};
+use st_smp::{ladder, CancelToken, ExecutorPool};
 
 use crate::catalog::{CacheKey, GraphCatalog, GraphId, ResultCache};
 use crate::dynamic::{self, UpdateError, UpdateReport};
@@ -159,13 +159,6 @@ struct Shared {
     /// `new = old - old/8 + sample/8` (α = 1/8). Relaxed everywhere —
     /// an estimator tolerates torn freshness by construction.
     queue_delay_est: [AtomicU64; Priority::LANES],
-    /// Width changes the elastic controller has decided but not yet
-    /// landed (team id → target width). Under saturation every team is
-    /// leased almost continuously, so the controller alone would
-    /// practically never find one idle; dispatchers apply the posted
-    /// change right after returning their lease — the one moment a
-    /// saturated pool reliably has an idle team.
-    pending_resizes: Mutex<HashMap<usize, usize>>,
     pool: ExecutorPool,
     catalog: Arc<GraphCatalog>,
     cache: ResultCache,
@@ -195,32 +188,6 @@ impl Shared {
     /// (zero until the first job dequeues from that lane).
     fn queue_delay_estimate_ns(&self, lane: usize) -> u64 {
         self.queue_delay_est[lane].load(Relaxed)
-    }
-
-    /// Lands a posted width change for `team` if the team is idle right
-    /// now. Called by the controller on its tick (catches a fully idle
-    /// pool) and by each dispatcher just after returning its lease
-    /// (catches a saturated one). A still-leased team simply stays
-    /// posted for the next attempt.
-    fn apply_pending_resize(&self, team: usize) {
-        let Some(target) = self.pending_resizes.lock().unwrap().get(&team).copied() else {
-            return;
-        };
-        let old = self.pool.team_sizes()[team];
-        if old == target || self.pool.try_resize_team(team, target) {
-            self.pending_resizes.lock().unwrap().remove(&team);
-            if target > old {
-                self.telemetry.gauges().on_team_grown();
-            } else if target < old {
-                self.telemetry.gauges().on_team_shrunk();
-            }
-        }
-    }
-
-    /// Posts a width change and immediately tries to land it.
-    fn request_resize(&self, team: usize, target: usize) {
-        self.pending_resizes.lock().unwrap().insert(team, target);
-        self.apply_pending_resize(team);
     }
 }
 
@@ -255,36 +222,32 @@ impl CancelObserver for Shared {
 
 /// Builds a [`Service`]; obtained from [`Service::builder`].
 ///
-/// Unset team widths fall back to the `ST_SERVICE_TEAMS` environment
-/// variable (via [`RuntimeConfig::from_env`], so a malformed value
-/// aborts loudly), then to a machine-derived default layout. Every
-/// other unset knob takes its documented default.
+/// An unset core budget falls back to the `ST_SERVICE_CORES`
+/// environment variable (via [`RuntimeConfig::from_env`], so a
+/// malformed value aborts loudly), then to the machine's available
+/// parallelism. Every other unset knob takes its documented default.
 #[derive(Debug, Default)]
 pub struct ServiceBuilder {
-    teams: Option<Vec<usize>>,
+    cores: Option<usize>,
     queue_capacity: Option<usize>,
     catalog: Option<Arc<GraphCatalog>>,
     result_cache_capacity: Option<usize>,
     journal_capacity: Option<usize>,
     slow_job_threshold: Option<Duration>,
     tenant_quota: Option<usize>,
-    elastic: Option<bool>,
-    elastic_idle_ms: Option<u64>,
-    elastic_backlog: Option<usize>,
-    elastic_max_width: Option<usize>,
     dyn_recompute_fraction: Option<f64>,
 }
 
 impl ServiceBuilder {
-    /// Sets the pool's team widths, e.g. `[4, 2, 2]` for one 4-wide and
-    /// two 2-wide persistent teams.
+    /// Sets the core budget `C`: the pool builds the executor [`ladder`]
+    /// of `C` cores, runs one dispatcher per core, and never runs more
+    /// than `C` ranks at once.
     ///
     /// # Panics
     ///
-    /// [`build`](Self::build) panics if the list is empty or contains a
-    /// zero.
-    pub fn teams(mut self, sizes: impl IntoIterator<Item = usize>) -> Self {
-        self.teams = Some(sizes.into_iter().collect());
+    /// [`build`](Self::build) panics on zero.
+    pub fn cores(mut self, cores: usize) -> Self {
+        self.cores = Some(cores);
         self
     }
 
@@ -345,37 +308,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enables (or explicitly disables) the elastic controller, which
-    /// widens teams under sustained backlog and narrows them again
-    /// after a sustained idle window. Default off.
-    pub fn elastic(mut self, on: bool) -> Self {
-        self.elastic = Some(on);
-        self
-    }
-
-    /// Sets how long the whole pool must sit idle (empty queue, no
-    /// leased team) before the controller shrinks one team. Defaults to
-    /// [`DEFAULT_ELASTIC_IDLE_MS`].
-    pub fn elastic_idle_ms(mut self, ms: u64) -> Self {
-        self.elastic_idle_ms = Some(ms);
-        self
-    }
-
-    /// Sets the queue depth that counts as backlog; sustained backlog
-    /// (two consecutive controller ticks) grows one team. Defaults to
-    /// [`DEFAULT_ELASTIC_BACKLOG`].
-    pub fn elastic_backlog(mut self, depth: usize) -> Self {
-        self.elastic_backlog = Some(depth);
-        self
-    }
-
-    /// Caps how wide the controller may grow any team. Defaults to the
-    /// machine's available parallelism.
-    pub fn elastic_max_width(mut self, width: usize) -> Self {
-        self.elastic_max_width = Some(width);
-        self
-    }
-
     /// Sets the repair-work budget of [`Service::apply`], as a fraction
     /// of the graph's n + m: an incremental forest repair that would do
     /// more work than this is abandoned for a full recompute. `0`
@@ -395,14 +327,10 @@ impl ServiceBuilder {
     /// Spawns the teams and dispatcher threads and opens the service.
     pub fn build(self) -> Service {
         let env = RuntimeConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
-        let teams = self
-            .teams
-            .or(env.service_teams)
-            .unwrap_or_else(default_teams);
-        assert!(
-            !teams.is_empty() && teams.iter().all(|&p| p > 0),
-            "team widths must be a non-empty list of sizes >= 1, got {teams:?}"
-        );
+        let cores = self.cores.or(env.service_cores).unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
+        assert!(cores > 0, "the core budget must be >= 1");
         let capacity = self.queue_capacity.unwrap_or(DEFAULT_QUEUE_CAPACITY);
         assert!(capacity > 0, "queue capacity must be >= 1");
         let cache_capacity = self
@@ -418,18 +346,6 @@ impl ServiceBuilder {
             self.tenant_quota != Some(0),
             "a tenant quota of zero would reject every submission"
         );
-        let elastic = ElasticConfig {
-            enabled: self.elastic.unwrap_or(false),
-            idle: Duration::from_millis(self.elastic_idle_ms.unwrap_or(DEFAULT_ELASTIC_IDLE_MS)),
-            backlog: self
-                .elastic_backlog
-                .unwrap_or(DEFAULT_ELASTIC_BACKLOG)
-                .max(1),
-            max_width: self
-                .elastic_max_width
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
-                .max(1),
-        };
         let dyn_cfg = dynamic::DynConfig {
             recompute_fraction: self
                 .dyn_recompute_fraction
@@ -441,7 +357,6 @@ impl ServiceBuilder {
             dyn_cfg.recompute_fraction
         );
 
-        let num_teams = teams.len();
         let shared = Arc::new(Shared {
             queue: Mutex::new(Admission::new()),
             space: Condvar::new(),
@@ -449,17 +364,16 @@ impl ServiceBuilder {
             capacity,
             tenant_quota: self.tenant_quota,
             queue_delay_est: Default::default(),
-            pending_resizes: Mutex::new(HashMap::new()),
-            pool: ExecutorPool::new(teams),
+            pool: ExecutorPool::new(ladder(cores)),
             catalog: self.catalog.unwrap_or_default(),
             cache: ResultCache::new(cache_capacity),
             telemetry: Telemetry::new(journal_capacity, slow_threshold_ns),
             updaters: Mutex::new(HashMap::new()),
             dyn_cfg,
         });
-        // One dispatcher per team: enough to keep every team busy, and a
-        // dispatcher's leased width still adapts per job via best-fit.
-        let dispatchers = (0..num_teams)
+        // One dispatcher per core: every lease holds at least one core,
+        // so that is enough to keep the whole budget busy.
+        let dispatchers = (0..cores)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -468,17 +382,9 @@ impl ServiceBuilder {
                     .expect("spawning a dispatcher thread")
             })
             .collect();
-        let elastic_controller = elastic.enabled.then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("st-service-elastic".to_owned())
-                .spawn(move || elastic_controller(&shared, &elastic))
-                .expect("spawning the elastic controller thread")
-        });
         Service {
             shared,
             dispatchers,
-            elastic_controller,
         }
     }
 }
@@ -493,135 +399,23 @@ pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 64;
 /// high lane gets 4× the low lane's dispatch rate, never all of it.
 pub const DEFAULT_LANE_WEIGHTS: [u32; Priority::LANES] = [4, 2, 1];
 
-/// Default sustained-idle window before the elastic controller shrinks
-/// a team (overridden by the builder).
-pub const DEFAULT_ELASTIC_IDLE_MS: u64 = 250;
-
-/// Default queue depth the elastic controller treats as backlog
-/// (overridden by the builder).
-pub const DEFAULT_ELASTIC_BACKLOG: usize = 4;
-
-/// Resolved elastic-controller settings (builder → defaults).
-#[derive(Clone, Copy, Debug)]
-struct ElasticConfig {
-    enabled: bool,
-    idle: Duration,
-    backlog: usize,
-    max_width: usize,
-}
-
-/// How often the elastic controller samples queue depth and pool
-/// idleness. Short enough that tests with tight idle windows converge,
-/// long enough that the controller's lock traffic is negligible.
-const ELASTIC_TICK: Duration = Duration::from_millis(10);
-
-/// The elastic controller: widens one team after sustained backlog
-/// (two consecutive ticks at or above `backlog`), narrows one after a
-/// sustained fully-idle window.
-///
-/// Resizes ride the pool's lease machinery — [`ExecutorPool::try_resize_team`]
-/// only ever claims an *idle* team, so a running job is never
-/// disturbed. Decisions are *posted* to the pending-resize board and
-/// landed either here (an idle pool) or by a dispatcher the moment it
-/// returns its lease (a saturated one). Grow doubles the narrowest team
-/// (capped at `max_width`), shrink halves the widest (floored at 1), so
-/// width converges geometrically in both directions.
-fn elastic_controller(shared: &Shared, cfg: &ElasticConfig) {
-    let mut backlog_ticks = 0u32;
-    let mut idle_since: Option<Instant> = None;
-    loop {
-        std::thread::sleep(ELASTIC_TICK);
-        let (depth, shutdown) = {
-            let q = shared.queue.lock().unwrap();
-            (q.len, q.shutdown)
-        };
-        if shutdown {
-            return;
-        }
-        // Retry earlier postings first — the pool may have gone idle
-        // since a busy dispatcher last refused one.
-        let posted: Vec<usize> = shared
-            .pending_resizes
-            .lock()
-            .unwrap()
-            .keys()
-            .copied()
-            .collect();
-        for team in posted {
-            shared.apply_pending_resize(team);
-        }
-
-        let all_idle = shared.pool.idle_teams() == shared.pool.num_teams();
-        if depth >= cfg.backlog {
-            backlog_ticks += 1;
-            idle_since = None;
-        } else if depth == 0 && all_idle {
-            backlog_ticks = 0;
-            idle_since.get_or_insert_with(Instant::now);
-        } else {
-            backlog_ticks = 0;
-            idle_since = None;
-        }
-
-        if backlog_ticks >= 2 {
-            // Sustained backlog: grow the narrowest team with headroom.
-            let sizes = shared.pool.team_sizes();
-            if let Some((id, w)) = sizes
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, w)| w < cfg.max_width)
-                .min_by_key(|&(_, w)| w)
-            {
-                shared.request_resize(id, (w * 2).min(cfg.max_width));
-            }
-            // One decision per sustained-backlog observation; the next
-            // needs backlog to persist two more ticks.
-            backlog_ticks = 0;
-        } else if idle_since.is_some_and(|t| t.elapsed() >= cfg.idle) {
-            // Sustained idle: narrow the widest team above the floor.
-            let sizes = shared.pool.team_sizes();
-            if let Some((id, w)) = sizes
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, w)| w > 1)
-                .max_by_key(|&(_, w)| w)
-            {
-                shared.request_resize(id, (w / 2).max(1));
-            }
-            // Restart the idle clock either way: one shrink per window.
-            idle_since = Some(Instant::now());
-        }
-    }
-}
-
-/// Default pool layout: half the cores in one wide team for big jobs,
-/// a quarter in each of two narrower teams for small ones (e.g. 8 cores
-/// → `[4, 2, 2]`).
-fn default_teams() -> Vec<usize> {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let half = (cores / 2).max(1);
-    let quarter = (cores / 4).max(1);
-    vec![half, quarter, quarter]
-}
-
 /// A multi-tenant spanning-forest job service.
 ///
-/// Owns a sharded pool of persistent [`Executor`](st_smp::Executor)
-/// teams and a bounded, priority-laned admission queue. Tenants submit
-/// jobs through the [`job`](Self::job) builder and observe them through
-/// [`JobHandle`]s; dispatcher threads lease the best-fitting team per
-/// job (adaptively sized by the §3 cost model), enforce deadlines and
-/// cooperative cancellation, and isolate panics so one tenant can never
-/// take the pool down.
+/// Owns one budget of cores over a ladder of persistent
+/// [`Executor`](st_smp::Executor) teams and a bounded, priority-laned
+/// admission queue. Tenants submit jobs through the [`job`](Self::job)
+/// builder and observe them through [`JobHandle`]s; dispatcher threads
+/// lease as many cores per job as its graph can use
+/// ([`sizing::preferred_width`](crate::sizing::preferred_width)),
+/// enforce deadlines and cooperative cancellation, and isolate panics so
+/// one tenant can never take the pool down.
 ///
 /// ```
 /// use std::sync::Arc;
 /// use st_graph::gen;
 /// use st_service::Service;
 ///
-/// let svc = Service::builder().teams([2, 1]).queue_capacity(8).build();
+/// let svc = Service::builder().cores(2).queue_capacity(8).build();
 /// let g = Arc::new(gen::torus2d(16, 16));
 /// let handle = svc.job(&g).submit().expect("service is open");
 /// let forest = handle.wait().expect("no deadline, no cancel");
@@ -630,13 +424,12 @@ fn default_teams() -> Vec<usize> {
 pub struct Service {
     shared: Arc<Shared>,
     dispatchers: Vec<JoinHandle<()>>,
-    elastic_controller: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
-            .field("teams", &self.shared.pool.team_sizes())
+            .field("teams", &self.shared.pool.widths())
             .field("queue_capacity", &self.shared.capacity)
             .finish()
     }
@@ -648,10 +441,10 @@ impl Service {
         ServiceBuilder::default()
     }
 
-    /// The pool's current team widths (a snapshot — the elastic
-    /// controller may retune idle teams between calls).
+    /// The pool's executor ladder, widest first: its first entry is the
+    /// core budget (see [`ServiceBuilder::cores`]).
     pub fn team_sizes(&self) -> Vec<usize> {
-        self.shared.pool.team_sizes()
+        self.shared.pool.widths().to_vec()
     }
 
     /// The admission queue's capacity.
@@ -881,9 +674,6 @@ impl Service {
         for d in self.dispatchers.drain(..) {
             let _ = d.join();
         }
-        if let Some(c) = self.elastic_controller.take() {
-            let _ = c.join();
-        }
     }
 
     /// Records a rejected submission (the reason-tagged reject gauge
@@ -1028,8 +818,8 @@ impl JobBuilder<'_> {
     }
 
     /// Requests a specific team width, bypassing the sizing oracle. The
-    /// pool still best-fits: a busy exact-width team means the closest
-    /// idle width serves the job.
+    /// pool still leases only free cores: the job gets the widest ladder
+    /// width no wider than the request or the cores free at dispatch.
     pub fn processors(mut self, p: usize) -> Self {
         self.preferred_p = Some(p);
         self
@@ -1088,8 +878,8 @@ impl JobBuilder<'_> {
     }
 }
 
-/// One dispatcher thread: pops admitted jobs, leases the best-fitting
-/// team, runs the job with cancellation support, and resolves its
+/// One dispatcher thread: pops admitted jobs, leases cores for each,
+/// runs the job with cancellation support, and resolves its
 /// handle. Each dispatcher keeps a private [`Workspace`] so scratch
 /// allocations amortize across the jobs it runs.
 fn dispatcher(shared: &Shared) {
@@ -1140,7 +930,6 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// Runs one job start to finish: deadline/cancel pre-check, team lease,
 /// guarded execution, outcome accounting.
 fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
-    let queue_ns = elapsed_ns(job.submitted_at);
     // A token that fired while the job sat in the queue: resolve without
     // paying for a lease.
     let token = &job.tag.state.token;
@@ -1149,7 +938,7 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
             shared,
             &job.tag,
             Err(JobError::from_token(token)),
-            queue_ns,
+            elapsed_ns(job.submitted_at),
             0,
             None,
         );
@@ -1160,10 +949,13 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
         preferred_width(
             job.graph.num_vertices(),
             job.graph.num_edges(),
-            &shared.pool.team_sizes(),
+            shared.pool.widths(),
         )
     });
     let lease = shared.pool.lease(preferred);
+    // Waiting for a free core is queueing too, so a job's wall time
+    // stays queue + exec.
+    let queue_ns = elapsed_ns(job.submitted_at);
     let team = lease.team_id() as u32;
     shared.telemetry.gauges().on_team_busy();
     shared.telemetry.on_started(&job.tag, team);
@@ -1179,10 +971,6 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     }));
     drop(lease);
     shared.telemetry.gauges().on_team_idle();
-    // The lease just came back: if the elastic controller posted a
-    // width change for this team, this is the guaranteed-idle window
-    // to land it, even when the pool as a whole is saturated.
-    shared.apply_pending_resize(team as usize);
     let exec_ns = elapsed_ns(started);
 
     let result = match run {

@@ -1,88 +1,110 @@
-//! Adaptive team sizing from the §3 analytic cost model.
+//! Job sizing from a measured grain.
 //!
-//! The service's pool shards the machine into teams of different widths.
-//! For each job, the dispatcher asks: *which width should this graph
-//! get?* Pure argmin over the Helman–JáJá prediction for the new
-//! algorithm ([`st_model::analytic::new_algorithm`]) is the wrong
-//! objective in a multi-tenant pool: predicted time keeps improving
-//! (slightly) with width for all but the tiniest graphs, so argmin
-//! would route nearly everything to the widest team and starve it.
-//! Wide teams have opportunity cost — the processors a small job
-//! occupies are processors another tenant's large job can't use.
+//! The service's pool is one budget of cores over a ladder of executor
+//! widths. For each job the dispatcher asks: *how many cores should
+//! this graph get?* A wider team has opportunity cost — the cores a
+//! small job occupies are cores another tenant's job cannot use — so a
+//! doubling is worth it only when it pays at least 1.5× (half of linear
+//! speedup on the added cores).
 //!
-//! Instead we walk the available widths narrow → wide and accept each
-//! step only while the added processors pay at least half of linear
-//! speedup (stepping `a → b` requires predicted speedup
-//! `≥ 1 + (b - a) / 2a`, i.e. ≥ 1.5× for a doubling). The absolute
-//! seconds are calibrated for the paper's E4500, but the *ratios*
-//! across widths — all evaluated on the same profile — are what the
-//! knee rule needs. Small graphs stop at a narrow team because their
-//! O(p) stub and barrier terms swamp the per-processor win; large
-//! graphs amortize them and climb to the widest.
+//! Where that knee falls was measured on a 2-vCPU Xeon (2 MiB L2 per
+//! core): warm `Engine::run` of Bader–Cong at p = 2 against p = 1,
+//! seed 7, median of 7–9 runs per graph.
+//!
+//! | graph | n + m | p2 / p1 |
+//! |---|---|---|
+//! | G(2^10..2^12, 1.5n), torus 64² | ≤ 12 Ki | 0.45–0.85 |
+//! | G(2^14, 1.5n) | 40 Ki | 1.03 |
+//! | G(2^16, 1.5n) | 160 Ki | 1.18 |
+//! | connected(2^16, +4n) | 384 Ki | 1.37 |
+//! | G(2^17, 1.5n) | 320 Ki | 1.40 |
+//! | G(2^18, 1.5n) | 640 Ki | 1.62 |
+//! | G(2^20, 1.5n) | 2.5 Mi | 1.86 |
+//! | connected(2^20, +4n) | 6 Mi | 2.07 |
+//!
+//! A grain of [`GRAIN`] = 256 Ki vertices + edges per rank reproduces
+//! the knee on every row: a job takes width `w` only if its n + m is at
+//! least `w · GRAIN`.
 
-use st_model::analytic::new_algorithm;
-use st_model::machine::MachineProfile;
+/// Vertices plus edges each rank of a team must have before the team
+/// is worth its width.
+pub const GRAIN: usize = 256 << 10;
 
-/// Minimum fraction of linear speedup the added processors of a wider
-/// team must deliver (per the cost model) before a job is routed to it.
-const MIN_MARGINAL_EFFICIENCY: f64 = 0.5;
-
-/// Picks the pool team width an (n, m) job should prefer.
+/// Picks the width an (n, m) job should lease: the widest of `widths`
+/// whose every rank gets at least [`GRAIN`] of the graph's n + m, and
+/// never less than the narrowest.
 ///
-/// `widths` are the pool's team sizes (duplicates fine, any order).
-/// The walk is greedy over adjacent distinct widths, so a job stops at
-/// the first knee even if a much wider team would clear the bar again.
+/// `widths` are the pool's executor widths (duplicates fine, any
+/// order); an empty list yields 1.
 pub fn preferred_width(n: usize, m: usize, widths: &[usize]) -> usize {
-    let machine = MachineProfile::default();
-    let mut candidates: Vec<usize> = widths.to_vec();
-    candidates.sort_unstable();
-    candidates.dedup();
-    let predict = |w: usize| new_algorithm(n, m, w).predicted_seconds(&machine, w);
-    let mut best = candidates.first().copied().unwrap_or(1);
-    let mut best_s = predict(best);
-    for &w in candidates.iter().skip(1) {
-        let s = predict(w);
-        let required = 1.0 + MIN_MARGINAL_EFFICIENCY * (w - best) as f64 / best as f64;
-        if best_s / s < required {
-            break;
-        }
-        best = w;
-        best_s = s;
-    }
-    best
+    let size = n.saturating_add(m);
+    let narrowest = widths.iter().copied().min().unwrap_or(1);
+    widths
+        .iter()
+        .copied()
+        .filter(|&w| w.saturating_mul(GRAIN) <= size)
+        .max()
+        .map_or(narrowest, |w| w.max(narrowest))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The 2-core ladder.
+    const TWO_CORES: [usize; 3] = [2, 1, 1];
+
+    /// G(n, 1.5n) as (n, m).
+    fn gnm(scale: u32) -> (usize, usize) {
+        let n = 1usize << scale;
+        (n, 3 * n / 2)
+    }
+
     #[test]
     fn tiny_graphs_prefer_narrow_teams() {
-        // At n = 32 the stub and barrier terms dominate: no doubling
-        // pays 50% marginal efficiency. At n = 64 the first one does.
-        assert_eq!(preferred_width(32, 48, &[4, 2, 1]), 1);
-        assert_eq!(preferred_width(64, 96, &[4, 2, 1]), 2);
+        // The small-mixed shapes: n + m ≤ 12 Ki runs slower at p = 2.
+        for (n, m) in [gnm(10), gnm(12), (64 * 64, 2 * 64 * 64), (32, 48)] {
+            assert_eq!(preferred_width(n, m, &TWO_CORES), 1, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn measured_table_picks_on_two_cores() {
+        let connected = |scale: u32| (1usize << scale, (1usize << scale) - 1 + (4 << scale));
+        for (name, (n, m), want) in [
+            ("G(2^14)", gnm(14), 1),
+            ("G(2^16), update-read", gnm(16), 1),
+            ("connected(2^16, +4n)", connected(16), 1),
+            ("G(2^17)", gnm(17), 1),
+            ("G(2^18)", gnm(18), 2),
+            ("G(2^20), fig3-sparse", gnm(20), 2),
+            ("connected(2^20, +4n), random-dense", connected(20), 2),
+        ] {
+            assert_eq!(preferred_width(n, m, &TWO_CORES), want, "{name}");
+        }
     }
 
     #[test]
     fn large_graphs_prefer_wide_teams() {
-        assert_eq!(preferred_width(1 << 22, 3 << 21, &[4, 2, 1]), 4);
+        assert_eq!(preferred_width(1 << 22, 3 << 21, &[4, 2, 2, 1, 1, 1, 1]), 4);
     }
 
     #[test]
     fn degenerate_width_lists() {
         assert_eq!(preferred_width(1 << 22, 1 << 22, &[2, 2, 2]), 2);
         assert_eq!(preferred_width(0, 0, &[3]), 3);
+        assert_eq!(preferred_width(1 << 22, 1 << 22, &[]), 1);
+        assert_eq!(preferred_width(usize::MAX, usize::MAX, &[8, 1]), 8);
     }
 
     #[test]
     fn monotone_in_problem_size() {
         // The preferred width never shrinks as the graph grows.
-        let widths = [8, 4, 2, 1];
+        let widths = st_smp::ladder(8);
         let mut last = 1;
         for scale in 6..24 {
-            let n = 1usize << scale;
-            let w = preferred_width(n, 3 * n / 2, &widths);
+            let (n, m) = gnm(scale);
+            let w = preferred_width(n, m, &widths);
             assert!(w >= last, "width shrank at scale {scale}: {w} < {last}");
             last = w;
         }

@@ -331,7 +331,7 @@ mod tests {
     fn every_algorithm_instantiates_and_runs() {
         use st_core::engine::Workspace;
         let g = st_graph::gen::torus2d(8, 8);
-        let pool = st_smp::ExecutorPool::new([2]);
+        let pool = st_smp::ExecutorPool::new(st_smp::ladder(2));
         let mut ws = Workspace::new();
         for algo in AlgorithmId::ALL {
             let boxed = algo.instantiate(7);

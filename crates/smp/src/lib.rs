@@ -12,8 +12,9 @@
 //! * [`executor`] — the persistent version of a team: p workers spawned
 //!   once and parked between jobs, with the barrier and termination
 //!   detector owned by the team and reused across jobs.
-//! * [`pool`] — a fixed set of persistent teams with RAII lease/return,
-//!   the substrate the multi-tenant job service shards the machine over.
+//! * [`pool`] — one budget of cores over a ladder of persistent teams
+//!   with RAII lease/return, the substrate the multi-tenant job service
+//!   sizes each job over.
 //! * [`cancel`] — cooperative cancellation tokens (explicit cancel +
 //!   deadlines) that algorithms poll at synchronization boundaries.
 //! * [`barrier`] — a centralized sense-reversing software barrier.
@@ -63,6 +64,6 @@ pub use dissemination::{DisseminationBarrier, DisseminationToken};
 pub use executor::Executor;
 pub use lock::{SpinLock, TicketLock};
 pub use pad::{CacheAligned, CachePadded};
-pub use pool::{ExecutorLease, ExecutorPool};
+pub use pool::{ladder, ExecutorLease, ExecutorPool};
 pub use steal::{StealPolicy, WorkQueue};
 pub use team::{run_team, TeamCtx};

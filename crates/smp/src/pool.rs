@@ -1,148 +1,177 @@
-//! A shared pool of persistent [`Executor`] teams with lease/return
-//! semantics.
+//! One budget of `C` cores over a fixed ladder of persistent
+//! [`Executor`]s, with lease/return semantics.
 //!
-//! The multi-tenant job service shards the machine's cores into several
-//! long-lived teams (e.g. one 4-wide and two 2-wide) and hands them out
-//! to jobs one at a time. [`ExecutorPool`] owns those teams;
-//! [`ExecutorPool::lease`] blocks until a team is idle and checks one
-//! out as an RAII [`ExecutorLease`] that returns the team on drop —
-//! including when the leasing job panics, which is what keeps one
-//! poisoned job from shrinking the pool forever.
+//! The multi-tenant job service gives each job as many cores as its
+//! graph can use, up to the whole machine. [`ExecutorPool`] owns a
+//! *ladder* of persistent executors ([`ladder`]): for every width `w` in
+//! `{1, 2, 4, …} ∪ {C}` up to `C`, `⌊C / w⌋` executors of that width
+//! (`[2, 1, 1]` on 2 cores). [`ExecutorPool::lease`] takes `w` cores
+//! from the budget, where `w` is the widest ladder width that is at most
+//! both the request and the free cores, and checks out an idle executor
+//! of that width as an RAII [`ExecutorLease`]. Dropping the lease
+//! returns the executor and its cores — including when the leasing job
+//! panics, which is what keeps one poisoned job from shrinking the pool
+//! forever.
 //!
-//! Leasing prefers the idle team whose width is *closest to the
-//! requested size* (exact match first, then the smallest wider team,
-//! then the widest narrower one), so an adaptive sizing oracle can ask
-//! for "about p processors" and the pool does the best it currently
-//! can without holding the job hostage to a busy perfect-fit team.
-//!
-//! The pool is also *elastic*: [`ExecutorPool::try_resize_team`]
-//! replaces an **idle** team's executor with one of a different width,
-//! so a controller can widen teams under sustained backlog and narrow
-//! teams that sit idle. A leased team can never be resized — the lease
-//! owns the executor, and the resize protocol only ever touches teams
-//! currently parked in the idle set (checked and removed under the pool
-//! lock, so a resize and a lease can never both claim one team).
+//! A lease waits only while no core is free. It never waits for an
+//! executor: if `w` cores are free, the leased executors of width `w`
+//! hold at most `C − w` cores, so at most `⌊C / w⌋ − 1` of them are out
+//! and one is idle. And since every leased executor holds one core per
+//! rank, no more than `C` ranks ever run at once.
 
 use std::ops::Deref;
 
 use crate::executor::Executor;
 use crate::sync::{Condvar, Mutex};
 
-struct PoolState {
-    /// Teams not currently leased, tagged with their stable team id
-    /// (the index into [`ExecutorPool::team_sizes`] each team was
-    /// created from — observability needs a name that survives the
-    /// team's travels through leases).
-    idle: Vec<(usize, Executor)>,
-    /// Current team widths, indexed by team id. Mutable because
-    /// [`ExecutorPool::try_resize_team`] rebuilds teams at new widths;
-    /// an entry may briefly disagree with a mid-resize team, which is
-    /// fine because such a team is not in `idle` and cannot be leased.
-    sizes: Vec<usize>,
-}
-
-/// A fixed set of persistent teams, checked out one lease at a time.
+/// The executor widths of a `cores`-core budget, widest first:
+/// `⌊cores / w⌋` executors of each width `w` in `{1, 2, 4, …} ∪ {cores}`
+/// up to `cores`.
 ///
 /// ```
-/// use st_smp::ExecutorPool;
+/// assert_eq!(st_smp::ladder(2), vec![2, 1, 1]);
+/// assert_eq!(st_smp::ladder(3), vec![3, 2, 1, 1, 1]);
+/// ```
 ///
-/// let pool = ExecutorPool::new([2, 1]);
-/// assert_eq!(pool.num_teams(), 2);
-/// let lease = pool.lease(2);            // exact fit
+/// # Panics
+///
+/// Panics if `cores` is zero.
+pub fn ladder(cores: usize) -> Vec<usize> {
+    assert!(cores > 0, "a core budget needs at least one core");
+    let mut widths: Vec<usize> = std::iter::successors(Some(1usize), |&w| w.checked_mul(2))
+        .take_while(|&w| w <= cores)
+        .chain((!cores.is_power_of_two()).then_some(cores))
+        .collect();
+    widths.reverse();
+    widths
+        .into_iter()
+        .flat_map(|w| std::iter::repeat_n(w, cores / w))
+        .collect()
+}
+
+struct PoolState {
+    /// Cores not held by a lease.
+    free: usize,
+    /// Executors not currently leased, tagged with their stable id (the
+    /// index into [`ExecutorPool::widths`] each was created from —
+    /// observability needs a name that survives the executor's travels
+    /// through leases).
+    idle: Vec<(usize, Executor)>,
+}
+
+/// A budget of cores over a fixed ladder of persistent executors,
+/// checked out one lease at a time.
+///
+/// ```
+/// use st_smp::{ladder, ExecutorPool};
+///
+/// let pool = ExecutorPool::new(ladder(2)); // [2, 1, 1]
+/// let lease = pool.lease(2);                // every core
 /// assert_eq!(lease.size(), 2);
-/// let ranks = lease.run(|ctx| ctx.rank());
-/// assert_eq!(ranks, vec![0, 1]);
-/// drop(lease);                          // team returns to the pool
-/// assert_eq!(pool.idle_teams(), 2);
+/// assert_eq!(lease.run(|ctx| ctx.rank()), vec![0, 1]);
+/// assert!(pool.try_lease(1).is_none());     // no core is free
+/// drop(lease);                              // the cores come back
+/// assert_eq!(pool.free_cores(), 2);
 /// ```
 pub struct ExecutorPool {
     state: Mutex<PoolState>,
-    /// Signals lease waiters that a team was returned.
+    /// Signals lease waiters that cores were returned.
     returned: Condvar,
-    /// Number of teams — fixed for the pool's lifetime (elastic resizes
-    /// change widths, never the team count).
-    num_teams: usize,
+    /// The ladder, widest first, indexed by executor id.
+    widths: Vec<usize>,
 }
 
 impl std::fmt::Debug for ExecutorPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutorPool")
-            .field("sizes", &self.team_sizes())
-            .field("idle", &self.idle_teams())
+            .field("widths", &self.widths)
+            .field("free_cores", &self.free_cores())
             .finish()
     }
 }
 
 impl ExecutorPool {
-    /// Builds a pool with one persistent team per entry of
-    /// `team_sizes`, spawning all worker threads up front.
+    /// Builds a pool over the ladder `widths` (any order; see
+    /// [`ladder`]), spawning every executor's worker threads up front.
+    /// The widest width is the core budget.
     ///
     /// # Panics
     ///
-    /// Panics if `team_sizes` is empty or contains a zero.
-    pub fn new(team_sizes: impl IntoIterator<Item = usize>) -> Self {
-        let mut sizes: Vec<usize> = team_sizes.into_iter().collect();
-        assert!(!sizes.is_empty(), "pool needs at least one team");
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        let idle: Vec<(usize, Executor)> = sizes
+    /// Panics if `widths` is empty, contains a zero, or is not the
+    /// ladder of its widest width.
+    pub fn new(widths: impl IntoIterator<Item = usize>) -> Self {
+        let mut widths: Vec<usize> = widths.into_iter().collect();
+        widths.sort_unstable_by(|a, b| b.cmp(a));
+        let cores = widths.first().copied().unwrap_or(0);
+        assert!(
+            cores > 0 && widths.iter().all(|&w| w > 0),
+            "pool needs at least one core, got {widths:?}"
+        );
+        let expected = ladder(cores);
+        assert!(
+            widths == expected,
+            "executor widths {widths:?} are not the ladder of a {cores}-core budget {expected:?}"
+        );
+        let idle = widths
             .iter()
             .enumerate()
-            .map(|(id, &p)| (id, Executor::new(p)))
+            .map(|(id, &w)| (id, Executor::new(w)))
             .collect();
-        let num_teams = sizes.len();
         Self {
-            state: Mutex::new(PoolState { idle, sizes }),
+            state: Mutex::new(PoolState { free: cores, idle }),
             returned: Condvar::new(),
-            num_teams,
+            widths,
         }
     }
 
-    /// Number of teams owned by the pool (leased or idle).
-    pub fn num_teams(&self) -> usize {
-        self.num_teams
+    /// The ladder's executor widths, widest first, indexed by executor
+    /// id; the first is the core budget. Fixed for the pool's lifetime.
+    pub fn widths(&self) -> &[usize] {
+        &self.widths
     }
 
-    /// The current team widths, indexed by team id (snapshot; elastic
-    /// resizes may change widths between calls).
-    pub fn team_sizes(&self) -> Vec<usize> {
-        self.state.lock().sizes.clone()
-    }
-
-    /// Total processors across all teams (snapshot, like
-    /// [`team_sizes`](Self::team_sizes)).
-    pub fn total_processors(&self) -> usize {
-        self.state.lock().sizes.iter().sum()
-    }
-
-    /// Teams currently idle (snapshot; immediately stale under
+    /// Cores not held by a lease (snapshot; immediately stale under
     /// concurrency — use for gauges, not decisions).
-    pub fn idle_teams(&self) -> usize {
+    pub fn free_cores(&self) -> usize {
+        self.state.lock().free
+    }
+
+    /// Executors not currently leased (snapshot, like
+    /// [`free_cores`](Self::free_cores)).
+    pub fn idle_executors(&self) -> usize {
         self.state.lock().idle.len()
     }
 
-    /// Checks out the idle team closest in width to `preferred_p`,
-    /// blocking until one is available.
+    /// Leases the widest executor no wider than `preferred_p` or the
+    /// free cores, blocking only while no core is free. A request of 0
+    /// counts as 1.
     pub fn lease(&self, preferred_p: usize) -> ExecutorLease<'_> {
         let mut s = self.state.lock();
         loop {
-            if let Some(i) = best_fit(&s.idle, preferred_p) {
-                let (team_id, exec) = s.idle.swap_remove(i);
-                return ExecutorLease {
-                    pool: self,
-                    team_id,
-                    exec: Some(exec),
-                };
+            if let Some(lease) = self.claim(&mut s, preferred_p) {
+                return lease;
             }
             self.returned.wait(&mut s);
         }
     }
 
-    /// Non-blocking [`lease`](Self::lease): `None` when every team is
-    /// out.
+    /// Non-blocking [`lease`](Self::lease): `None` when no core is free.
     pub fn try_lease(&self, preferred_p: usize) -> Option<ExecutorLease<'_>> {
-        let mut s = self.state.lock();
-        let i = best_fit(&s.idle, preferred_p)?;
+        self.claim(&mut self.state.lock(), preferred_p)
+    }
+
+    fn claim(&self, s: &mut PoolState, preferred_p: usize) -> Option<ExecutorLease<'_>> {
+        let limit = preferred_p.max(1).min(s.free);
+        // The ladder ends in width 1, so a width fits whenever a core is
+        // free.
+        let w = self.widths.iter().copied().find(|&w| w <= limit)?;
+        let i = s
+            .idle
+            .iter()
+            .position(|(_, e)| e.size() == w)
+            .expect("w free cores leave an idle executor of width w");
         let (team_id, exec) = s.idle.swap_remove(i);
+        s.free -= w;
         Some(ExecutorLease {
             pool: self,
             team_id,
@@ -152,73 +181,16 @@ impl ExecutorPool {
 
     fn give_back(&self, team_id: usize, exec: Executor) {
         let mut s = self.state.lock();
+        s.free += exec.size();
         s.idle.push((team_id, exec));
         drop(s);
         self.returned.notify_all();
     }
-
-    /// Replaces team `team_id`'s executor with a fresh one of width
-    /// `new_p`, provided the team is currently idle.
-    ///
-    /// Returns `false` without side effects when the team is leased,
-    /// unknown, mid-resize, or already `new_p` wide. The idle entry is
-    /// claimed under the pool lock (so a concurrent lease can never
-    /// grab the same team), but the old executor's worker threads are
-    /// joined and the new ones spawned *outside* the lock — lessees of
-    /// other teams are not stalled by a resize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_p` is zero.
-    pub fn try_resize_team(&self, team_id: usize, new_p: usize) -> bool {
-        assert!(new_p >= 1, "a team needs at least one processor");
-        let old = {
-            let mut s = self.state.lock();
-            if s.sizes.get(team_id).copied() == Some(new_p) {
-                return false;
-            }
-            let Some(i) = s.idle.iter().position(|(id, _)| *id == team_id) else {
-                return false;
-            };
-            s.idle.swap_remove(i).1
-        };
-        // Joining the old workers and spawning the new team happens
-        // unlocked; the team id is simply absent from `idle` meanwhile,
-        // exactly as if it were leased.
-        drop(old);
-        let exec = Executor::new(new_p);
-        let mut s = self.state.lock();
-        s.sizes[team_id] = new_p;
-        s.idle.push((team_id, exec));
-        drop(s);
-        self.returned.notify_all();
-        true
-    }
 }
 
-/// Index of the best idle team for a `preferred_p` request: exact width,
-/// else the narrowest team at least as wide, else the widest one.
-fn best_fit(idle: &[(usize, Executor)], preferred_p: usize) -> Option<usize> {
-    let mut wider: Option<(usize, usize)> = None; // (index, width)
-    let mut widest: Option<(usize, usize)> = None;
-    for (i, (_, e)) in idle.iter().enumerate() {
-        let w = e.size();
-        if w == preferred_p {
-            return Some(i);
-        }
-        if w > preferred_p && wider.is_none_or(|(_, bw)| w < bw) {
-            wider = Some((i, w));
-        }
-        if widest.is_none_or(|(_, bw)| w > bw) {
-            widest = Some((i, w));
-        }
-    }
-    wider.or(widest).map(|(i, _)| i)
-}
-
-/// A checked-out team; dereferences to the [`Executor`] and returns it
-/// to the pool on drop (panic-safe: an unwinding job still runs the
-/// drop, so the team is never lost).
+/// A checked-out executor and the cores it holds; dereferences to the
+/// [`Executor`] and returns both to the pool on drop (panic-safe: an
+/// unwinding job still runs the drop, so nothing is ever lost).
 pub struct ExecutorLease<'a> {
     pool: &'a ExecutorPool,
     team_id: usize,
@@ -226,8 +198,8 @@ pub struct ExecutorLease<'a> {
 }
 
 impl ExecutorLease<'_> {
-    /// The leased team's stable id: its index into
-    /// [`ExecutorPool::team_sizes`] (0 = widest team). Ids survive
+    /// The leased executor's stable id: its index into
+    /// [`ExecutorPool::widths`] (0 = the widest). Ids survive
     /// lease/return cycles, so telemetry can attribute jobs to teams.
     pub fn team_id(&self) -> usize {
         self.team_id
@@ -266,20 +238,43 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
+    fn ladders_by_core_count() {
+        assert_eq!(ladder(1), vec![1]);
+        assert_eq!(ladder(2), vec![2, 1, 1]);
+        assert_eq!(ladder(4), vec![4, 2, 2, 1, 1, 1, 1]);
+        assert_eq!(ladder(6), vec![6, 4, 2, 2, 2, 1, 1, 1, 1, 1, 1]);
+        // On 2 cores the ladder spawns exactly one worker thread.
+        let pool = ExecutorPool::new(ladder(2));
+        let l = pool.lease(2);
+        assert_eq!(l.worker_threads(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not the ladder")]
+    fn a_list_that_is_not_a_ladder_is_rejected() {
+        ExecutorPool::new([4, 2, 1]);
+    }
+
+    #[test]
     fn exact_fit_preferred() {
-        let pool = ExecutorPool::new([4, 2, 1]);
+        let pool = ExecutorPool::new(ladder(4));
         let l = pool.lease(2);
         assert_eq!(l.size(), 2);
-        let l2 = pool.lease(2); // 2-wide team is out: narrowest wider team wins
-        assert_eq!(l2.size(), 4);
-        let l3 = pool.lease(2); // only the 1-wide team remains
-        assert_eq!(l3.size(), 1);
+        let l2 = pool.lease(3); // widest width ≤ min(3, 2 free cores)
+        assert_eq!(l2.size(), 2);
+        assert_eq!(pool.free_cores(), 0);
+        drop(l);
+        let l3 = pool.lease(4); // only two cores are free
+        assert_eq!(l3.size(), 2);
+        drop((l2, l3));
+        assert_eq!(pool.lease(0).size(), 1, "a request of 0 counts as 1");
+        assert_eq!(pool.lease(usize::MAX).size(), 4);
     }
 
     #[test]
     fn lease_blocks_until_return() {
-        let pool = ExecutorPool::new([1]);
-        let lease = pool.lease(1);
+        let pool = ExecutorPool::new(ladder(2));
+        let lease = pool.lease(2);
         assert!(pool.try_lease(1).is_none());
         let done = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -293,12 +288,13 @@ mod tests {
             drop(lease);
         });
         assert_eq!(done.load(Ordering::Acquire), 1);
-        assert_eq!(pool.idle_teams(), 1);
+        assert_eq!(pool.free_cores(), 2);
+        assert_eq!(pool.idle_executors(), 3);
     }
 
     #[test]
     fn panicking_job_returns_the_team() {
-        let pool = ExecutorPool::new([2]);
+        let pool = ExecutorPool::new(ladder(2));
         let r = catch_unwind(AssertUnwindSafe(|| {
             let lease = pool.lease(2);
             lease.run(|ctx| {
@@ -308,17 +304,20 @@ mod tests {
             });
         }));
         assert!(r.is_err());
-        // The lease's drop ran during unwinding; the team is back and
-        // still usable (Executor survives panicked jobs).
-        assert_eq!(pool.idle_teams(), 1);
+        // The lease's drop ran during unwinding; the executor and its
+        // cores are back and still usable (Executor survives panicked
+        // jobs).
+        assert_eq!((pool.free_cores(), pool.idle_executors()), (2, 3));
         let l = pool.lease(2);
         assert_eq!(l.run(|ctx| ctx.rank()), vec![0, 1]);
     }
 
     #[test]
     fn concurrent_lessees_share_the_pool() {
-        let pool = ExecutorPool::new([2, 1, 1]);
+        let pool = ExecutorPool::new(ladder(2));
         let total = AtomicUsize::new(0);
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -326,95 +325,50 @@ mod tests {
                         let lease = pool.lease(2);
                         let p = lease.size();
                         lease.run(|_| {
+                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                            peak.fetch_max(now, Ordering::SeqCst);
                             total.fetch_add(1, Ordering::Relaxed);
+                            running.fetch_sub(1, Ordering::SeqCst);
                         });
                         assert!(p == 1 || p == 2);
                     }
                 });
             }
         });
-        assert_eq!(pool.idle_teams(), 3);
+        assert_eq!((pool.free_cores(), pool.idle_executors()), (2, 3));
         assert!(total.load(Ordering::Relaxed) >= 40);
+        assert!(
+            peak.load(Ordering::SeqCst) <= 2,
+            "more ranks ran than cores"
+        );
     }
 
     #[test]
     fn team_ids_are_stable_across_lease_cycles() {
-        let pool = ExecutorPool::new([4, 2, 1]);
-        // Ids index team_sizes: 0 = 4-wide, 1 = 2-wide, 2 = 1-wide.
+        let pool = ExecutorPool::new(ladder(4));
+        // Ids index widths: 0 = 4-wide, 1..=2 = 2-wide, 3..=6 = 1-wide.
         let a = pool.lease(4);
         assert_eq!((a.team_id(), a.size()), (0, 4));
-        let b = pool.lease(2);
-        assert_eq!((b.team_id(), b.size()), (1, 2));
         drop(a);
-        drop(b);
-        // Re-leasing after returns keeps the id/width pairing.
+        let b = pool.lease(2);
+        assert_eq!(pool.widths()[b.team_id()], 2);
         let c = pool.lease(1);
-        assert_eq!((c.team_id(), c.size()), (2, 1));
-        let d = pool.lease(2);
-        assert_eq!((d.team_id(), d.size()), (1, 2));
-        assert_eq!(pool.team_sizes()[d.team_id()], d.size());
+        assert_eq!(pool.widths()[c.team_id()], 1);
+        let (b_id, c_id) = (b.team_id(), c.team_id());
+        drop(b);
+        drop(c);
+        // Re-leasing after returns keeps the id/width pairing.
+        let d = pool.lease(4);
+        assert_eq!((d.team_id(), d.size()), (0, 4));
+        drop(d);
+        for id in [b_id, c_id] {
+            let l = pool.lease(pool.widths()[id]);
+            assert_eq!(pool.widths()[l.team_id()], l.size());
+        }
     }
 
     #[test]
-    fn resize_changes_width_of_idle_team() {
-        let pool = ExecutorPool::new([2, 1]);
-        // Team 0 is the 2-wide one; grow it to 4 and run on it.
-        assert!(pool.try_resize_team(0, 4));
-        assert_eq!(pool.team_sizes(), vec![4, 1]);
-        assert_eq!(pool.total_processors(), 5);
-        let l = pool.lease(4);
-        assert_eq!((l.team_id(), l.size()), (0, 4));
-        assert_eq!(l.run(|ctx| ctx.rank()), vec![0, 1, 2, 3]);
-        drop(l);
-        // Shrink it back below its construction width.
-        assert!(pool.try_resize_team(0, 1));
-        assert_eq!(pool.team_sizes(), vec![1, 1]);
-        let l = pool.lease(4);
-        assert_eq!(l.size(), 1, "widest available after the shrink");
-    }
-
-    #[test]
-    fn resize_refuses_leased_unknown_and_noop() {
-        let pool = ExecutorPool::new([2]);
-        assert!(!pool.try_resize_team(0, 2), "same width is a no-op");
-        assert!(!pool.try_resize_team(7, 4), "unknown team id");
-        let lease = pool.lease(2);
-        assert!(!pool.try_resize_team(0, 4), "a leased team cannot resize");
-        assert_eq!(pool.team_sizes(), vec![2], "refusal leaves widths alone");
-        drop(lease);
-        assert!(pool.try_resize_team(0, 4));
-        assert_eq!(pool.team_sizes(), vec![4]);
-        let l = pool.lease(4);
-        assert_eq!(l.run(|ctx| ctx.rank()).len(), 4);
-    }
-
-    #[test]
-    fn resize_races_leases_without_losing_teams() {
-        let pool = ExecutorPool::new([2, 1]);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for p in [4, 2, 3, 1, 2] {
-                    pool.try_resize_team(0, p);
-                }
-            });
-            s.spawn(|| {
-                for _ in 0..20 {
-                    let lease = pool.lease(2);
-                    lease.run(|_| {});
-                }
-            });
-        });
-        // Both teams are back and the width metadata matches reality.
-        assert_eq!(pool.idle_teams(), 2);
-        let sizes = pool.team_sizes();
-        let a = pool.lease(sizes[0]);
-        let b = pool.lease(sizes[1]);
-        assert_eq!(sizes[a.team_id()], a.size());
-        assert_eq!(sizes[b.team_id()], b.size());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one team")]
+    #[should_panic(expected = "at least one core")]
     fn empty_pool_rejected() {
         ExecutorPool::new([]);
     }

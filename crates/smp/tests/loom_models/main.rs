@@ -29,8 +29,9 @@
 //!   pairing,
 //! * [`executor`] — the persistent team's job-epoch publish/consume
 //!   handshake, panic lifecycle, and detector reuse between jobs,
-//! * [`pool`] — the executor pool's lease/resize handshake (elastic
-//!   width changes may only claim idle teams; teams are conserved),
+//! * [`pool`] — the executor pool's core budget (concurrent leases
+//!   never exceed it; cores and executors are conserved; a waiting
+//!   lease is woken by a return),
 //! * [`dyn_forest`] — the batch-dynamic maintainer's CAS-hook union
 //!   (claim-then-store exclusivity) and the replacement scan's
 //!   write-once edge election.

@@ -21,7 +21,7 @@ use bader_cong_spanning::prelude::*;
 
 fn main() {
     let svc = Service::builder()
-        .teams([2, 1])
+        .cores(2)
         .queue_capacity(32)
         .slow_job_threshold(Duration::from_millis(1))
         .build();

@@ -18,11 +18,11 @@ use std::time::Instant;
 use bader_cong_spanning::prelude::*;
 
 fn main() {
-    // A service with a small sharded pool, wrapped by the TCP
+    // A service with a 4-core budget, wrapped by the TCP
     // front-end on an ephemeral loopback port.
     let service = Arc::new(
         Service::builder()
-            .teams([4, 2, 2])
+            .cores(4)
             .queue_capacity(64)
             .result_cache_capacity(32)
             .build(),

@@ -55,7 +55,7 @@ fn main() {
 
     let service = Arc::new(
         Service::builder()
-            .teams([2, 2])
+            .cores(2)
             .queue_capacity(32)
             .result_cache_capacity(16)
             .build(),

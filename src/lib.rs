@@ -23,7 +23,7 @@
 //! * [`obs`] — the observability layer: always-on per-rank counters,
 //!   per-job [`JobMetrics`](st_obs::JobMetrics) reports, and (behind
 //!   the `obs-trace` feature) phase spans exportable as Chrome traces.
-//! * [`service`] — the multi-tenant job service: a sharded pool of
+//! * [`service`] — the multi-tenant job service: one core budget over
 //!   persistent teams with admission control, priorities, deadlines,
 //!   and cooperative cancellation — plus the graph catalog, result
 //!   cache, and TCP front-end that make it an operable server (see
@@ -67,8 +67,8 @@
 //! ```
 //!
 //! For multi-tenant workloads — many clients submitting jobs against a
-//! shared machine — see the [`service`] crate re-export: a sharded pool
-//! of persistent teams with admission control, deadlines, priorities,
+//! shared machine — see the [`service`] crate re-export: one core
+//! budget over persistent teams with admission control, deadlines, priorities,
 //! and cooperative cancellation.
 
 pub use st_core as core;

@@ -10,7 +10,7 @@ use bader_cong_spanning::service::Submitted;
 
 fn small_service() -> Service {
     Service::builder()
-        .teams([2, 1])
+        .cores(2)
         .queue_capacity(16)
         .result_cache_capacity(8)
         .build()
@@ -274,7 +274,7 @@ fn apply_rejects_unknown_graphs_and_bad_batches() {
 fn randomized_batch_streams_track_the_oracle_across_widths() {
     for p in [1usize, 4, 8] {
         let svc = Service::builder()
-            .teams([p])
+            .cores(p)
             // Never fall back: this test must exercise the incremental
             // maintainer itself at every width.
             .dyn_recompute_fraction(2.0)
@@ -315,7 +315,7 @@ fn randomized_batch_streams_track_the_oracle_across_widths() {
 #[test]
 fn recompute_fraction_zero_forces_the_fallback_path() {
     let svc = Service::builder()
-        .teams([2])
+        .cores(2)
         .dyn_recompute_fraction(0.0)
         .build();
     let gref = svc.catalog().register(Arc::new(gen::torus2d(8, 8)));
@@ -333,7 +333,7 @@ fn recompute_fraction_zero_forces_the_fallback_path() {
 /// full recompute.
 #[test]
 fn small_batches_on_a_giant_component_stay_incremental_at_default_knobs() {
-    let svc = Service::builder().teams([2]).build();
+    let svc = Service::builder().cores(2).build();
     let n = 1 << 12;
     let gref = svc
         .catalog()
@@ -408,7 +408,7 @@ fn pinned_submissions_follow_their_version_not_the_latest() {
 /// `Arc<CsrGraph>` at admission and finish against it.
 #[test]
 fn version_churn_never_dangles_in_flight_jobs() {
-    let svc = Service::builder().teams([2]).queue_capacity(64).build();
+    let svc = Service::builder().cores(2).queue_capacity(64).build();
     let n = 32 * 32;
     let gref = svc.catalog().register(Arc::new(gen::torus2d(32, 32)));
 
@@ -438,7 +438,7 @@ fn version_churn_never_dangles_in_flight_jobs() {
 /// quiescence.
 #[test]
 fn concurrent_submissions_survive_version_churn() {
-    let svc = Arc::new(Service::builder().teams([2, 2]).queue_capacity(128).build());
+    let svc = Arc::new(Service::builder().cores(2).queue_capacity(128).build());
     let n = 24 * 24;
     let gref = svc.catalog().register(Arc::new(gen::torus2d(24, 24)));
 

@@ -66,14 +66,14 @@ fn retired_variables_no_longer_steer_a_run() {
 
 #[test]
 fn a_kept_variable_still_fails_loudly() {
-    let out = run_child(&[("ST_SERVICE_TEAMS", "0")]);
+    let out = run_child(&[("ST_SERVICE_CORES", "0")]);
     let text = combined_output(&out);
     assert!(
         !out.status.success(),
-        "ST_SERVICE_TEAMS=0 was accepted:\n{text}"
+        "ST_SERVICE_CORES=0 was accepted:\n{text}"
     );
     assert!(
-        text.contains("invalid ST_SERVICE_TEAMS"),
+        text.contains("invalid ST_SERVICE_CORES"),
         "the panic does not name the variable:\n{text}"
     );
 }

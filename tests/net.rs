@@ -12,14 +12,14 @@ use bader_cong_spanning::prelude::*;
 use bader_cong_spanning::service::net::{ops, Status, SubmitReply, WireError};
 use bader_cong_spanning::service::AlgorithmId;
 
-fn serve(teams: &[usize], queue_capacity: usize) -> (Server, Arc<Service>) {
-    serve_with(teams, queue_capacity, ServerConfig::default())
+fn serve(cores: usize, queue_capacity: usize) -> (Server, Arc<Service>) {
+    serve_with(cores, queue_capacity, ServerConfig::default())
 }
 
-fn serve_with(teams: &[usize], queue_capacity: usize, cfg: ServerConfig) -> (Server, Arc<Service>) {
+fn serve_with(cores: usize, queue_capacity: usize, cfg: ServerConfig) -> (Server, Arc<Service>) {
     let svc = Arc::new(
         Service::builder()
-            .teams(teams.to_vec())
+            .cores(cores)
             .queue_capacity(queue_capacity)
             .result_cache_capacity(8)
             .build(),
@@ -30,7 +30,7 @@ fn serve_with(teams: &[usize], queue_capacity: usize, cfg: ServerConfig) -> (Ser
 
 #[test]
 fn ping_echoes() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     assert_eq!(c.ping(b"hello").unwrap(), b"hello");
     assert_eq!(c.ping(b"").unwrap(), b"");
@@ -39,7 +39,7 @@ fn ping_echoes() {
 
 #[test]
 fn register_submit_wait_roundtrip() {
-    let (server, _svc) = serve(&[2, 1], 16);
+    let (server, _svc) = serve(2, 16);
     let g = gen::torus2d(16, 16);
     let mut c = Client::connect(server.local_addr()).unwrap();
 
@@ -55,7 +55,7 @@ fn register_submit_wait_roundtrip() {
 
 #[test]
 fn cache_hits_are_visible_remotely() {
-    let (server, svc) = serve(&[2], 8);
+    let (server, svc) = serve(2, 8);
     let g = gen::torus2d(16, 16);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -74,7 +74,7 @@ fn cache_hits_are_visible_remotely() {
 
 #[test]
 fn every_algorithm_runs_remotely() {
-    let (server, _svc) = serve(&[2], 8);
+    let (server, _svc) = serve(2, 8);
     let g = gen::random_gnm(1_000, 3_000, 3);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -95,7 +95,7 @@ fn every_algorithm_runs_remotely() {
 
 #[test]
 fn unknown_graph_and_unknown_ticket() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let bogus = SubmitRequest::new(bader_cong_spanning::service::net::RemoteGraph {
         id: 999,
@@ -112,7 +112,7 @@ fn unknown_graph_and_unknown_ticket() {
 
 #[test]
 fn waiting_twice_consumes_the_ticket() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let g = gen::torus2d(8, 8);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -125,7 +125,7 @@ fn waiting_twice_consumes_the_ticket() {
 
 #[test]
 fn malformed_requests_get_malformed_status() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     // Unknown opcode.
     let (status, _) = c.raw_call(&[0xEE]).unwrap();
@@ -153,7 +153,7 @@ fn malformed_requests_get_malformed_status() {
 
 #[test]
 fn bad_graph_bytes_are_rejected() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let mut req = vec![ops::REGISTER];
     req.extend_from_slice(b"not a graph at all");
@@ -165,7 +165,7 @@ fn bad_graph_bytes_are_rejected() {
 
 #[test]
 fn register_with_lying_header_is_rejected_not_fatal() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     // A valid STCSRv01 magic with astronomical declared sizes and no
     // payload: must come back as a clean BadGraph, not crash the
@@ -191,7 +191,7 @@ fn catalog_limit_bounds_remote_registration() {
         max_catalog_entries: 2,
         ..ServerConfig::default()
     };
-    let (server, svc) = serve_with(&[1], 4, cfg);
+    let (server, svc) = serve_with(1, 4, cfg);
     let g = gen::torus2d(4, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let first = c.register(&g).unwrap();
@@ -206,7 +206,7 @@ fn catalog_limit_bounds_remote_registration() {
 
 #[test]
 fn oversized_response_poisons_the_client() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let mut c = Client::connect(server.local_addr())
         .unwrap()
         .with_max_frame_bytes(8);
@@ -229,7 +229,7 @@ fn oversized_frames_are_rejected_and_close_the_connection() {
         max_frame_bytes: 1024,
         ..ServerConfig::default()
     };
-    let (server, _svc) = serve_with(&[1], 4, cfg);
+    let (server, _svc) = serve_with(1, 4, cfg);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let big = vec![0u8; 4096];
     let err = {
@@ -248,7 +248,7 @@ fn oversized_frames_are_rejected_and_close_the_connection() {
 
 #[test]
 fn truncated_frame_then_disconnect_leaves_server_healthy() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     {
         // Write half a length prefix and vanish.
         let mut s = TcpStream::connect(server.local_addr()).unwrap();
@@ -268,7 +268,7 @@ fn truncated_frame_then_disconnect_leaves_server_healthy() {
 
 #[test]
 fn frames_split_across_tcp_segments_reassemble() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     // Hand-feed a PING frame a few bytes at a time with pauses, forcing
     // the server through its partial-read path.
@@ -289,7 +289,7 @@ fn frames_split_across_tcp_segments_reassemble() {
 #[test]
 fn remote_backpressure_when_the_queue_fills() {
     // One 1-wide team and a tiny queue; jobs are made slow by size.
-    let (server, _svc) = serve(&[1], 2);
+    let (server, _svc) = serve(1, 2);
     let g = gen::random_gnm(200_000, 400_000, 9);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -323,7 +323,7 @@ fn remote_tenant_quota_is_a_typed_error() {
     // Quota of one queued job per tenant.
     let svc = Arc::new(
         Service::builder()
-            .teams(vec![1])
+            .cores(1)
             .queue_capacity(8)
             .result_cache_capacity(8)
             .tenant_quota(1)
@@ -359,7 +359,7 @@ fn remote_tenant_quota_is_a_typed_error() {
 
 #[test]
 fn remote_unmeetable_deadline_is_a_typed_error() {
-    let (server, svc) = serve(&[1], 8);
+    let (server, svc) = serve(1, 8);
     let g = gen::random_gnm(100_000, 200_000, 7);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -396,7 +396,7 @@ fn remote_unmeetable_deadline_is_a_typed_error() {
 
 #[test]
 fn remote_cancel_resolves_the_job() {
-    let (server, _svc) = serve(&[1], 8);
+    let (server, _svc) = serve(1, 8);
     let g = gen::random_gnm(100_000, 200_000, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -413,7 +413,7 @@ fn remote_cancel_resolves_the_job() {
 
 #[test]
 fn remote_deadline_is_observed() {
-    let (server, _svc) = serve(&[1], 8);
+    let (server, _svc) = serve(1, 8);
     let g = gen::random_gnm(100_000, 200_000, 5);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -440,7 +440,7 @@ fn connection_limit_answers_busy() {
         max_connections: 2,
         ..ServerConfig::default()
     };
-    let (server, _svc) = serve_with(&[1], 4, cfg);
+    let (server, _svc) = serve_with(1, 4, cfg);
     let mut a = Client::connect(server.local_addr()).unwrap();
     let mut b = Client::connect(server.local_addr()).unwrap();
     a.ping(b"a").unwrap();
@@ -459,7 +459,7 @@ fn connection_limit_answers_busy() {
 
 #[test]
 fn metrics_are_scrapeable_remotely() {
-    let (server, _svc) = serve(&[2], 8);
+    let (server, _svc) = serve(2, 8);
     let g = gen::torus2d(16, 16);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -475,7 +475,7 @@ fn metrics_are_scrapeable_remotely() {
 
 #[test]
 fn concurrent_clients_share_the_catalog() {
-    let (server, _svc) = serve(&[2, 1, 1], 32);
+    let (server, _svc) = serve(2, 32);
     let g = gen::torus2d(32, 32);
     let remote = {
         let mut c = Client::connect(server.local_addr()).unwrap();
@@ -502,7 +502,7 @@ fn concurrent_clients_share_the_catalog() {
 
 #[test]
 fn shutdown_drains_idle_and_active_connections() {
-    let (server, svc) = serve(&[2], 8);
+    let (server, svc) = serve(2, 8);
     let g = gen::torus2d(16, 16);
     let mut busy = Client::connect(server.local_addr()).unwrap();
     let _idle = Client::connect(server.local_addr()).unwrap();
@@ -525,7 +525,7 @@ fn shutdown_drains_idle_and_active_connections() {
 
 #[test]
 fn update_bumps_versions_and_keeps_the_forest_current() {
-    let (server, svc) = serve(&[2], 8);
+    let (server, svc) = serve(2, 8);
     let g = gen::torus2d(16, 16);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -555,7 +555,7 @@ fn update_bumps_versions_and_keeps_the_forest_current() {
 
 #[test]
 fn update_rejects_unknown_graphs_and_bad_batches() {
-    let (server, _svc) = serve(&[1], 4);
+    let (server, _svc) = serve(1, 4);
     let g = gen::torus2d(4, 4);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -572,7 +572,7 @@ fn update_rejects_unknown_graphs_and_bad_batches() {
 
 #[test]
 fn pinned_submissions_and_stale_versions_on_the_wire() {
-    let (server, _svc) = serve(&[2], 8);
+    let (server, _svc) = serve(2, 8);
     let g = gen::torus2d(8, 8);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();

@@ -2,7 +2,7 @@
 //! concurrent tenants, backpressure, deadlines, cancellation, priority
 //! ordering, panic isolation, and shutdown semantics.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -131,10 +131,7 @@ impl SpanningAlgorithm for Tagged {
 fn many_tenants_all_get_valid_forests() {
     const TENANTS: usize = 4;
     const JOBS_PER_TENANT: usize = 5;
-    let svc = Service::builder()
-        .teams([2, 1, 1])
-        .queue_capacity(16)
-        .build();
+    let svc = Service::builder().cores(2).queue_capacity(16).build();
     let graphs = [
         Arc::new(gen::torus2d(40, 40)),
         Arc::new(gen::random_gnm(2_000, 3_000, 7)),
@@ -167,7 +164,7 @@ fn many_tenants_all_get_valid_forests() {
 
 #[test]
 fn full_queue_try_submit_reports_backpressure() {
-    let svc = Service::builder().teams([1]).queue_capacity(1).build();
+    let svc = Service::builder().cores(1).queue_capacity(1).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("queue empty");
@@ -188,7 +185,7 @@ fn full_queue_try_submit_reports_backpressure() {
 
 #[test]
 fn deadline_in_queue_reports_deadline_exceeded() {
-    let svc = Service::builder().teams([1]).queue_capacity(4).build();
+    let svc = Service::builder().cores(1).queue_capacity(4).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("queue empty");
@@ -212,7 +209,7 @@ fn deadline_in_queue_reports_deadline_exceeded() {
 
 #[test]
 fn queued_job_can_be_cancelled_before_running() {
-    let svc = Service::builder().teams([1]).queue_capacity(4).build();
+    let svc = Service::builder().cores(1).queue_capacity(4).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("queue empty");
@@ -231,14 +228,19 @@ fn queued_job_can_be_cancelled_before_running() {
 
 #[test]
 fn cancellation_mid_traversal_leaves_pool_reusable() {
-    let svc = Service::builder().teams([2]).queue_capacity(4).build();
+    let svc = Service::builder().cores(2).queue_capacity(4).build();
     let big = Arc::new(gen::torus2d(150, 150));
     let started = Arc::new(AtomicBool::new(false));
     let notify = Notify {
         inner: BaderCong::with_defaults(),
         started: Arc::clone(&started),
     };
-    let handle = svc.job(&big).algorithm(notify).submit().expect("open");
+    let handle = svc
+        .job(&big)
+        .algorithm(notify)
+        .processors(2)
+        .submit()
+        .expect("open");
     wait_until("job to start traversing", || {
         started.load(Ordering::Acquire)
     });
@@ -258,7 +260,7 @@ fn cancellation_mid_traversal_leaves_pool_reusable() {
 
 #[test]
 fn panicked_job_is_isolated_from_other_tenants() {
-    let svc = Service::builder().teams([1]).queue_capacity(4).build();
+    let svc = Service::builder().cores(1).queue_capacity(4).build();
     let g = Arc::new(gen::torus2d(16, 16));
 
     let bad = svc.job(&g).algorithm(Boom).submit().expect("open");
@@ -279,7 +281,7 @@ fn panicked_job_is_isolated_from_other_tenants() {
 
 #[test]
 fn queued_jobs_dispatch_in_priority_order() {
-    let svc = Service::builder().teams([1]).queue_capacity(8).build();
+    let svc = Service::builder().cores(1).queue_capacity(8).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     let (gate, started, release) = Gate::new();
@@ -317,7 +319,7 @@ fn queued_jobs_dispatch_in_priority_order() {
 
 #[test]
 fn shutdown_drains_queued_jobs_without_running_them() {
-    let svc = Service::builder().teams([1]).queue_capacity(4).build();
+    let svc = Service::builder().cores(1).queue_capacity(4).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("queue empty");
@@ -345,7 +347,7 @@ fn shutdown_drains_queued_jobs_without_running_them() {
 
 #[test]
 fn blocking_submit_waits_for_space_instead_of_failing() {
-    let svc = Service::builder().teams([1]).queue_capacity(1).build();
+    let svc = Service::builder().cores(1).queue_capacity(1).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("queue empty");
@@ -381,34 +383,9 @@ fn blocking_submit_waits_for_space_instead_of_failing() {
     assert_eq!(snap.completed, 3);
 }
 
-/// Sleeps a few milliseconds before spanning, so a stream of these
-/// keeps the admission queue backed up long enough for the elastic
-/// controller to observe sustained backlog.
-struct Slow {
-    ms: u64,
-    inner: BaderCong,
-}
-
-impl SpanningAlgorithm for Slow {
-    fn name(&self) -> &'static str {
-        "slow"
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        exec: &Executor,
-        ws: &mut Workspace,
-        cancel: &CancelToken,
-    ) -> Result<SpanningForest, Cancelled> {
-        std::thread::sleep(Duration::from_millis(self.ms));
-        self.inner.run(g, exec, ws, cancel)
-    }
-}
-
 #[test]
 fn cancelled_queued_job_releases_its_lane_slot_eagerly() {
-    let svc = Service::builder().teams([1]).queue_capacity(1).build();
+    let svc = Service::builder().cores(1).queue_capacity(1).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("queue empty");
@@ -448,7 +425,7 @@ fn cancelled_queued_job_releases_its_lane_slot_eagerly() {
 
 #[test]
 fn shutdown_drain_classifies_tripped_deadline_from_the_token() {
-    let svc = Service::builder().teams([1]).queue_capacity(4).build();
+    let svc = Service::builder().cores(1).queue_capacity(4).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("queue empty");
@@ -484,7 +461,7 @@ fn shutdown_drain_classifies_tripped_deadline_from_the_token() {
 #[test]
 fn tenant_quota_caps_queued_jobs_and_frees_on_cancel() {
     let svc = Service::builder()
-        .teams([1])
+        .cores(1)
         .queue_capacity(8)
         .tenant_quota(2)
         .build();
@@ -529,7 +506,7 @@ fn tenant_quota_caps_queued_jobs_and_frees_on_cancel() {
 
 #[test]
 fn deadline_shorter_than_estimated_queue_delay_is_rejected() {
-    let svc = Service::builder().teams([1]).queue_capacity(8).build();
+    let svc = Service::builder().cores(1).queue_capacity(8).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let (gate, started, release) = Gate::new();
     let gated = svc.job(&g).algorithm(gate).submit().expect("open");
@@ -568,7 +545,7 @@ fn deadline_shorter_than_estimated_queue_delay_is_rejected() {
 fn saturated_high_lane_cannot_starve_the_bulk_lane() {
     // Default weights [4, 2, 1]: one rotation grants the high lane 4
     // dispatches and the (empty) normal lane's turn passes to low.
-    let svc = Service::builder().teams([1]).queue_capacity(16).build();
+    let svc = Service::builder().cores(1).queue_capacity(16).build();
     let g = Arc::new(gen::torus2d(8, 8));
     let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     let (gate, started, release) = Gate::new();
@@ -624,50 +601,105 @@ fn saturated_high_lane_cannot_starve_the_bulk_lane() {
 }
 
 #[test]
-fn elastic_pool_grows_under_backlog_and_shrinks_when_idle() {
-    // Width trajectory under load: 1 → 2 → 4 → 8 (doubling per grow
-    // decision), then back down 8 → 4 → 2 → 1 across idle windows —
-    // covering p ∈ {1, 4, 8} in both directions.
-    let svc = Service::builder()
-        .teams([1])
-        .queue_capacity(64)
-        .elastic(true)
-        .elastic_backlog(2)
-        .elastic_idle_ms(40)
-        .elastic_max_width(8)
-        .build();
-    assert_eq!(svc.team_sizes(), vec![1]);
-    let g = Arc::new(gen::torus2d(8, 8));
-    let handles: Vec<_> = (0..60)
-        .map(|_| {
-            svc.job(&g)
-                .algorithm(Slow {
-                    ms: 5,
-                    inner: BaderCong::with_defaults(),
-                })
-                .submit()
-                .expect("open")
+fn grain_sizing_gives_a_large_job_every_core() {
+    let svc = Service::builder().cores(2).build();
+    assert_eq!(svc.team_sizes(), vec![2, 1, 1]);
+    // G(2^18, 1.5n): n + m = 640 Ki clears two ranks' grain.
+    let large = Arc::new(gen::random_gnm(1 << 18, 3 << 17, 7));
+    // G(2^12, 1.5n): 10 Ki, far below one rank's grain.
+    let small = Arc::new(gen::random_gnm(1 << 12, 3 << 11, 7));
+    for (g, p) in [(&large, 2), (&small, 1)] {
+        let forest = svc.job(g).submit().expect("open").wait().expect("ran");
+        assert!(is_spanning_forest(g, &forest.parents));
+        assert_eq!(forest.stats.metrics.p, p, "n = {}", g.num_vertices());
+    }
+}
+
+/// Counts the ranks running across all jobs before spanning.
+struct CountRanks {
+    inner: BaderCong,
+    running: Arc<AtomicUsize>,
+    peak: Arc<AtomicUsize>,
+}
+
+impl SpanningAlgorithm for CountRanks {
+    fn name(&self) -> &'static str {
+        "count-ranks"
+    }
+
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
+        exec.run(|_| {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(2));
+            self.running.fetch_sub(1, Ordering::SeqCst);
+        });
+        self.inner.run(g, exec, ws, cancel)
+    }
+}
+
+#[test]
+fn jobs_in_flight_never_run_more_ranks_than_cores() {
+    let svc = Service::builder().cores(2).queue_capacity(16).build();
+    let g = Arc::new(gen::torus2d(16, 16));
+    let running = Arc::new(AtomicUsize::new(0));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let handles: Vec<_> = (0..8)
+        .map(|i| {
+            let algo = CountRanks {
+                inner: BaderCong::with_defaults(),
+                running: Arc::clone(&running),
+                peak: Arc::clone(&peak),
+            };
+            // Half ask for both cores, half leave it to the sizing rule.
+            let job = svc.job(&g).algorithm(algo);
+            let job = if i % 2 == 0 { job.processors(2) } else { job };
+            job.submit().expect("open")
         })
         .collect();
-    wait_until("sustained backlog to grow the team to max width", || {
-        svc.team_sizes()[0] == 8
-    });
     for h in handles {
-        assert!(h.wait().is_ok());
+        let forest = h.wait().expect("no deadline, no cancel");
+        assert!(is_spanning_forest(&g, &forest.parents));
     }
-    wait_until("sustained idleness to shrink the team back down", || {
-        svc.team_sizes()[0] == 1
+    let peak = peak.load(Ordering::SeqCst);
+    assert!(
+        (1..=2).contains(&peak),
+        "{peak} ranks ran on a 2-core budget"
+    );
+    assert_eq!(svc.shutdown().completed, 8);
+}
+
+#[test]
+fn a_small_job_waits_for_a_large_one_holding_every_core() {
+    let svc = Service::builder().cores(2).queue_capacity(4).build();
+    let g = Arc::new(gen::torus2d(8, 8));
+    let (gate, started, release) = Gate::new();
+    let large = svc
+        .job(&g)
+        .algorithm(gate)
+        .processors(2)
+        .submit()
+        .expect("open");
+    wait_until("the large job to hold both cores", || {
+        started.load(Ordering::Acquire)
     });
-    let snap = svc.shutdown();
+    // The second dispatcher takes the small job but finds no free core.
+    let mut small = svc.job(&g).submit().expect("open");
+    std::thread::sleep(Duration::from_millis(30));
     assert!(
-        snap.teams_grown >= 3,
-        "1→8 needs at least three grow steps, saw {}",
-        snap.teams_grown
+        small.try_wait().is_none(),
+        "the small job ran while every core was leased"
     );
-    assert!(
-        snap.teams_shrunk >= 3,
-        "8→1 needs at least three shrink steps, saw {}",
-        snap.teams_shrunk
-    );
-    assert_eq!(snap.completed, 60);
+    release.store(true, Ordering::Release);
+    let large = large.wait().expect("released");
+    assert_eq!(large.stats.metrics.p, 2);
+    let small = small.wait().expect("woken by the large job's return");
+    assert!(is_spanning_forest(&g, &small.parents));
+    assert_eq!(svc.shutdown().completed, 2);
 }

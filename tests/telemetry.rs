@@ -10,10 +10,10 @@ use std::time::Duration;
 
 use bader_cong_spanning::prelude::*;
 
-fn serve(teams: &[usize]) -> (Server, Arc<Service>) {
+fn serve(cores: usize) -> (Server, Arc<Service>) {
     let svc = Arc::new(
         Service::builder()
-            .teams(teams.to_vec())
+            .cores(cores)
             .queue_capacity(16)
             .result_cache_capacity(8)
             .build(),
@@ -40,7 +40,7 @@ fn http_get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
 
 #[test]
 fn submit_trace_appears_in_journal_with_full_lifecycle() {
-    let (server, svc) = serve(&[2]);
+    let (server, svc) = serve(2);
     let g = gen::torus2d(24, 24);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
@@ -78,7 +78,7 @@ fn submit_trace_appears_in_journal_with_full_lifecycle() {
 
 #[test]
 fn handle_trace_id_matches_journal_for_in_process_jobs() {
-    let svc = Service::builder().teams([2]).queue_capacity(8).build();
+    let svc = Service::builder().cores(2).queue_capacity(8).build();
     let g = Arc::new(gen::torus2d(16, 16));
     let handle = svc.job(&g).submit().expect("open");
     let trace = handle.trace_id();
@@ -99,7 +99,7 @@ fn handle_trace_id_matches_journal_for_in_process_jobs() {
 
 #[test]
 fn live_metrics_page_passes_exposition_lint_and_reconciles() {
-    let svc = Service::builder().teams([2, 1]).queue_capacity(16).build();
+    let svc = Service::builder().cores(2).queue_capacity(16).build();
     let gref = svc.catalog().register(Arc::new(gen::torus2d(32, 32)));
     for seed in 0..5u64 {
         svc.submit_spec(JobSpec::new(gref.id).seed(seed))
@@ -153,7 +153,7 @@ fn live_metrics_page_passes_exposition_lint_and_reconciles() {
 
 #[test]
 fn http_endpoints_share_the_listener_with_the_binary_protocol() {
-    let (server, svc) = serve(&[2]);
+    let (server, svc) = serve(2);
     let addr = server.local_addr();
     let g = gen::torus2d(24, 24);
 
@@ -256,7 +256,7 @@ fn http_endpoints_share_the_listener_with_the_binary_protocol() {
 #[test]
 fn slow_job_log_keeps_full_metrics() {
     let svc = Service::builder()
-        .teams([2])
+        .cores(2)
         .queue_capacity(8)
         .slow_job_threshold(Duration::from_nanos(1))
         .build();
@@ -284,7 +284,7 @@ fn slow_job_log_keeps_full_metrics() {
 #[test]
 fn journal_capacity_knob_bounds_and_counts_drops() {
     let svc = Service::builder()
-        .teams([1])
+        .cores(1)
         .queue_capacity(8)
         .journal_capacity(4)
         .build();
@@ -341,7 +341,7 @@ impl SpanningAlgorithm for HoldTeam {
 #[test]
 fn swept_deadline_job_reconciles_journal_gauges_and_exposition() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    let svc = Service::builder().teams([1]).queue_capacity(4).build();
+    let svc = Service::builder().cores(1).queue_capacity(4).build();
     let g = Arc::new(gen::torus2d(16, 16));
     let started = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
@@ -445,7 +445,7 @@ fn series_set(page: &str) -> std::collections::BTreeSet<String> {
 
 #[test]
 fn exposition_series_set_is_pinned() {
-    let svc = Service::builder().teams([2, 1]).queue_capacity(8).build();
+    let svc = Service::builder().cores(2).queue_capacity(8).build();
     let fresh = series_set(&svc.render_metrics());
 
     // A mixed workload: every lane, every catalog algorithm, a cache
@@ -527,8 +527,6 @@ const PINNED_SERIES: &[&str] = &[
     "st_service_lane_rejected_total counter {lane=\"high\"}",
     "st_service_lane_rejected_total counter {lane=\"low\"}",
     "st_service_lane_rejected_total counter {lane=\"normal\"}",
-    "st_service_pool_resizes_total counter {direction=\"grow\"}",
-    "st_service_pool_resizes_total counter {direction=\"shrink\"}",
     "st_service_queue_depth gauge {}",
     "st_service_queue_depth_peak gauge {}",
     "st_service_queue_wait_seconds_total counter {}",
