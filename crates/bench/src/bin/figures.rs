@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 
 use st_bench::report::{render_table, save_results};
-use st_bench::runner::{run_cell, Algorithm, Mode, ResultRow};
+use st_bench::runner::{bader_cong_wall_config, run_cell, Algorithm, Mode, ResultRow};
 use st_bench::workloads::Workload;
 use st_core::bader_cong::BaderCong;
 use st_core::sv::{self, GraftVariant, SvConfig};
@@ -190,7 +190,9 @@ fn fig4(opts: &Opts) {
 
 /// CLAIM-RACE: "the number of vertices that appear in multiple
 /// processors' queues … less than ten vertices for a graph with
-/// millions of vertices."
+/// millions of vertices." Measured on the paper's top-down traversal
+/// (the wall-mode configuration), where every vertex is claimed by a
+/// race-prone test-and-set; bottom-up sweeps cannot collide.
 fn races(opts: &Opts) {
     let n = 1usize << opts.scale.unwrap_or(14);
     println!("## CLAIM-RACE — concurrently-colored vertices (real threaded runs)");
@@ -205,7 +207,7 @@ fn races(opts: &Opts) {
     ] {
         let g = w.build(n, opts.seed);
         for p in [2usize, 4, 8] {
-            let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
+            let f = Engine::new(p).run(&BaderCong::new(bader_cong_wall_config()), &g);
             assert!(f.is_valid_for(&g));
             let per_million = f.stats.multi_colored as f64 * 1e6 / g.num_vertices() as f64;
             println!(

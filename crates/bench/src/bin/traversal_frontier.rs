@@ -16,9 +16,10 @@
 //!   = 1`, `local_batch = 1`; every discovered vertex goes through the
 //!   shared queue, one lock acquisition per push and per pop.
 //! * `frontier` — [`TraversalConfig::default`]: the two-level frontier
-//!   with threshold publication and sleeper-driven donation
-//!   (`ST_DIRECTION` flows through here, which is how the CI smoke
-//!   forces the bottom-up and hybrid paths on a small scale).
+//!   with threshold publication and sleeper-driven donation, in the
+//!   default direction (hybrid). `ST_DIRECTION` flows through here,
+//!   which is how the CI smokes force the bottom-up and top-down paths
+//!   on a small scale.
 //! * `hybrid` — the two-level frontier with
 //!   [`Direction::Hybrid`]: top-down until the live frontier crosses
 //!   the α/β threshold, then barriered bottom-up sweeps.

@@ -5,10 +5,12 @@ use std::sync::{Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use st_core::bader_cong::{BaderCong, Config};
+use st_core::config::RuntimeConfig;
 use st_core::engine::Engine;
 use st_core::hcs::Hcs;
 use st_core::seq;
 use st_core::sv::{GraftVariant, Sv, SvConfig};
+use st_core::traversal::Direction;
 use st_graph::CsrGraph;
 use st_model::sim::{
     simulate_bader_cong, simulate_sequential_bfs, simulate_sv, TraversalSimConfig,
@@ -35,13 +37,21 @@ pub fn with_engine<R>(p: usize, f: impl FnOnce(&mut Engine) -> R) -> R {
     f(engine)
 }
 
-/// The Bader–Cong configuration wall-mode cells run. The traversal
-/// knobs `ST_PUBLISH_THRESHOLD` and `ST_DIRECTION` are read from the
-/// environment by
-/// [`TraversalConfig::default`](st_core::traversal::TraversalConfig),
-/// so those sweeps need no recompile and no harness-side parsing.
+/// The Bader–Cong configuration wall-mode cells run: the paper's
+/// top-down traversal, since the cells reproduce the paper's figures.
+/// The traversal knobs `ST_PUBLISH_THRESHOLD` and `ST_DIRECTION` are
+/// read from the environment by
+/// [`TraversalConfig::default`](st_core::traversal::TraversalConfig)
+/// and still apply here, so those sweeps need no recompile and no
+/// harness-side parsing.
 pub fn bader_cong_wall_config() -> Config {
-    Config::default()
+    let mut cfg = Config::default();
+    // `Config::default` has already panicked on a malformed variable.
+    cfg.traversal.direction = RuntimeConfig::from_env()
+        .ok()
+        .and_then(|env| env.direction)
+        .unwrap_or(Direction::TopDown);
+    cfg
 }
 
 /// Which algorithm a cell runs.

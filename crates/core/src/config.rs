@@ -270,7 +270,8 @@ mod tests {
     #[test]
     fn unset_environment_is_all_none() {
         // The ST_* variables are not set in the test environment (the
-        // CI stress job sets ST_PUBLISH_THRESHOLD; tolerate that one).
+        // CI stress job sets ST_PUBLISH_THRESHOLD and ST_DIRECTION;
+        // tolerate those).
         let cfg = RuntimeConfig::from_env().expect("clean env parses");
         assert_eq!(cfg.bench_scale, None);
         assert_eq!(cfg.service_cores, None);

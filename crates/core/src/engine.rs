@@ -6,11 +6,12 @@
 //! that shape in the API:
 //!
 //! * [`Workspace`] — an arena owning every scratch structure the
-//!   algorithms need (color/parent arrays, hook labels, election slots,
-//!   per-rank work queues, graft lists, stub-walk scratch). Arrays are
-//!   grown geometrically and *never shrunk*, so running a sequence of
-//!   graphs reuses allocations instead of re-malloc-ing per call — the
-//!   dominant fixed cost once thread spawning is gone.
+//!   algorithms need (visited bitmap, color/parent arrays, hook labels,
+//!   election slots, per-rank work queues, graft lists, stub-walk
+//!   scratch). Arrays are grown geometrically and *never shrunk*, so
+//!   running a sequence of graphs reuses allocations instead of
+//!   re-malloc-ing per call — the dominant fixed cost once thread
+//!   spawning is gone.
 //! * [`SpanningAlgorithm`] — the common interface all five parallel
 //!   algorithms implement (Bader–Cong, both SV variants, HCS, and the
 //!   multi-root extension). Consumers like [`crate::biconnected`] take
@@ -40,11 +41,11 @@ use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{Counter, CounterSet, JobMetrics, TraceSet};
 use st_smp::pad::CacheAligned;
 use st_smp::steal::WorkQueue;
-use st_smp::{AtomicU32Array, CancelToken, Executor, SpinLock};
+use st_smp::{AtomicBitmap, AtomicU32Array, CancelToken, Executor, SpinLock};
 
 use crate::result::SpanningForest;
 use crate::stub::StubScratch;
-use crate::traversal::{Traversal, TraversalConfig, UNCOLORED};
+use crate::traversal::{Traversal, TraversalConfig};
 
 /// Sentinel for an empty election/candidate slot.
 pub(crate) const EMPTY_SLOT: u64 = u64::MAX;
@@ -68,7 +69,10 @@ pub(crate) type GraftList = CacheAligned<SpinLock<Vec<(VertexId, VertexId)>>>;
 /// point of reusing one is to amortize allocation across a run sequence.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Traversal colors ([`UNCOLORED`] / owner labels).
+    /// The traversal's visited set, one bit per vertex.
+    pub(crate) colored: AtomicBitmap,
+    /// Per-vertex `u32` claims for the algorithms that need more than a
+    /// bit: Multiroot's tree ids and the dynamic forest's hooks.
     pub(crate) color: AtomicU32Array,
     /// Traversal tree parents.
     pub(crate) parent: AtomicU32Array,
@@ -120,7 +124,7 @@ impl Workspace {
     /// so the initializing writes fault 2 MiB pages directly).
     pub fn reserve(&mut self, n: usize, m: usize) {
         let huge = hugepages_enabled();
-        self.color.ensure_len_with(n, huge);
+        self.colored.ensure_len(n);
         self.parent.ensure_len_with(n, huge);
         self.labels.ensure_len_with(n, huge);
         if self.edges.capacity() < m {
@@ -128,9 +132,9 @@ impl Workspace {
         }
     }
 
-    /// Readies the frontier state for a traversal-family run: color and
-    /// parent prefixes reset, `p` empty queues, and the team detector
-    /// retuned to `threshold`.
+    /// Readies the frontier state for a traversal-family run: visited
+    /// bitmap and parent prefixes reset, `p` empty queues, and the team
+    /// detector retuned to `threshold`.
     pub(crate) fn prep_frontier(
         &mut self,
         n: usize,
@@ -138,10 +142,9 @@ impl Workspace {
         exec: &Executor,
         threshold: Option<usize>,
     ) {
-        let huge = hugepages_enabled();
-        self.color.ensure_len_with(n, huge);
-        self.color.fill_prefix(n, UNCOLORED);
-        self.parent.ensure_len_with(n, huge);
+        self.colored.ensure_len(n);
+        self.colored.clear_prefix(n);
+        self.parent.ensure_len_with(n, hugepages_enabled());
         self.parent.fill_prefix(n, NO_VERTEX);
         while self.queues.len() < p {
             self.queues.push(CacheAligned::new(WorkQueue::new()));
@@ -223,7 +226,7 @@ impl Workspace {
     }
 
     /// Builds a traversal session over `g` on `exec`'s team, resetting
-    /// the arena's color/parent/queue state. The returned view borrows
+    /// the arena's visited/parent/queue state. The returned view borrows
     /// the workspace for its lifetime; drop it (or let
     /// [`Traversal::into_parents`] consume it) before reusing the
     /// workspace.
@@ -237,7 +240,7 @@ impl Workspace {
         self.prep_frontier(g.num_vertices(), p, exec, cfg.starvation_threshold);
         Traversal::from_parts(
             g,
-            &self.color,
+            &self.colored,
             &self.parent,
             &self.queues[..p],
             exec.detector(),
@@ -259,7 +262,7 @@ impl Workspace {
         let p = exec.size();
         self.prep_frontier(g.num_vertices(), p, exec, cfg.starvation_threshold);
         let Self {
-            color,
+            colored,
             parent,
             queues,
             stub,
@@ -269,7 +272,7 @@ impl Workspace {
         } = self;
         let t = Traversal::from_parts(
             g,
-            color,
+            colored,
             parent,
             &queues[..p],
             exec.detector(),
@@ -359,11 +362,6 @@ impl Workspace {
     /// run over an `n`-vertex graph).
     pub fn parents_prefix(&self, n: usize) -> Vec<VertexId> {
         self.parent.snapshot_prefix(n)
-    }
-
-    /// Copies out the first `n` color entries.
-    pub fn colors_prefix(&self, n: usize) -> Vec<u32> {
-        self.color.snapshot_prefix(n)
     }
 }
 

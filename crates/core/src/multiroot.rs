@@ -40,7 +40,7 @@ use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{now_ns, Counter, Phase};
 use st_smp::{CancelToken, Executor, IdleOutcome};
 
-use crate::engine::{Cancelled, SpanningAlgorithm, Workspace};
+use crate::engine::{hugepages_enabled, Cancelled, SpanningAlgorithm, Workspace};
 use crate::result::{AlgoStats, SpanningForest};
 use crate::traversal::{steal_sweep, TraversalConfig};
 
@@ -106,9 +106,10 @@ impl SpanningAlgorithm for Multiroot {
         }
 
         // color[v]: UNCLAIMED, or 1 + the id of the root whose tree claimed
-        // v. UNCLAIMED coincides with the traversal's UNCOLORED, so the
-        // frontier prep's reset covers it.
+        // v.
         ws.prep_frontier(n, p, exec, None);
+        ws.color.ensure_len_with(n, hugepages_enabled());
+        ws.color.fill_prefix(n, UNCLAIMED);
         exec.detector().reset();
         let color = &ws.color;
         let parent = &ws.parent;
@@ -221,7 +222,7 @@ impl SpanningAlgorithm for Multiroot {
 
         // --- Sequential merge pass: one merge edge per tree pair.
         let mut parents: Vec<VertexId> = ws.parents_prefix(n);
-        let colors = ws.colors_prefix(n);
+        let colors = ws.color.snapshot_prefix(n);
         let mut dsu = DisjointSets::new(n);
         let mut merges = 0usize;
         let mut processed_total = Vec::with_capacity(p);

@@ -41,15 +41,13 @@ pub fn orient_forest(
     let forest = forest_adjacency(n, tree_edges);
     let t = ws.traversal(&forest, exec, TraversalConfig::default());
     let mut cursor: VertexId = 0;
-    t.run_rounds(exec, |t, _round| {
-        while (cursor as usize) < n {
-            if !t.is_colored(cursor) {
-                t.seed(0, cursor, NO_VERTEX);
-                return true;
-            }
-            cursor += 1;
-        }
-        false
+    t.run_rounds(exec, |s, _round| {
+        let Some(root) = s.traversal().next_uncolored(cursor) else {
+            return false;
+        };
+        cursor = root;
+        s.seed(0, root, NO_VERTEX);
+        true
     });
     t.into_parents()
 }
@@ -76,7 +74,7 @@ pub fn orient_forest_with_mask(
     let t = ws.traversal(&forest, exec, TraversalConfig::default());
     let mut cursor: VertexId = 0;
     let parents_in: &[VertexId] = parents;
-    t.run_rounds(exec, |t, round| {
+    t.run_rounds(exec, |s, round| {
         if round == 0 {
             // Seed every pre-oriented vertex round-robin, keeping its
             // existing parent.
@@ -84,7 +82,7 @@ pub fn orient_forest_with_mask(
             let mut any = false;
             for v in 0..n {
                 if oriented_mask[v] {
-                    t.seed(rank, v as VertexId, parents_in[v]);
+                    s.seed(rank, v as VertexId, parents_in[v]);
                     rank = (rank + 1) % p;
                     any = true;
                 }
@@ -95,14 +93,12 @@ pub fn orient_forest_with_mask(
             // Fall through to the component scan when nothing was
             // pre-oriented.
         }
-        while (cursor as usize) < n {
-            if !t.is_colored(cursor) {
-                t.seed(0, cursor, NO_VERTEX);
-                return true;
-            }
-            cursor += 1;
-        }
-        false
+        let Some(root) = s.traversal().next_uncolored(cursor) else {
+            return false;
+        };
+        cursor = root;
+        s.seed(0, root, NO_VERTEX);
+        true
     });
     let oriented: Vec<VertexId> = t.into_parents();
     parents.copy_from_slice(&oriented);

@@ -1,11 +1,11 @@
 //! The work-stealing graph-traversal engine (phase 2 of the new
 //! algorithm, Alg. 1 of the paper).
 //!
-//! Each processor runs the modified BFS of Alg. 1 against shared atomic
-//! `color` and `parent` arrays; idle processors steal queue segments from
-//! random victims, and the [`TerminationDetector`] turns "everyone is
-//! asleep" into completion and "threshold asleep" into a starvation
-//! abort.
+//! Each processor runs the modified BFS of Alg. 1 against a shared
+//! visited bitmap and `parent` array; idle processors steal queue
+//! segments from random victims, and the [`TerminationDetector`] turns
+//! "everyone is asleep" into completion and "threshold asleep" into a
+//! starvation abort.
 //!
 //! ## The benign race (paper §2, Fig. 1)
 //!
@@ -17,6 +17,15 @@
 //! this protocol — the losing processor *also* enqueues `w` — and count
 //! the collisions (`multi_colored`) to reproduce the paper's "fewer than
 //! ten vertices in millions" measurement.
+//!
+//! "Colored" is one bit per vertex in an [`AtomicBitmap`] (128 KiB at
+//! n = 2^20, where a `u32` color per vertex took 4 MiB and fell out of
+//! L2). A claim tests the bit and, if it is clear, sets it with one
+//! `fetch_or`; a `fetch_or` that finds the bit already set is the
+//! collision above — the same event as a failed color CAS. The
+//! read-modify-write is required, not a plain store: 64 vertices share
+//! a word, and a separate load, OR and store of the word would let two
+//! processors claiming neighbouring vertices erase each other's bit.
 //!
 //! ## The two-level frontier (deviation from the paper's protocol)
 //!
@@ -53,15 +62,17 @@
 //! make this simpler than level-synchronous BFS — any visited vertex is
 //! a valid parent, no level check needed.
 //!
-//! With [`Direction::Hybrid`], workers maintain a frontier-size
+//! With [`Direction::Hybrid`] (the default; the paper's protocol is
+//! [`Direction::TopDown`]), workers maintain a frontier-size
 //! estimate (shared `visited`/`drained` tallies flushed on the cancel
 //! cadence) and any worker that observes
 //! `frontier × alpha > unvisited` *and* `frontier × beta > n` raises a
 //! direction switch through the round's abort byte. The team rendezvous
 //! at a barrier and runs bottom-up sweeps, partitioned by an atomic
 //! chunk cursor; since the cursor hands each vertex to exactly one
-//! rank, a claim is a single relaxed store, not a CAS (model-checked in
-//! st-smp's `loom_models/bottom_up.rs`). Each sweep is decided by a
+//! rank, a claim cannot be lost to a race and is a relaxed `fetch_or`
+//! of the vertex's bit (model-checked in st-smp's
+//! `loom_models/bottom_up.rs`). Each sweep is decided by a
 //! leader-written control word: rank 0 alone reads the claim tally in
 //! the window between barriers and publishes run/done/switch-back/
 //! cancel, so followers never race the reset. When a sweep's claims
@@ -78,9 +89,9 @@
 //!
 //! ## Engine integration
 //!
-//! A [`Traversal`] is a *borrowed view*: the color/parent arrays and the
-//! per-rank queues live in a reusable [`Workspace`](crate::engine::Workspace)
-//! arena, and the [`TerminationDetector`] is owned by the long-lived
+//! A [`Traversal`] is a *borrowed view*: the visited bitmap, the parent
+//! array and the per-rank queues live in a reusable
+//! [`Workspace`](crate::engine::Workspace) arena, and the [`TerminationDetector`] is owned by the long-lived
 //! [`Executor`] team. Construct one with
 //! [`Workspace::traversal`](crate::engine::Workspace::traversal), which
 //! grows-and-resets the arrays for the target graph without reallocating
@@ -100,19 +111,18 @@ use st_graph::{CsrGraph, VertexId};
 use st_obs::{now_ns, Counter, CounterSet, Phase, TraceSet};
 use st_smp::pad::CacheAligned;
 use st_smp::steal::{StealPolicy, WorkQueue};
-use st_smp::{AtomicU32Array, CancelToken, Executor, IdleOutcome, TeamCtx, TerminationDetector};
+use st_smp::{
+    AtomicBitmap, AtomicU32Array, CancelToken, Executor, IdleOutcome, TeamCtx, TerminationDetector,
+};
 
 use crate::config::RuntimeConfig;
-
-/// Color value meaning "not yet visited".
-pub const UNCOLORED: u32 = 0;
 
 /// Which strategy phase 2 uses to expand the frontier (see the
 /// direction-optimizing section of the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Direction {
-    /// Classic frontier expansion (the paper's Alg. 1). The default.
-    #[default]
+    /// Classic frontier expansion (the paper's Alg. 1), as
+    /// [`TraversalConfig::paper_protocol`] runs it.
     TopDown,
     /// Bottom-up sweeps only: every sweep, each unvisited vertex scans
     /// its CSR row for a visited parent. A forced mode for tests and
@@ -122,7 +132,8 @@ pub enum Direction {
     /// Direction-optimizing: start top-down, switch to bottom-up when
     /// the frontier gets dense (`frontier × alpha > unvisited` and
     /// `frontier × beta > n`), and back once a sweep claims fewer than
-    /// `n / beta` vertices.
+    /// `n / beta` vertices. The default.
+    #[default]
     Hybrid,
 }
 
@@ -184,8 +195,8 @@ pub struct TraversalConfig {
     pub beta: f64,
     /// Software-prefetch lookahead, in frontier entries. Top-down
     /// prefetches the CSR row of the vertex `distance` below the top of
-    /// the private buffer; bottom-up additionally prefetches the color
-    /// cell `distance` neighbors ahead in the row being scanned. `0`
+    /// the private buffer; bottom-up additionally prefetches the visited
+    /// word `distance` neighbors ahead in the row being scanned. `0`
     /// disables software prefetch entirely.
     pub prefetch_distance: usize,
 }
@@ -203,9 +214,9 @@ impl Default for TraversalConfig {
     /// The two-level frontier defaults, with any `ST_PUBLISH_THRESHOLD`
     /// or `ST_DIRECTION` environment override applied (parsed and
     /// validated once per process via [`RuntimeConfig::from_env`]). The
-    /// CI stress job uses `ST_PUBLISH_THRESHOLD=1` to pin the whole
-    /// suite to the paper's publish-everything protocol, and the CI
-    /// smoke runs force the direction.
+    /// CI stress job uses `ST_PUBLISH_THRESHOLD=1` and
+    /// `ST_DIRECTION=top-down` to pin the whole suite to the paper's
+    /// protocol, and the CI smoke runs force the direction.
     fn default() -> Self {
         let mut cfg = Self::base();
         runtime_env().apply_frontier(&mut cfg);
@@ -225,7 +236,7 @@ impl TraversalConfig {
             publish_threshold: 64,
             publish_on_sleepers: true,
             cancel: CancelToken::none(),
-            direction: Direction::TopDown,
+            direction: Direction::Hybrid,
             // Beamer's published constants, adapted to vertex counts
             // (the estimator tracks frontier vertices, not edges).
             alpha: 14.0,
@@ -234,15 +245,16 @@ impl TraversalConfig {
         }
     }
 
-    /// The paper's per-vertex shared-queue protocol: every discovered
-    /// vertex is published (and stealable) immediately, and the owner
-    /// dequeues one vertex per lock acquisition. This is the seed
+    /// The paper's protocol: pure top-down expansion (Alg. 1), every
+    /// discovered vertex published (and stealable) immediately, and the
+    /// owner dequeuing one vertex per lock acquisition. This is the seed
     /// configuration the `traversal-frontier` benchmark compares
     /// against; it is pinned regardless of `ST_*` overrides.
     pub fn paper_protocol() -> Self {
         Self {
             publish_threshold: 1,
             local_batch: 1,
+            direction: Direction::TopDown,
             ..Self::base()
         }
     }
@@ -287,6 +299,9 @@ const CTL_CANCEL: u8 = 3;
 /// shared `fetch_add`, small enough to balance tail sweeps across the
 /// team.
 const BU_CHUNK: usize = 4096;
+// A chunk must be whole bitmap words (see the sweep in
+// `bottom_up_phase`).
+const _: () = assert!(BU_CHUNK.is_multiple_of(AtomicBitmap::WORD_BITS));
 
 /// Poll the cancel token every this many processed vertices (power of
 /// two). Keeps the per-vertex cost at one abort-flag load; the token
@@ -301,9 +316,9 @@ const CANCEL_POLL_MASK: usize = 0xFF;
 /// without freeing any array.
 pub struct Traversal<'a> {
     g: &'a CsrGraph,
-    /// `color[v]`: [`UNCOLORED`] or the 1-based label of a processor that
-    /// colored v. May be longer than `g.num_vertices()` (grown arena).
-    color: &'a AtomicU32Array,
+    /// Bit v is set once v is colored (visited). May be longer than
+    /// `g.num_vertices()` (grown arena).
+    colored: &'a AtomicBitmap,
     /// `parent[v]`: tree parent, or [`st_graph::NO_VERTEX`].
     parent: &'a AtomicU32Array,
     queues: &'a [CacheAligned<WorkQueue<VertexId>>],
@@ -345,14 +360,14 @@ pub struct Traversal<'a> {
 
 impl<'a> Traversal<'a> {
     /// Assembles a traversal view from workspace-owned parts. The
-    /// arrays must be initialized (`color` prefix [`UNCOLORED`],
-    /// `parent` prefix [`st_graph::NO_VERTEX`]) and the queues empty;
+    /// arrays must be initialized (`colored` prefix clear, `parent`
+    /// prefix [`st_graph::NO_VERTEX`]) and the queues empty;
     /// [`Workspace::traversal`](crate::engine::Workspace::traversal)
     /// guarantees all of it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         g: &'a CsrGraph,
-        color: &'a AtomicU32Array,
+        colored: &'a AtomicBitmap,
         parent: &'a AtomicU32Array,
         queues: &'a [CacheAligned<WorkQueue<VertexId>>],
         detector: &'a TerminationDetector,
@@ -361,13 +376,13 @@ impl<'a> Traversal<'a> {
         cfg: TraversalConfig,
     ) -> Self {
         debug_assert!(!queues.is_empty(), "traversal needs at least one processor");
-        debug_assert!(color.len() >= g.num_vertices());
+        debug_assert!(colored.len() >= g.num_vertices());
         debug_assert!(parent.len() >= g.num_vertices());
         debug_assert!(counters.len() >= queues.len());
         debug_assert!(trace.len() >= queues.len());
         Self {
             g,
-            color,
+            colored,
             parent,
             queues,
             detector,
@@ -389,11 +404,6 @@ impl<'a> Traversal<'a> {
         self.queues.len()
     }
 
-    /// The shared color array (live prefix `g.num_vertices()`).
-    pub fn color(&self) -> &AtomicU32Array {
-        self.color
-    }
-
     /// The shared parent array (live prefix `g.num_vertices()`).
     pub fn parent(&self) -> &AtomicU32Array {
         self.parent
@@ -401,36 +411,31 @@ impl<'a> Traversal<'a> {
 
     /// True when `v` has been colored.
     pub fn is_colored(&self, v: VertexId) -> bool {
-        self.color.load(v as usize, Ordering::Acquire) != UNCOLORED
+        self.colored.get(v as usize, Ordering::Acquire)
     }
 
-    /// Colors `v` (with the out-of-band label p+1), sets its parent, and
-    /// enqueues it on `rank`'s queue. Used by the driver to seed stub
-    /// vertices and roots before a round starts (single-threaded phase).
+    /// The smallest uncolored vertex at or after `from`, read a bitmap
+    /// word at a time; [`None`] when every later vertex is colored.
+    pub fn next_uncolored(&self, from: VertexId) -> Option<VertexId> {
+        self.colored
+            .next_clear(from as usize, self.g.num_vertices())
+            .map(|v| v as VertexId)
+    }
+
+    /// A [`Seeder`] for coloring and enqueueing vertices before a round
+    /// starts (single-threaded phase).
+    pub fn seeder(&self) -> Seeder<'_, 'a> {
+        Seeder {
+            t: self,
+            seeded: 0,
+            marked: 0,
+        }
+    }
+
+    /// Seeds one vertex ([`Seeder::seed`]) and flushes its tallies at
+    /// once: for single-round callers that seed a root or two.
     pub fn seed(&self, rank: usize, v: VertexId, parent: VertexId) {
-        let label = self.queues.len() as u32 + 1;
-        self.color.store(v as usize, label, Ordering::Release);
-        self.parent.store(v as usize, parent, Ordering::Release);
-        self.queues[rank].push(v);
-        // A seed lands straight in the shared queue: stealable, hence
-        // published.
-        self.counters.rank(rank).incr(Counter::ItemsPublished);
-        // Seeds are colored and on the frontier: visited, not drained.
-        self.visited.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Colors `v` and sets its parent *without* enqueueing it. Used by
-    /// the driver for components the stub walk covered entirely: their
-    /// vertices need no traversal round at all.
-    pub fn mark(&self, v: VertexId, parent: VertexId) {
-        let label = self.queues.len() as u32 + 1;
-        self.color.store(v as usize, label, Ordering::Release);
-        self.parent.store(v as usize, parent, Ordering::Release);
-        // Marked vertices never expand: visited *and* drained, so the
-        // frontier estimate is untouched (stub-heavy many-component
-        // graphs would otherwise inflate it permanently).
-        self.visited.fetch_add(1, Ordering::Relaxed);
-        self.drained.fetch_add(1, Ordering::Relaxed);
+        self.seeder().seed(rank, v, parent);
     }
 
     /// Resets the detector and round-local flags between per-component
@@ -629,7 +634,6 @@ impl<'a> Traversal<'a> {
         if rank == 0 {
             self.counters.rank(0).incr(Counter::RoundsTopDown);
         }
-        let my_label = rank as u32 + 1;
         let my_q = &*self.queues[rank];
         // Hoisted: an inert token (the default) can never fire, so the
         // hot loop skips the poll cadence entirely and cancellation
@@ -691,17 +695,18 @@ impl<'a> Traversal<'a> {
                     }
                 }
                 for &w in self.g.neighbors(v) {
-                    if self.color.load(w as usize, Ordering::Acquire) == UNCOLORED {
-                        if self.color.try_claim(w as usize, UNCOLORED, my_label) {
+                    if !self.colored.get(w as usize, Ordering::Acquire) {
+                        if self.colored.set(w as usize, Ordering::AcqRel) {
                             tally.discovered += 1;
                         } else {
-                            // Benign race: someone colored w between our
-                            // load and CAS. Count it and proceed exactly
-                            // as the paper's unconditional-store protocol
-                            // does — overwrite the parent and enqueue.
+                            // Benign race: someone set w's bit between
+                            // our test and our fetch_or. Count it and
+                            // proceed exactly as the paper's
+                            // unconditional-store protocol does —
+                            // overwrite the parent and enqueue.
                             tally.multi_colored += 1;
                         }
-                        // Relaxed: the color CAS above is the publishing
+                        // Relaxed: the fetch_or above is the publishing
                         // store for w. Cross-thread reads of `parent`
                         // only happen after the team joins or behind the
                         // round barrier, both of which order all prior
@@ -837,13 +842,12 @@ impl<'a> Traversal<'a> {
         let t0 = now_ns();
         let rank = ctx.rank();
         let n = self.g.num_vertices();
-        let my_label = rank as u32 + 1;
         let cancellable = self.cfg.cancel.is_live();
         let prefetch = self.cfg.prefetch_distance;
         let my_q = &*self.queues[rank];
 
         // Entry: drop the pre-switch frontier. Safe because the first
-        // sweep visits every unvisited vertex and the pre-sweep colors
+        // sweep visits every unvisited vertex and the pre-sweep bits
         // are barrier-published, so anything the dropped entries would
         // have discovered is claimed by the sweep instead (module docs).
         // Each rank clears its *own* queue — no thief is running.
@@ -930,38 +934,31 @@ impl<'a> Traversal<'a> {
                     break;
                 }
                 let hi = (base + BU_CHUNK).min(n);
-                for v in base..hi {
-                    // Relaxed scan loads: pre-sweep colors are barrier-
-                    // published, and seeing (or missing) a same-sweep
-                    // claim is benign — any visited vertex is a valid
-                    // parent.
-                    if self.color.load(v, Ordering::Relaxed) != UNCOLORED {
-                        continue;
+                // The chunk is whole bitmap words (BU_CHUNK is a multiple
+                // of 64) that no other rank claims in this sweep, so one
+                // word load finds all of its unvisited vertices. Relaxed
+                // loads: pre-sweep bits are barrier-published, and
+                // seeing (or missing) a same-sweep claim is benign — any
+                // visited vertex is a valid parent.
+                for word_base in (base..hi).step_by(AtomicBitmap::WORD_BITS) {
+                    let mut free = !self
+                        .colored
+                        .word(word_base / AtomicBitmap::WORD_BITS, Ordering::Relaxed);
+                    if hi - word_base < AtomicBitmap::WORD_BITS {
+                        free &= (1u64 << (hi - word_base)) - 1;
                     }
-                    if prefetch != 0 {
-                        self.g.prefetch_neighbors((v + prefetch) as VertexId);
-                    }
-                    let row = self.g.neighbors(v as VertexId);
-                    let mut found = None;
-                    for (i, &w) in row.iter().enumerate() {
-                        if prefetch != 0 {
-                            if let Some(&ahead) = row.get(i + prefetch) {
-                                self.color.prefetch(ahead as usize);
-                            }
+                    while free != 0 {
+                        let v = word_base + free.trailing_zeros() as usize;
+                        free &= free - 1;
+                        if let Some(w) = self.visited_neighbor(v, prefetch) {
+                            // The cursor handed v to this rank alone, so
+                            // the claim cannot lose a race: a relaxed
+                            // fetch_or, published by the sweep-end
+                            // barrier.
+                            self.colored.set(v, Ordering::Relaxed);
+                            self.parent.store(v, w, Ordering::Relaxed);
+                            state.claims.push(v as VertexId);
                         }
-                        if self.color.load(w as usize, Ordering::Relaxed) != UNCOLORED {
-                            found = Some(w);
-                            break;
-                        }
-                    }
-                    if let Some(w) = found {
-                        // The cursor handed this chunk to this rank
-                        // exclusively, so the claim is a plain relaxed
-                        // store — no CAS — published by the sweep-end
-                        // barrier.
-                        self.color.store(v, my_label, Ordering::Relaxed);
-                        self.parent.store(v, w, Ordering::Relaxed);
-                        state.claims.push(v as VertexId);
                     }
                 }
                 // Per-chunk cancellation poll: stop claiming and let the
@@ -983,6 +980,28 @@ impl<'a> Traversal<'a> {
             }
             self.timed_ctx_barrier(ctx); // sweep end: claims published
         }
+    }
+
+    /// The bottom-up test of unvisited `v`: the first visited neighbor
+    /// in its row, if any (Relaxed loads; see the sweep in
+    /// [`bottom_up_phase`](Self::bottom_up_phase)).
+    #[inline]
+    fn visited_neighbor(&self, v: usize, prefetch: usize) -> Option<VertexId> {
+        if prefetch != 0 {
+            self.g.prefetch_neighbors((v + prefetch) as VertexId);
+        }
+        let row = self.g.neighbors(v as VertexId);
+        for (i, &w) in row.iter().enumerate() {
+            if prefetch != 0 {
+                if let Some(&ahead) = row.get(i + prefetch) {
+                    self.colored.prefetch(ahead as usize);
+                }
+            }
+            if self.colored.get(w as usize, Ordering::Relaxed) {
+                return Some(w);
+            }
+        }
+        None
     }
 
     /// A team barrier with the same per-rank accounting as
@@ -1024,10 +1043,11 @@ impl<'a> Traversal<'a> {
 
     /// Runs a whole multi-round session on the executor's team.
     ///
-    /// Between rounds, rank 0 calls `prepare(self, round_index)` (all
-    /// other ranks wait at a barrier) to seed the next round's queues —
-    /// e.g. growing a stub tree for the next component. `prepare`
-    /// returning `false` ends the session. Dispatching the persistent
+    /// Between rounds, rank 0 calls `prepare(seeder, round_index)` (all
+    /// other ranks wait at a barrier) to seed the next round's queues
+    /// through a [`Seeder`] — e.g. growing a stub tree for the next
+    /// component. The seeder's tallies reach the shared counters once
+    /// per `prepare`. `prepare` returning `false` ends the session. Dispatching the persistent
     /// team once and cycling rounds with two barriers each is what keeps
     /// many-component graphs (2D60, sparse random) cheap.
     ///
@@ -1043,7 +1063,7 @@ impl<'a> Traversal<'a> {
         prepare: F,
     ) -> (Vec<usize>, usize, TraversalOutcome)
     where
-        F: FnMut(&Self, usize) -> bool + Send,
+        F: FnMut(&mut Seeder<'_, 'a>, usize) -> bool + Send,
     {
         use st_smp::SpinLock;
         assert_eq!(
@@ -1086,7 +1106,9 @@ impl<'a> Traversal<'a> {
                         finished.store(true, Ordering::Release);
                     } else {
                         self.begin_round();
-                        let more = (prepare.lock())(self, round);
+                        let mut seeder = self.seeder();
+                        let more = (prepare.lock())(&mut seeder, round);
+                        drop(seeder); // flushes the seeding tallies
                         if !more {
                             finished.store(true, Ordering::Release);
                         }
@@ -1152,15 +1174,76 @@ impl<'a> Traversal<'a> {
         self.parent.snapshot_prefix(self.g.num_vertices())
     }
 
-    /// Copies out the live prefix of the color array.
-    pub fn colors_vec(&self) -> Vec<u32> {
-        self.color.snapshot_prefix(self.g.num_vertices())
+    /// Copies out which vertices of the live prefix are colored.
+    pub(crate) fn colored_mask(&self) -> Vec<bool> {
+        self.colored.to_bools(self.g.num_vertices())
     }
 
     /// Extracts the parent array, consuming the view (the backing
     /// workspace array is left intact for reuse).
     pub fn into_parents(self) -> Vec<VertexId> {
         self.parents_vec()
+    }
+}
+
+/// The round driver's handle for seeding a round: it colors vertices,
+/// sets their parents, and deals them into the queues while the team
+/// waits (before [`Traversal::run_worker_ctx`], or at the barrier
+/// inside [`Traversal::run_rounds`]). Its tallies — seeds published,
+/// and the frontier-estimate deltas — stay local and reach the shared
+/// counters once, when the seeder drops, instead of costing shared
+/// read-modify-writes per vertex.
+pub struct Seeder<'t, 'a> {
+    t: &'t Traversal<'a>,
+    seeded: usize,
+    marked: usize,
+}
+
+impl<'t, 'a> Seeder<'t, 'a> {
+    /// The traversal being seeded.
+    pub fn traversal(&self) -> &'t Traversal<'a> {
+        self.t
+    }
+
+    /// Colors `v`, sets its parent, and enqueues it on `rank`'s queue.
+    pub fn seed(&mut self, rank: usize, v: VertexId, parent: VertexId) {
+        self.t.colored.set(v as usize, Ordering::Release);
+        self.t.parent.store(v as usize, parent, Ordering::Release);
+        self.t.queues[rank].push(v);
+        self.seeded += 1;
+    }
+
+    /// Colors `v` and sets its parent *without* enqueueing it: for
+    /// components the stub walk covered entirely, which need no
+    /// traversal round at all.
+    pub fn mark(&mut self, v: VertexId, parent: VertexId) {
+        self.t.colored.set(v as usize, Ordering::Release);
+        self.t.parent.store(v as usize, parent, Ordering::Release);
+        self.marked += 1;
+    }
+}
+
+impl Drop for Seeder<'_, '_> {
+    fn drop(&mut self) {
+        let t = self.t;
+        if self.seeded > 0 {
+            // Seeds land straight in the shared queues: stealable, hence
+            // published — by the driver, so on rank 0's slot.
+            t.counters
+                .rank(0)
+                .add(Counter::ItemsPublished, self.seeded as u64);
+        }
+        // Seeds are colored and on the frontier: visited, not drained.
+        // Marked vertices never expand: visited *and* drained, so the
+        // frontier estimate is untouched (stub-heavy many-component
+        // graphs would otherwise inflate it permanently).
+        let visited = self.seeded + self.marked;
+        if visited > 0 {
+            t.visited.fetch_add(visited, Ordering::Relaxed);
+        }
+        if self.marked > 0 {
+            t.drained.fetch_add(self.marked, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1533,6 +1616,41 @@ mod tests {
             outcomes.iter().all(|&o| o == TraversalOutcome::Starved),
             "expected starvation, got {outcomes:?}"
         );
+    }
+
+    #[test]
+    fn hybrid_is_the_default_and_the_paper_protocol_is_top_down() {
+        assert_eq!(Direction::default(), Direction::Hybrid);
+        assert_eq!(TraversalConfig::base().direction, Direction::Hybrid);
+        assert_eq!(
+            TraversalConfig::paper_protocol().direction,
+            Direction::TopDown
+        );
+    }
+
+    #[test]
+    fn seeder_tallies_reach_the_shared_counters_when_it_drops() {
+        let g = chain(10);
+        let exec = Executor::new(2);
+        let mut ws = Workspace::new();
+        ws.begin_job(&exec);
+        let t = ws.traversal(&g, &exec, TraversalConfig::default());
+        t.begin_round();
+        {
+            let mut s = t.seeder();
+            s.seed(0, 0, NO_VERTEX);
+            s.seed(1, 1, 0);
+            for v in 5..8 {
+                s.mark(v, NO_VERTEX);
+            }
+            assert!(t.is_colored(1) && t.is_colored(7) && !t.is_colored(2));
+            assert_eq!(t.visited.load(Ordering::Relaxed), 0, "flushed early");
+        }
+        assert_eq!(t.visited.load(Ordering::Relaxed), 5);
+        assert_eq!(t.drained.load(Ordering::Relaxed), 3);
+        assert_eq!(t.counters().merged().get(Counter::ItemsPublished), 2);
+        assert_eq!(t.next_uncolored(0), Some(2));
+        assert_eq!(t.next_uncolored(5), Some(8));
     }
 
     #[test]

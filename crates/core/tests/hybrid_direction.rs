@@ -1,4 +1,5 @@
-//! Integration tests for the direction-optimizing traversal: forced
+//! Integration tests for the direction-optimizing traversal: the
+//! default and paper-protocol directions of whole jobs, forced
 //! bottom-up and top-down runs across a shape gauntlet, the hybrid
 //! switch-threshold sweep at several team sizes, prefetch-distance
 //! settings, and cancellation on the bottom-up path.
@@ -7,8 +8,9 @@ use std::time::Duration;
 
 use st_core::engine::Workspace;
 use st_core::traversal::{Direction, TraversalConfig, TraversalOutcome};
+use st_core::{BaderCong, Config, Engine};
 use st_graph::gen::{chain, complete, random_connected, star, torus2d};
-use st_graph::validate::is_spanning_tree;
+use st_graph::validate::{is_spanning_forest, is_spanning_tree};
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{Counter, JobMetrics};
 use st_smp::{CancelToken, Executor};
@@ -58,6 +60,40 @@ fn gauntlet() -> Vec<(&'static str, CsrGraph)> {
         ("random", random_connected(1 << 11, 1 << 13, 7)),
         ("complete", complete(80)),
     ]
+}
+
+/// The shipped default is direction-optimizing and the paper's
+/// protocol is not: on a dense random graph a default job sweeps
+/// bottom-up, while a [`TraversalConfig::paper_protocol`] job never
+/// does, at every team size.
+#[test]
+fn default_jobs_sweep_bottom_up_and_paper_protocol_jobs_never_do() {
+    let n = 1 << 14;
+    let g = random_connected(n, 4 * n, 11);
+    let paper = BaderCong::new(Config {
+        traversal: TraversalConfig::paper_protocol(),
+        ..Config::default()
+    });
+    // `ST_DIRECTION` overrides the default (not the paper protocol).
+    let env_direction = std::env::var_os("ST_DIRECTION").is_some();
+    for p in [1, 2] {
+        let mut engine = Engine::new(p);
+        let f = engine.run(&paper, &g);
+        assert!(is_spanning_forest(&g, &f.parents), "paper p={p}");
+        assert_eq!(
+            f.stats.metrics.get(Counter::RoundsBottomUp),
+            0,
+            "p={p}: the paper protocol swept bottom-up"
+        );
+        if !env_direction {
+            let f = engine.run(&BaderCong::with_defaults(), &g);
+            assert!(is_spanning_forest(&g, &f.parents), "default p={p}");
+            assert!(
+                f.stats.metrics.get(Counter::RoundsBottomUp) > 0,
+                "p={p}: the default never switched to bottom-up"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Shared atomic vertex arrays.
 
-use crate::sync::atomic::{AtomicU32, Ordering};
+use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A fixed-size array of atomic `u32` cells shared by all processors.
 ///
-/// This backs the `color` and `parent` arrays of the traversal algorithms
-/// and the `parent`/`component` arrays of Shiloach–Vishkin: every cell
+/// This backs the `parent` array of the traversal algorithms, Multiroot's
+/// tree-id `color` array, and the `parent`/`component` arrays of
+/// Shiloach–Vishkin: every cell
 /// can be read, written, and CASed concurrently. The paper's key
 /// correctness argument (§2, Fig. 1) is precisely that racy writes to
 /// `parent[w]` by multiple processors are benign — each candidate value
@@ -148,14 +149,6 @@ impl AtomicU32Array {
         v.resize_with(target, || AtomicU32::new(0));
         self.cells = v.into_boxed_slice();
     }
-
-    /// Hints the CPU to pull cell `i` toward L1 (no-op out of range).
-    #[inline]
-    pub fn prefetch(&self, i: usize) {
-        if let Some(cell) = self.cells.get(i) {
-            crate::mem::prefetch_read(cell as *const AtomicU32);
-        }
-    }
 }
 
 impl From<AtomicU32Array> for Vec<u32> {
@@ -165,6 +158,123 @@ impl From<AtomicU32Array> for Vec<u32> {
             .into_iter()
             .map(|c| c.into_inner())
             .collect()
+    }
+}
+
+/// A shared set of vertices, one bit each, packed into atomic `u64`
+/// words.
+///
+/// This is the traversal's visited set: 128 KiB at n = 2^20, small
+/// enough to stay in L2 where a `u32` per vertex (4 MiB) does not.
+/// Sixty-four vertices share a word, so setting a bit must be an atomic
+/// read-modify-write ([`set`](Self::set), a `fetch_or`): a plain load
+/// and store of the word would let two processors claiming neighbouring
+/// vertices overwrite each other's bit.
+#[derive(Debug, Default)]
+pub struct AtomicBitmap {
+    words: Box<[AtomicU64]>,
+}
+
+impl AtomicBitmap {
+    /// Bits per word.
+    pub const WORD_BITS: usize = 64;
+
+    /// A bitmap of at least `len` bits, all clear.
+    pub fn new(len: usize) -> Self {
+        let mut b = Self::default();
+        b.ensure_len(len);
+        b
+    }
+
+    /// Number of bits held (a multiple of 64, at least what was asked
+    /// for).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words.len() * Self::WORD_BITS
+    }
+
+    /// True when the bitmap holds no bits.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Reads bit `i`.
+    #[inline]
+    pub fn get(&self, i: usize, order: Ordering) -> bool {
+        self.words[i / Self::WORD_BITS].load(order) & (1 << (i % Self::WORD_BITS)) != 0
+    }
+
+    /// Sets bit `i` with one `fetch_or`; returns `true` when this call
+    /// set it and `false` when it was already set — the loser of a
+    /// claim race.
+    #[inline]
+    pub fn set(&self, i: usize, order: Ordering) -> bool {
+        let mask = 1 << (i % Self::WORD_BITS);
+        self.words[i / Self::WORD_BITS].fetch_or(mask, order) & mask == 0
+    }
+
+    /// The word holding bits `64·w .. 64·w + 64`, bit `b` of the result
+    /// being bit `64·w + b` of the set.
+    #[inline]
+    pub fn word(&self, w: usize, order: Ordering) -> u64 {
+        self.words[w].load(order)
+    }
+
+    /// The smallest clear bit in `from..n`, or [`None`] when all of
+    /// them are set. Reads a word at a time.
+    pub fn next_clear(&self, from: usize, n: usize) -> Option<usize> {
+        let mut i = from;
+        while i < n {
+            let w = i / Self::WORD_BITS;
+            // Bit 0 of `free` is bit `i`; the shift fills the top with
+            // zeros, which read as "set".
+            let free = !self.word(w, Ordering::Acquire) >> (i % Self::WORD_BITS);
+            if free != 0 {
+                let hit = i + free.trailing_zeros() as usize;
+                return (hit < n).then_some(hit);
+            }
+            i = (w + 1) * Self::WORD_BITS;
+        }
+        None
+    }
+
+    /// Clears bits `0..n`, a whole word at a time (so bits up to the
+    /// next multiple of 64 are cleared too). Sequential; for resetting
+    /// a reused bitmap between runs.
+    pub fn clear_prefix(&self, n: usize) {
+        for w in &self.words[..n.div_ceil(Self::WORD_BITS)] {
+            w.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Grows the bitmap to at least `n` bits (geometric, like
+    /// [`AtomicU32Array::ensure_len`]); new bits are clear, existing
+    /// ones keep their values. No-op when it is already large enough.
+    pub fn ensure_len(&mut self, n: usize) {
+        let need = n.div_ceil(Self::WORD_BITS);
+        if self.words.len() >= need {
+            return;
+        }
+        let target = need.max(self.words.len() * 2);
+        let mut v: Vec<AtomicU64> = std::mem::take(&mut self.words).into_vec();
+        v.resize_with(target, || AtomicU64::new(0));
+        self.words = v.into_boxed_slice();
+    }
+
+    /// Hints the CPU to pull the word holding bit `i` toward L1 (no-op
+    /// out of range).
+    #[inline]
+    pub fn prefetch(&self, i: usize) {
+        if let Some(w) = self.words.get(i / Self::WORD_BITS) {
+            crate::mem::prefetch_read(w as *const AtomicU64);
+        }
+    }
+
+    /// Copies bits `0..n` out as booleans (not atomic as a whole;
+    /// callers synchronize externally, e.g. after a team join).
+    pub fn to_bools(&self, n: usize) -> Vec<bool> {
+        (0..n).map(|i| self.get(i, Ordering::Relaxed)).collect()
     }
 }
 
@@ -240,10 +350,10 @@ mod tests {
 
     #[test]
     fn prefetch_tolerates_out_of_range() {
-        let a = AtomicU32Array::new(4, 0);
-        a.prefetch(0);
-        a.prefetch(3);
-        a.prefetch(4_000_000);
+        let b = AtomicBitmap::new(4);
+        b.prefetch(0);
+        b.prefetch(63);
+        b.prefetch(4_000_000);
     }
 
     #[test]
@@ -251,5 +361,80 @@ mod tests {
         let a = AtomicU32Array::from_vec(vec![1, 2, 3]);
         let v: Vec<u32> = a.into();
         assert_eq!(v, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn bitmap_concurrent_claims_of_adjacent_bits_have_one_winner_each() {
+        // P threads race over the same bits, each starting at a
+        // different offset, so neighbouring bits of one word are set
+        // concurrently by different threads.
+        const P: usize = 4;
+        const N: usize = if cfg!(miri) { 130 } else { 4_100 };
+        let b = AtomicBitmap::new(N);
+        let wins: Vec<Vec<usize>> = crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = (0..P)
+                .map(|rank| {
+                    let b = &b;
+                    s.spawn(move |_| {
+                        (0..N)
+                            .map(|k| (k + rank * 17) % N)
+                            .filter(|&i| b.set(i, Ordering::AcqRel))
+                            .collect::<Vec<usize>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+        .unwrap();
+        let mut winners = vec![0usize; N];
+        for i in wins.into_iter().flatten() {
+            winners[i] += 1;
+        }
+        assert!(winners.iter().all(|&w| w == 1), "a bit had 0 or 2+ winners");
+        assert!(
+            (0..N).all(|i| b.get(i, Ordering::Relaxed)),
+            "a bit was lost"
+        );
+        assert_eq!(b.next_clear(0, N), None);
+    }
+
+    #[test]
+    fn bitmap_reuse_across_shrinking_and_growing_n_starts_clear() {
+        // The workspace pattern: grow to n, clear the live prefix, use
+        // it (setting every live bit), move on to the next graph. Sizes
+        // end mid-word, so a later, larger n takes in bits a smaller
+        // one left set beyond its prefix.
+        let mut b = AtomicBitmap::default();
+        for n in [1_000usize, 70, 130, 5_000, 65, 200] {
+            b.ensure_len(n);
+            assert!(b.len() >= n);
+            b.clear_prefix(n);
+            assert_eq!(b.next_clear(0, n), (n > 0).then_some(0));
+            for i in 0..n {
+                assert!(!b.get(i, Ordering::Relaxed), "n = {n}: bit {i} stale");
+                assert!(b.set(i, Ordering::Relaxed));
+                assert!(!b.set(i, Ordering::Relaxed), "second set must lose");
+            }
+            assert_eq!(b.next_clear(0, n), None);
+        }
+        // Growing keeps what was set.
+        b.ensure_len(100_000);
+        assert!(b.get(199, Ordering::Relaxed));
+        assert!(!b.get(99_999, Ordering::Relaxed));
+    }
+
+    #[test]
+    fn bitmap_next_clear_and_to_bools() {
+        let b = AtomicBitmap::new(200);
+        for i in (0..150).chain([151, 152]) {
+            b.set(i, Ordering::Relaxed);
+        }
+        assert_eq!(b.next_clear(0, 200), Some(150));
+        assert_eq!(b.next_clear(151, 200), Some(153));
+        assert_eq!(b.next_clear(10, 150), None);
+        assert_eq!(b.next_clear(150, 150), None);
+        let bools = b.to_bools(154);
+        assert_eq!(bools.iter().filter(|&&x| !x).count(), 2);
+        assert!(!bools[150] && !bools[153]);
     }
 }

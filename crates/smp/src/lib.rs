@@ -32,8 +32,9 @@
 //!   the big shared arrays and the software-prefetch primitive.
 //! * [`pad`] — cache-line padding to keep per-processor counters off
 //!   shared lines.
-//! * [`atomics`] — a shared atomic `u32` array used for vertex colors and
-//!   parent slots.
+//! * [`atomics`] — a shared atomic `u32` array used for parent slots and
+//!   labels, and a one-bit-per-vertex atomic bitmap used as the
+//!   traversal's visited set.
 //! * [`sync`] — the synchronization abstraction layer every module above
 //!   imports its atomics/mutexes/condvars/spins through; with the `loom`
 //!   feature it swaps in the vendored loom model checker so
@@ -56,7 +57,7 @@ pub mod steal;
 pub mod sync;
 pub mod team;
 
-pub use atomics::AtomicU32Array;
+pub use atomics::{AtomicBitmap, AtomicU32Array};
 pub use barrier::{BarrierToken, SenseBarrier};
 pub use cancel::CancelToken;
 pub use detect::{DetectorStats, IdleOutcome, TerminationDetector};

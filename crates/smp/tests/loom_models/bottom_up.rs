@@ -1,20 +1,23 @@
-//! Models: the bottom-up sweep protocol of the direction-optimizing
-//! traversal (st-core `traversal::bottom_up_phase`), and the
+//! Models: the claims on the traversal's visited bitmap (st-core
+//! `traversal`), top-down and bottom-up; the bottom-up sweep protocol
+//! of the direction-optimizing traversal (`bottom_up_phase`); and the
 //! CAS-from-clean abort-byte rendezvous that gets the team there.
 //!
 //! The sweep protocol under test: a leader-written control word decides
 //! each sweep in the window between the sweep-end barrier and the next
 //! sweep-start barrier (followers never read the claim tally directly —
 //! that read would race the leader's reset); the chunk cursor hands
-//! each vertex to exactly one rank per sweep, which is why the claim
-//! write is a single *relaxed* store, not a CAS; and the sweep-end
-//! barrier is the sole publication point those relaxed stores rely on.
+//! each vertex to exactly one rank per sweep, which is why the claim is
+//! a *relaxed* `fetch_or` that cannot lose a race; and the sweep-end
+//! barrier is the sole publication point those relaxed claims rely on.
+//! All vertices of each model share one bitmap word, so a claim that
+//! was a plain load-and-store of the word would lose bits.
+
+use std::sync::atomic::AtomicBool;
 
 use st_smp::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use st_smp::sync::{model, thread, Arc};
-use st_smp::{AtomicU32Array, BarrierToken, SenseBarrier};
-
-const UNCOLORED: u32 = 0;
+use st_smp::{AtomicBitmap, BarrierToken, SenseBarrier};
 
 const CTL_RUN: u8 = 0;
 const CTL_DONE: u8 = 1;
@@ -22,16 +25,17 @@ const CTL_DONE: u8 = 1;
 /// Two ranks sweep a 3-vertex chain (vertex 0 pre-seeded) bottom-up
 /// until a sweep claims nothing. Every schedule must uphold the real
 /// protocol's invariants: each vertex is claimed at most once (cursor
-/// exclusivity, no CAS), each rank observes every earlier sweep's
-/// relaxed claim stores after the sweep-end barrier, both ranks take
-/// the same number of sweeps (uniform leader-decided termination), and
-/// the chain ends fully colored.
+/// exclusivity), each rank observes every earlier sweep's relaxed
+/// claims after the sweep-end barrier, both ranks take the same number
+/// of sweeps (uniform leader-decided termination), and the chain ends
+/// fully colored — no rank's `fetch_or` erased another's bit in the
+/// shared word.
 #[test]
 fn bottom_up_sweeps_claim_once_and_publish_through_barrier() {
     model(|| {
         const N: usize = 3;
-        let color = Arc::new(AtomicU32Array::new(N, UNCOLORED));
-        color.store(0, 1, Ordering::Release); // the seed vertex
+        let colored = Arc::new(AtomicBitmap::new(N));
+        colored.set(0, Ordering::Release); // the seed vertex
         let barrier = Arc::new(SenseBarrier::new(2));
         let cursor = Arc::new(AtomicUsize::new(0));
         let sweep_claims = Arc::new(AtomicUsize::new(0));
@@ -41,7 +45,7 @@ fn bottom_up_sweeps_claim_once_and_publish_through_barrier() {
 
         let handles: Vec<_> = (0..2usize)
             .map(|rank| {
-                let color = Arc::clone(&color);
+                let colored = Arc::clone(&colored);
                 let barrier = Arc::clone(&barrier);
                 let cursor = Arc::clone(&cursor);
                 let sweep_claims = Arc::clone(&sweep_claims);
@@ -49,7 +53,6 @@ fn bottom_up_sweeps_claim_once_and_publish_through_barrier() {
                 let claim_counts = Arc::clone(&claim_counts);
                 thread::spawn(move || {
                     let token = BarrierToken::new();
-                    let my_label = rank as u32 + 2;
                     let mut sweeps = 0usize;
                     let mut first = true;
                     loop {
@@ -77,9 +80,8 @@ fn bottom_up_sweeps_claim_once_and_publish_through_barrier() {
                         // loads — the barriers are the only ordering.
                         for v in 0..N {
                             if claim_counts[v].load(Ordering::SeqCst) > 0 {
-                                assert_ne!(
-                                    color.load(v, Ordering::Relaxed),
-                                    UNCOLORED,
+                                assert!(
+                                    colored.get(v, Ordering::Relaxed),
                                     "earlier sweep's claim of {v} not visible after barrier"
                                 );
                             }
@@ -90,17 +92,19 @@ fn bottom_up_sweeps_claim_once_and_publish_through_barrier() {
                             if v >= N {
                                 break;
                             }
-                            if color.load(v, Ordering::Acquire) != UNCOLORED {
+                            if colored.get(v, Ordering::Relaxed) {
                                 continue;
                             }
-                            let visited_neighbor = (v > 0
-                                && color.load(v - 1, Ordering::Acquire) != UNCOLORED)
-                                || (v + 1 < N && color.load(v + 1, Ordering::Acquire) != UNCOLORED);
+                            let visited_neighbor = (v > 0 && colored.get(v - 1, Ordering::Relaxed))
+                                || (v + 1 < N && colored.get(v + 1, Ordering::Relaxed));
                             if visited_neighbor {
                                 // The cursor handed v to this rank
-                                // exclusively: a plain relaxed store
-                                // suffices, no claim CAS.
-                                color.store(v, my_label, Ordering::Relaxed);
+                                // exclusively: the claim cannot lose, so
+                                // a relaxed fetch_or suffices.
+                                assert!(
+                                    colored.set(v, Ordering::Relaxed),
+                                    "an exclusively handed vertex was already set"
+                                );
                                 claim_counts[v].fetch_add(1, Ordering::SeqCst);
                                 local += 1;
                             }
@@ -133,9 +137,70 @@ fn bottom_up_sweeps_claim_once_and_publish_through_barrier() {
         for v in 0..N {
             let claims = claim_counts[v].load(Ordering::SeqCst);
             assert!(claims <= 1, "vertex {v} claimed {claims} times");
-            assert_ne!(color.load(v, Ordering::Relaxed), UNCOLORED, "vertex {v}");
+            assert!(colored.get(v, Ordering::Relaxed), "vertex {v} lost");
         }
     });
+}
+
+/// Set once any schedule of the next model has a rank lose a claim at
+/// its `fetch_or` (so the model provably reaches the collision).
+static LOSS_SEEN: AtomicBool = AtomicBool::new(false);
+
+/// Two ranks' top-down claims on one bitmap word: rank 0 claims
+/// vertices 0 and 1, rank 1 claims 1 and 2 — a contested bit between
+/// two neighbouring uncontested ones. Each claim is the traversal's
+/// test then `fetch_or`. Every schedule must give each bit exactly one
+/// winner and leave all three set (no `fetch_or` erased a neighbour's
+/// bit), and a rank that passed the test but lost the `fetch_or` must
+/// count the collision (`multi_colored`): each rank that tried the
+/// contested bit either won it, counted a loss, or saw it already set.
+#[test]
+fn top_down_claims_on_one_word_have_one_winner_and_count_the_loser() {
+    model(|| {
+        let colored = Arc::new(AtomicBitmap::new(3));
+        let handles: Vec<_> = [[0usize, 1], [1, 2]]
+            .into_iter()
+            .map(|targets| {
+                let colored = Arc::clone(&colored);
+                thread::spawn(move || {
+                    let (mut won, mut multi_colored, mut skipped) = (Vec::new(), 0usize, 0usize);
+                    for v in targets {
+                        if colored.get(v, Ordering::Acquire) {
+                            skipped += 1;
+                        } else if colored.set(v, Ordering::AcqRel) {
+                            won.push(v);
+                        } else {
+                            multi_colored += 1;
+                        }
+                    }
+                    (won, multi_colored, skipped)
+                })
+            })
+            .collect();
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let mut winners = [0usize; 3];
+        for (won, _, _) in &results {
+            for &v in won {
+                winners[v] += 1;
+            }
+        }
+        assert_eq!(winners, [1, 1, 1], "a bit had no winner or two");
+        for v in 0..3 {
+            assert!(colored.get(v, Ordering::Relaxed), "bit {v} lost");
+        }
+        // Only vertex 1 is contested: two attempts, one winner, and the
+        // other attempt is a counted loss or a test that saw the bit.
+        let counted: usize = results.iter().map(|r| r.1).sum();
+        let skipped: usize = results.iter().map(|r| r.2).sum();
+        assert_eq!(counted + skipped, 1, "the losing attempt went unaccounted");
+        if counted == 1 {
+            LOSS_SEEN.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+    });
+    assert!(
+        LOSS_SEEN.load(std::sync::atomic::Ordering::Relaxed),
+        "no schedule had both ranks pass the test before either fetch_or"
+    );
 }
 
 const ABORT_NONE: u8 = 0;

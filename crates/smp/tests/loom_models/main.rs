@@ -14,7 +14,7 @@
 //! deadlocks, and livelocks in *any* schedule fail the test with the
 //! reproducing decision prefix.
 //!
-//! The five protocol families of the harness (cross-referenced from the
+//! The protocol families of the harness (cross-referenced from the
 //! DESIGN.md memory-ordering audit):
 //!
 //! * [`locks`] — SpinLock/TicketLock mutual exclusion + guard-drop
@@ -32,6 +32,9 @@
 //! * [`pool`] — the executor pool's core budget (concurrent leases
 //!   never exceed it; cores and executors are conserved; a waiting
 //!   lease is woken by a return),
+//! * [`bottom_up`] — the traversal's visited-bitmap claims (two ranks'
+//!   top-down test-then-`fetch_or` on one word; the bottom-up sweep
+//!   protocol) and the abort-byte rendezvous of the hybrid switch,
 //! * [`dyn_forest`] — the batch-dynamic maintainer's CAS-hook union
 //!   (claim-then-store exclusivity) and the replacement scan's
 //!   write-once edge election.

@@ -106,9 +106,13 @@ fn main() {
 
     let (status, jsonl) = http_get(addr, &format!("/debug/journal?trace={last_trace:016x}"));
     assert_eq!(status, "HTTP/1.1 200 OK");
+    // submitted, admitted, dequeued, started, finished — plus
+    // direction_switched before finished when the default hybrid
+    // traversal swept bottom-up.
+    let switched = jsonl.contains("\"event\":\"direction_switched\"");
     assert_eq!(
         jsonl.lines().count(),
-        5,
+        5 + usize::from(switched),
         "the last execution's full lifecycle is journaled"
     );
     println!("/debug/journal: trace {last_trace:016x} shows its full lifecycle");

@@ -360,7 +360,12 @@ fn remote_tenant_quota_is_a_typed_error() {
 #[test]
 fn remote_unmeetable_deadline_is_a_typed_error() {
     let (server, svc) = serve(1, 8);
-    let g = gen::random_gnm(100_000, 200_000, 7);
+    // The first job must run well over 8 ms: the estimator's first
+    // real sample is an eighth of its runtime and must top the smallest
+    // deadline the wire carries, 1 ms. On a torus the default hybrid
+    // traversal never switches to bottom-up sweeps, so the job runs
+    // top-down; a random graph would finish in a few milliseconds.
+    let g = gen::torus2d(1000, 1000);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
 

@@ -22,6 +22,17 @@ fn serve(cores: usize) -> (Server, Arc<Service>) {
     (server, svc)
 }
 
+/// The journaled lifecycle of a job that ran. A job whose traversal
+/// swept bottom-up — the default hybrid direction decides that at run
+/// time — also journals `direction_switched`, just before `finished`.
+fn executed_lifecycle(switched: bool) -> Vec<&'static str> {
+    let mut kinds = vec!["submitted", "admitted", "dequeued", "started", "finished"];
+    if switched {
+        kinds.insert(4, "direction_switched");
+    }
+    kinds
+}
+
 /// One plain HTTP/1.1 GET over a raw socket; returns (status line,
 /// body). Connection: close keeps the read loop trivial.
 fn http_get(addr: std::net::SocketAddr, target: &str) -> (String, String) {
@@ -55,7 +66,7 @@ fn submit_trace_appears_in_journal_with_full_lifecycle() {
     let kinds: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
     assert_eq!(
         kinds,
-        vec!["submitted", "admitted", "dequeued", "started", "finished"],
+        executed_lifecycle(kinds.contains(&"direction_switched")),
         "full ordered chain for trace {:016x}",
         reply.trace
     );
@@ -93,7 +104,7 @@ fn handle_trace_id_matches_journal_for_in_process_jobs() {
         .collect();
     assert_eq!(
         kinds,
-        vec!["submitted", "admitted", "dequeued", "started", "finished"]
+        executed_lifecycle(kinds.contains(&"direction_switched"))
     );
 }
 
@@ -187,13 +198,18 @@ fn http_endpoints_share_the_listener_with_the_binary_protocol() {
     let (status, body) = http_get(addr, &format!("/debug/journal?trace={:016x}", reply.trace));
     assert_eq!(status, "HTTP/1.1 200 OK");
     let lines: Vec<&str> = body.lines().collect();
+    let lifecycle = executed_lifecycle(body.contains("\"event\":\"direction_switched\""));
     assert_eq!(
         lines.len(),
-        5,
+        lifecycle.len(),
         "full lifecycle, one JSONL line each: {body}"
     );
-    assert!(lines[0].contains("\"event\":\"submitted\""));
-    assert!(lines[4].contains("\"event\":\"finished\""));
+    for (line, kind) in lines.iter().zip(&lifecycle) {
+        assert!(
+            line.contains(&format!("\"event\":\"{kind}\"")),
+            "expected {kind}: {body}"
+        );
+    }
     let want = format!("\"trace\":\"{:016x}\"", reply.trace);
     assert!(lines.iter().all(|l| l.contains(&want)));
 
