@@ -20,11 +20,24 @@
 //! next root found by an id-order scan — the natural generalization, and
 //! what the disconnected experiment inputs (2D60, 3D40, sparse random)
 //! require.
+//!
+//! Between rounds the driver finishes small components itself, so only
+//! large ones pay for a round (two barriers and a team wake-up). In one
+//! pass over the next roots it marks each isolated root as its own tree
+//! without walking, and walks every other root up to [`WALK_BUDGET`]
+//! vertices: a walk that ends short of the budget has covered its whole
+//! component and is marked; a walk that reaches it seeds its first
+//! `stub_factor · p` vertices, exactly the paper's stub for that root
+//! and seed, and releases the rest to the traversal. The pass records
+//! one stub span and one counter add per call, however many components
+//! it finishes.
 
 use st_graph::preprocess::{eliminate_degree2, Reduction};
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{now_ns, Counter, Phase};
+use st_smp::mem::prefetch_read;
 use st_smp::{CancelToken, Executor};
+use std::sync::atomic::Ordering;
 
 use crate::engine::{Cancelled, Engine, SpanningAlgorithm, Workspace};
 use crate::orient::orient_forest_with_mask;
@@ -32,6 +45,35 @@ use crate::result::{AlgoStats, SpanningForest};
 use crate::stub::grow_stub_into;
 use crate::sv::{self, SvConfig};
 use crate::traversal::{TraversalConfig, TraversalOutcome};
+
+/// How many vertices the round driver's stub walk may take before it
+/// gives a component a traversal round (the stub target, if larger).
+///
+/// A walk that ends short of the budget has covered its whole
+/// component, which the driver then marks without a round. A walk that
+/// reaches it seeds its first `stub_factor · p` vertices, the paper's
+/// stub, and releases the rest: those steps were wasted. The budget is
+/// sized by ski rental: the steps a failed walk wastes should cost no
+/// more than the round a successful walk saves.
+///
+/// Measured on a 2-vCPU Xeon (release build, medians):
+/// - a round costs 1.2–1.6 µs at p = 1 and 4.3–5.3 µs at p = 2 (8192
+///   disjoint chains of 2p vertices, timed with a budget of 2p, which
+///   gives each chain a round, and with this one, which gives none);
+/// - a walk step costs about 53 ns on `random_connected(2^10..2^12,
+///   2n)`, 80 ns at 2^16 and 24 ns on a chain (`grow_stub_into`, 1000
+///   walks per budget);
+/// - a traversal visit costs about 20 ns, so a walk that finishes a
+///   component of s vertices saves R − (s − 2p) · 33 ns over its round.
+///
+/// At 32, a failed walk wastes 30 steps, about 1.6 µs on a random graph:
+/// one round at p = 1 and a third of one at p = 2. A walk that finishes
+/// 31 vertices saves about 0.2 µs at p = 1 and 3.6 µs at p = 2. Jobs on
+/// small connected graphs, which the service runs at p = 1, pay the
+/// waste once each; a larger budget would pay more there and gain
+/// nothing on `random_gnm(2^20, 1.5n)` (seed 7), whose components other
+/// than the giant have fewer than 16 vertices.
+pub const WALK_BUDGET: usize = 32;
 
 /// Configuration of the Bader–Cong algorithm.
 #[derive(Clone, Debug, PartialEq)]
@@ -149,6 +191,7 @@ impl BaderCong {
         }
         let mut roots: Vec<VertexId> = Vec::new();
         let stub_target = (self.cfg.stub_factor * p).max(1);
+        let budget = WALK_BUDGET.max(stub_target);
         let seed = self.cfg.traversal.seed;
         let start_root = self.cfg.start_root;
 
@@ -160,53 +203,70 @@ impl BaderCong {
             let roots_sink = &mut roots;
             let (processed, barriers, outcome) = t.run_rounds(exec, move |s, round| {
                 let t = s.traversal();
-                let mut walk = 0u64;
-                loop {
+                let visited = t.colored();
+                // The driver's serial step, tallied once per call: one
+                // stub span and one add per counter, however many
+                // components it finishes.
+                let t_stub = now_ns();
+                let (mut walks, mut walked) = (0u64, 0u64);
+                let more = loop {
                     // Pick the next component root: the smallest
                     // uncolored vertex (every vertex below the cursor is
                     // colored).
                     let root = match start_root {
-                        Some(r) if round == 0 && walk == 0 && (r as usize) < n => Some(r),
+                        Some(r) if roots_sink.is_empty() && (r as usize) < n => Some(r),
                         _ => t.next_uncolored(cursor).inspect(|&v| cursor = v),
                     };
-                    let Some(root) = root else { return false };
+                    let Some(root) = root else { break false };
                     roots_sink.push(root);
+                    // Roots ascend, so their CSR offsets are read as a
+                    // sparse stream: fetch a few lines ahead.
+                    prefetch_read(g.raw_offsets().as_ptr().wrapping_add(root as usize + 128));
+                    if g.degree(root) == 0 {
+                        // An isolated vertex is its own tree: no walk.
+                        s.mark(root, NO_VERTEX);
+                        continue;
+                    }
                     // Phase 1: stub spanning tree, grown by "one
-                    // processor" (the round driver).
-                    let t_stub = now_ns();
+                    // processor" (the round driver), up to the budget.
                     let stub = grow_stub_into(
                         g,
                         root,
-                        stub_target,
-                        seed ^ (round as u64) ^ (walk << 32),
-                        |v| t.is_colored(v),
+                        budget,
+                        seed ^ (round as u64) ^ (walks << 32),
+                        visited,
                         stub_scratch,
                     );
-                    t.trace().rank(0).record(Phase::Stub, t_stub);
-                    let slot0 = t.counters().rank(0);
-                    slot0.incr(Counter::StubWalks);
-                    slot0.add(Counter::StubVertices, stub.len() as u64);
-                    walk += 1;
-                    if stub.len() < stub_target {
+                    walks += 1;
+                    walked += stub.len() as u64;
+                    if stub.len() < budget {
                         // The backtracking walk exhausted the component:
                         // it is fully covered, so no traversal round (and
                         // no barriers) are needed. Mark it and move to
-                        // the next component — this keeps many-component
-                        // inputs (2D60, sparse random) from paying two
-                        // barriers per tiny component.
+                        // the next component.
                         for (&v, &par) in stub.vertices.iter().zip(stub.parents.iter()) {
                             s.mark(v, par);
                         }
                         continue;
                     }
-                    // Big component: deal the stub round-robin into the
-                    // queues and run a work-stealing round.
-                    for (i, (&v, &par)) in stub.vertices.iter().zip(stub.parents.iter()).enumerate()
-                    {
+                    // Big component: deal the walk's first `stub_target`
+                    // vertices (the paper's O(p) stub) round-robin into
+                    // the queues, release the rest to the traversal, and
+                    // run a work-stealing round.
+                    let (keep, release) = stub.vertices.split_at(stub_target);
+                    for (i, (&v, &par)) in keep.iter().zip(stub.parents.iter()).enumerate() {
                         s.seed(i % p, v, par);
                     }
-                    return true;
-                }
+                    for &v in release {
+                        visited.clear(v as usize, Ordering::Relaxed);
+                    }
+                    break true;
+                };
+                t.trace().rank(0).record(Phase::Stub, t_stub);
+                let slot0 = t.counters().rank(0);
+                slot0.add(Counter::StubWalks, walks);
+                slot0.add(Counter::StubVertices, walked);
+                more
             });
 
             let totals = t.counters().merged();
@@ -364,6 +424,82 @@ mod tests {
         );
         assert_eq!(f.roots.len(), f.stats.components);
         f
+    }
+
+    /// Component sizes, in no particular order.
+    fn component_sizes(g: &CsrGraph) -> Vec<usize> {
+        let n = g.num_vertices();
+        let mut dsu = st_graph::dsu::DisjointSets::new(n);
+        for (u, v) in g.edges() {
+            dsu.union(u, v);
+        }
+        let mut size = vec![0usize; n];
+        for v in 0..n as VertexId {
+            size[dsu.find(v) as usize] += 1;
+        }
+        size.retain(|&s| s > 0);
+        size
+    }
+
+    /// Disjoint chains and stars of B − 1, B and B + 1 vertices, then
+    /// `isolated` vertices.
+    fn budget_boundary_graph(isolated: usize) -> CsrGraph {
+        let b = WALK_BUDGET;
+        let mut el = st_graph::EdgeList::new(6 * b + isolated);
+        let mut start = 0u32;
+        for len in [b - 1, b, b + 1] {
+            for i in 1..len as u32 {
+                el.push(start + i - 1, start + i);
+            }
+            start += len as u32;
+            for i in 1..len as u32 {
+                el.push(start, start + i);
+            }
+            start += len as u32;
+        }
+        CsrGraph::from_edge_list(&el)
+    }
+
+    #[test]
+    fn components_under_the_budget_finish_in_the_driver() {
+        let g = budget_boundary_graph(50);
+        for p in [1, 2, 4] {
+            let f = check_forest(&g, p);
+            assert_eq!(f.roots.len(), 6 + 50, "p = {p}");
+            // The four components of B or B + 1 vertices fill the walk's
+            // budget and get a two-barrier round each; the session ends
+            // with one more barrier.
+            assert_eq!(f.stats.barriers, 2 * 4 + 1, "p = {p}");
+            // The isolated vertices are not walked.
+            assert_eq!(f.stats.metrics.get(Counter::StubWalks), 6, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn sparse_random_graph_runs_one_round_per_big_component() {
+        let n = 1 << 14;
+        let g = gen::random_gnm(n, 3 * n / 2, 11);
+        let sizes = component_sizes(&g);
+        let big = sizes.iter().filter(|&&s| s >= WALK_BUDGET).count();
+        let walked = sizes.iter().filter(|&&s| s > 1).count();
+        assert!(sizes.len() > 500 && big >= 1, "test graph lost its shape");
+        for p in [1, 2, 4] {
+            let f = check_forest(&g, p);
+            assert_eq!(f.roots.len(), sizes.len(), "p = {p}");
+            // A component of exactly B vertices fills the budget too, so
+            // "big" counts sizes >= B.
+            let rounds = (f.stats.barriers - 1) / 2;
+            assert_eq!(rounds, big, "p = {p}");
+            let m = &f.stats.metrics;
+            assert_eq!(m.get(Counter::StubWalks), walked as u64, "p = {p}");
+            // One stub span per round preparation, not per component.
+            let stub_spans = m
+                .phases
+                .iter()
+                .find(|t| t.phase == Phase::Stub)
+                .map_or(0, |t| t.count);
+            assert_eq!(stub_spans, rounds as u64 + 1, "p = {p}");
+        }
     }
 
     #[test]

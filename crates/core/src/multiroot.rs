@@ -30,7 +30,7 @@
 //! selection shares [`crate::traversal`]'s steal sweep.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
@@ -42,7 +42,7 @@ use st_smp::{CancelToken, Executor, IdleOutcome};
 
 use crate::engine::{hugepages_enabled, Cancelled, SpanningAlgorithm, Workspace};
 use crate::result::{AlgoStats, SpanningForest};
-use crate::traversal::{steal_sweep, TraversalConfig};
+use crate::traversal::{steal_sweep, TraversalConfig, CANCEL_POLL_MASK};
 
 /// Color value meaning "not yet claimed".
 const UNCLAIMED: u32 = 0;
@@ -78,8 +78,11 @@ impl SpanningAlgorithm for Multiroot {
     /// starving); the steal policy, idle timeout, and seed apply as in
     /// the round driver.
     ///
-    /// `cancel` is checked once, up front: a run that starts runs to
-    /// completion.
+    /// Ends early with `Err(Cancelled)` if `cancel` fires. Each rank
+    /// polls it every 256 processed vertices and whenever its queue runs
+    /// dry, before it steals or claims a root; the rank that sees it
+    /// fire wakes the sleepers, so the team stops within one idle
+    /// timeout.
     fn run(
         &self,
         g: &CsrGraph,
@@ -119,6 +122,20 @@ impl SpanningAlgorithm for Multiroot {
         let detector = exec.detector();
 
         let cursor = AtomicUsize::new(0);
+        // Set by the first rank that sees `cancel` fire; the others
+        // read the flag instead of the token.
+        let aborted = AtomicBool::new(false);
+        let should_stop = || {
+            if aborted.load(Ordering::Relaxed) {
+                return true;
+            }
+            if !cancel.is_cancelled() {
+                return false;
+            }
+            aborted.store(true, Ordering::Relaxed);
+            detector.notify_work();
+            true
+        };
         // Roots claimed, in claim order (for stats; merged roots drop out of
         // the final root set).
         let claimed_roots = Mutex::new(Vec::<VertexId>::new());
@@ -155,7 +172,7 @@ impl SpanningAlgorithm for Multiroot {
             let mut published = 0u64;
             let mut conflicts: Vec<(VertexId, VertexId)> = Vec::new();
 
-            loop {
+            'work: loop {
                 while let Some(v) = my_q.pop() {
                     let my_tree = color.load(v as usize, Ordering::Acquire);
                     debug_assert_ne!(my_tree, UNCLAIMED);
@@ -183,12 +200,18 @@ impl SpanningAlgorithm for Multiroot {
                         }
                     }
                     processed += 1;
+                    if processed & CANCEL_POLL_MASK == 0 && should_stop() {
+                        break 'work;
+                    }
                     if detector.approx_sleeping() > 0 && my_q.approx_len() > 1 {
                         detector.notify_work();
                     }
                 }
-                // Local queue empty: steal, then claim a fresh root, then
-                // sleep.
+                // Local queue empty: check for cancellation, steal, then
+                // claim a fresh root, then sleep.
+                if should_stop() {
+                    break;
+                }
                 slot.incr(Counter::StealAttempts);
                 let got = steal_sweep(queues, rank, &mut rng, cfg.steal_policy, &mut steal_buf);
                 if got > 0 {
@@ -219,6 +242,13 @@ impl SpanningAlgorithm for Multiroot {
             ring.record(Phase::Traverse, t_run);
             (processed, conflicts)
         });
+
+        if aborted.into_inner() {
+            // Close the observability window so the workspace is clean
+            // for its next job; the queues are drained when it starts.
+            let _ = ws.finish_job(exec);
+            return Err(Cancelled);
+        }
 
         // --- Sequential merge pass: one merge edge per tree pair.
         let mut parents: Vec<VertexId> = ws.parents_prefix(n);
@@ -372,6 +402,43 @@ mod tests {
         assert!(f.parents.is_empty());
         let f = check(&CsrGraph::empty(6), 3);
         assert_eq!(f.num_trees(), 6);
+    }
+
+    #[test]
+    fn cancel_mid_run_stops_the_team_and_leaves_the_workspace_reusable() {
+        use std::time::Instant;
+        let n = 1 << 18;
+        let g = gen::random_gnm(n, 3 * n / 2, 4);
+        let reference = count_components(&g);
+        let exec = Executor::new(2);
+        let mut ws = Workspace::new();
+        let algo = Multiroot::with_defaults();
+        let t0 = Instant::now();
+        algo.run(&g, &exec, &mut ws, &CancelToken::none())
+            .expect("inert token cannot cancel");
+        let full = t0.elapsed();
+        // A deadline an eighth of the way into a run fires mid-run: the
+        // up-front check passes, and the workers poll the token as they
+        // go. A run that outpaces its own deadline is a valid forest and
+        // the attempt is repeated.
+        let cancelled = (0..10).any(|_| {
+            let token = CancelToken::with_deadline(Instant::now() + full / 8);
+            match algo.run(&g, &exec, &mut ws, &token) {
+                Err(Cancelled) => true,
+                Ok(f) => {
+                    assert!(is_spanning_forest(&g, &f.parents));
+                    false
+                }
+            }
+        });
+        assert!(cancelled, "no run was cancelled (full run {full:?})");
+        // The workspace and team the cancelled run left behind run the
+        // next job correctly.
+        let f = algo
+            .run(&g, &exec, &mut ws, &CancelToken::none())
+            .expect("inert token cannot cancel");
+        assert!(is_spanning_forest(&g, &f.parents));
+        assert_eq!(f.num_trees(), reference);
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! The walk only moves to unvisited neighbors (each step extends the
 //! tree); when it reaches a vertex with no unvisited neighbor it
 //! backtracks along the walk, so on high-diameter graphs the stub still
-//! collects up to the requested number of vertices. Shorter-than-
-//! requested stubs (tiny components) are fine — the remaining processors
-//! start by stealing.
+//! collects up to the requested number of vertices. A stub shorter than
+//! requested has covered its whole component; the round driver
+//! ([`crate::bader_cong`]) then marks that component instead of running
+//! a round for it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
+use st_smp::AtomicBitmap;
+use std::sync::atomic::Ordering;
 
 /// A stub spanning tree: vertices in walk order with their tree parents.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -51,9 +54,6 @@ pub struct StubScratch {
     path: Vec<VertexId>,
     /// Unvisited-neighbor candidates of the current position.
     candidates: Vec<VertexId>,
-    /// Membership test local to one walk (the walk touches O(target)
-    /// vertices, so a hash set beats an O(n) bitmap).
-    in_stub: std::collections::HashSet<VertexId>,
 }
 
 /// Grows a stub spanning tree of up to `target` vertices from `root` by
@@ -61,7 +61,9 @@ pub struct StubScratch {
 ///
 /// `already_visited(v)` reports vertices claimed by earlier rounds (other
 /// components' traversals); the walk never enters them. The root itself
-/// must be unvisited.
+/// must be unvisited. This form asks `already_visited` about every
+/// vertex to fill an n-bit set; the round driver walks with
+/// [`grow_stub_into`] on the traversal's visited bitmap instead.
 pub fn grow_stub(
     g: &CsrGraph,
     root: VertexId,
@@ -69,41 +71,51 @@ pub fn grow_stub(
     seed: u64,
     already_visited: impl Fn(VertexId) -> bool,
 ) -> StubTree {
+    let visited = AtomicBitmap::new(g.num_vertices());
+    for v in g.vertices().filter(|&v| already_visited(v)) {
+        visited.set(v as usize, Ordering::Relaxed);
+    }
     let mut scratch = StubScratch::default();
-    grow_stub_into(g, root, target, seed, already_visited, &mut scratch);
+    grow_stub_into(g, root, target, seed, &visited, &mut scratch);
     scratch.tree
 }
 
-/// Allocation-reusing form of [`grow_stub`]: the walk runs entirely in
-/// `scratch` and the resulting tree is borrowed from it. Identical walk
-/// (and therefore identical tree) for identical inputs.
+/// The walk of [`grow_stub`], claiming in a shared visited bitmap: a
+/// vertex is a candidate while its bit in `visited` is clear, and the
+/// walk sets the bit of every vertex it takes, the root included. The
+/// first `k` vertices of a walk do not depend on `target`, so a walk
+/// with a larger budget starts with the stub a smaller one would grow.
+///
+/// On return every vertex of the borrowed tree is claimed in `visited`;
+/// the caller clears ([`AtomicBitmap::clear`]) those it does not keep.
+/// The bitmap is read and written with `Relaxed` order: the walk runs
+/// while no other processor touches it, and the barrier that ends that
+/// phase publishes it.
 pub fn grow_stub_into<'s>(
     g: &CsrGraph,
     root: VertexId,
     target: usize,
     seed: u64,
-    already_visited: impl Fn(VertexId) -> bool,
+    visited: &AtomicBitmap,
     scratch: &'s mut StubScratch,
 ) -> &'s StubTree {
-    debug_assert!(!already_visited(root), "stub root must be unvisited");
+    debug_assert!(
+        !visited.get(root as usize, Ordering::Relaxed),
+        "stub root must be unvisited"
+    );
     let mut rng = SmallRng::seed_from_u64(seed);
     let StubScratch {
         tree,
         path,
         candidates,
-        in_stub,
     } = scratch;
     tree.vertices.clear();
     tree.parents.clear();
     path.clear();
-    in_stub.clear();
 
+    visited.set(root as usize, Ordering::Relaxed);
     tree.vertices.push(root);
     tree.parents.push(NO_VERTEX);
-    if target <= 1 {
-        return tree;
-    }
-    in_stub.insert(root);
     path.push(root);
     while tree.vertices.len() < target {
         let Some(&cur) = path.last() else { break };
@@ -112,14 +124,14 @@ pub fn grow_stub_into<'s>(
             g.neighbors(cur)
                 .iter()
                 .copied()
-                .filter(|&w| !in_stub.contains(&w) && !already_visited(w)),
+                .filter(|&w| !visited.get(w as usize, Ordering::Relaxed)),
         );
         if candidates.is_empty() {
             path.pop();
             continue;
         }
         let next = candidates[rng.gen_range(0..candidates.len())];
-        in_stub.insert(next);
+        visited.set(next as usize, Ordering::Relaxed);
         tree.vertices.push(next);
         tree.parents.push(cur);
         path.push(next);
@@ -230,10 +242,58 @@ mod tests {
         let g = torus2d(15, 15);
         let mut scratch = StubScratch::default();
         for (root, seed) in [(0u32, 1u64), (37, 2), (100, 3), (5, 1)] {
-            let reused = grow_stub_into(&g, root, 20, seed, never_visited, &mut scratch).clone();
+            let visited = AtomicBitmap::new(g.num_vertices());
+            let reused = grow_stub_into(&g, root, 20, seed, &visited, &mut scratch).clone();
             let fresh = grow_stub(&g, root, 20, seed, never_visited);
             assert_eq!(reused, fresh, "root {root} seed {seed}");
             assert_stub_is_tree(&g, &reused);
+        }
+    }
+
+    #[test]
+    fn walk_claims_exactly_its_vertices_and_skips_claimed_ones() {
+        let g = chain(10);
+        let visited = AtomicBitmap::new(10);
+        // Vertices >= 5 belong to an earlier traversal.
+        for v in 5..10 {
+            visited.set(v, Ordering::Relaxed);
+        }
+        let mut scratch = StubScratch::default();
+        let stub = grow_stub_into(&g, 2, 50, 1, &visited, &mut scratch).clone();
+        assert_eq!(stub, grow_stub(&g, 2, 50, 1, |v| v >= 5));
+        assert_eq!(visited.next_clear(0, 10), None, "0..5 claimed by the walk");
+        for &v in &stub.vertices {
+            assert!(visited.clear(v as usize, Ordering::Relaxed));
+        }
+        assert_eq!(visited.next_clear(0, 10), Some(0));
+    }
+
+    #[test]
+    fn budgeted_walk_starts_with_the_stub() {
+        // The round driver walks up to a budget and seeds the first
+        // `target` vertices: they must be the stub a `target` walk grows.
+        let mut scratch = StubScratch::default();
+        for g in [torus2d(20, 20), chain(300), star(300), complete(40)] {
+            let n = g.num_vertices();
+            for (root, seed) in [(0u32, 7u64), (17, 3), (39, 11)] {
+                for target in [1usize, 2, 4, 8, 16] {
+                    let visited = AtomicBitmap::new(n);
+                    let long = grow_stub_into(&g, root, 64, seed, &visited, &mut scratch);
+                    let short = grow_stub(&g, root, target, seed, never_visited);
+                    let k = short.len();
+                    assert_eq!(k, target.min(n));
+                    assert_eq!(
+                        long.vertices[..k],
+                        short.vertices[..],
+                        "root {root} seed {seed}"
+                    );
+                    assert_eq!(
+                        long.parents[..k],
+                        short.parents[..],
+                        "root {root} seed {seed}"
+                    );
+                }
+            }
         }
     }
 

@@ -307,7 +307,7 @@ const _: () = assert!(BU_CHUNK.is_multiple_of(AtomicBitmap::WORD_BITS));
 /// two). Keeps the per-vertex cost at one abort-flag load; the token
 /// itself (which may read the clock for deadline tokens) is touched
 /// only on this cadence and on the cold idle path.
-const CANCEL_POLL_MASK: usize = 0xFF;
+pub(crate) const CANCEL_POLL_MASK: usize = 0xFF;
 
 /// Shared state of one traversal session, borrowed from a
 /// [`Workspace`](crate::engine::Workspace) arena and the team's
@@ -412,6 +412,13 @@ impl<'a> Traversal<'a> {
     /// True when `v` has been colored.
     pub fn is_colored(&self, v: VertexId) -> bool {
         self.colored.get(v as usize, Ordering::Acquire)
+    }
+
+    /// The visited bitmap itself, for the round driver's stub walk
+    /// ([`crate::stub::grow_stub_into`]), which claims in it while the
+    /// team waits at the barrier.
+    pub(crate) fn colored(&self) -> &'a AtomicBitmap {
+        self.colored
     }
 
     /// The smallest uncolored vertex at or after `from`, read a bitmap
@@ -1205,7 +1212,8 @@ impl<'t, 'a> Seeder<'t, 'a> {
         self.t
     }
 
-    /// Colors `v`, sets its parent, and enqueues it on `rank`'s queue.
+    /// Colors `v` (already colored is fine: a stub walk claims before
+    /// it seeds), sets its parent, and enqueues it on `rank`'s queue.
     pub fn seed(&mut self, rank: usize, v: VertexId, parent: VertexId) {
         self.t.colored.set(v as usize, Ordering::Release);
         self.t.parent.store(v as usize, parent, Ordering::Release);
@@ -1214,10 +1222,14 @@ impl<'t, 'a> Seeder<'t, 'a> {
     }
 
     /// Colors `v` and sets its parent *without* enqueueing it: for
-    /// components the stub walk covered entirely, which need no
-    /// traversal round at all.
+    /// isolated roots and components the stub walk covered entirely,
+    /// which need no traversal round at all. A vertex the walk already
+    /// claimed skips the `fetch_or`, whose implied fence would otherwise
+    /// stall on the previous vertex's parent store.
     pub fn mark(&mut self, v: VertexId, parent: VertexId) {
-        self.t.colored.set(v as usize, Ordering::Release);
+        if !self.t.colored.get(v as usize, Ordering::Relaxed) {
+            self.t.colored.set(v as usize, Ordering::Release);
+        }
         self.t.parent.store(v as usize, parent, Ordering::Release);
         self.marked += 1;
     }

@@ -12,8 +12,10 @@
 //! exactly the shape of the real implementation's idle path.
 //!
 //! Phase 1 (stub walks) is sequential and charged to the base time every
-//! processor starts from. Components the stub walk covers entirely are
-//! absorbed without a parallel round, mirroring the real driver.
+//! processor starts from. It follows the real driver's rules: an
+//! isolated root costs no walk step, and a component smaller than
+//! [`WALK_BUDGET`] (or the stub target, if larger) is absorbed by the
+//! walk without a parallel round; a failed walk's steps are charged too.
 //! The makespan is the maximum clock at quiescence; barrier episodes (2
 //! per parallel round, §3) are charged separately.
 
@@ -21,6 +23,7 @@ use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use st_core::bader_cong::WALK_BUDGET;
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 
 use crate::machine::MachineProfile;
@@ -62,15 +65,16 @@ pub struct TraversalSimOutput {
     pub parents: Vec<VertexId>,
     /// Components discovered.
     pub components: usize,
-    /// Parallel rounds executed (components larger than the stub).
+    /// Parallel rounds executed (components the budgeted walk could not
+    /// absorb).
     pub parallel_rounds: usize,
     /// Successful steals.
     pub steals: u64,
 }
 
 /// Simulates the full algorithm (stub + work-stealing traversal, one
-/// parallel round per above-stub-size component) with `p` virtual
-/// processors under `machine`.
+/// parallel round per component of at least [`WALK_BUDGET`] vertices)
+/// with `p` virtual processors under `machine`.
 pub fn simulate_bader_cong(
     g: &CsrGraph,
     p: usize,
@@ -109,14 +113,19 @@ pub fn simulate_bader_cong(
         let root = cursor as VertexId;
         components += 1;
 
-        // --- Phase 1: stub walk (DFS with backtracking) on processor 0.
+        // --- Phase 1 on processor 0, as the round driver runs it: a
+        // walk (DFS with backtracking) of up to `budget` vertices either
+        // finishes the component or seeds its first `target` vertices.
+        // An isolated root's walk ends at once, with no step charged: the
+        // driver marks it without walking.
         let target = (cfg.stub_factor * p).max(1);
+        let budget = WALK_BUDGET.max(target);
         let mut stub: Vec<VertexId> = vec![root];
         colored[root as usize] = true;
         let mut path = vec![root];
         let mut stub_cost = vertex_cost(g, root);
         let mut candidates: Vec<VertexId> = Vec::new();
-        while stub.len() < target {
+        while stub.len() < budget {
             let Some(&cur) = path.last() else { break };
             candidates.clear();
             candidates.extend(
@@ -140,10 +149,16 @@ pub fn simulate_bader_cong(
         report.per_proc_ops[0] += stub_cost.ops;
         base_ns += stub_cost.ns(machine, p);
 
-        if stub.len() < target {
+        if stub.len() < budget {
             // Component fully absorbed by the walk: no parallel round.
             continue;
         }
+        // Release the walk's tail to the traversal.
+        for &v in &stub[target..] {
+            colored[v as usize] = false;
+            parents[v as usize] = NO_VERTEX;
+        }
+        stub.truncate(target);
         parallel_rounds += 1;
         report.barriers += 2;
 
@@ -333,6 +348,29 @@ mod tests {
         assert_eq!(out.components, 50);
         assert_eq!(out.parallel_rounds, 0);
         assert_eq!(out.report.barriers, 0);
+    }
+
+    #[test]
+    fn components_under_the_walk_budget_need_no_round() {
+        // Chains of B − 1, B and B + 1 vertices plus isolated vertices:
+        // only the two chains that fill the budget get a round, and each
+        // round costs two barriers.
+        let b = WALK_BUDGET;
+        let mut el = st_graph::EdgeList::new(3 * b + 10);
+        let mut start = 0u32;
+        for len in [b - 1, b, b + 1] {
+            for i in 1..len as u32 {
+                el.push(start + i - 1, start + i);
+            }
+            start += len as u32;
+        }
+        let g = CsrGraph::from_edge_list(&el);
+        for p in [1, 2, 4] {
+            let out = sim(&g, p);
+            assert_eq!(out.components, 3 + 10, "p = {p}");
+            assert_eq!(out.parallel_rounds, 2, "p = {p}");
+            assert_eq!(out.report.barriers, 4, "p = {p}");
+        }
     }
 
     #[test]

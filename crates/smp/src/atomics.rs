@@ -214,6 +214,15 @@ impl AtomicBitmap {
         self.words[i / Self::WORD_BITS].fetch_or(mask, order) & mask == 0
     }
 
+    /// Clears bit `i` with one `fetch_and`; returns `true` when it was
+    /// set. Neighbouring bits of the word are left as they are, even if
+    /// another processor sets them concurrently.
+    #[inline]
+    pub fn clear(&self, i: usize, order: Ordering) -> bool {
+        let mask = 1 << (i % Self::WORD_BITS);
+        self.words[i / Self::WORD_BITS].fetch_and(!mask, order) & mask != 0
+    }
+
     /// The word holding bits `64·w .. 64·w + 64`, bit `b` of the result
     /// being bit `64·w + b` of the set.
     #[inline]
@@ -421,6 +430,26 @@ mod tests {
         b.ensure_len(100_000);
         assert!(b.get(199, Ordering::Relaxed));
         assert!(!b.get(99_999, Ordering::Relaxed));
+    }
+
+    #[test]
+    fn bitmap_clear_releases_one_bit_and_keeps_its_neighbours() {
+        let b = AtomicBitmap::new(130);
+        for i in [0, 1, 63, 64, 65, 129] {
+            b.set(i, Ordering::Relaxed);
+        }
+        assert!(b.clear(64, Ordering::Relaxed), "bit 64 was set");
+        assert!(
+            !b.clear(64, Ordering::Relaxed),
+            "second clear finds it clear"
+        );
+        assert!(!b.clear(100, Ordering::Relaxed), "never set");
+        let set: Vec<usize> = (0..130).filter(|&i| b.get(i, Ordering::Relaxed)).collect();
+        assert_eq!(set, vec![0, 1, 63, 65, 129]);
+        assert_eq!(b.next_clear(63, 130), Some(64));
+        // A cleared bit can be claimed again, by exactly one winner.
+        assert!(b.set(64, Ordering::Relaxed));
+        assert!(!b.set(64, Ordering::Relaxed));
     }
 
     #[test]

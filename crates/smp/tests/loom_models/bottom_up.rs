@@ -247,3 +247,55 @@ fn abort_byte_single_writer_wins_and_loser_follows() {
         }
     });
 }
+
+/// The round driver's budgeted stub walk: while the other rank is
+/// parked at the round barrier, the driver claims vertices 0–2 with
+/// relaxed `fetch_or`s, keeps 0 as the stub and releases 1 and 2 with
+/// relaxed `fetch_and`s; vertex 3 belongs to an earlier round and
+/// shares the word. After the barrier both ranks race top-down claims
+/// on every vertex: each released vertex must have exactly one winner,
+/// and neither the kept vertex nor the earlier round's may be claimed
+/// again (a release must not erase a neighbouring bit).
+#[test]
+fn driver_walk_releases_its_tail_through_the_round_barrier() {
+    model(|| {
+        const N: usize = 4;
+        let colored = Arc::new(AtomicBitmap::new(N));
+        colored.set(3, Ordering::Release); // an earlier round's vertex
+        let barrier = Arc::new(SenseBarrier::new(2));
+        let wins: Arc<Vec<AtomicUsize>> = Arc::new((0..N).map(|_| AtomicUsize::new(0)).collect());
+        let handles: Vec<_> = (0..2usize)
+            .map(|rank| {
+                let colored = Arc::clone(&colored);
+                let barrier = Arc::clone(&barrier);
+                let wins = Arc::clone(&wins);
+                thread::spawn(move || {
+                    let token = BarrierToken::new();
+                    if rank == 0 {
+                        for v in 0..3 {
+                            assert!(colored.set(v, Ordering::Relaxed), "walk claimed {v} twice");
+                        }
+                        for v in 1..3 {
+                            assert!(
+                                colored.clear(v, Ordering::Relaxed),
+                                "released {v} unclaimed"
+                            );
+                        }
+                    }
+                    barrier.wait(&token); // round start: the walk is published
+                    for v in 0..N {
+                        if colored.set(v, Ordering::AcqRel) {
+                            wins[v].fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let wins: Vec<usize> = wins.iter().map(|w| w.load(Ordering::SeqCst)).collect();
+        assert_eq!(wins, vec![0, 1, 1, 0], "claims after the round barrier");
+        assert_eq!(colored.next_clear(0, N), None);
+    });
+}

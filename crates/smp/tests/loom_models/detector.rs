@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use st_smp::sync::atomic::{AtomicUsize, Ordering};
+use st_smp::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use st_smp::sync::{model, thread, Arc};
 use st_smp::{IdleOutcome, StealPolicy, TerminationDetector, WorkQueue};
 
@@ -129,6 +129,32 @@ fn timeout_racing_notify_work_yields_retry() {
         let st = d.stats();
         assert_eq!(st.sleeps, 1);
         assert_eq!(st.wakes, 1);
+    });
+}
+
+/// The multi-root driver's cancellation exit: the rank that sees the
+/// token fire sets a shared flag, then calls `notify_work`; an idle
+/// rank checks the flag before each `idle_wait`. In every schedule the
+/// idle rank leaves through the flag, never through a verdict (its
+/// peer never sleeps), and every sleep is paired with a wake.
+#[test]
+fn cancel_flag_releases_an_idle_rank() {
+    model(|| {
+        let d = Arc::new(TerminationDetector::new(2));
+        let aborted = Arc::new(AtomicBool::new(false));
+        let (d2, aborted2) = (Arc::clone(&d), Arc::clone(&aborted));
+        let idle = thread::spawn(move || {
+            while !aborted2.load(Ordering::Relaxed) {
+                let outcome = d2.idle_wait(TIMEOUT);
+                assert_eq!(outcome, IdleOutcome::Retry, "verdict while a peer is awake");
+            }
+        });
+        aborted.store(true, Ordering::Relaxed);
+        d.notify_work();
+        idle.join().unwrap();
+        assert!(!d.is_done());
+        let st = d.stats();
+        assert_eq!(st.sleeps, st.wakes, "unpaired sleep registration");
     });
 }
 

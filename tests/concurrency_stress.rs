@@ -188,6 +188,48 @@ fn many_tiny_components_in_one_session() {
 }
 
 #[test]
+fn walk_budget_boundary_under_repeated_seeds() {
+    // Chains and stars of B − 1, B and B + 1 vertices among isolated
+    // vertices, shuffled so roots and components interleave: the
+    // budgeted walk finishes the small ones in the driver, and only
+    // components the walk cannot exhaust (B or more vertices) get a
+    // two-barrier round.
+    use bader_cong_spanning::core::bader_cong::WALK_BUDGET as B;
+    let mut el = EdgeList::new(6 * B + 40);
+    let mut start = 0u32;
+    for len in [B - 1, B, B + 1] {
+        for i in 1..len as u32 {
+            el.push(start + i - 1, start + i);
+        }
+        start += len as u32;
+        for i in 1..len as u32 {
+            el.push(start, start + i);
+        }
+        start += len as u32;
+    }
+    let plain = CsrGraph::from_edge_list(&el);
+    let shuffled = relabel(&plain, &random_permutation(plain.num_vertices(), 5));
+    for g in [&plain, &shuffled] {
+        for p in [1usize, 2, 4] {
+            let mut engine = Engine::new(p);
+            for seed in 0..8 {
+                let cfg = Config {
+                    traversal: TraversalConfig {
+                        seed,
+                        ..TraversalConfig::default()
+                    },
+                    ..Config::default()
+                };
+                let f = engine.run(&BaderCong::new(cfg), g);
+                assert!(is_spanning_forest(g, &f.parents), "p = {p} seed {seed}");
+                assert_eq!(f.roots.len(), 6 + 40, "p = {p} seed {seed}");
+                assert_eq!(f.stats.barriers, 2 * 4 + 1, "p = {p} seed {seed}");
+            }
+        }
+    }
+}
+
+#[test]
 fn publish_threshold_sweep() {
     // The two-level frontier across its whole operating range: the
     // paper's publish-everything protocol (1), small and default
