@@ -44,7 +44,7 @@ use st_core::engine::Workspace;
 use st_core::traversal::{Direction, TraversalConfig, TraversalOutcome};
 use st_graph::gen::random_connected;
 use st_graph::validate::is_spanning_tree;
-use st_graph::{CsrGraph, NO_VERTEX};
+use st_graph::CsrGraph;
 use st_obs::{Counter, JobMetrics, PhaseTotal};
 use st_smp::Executor;
 
@@ -239,8 +239,7 @@ fn traverse_once(
     ws.begin_job(exec);
     {
         let t = ws.traversal(g, exec, cfg);
-        t.begin_round();
-        t.seed(0, 0, NO_VERTEX);
+        t.begin_round(0);
         exec.run(|ctx| {
             let (_, outcome) = t.run_worker_ctx(&ctx);
             assert_eq!(outcome, TraversalOutcome::Completed);

@@ -12,7 +12,9 @@
 //! The paper's starvation mechanism is included: when the configured
 //! number of processors sleeps simultaneously, the traversal halts, the
 //! partially grown trees are merged into super-vertices, and the
-//! Shiloach–Vishkin algorithm finishes the job (the `fallback` routine below).
+//! Shiloach–Vishkin algorithm finishes the job (the `fallback` routine
+//! below). The partial trees' edges and SV's graft edges are then
+//! oriented by the same round driver, rooted at the job's start root.
 //!
 //! Unlike the paper (which assumes a connected input and produces a
 //! spanning tree) this driver produces a spanning *forest*: components
@@ -31,6 +33,10 @@
 //! and seed, and releases the rest to the traversal. The pass records
 //! one stub span and one counter add per call, however many components
 //! it finishes.
+//!
+//! This driver (`grow_forest`, crate-private) is st-core's only one:
+//! orienting SV's and HCS's undirected tree edges ([`crate::orient`])
+//! and the fallback run it on a forest's adjacency.
 
 use st_graph::preprocess::{eliminate_degree2, Reduction};
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
@@ -39,8 +45,9 @@ use st_smp::mem::prefetch_read;
 use st_smp::{CancelToken, Executor};
 use std::sync::atomic::Ordering;
 
+use crate::connected::tree_roots;
 use crate::engine::{Cancelled, Engine, SpanningAlgorithm, Workspace};
-use crate::orient::orient_forest_with_mask;
+use crate::orient::forest_adjacency;
 use crate::result::{AlgoStats, SpanningForest};
 use crate::stub::grow_stub_into;
 use crate::sv::{self, SvConfig};
@@ -169,8 +176,6 @@ impl BaderCong {
         ws: &mut Workspace,
         cancel: &CancelToken,
     ) -> Result<SpanningForest, Cancelled> {
-        let n = g.num_vertices();
-        let p = exec.size();
         // A live caller token takes over the traversal's cancellation
         // plumbing; otherwise any token already on the config applies.
         let mut tcfg = self.cfg.traversal.clone();
@@ -179,124 +184,27 @@ impl BaderCong {
         }
         let cancel = tcfg.cancel.clone();
         ws.begin_job(exec);
-        if n == 0 {
-            return Ok(SpanningForest {
-                parents: Vec::new(),
-                roots: Vec::new(),
-                stats: AlgoStats {
-                    metrics: ws.finish_job(exec),
-                    ..AlgoStats::default()
-                },
-            });
-        }
-        let mut roots: Vec<VertexId> = Vec::new();
-        let stub_target = (self.cfg.stub_factor * p).max(1);
-        let budget = WALK_BUDGET.max(stub_target);
-        let seed = self.cfg.traversal.seed;
-        let start_root = self.cfg.start_root;
-
-        // The session borrows the workspace; everything the fallback
-        // needs is copied out before the borrow ends.
-        let (stats, outcome, parents, colored) = {
-            let (t, stub_scratch) = ws.traversal_with_stub(g, exec, tcfg);
-            let mut cursor: VertexId = 0;
-            let roots_sink = &mut roots;
-            let (processed, barriers, outcome) = t.run_rounds(exec, move |s, round| {
-                let t = s.traversal();
-                let visited = t.colored();
-                // The driver's serial step, tallied once per call: one
-                // stub span and one add per counter, however many
-                // components it finishes.
-                let t_stub = now_ns();
-                let (mut walks, mut walked) = (0u64, 0u64);
-                let more = loop {
-                    // Pick the next component root: the smallest
-                    // uncolored vertex (every vertex below the cursor is
-                    // colored).
-                    let root = match start_root {
-                        Some(r) if roots_sink.is_empty() && (r as usize) < n => Some(r),
-                        _ => t.next_uncolored(cursor).inspect(|&v| cursor = v),
-                    };
-                    let Some(root) = root else { break false };
-                    roots_sink.push(root);
-                    // Roots ascend, so their CSR offsets are read as a
-                    // sparse stream: fetch a few lines ahead.
-                    prefetch_read(g.raw_offsets().as_ptr().wrapping_add(root as usize + 128));
-                    if g.degree(root) == 0 {
-                        // An isolated vertex is its own tree: no walk.
-                        s.mark(root, NO_VERTEX);
-                        continue;
-                    }
-                    // Phase 1: stub spanning tree, grown by "one
-                    // processor" (the round driver), up to the budget.
-                    let stub = grow_stub_into(
-                        g,
-                        root,
-                        budget,
-                        seed ^ (round as u64) ^ (walks << 32),
-                        visited,
-                        stub_scratch,
-                    );
-                    walks += 1;
-                    walked += stub.len() as u64;
-                    if stub.len() < budget {
-                        // The backtracking walk exhausted the component:
-                        // it is fully covered, so no traversal round (and
-                        // no barriers) are needed. Mark it and move to
-                        // the next component.
-                        for (&v, &par) in stub.vertices.iter().zip(stub.parents.iter()) {
-                            s.mark(v, par);
-                        }
-                        continue;
-                    }
-                    // Big component: deal the walk's first `stub_target`
-                    // vertices (the paper's O(p) stub) round-robin into
-                    // the queues, release the rest to the traversal, and
-                    // run a work-stealing round.
-                    let (keep, release) = stub.vertices.split_at(stub_target);
-                    for (i, (&v, &par)) in keep.iter().zip(stub.parents.iter()).enumerate() {
-                        s.seed(i % p, v, par);
-                    }
-                    for &v in release {
-                        visited.clear(v as usize, Ordering::Relaxed);
-                    }
-                    break true;
-                };
-                t.trace().rank(0).record(Phase::Stub, t_stub);
-                let slot0 = t.counters().rank(0);
-                slot0.add(Counter::StubWalks, walks);
-                slot0.add(Counter::StubVertices, walked);
-                more
-            });
-
-            let totals = t.counters().merged();
-            let stats = AlgoStats {
-                components: roots.len(),
-                multi_colored: totals.get(Counter::MultiColored) as usize,
-                steals: totals.get(Counter::Steals) as usize,
-                stolen_items: totals.get(Counter::StolenItems) as usize,
-                per_proc_processed: processed,
-                barriers,
-                ..AlgoStats::default()
-            };
-            let colored = match outcome {
-                TraversalOutcome::Completed | TraversalOutcome::Cancelled => Vec::new(),
-                TraversalOutcome::Starved => t.colored_mask(),
-            };
-            (stats, outcome, t.into_parents(), colored)
+        let grown = grow_forest(g, exec, ws, tcfg, self.cfg.stub_factor, self.cfg.start_root);
+        let totals = ws.counters.merged();
+        let mut stats = AlgoStats {
+            components: grown.roots.len(),
+            multi_colored: totals.get(Counter::MultiColored) as usize,
+            steals: totals.get(Counter::Steals) as usize,
+            stolen_items: totals.get(Counter::StolenItems) as usize,
+            per_proc_processed: grown.processed,
+            barriers: grown.barriers,
+            ..AlgoStats::default()
         };
-
-        match outcome {
+        match grown.outcome {
             TraversalOutcome::Completed => {
-                let mut stats = stats;
                 stats.metrics = ws.finish_job(exec);
                 Ok(SpanningForest {
-                    parents,
-                    roots,
+                    parents: grown.parents,
+                    roots: grown.roots,
                     stats,
                 })
             }
-            TraversalOutcome::Starved => fallback(g, exec, ws, colored, parents, stats, &cancel),
+            TraversalOutcome::Starved => self.fallback(g, exec, ws, grown.parents, stats, &cancel),
             TraversalOutcome::Cancelled => {
                 // Close the observability window (discarding the report)
                 // so the workspace is clean for its next job.
@@ -304,6 +212,204 @@ impl BaderCong {
                 Err(Cancelled)
             }
         }
+    }
+
+    /// The paper's starvation fallback: "merge the grown spanning
+    /// subtree into a super-vertex, and start a different algorithm, for
+    /// instance, the SV approach."
+    ///
+    /// SV's hook array D starts with every vertex contracted into the
+    /// root of its partial tree (an uncolored vertex is its own root), so
+    /// SV grafts only between distinct super-vertices. Its graft edges
+    /// and the partial trees' edges (v, `parents[v]`) therefore form a
+    /// spanning forest of `g`, which the forest driver orients, rooted
+    /// at the job's start root.
+    fn fallback(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        parents: Vec<VertexId>,
+        mut stats: AlgoStats,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
+        let n = g.num_vertices();
+        let t_fallback = now_ns();
+
+        let init = tree_roots(&parents);
+        let sv_out = match sv::sv_core(g, exec, ws, Some(&init), SvConfig::default(), cancel) {
+            Ok(out) => out,
+            Err(Cancelled) => {
+                let _ = ws.finish_job(exec);
+                return Err(Cancelled);
+            }
+        };
+
+        let mut edges = sv_out.tree_edges;
+        edges.extend(
+            (0..n as VertexId)
+                .map(|v| (v, parents[v as usize]))
+                .filter(|&(_, pv)| pv != NO_VERTEX),
+        );
+        let forest = forest_adjacency(n, &edges);
+        let Config {
+            traversal,
+            stub_factor,
+            ..
+        } = Config::default();
+        let oriented = grow_forest(
+            &forest,
+            exec,
+            ws,
+            traversal,
+            stub_factor,
+            self.cfg.start_root,
+        );
+
+        stats.fallback_triggered = true;
+        stats.iterations = sv_out.iterations;
+        stats.grafts = sv_out.grafts;
+        stats.shortcut_rounds = sv_out.shortcut_rounds;
+        stats.barriers += sv_out.barriers;
+        ws.trace.rank(0).record(Phase::Fallback, t_fallback);
+        stats.metrics = ws.finish_job(exec);
+        Ok(SpanningForest::from_parents(oriented.parents, stats))
+    }
+}
+
+/// What the forest driver leaves behind.
+pub(crate) struct Grown {
+    /// One root per tree, in the order the driver found them.
+    pub(crate) roots: Vec<VertexId>,
+    /// Vertices each rank processed in traversal rounds.
+    pub(crate) processed: Vec<usize>,
+    /// Barrier episodes of the session.
+    pub(crate) barriers: usize,
+    /// How the session ended.
+    pub(crate) outcome: TraversalOutcome,
+    /// The parent array; partial unless the outcome is
+    /// [`TraversalOutcome::Completed`].
+    pub(crate) parents: Vec<VertexId>,
+}
+
+/// The forest driver: grows a spanning forest of `g` on `exec`'s team,
+/// one round per component its walk cannot exhaust (module docs).
+///
+/// The first tree is rooted at `start_root` (when in range), every
+/// other at the smallest vertex id of its component: the id-order scan
+/// picks the smallest uncolored vertex, and every vertex below it
+/// belongs to a finished component. Opens no job window, so the
+/// caller's job records the session's counters and spans. Bader–Cong
+/// runs it on the input graph; orientation ([`crate::orient`]) and the
+/// starvation fallback run it on a forest's adjacency.
+pub(crate) fn grow_forest(
+    g: &CsrGraph,
+    exec: &Executor,
+    ws: &mut Workspace,
+    tcfg: TraversalConfig,
+    stub_factor: usize,
+    start_root: Option<VertexId>,
+) -> Grown {
+    let n = g.num_vertices();
+    let p = exec.size();
+    let mut roots: Vec<VertexId> = Vec::new();
+    if n == 0 {
+        return Grown {
+            roots,
+            processed: Vec::new(),
+            barriers: 0,
+            outcome: TraversalOutcome::Completed,
+            parents: Vec::new(),
+        };
+    }
+    let stub_target = (stub_factor * p).max(1);
+    let budget = WALK_BUDGET.max(stub_target);
+    let seed = tcfg.seed;
+
+    // The walk's scratch leaves the workspace while the session borrows
+    // the rest of it.
+    let mut stub_scratch = std::mem::take(&mut ws.stub);
+    let (processed, barriers, outcome, parents) = {
+        let t = ws.traversal(g, exec, tcfg);
+        let stub_scratch = &mut stub_scratch;
+        let mut cursor: VertexId = 0;
+        let roots_sink = &mut roots;
+        let (processed, barriers, outcome) = t.run_rounds(exec, move |s, round| {
+            let t = s.traversal();
+            let visited = t.colored();
+            // The driver's serial step, tallied once per call: one
+            // stub span and one add per counter, however many
+            // components it finishes.
+            let t_stub = now_ns();
+            let (mut walks, mut walked) = (0u64, 0u64);
+            let more = loop {
+                // Pick the next component root: the smallest
+                // uncolored vertex (every vertex below the cursor is
+                // colored).
+                let root = match start_root {
+                    Some(r) if roots_sink.is_empty() && (r as usize) < n => Some(r),
+                    _ => t.next_uncolored(cursor).inspect(|&v| cursor = v),
+                };
+                let Some(root) = root else { break false };
+                roots_sink.push(root);
+                // Roots ascend, so their CSR offsets are read as a
+                // sparse stream: fetch a few lines ahead.
+                prefetch_read(g.raw_offsets().as_ptr().wrapping_add(root as usize + 128));
+                if g.degree(root) == 0 {
+                    // An isolated vertex is its own tree: no walk.
+                    s.mark(root, NO_VERTEX);
+                    continue;
+                }
+                // Phase 1: stub spanning tree, grown by "one
+                // processor" (the round driver), up to the budget.
+                let stub = grow_stub_into(
+                    g,
+                    root,
+                    budget,
+                    seed ^ (round as u64) ^ (walks << 32),
+                    visited,
+                    stub_scratch,
+                );
+                walks += 1;
+                walked += stub.len() as u64;
+                if stub.len() < budget {
+                    // The backtracking walk exhausted the component:
+                    // it is fully covered, so no traversal round (and
+                    // no barriers) are needed. Mark it and move to
+                    // the next component.
+                    for (&v, &par) in stub.vertices.iter().zip(stub.parents.iter()) {
+                        s.mark(v, par);
+                    }
+                    continue;
+                }
+                // Big component: deal the walk's first `stub_target`
+                // vertices (the paper's O(p) stub) round-robin into
+                // the queues, release the rest to the traversal, and
+                // run a work-stealing round.
+                let (keep, release) = stub.vertices.split_at(stub_target);
+                for (i, (&v, &par)) in keep.iter().zip(stub.parents.iter()).enumerate() {
+                    s.seed(i % p, v, par);
+                }
+                for &v in release {
+                    visited.clear(v as usize, Ordering::Relaxed);
+                }
+                break true;
+            };
+            t.trace().rank(0).record(Phase::Stub, t_stub);
+            let slot0 = t.counters().rank(0);
+            slot0.add(Counter::StubWalks, walks);
+            slot0.add(Counter::StubVertices, walked);
+            more
+        });
+        (processed, barriers, outcome, t.into_parents())
+    };
+    ws.stub = stub_scratch;
+    Grown {
+        roots,
+        processed,
+        barriers,
+        outcome,
+        parents,
     }
 }
 
@@ -328,83 +434,6 @@ impl SpanningAlgorithm for BaderCong {
         }
         self.forest_direct(g, exec, ws, cancel)
     }
-}
-
-/// The paper's starvation fallback: "merge the grown spanning subtree
-/// into a super-vertex, and start a different algorithm, for instance,
-/// the SV approach."
-///
-/// Every already-colored vertex (`colored[v]`) is contracted into its
-/// tree's root by initializing SV's hook array D with that root;
-/// uncolored vertices start as their own super-vertices. SV's graft
-/// edges then connect the unfinished region, and the combined forest is
-/// oriented while preserving the parents the traversal already wrote.
-fn fallback(
-    g: &CsrGraph,
-    exec: &Executor,
-    ws: &mut Workspace,
-    colored: Vec<bool>,
-    mut parents: Vec<VertexId>,
-    mut stats: AlgoStats,
-    cancel: &CancelToken,
-) -> Result<SpanningForest, Cancelled> {
-    let n = g.num_vertices();
-    let t_fallback = now_ns();
-
-    // Root of each colored vertex, by parent chasing with memoization.
-    let mut comp_root: Vec<VertexId> = vec![NO_VERTEX; n];
-    let mut chain: Vec<usize> = Vec::new();
-    for v in 0..n {
-        if !colored[v] || comp_root[v] != NO_VERTEX {
-            continue;
-        }
-        chain.clear();
-        let mut cur = v;
-        let root = loop {
-            if comp_root[cur] != NO_VERTEX {
-                break comp_root[cur];
-            }
-            chain.push(cur);
-            let pp = parents[cur];
-            if pp == NO_VERTEX {
-                break cur as VertexId;
-            }
-            cur = pp as usize;
-        };
-        for &u in &chain {
-            comp_root[u] = root;
-        }
-    }
-
-    // SV over the whole graph with colored regions pre-contracted.
-    let init: Vec<u32> = (0..n)
-        .map(|v| {
-            if colored[v] {
-                comp_root[v]
-            } else {
-                v as VertexId
-            }
-        })
-        .collect();
-    let sv_out = match sv::sv_core(g, exec, ws, Some(&init), SvConfig::default(), cancel) {
-        Ok(out) => out,
-        Err(Cancelled) => {
-            let _ = ws.finish_job(exec);
-            return Err(Cancelled);
-        }
-    };
-
-    // Orient SV's tree edges while keeping the traversal's parents.
-    orient_forest_with_mask(n, &sv_out.tree_edges, &colored, &mut parents, exec, ws);
-
-    stats.fallback_triggered = true;
-    stats.iterations = sv_out.iterations;
-    stats.grafts = sv_out.grafts;
-    stats.shortcut_rounds = sv_out.shortcut_rounds;
-    stats.barriers += sv_out.barriers;
-    ws.trace.rank(0).record(Phase::Fallback, t_fallback);
-    stats.metrics = ws.finish_job(exec);
-    Ok(SpanningForest::from_parents(parents, stats))
 }
 
 #[cfg(test)]
@@ -589,6 +618,36 @@ mod tests {
         );
         assert!(is_spanning_forest(&g, &f.parents));
         assert_eq!(f.roots.len(), 1);
+    }
+
+    #[test]
+    fn fallback_keeps_the_requested_root() {
+        // A root a quarter of the way along: once the short side is done,
+        // one rank crawls the long side while three sleep.
+        let g = gen::chain(20_000);
+        let root = 5_000;
+        let detector = TraversalConfig {
+            starvation_threshold: Some(3),
+            ..TraversalConfig::default()
+        };
+        let mut engine = Engine::new(4);
+        let rooted = BaderCong::new(Config {
+            traversal: detector.clone(),
+            start_root: Some(root),
+            ..Config::default()
+        });
+        let f = engine.run(&rooted, &g);
+        assert!(f.stats.fallback_triggered, "the chain should starve");
+        assert_eq!(f.roots, vec![root]);
+        let algo = BaderCong::new(Config {
+            traversal: detector,
+            ..Config::default()
+        });
+        let t = algo
+            .spanning_tree(&mut engine, &g, root)
+            .expect("chain is connected");
+        assert!(is_spanning_tree(&g, &t, root));
+        assert_eq!(t.iter().filter(|&&v| v == NO_VERTEX).count(), 1);
     }
 
     #[test]

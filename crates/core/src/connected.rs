@@ -65,6 +65,12 @@ pub fn connected_components(g: &CsrGraph, exec: &Executor, ws: &mut Workspace) -
 /// Connected components read off an existing spanning forest's parent
 /// array (each vertex labeled by its tree root).
 pub fn components_from_forest(parents: &[VertexId]) -> Components {
+    compact(&tree_roots(parents))
+}
+
+/// The root of every vertex's tree in a parent array, by parent chasing
+/// with memoization.
+pub(crate) fn tree_roots(parents: &[VertexId]) -> Vec<VertexId> {
     let n = parents.len();
     let mut root = vec![NO_VERTEX; n];
     let mut chain = Vec::new();
@@ -90,7 +96,7 @@ pub fn components_from_forest(parents: &[VertexId]) -> Components {
             root[u] = r;
         }
     }
-    compact(&root)
+    root
 }
 
 #[cfg(test)]

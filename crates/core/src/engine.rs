@@ -250,39 +250,6 @@ impl Workspace {
         )
     }
 
-    /// Like [`traversal`](Self::traversal), but also hands out the stub
-    /// scratch (disjoint borrow) so the round driver can grow stub trees
-    /// while the session is live.
-    pub(crate) fn traversal_with_stub<'a>(
-        &'a mut self,
-        g: &'a CsrGraph,
-        exec: &'a Executor,
-        cfg: TraversalConfig,
-    ) -> (Traversal<'a>, &'a mut StubScratch) {
-        let p = exec.size();
-        self.prep_frontier(g.num_vertices(), p, exec, cfg.starvation_threshold);
-        let Self {
-            colored,
-            parent,
-            queues,
-            stub,
-            counters,
-            trace,
-            ..
-        } = self;
-        let t = Traversal::from_parts(
-            g,
-            colored,
-            parent,
-            &queues[..p],
-            exec.detector(),
-            counters,
-            trace,
-            cfg,
-        );
-        (t, stub)
-    }
-
     /// Fills `edges` with `g`'s edge list (graft passes address edges by
     /// index).
     pub(crate) fn collect_edges(&mut self, g: &CsrGraph) {

@@ -3,21 +3,21 @@
 //! Shiloach–Vishkin and HCS natively produce spanning forests as *sets of
 //! undirected tree edges* (one per graft). Turning that into the rooted
 //! parent-array form every consumer expects requires a traversal of the
-//! forest itself. We run that traversal with the same parallel
-//! work-stealing engine as the main algorithm (one team session, one
-//! round per forest component), so the SV/HCS pipelines stay parallel
-//! end to end. The orientation inherits the engine's two-level frontier
-//! (see [`crate::traversal`]'s module docs): tree adjacency is sparse,
-//! exactly the regime where batching publication away from the shared
-//! queues pays off.
+//! forest itself. It runs through Bader–Cong's forest driver
+//! ([`crate::bader_cong`]) on the forest's adjacency, in the caller's
+//! job window: trees shorter than the driver's walk budget are finished
+//! by the walk, and only larger ones get a work-stealing round, so the
+//! SV/HCS pipelines stay parallel end to end without paying a round per
+//! component.
 
-use st_graph::{CsrGraph, EdgeList, VertexId, NO_VERTEX};
+use st_graph::{CsrGraph, EdgeList, VertexId};
 use st_smp::Executor;
 
+use crate::bader_cong::{grow_forest, Config};
 use crate::engine::Workspace;
-use crate::traversal::TraversalConfig;
 
-fn forest_adjacency(n: usize, tree_edges: &[(VertexId, VertexId)]) -> CsrGraph {
+/// The forest given by `tree_edges` as a graph over `n` vertices.
+pub(crate) fn forest_adjacency(n: usize, tree_edges: &[(VertexId, VertexId)]) -> CsrGraph {
     let mut el = EdgeList::with_capacity(n, tree_edges.len());
     for &(u, v) in tree_edges {
         el.push(u, v);
@@ -39,98 +39,27 @@ pub fn orient_forest(
     ws: &mut Workspace,
 ) -> Vec<VertexId> {
     let forest = forest_adjacency(n, tree_edges);
-    let t = ws.traversal(&forest, exec, TraversalConfig::default());
-    let mut cursor: VertexId = 0;
-    t.run_rounds(exec, |s, _round| {
-        let Some(root) = s.traversal().next_uncolored(cursor) else {
-            return false;
-        };
-        cursor = root;
-        s.seed(0, root, NO_VERTEX);
-        true
-    });
-    t.into_parents()
-}
-
-/// Orients `tree_edges` while preserving an existing partial orientation.
-///
-/// `oriented_mask[v]` marks vertices whose `parents[v]` entry is already
-/// final (the starvation fallback's partially-built trees). These act as
-/// BFS seeds; every other vertex reached through `tree_edges` gets its
-/// parent assigned, and unreachable unoriented vertices become singleton
-/// roots.
-pub fn orient_forest_with_mask(
-    n: usize,
-    tree_edges: &[(VertexId, VertexId)],
-    oriented_mask: &[bool],
-    parents: &mut [VertexId],
-    exec: &Executor,
-    ws: &mut Workspace,
-) {
-    assert_eq!(oriented_mask.len(), n);
-    assert_eq!(parents.len(), n);
-    let p = exec.size();
-    let forest = forest_adjacency(n, tree_edges);
-    let t = ws.traversal(&forest, exec, TraversalConfig::default());
-    let mut cursor: VertexId = 0;
-    let parents_in: &[VertexId] = parents;
-    t.run_rounds(exec, |s, round| {
-        if round == 0 {
-            // Seed every pre-oriented vertex round-robin, keeping its
-            // existing parent.
-            let mut rank = 0usize;
-            let mut any = false;
-            for v in 0..n {
-                if oriented_mask[v] {
-                    s.seed(rank, v as VertexId, parents_in[v]);
-                    rank = (rank + 1) % p;
-                    any = true;
-                }
-            }
-            if any {
-                return true;
-            }
-            // Fall through to the component scan when nothing was
-            // pre-oriented.
-        }
-        let Some(root) = s.traversal().next_uncolored(cursor) else {
-            return false;
-        };
-        cursor = root;
-        s.seed(0, root, NO_VERTEX);
-        true
-    });
-    let oriented: Vec<VertexId> = t.into_parents();
-    parents.copy_from_slice(&oriented);
+    let Config {
+        traversal,
+        stub_factor,
+        ..
+    } = Config::default();
+    grow_forest(&forest, exec, ws, traversal, stub_factor, None).parents
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bader_cong::WALK_BUDGET;
+    use st_graph::dsu::DisjointSets;
     use st_graph::gen::{chain, random_connected};
-    use st_graph::validate::{check_spanning_forest, is_spanning_forest};
+    use st_graph::label::{random_permutation, relabel};
+    use st_graph::validate::is_spanning_forest;
+    use st_graph::NO_VERTEX;
 
     /// `orient_forest` on a fresh team of `p`.
     fn orient(n: usize, edges: &[(VertexId, VertexId)], p: usize) -> Vec<VertexId> {
         orient_forest(n, edges, &Executor::new(p), &mut Workspace::new())
-    }
-
-    /// `orient_forest_with_mask` on a fresh team of `p`.
-    fn orient_masked(
-        edges: &[(VertexId, VertexId)],
-        mask: &[bool],
-        parents: &mut [VertexId],
-        p: usize,
-    ) {
-        let exec = Executor::new(p);
-        orient_forest_with_mask(
-            mask.len(),
-            edges,
-            mask,
-            parents,
-            &exec,
-            &mut Workspace::new(),
-        );
     }
 
     #[test]
@@ -182,49 +111,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mask_preserves_existing_orientation() {
-        // Path 0-1-2-3-4; vertices 0,1 already oriented (1 -> 0).
-        let g = chain(5);
-        let mut parents = vec![NO_VERTEX; 5];
-        parents[1] = 0;
-        let mask = vec![true, true, false, false, false];
-        let edges = vec![(1, 2), (2, 3), (3, 4)];
-        orient_masked(&edges, &mask, &mut parents, 2);
-        assert_eq!(parents[0], NO_VERTEX);
-        assert_eq!(parents[1], 0);
-        assert_eq!(parents[2], 1);
-        assert_eq!(parents[3], 2);
-        assert_eq!(parents[4], 3);
-        assert!(is_spanning_forest(&g, &parents));
+    /// A forest with one random tree of 4·B vertices, stars and chains
+    /// of 2 to B − 1 vertices, and isolated vertices, all relabelled so
+    /// that no tree's smallest id is where it was built from.
+    fn mixed_forest() -> CsrGraph {
+        let b = WALK_BUDGET;
+        let big = random_connected(4 * b, 0, 3);
+        let mut el = EdgeList::new(4 * b + 2 * (b - 2) * (b + 1) / 2 + 40);
+        for (u, v) in big.edges() {
+            el.push(u, v);
+        }
+        let mut start = (4 * b) as VertexId;
+        for len in 2..b as VertexId {
+            // A chain of `len` vertices, then a star of `len` vertices.
+            for i in 1..len {
+                el.push(start + i - 1, start + i);
+            }
+            start += len;
+            for i in 1..len {
+                el.push(start, start + i);
+            }
+            start += len;
+        }
+        let g = CsrGraph::from_edge_list(&el);
+        relabel(&g, &random_permutation(g.num_vertices(), 17))
     }
 
     #[test]
-    fn mask_handles_untouched_components() {
-        // Two components; only the first has pre-oriented vertices.
-        let mut parents = vec![NO_VERTEX; 5];
-        parents[1] = 0;
-        let mask = vec![true, true, false, false, false];
-        let edges = vec![(3, 4)]; // component {3, 4}; vertex 2 isolated
-        orient_masked(&edges, &mask, &mut parents, 2);
-        let check = check_spanning_forest(
-            &{
-                let mut el = st_graph::EdgeList::new(5);
-                el.push(0, 1);
-                el.push(3, 4);
-                CsrGraph::from_edge_list(&el)
-            },
-            &parents,
-        );
-        assert!(check.is_valid(), "{check:?}");
-    }
-
-    #[test]
-    fn empty_mask_behaves_like_fresh_orientation() {
-        let mut parents = vec![NO_VERTEX; 4];
-        let mask = vec![false; 4];
-        let edges = vec![(0, 1), (1, 2), (2, 3)];
-        orient_masked(&edges, &mask, &mut parents, 2);
-        assert!(is_spanning_forest(&chain(4), &parents));
+    fn every_component_is_rooted_at_its_smallest_vertex() {
+        let g = mixed_forest();
+        let n = g.num_vertices();
+        let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+        let mut dsu = DisjointSets::new(n);
+        for &(u, v) in &edges {
+            dsu.union(u, v);
+        }
+        let mut smallest = vec![NO_VERTEX; n];
+        for v in (0..n as VertexId).rev() {
+            smallest[dsu.find(v) as usize] = v;
+        }
+        let components = smallest.iter().filter(|&&v| v != NO_VERTEX).count();
+        assert!(components > 2 * WALK_BUDGET, "test forest lost its shape");
+        for p in [1, 2, 4] {
+            let parents = orient(n, &edges, p);
+            assert!(is_spanning_forest(&g, &parents), "p = {p}");
+            let roots: Vec<VertexId> = (0..n as VertexId)
+                .filter(|&v| parents[v as usize] == NO_VERTEX)
+                .collect();
+            assert_eq!(roots.len(), components, "p = {p}");
+            for r in roots {
+                assert_eq!(r, smallest[dsu.find(r) as usize], "p = {p}");
+            }
+        }
     }
 }

@@ -66,7 +66,7 @@
 //! [`Direction::TopDown`]), workers maintain a frontier-size
 //! estimate (shared `visited`/`drained` tallies flushed on the cancel
 //! cadence) and any worker that observes
-//! `frontier × alpha > unvisited` *and* `frontier × beta > n` raises a
+//! `frontier × ALPHA > unvisited` *and* `frontier × BETA > n` raises a
 //! direction switch through the round's abort byte. The team rendezvous
 //! at a barrier and runs bottom-up sweeps, partitioned by an atomic
 //! chunk cursor; since the cursor hands each vertex to exactly one
@@ -76,7 +76,7 @@
 //! leader-written control word: rank 0 alone reads the claim tally in
 //! the window between barriers and publishes run/done/switch-back/
 //! cancel, so followers never race the reset. When a sweep's claims
-//! fall below `n / beta` the team switches back, reseeding each rank's
+//! fall below `n / BETA` the team switches back, reseeding each rank's
 //! private buffer with its own last-sweep claims — which are exactly
 //! the live frontier: any vertex still unvisited after a full sweep
 //! had no visited neighbor *before* that sweep, so all its visited
@@ -97,9 +97,12 @@
 //! grows-and-resets the arrays for the target graph without reallocating
 //! across runs.
 //!
-//! The engine is also reused to orient Shiloach–Vishkin's undirected
-//! tree-edge output into rooted parent arrays (see [`crate::orient`]),
-//! which keeps the SV pipeline parallel end to end.
+//! Multi-round sessions belong to the forest driver in
+//! [`crate::bader_cong`], which also orients Shiloach–Vishkin's and
+//! HCS's undirected tree-edge output into rooted parent arrays (see
+//! [`crate::orient`]). A caller outside the crate runs single rounds:
+//! [`Traversal::begin_round`], then [`Traversal::run_worker_ctx`] on
+//! every rank.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -107,7 +110,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use st_graph::{CsrGraph, VertexId};
+use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{now_ns, Counter, CounterSet, Phase, TraceSet};
 use st_smp::pad::CacheAligned;
 use st_smp::steal::{StealPolicy, WorkQueue};
@@ -130,9 +133,9 @@ pub enum Direction {
     /// is only reasonable on small or low-diameter graphs.
     BottomUp,
     /// Direction-optimizing: start top-down, switch to bottom-up when
-    /// the frontier gets dense (`frontier × alpha > unvisited` and
-    /// `frontier × beta > n`), and back once a sweep claims fewer than
-    /// `n / beta` vertices. The default.
+    /// the frontier gets dense (`frontier × ALPHA > unvisited` and
+    /// `frontier × BETA > n`), and back once a sweep claims fewer than
+    /// `n / BETA` vertices (Beamer's constants, 14 and 24). The default.
     #[default]
     Hybrid,
 }
@@ -184,15 +187,6 @@ pub struct TraversalConfig {
     /// Traversal direction strategy. [`Direction::Hybrid`] requires the
     /// team entry point [`Traversal::run_worker_ctx`].
     pub direction: Direction,
-    /// Hybrid switch-forward weight (Beamer's α): switch to bottom-up
-    /// when the estimated live frontier times `alpha` exceeds the
-    /// unvisited count. Larger values switch later. Must be positive.
-    pub alpha: f64,
-    /// Hybrid switch-back weight (Beamer's β): return to top-down once
-    /// a sweep claims fewer than `n / beta` vertices; also guards the
-    /// forward switch (`frontier × beta > n`) so the end-game tail
-    /// never flips to bottom-up. Must be at least 1.
-    pub beta: f64,
     /// Software-prefetch lookahead, in frontier entries. Top-down
     /// prefetches the CSR row of the vertex `distance` below the top of
     /// the private buffer; bottom-up additionally prefetches the visited
@@ -237,10 +231,6 @@ impl TraversalConfig {
             publish_on_sleepers: true,
             cancel: CancelToken::none(),
             direction: Direction::Hybrid,
-            // Beamer's published constants, adapted to vertex counts
-            // (the estimator tracks frontier vertices, not edges).
-            alpha: 14.0,
-            beta: 24.0,
             prefetch_distance: 1,
         }
     }
@@ -302,6 +292,18 @@ const BU_CHUNK: usize = 4096;
 // A chunk must be whole bitmap words (see the sweep in
 // `bottom_up_phase`).
 const _: () = assert!(BU_CHUNK.is_multiple_of(AtomicBitmap::WORD_BITS));
+
+/// Hybrid switch-forward weight (Beamer's α): switch to bottom-up when
+/// the estimated live frontier times `ALPHA` exceeds the unvisited
+/// count. Larger values switch later.
+const ALPHA: f64 = 14.0;
+/// Hybrid switch-back weight (Beamer's β): return to top-down once a
+/// sweep claims fewer than `n / BETA` vertices; also guards the forward
+/// switch (`frontier × BETA > n`) so the end-game tail never flips to
+/// bottom-up. `ALPHA` and `BETA` are Beamer's published constants,
+/// adapted to vertex counts (the estimator tracks frontier vertices,
+/// not edges).
+const BETA: f64 = 24.0;
 
 /// Poll the cancel token every this many processed vertices (power of
 /// two). Keeps the per-vertex cost at one abort-flag load; the token
@@ -431,7 +433,7 @@ impl<'a> Traversal<'a> {
 
     /// A [`Seeder`] for coloring and enqueueing vertices before a round
     /// starts (single-threaded phase).
-    pub fn seeder(&self) -> Seeder<'_, 'a> {
+    pub(crate) fn seeder(&self) -> Seeder<'_, 'a> {
         Seeder {
             t: self,
             seeded: 0,
@@ -439,16 +441,19 @@ impl<'a> Traversal<'a> {
         }
     }
 
-    /// Seeds one vertex ([`Seeder::seed`]) and flushes its tallies at
-    /// once: for single-round callers that seed a root or two.
-    pub fn seed(&self, rank: usize, v: VertexId, parent: VertexId) {
-        self.seeder().seed(rank, v, parent);
+    /// Starts a single round from `root`: resets the round state, then
+    /// colors `root` and enqueues it on rank 0's queue as a tree root.
+    /// Every rank then calls [`run_worker_ctx`](Self::run_worker_ctx)
+    /// once. Must only be called while no worker is inside it.
+    pub fn begin_round(&self, root: VertexId) {
+        self.reset_round();
+        self.seeder().seed(0, root, NO_VERTEX);
     }
 
     /// Resets the detector and round-local flags between per-component
     /// rounds. Must only be called while no worker is inside
     /// [`run_worker_ctx`](Self::run_worker_ctx) (i.e. between barriers).
-    pub fn begin_round(&self) {
+    fn reset_round(&self) {
         debug_assert!(self
             .queues
             .iter()
@@ -770,8 +775,8 @@ impl<'a> Traversal<'a> {
                         // unvisited remainder — and is itself a real
                         // fraction of the graph, so the end-game tail
                         // never flips back to bottom-up.
-                        if (frontier as f64) * self.cfg.alpha > unvisited as f64
-                            && (frontier as f64) * self.cfg.beta > n as f64
+                        if (frontier as f64) * ALPHA > unvisited as f64
+                            && (frontier as f64) * BETA > n as f64
                             && self.raise_switch()
                         {
                             return SegmentExit::Switch;
@@ -891,7 +896,7 @@ impl<'a> Traversal<'a> {
                     let claimed = self.sweep_claims.load(Ordering::Relaxed);
                     if claimed == 0 {
                         CTL_DONE
-                    } else if !forced && (claimed as f64) * self.cfg.beta < n as f64 {
+                    } else if !forced && (claimed as f64) * BETA < n as f64 {
                         CTL_SWITCH
                     } else {
                         CTL_RUN
@@ -1011,9 +1016,10 @@ impl<'a> Traversal<'a> {
         None
     }
 
-    /// A team barrier with the same per-rank accounting as
-    /// [`run_rounds`](Self::run_rounds)' round barriers (episode count,
-    /// wait time, span). Returns `true` on exactly one rank.
+    /// A team barrier with per-rank accounting: episode count, wait
+    /// time and a [`Phase::Barrier`] span. Barriers are already
+    /// heavyweight (a full team rendezvous), so the always-on `Instant`
+    /// read around each is noise. Returns `true` on exactly one rank.
     fn timed_ctx_barrier(&self, ctx: &TeamCtx<'_>) -> bool {
         let t_ns = now_ns();
         let t0 = Instant::now();
@@ -1048,15 +1054,16 @@ impl<'a> Traversal<'a> {
         }
     }
 
-    /// Runs a whole multi-round session on the executor's team.
+    /// Runs a whole multi-round session on the executor's team: the
+    /// engine under the forest driver
+    /// ([`crate::bader_cong::grow_forest`]), its only caller.
     ///
     /// Between rounds, rank 0 calls `prepare(seeder, round_index)` (all
     /// other ranks wait at a barrier) to seed the next round's queues
-    /// through a [`Seeder`] — e.g. growing a stub tree for the next
-    /// component. The seeder's tallies reach the shared counters once
-    /// per `prepare`. `prepare` returning `false` ends the session. Dispatching the persistent
-    /// team once and cycling rounds with two barriers each is what keeps
-    /// many-component graphs (2D60, sparse random) cheap.
+    /// through a [`Seeder`]. The seeder's tallies reach the shared
+    /// counters once per `prepare`. `prepare` returning `false` ends the
+    /// session. Dispatching the persistent team once and cycling rounds
+    /// with two barriers each keeps the rounds of a job cheap.
     ///
     /// `exec` must be the same team whose detector this traversal was
     /// built against (`Workspace::traversal` ties them together).
@@ -1064,7 +1071,7 @@ impl<'a> Traversal<'a> {
     /// Returns per-rank processed counts, the number of barrier episodes
     /// executed, and the session outcome ([`TraversalOutcome::Starved`]
     /// as soon as any round starves).
-    pub fn run_rounds<F>(
+    pub(crate) fn run_rounds<F>(
         &self,
         exec: &Executor,
         prepare: F,
@@ -1086,22 +1093,12 @@ impl<'a> Traversal<'a> {
         let processed = exec.run(|ctx| {
             let mut total = 0usize;
             let mut round = 0usize;
-            // Barrier accounting: one episode + wait-time per rank.
-            // Barriers are already heavyweight (a full team rendezvous),
-            // so the always-on `Instant` read around each is noise.
+            // Barrier accounting: one episode + wait-time per rank, and
+            // one session episode counted by the leader.
             let timed_barrier = |leader_counter: &AtomicUsize| {
-                let t_ns = now_ns();
-                let t0 = Instant::now();
-                if ctx.barrier() {
+                if self.timed_ctx_barrier(&ctx) {
                     leader_counter.fetch_add(1, Ordering::Relaxed);
                 }
-                let waited = t0.elapsed().as_nanos() as u64;
-                let slot = self.counters.rank(ctx.rank());
-                slot.incr(Counter::Barriers);
-                slot.add(Counter::BarrierWaitNs, waited);
-                self.trace
-                    .rank(ctx.rank())
-                    .record_span(Phase::Barrier, t_ns, waited);
             };
             loop {
                 if ctx.rank() == 0 {
@@ -1112,7 +1109,7 @@ impl<'a> Traversal<'a> {
                         any_cancelled.store(true, Ordering::Release);
                         finished.store(true, Ordering::Release);
                     } else {
-                        self.begin_round();
+                        self.reset_round();
                         let mut seeder = self.seeder();
                         let more = (prepare.lock())(&mut seeder, round);
                         drop(seeder); // flushes the seeding tallies
@@ -1181,11 +1178,6 @@ impl<'a> Traversal<'a> {
         self.parent.snapshot_prefix(self.g.num_vertices())
     }
 
-    /// Copies out which vertices of the live prefix are colored.
-    pub(crate) fn colored_mask(&self) -> Vec<bool> {
-        self.colored.to_bools(self.g.num_vertices())
-    }
-
     /// Extracts the parent array, consuming the view (the backing
     /// workspace array is left intact for reuse).
     pub fn into_parents(self) -> Vec<VertexId> {
@@ -1200,7 +1192,7 @@ impl<'a> Traversal<'a> {
 /// and the frontier-estimate deltas — stay local and reach the shared
 /// counters once, when the seeder drops, instead of costing shared
 /// read-modify-writes per vertex.
-pub struct Seeder<'t, 'a> {
+pub(crate) struct Seeder<'t, 'a> {
     t: &'t Traversal<'a>,
     seeded: usize,
     marked: usize,
@@ -1396,7 +1388,6 @@ mod tests {
     use crate::engine::Workspace;
     use st_graph::gen::{chain, complete, random_connected, star, torus2d};
     use st_graph::validate::is_spanning_tree;
-    use st_graph::NO_VERTEX;
 
     /// Runs a single-round traversal seeded with one root on a connected
     /// graph; returns (parents, steals).
@@ -1409,8 +1400,7 @@ mod tests {
         let exec = Executor::new(p);
         let mut ws = Workspace::new();
         let t = ws.traversal(g, &exec, cfg);
-        t.begin_round();
-        t.seed(0, root, NO_VERTEX);
+        t.begin_round(root);
         exec.run(|ctx| {
             let (_, outcome) = t.run_worker_ctx(&ctx);
             assert_eq!(outcome, TraversalOutcome::Completed);
@@ -1495,8 +1485,7 @@ mod tests {
         let exec = Executor::new(4);
         let mut ws = Workspace::new();
         let t = ws.traversal(&g, &exec, cfg);
-        t.begin_round();
-        t.seed(0, 0, NO_VERTEX);
+        t.begin_round(0);
         let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx).1);
         assert!(
             outcomes.iter().all(|&o| o == TraversalOutcome::Starved),
@@ -1521,11 +1510,13 @@ mod tests {
         let exec = Executor::new(p);
         let mut ws = Workspace::new();
         let t = ws.traversal(&g, &exec, TraversalConfig::default());
-        t.begin_round();
         // Seed a contiguous prefix walk 0-1-2-...-(2p-1), round-robin.
-        t.seed(0, 0, NO_VERTEX);
-        for v in 1..(2 * p as u32) {
-            t.seed((v as usize) % p, v, v - 1);
+        t.begin_round(0);
+        {
+            let mut s = t.seeder();
+            for v in 1..(2 * p as u32) {
+                s.seed((v as usize) % p, v, v - 1);
+            }
         }
         let processed: Vec<usize> = exec.run(|ctx| {
             let (count, outcome) = t.run_worker_ctx(&ctx);
@@ -1621,8 +1612,7 @@ mod tests {
         let exec = Executor::new(4);
         let mut ws = Workspace::new();
         let t = ws.traversal(&g, &exec, cfg);
-        t.begin_round();
-        t.seed(0, 0, NO_VERTEX);
+        t.begin_round(0);
         let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx).1);
         assert!(
             outcomes.iter().all(|&o| o == TraversalOutcome::Starved),
@@ -1647,7 +1637,7 @@ mod tests {
         let mut ws = Workspace::new();
         ws.begin_job(&exec);
         let t = ws.traversal(&g, &exec, TraversalConfig::default());
-        t.begin_round();
+        t.reset_round();
         {
             let mut s = t.seeder();
             s.seed(0, 0, NO_VERTEX);
@@ -1671,8 +1661,7 @@ mod tests {
         let exec = Executor::new(2);
         let mut ws = Workspace::new();
         let t = ws.traversal(&g, &exec, TraversalConfig::default());
-        t.begin_round();
-        t.seed(0, 2, NO_VERTEX);
+        t.begin_round(2);
         assert!(t.is_colored(2));
         assert!(!t.is_colored(1));
     }
@@ -1686,8 +1675,7 @@ mod tests {
         for n in [1000usize, 10, 5000, 100] {
             let g = chain(n);
             let t = ws.traversal(&g, &exec, TraversalConfig::default());
-            t.begin_round();
-            t.seed(0, 0, NO_VERTEX);
+            t.begin_round(0);
             exec.run(|ctx| {
                 t.run_worker_ctx(&ctx);
             });

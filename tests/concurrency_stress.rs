@@ -230,6 +230,63 @@ fn walk_budget_boundary_under_repeated_seeds() {
 }
 
 #[test]
+fn sv_and_hcs_orient_without_a_round_per_component() {
+    // SV and HCS emit undirected tree edges, and orientation runs them
+    // through the Bader–Cong forest driver: the walk finishes every tree
+    // of fewer than B vertices, so only larger trees get a traversal
+    // round, whatever the number of components.
+    use bader_cong_spanning::core::bader_cong::WALK_BUDGET as B;
+    use bader_cong_spanning::core::hcs::Hcs;
+    use bader_cong_spanning::graph::dsu::DisjointSets;
+    let n = 1 << 14;
+    let sparse = gen::random_gnm(n, 3 * n / 2, 11);
+    // 2000 isolated vertices, then chains of 2 to 9 vertices.
+    let mut el = EdgeList::new(6_000);
+    let mut v = 2_000u32;
+    for len in (2..10u32).cycle() {
+        if v + len > 6_000 {
+            break;
+        }
+        for i in 1..len {
+            el.push(v + i - 1, v + i);
+        }
+        v += len;
+    }
+    let tiny = CsrGraph::from_edge_list(&el);
+    for (name, g) in [("sparse", &sparse), ("tiny", &tiny)] {
+        let mut dsu = DisjointSets::new(g.num_vertices());
+        for (a, b) in g.edges() {
+            dsu.union(a, b);
+        }
+        let mut size = vec![0usize; g.num_vertices()];
+        for v in 0..g.num_vertices() as VertexId {
+            size[dsu.find(v) as usize] += 1;
+        }
+        let components = size.iter().filter(|&&s| s > 0).count();
+        // Components the walk cannot exhaust (B ≥ 2p for these teams).
+        let big = size.iter().filter(|&&s| s >= B).count() as u64;
+        assert!(components > 500, "{name}: test graph lost its shape");
+        for p in [1usize, 2, 4] {
+            let mut engine = Engine::new(p);
+            let algos: [(&str, &dyn SpanningAlgorithm); 2] =
+                [("sv", &sv::Sv::new(SvConfig::default())), ("hcs", &Hcs)];
+            for (algo, a) in algos {
+                let f = engine.run(a, g);
+                assert!(is_spanning_forest(g, &f.parents), "{name} {algo} p = {p}");
+                assert_eq!(f.roots.len(), components, "{name} {algo} p = {p}");
+                // One round per big tree; a hybrid round re-enters
+                // top-down after each bottom-up phase.
+                let rounds = f.stats.metrics.get(Counter::RoundsTopDown);
+                assert!(
+                    rounds <= 3 * big,
+                    "{name} {algo} p = {p}: {rounds} top-down rounds for {big} big trees"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn publish_threshold_sweep() {
     // The two-level frontier across its whole operating range: the
     // paper's publish-everything protocol (1), small and default

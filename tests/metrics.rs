@@ -19,8 +19,7 @@ fn traversal_metrics(g: &CsrGraph, p: usize) -> JobMetrics {
     ws.begin_job(&exec);
     {
         let t = ws.traversal(g, &exec, TraversalConfig::default());
-        t.begin_round();
-        t.seed(0, 0, NO_VERTEX);
+        t.begin_round(0);
         exec.run(|ctx| {
             let (_, outcome) = t.run_worker_ctx(&ctx);
             assert_eq!(outcome, TraversalOutcome::Completed);
@@ -98,8 +97,7 @@ fn counters_are_zero_after_begin_job() {
     ws.begin_job(&exec);
     {
         let t = ws.traversal(&g, &exec, TraversalConfig::default());
-        t.begin_round();
-        t.seed(0, 0, NO_VERTEX);
+        t.begin_round(0);
         exec.run(|ctx| {
             t.run_worker_ctx(&ctx);
         });
