@@ -390,7 +390,7 @@ pub struct CacheKey {
 pub const RESULT_CACHE_MAX_BYTES: usize = 128 << 20;
 
 struct CacheEntry {
-    forest: SpanningForest,
+    forest: Arc<SpanningForest>,
     /// The forest's size, as [`forest_bytes`] counted it on insert.
     bytes: usize,
     /// Logical access time for LRU ordering.
@@ -404,6 +404,13 @@ fn forest_bytes(f: &SpanningForest) -> usize {
 
 /// A least-recently-used map from [`CacheKey`] to a finished forest,
 /// bounded by entries and by [`RESULT_CACHE_MAX_BYTES`].
+///
+/// Entries are `Arc<SpanningForest>`: the cache holds the same
+/// allocation the job's handle returned, so inserting and hitting are
+/// reference-count increments, never copies. Evicting an entry drops
+/// only the cache's reference; a handle or reply still holding the
+/// forest keeps it intact. The byte bound counts each cached forest
+/// once, whoever else shares it.
 ///
 /// Capacity 0 disables caching entirely (`get` always misses, `insert`
 /// is a no-op). Eviction is an O(capacity) minimum-tick scan — the
@@ -467,20 +474,21 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<SpanningForest> {
+    /// Looks up `key`, refreshing its recency on a hit. A hit shares
+    /// the cached forest; it does not copy it.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<SpanningForest>> {
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let now = inner.clock;
         let entry = inner.map.get_mut(key)?;
         entry.tick = now;
-        Some(entry.forest.clone())
+        Some(Arc::clone(&entry.forest))
     }
 
     /// Stores `forest` under `key`, evicting least-recently-used
     /// entries until both the entry and the byte bound hold. A forest
     /// larger than the byte bound is not cached.
-    pub fn insert(&self, key: CacheKey, forest: SpanningForest) {
+    pub fn insert(&self, key: CacheKey, forest: Arc<SpanningForest>) {
         let bytes = forest_bytes(&forest);
         if self.capacity == 0 || bytes > self.max_bytes {
             return;
@@ -534,8 +542,8 @@ mod tests {
     use super::*;
     use st_graph::gen;
 
-    fn forest_of(g: &CsrGraph) -> SpanningForest {
-        st_core::seq::bfs_forest(g)
+    fn forest_of(g: &CsrGraph) -> Arc<SpanningForest> {
+        Arc::new(st_core::seq::bfs_forest(g))
     }
 
     fn key(graph: GraphRef, seed: u64) -> CacheKey {

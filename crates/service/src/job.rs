@@ -176,9 +176,9 @@ pub(crate) struct JobTag {
 enum Slot {
     /// Not finished yet.
     Pending,
-    /// Finished; result not yet claimed. Boxed to keep the idle variants
-    /// (and every handle's mutex) small.
-    Done(Box<Result<SpanningForest, JobError>>),
+    /// Finished; result not yet claimed. The forest is shared with the
+    /// result cache, so parking it here copies nothing.
+    Done(Result<Arc<SpanningForest>, JobError>),
     /// Result moved out through `wait`/`try_wait`.
     Taken,
 }
@@ -219,13 +219,13 @@ impl JobState {
     }
 
     /// Resolves the job and wakes every waiter. Called exactly once.
-    pub(crate) fn finish(&self, result: Result<SpanningForest, JobError>) {
+    pub(crate) fn finish(&self, result: Result<Arc<SpanningForest>, JobError>) {
         let mut slot = self.slot.lock().unwrap();
         debug_assert!(
             matches!(*slot, Slot::Pending),
             "a job resolves exactly once"
         );
-        *slot = Slot::Done(Box::new(result));
+        *slot = Slot::Done(result);
         drop(slot);
         self.done.notify_all();
     }
@@ -291,15 +291,21 @@ impl JobHandle {
 
     /// Blocks until the job resolves and returns its result.
     ///
+    /// The forest is the one the engine produced, shared rather than
+    /// copied: for a catalog-addressed job the result cache holds the
+    /// same allocation, and a later hit on the same
+    /// [`JobSpec`](crate::JobSpec) returns it again. It stays intact
+    /// while any holder keeps it, whatever the cache evicts.
+    ///
     /// # Panics
     ///
     /// Panics if the result was already claimed by
     /// [`try_wait`](Self::try_wait).
-    pub fn wait(self) -> Result<SpanningForest, JobError> {
+    pub fn wait(self) -> Result<Arc<SpanningForest>, JobError> {
         let mut slot = self.state.slot.lock().unwrap();
         loop {
             match std::mem::replace(&mut *slot, Slot::Taken) {
-                Slot::Done(result) => return *result,
+                Slot::Done(result) => return result,
                 Slot::Taken => panic!("job result already claimed via try_wait"),
                 Slot::Pending => {
                     *slot = Slot::Pending;
@@ -311,11 +317,12 @@ impl JobHandle {
 
     /// Claims the result if the job already resolved; `None` while it is
     /// still queued or running. After `Some`, the result is consumed —
-    /// a later [`wait`](Self::wait) panics.
-    pub fn try_wait(&mut self) -> Option<Result<SpanningForest, JobError>> {
+    /// a later [`wait`](Self::wait) panics. The forest is shared as
+    /// [`wait`](Self::wait) describes.
+    pub fn try_wait(&mut self) -> Option<Result<Arc<SpanningForest>, JobError>> {
         let mut slot = self.state.slot.lock().unwrap();
         match std::mem::replace(&mut *slot, Slot::Taken) {
-            Slot::Done(result) => Some(*result),
+            Slot::Done(result) => Some(result),
             Slot::Taken => panic!("job result already claimed via try_wait"),
             Slot::Pending => {
                 *slot = Slot::Pending;

@@ -8,15 +8,16 @@
 //! deadlines, and cancellations are as visible as their in-process
 //! counterparts.
 
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use st_graph::{CsrGraph, VertexId};
 
 use crate::job::Priority;
+use crate::net::forest::read_forest_reply;
 use crate::net::proto::{
-    ops, read_frame, write_frame, Cursor, ReadFrame, Status, DEFAULT_MAX_FRAME_BYTES,
+    ops, read_frame_len, write_frame, Cursor, ReadFrame, Status, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::spec::AlgorithmId;
 
@@ -263,19 +264,13 @@ impl Client {
         }
     }
 
-    /// Reads one response frame and splits it into status + body. An
-    /// oversized frame poisons the client and shuts the socket down:
-    /// its payload was never consumed, so nothing after it can be
-    /// trusted to be frame-aligned.
-    fn read_response(&mut self) -> Result<(Status, Vec<u8>), WireError> {
-        match read_frame(&mut self.stream, self.max_frame_bytes)? {
-            ReadFrame::Frame(frame) => {
-                let mut c = Cursor::new(&frame);
-                let code = c.u8().ok_or(WireError::Protocol("empty response"))?;
-                let status =
-                    Status::from_code(code).ok_or(WireError::Protocol("unknown status code"))?;
-                Ok((status, c.remaining().to_vec()))
-            }
+    /// Reads one response frame's length prefix. An oversized frame
+    /// poisons the client and shuts the socket down: its payload was
+    /// never consumed, so nothing after it can be trusted to be
+    /// frame-aligned.
+    fn read_len(&mut self) -> Result<usize, WireError> {
+        match read_frame_len(&mut self.stream, self.max_frame_bytes)? {
+            ReadFrame::Frame(len) => Ok(len),
             ReadFrame::Eof => Err(WireError::Io(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
                 "server closed the connection",
@@ -288,10 +283,29 @@ impl Client {
         }
     }
 
-    /// One request/response round trip.
-    fn call(&mut self, request: &[u8]) -> Result<(Status, Vec<u8>), WireError> {
+    /// Reads one response frame as its status and body.
+    fn read_response(&mut self) -> Result<(Status, Vec<u8>), WireError> {
+        let mut body = vec![0u8; self.read_len()?];
+        self.stream.read_exact(&mut body)?;
+        if body.is_empty() {
+            return Err(WireError::Protocol("empty response"));
+        }
+        // Shifts the body down in place: one read, no second buffer.
+        let code = body.remove(0);
+        let status = Status::from_code(code).ok_or(WireError::Protocol("unknown status code"))?;
+        Ok((status, body))
+    }
+
+    /// Sends one request frame.
+    fn send(&mut self, request: &[u8]) -> Result<(), WireError> {
         self.check_poisoned()?;
         write_frame(&mut BufWriter::new(&mut self.stream), request)?;
+        Ok(())
+    }
+
+    /// One request/response round trip.
+    fn call(&mut self, request: &[u8]) -> Result<(Status, Vec<u8>), WireError> {
+        self.send(request)?;
         self.read_response()
     }
 
@@ -376,18 +390,32 @@ impl Client {
     /// Blocks until the job behind `ticket` resolves and claims its
     /// forest. The ticket is consumed — waiting twice is
     /// [`Status::UnknownTicket`].
+    ///
+    /// The parents and roots are read from the socket straight into the
+    /// returned arrays; each count the reply claims is checked against
+    /// the frame's length (itself bounded by the frame ceiling) before
+    /// anything is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// - A non-`Ok` status is [`WireError::Remote`] with the reply's
+    ///   payload as its message (a panic message, for example).
+    /// - A parent or root count that runs past the frame is
+    ///   `WireError::Protocol("short WAIT reply")`; bytes after the
+    ///   roots are `WireError::Protocol("trailing bytes in WAIT
+    ///   reply")`. Either way the rest of the frame is skipped, so the
+    ///   connection stays usable.
+    /// - An oversized frame poisons the client, as for every call.
     pub fn wait(&mut self, ticket: u32) -> Result<RemoteForest, WireError> {
         let mut req = Vec::with_capacity(5);
         req.push(ops::WAIT);
         req.extend_from_slice(&ticket.to_le_bytes());
-        let body = self.call_ok(&req)?;
-        let mut c = Cursor::new(&body);
-        let err = WireError::Protocol("short WAIT reply");
-        let n = c.u64().ok_or(err)? as usize;
-        let parents = c.u32s(n).ok_or(WireError::Protocol("short WAIT reply"))?;
-        let r = c.u64().ok_or(WireError::Protocol("short WAIT reply"))? as usize;
-        let roots = c.u32s(r).ok_or(WireError::Protocol("short WAIT reply"))?;
-        Ok(RemoteForest { parents, roots })
+        self.send(&req)?;
+        let len = self.read_len()?;
+        // The small buffer serves the header fields without a read each;
+        // the arrays' bulk bypasses it. `take` keeps it inside the frame.
+        let frame = (&mut self.stream).take(len as u64);
+        read_forest_reply(&mut BufReader::with_capacity(8 << 10, frame), len)
     }
 
     /// Fires the cancellation token of the job behind `ticket`. The

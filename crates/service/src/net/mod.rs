@@ -67,6 +67,7 @@
 //! extra port.
 
 pub mod client;
+mod forest;
 mod http;
 pub mod proto;
 pub mod server;

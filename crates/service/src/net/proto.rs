@@ -6,7 +6,7 @@
 //! enforces a maximum payload size so a corrupt or hostile length
 //! prefix cannot make it allocate gigabytes.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Default per-frame payload ceiling: large enough for a multi-million
 /// vertex graph upload or forest download, small enough to bound a
@@ -135,20 +135,49 @@ impl std::fmt::Display for Status {
     }
 }
 
-/// Writes one frame: length prefix, payload, flush.
+/// Writes one frame: length prefix and payload in one vectored write,
+/// then flush. On a `nodelay` socket the prefix therefore never leaves
+/// as a segment of its own.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    write_all_vectored(
+        w,
+        &mut [IoSlice::new(&len.to_le_bytes()), IoSlice::new(payload)],
+    )?;
     w.flush()
 }
 
-/// What [`read_frame`] found on the stream.
+/// Writes every byte of `bufs`, retrying short and interrupted writes.
+/// A writer that takes whole vectors (a socket, a `Vec`) sees one call.
+pub(crate) fn write_all_vectored<W: Write>(
+    w: &mut W,
+    mut bufs: &mut [IoSlice<'_>],
+) -> io::Result<()> {
+    // Drop leading empty slices so a zero-length write means failure.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(k) => IoSlice::advance_slices(&mut bufs, k),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// What [`read_frame`] (or [`read_frame_len`]) found on the stream.
 #[derive(Debug, PartialEq, Eq)]
-pub enum ReadFrame {
-    /// A complete frame.
-    Frame(Vec<u8>),
+pub enum ReadFrame<T = Vec<u8>> {
+    /// A complete frame ([`read_frame`]), or the length of the payload
+    /// that follows ([`read_frame_len`]).
+    Frame(T),
     /// The peer closed the stream cleanly between frames.
     Eof,
     /// The length prefix exceeded `max_payload`. The payload was NOT
@@ -166,6 +195,21 @@ pub enum ReadFrame {
 /// loop that keeps the partial buffer, as the server's read loop does.
 /// This plain version is for blocking streams.
 pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> io::Result<ReadFrame> {
+    Ok(match read_frame_len(r, max_payload)? {
+        ReadFrame::Frame(len) => {
+            let mut payload = vec![0u8; len];
+            r.read_exact(&mut payload)?;
+            ReadFrame::Frame(payload)
+        }
+        ReadFrame::Eof => ReadFrame::Eof,
+        ReadFrame::TooLarge(len) => ReadFrame::TooLarge(len),
+    })
+}
+
+/// Reads one frame's length prefix and checks it against
+/// `max_payload`, leaving the payload on the stream for a reader that
+/// parses it in place. Errors and end of stream as in [`read_frame`].
+pub fn read_frame_len<R: Read>(r: &mut R, max_payload: usize) -> io::Result<ReadFrame<usize>> {
     let mut header = [0u8; 4];
     match read_full(r, &mut header)? {
         0 => return Ok(ReadFrame::Eof),
@@ -181,9 +225,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> io::Result<ReadFram
     if len as usize > max_payload {
         return Ok(ReadFrame::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(ReadFrame::Frame(payload))
+    Ok(ReadFrame::Frame(len as usize))
 }
 
 /// Reads until `buf` is full or the stream ends; returns bytes read.
@@ -248,16 +290,6 @@ impl<'a> Cursor<'a> {
     pub fn u64(&mut self) -> Option<u64> {
         self.bytes(8)
             .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    /// Next `count` little-endian `u32`s.
-    pub fn u32s(&mut self, count: usize) -> Option<Vec<u32>> {
-        let raw = self.bytes(count.checked_mul(4)?)?;
-        Some(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        )
     }
 }
 
@@ -353,7 +385,7 @@ mod tests {
         assert_eq!(c.u8(), Some(7));
         assert_eq!(c.u32(), Some(0xdead_beef));
         assert_eq!(c.u64(), Some(0x0123_4567_89ab_cdef));
-        assert_eq!(c.u32s(2), Some(vec![1, 2]));
+        assert_eq!((c.u32(), c.u32()), (Some(1), Some(2)));
         assert!(c.is_exhausted());
         assert_eq!(c.u8(), None, "underrun is None, not panic");
         let mut short = Cursor::new(&[1, 2]);

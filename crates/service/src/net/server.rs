@@ -15,7 +15,7 @@
 //! returning — no connection is ever torn down mid-response.
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
@@ -23,10 +23,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use st_core::ConfigError;
-use st_core::RuntimeConfig;
+use st_core::{RuntimeConfig, SpanningForest};
 use st_obs::TraceId;
 
 use crate::job::{JobError, JobHandle, Priority};
+use crate::net::forest::write_forest_frame;
 use crate::net::proto::{ops, write_frame, Cursor, Status, DEFAULT_MAX_FRAME_BYTES};
 use crate::service::Service;
 use crate::spec::{AlgorithmId, GraphSel, JobSpec};
@@ -342,46 +343,49 @@ fn session(
             Ok(Fill::Full) => {}
             Ok(Fill::Eof | Fill::Shutdown) | Err(_) => return,
         }
-        let (response, close) = handle_request(
+        let (reply, close) = handle_request(
             service,
             &payload,
             max_catalog,
             &mut tickets,
             &mut next_ticket,
         );
-        if write_frame(&mut stream, &response).is_err() || close {
+        if reply.write_to(&mut stream).is_err() || close {
             return;
         }
     }
 }
 
-fn resp(status: Status) -> Vec<u8> {
-    vec![status.code()]
+/// One response, as [`handle_request`] produced it.
+enum Reply {
+    /// A status byte and its body.
+    Payload(Vec<u8>),
+    /// A `WAIT`'s `Ok` reply: the forest the job resolved to, shared
+    /// with the result cache and written to the socket from its own
+    /// arrays — not copied.
+    Forest(Arc<SpanningForest>),
 }
 
-fn resp_with(status: Status, body: &[u8]) -> Vec<u8> {
+impl Reply {
+    /// Writes the reply as one frame in one write, so its length prefix
+    /// never leaves as a segment of its own.
+    fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        match self {
+            Reply::Payload(payload) => write_frame(w, payload),
+            Reply::Forest(forest) => write_forest_frame(w, &forest.parents, &forest.roots),
+        }
+    }
+}
+
+fn resp(status: Status) -> Reply {
+    Reply::Payload(vec![status.code()])
+}
+
+fn resp_with(status: Status, body: &[u8]) -> Reply {
     let mut out = Vec::with_capacity(1 + body.len());
     out.push(status.code());
     out.extend_from_slice(body);
-    out
-}
-
-/// Appends `words` to `out` as little-endian `u32`s.
-fn extend_le_u32(out: &mut Vec<u8>, words: &[u32]) {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: `u32` has no padding and every byte pattern is a valid
-        // `u8`; the slice covers exactly the words' memory, whose bytes
-        // on a little-endian target are their little-endian encoding.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words))
-        };
-        out.extend_from_slice(bytes);
-    }
-    #[cfg(not(target_endian = "little"))]
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
+    Reply::Payload(out)
 }
 
 fn job_error_status(err: &JobError) -> Status {
@@ -398,15 +402,15 @@ fn job_error_status(err: &JobError) -> Status {
     }
 }
 
-/// Parses and executes one request, returning `(response frame payload,
-/// close connection after responding)`.
+/// Parses and executes one request, returning `(response, close
+/// connection after responding)`.
 fn handle_request(
     service: &Arc<Service>,
     payload: &[u8],
     max_catalog: usize,
     tickets: &mut HashMap<u32, JobHandle>,
     next_ticket: &mut u32,
-) -> (Vec<u8>, bool) {
+) -> (Reply, bool) {
     let mut c = Cursor::new(payload);
     let Some(op) = c.u8() else {
         return (resp(Status::Malformed), false);
@@ -510,18 +514,8 @@ fn handle_request(
                 return (resp(Status::UnknownTicket), false);
             };
             match handle.wait() {
-                Ok(forest) => {
-                    // Status byte and body in one buffer: the forest is
-                    // most of the reply, so it is copied exactly once.
-                    let words = forest.parents.len() + forest.roots.len();
-                    let mut out = Vec::with_capacity(1 + 16 + 4 * words);
-                    out.push(Status::Ok.code());
-                    out.extend_from_slice(&(forest.parents.len() as u64).to_le_bytes());
-                    extend_le_u32(&mut out, &forest.parents);
-                    out.extend_from_slice(&(forest.roots.len() as u64).to_le_bytes());
-                    extend_le_u32(&mut out, &forest.roots);
-                    (out, false)
-                }
+                // The forest is most of the reply; it is not copied.
+                Ok(forest) => (Reply::Forest(forest), false),
                 Err(JobError::Panicked(msg)) => {
                     (resp_with(Status::Panicked, msg.as_bytes()), false)
                 }
@@ -592,17 +586,45 @@ fn handle_request(
 mod tests {
     use super::*;
 
-    #[test]
-    fn bulk_encoding_matches_per_word_little_endian() {
-        let words = [0u32, 1, 0xdead_beef, u32::MAX, 0x0102_0304];
-        let mut bulk = vec![0xaa];
-        extend_le_u32(&mut bulk, &words);
-        let mut per_word = vec![0xaa];
-        for w in words {
-            per_word.extend_from_slice(&w.to_le_bytes());
+    /// A writer that takes every byte it is offered and counts the
+    /// calls that offered them.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
         }
-        assert_eq!(bulk, per_word);
-        extend_le_u32(&mut bulk, &[]);
-        assert_eq!(bulk.len(), 1 + 4 * words.len());
+
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_leaves_in_one_write() {
+        let forest = Arc::new(st_core::seq::bfs_forest(&st_graph::gen::torus2d(4, 4)));
+        for (reply, payload_len) in [
+            (resp(Status::Busy), 1),
+            (resp_with(Status::Ok, b"echo"), 5),
+            (Reply::Forest(forest), 1 + 8 + 4 * 16 + 8 + 4),
+        ] {
+            let mut w = CountingWriter::default();
+            reply.write_to(&mut w).unwrap();
+            assert_eq!(w.writes, 1, "one write per frame");
+            assert_eq!(w.bytes.len(), 4 + payload_len);
+            assert_eq!(w.bytes[..4], (payload_len as u32).to_le_bytes());
+        }
     }
 }

@@ -975,8 +975,11 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
 
     let result = match run {
         Ok(Ok(forest)) => {
+            // The one allocation the cache, the handle and a WAIT reply
+            // all share: nothing downstream copies the forest.
+            let forest = Arc::new(forest);
             if let Some(key) = job.cache_slot {
-                shared.cache.insert(key, forest.clone());
+                shared.cache.insert(key, Arc::clone(&forest));
             }
             Ok(forest)
         }
@@ -1000,7 +1003,7 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
 fn finish(
     shared: &Shared,
     job: &JobTag,
-    result: Result<SpanningForest, JobError>,
+    result: Result<Arc<SpanningForest>, JobError>,
     queue_ns: u64,
     exec_ns: u64,
     team: Option<u32>,

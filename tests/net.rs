@@ -3,13 +3,14 @@
 //! segmented), remote backpressure, remote cancellation and deadlines,
 //! the connection limit, and clean shutdown.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bader_cong_spanning::prelude::*;
-use bader_cong_spanning::service::net::{ops, Status, SubmitReply, WireError};
+use bader_cong_spanning::service::net::proto::{read_frame, ReadFrame};
+use bader_cong_spanning::service::net::{ops, RemoteForest, Status, SubmitReply, WireError};
 use bader_cong_spanning::service::AlgorithmId;
 
 fn serve(cores: usize, queue_capacity: usize) -> (Server, Arc<Service>) {
@@ -202,6 +203,158 @@ fn catalog_limit_bounds_remote_registration() {
     assert!(svc.remove_graph(GraphId(first.id)));
     c.register(&g).unwrap();
     server.shutdown();
+}
+
+/// Writes one request frame on a raw socket and reads the raw reply
+/// frame back, length prefix included.
+fn raw_exchange(s: &mut TcpStream, request: &[u8]) -> Vec<u8> {
+    s.write_all(&(request.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(request).unwrap();
+    let mut wire = vec![0u8; 4];
+    s.read_exact(&mut wire).unwrap();
+    let len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
+    wire.resize(4 + len, 0);
+    s.read_exact(&mut wire[4..]).unwrap();
+    wire
+}
+
+#[test]
+fn wait_reply_matches_the_documented_layout_byte_for_byte() {
+    let (server, svc) = serve(2, 8);
+    let g = gen::chain(6);
+    let remote = Client::connect(server.local_addr())
+        .unwrap()
+        .register(&g)
+        .unwrap();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    // SUBMIT: id, algorithm, priority, seed, deadline-ms, width.
+    let mut submit = vec![ops::SUBMIT];
+    submit.extend_from_slice(&remote.id.to_le_bytes());
+    submit.push(AlgorithmId::BaderCong.code());
+    submit.push(1);
+    submit.extend_from_slice(&7u64.to_le_bytes());
+    submit.extend_from_slice(&0u64.to_le_bytes());
+    submit.extend_from_slice(&0u32.to_le_bytes());
+    let reply = raw_exchange(&mut s, &submit);
+    assert_eq!(reply[..5], [14, 0, 0, 0, Status::Ok.code()]);
+    let ticket: [u8; 4] = reply[5..9].try_into().unwrap();
+    let mut wait = vec![ops::WAIT];
+    wait.extend_from_slice(&ticket);
+    let wire = raw_exchange(&mut s, &wait);
+
+    // The same spec in process is a cache hit on the forest just sent.
+    let spec = JobSpec::new(GraphId(remote.id)).seed(7);
+    let hit = svc.submit_spec(spec).unwrap();
+    assert!(hit.cached);
+    let forest = hit.handle.wait().unwrap();
+    assert_eq!(forest.parents.len(), 6);
+    // Length, status, n u64, parents n×u32, r u64, roots r×u32.
+    let mut want = Vec::new();
+    want.extend_from_slice(&(1 + 8 + 4 * 6 + 8 + 4 * forest.roots.len() as u32).to_le_bytes());
+    want.push(Status::Ok.code());
+    want.extend_from_slice(&6u64.to_le_bytes());
+    forest
+        .parents
+        .iter()
+        .for_each(|p| want.extend_from_slice(&p.to_le_bytes()));
+    want.extend_from_slice(&(forest.roots.len() as u64).to_le_bytes());
+    forest
+        .roots
+        .iter()
+        .for_each(|r| want.extend_from_slice(&r.to_le_bytes()));
+    assert_eq!(wire, want);
+    server.shutdown();
+}
+
+/// A one-connection server that answers the client's first request
+/// with `reply` (a whole frame, length prefix included) and its second
+/// with an `Ok` "ok" frame — so a client that skipped a bad reply
+/// exactly reads the "ok".
+fn scripted_server(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let thread = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        for answer in [reply, vec![3, 0, 0, 0, Status::Ok.code(), b'o', b'k']] {
+            match read_frame(&mut s, 1 << 20).unwrap() {
+                ReadFrame::Frame(_) => s.write_all(&answer).unwrap(),
+                other => panic!("expected a request, got {other:?}"),
+            }
+        }
+    });
+    (addr, thread)
+}
+
+/// A WAIT reply frame from raw fields.
+fn wait_frame(n: u64, parents: &[u32], r: u64, roots: &[u32], trailer: &[u8]) -> Vec<u8> {
+    let mut payload = vec![Status::Ok.code()];
+    payload.extend_from_slice(&n.to_le_bytes());
+    parents
+        .iter()
+        .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
+    payload.extend_from_slice(&r.to_le_bytes());
+    roots
+        .iter()
+        .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
+    payload.extend_from_slice(trailer);
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// Runs one `wait` against a scripted reply; returns its result after
+/// checking that the connection stayed frame-aligned.
+fn wait_against(reply: Vec<u8>) -> Result<RemoteForest, WireError> {
+    let (addr, server) = scripted_server(reply);
+    let mut c = Client::connect(addr).unwrap();
+    let got = c.wait(0);
+    assert_eq!(c.ping(b"?").unwrap(), b"ok", "the bad reply was skipped");
+    server.join().unwrap();
+    got
+}
+
+#[test]
+fn client_reads_a_well_formed_wait_reply() {
+    let got = wait_against(wait_frame(3, &[u32::MAX, 0, 1], 1, &[0], &[])).unwrap();
+    assert_eq!(got.parents, [u32::MAX, 0, 1]);
+    assert_eq!(got.roots, [0]);
+}
+
+#[test]
+fn client_rejects_counts_that_run_past_the_frame() {
+    for reply in [
+        wait_frame(3, &[u32::MAX, 0], 0, &[], &[]),
+        wait_frame(2, &[u32::MAX, 0], 2, &[0], &[]),
+        // 2^40 parents (4 TiB) must fail the length check before any
+        // allocation — one would abort the test process.
+        wait_frame(1 << 40, &[], 0, &[], &[]),
+    ] {
+        let err = wait_against(reply).unwrap_err();
+        assert!(
+            matches!(err, WireError::Protocol("short WAIT reply")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn client_rejects_trailing_bytes_after_the_roots() {
+    let err = wait_against(wait_frame(1, &[u32::MAX], 1, &[0], &[9, 9, 9])).unwrap_err();
+    assert!(
+        matches!(err, WireError::Protocol("trailing bytes in WAIT reply")),
+        "{err}"
+    );
+}
+
+#[test]
+fn client_surfaces_an_error_status_with_its_message() {
+    let mut reply = 6u32.to_le_bytes().to_vec();
+    reply.push(Status::Panicked.code());
+    reply.extend_from_slice(b"boom!");
+    match wait_against(reply) {
+        Err(WireError::Remote(Status::Panicked, msg)) => assert_eq!(msg, "boom!"),
+        other => panic!("{other:?}"),
+    }
 }
 
 #[test]

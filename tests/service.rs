@@ -703,3 +703,47 @@ fn a_small_job_waits_for_a_large_one_holding_every_core() {
     assert!(is_spanning_forest(&g, &small.parents));
     assert_eq!(svc.shutdown().completed, 2);
 }
+
+#[test]
+fn a_cache_hit_shares_the_forest_the_miss_produced() {
+    let svc = Service::builder()
+        .cores(2)
+        .queue_capacity(4)
+        .result_cache_capacity(4)
+        .build();
+    let gref = svc.catalog().register(Arc::new(gen::torus2d(16, 16)));
+    let spec = JobSpec::new(gref.id).seed(3);
+    let miss = svc.submit_spec(spec).unwrap();
+    assert!(!miss.cached);
+    let cold = miss.handle.wait().expect("no deadline, no cancel");
+    let hit = svc.submit_spec(spec).unwrap();
+    assert!(hit.cached);
+    let hot = hit.handle.wait().expect("served from the cache");
+    assert!(Arc::ptr_eq(&cold, &hot), "a hit shares, never copies");
+}
+
+#[test]
+fn a_held_forest_survives_its_cache_eviction() {
+    let svc = Service::builder()
+        .cores(2)
+        .queue_capacity(4)
+        .result_cache_capacity(1)
+        .build();
+    let g = Arc::new(gen::random_gnm(2_000, 5_000, 9));
+    let gref = svc.catalog().register(Arc::clone(&g));
+    let first = JobSpec::new(gref.id).seed(1);
+    let held = svc.submit_spec(first).unwrap().handle.wait().unwrap();
+    let parents = held.parents.clone();
+    let roots = held.roots.clone();
+    // A second spec takes the only cache slot.
+    let second = JobSpec::new(gref.id).seed(2);
+    svc.submit_spec(second).unwrap().handle.wait().unwrap();
+    assert!(svc.submit_spec(second).unwrap().cached);
+    assert!(
+        !svc.submit_spec(first).unwrap().cached,
+        "the first entry was evicted"
+    );
+    assert_eq!(held.parents, parents);
+    assert_eq!(held.roots, roots);
+    assert!(is_spanning_forest(&g, &held.parents));
+}
