@@ -3,7 +3,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_bench::workloads::Workload;
 use st_core::bader_cong::{BaderCong, Config};
-use st_core::multiroot::Multiroot;
 use st_core::sv::{self, GraftVariant, SvConfig};
 use st_core::traversal::TraversalConfig;
 use st_core::Engine;
@@ -140,9 +139,9 @@ fn ablate_chunk(c: &mut Criterion) {
 
 /// `ablate_frontier`: the two-level work-stealing frontier. Sweeps the
 /// publication threshold from the paper's publish-everything protocol
-/// (threshold 1) to publish-never (sleeper-driven only), plus the
-/// sleeper-donation knob. The committed baseline numbers live in
-/// BENCH_traversal.json (see the `traversal-frontier` bin).
+/// (threshold 1) to publish-never (sleeper-driven only). The committed
+/// baseline numbers live in BENCH_traversal.json (see the
+/// `traversal-frontier` bin).
 fn ablate_frontier(c: &mut Criterion) {
     let g = Workload::RandomM15.build(scale(), 7);
     let mut group = c.benchmark_group("ablate_frontier");
@@ -164,39 +163,6 @@ fn ablate_frontier(c: &mut Criterion) {
             b.iter(|| Engine::new(4).run(&BaderCong::new(cfg.clone()), &g))
         });
     }
-    let no_donate = Config {
-        traversal: TraversalConfig {
-            publish_on_sleepers: false,
-            ..TraversalConfig::default()
-        },
-        ..Config::default()
-    };
-    group.bench_function("t64_no_donate", |b| {
-        b.iter(|| Engine::new(4).run(&BaderCong::new(no_donate.clone()), &g))
-    });
-    group.finish();
-}
-
-/// `ablate_driver`: the paper's per-component round driver vs the
-/// multi-root concurrent extension, on a many-component input (2D60)
-/// and a single-component input (torus).
-fn ablate_driver(c: &mut Criterion) {
-    let many = Workload::Mesh2D60.build(scale(), 7);
-    let one = Workload::TorusRowMajor.build(scale(), 7);
-    let mut group = c.benchmark_group("ablate_driver");
-    group.sample_size(10);
-    group.bench_function("rounds_mesh2d60", |b| {
-        b.iter(|| Engine::new(4).run(&BaderCong::with_defaults(), &many))
-    });
-    group.bench_function("multiroot_mesh2d60", |b| {
-        b.iter(|| Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &many))
-    });
-    group.bench_function("rounds_torus", |b| {
-        b.iter(|| Engine::new(4).run(&BaderCong::with_defaults(), &one))
-    });
-    group.bench_function("multiroot_torus", |b| {
-        b.iter(|| Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &one))
-    });
     group.finish();
 }
 
@@ -207,7 +173,6 @@ criterion_group!(
     ablate_sv_grafting,
     ablate_deg2,
     ablate_chunk,
-    ablate_frontier,
-    ablate_driver
+    ablate_frontier
 );
 criterion_main!(benches);

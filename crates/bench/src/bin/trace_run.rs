@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `A` is one of `bader-cong` (default), `sv-election`, `sv-lock`,
-//! `hcs`, `multiroot`. The input is `random_connected(n = 2^L, m = 4n)`.
+//! `hcs`. The input is `random_connected(n = 2^L, m = 4n)`.
 //!
 //! The counters in the emitted `job_totals` instant event are always
 //! populated; the per-phase "X" spans need the `obs-trace` feature
@@ -18,7 +18,6 @@ use std::path::PathBuf;
 use st_core::bader_cong::BaderCong;
 use st_core::engine::Engine;
 use st_core::hcs::Hcs;
-use st_core::multiroot::Multiroot;
 use st_core::result::SpanningForest;
 use st_core::sv::{GraftVariant, Sv, SvConfig};
 use st_graph::gen::random_connected;
@@ -27,7 +26,7 @@ use st_obs::{write_chrome_trace, TraceSet};
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: trace_run [--algo bader-cong|sv-election|sv-lock|hcs|multiroot] \
+        "usage: trace_run [--algo bader-cong|sv-election|sv-lock|hcs] \
          [--scale L] [--p P] [--seed S] [--out FILE]"
     );
     std::process::exit(2)
@@ -94,7 +93,6 @@ fn run(engine: &mut Engine, algo: &str, g: &st_graph::CsrGraph) -> SpanningFores
             g,
         ),
         "hcs" => engine.run(&Hcs, g),
-        "multiroot" => engine.run(&Multiroot::with_defaults(), g),
         other => usage(&format!("unknown algorithm {other}")),
     }
 }

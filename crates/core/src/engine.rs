@@ -12,9 +12,9 @@
 //!   running a sequence of graphs reuses allocations instead of
 //!   re-malloc-ing per call — the dominant fixed cost once thread
 //!   spawning is gone.
-//! * [`SpanningAlgorithm`] — the common interface all five parallel
-//!   algorithms implement (Bader–Cong, both SV variants, HCS, and the
-//!   multi-root extension). Consumers like [`crate::biconnected`] take
+//! * [`SpanningAlgorithm`] — the common interface all four parallel
+//!   algorithms implement (Bader–Cong, both SV variants, and HCS).
+//!   Consumers like [`crate::biconnected`] take
 //!   the trait, so any spanning-forest producer can back the higher-level
 //!   routines.
 //! * [`Engine`] — the convenience bundle: one persistent [`Executor`]
@@ -71,8 +71,8 @@ pub(crate) type GraftList = CacheAligned<SpinLock<Vec<(VertexId, VertexId)>>>;
 pub struct Workspace {
     /// The traversal's visited set, one bit per vertex.
     pub(crate) colored: AtomicBitmap,
-    /// Per-vertex `u32` claims for the algorithms that need more than a
-    /// bit: Multiroot's tree ids and the dynamic forest's hooks.
+    /// Per-vertex `u32` claims: the hooks of
+    /// [`DynForest`](crate::dyn_forest::DynForest)'s component merge.
     pub(crate) color: AtomicU32Array,
     /// Traversal tree parents.
     pub(crate) parent: AtomicU32Array,
@@ -352,8 +352,7 @@ impl std::error::Error for Cancelled {}
 /// reusable workspace.
 ///
 /// Implemented by [`BaderCong`](crate::bader_cong::BaderCong),
-/// [`Sv`](crate::sv::Sv), [`Hcs`](crate::hcs::Hcs), and
-/// [`Multiroot`](crate::multiroot::Multiroot); consumed by
+/// [`Sv`](crate::sv::Sv) and [`Hcs`](crate::hcs::Hcs); consumed by
 /// [`Engine::run`], [`crate::biconnected`], and the service dispatcher.
 pub trait SpanningAlgorithm {
     /// Short stable identifier (e.g. for benchmark tables).
@@ -364,11 +363,10 @@ pub trait SpanningAlgorithm {
     ///
     /// Cooperatively cancellable: the algorithm polls `cancel` at its
     /// natural boundaries (publication points and round barriers for the
-    /// traversal family, iteration barriers for graft-and-shortcut;
-    /// Multiroot checks once, before it starts) and returns
-    /// `Err(Cancelled)` as soon as it observes the token fired, leaving
-    /// `ws` and `exec` reusable. Pass
-    /// [`CancelToken::none`] for a run that cannot be cancelled.
+    /// traversal family, iteration barriers for graft-and-shortcut) and
+    /// returns `Err(Cancelled)` as soon as it observes the token fired,
+    /// leaving `ws` and `exec` reusable. Pass [`CancelToken::none`] for
+    /// a run that cannot be cancelled.
     fn run(
         &self,
         g: &CsrGraph,
@@ -437,7 +435,6 @@ mod tests {
     use super::*;
     use crate::bader_cong::BaderCong;
     use crate::hcs::Hcs;
-    use crate::multiroot::Multiroot;
     use crate::sv::{GraftVariant, Sv, SvConfig};
     use st_graph::gen;
     use st_graph::validate::{count_components, is_spanning_forest};
@@ -451,7 +448,6 @@ mod tests {
                 ..SvConfig::default()
             })),
             Box::new(Hcs),
-            Box::new(Multiroot::with_defaults()),
         ]
     }
 

@@ -65,7 +65,6 @@ pub mod ears;
 pub mod engine;
 pub mod hcs;
 pub mod mst;
-pub mod multiroot;
 pub mod orient;
 pub mod result;
 pub mod seq;

@@ -72,12 +72,9 @@ pub struct AlgoStats {
     /// Total queue items moved by steals.
     pub stolen_items: usize,
     /// Graft-and-shortcut iterations (SV / HCS; the labeling-sensitivity
-    /// experiment CLAIM-SVLABEL counts these). The multi-root driver
-    /// ([`multiroot`](crate::multiroot)) stores its *claimed-root count*
-    /// here instead.
+    /// experiment CLAIM-SVLABEL counts these).
     pub iterations: usize,
-    /// Total grafts performed (SV / HCS). The multi-root driver stores
-    /// its *tree-merge count* here (claims − merges = final trees).
+    /// Total grafts performed (SV / HCS).
     pub grafts: usize,
     /// Total pointer-jumping rounds across all shortcut phases (SV /
     /// HCS).

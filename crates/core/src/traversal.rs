@@ -41,8 +41,7 @@
 //!   paper, from which thieves steal. Surplus moves from level 1 to
 //!   level 2 in one batched [`push_all`](WorkQueue::push_all) when the
 //!   private buffer reaches [`TraversalConfig::publish_threshold`], or
-//!   as soon as the termination detector reports sleeping processors
-//!   ([`TraversalConfig::publish_on_sleepers`]).
+//!   as soon as the termination detector reports sleeping processors.
 //!
 //! `publish_threshold = 1` publishes every discovery immediately and
 //! reproduces the paper's shared-queue protocol exactly. Steal and
@@ -165,17 +164,12 @@ pub struct TraversalConfig {
     /// Private-buffer size at which a worker publishes surplus frontier
     /// vertices to its shared stealable queue (see the module docs).
     /// `1` publishes every discovery immediately — the paper's protocol;
-    /// `usize::MAX` publishes only when sleepers demand it (assuming
-    /// [`publish_on_sleepers`](Self::publish_on_sleepers) stays on).
-    /// Clamped to at least 1.
+    /// `usize::MAX` publishes only when sleepers demand it. Whatever the
+    /// threshold, the whole private buffer is donated (and the sleepers
+    /// woken) whenever the termination detector reports sleeping
+    /// processors, which keeps steal/starvation behavior equivalent to
+    /// the paper's protocol. Clamped to at least 1.
     pub publish_threshold: usize,
-    /// Publish the whole private buffer (and wake the sleepers) whenever
-    /// the termination detector reports sleeping processors, regardless
-    /// of the threshold. Keeps steal/starvation behavior equivalent to
-    /// the paper's protocol; turning it off is only safe because idle
-    /// sleepers re-scan on a timeout, but it delays work distribution
-    /// and is exposed for ablation only.
-    pub publish_on_sleepers: bool,
     /// Cooperative cancellation token. The default
     /// ([`CancelToken::none`]) never fires and costs one non-atomic
     /// check per poll; a live token (from
@@ -228,7 +222,6 @@ impl TraversalConfig {
             seed: 0x5eed,
             local_batch: 1,
             publish_threshold: 64,
-            publish_on_sleepers: true,
             cancel: CancelToken::none(),
             direction: Direction::Hybrid,
             prefetch_distance: 1,
@@ -739,7 +732,7 @@ impl<'a> Traversal<'a> {
                 // as sleepers are waiting for work.
                 let sleepers = self.detector.approx_sleeping() > 0;
                 let overflow = state.private.len() >= publish_threshold;
-                if overflow || (self.cfg.publish_on_sleepers && sleepers) {
+                if overflow || sleepers {
                     let keep = if overflow { keep_after_publish } else { 0 };
                     if state.private.len() > keep {
                         // Publish the oldest entries (the bottom of the
@@ -1336,10 +1329,7 @@ impl WorkerState {
 /// items land in `queues[rank]` (so they stay stealable by others).
 /// `buf` is caller-owned scratch (always left empty) so a round's many
 /// sweeps share one allocation. Returns the number of items stolen.
-///
-/// Shared between [`Traversal`] and the multiroot variant — one copy of
-/// the victim-selection logic.
-pub(crate) fn steal_sweep(
+fn steal_sweep(
     queues: &[CacheAligned<WorkQueue<VertexId>>],
     rank: usize,
     rng: &mut SmallRng,
@@ -1582,21 +1572,14 @@ mod tests {
     #[test]
     fn never_publish_threshold_still_terminates() {
         // usize::MAX never overflows the private buffer; publication is
-        // purely sleeper-driven, and with sleepers disabled too the
-        // worker simply runs the whole component privately.
+        // purely sleeper-driven.
         let g = random_connected(2_000, 3_000, 29);
-        for publish_on_sleepers in [true, false] {
-            let cfg = TraversalConfig {
-                publish_threshold: usize::MAX,
-                publish_on_sleepers,
-                ..TraversalConfig::default()
-            };
-            let (parents, _) = traverse(&g, 4, 0, cfg);
-            assert!(
-                is_spanning_tree(&g, &parents, 0),
-                "publish_on_sleepers={publish_on_sleepers}"
-            );
-        }
+        let cfg = TraversalConfig {
+            publish_threshold: usize::MAX,
+            ..TraversalConfig::default()
+        };
+        let (parents, _) = traverse(&g, 4, 0, cfg);
+        assert!(is_spanning_tree(&g, &parents, 0));
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use st_core::engine::SpanningAlgorithm;
 use st_core::hcs::Hcs;
-use st_core::multiroot::Multiroot;
 use st_core::sv::{Sv, SvConfig};
 use st_core::{BaderCong, Config, TraversalConfig};
 
@@ -33,8 +32,6 @@ pub enum AlgorithmId {
     /// The paper's work-stealing graph traversal (the default).
     #[default]
     BaderCong,
-    /// Independent multi-root traversal with graft-based merging.
-    Multiroot,
     /// Shiloach–Vishkin graft-and-shortcut.
     Sv,
     /// Hybrid connected-components + spanning structure.
@@ -43,18 +40,16 @@ pub enum AlgorithmId {
 
 impl AlgorithmId {
     /// Every algorithm, in wire-code order.
-    pub const ALL: [AlgorithmId; 4] = [
-        AlgorithmId::BaderCong,
-        AlgorithmId::Multiroot,
-        AlgorithmId::Sv,
-        AlgorithmId::Hcs,
-    ];
+    pub const ALL: [AlgorithmId; 3] = [AlgorithmId::BaderCong, AlgorithmId::Sv, AlgorithmId::Hcs];
 
     /// Stable one-byte wire code.
+    ///
+    /// Code 1 is retired (it named the multi-root traversal driver) and
+    /// must never be reused: a client that still sends it gets a typed
+    /// `Malformed` reply, not another algorithm.
     pub fn code(self) -> u8 {
         match self {
             AlgorithmId::BaderCong => 0,
-            AlgorithmId::Multiroot => 1,
             AlgorithmId::Sv => 2,
             AlgorithmId::Hcs => 3,
         }
@@ -69,7 +64,6 @@ impl AlgorithmId {
     pub fn name(self) -> &'static str {
         match self {
             AlgorithmId::BaderCong => "bader-cong",
-            AlgorithmId::Multiroot => "multiroot",
             AlgorithmId::Sv => "sv",
             AlgorithmId::Hcs => "hcs",
         }
@@ -88,7 +82,6 @@ impl AlgorithmId {
                 traversal,
                 ..Config::default()
             })),
-            AlgorithmId::Multiroot => Box::new(Multiroot::new(traversal)),
             AlgorithmId::Sv => Box::new(Sv::new(SvConfig::default())),
             AlgorithmId::Hcs => Box::new(Hcs),
         }
@@ -268,6 +261,7 @@ mod tests {
         for algo in AlgorithmId::ALL {
             assert_eq!(AlgorithmId::from_code(algo.code()), Some(algo));
         }
+        assert_eq!(AlgorithmId::from_code(1), None, "code 1 is retired");
         assert_eq!(AlgorithmId::from_code(200), None);
     }
 

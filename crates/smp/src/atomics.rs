@@ -4,8 +4,8 @@ use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A fixed-size array of atomic `u32` cells shared by all processors.
 ///
-/// This backs the `parent` array of the traversal algorithms, Multiroot's
-/// tree-id `color` array, and the `parent`/`component` arrays of
+/// This backs the `parent` array of the traversal algorithms, the
+/// dynamic forest's hook array, and the `parent`/`component` arrays of
 /// Shiloach–Vishkin: every cell
 /// can be read, written, and CASed concurrently. The paper's key
 /// correctness argument (§2, Fig. 1) is precisely that racy writes to

@@ -132,9 +132,9 @@ fn timeout_racing_notify_work_yields_retry() {
     });
 }
 
-/// The multi-root driver's cancellation exit: the rank that sees the
-/// token fire sets a shared flag, then calls `notify_work`; an idle
-/// rank checks the flag before each `idle_wait`. In every schedule the
+/// The traversal's cancellation exit: the rank that sees the token
+/// fire sets a shared flag, then calls `notify_work`; an idle rank
+/// checks the flag before each `idle_wait`. In every schedule the
 /// idle rank leaves through the flag, never through a verdict (its
 /// peer never sleeps), and every sleep is paired with a wake.
 #[test]

@@ -88,7 +88,6 @@ pub mod prelude {
     pub use st_core::connected::{components_from_forest, connected_components};
     pub use st_core::engine::{Cancelled, Engine, SpanningAlgorithm, Workspace};
     pub use st_core::mst::{self, MstResult};
-    pub use st_core::multiroot::Multiroot;
     pub use st_core::result::{AlgoStats, SpanningForest};
     pub use st_core::seq;
     pub use st_core::sv::{self, GraftVariant, SvConfig};

@@ -163,12 +163,7 @@ fn every_algorithm_id_produces_a_valid_forest() {
     let svc = small_service();
     let g = Arc::new(gen::random_gnm(2_000, 6_000, 11));
     let gref = svc.catalog().register(Arc::clone(&g));
-    for algo in [
-        AlgorithmId::BaderCong,
-        AlgorithmId::Multiroot,
-        AlgorithmId::Sv,
-        AlgorithmId::Hcs,
-    ] {
+    for algo in AlgorithmId::ALL {
         let forest = svc
             .submit_spec(JobSpec::new(gref.id).algorithm(algo))
             .unwrap()

@@ -365,33 +365,3 @@ fn sv_lock_variant_under_contention() {
     let f = Engine::new(8).run(&sv::Sv::new(cfg), &g);
     assert!(is_spanning_forest(&g, &f.parents));
 }
-
-#[test]
-fn multiroot_driver_under_oversubscription() {
-    // Heavily disconnected input, more threads than cores, repeated:
-    // the no-barrier driver with concurrent root claiming and deferred
-    // merging must stay correct under every interleaving.
-    let g = gen::mesh2d_p(50, 50, 0.55, 13);
-    let reference = count_components(&g);
-    for seed in 0..6 {
-        let cfg = TraversalConfig {
-            seed,
-            ..TraversalConfig::default()
-        };
-        let f = Engine::new(8).run(&Multiroot::new(cfg), &g);
-        assert!(is_spanning_forest(&g, &f.parents), "seed {seed}");
-        assert_eq!(f.num_trees(), reference, "seed {seed}");
-    }
-}
-
-#[test]
-fn multiroot_matches_round_driver_everywhere() {
-    use st_bench::workloads::Workload;
-    for w in Workload::fig4_panels() {
-        let g = w.build(1_500, 11);
-        let round = Engine::new(4).run(&BaderCong::with_defaults(), &g);
-        let multi = Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &g);
-        assert!(is_spanning_forest(&g, &multi.parents), "{}", w.id());
-        assert_eq!(round.num_trees(), multi.num_trees(), "{}", w.id());
-    }
-}

@@ -6,7 +6,6 @@
 
 use bader_cong_spanning::prelude::*;
 use st_core::hcs::Hcs;
-use st_core::multiroot::Multiroot;
 use st_core::sv::Sv;
 use st_graph::validate::count_components;
 
@@ -32,7 +31,6 @@ fn algorithms() -> Vec<Box<dyn SpanningAlgorithm>> {
             ..SvConfig::default()
         })),
         Box::new(Hcs),
-        Box::new(Multiroot::with_defaults()),
     ]
 }
 

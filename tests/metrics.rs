@@ -127,7 +127,6 @@ fn every_engine_job_returns_populated_metrics() {
         engine.run(&BaderCong::with_defaults(), &g),
         engine.run(&sv::Sv::new(SvConfig::default()), &g),
         engine.run(&Hcs, &g),
-        engine.run(&Multiroot::with_defaults(), &g),
     ];
     for (i, f) in forests.iter().enumerate() {
         let m = &f.stats.metrics;
@@ -236,21 +235,4 @@ fn steal_into_uses_exact_length_not_stale_mirror() {
         q.len(),
         "steal_into must re-publish the mirror it found stale"
     );
-}
-
-#[test]
-fn multiroot_metrics_obey_the_same_invariants() {
-    let g = gen::mesh2d_p(40, 40, 0.6, 3);
-    let f = Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &g);
-    let m = &f.stats.metrics;
-    assert!(m.get(Counter::StolenItems) <= m.get(Counter::ItemsPublished));
-    assert_eq!(
-        m.get(Counter::StealAttempts),
-        m.get(Counter::Steals) + m.get(Counter::FailedSweeps)
-    );
-    assert_eq!(
-        m.get(Counter::DetectorSleeps),
-        m.get(Counter::DetectorWakes)
-    );
-    assert_eq!(m.get(Counter::Barriers), 0, "multiroot uses no barriers");
 }

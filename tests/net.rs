@@ -5,6 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,6 +13,7 @@ use bader_cong_spanning::prelude::*;
 use bader_cong_spanning::service::net::proto::{read_frame, ReadFrame};
 use bader_cong_spanning::service::net::{ops, RemoteForest, Status, SubmitReply, WireError};
 use bader_cong_spanning::service::AlgorithmId;
+use bader_cong_spanning::smp::Executor;
 
 fn serve(cores: usize, queue_capacity: usize) -> (Server, Arc<Service>) {
     serve_with(cores, queue_capacity, ServerConfig::default())
@@ -79,12 +81,7 @@ fn every_algorithm_runs_remotely() {
     let g = gen::random_gnm(1_000, 3_000, 3);
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
-    for algo in [
-        AlgorithmId::BaderCong,
-        AlgorithmId::Multiroot,
-        AlgorithmId::Sv,
-        AlgorithmId::Hcs,
-    ] {
+    for algo in AlgorithmId::ALL {
         let reply = c
             .submit(SubmitRequest::new(remote).algorithm(algo))
             .unwrap();
@@ -216,6 +213,32 @@ fn raw_exchange(s: &mut TcpStream, request: &[u8]) -> Vec<u8> {
     wire.resize(4 + len, 0);
     s.read_exact(&mut wire[4..]).unwrap();
     wire
+}
+
+#[test]
+fn retired_algorithm_code_one_is_malformed_and_the_connection_stays_aligned() {
+    let (server, _svc) = serve(1, 4);
+    let g = gen::chain(6);
+    let remote = Client::connect(server.local_addr())
+        .unwrap()
+        .register(&g)
+        .unwrap();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    // SUBMIT: id, algorithm, priority, seed, deadline-ms, width — a
+    // well-formed request naming the retired multiroot code.
+    let mut submit = vec![ops::SUBMIT];
+    submit.extend_from_slice(&remote.id.to_le_bytes());
+    submit.push(1); // the retired algorithm code
+    submit.push(1); // normal priority
+    submit.extend_from_slice(&7u64.to_le_bytes());
+    submit.extend_from_slice(&0u64.to_le_bytes());
+    submit.extend_from_slice(&0u32.to_le_bytes());
+    let reply = raw_exchange(&mut s, &submit);
+    assert_eq!(reply, [1, 0, 0, 0, Status::Malformed.code()]);
+    // The next frame on the same socket is read from its own start.
+    let reply = raw_exchange(&mut s, &[ops::PING, b'o', b'k']);
+    assert_eq!(reply, [3, 0, 0, 0, Status::Ok.code(), b'o', b'k']);
+    server.shutdown();
 }
 
 #[test]
@@ -471,6 +494,33 @@ fn remote_backpressure_when_the_queue_fills() {
     server.shutdown();
 }
 
+/// Occupies its team until `release` flips, then runs Bader–Cong.
+/// `started` flips once a dispatcher has actually picked the job up.
+struct Gate {
+    started: Arc<AtomicBool>,
+    release: Arc<AtomicBool>,
+}
+
+impl SpanningAlgorithm for Gate {
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
+        self.started.store(true, Ordering::Release);
+        while !self.release.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        BaderCong::with_defaults().run(g, exec, ws, cancel)
+    }
+}
+
 #[test]
 fn remote_tenant_quota_is_a_typed_error() {
     // Quota of one queued job per tenant.
@@ -483,14 +533,25 @@ fn remote_tenant_quota_is_a_typed_error() {
             .build(),
     );
     let server = Server::start(Arc::clone(&svc), ServerConfig::default()).expect("bind loopback");
-    let g = gen::random_gnm(100_000, 200_000, 6);
+    let g = Arc::new(gen::torus2d(8, 8));
     let mut c = Client::connect(server.local_addr()).unwrap();
     let remote = c.register(&g).unwrap();
 
-    // Occupy the only team (anonymous tenant), then queue one job for
-    // tenant 7. Tenant 7's second queued job trips the quota; tenant 8
-    // is unaffected.
-    let busy = c.submit(SubmitRequest::new(remote).seed(1)).unwrap();
+    // Hold the only core with an in-process gated job (anonymous
+    // tenant), then queue one job for tenant 7. Tenant 7's second
+    // queued job trips the quota; tenant 8 is unaffected.
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let gate = Gate {
+        started: Arc::clone(&started),
+        release: Arc::clone(&release),
+    };
+    let busy = svc.job(&g).algorithm(gate).submit().expect("queue empty");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !started.load(Ordering::Acquire) {
+        assert!(Instant::now() < deadline, "gate job never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let queued = c
         .submit(SubmitRequest::new(remote).seed(2).tenant(7))
         .unwrap();
@@ -503,7 +564,9 @@ fn remote_tenant_quota_is_a_typed_error() {
         .submit(SubmitRequest::new(remote).seed(4).tenant(8))
         .unwrap();
 
-    for ticket in [busy.ticket, queued.ticket, other.ticket] {
+    release.store(true, Ordering::Release);
+    busy.wait().unwrap();
+    for ticket in [queued.ticket, other.ticket] {
         c.wait(ticket).unwrap();
     }
     assert_eq!(svc.snapshot().rejected_quota, 1);

@@ -280,13 +280,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn multiroot_driver_always_produces_valid_forests(g in arb_graph(), p in 1usize..5) {
-        let f = Engine::new(p).run(&Multiroot::new(TraversalConfig::default()), &g);
-        prop_assert!(is_spanning_forest(&g, &f.parents));
-        prop_assert_eq!(f.num_trees(), count_components(&g));
-    }
-
-    #[test]
     fn armed_detector_never_breaks_correctness(g in arb_graph(), p in 2usize..5) {
         let cfg = Config {
             traversal: TraversalConfig {

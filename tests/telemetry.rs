@@ -511,7 +511,6 @@ fn exposition_series_set_is_pinned() {
 const PINNED_SERIES: &[&str] = &[
     "st_service_algo_exec_seconds histogram {algorithm=\"bader-cong\"}",
     "st_service_algo_exec_seconds histogram {algorithm=\"hcs\"}",
-    "st_service_algo_exec_seconds histogram {algorithm=\"multiroot\"}",
     "st_service_algo_exec_seconds histogram {algorithm=\"other\"}",
     "st_service_algo_exec_seconds histogram {algorithm=\"sv\"}",
     "st_service_busy_teams gauge {}",
