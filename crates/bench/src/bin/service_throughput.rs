@@ -1,5 +1,5 @@
 //! The `service-throughput` benchmark: multi-tenant job throughput of
-//! the `st-service` pool vs the naive spawn-a-team-per-job pattern.
+//! the `st-service` pool, in process and behind the TCP front-end.
 //!
 //! ```text
 //! service_throughput [--clients C] [--jobs J] [--scale L] [--seed S]
@@ -8,13 +8,8 @@
 //!
 //! `C` client threads each submit `J` spanning-forest jobs over a shared
 //! `random_gnm(n = 2^L, m = 1.5 n)` graph and wait for every result,
-//! under two execution models:
+//! under three execution models:
 //!
-//! * `naive` — what callers wrote before the service existed: each job
-//!   spawns a fresh team of width `cores` and a fresh workspace,
-//!   runs, and tears both down. With
-//!   `C` clients this oversubscribes the machine with `C × p` transient
-//!   threads and pays the spawn/join tax on every job.
 //! * `service` — one [`Service`] with the given
 //!   core budget and admission-queue capacity; clients submit through
 //!   the job builder and block in `wait()`.
@@ -30,17 +25,14 @@
 //!
 //! Every forest is validated for tree count; per-job latencies
 //! (submit → result) give p50/p99. The report (default
-//! `BENCH_service.json`) records all models, their jobs/s, and the
-//! in-process speedup, plus each service's final [`PoolSnapshot`]
-//! gauges.
+//! `BENCH_service.json`) records all models and their jobs/s, plus each
+//! service's final [`PoolSnapshot`] gauges.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
-use st_core::bader_cong::BaderCong;
-use st_core::Engine;
 use st_graph::gen::random_gnm;
 use st_graph::CsrGraph;
 use st_obs::PoolSnapshot;
@@ -57,11 +49,11 @@ struct ModelResult {
     p99_ms: f64,
     /// Server-side percentiles from the service's own latency
     /// histograms (queue + exec wall for executed jobs, cached-path
-    /// wall for the hot model); `None` for the serviceless naive model.
-    /// The client/server gap is the wire + framing overhead.
-    server_p50_ms: Option<f64>,
-    server_p99_ms: Option<f64>,
-    pool: Option<PoolSnapshot>,
+    /// wall for the hot model). The client/server gap is the wire +
+    /// framing overhead.
+    server_p50_ms: f64,
+    server_p99_ms: f64,
+    pool: PoolSnapshot,
 }
 
 #[derive(Clone, Debug, Serialize)]
@@ -75,13 +67,10 @@ struct ServiceReport {
     total_jobs: usize,
     cores: usize,
     queue_capacity: usize,
-    naive_p: usize,
     host_parallelism: usize,
-    naive: ModelResult,
     service: ModelResult,
     server_cold: ModelResult,
     server_hot: ModelResult,
-    speedup: f64,
 }
 
 fn usage(err: &str) -> ! {
@@ -105,9 +94,9 @@ struct Opts {
 
 fn parse_args() -> Opts {
     // Defaults model the service's target regime: many small jobs from
-    // many tenants, where the per-job team-spawn tax dominates and a
-    // shared pool pays off most. Large single jobs belong to the
-    // traversal benchmarks instead.
+    // many tenants, where admission, dispatch and the wire carry a large
+    // share of each job. Large single jobs belong to the traversal
+    // benchmarks instead.
     let mut opts = Opts {
         clients: 8,
         jobs: 100,
@@ -254,8 +243,8 @@ fn model_result(
     total_jobs: usize,
     wall_s: f64,
     latencies: &[f64],
-    server_quantiles_ns: Option<(u64, u64)>,
-    pool: Option<PoolSnapshot>,
+    (server_p50_ns, server_p99_ns): (u64, u64),
+    pool: PoolSnapshot,
 ) -> ModelResult {
     let r = ModelResult {
         model: model.to_owned(),
@@ -263,21 +252,15 @@ fn model_result(
         jobs_per_s: total_jobs as f64 / wall_s,
         p50_ms: percentile_ms(latencies, 0.50),
         p99_ms: percentile_ms(latencies, 0.99),
-        server_p50_ms: server_quantiles_ns.map(|(p50, _)| p50 as f64 / 1e6),
-        server_p99_ms: server_quantiles_ns.map(|(_, p99)| p99 as f64 / 1e6),
+        server_p50_ms: server_p50_ns as f64 / 1e6,
+        server_p99_ms: server_p99_ns as f64 / 1e6,
         pool,
     };
-    match (r.server_p50_ms, r.server_p99_ms) {
-        (Some(sp50), Some(sp99)) => eprintln!(
-            "  {model:<8} {:.1} jobs/s  (wall {:.3}s, client p50 {:.2}ms / p99 {:.2}ms, \
-             server p50 {sp50:.2}ms / p99 {sp99:.2}ms)",
-            r.jobs_per_s, r.wall_s, r.p50_ms, r.p99_ms
-        ),
-        _ => eprintln!(
-            "  {model:<8} {:.1} jobs/s  (wall {:.3}s, p50 {:.2}ms, p99 {:.2}ms)",
-            r.jobs_per_s, r.wall_s, r.p50_ms, r.p99_ms
-        ),
-    }
+    eprintln!(
+        "  {model:<8} {:.1} jobs/s  (wall {:.3}s, client p50 {:.2}ms / p99 {:.2}ms, \
+         server p50 {:.2}ms / p99 {:.2}ms)",
+        r.jobs_per_s, r.wall_s, r.p50_ms, r.p99_ms, r.server_p50_ms, r.server_p99_ms
+    );
     r
 }
 
@@ -292,7 +275,6 @@ fn main() {
     let opts = parse_args();
     let n = 1usize << opts.scale;
     let m = 3 * n / 2;
-    let naive_p = opts.cores;
     let total_jobs = opts.clients * opts.jobs;
     eprintln!(
         "service-throughput: random_gnm(n = {n}, m = {m}), {} clients x {} jobs, \
@@ -303,14 +285,6 @@ fn main() {
     // The forest's tree count is a seed-determined constant; compute it
     // once sequentially so every timed job can be validated in O(1).
     let expected_trees = st_core::seq::bfs_forest(&g).num_trees();
-
-    // Naive model: a fresh team and workspace per job, the pre-service
-    // calling convention this benchmark exists to retire.
-    let (naive_wall, naive_lats) = drive(opts.clients, opts.jobs, expected_trees, || {
-        let forest = Engine::new(naive_p).run(&BaderCong::with_defaults(), &g);
-        forest.num_trees()
-    });
-    let naive = model_result("naive", total_jobs, naive_wall, &naive_lats, None, None);
 
     // Service model: one shared pool behind admission control.
     let svc = Service::builder()
@@ -330,8 +304,8 @@ fn main() {
         total_jobs,
         svc_wall,
         &svc_lats,
-        Some(svc_quantiles),
-        Some(snapshot),
+        svc_quantiles,
+        snapshot,
     );
 
     // Server models: the same pool behind the TCP front-end, driven by
@@ -361,17 +335,15 @@ fn main() {
             |conn, client, job| remote_trees(conn, remote, 1 + (client * opts.jobs + job) as u64),
         );
         let cold_snapshot = svc.snapshot();
-        assert_eq!(
-            cold_snapshot.cache_hits, 0,
-            "cold pass must never hit the cache"
-        );
+        let cold_hits = cold_snapshot.cache_hits;
+        assert_eq!(cold_hits, 0, "cold pass must never hit the cache");
         let server_cold = model_result(
             "server_cold",
             total_jobs,
             cold_wall,
             &cold_lats,
-            Some(svc.telemetry().wall_quantiles()),
-            Some(cold_snapshot),
+            svc.telemetry().wall_quantiles(),
+            cold_snapshot,
         );
 
         // Hot: one shared seed — after at most a few racing cold runs,
@@ -384,7 +356,7 @@ fn main() {
             |conn, _, _| remote_trees(conn, remote, 0),
         );
         let hot_snapshot = svc.snapshot();
-        let hot_hits = hot_snapshot.cache_hits - cold_snapshot.cache_hits;
+        let hot_hits = hot_snapshot.cache_hits - cold_hits;
         assert!(
             hot_hits >= (total_jobs as u64).saturating_sub(opts.clients as u64),
             "hot pass must be cache-served (got {hot_hits} hits of {total_jobs} jobs)"
@@ -397,15 +369,12 @@ fn main() {
             total_jobs,
             hot_wall,
             &hot_lats,
-            Some(cached_quantiles_ns(&svc)),
-            Some(hot_snapshot),
+            cached_quantiles_ns(&svc),
+            hot_snapshot,
         );
         server.shutdown();
         (server_cold, server_hot)
     };
-
-    let speedup = service.jobs_per_s / naive.jobs_per_s;
-    eprintln!("  speedup: {speedup:.2}x");
 
     let report = ServiceReport {
         benchmark: "service-throughput".to_owned(),
@@ -417,13 +386,10 @@ fn main() {
         total_jobs,
         cores: opts.cores,
         queue_capacity: opts.queue_cap,
-        naive_p,
         host_parallelism: std::thread::available_parallelism().map_or(1, |c| c.get()),
-        naive,
         service,
         server_cold,
         server_hot,
-        speedup,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&opts.out, json + "\n").expect("write report");

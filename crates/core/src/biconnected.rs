@@ -30,6 +30,7 @@ use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use crate::connected::connected_components;
 use crate::engine::{Engine, SpanningAlgorithm};
 use crate::result::SpanningForest;
+use crate::tree::{preorder, Preorder};
 
 /// Biconnectivity structure of a graph.
 #[derive(Clone, Debug)]
@@ -81,91 +82,12 @@ impl Biconnectivity {
 
     /// True when the tree edge above `v` is a bridge.
     pub fn is_bridge_edge(&self, v: VertexId) -> bool {
-        self.bridges.iter().any(|&(c, _)| c == v)
+        self.bridges.binary_search_by_key(&v, |&(c, _)| c).is_ok()
     }
 
     /// True when `v` is an articulation point.
     pub fn is_articulation(&self, v: VertexId) -> bool {
         self.articulation_points.binary_search(&v).is_ok()
-    }
-}
-
-/// Rooted-forest preorder data (exposed for
-/// [`Biconnectivity::block_of_edge`] and reuse by other tree
-/// algorithms).
-#[derive(Clone, Debug)]
-pub struct Preorder {
-    /// Preorder number of each vertex (roots first in scan order).
-    pub pre: Vec<u32>,
-    /// Subtree size of each vertex.
-    pub sz: Vec<u32>,
-    /// Depth of each vertex (root = 0).
-    pub depth: Vec<u32>,
-    /// Vertices sorted by preorder number (the traversal order).
-    pub order: Vec<VertexId>,
-}
-
-/// Computes preorder numbers, subtree sizes, and depths of a rooted
-/// forest given as a parent array.
-pub fn preorder(parents: &[VertexId]) -> Preorder {
-    let n = parents.len();
-    // Children lists via counting sort on parents.
-    let mut child_count = vec![0u32; n];
-    for &p in parents {
-        if p != NO_VERTEX {
-            child_count[p as usize] += 1;
-        }
-    }
-    let mut child_start = vec![0usize; n + 1];
-    for v in 0..n {
-        child_start[v + 1] = child_start[v] + child_count[v] as usize;
-    }
-    let mut children = vec![0 as VertexId; child_start[n]];
-    let mut cursor = child_start.clone();
-    for (v, &p) in parents.iter().enumerate() {
-        if p != NO_VERTEX {
-            children[cursor[p as usize]] = v as VertexId;
-            cursor[p as usize] += 1;
-        }
-    }
-
-    let mut pre = vec![0u32; n];
-    let mut sz = vec![1u32; n];
-    let mut depth = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
-    let mut next_pre = 0u32;
-    let mut stack: Vec<(VertexId, usize)> = Vec::new();
-    for root in 0..n {
-        if parents[root] != NO_VERTEX {
-            continue;
-        }
-        pre[root] = next_pre;
-        next_pre += 1;
-        order.push(root as VertexId);
-        stack.push((root as VertexId, child_start[root]));
-        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            if *ci < child_start[v as usize + 1] {
-                let c = children[*ci];
-                *ci += 1;
-                pre[c as usize] = next_pre;
-                next_pre += 1;
-                depth[c as usize] = depth[v as usize] + 1;
-                order.push(c);
-                stack.push((c, child_start[c as usize]));
-            } else {
-                stack.pop();
-                if let Some(&(parent, _)) = stack.last() {
-                    sz[parent as usize] += sz[v as usize];
-                }
-            }
-        }
-    }
-    debug_assert_eq!(next_pre as usize, n);
-    Preorder {
-        pre,
-        sz,
-        depth,
-        order,
     }
 }
 
@@ -216,11 +138,6 @@ pub fn biconnected_from_forest(
 
     let is_tree_edge =
         |u: VertexId, v: VertexId| parents[u as usize] == v || parents[v as usize] == u;
-    // u is an ancestor of w (inclusive)?
-    let is_ancestor = |u: VertexId, w: VertexId| {
-        let (pu, pw) = (pre[u as usize], pre[w as usize]);
-        pu <= pw && pw < pu + sz[u as usize]
-    };
 
     // low/high in reverse preorder (children before parents).
     let mut low: Vec<u32> = pre.clone();
@@ -251,7 +168,7 @@ pub fn biconnected_from_forest(
                 continue;
             }
             // Rule 1: unrelated endpoints.
-            if !is_ancestor(u, v) && !is_ancestor(v, u) {
+            if !po.is_ancestor(u, v) && !po.is_ancestor(v, u) {
                 aux.push(u, v);
             }
         }
@@ -273,17 +190,20 @@ pub fn biconnected_from_forest(
     let aux_cc = connected_components(&aux_graph, exec, ws);
 
     // Blocks = aux components restricted to non-root vertices, compacted.
-    let mut block_map: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+    let mut block_of_label = vec![u32::MAX; aux_cc.count];
+    let mut num_blocks = 0;
     let mut tree_edge_block = vec![u32::MAX; n];
     for v in 0..n {
         if parents[v] == NO_VERTEX {
             continue;
         }
-        let next = block_map.len() as u32;
-        let b = *block_map.entry(aux_cc.labels[v]).or_insert(next);
-        tree_edge_block[v] = b;
+        let b = &mut block_of_label[aux_cc.labels[v] as usize];
+        if *b == u32::MAX {
+            *b = num_blocks as u32;
+            num_blocks += 1;
+        }
+        tree_edge_block[v] = *b;
     }
-    let num_blocks = block_map.len();
 
     // Bridges: the subtree of v has no non-tree edge escaping itself.
     let mut bridges = Vec::new();
@@ -304,19 +224,12 @@ pub fn biconnected_from_forest(
     // children's tree edges.
     let mut articulation_points = Vec::new();
     let mut incident: Vec<u32> = Vec::new();
-    // Children enumeration via a second pass.
-    let mut children_of: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for (v, &pv) in parents.iter().enumerate() {
-        if pv != NO_VERTEX {
-            children_of[pv as usize].push(v as VertexId);
-        }
-    }
     for v in 0..n {
         incident.clear();
         if parents[v] != NO_VERTEX {
             incident.push(tree_edge_block[v]);
         }
-        for &c in &children_of[v] {
+        for &c in po.children(v as VertexId) {
             incident.push(tree_edge_block[c as usize]);
         }
         incident.sort_unstable();
@@ -425,6 +338,10 @@ mod tests {
         assert_eq!(bc.num_blocks, 4);
         assert_eq!(bc.bridges.len(), 4);
         assert_eq!(bc.articulation_points, vec![1, 2, 3]);
+        for v in 0..5 {
+            let has_tree_edge = bc.forest.parents[v as usize] != NO_VERTEX;
+            assert_eq!(bc.is_bridge_edge(v), has_tree_edge, "vertex {v}");
+        }
     }
 
     #[test]
@@ -442,6 +359,7 @@ mod tests {
         assert_eq!(bc.num_blocks, 2);
         assert_eq!(bc.articulation_points, vec![2]);
         assert!(bc.bridges.is_empty());
+        assert!((0..5).all(|v| !bc.is_bridge_edge(v)));
     }
 
     #[test]
@@ -473,6 +391,15 @@ mod tests {
     fn torus_is_biconnected() {
         let g = torus2d(5, 5);
         let bc = bicc(&g, 4);
+        assert_eq!(bc.num_blocks, 1);
+        assert!(bc.bridges.is_empty());
+        assert!(bc.articulation_points.is_empty());
+    }
+
+    #[test]
+    fn long_cycle_is_one_block() {
+        // A cycle's spanning tree is a path: as deep as trees get.
+        let bc = bicc(&cycle(1 << 15), 2);
         assert_eq!(bc.num_blocks, 1);
         assert!(bc.bridges.is_empty());
         assert!(bc.articulation_points.is_empty());

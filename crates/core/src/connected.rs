@@ -38,20 +38,23 @@ impl Components {
     }
 }
 
-/// Compacts arbitrary per-vertex representative ids into consecutive
+/// Compacts per-vertex representatives (vertex ids) into consecutive
 /// labels `0..count` (order of first appearance).
 fn compact(reps: &[VertexId]) -> Components {
-    let mut map: std::collections::HashMap<VertexId, u32> = std::collections::HashMap::new();
-    let mut labels = Vec::with_capacity(reps.len());
-    for &r in reps {
-        let next = map.len() as u32;
-        let l = *map.entry(r).or_insert(next);
-        labels.push(l);
-    }
-    Components {
-        labels,
-        count: map.len(),
-    }
+    let mut label_of = vec![u32::MAX; reps.len()];
+    let mut count = 0;
+    let labels = reps
+        .iter()
+        .map(|&r| {
+            let l = &mut label_of[r as usize];
+            if *l == u32::MAX {
+                *l = count as u32;
+                count += 1;
+            }
+            *l
+        })
+        .collect();
+    Components { labels, count }
 }
 
 /// Connected components via parallel SV on an existing team, with all

@@ -16,14 +16,15 @@
 //!
 //! The label minimization over covering cycles is the same bottom-up
 //! sweep as the `low`/`high` computation in
-//! [`biconnected`](crate::biconnected); the spanning tree is again the
+//! [`biconnected`](crate::biconnected), and both run on the one rooted
+//! index of [`tree`](crate::tree); the spanning tree is again the
 //! building block.
 
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 
 use crate::bader_cong::BaderCong;
-use crate::biconnected::{preorder, Preorder};
 use crate::engine::Engine;
+use crate::tree::{preorder, Lca};
 
 /// An ear decomposition of a 2-edge-connected graph.
 #[derive(Clone, Debug)]
@@ -80,6 +81,11 @@ impl std::error::Error for EarError {}
 
 /// Computes an ear decomposition of a 2-edge-connected graph, using a
 /// Bader–Cong spanning tree built on `engine`'s team as the skeleton.
+///
+/// After the spanning tree, this takes O((n + m) log n) time on any tree
+/// shape: one rooting, one binary-lifting LCA query per non-tree edge, a
+/// sort of the labels, and one bottom-up sweep that visits each vertex's
+/// children once.
 pub fn ear_decomposition(engine: &mut Engine, g: &CsrGraph) -> Result<EarDecomposition, EarError> {
     if g.num_edges() == 0 {
         return Err(EarError::Empty);
@@ -89,86 +95,47 @@ pub fn ear_decomposition(engine: &mut Engine, g: &CsrGraph) -> Result<EarDecompo
         return Err(EarError::NotConnected);
     }
     let parents = &forest.parents;
-    let po: Preorder = preorder(parents);
+    let po = preorder(parents);
+    let lca = Lca::new(parents, &po);
 
-    // Non-tree edges with their (lca depth, edge id) labels. Binary-
-    // lifting LCA keeps this O((n + m) log n) even on high-depth trees
-    // (a cycle's spanning tree is a path).
+    // Non-tree edges with their (lca depth, edge id) labels. Smaller
+    // label = earlier ear; the master cycle E0 comes from the shallowest
+    // lca.
     let is_tree_edge =
         |u: VertexId, v: VertexId| parents[u as usize] == v || parents[v as usize] == u;
-    let lca_index = crate::tree::Lca::new(parents);
-    let lca = |a: VertexId, b: VertexId| -> VertexId { lca_index.lca(a, b) };
-
-    let mut non_tree: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut labeled: Vec<(u32, u32, VertexId, VertexId)> = Vec::new();
     for u in g.vertices() {
         for &v in g.neighbors(u) {
             if u < v && !is_tree_edge(u, v) {
-                non_tree.push((u, v));
+                let id = labeled.len() as u32;
+                labeled.push((lca.depth(lca.lca(u, v)), id, u, v));
             }
         }
     }
-    // Labels: (lca depth, sequence id). Smaller label = earlier ear;
-    // the master cycle E0 comes from the shallowest lca.
-    let mut labeled: Vec<(u32, u32, VertexId, VertexId)> = non_tree
-        .iter()
-        .enumerate()
-        .map(|(i, &(u, v))| (po.depth[lca(u, v) as usize], i as u32, u, v))
-        .collect();
     labeled.sort_unstable();
-    // Rank of each non-tree edge after sorting.
-    let mut ear_of_nontree: std::collections::HashMap<(VertexId, VertexId), usize> =
-        std::collections::HashMap::new();
-    for (rank, &(_, _, u, v)) in labeled.iter().enumerate() {
-        ear_of_nontree.insert((u, v), rank);
-    }
 
-    // Assign each tree edge (v, parent(v)) to the minimum-ranked
-    // non-tree edge covering it, by bottom-up min propagation: cover(v)
-    // starts as the min rank of non-tree edges incident to v, and flows
-    // upward, but a non-tree edge (u, w) covers exactly the tree edges
-    // on the paths u⇝lca and w⇝lca — so its rank must stop flowing at
-    // the lca. Standard trick: add the rank at both endpoints and
-    // *cancel* it at the lca by only propagating values whose cycle
-    // extends above the current vertex. We implement it directly: each
-    // vertex v keeps min over {ranks of non-tree edges whose cycle
-    // covers the edge (v, p(v))}; a cycle of (u, w) covers (v, p(v))
-    // iff v is on u⇝lca or w⇝lca, i.e. v is an ancestor-or-self of u or
-    // w and strictly below the lca. Equivalently: min over non-tree
-    // edges incident to the subtree of v whose other endpoint is
-    // outside the subtree of v... which is exactly a low/high-style
-    // sweep over ranks.
+    // Each tree edge (v, p(v)) goes to the minimum-ranked non-tree edge
+    // whose cycle covers it. The cycle of (a, b) covers (v, p(v)) iff
+    // exactly one of a, b lies in v's subtree. Seed each vertex with the
+    // smallest rank of such an edge incident to it (ranks arrive in
+    // order, so the first one wins), then sweep bottom-up: a child's
+    // cover also covers (v, p(v)) iff its lca lies strictly above v.
     let n = g.num_vertices();
-    let mut cover = vec![u32::MAX; n]; // min rank covering (v, p(v))
-    for &v in po.order.iter().rev() {
-        let mut best = u32::MAX;
-        // Non-tree edges incident to v whose other endpoint is outside
-        // v's subtree (their cycle passes through (v, p(v))).
-        for &u in g.neighbors(v) {
-            if is_tree_edge(v, u) {
-                continue;
-            }
-            let key = if v < u { (v, u) } else { (u, v) };
-            let rank = ear_of_nontree[&key] as u32;
-            let inside = po.pre[u as usize] >= po.pre[v as usize]
-                && po.pre[u as usize] < po.pre[v as usize] + po.sz[v as usize];
-            if !inside {
-                best = best.min(rank);
+    let mut cover = vec![u32::MAX; n];
+    for (rank, &(_, _, a, b)) in labeled.iter().enumerate() {
+        for (x, y) in [(a, b), (b, a)] {
+            if cover[x as usize] == u32::MAX && !po.is_ancestor(x, y) {
+                cover[x as usize] = rank as u32;
             }
         }
-        // Children's covers extend through v iff their cycles reach
-        // above v: child's covering edge has its lca strictly above v,
-        // i.e. the cycle also covers (v, p(v)). A child cover extends
-        // iff the corresponding non-tree edge's lca is a proper
-        // ancestor of v; checking depth(lca) < depth(v) via the stored
-        // rank's label would need the label — recompute cheaply:
-        for u in children(&po, parents, v) {
-            let c = cover[u as usize];
-            if c != u32::MAX {
-                let (_, _, a, b) = labeled[c as usize];
-                let l = lca(a, b);
-                if po.depth[l as usize] < po.depth[v as usize] {
-                    best = best.min(c);
-                }
+    }
+    for &v in po.order.iter().rev() {
+        let mut best = cover[v as usize];
+        // Every child already has a cover, or the sweep returned at it.
+        for &c in po.children(v) {
+            let rank = cover[c as usize];
+            if labeled[rank as usize].0 < po.depth[v as usize] {
+                best = best.min(rank);
             }
         }
         cover[v as usize] = best;
@@ -191,20 +158,6 @@ pub fn ear_decomposition(engine: &mut Engine, g: &CsrGraph) -> Result<EarDecompo
     }
     ears.retain(|e| !e.is_empty());
     Ok(EarDecomposition { ears })
-}
-
-/// Children of `v` under the parent array (helper; small graphs only —
-/// the decomposition rebuilds this lazily per call site).
-fn children(po: &Preorder, parents: &[VertexId], v: VertexId) -> Vec<VertexId> {
-    // Children appear as a contiguous preorder segment after v; scan the
-    // subtree interval and pick direct children.
-    let start = po.pre[v as usize] as usize;
-    let end = start + po.sz[v as usize] as usize;
-    po.order[start..end]
-        .iter()
-        .copied()
-        .filter(|&c| parents[c as usize] == v)
-        .collect()
 }
 
 #[cfg(test)]
@@ -291,11 +244,14 @@ mod tests {
 
     #[test]
     fn cycle_is_a_single_ear() {
-        let g = cycle(8);
-        let ed = ear_decomposition(&mut Engine::new(2), &g).unwrap();
-        assert_eq!(ed.len(), 1);
-        assert_eq!(ed.num_edges(), 8);
-        assert_valid_ears(&g, &ed);
+        // The long cycle's spanning tree is a path: as deep as trees get.
+        for n in [8, 1 << 15] {
+            let g = cycle(n);
+            let ed = ear_decomposition(&mut Engine::new(2), &g).unwrap();
+            assert_eq!(ed.len(), 1);
+            assert_eq!(ed.num_edges(), n);
+            assert_valid_ears(&g, &ed);
+        }
     }
 
     #[test]
@@ -309,10 +265,12 @@ mod tests {
 
     #[test]
     fn torus_decomposes() {
-        let g = torus2d(4, 4);
-        let ed = ear_decomposition(&mut Engine::new(4), &g).unwrap();
-        assert_eq!(ed.len(), g.num_edges() - g.num_vertices() + 1);
-        assert_valid_ears(&g, &ed);
+        for side in [4, 64] {
+            let g = torus2d(side, side);
+            let ed = ear_decomposition(&mut Engine::new(4), &g).unwrap();
+            assert_eq!(ed.len(), g.num_edges() - g.num_vertices() + 1);
+            assert_valid_ears(&g, &ed);
+        }
     }
 
     #[test]

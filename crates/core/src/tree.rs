@@ -1,58 +1,40 @@
-//! Rooted-tree utilities: children arrays, Euler tours, and fast LCA.
+//! The rooted-forest index and fast LCA.
 //!
 //! Spanning trees are only useful as building blocks if the downstream
-//! algorithms can traverse them efficiently; the PRAM literature the
-//! paper builds on (Tarjan–Vishkin, tree contraction — which the
-//! authors' own WAE/HiPC work [2, 3] parallelizes) is organized around
-//! the **Euler tour** of the tree. This module provides the shared
-//! structure: a CSR-style children layout, the Euler tour, and
-//! binary-lifting LCA queries in O(log n) after O(n log n) setup.
+//! algorithms can walk them efficiently. Biconnectivity and ear
+//! decomposition, the two applications the paper's introduction names,
+//! both start from one rooting step, as in FAST-BCC (Dong, Wang, Gu and
+//! Sun): preorder numbers and subtree sizes, so that every subtree is one
+//! contiguous interval of the preorder. [`preorder`] builds that index
+//! once from a parent array, together with depths, a CSR-style children
+//! layout and the roots; [`Lca`] answers lowest-common-ancestor queries
+//! over it by binary lifting in O(log n) after O(n log n) setup.
 
 use st_graph::{VertexId, NO_VERTEX};
 
-/// CSR-style children layout of a rooted forest.
+/// The rooted-forest index of a parent array: preorder numbers, subtree
+/// sizes, depths and children.
 #[derive(Clone, Debug)]
-pub struct ChildrenIndex {
-    start: Vec<usize>,
+pub struct Preorder {
+    /// Preorder number of each vertex (trees in root id order).
+    pub pre: Vec<u32>,
+    /// Subtree size of each vertex.
+    pub sz: Vec<u32>,
+    /// Depth of each vertex (root = 0).
+    pub depth: Vec<u32>,
+    /// Vertices sorted by preorder number (the traversal order): the
+    /// subtree of `v` is `order[pre[v]..pre[v] + sz[v]]`.
+    pub order: Vec<VertexId>,
+    /// `children[child_start[v]..child_start[v + 1]]` are v's children.
+    child_start: Vec<usize>,
     children: Vec<VertexId>,
     roots: Vec<VertexId>,
 }
 
-impl ChildrenIndex {
-    /// Builds from a parent array.
-    pub fn new(parents: &[VertexId]) -> Self {
-        let n = parents.len();
-        let mut count = vec![0usize; n];
-        let mut roots = Vec::new();
-        for (v, &p) in parents.iter().enumerate() {
-            if p == NO_VERTEX {
-                roots.push(v as VertexId);
-            } else {
-                count[p as usize] += 1;
-            }
-        }
-        let mut start = vec![0usize; n + 1];
-        for v in 0..n {
-            start[v + 1] = start[v] + count[v];
-        }
-        let mut cursor = start.clone();
-        let mut children = vec![0 as VertexId; start[n]];
-        for (v, &p) in parents.iter().enumerate() {
-            if p != NO_VERTEX {
-                children[cursor[p as usize]] = v as VertexId;
-                cursor[p as usize] += 1;
-            }
-        }
-        Self {
-            start,
-            children,
-            roots,
-        }
-    }
-
-    /// Children of `v`.
+impl Preorder {
+    /// Children of `v`, in id order.
     pub fn children(&self, v: VertexId) -> &[VertexId] {
-        &self.children[self.start[v as usize]..self.start[v as usize + 1]]
+        &self.children[self.child_start[v as usize]..self.child_start[v as usize + 1]]
     }
 
     /// The forest's roots in id order.
@@ -60,61 +42,74 @@ impl ChildrenIndex {
         &self.roots
     }
 
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    /// True when the forest has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// True when `u` is an ancestor of `w` (inclusive): `w` lies in the
+    /// preorder interval of `u`'s subtree.
+    pub fn is_ancestor(&self, u: VertexId, w: VertexId) -> bool {
+        let (pu, pw) = (self.pre[u as usize], self.pre[w as usize]);
+        pu <= pw && pw < pu + self.sz[u as usize]
     }
 }
 
-/// An Euler tour of a rooted forest: the sequence of vertices visited by
-/// a DFS that records every entry and return (2·(size) − 1 entries per
-/// tree).
-#[derive(Clone, Debug)]
-pub struct EulerTour {
-    /// The tour itself (concatenated per tree, in root id order).
-    pub tour: Vec<VertexId>,
-    /// First index of each vertex in `tour`.
-    pub first: Vec<usize>,
-    /// Depth of each vertex.
-    pub depth: Vec<u32>,
-}
+/// Builds the [`Preorder`] index of the rooted forest given as a parent
+/// array, in O(n).
+pub fn preorder(parents: &[VertexId]) -> Preorder {
+    let n = parents.len();
+    // Children lists via counting sort on parents.
+    let mut roots = Vec::new();
+    let mut child_start = vec![0usize; n + 1];
+    for (v, &p) in parents.iter().enumerate() {
+        if p == NO_VERTEX {
+            roots.push(v as VertexId);
+        } else {
+            child_start[p as usize + 1] += 1;
+        }
+    }
+    for v in 0..n {
+        child_start[v + 1] += child_start[v];
+    }
+    let mut children = vec![0 as VertexId; child_start[n]];
+    let mut cursor = child_start.clone();
+    for (v, &p) in parents.iter().enumerate() {
+        if p != NO_VERTEX {
+            children[cursor[p as usize]] = v as VertexId;
+            cursor[p as usize] += 1;
+        }
+    }
 
-impl EulerTour {
-    /// Builds the tour of the forest described by `parents`.
-    pub fn new(parents: &[VertexId]) -> Self {
-        let n = parents.len();
-        let idx = ChildrenIndex::new(parents);
-        let mut tour = Vec::with_capacity(2 * n);
-        let mut first = vec![usize::MAX; n];
-        let mut depth = vec![0u32; n];
-        let mut stack: Vec<(VertexId, usize)> = Vec::new();
-        for &root in idx.roots() {
-            stack.push((root, 0));
-            first[root as usize] = tour.len();
-            tour.push(root);
-            while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-                let kids = idx.children(v);
-                if *ci < kids.len() {
-                    let c = kids[*ci];
-                    *ci += 1;
-                    depth[c as usize] = depth[v as usize] + 1;
-                    first[c as usize] = tour.len();
-                    tour.push(c);
-                    stack.push((c, 0));
-                } else {
-                    stack.pop();
-                    if let Some(&(parent, _)) = stack.last() {
-                        tour.push(parent);
-                    }
+    let mut pre = vec![0u32; n];
+    let mut sz = vec![1u32; n];
+    let mut depth = vec![0u32; n];
+    let mut order = Vec::with_capacity(n);
+    let mut stack: Vec<(VertexId, usize)> = Vec::new();
+    for &root in &roots {
+        pre[root as usize] = order.len() as u32;
+        order.push(root);
+        stack.push((root, child_start[root as usize]));
+        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
+            if *ci < child_start[v as usize + 1] {
+                let c = children[*ci];
+                *ci += 1;
+                pre[c as usize] = order.len() as u32;
+                depth[c as usize] = depth[v as usize] + 1;
+                order.push(c);
+                stack.push((c, child_start[c as usize]));
+            } else {
+                stack.pop();
+                if let Some(&(parent, _)) = stack.last() {
+                    sz[parent as usize] += sz[v as usize];
                 }
             }
         }
-        Self { tour, first, depth }
+    }
+    debug_assert_eq!(order.len(), n);
+    Preorder {
+        pre,
+        sz,
+        depth,
+        order,
+        child_start,
+        children,
+        roots,
     }
 }
 
@@ -128,11 +123,11 @@ pub struct Lca {
 }
 
 impl Lca {
-    /// Builds the lifting tables (O(n log n)).
-    pub fn new(parents: &[VertexId]) -> Self {
+    /// Builds the lifting tables (O(n log n)) for the forest `parents`,
+    /// taking depths from its [`preorder`] index.
+    pub fn new(parents: &[VertexId], index: &Preorder) -> Self {
         let n = parents.len();
-        let tour = EulerTour::new(parents);
-        let depth = tour.depth;
+        let depth = index.depth.clone();
         let levels = (usize::BITS - n.max(2).leading_zeros()) as usize;
         let mut up: Vec<Vec<VertexId>> = Vec::with_capacity(levels);
         up.push(parents.to_vec());
@@ -210,7 +205,7 @@ impl Lca {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_graph::gen::{binary_tree, chain, random_connected};
+    use st_graph::gen::{binary_tree, chain, random_connected, random_gnm};
     use st_graph::validate::forest_depths;
 
     fn path_parents(n: usize) -> Vec<VertexId> {
@@ -220,41 +215,84 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn children_index_structure() {
-        // Star rooted at 0 plus an isolated vertex 4.
-        let parents = vec![NO_VERTEX, 0, 0, 0, NO_VERTEX];
-        let idx = ChildrenIndex::new(&parents);
-        assert_eq!(idx.len(), 5);
-        let mut kids = idx.children(0).to_vec();
-        kids.sort_unstable();
-        assert_eq!(kids, vec![1, 2, 3]);
-        assert!(idx.children(1).is_empty());
-        assert_eq!(idx.roots(), &[0, 4]);
+    /// Builds the LCA structure of `parents` over its own index.
+    fn lca_of(parents: &[VertexId]) -> Lca {
+        Lca::new(parents, &preorder(parents))
+    }
+
+    /// Bader–Cong forests of random graphs: one random tree, and sparse
+    /// random graphs with many trees and isolated vertices.
+    fn random_forests() -> Vec<Vec<VertexId>> {
+        let mut engine = crate::engine::Engine::new(2);
+        let algo = crate::BaderCong::with_defaults();
+        let mut graphs = vec![random_connected(300, 0, 9)];
+        graphs.extend((0..3).map(|seed| random_gnm(300, 250, seed)));
+        graphs
+            .iter()
+            .map(|g| engine.run(&algo, g).parents)
+            .collect()
     }
 
     #[test]
-    fn euler_tour_of_path() {
-        let parents = path_parents(3);
-        let t = EulerTour::new(&parents);
-        assert_eq!(t.tour, vec![0, 1, 2, 1, 0]);
-        assert_eq!(t.first, vec![0, 1, 2]);
-        assert_eq!(t.depth, vec![0, 1, 2]);
+    fn index_children_match_parent_scan() {
+        for parents in random_forests() {
+            let po = preorder(&parents);
+            let n = parents.len() as VertexId;
+            for v in 0..n {
+                let naive: Vec<VertexId> = (0..n).filter(|&c| parents[c as usize] == v).collect();
+                assert_eq!(po.children(v), naive.as_slice(), "children of {v}");
+            }
+            let roots: Vec<VertexId> = (0..n)
+                .filter(|&v| parents[v as usize] == NO_VERTEX)
+                .collect();
+            assert_eq!(po.roots(), roots.as_slice());
+        }
     }
 
     #[test]
-    fn euler_tour_length_is_2n_minus_roots() {
-        let parents = vec![NO_VERTEX, 0, 0, 1, NO_VERTEX];
-        let t = EulerTour::new(&parents);
-        // Per tree: 2*size - 1 entries. Tree A size 4 -> 7; tree B size
-        // 1 -> 1.
-        assert_eq!(t.tour.len(), 8);
+    fn index_subtrees_are_contiguous_preorder_intervals() {
+        for parents in random_forests() {
+            let po = preorder(&parents);
+            let n = parents.len();
+            // Naive subtrees: every vertex joins the subtree of each of
+            // its ancestors, itself included.
+            let mut subtree: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+            for u in 0..n as VertexId {
+                let mut a = u;
+                while a != NO_VERTEX {
+                    subtree[a as usize].push(u);
+                    a = parents[a as usize];
+                }
+            }
+            for v in 0..n as VertexId {
+                let (pre, sz) = (po.pre[v as usize] as usize, po.sz[v as usize] as usize);
+                assert_eq!(po.order[pre], v);
+                let mut interval = po.order[pre..pre + sz].to_vec();
+                interval.sort_unstable();
+                assert_eq!(interval, subtree[v as usize], "subtree of {v}");
+                for &u in &interval {
+                    assert!(po.is_ancestor(v, u));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lca_depth_matches_index() {
+        for parents in random_forests() {
+            let po = preorder(&parents);
+            let l = Lca::new(&parents, &po);
+            assert_eq!(po.depth, forest_depths(&parents));
+            for (v, &d) in po.depth.iter().enumerate() {
+                assert_eq!(l.depth(v as VertexId), d);
+            }
+        }
     }
 
     #[test]
     fn lca_on_path() {
         let parents = path_parents(10);
-        let l = Lca::new(&parents);
+        let l = lca_of(&parents);
         assert_eq!(l.lca(9, 3), 3);
         assert_eq!(l.lca(3, 9), 3);
         assert_eq!(l.lca(7, 7), 7);
@@ -268,7 +306,7 @@ mod tests {
         // Heap-indexed complete binary tree: parent(v) = (v-1)/2.
         let g = binary_tree(15);
         let parents = crate::seq::bfs_tree(&g, 0).unwrap();
-        let l = Lca::new(&parents);
+        let l = lca_of(&parents);
         assert_eq!(l.lca(7, 8), 3); // siblings under 3
         assert_eq!(l.lca(7, 4), 1);
         assert_eq!(l.lca(7, 14), 0);
@@ -279,7 +317,7 @@ mod tests {
     fn lca_cross_tree_is_no_vertex() {
         // Two separate paths.
         let parents = vec![NO_VERTEX, 0, NO_VERTEX, 2];
-        let l = Lca::new(&parents);
+        let l = lca_of(&parents);
         assert_eq!(l.lca(1, 3), NO_VERTEX);
         assert_eq!(l.lca(0, 2), NO_VERTEX);
     }
@@ -289,7 +327,7 @@ mod tests {
         let g = random_connected(300, 0, 9); // a random tree
         let f = crate::engine::Engine::new(2).run(&crate::BaderCong::with_defaults(), &g);
         let parents = f.parents;
-        let l = Lca::new(&parents);
+        let l = lca_of(&parents);
         let depths = forest_depths(&parents);
         let naive = |mut a: VertexId, mut b: VertexId| -> VertexId {
             while a != b {
@@ -313,7 +351,7 @@ mod tests {
     #[test]
     fn depths_agree_with_validate() {
         let parents = path_parents(20);
-        let l = Lca::new(&parents);
+        let l = lca_of(&parents);
         let reference = forest_depths(&parents);
         for v in 0..20u32 {
             assert_eq!(l.depth(v), reference[v as usize]);
@@ -324,7 +362,7 @@ mod tests {
     fn chain_graph_end_to_end() {
         let g = chain(64);
         let parents = crate::seq::bfs_tree(&g, 0).unwrap();
-        let l = Lca::new(&parents);
+        let l = lca_of(&parents);
         assert_eq!(l.lca(63, 1), 1);
     }
 }

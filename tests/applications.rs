@@ -124,12 +124,12 @@ fn workload_profiles_describe_topologies() {
 
 #[test]
 fn lca_supports_path_queries_on_spanning_trees() {
-    use st_core::tree::Lca;
+    use st_core::tree::{preorder, Lca};
     let g = gen::random_connected(1_000, 500, 8);
     let t = BaderCong::with_defaults()
         .spanning_tree(&mut Engine::new(4), &g, 0)
         .unwrap();
-    let lca = Lca::new(&t);
+    let lca = Lca::new(&t, &preorder(&t));
     // Tree-path length between u and v = depth(u) + depth(v) -
     // 2*depth(lca); must be >= the BFS distance in the graph.
     let dist = st_graph::stats::bfs_distances(&g, 0);
