@@ -26,6 +26,7 @@ use st_core::Engine;
 use st_model::analytic;
 use st_model::sim::{simulate_bader_cong, simulate_sv, TraversalSimConfig};
 use st_model::MachineProfile;
+use st_obs::Counter;
 
 #[derive(Clone, Debug)]
 struct Opts {
@@ -209,14 +210,15 @@ fn races(opts: &Opts) {
         for p in [2usize, 4, 8] {
             let f = Engine::new(p).run(&BaderCong::new(bader_cong_wall_config()), &g);
             assert!(f.is_valid_for(&g));
-            let per_million = f.stats.multi_colored as f64 * 1e6 / g.num_vertices() as f64;
+            let multi_colored = f.stats.metrics.get(Counter::MultiColored);
+            let per_million = multi_colored as f64 * 1e6 / g.num_vertices() as f64;
             println!(
                 "{:<14} {:>9} {:>11} {:>3} {:>14} {:>14.2}",
                 w.id(),
                 g.num_vertices(),
                 g.num_edges(),
                 p,
-                f.stats.multi_colored,
+                multi_colored,
                 per_million
             );
         }

@@ -113,7 +113,7 @@ fn main() {
     eprintln!(
         "  {} trees, wall {:.3}s, {} spans recorded ({} dropped)",
         forest.num_trees(),
-        metrics.wall_ns as f64 / 1e9,
+        metrics.wall_ns() as f64 / 1e9,
         metrics.spans.len(),
         metrics.spans_dropped
     );

@@ -241,8 +241,7 @@ fn traverse_once(
         let t = ws.traversal(g, exec, cfg);
         t.begin_round(0);
         exec.run(|ctx| {
-            let (_, outcome) = t.run_worker_ctx(&ctx);
-            assert_eq!(outcome, TraversalOutcome::Completed);
+            assert_eq!(t.run_worker_ctx(&ctx), TraversalOutcome::Completed);
         });
     }
     ws.finish_job(exec)

@@ -16,6 +16,7 @@ use st_model::sim::{
     simulate_bader_cong, simulate_sequential_bfs, simulate_sv, TraversalSimConfig,
 };
 use st_model::MachineProfile;
+use st_obs::Counter;
 
 use crate::workloads::Workload;
 
@@ -184,11 +185,12 @@ pub fn run_cell(
                 crate::timing::measure_with_result(WALL_REPS, || e.run(&algo, g))
             });
             assert_valid(g, &f.parents, workload, algorithm);
-            multi_colored = Some(f.stats.multi_colored);
+            let count = |c| Some(f.stats.metrics.get(c) as usize);
+            multi_colored = count(Counter::MultiColored);
             fallback = Some(f.stats.fallback_triggered);
-            steals = Some(f.stats.steals);
-            stolen_items = Some(f.stats.stolen_items);
-            items_published = Some(f.stats.metrics.get(st_obs::Counter::ItemsPublished) as usize);
+            steals = count(Counter::Steals);
+            stolen_items = count(Counter::StolenItems);
+            items_published = count(Counter::ItemsPublished);
             m.median()
         }
         (Mode::Wall, Algorithm::Sv) | (Mode::Wall, Algorithm::SvLock) => {
@@ -204,7 +206,7 @@ pub fn run_cell(
                 crate::timing::measure_with_result(WALL_REPS, || e.run(&algo, g))
             });
             assert_valid(g, &f.parents, workload, algorithm);
-            iterations = Some(f.stats.iterations);
+            iterations = Some(f.stats.metrics.get(Counter::GraftIterations) as usize);
             m.median()
         }
         (Mode::Wall, Algorithm::Hcs) => {
@@ -212,7 +214,7 @@ pub fn run_cell(
                 crate::timing::measure_with_result(WALL_REPS, || e.run(&Hcs, g))
             });
             assert_valid(g, &f.parents, workload, algorithm);
-            iterations = Some(f.stats.iterations);
+            iterations = Some(f.stats.metrics.get(Counter::GraftIterations) as usize);
             m.median()
         }
     };

@@ -185,26 +185,16 @@ impl BaderCong {
         let cancel = tcfg.cancel.clone();
         ws.begin_job(exec);
         let grown = grow_forest(g, exec, ws, tcfg, self.cfg.stub_factor, self.cfg.start_root);
-        let totals = ws.counters.merged();
-        let mut stats = AlgoStats {
-            components: grown.roots.len(),
-            multi_colored: totals.get(Counter::MultiColored) as usize,
-            steals: totals.get(Counter::Steals) as usize,
-            stolen_items: totals.get(Counter::StolenItems) as usize,
-            per_proc_processed: grown.processed,
-            barriers: grown.barriers,
-            ..AlgoStats::default()
-        };
         match grown.outcome {
-            TraversalOutcome::Completed => {
-                stats.metrics = ws.finish_job(exec);
-                Ok(SpanningForest {
-                    parents: grown.parents,
-                    roots: grown.roots,
-                    stats,
-                })
-            }
-            TraversalOutcome::Starved => self.fallback(g, exec, ws, grown.parents, stats, &cancel),
+            TraversalOutcome::Completed => Ok(SpanningForest {
+                parents: grown.parents,
+                roots: grown.roots,
+                stats: AlgoStats {
+                    fallback_triggered: false,
+                    metrics: ws.finish_job(exec),
+                },
+            }),
+            TraversalOutcome::Starved => self.fallback(g, exec, ws, grown.parents, &cancel),
             TraversalOutcome::Cancelled => {
                 // Close the observability window (discarding the report)
                 // so the workspace is clean for its next job.
@@ -230,7 +220,6 @@ impl BaderCong {
         exec: &Executor,
         ws: &mut Workspace,
         parents: Vec<VertexId>,
-        mut stats: AlgoStats,
         cancel: &CancelToken,
     ) -> Result<SpanningForest, Cancelled> {
         let n = g.num_vertices();
@@ -266,13 +255,11 @@ impl BaderCong {
             self.cfg.start_root,
         );
 
-        stats.fallback_triggered = true;
-        stats.iterations = sv_out.iterations;
-        stats.grafts = sv_out.grafts;
-        stats.shortcut_rounds = sv_out.shortcut_rounds;
-        stats.barriers += sv_out.barriers;
         ws.trace.rank(0).record(Phase::Fallback, t_fallback);
-        stats.metrics = ws.finish_job(exec);
+        let stats = AlgoStats {
+            fallback_triggered: true,
+            metrics: ws.finish_job(exec),
+        };
         Ok(SpanningForest::from_parents(oriented.parents, stats))
     }
 }
@@ -281,10 +268,6 @@ impl BaderCong {
 pub(crate) struct Grown {
     /// One root per tree, in the order the driver found them.
     pub(crate) roots: Vec<VertexId>,
-    /// Vertices each rank processed in traversal rounds.
-    pub(crate) processed: Vec<usize>,
-    /// Barrier episodes of the session.
-    pub(crate) barriers: usize,
     /// How the session ended.
     pub(crate) outcome: TraversalOutcome,
     /// The parent array; partial unless the outcome is
@@ -316,8 +299,6 @@ pub(crate) fn grow_forest(
     if n == 0 {
         return Grown {
             roots,
-            processed: Vec::new(),
-            barriers: 0,
             outcome: TraversalOutcome::Completed,
             parents: Vec::new(),
         };
@@ -329,12 +310,12 @@ pub(crate) fn grow_forest(
     // The walk's scratch leaves the workspace while the session borrows
     // the rest of it.
     let mut stub_scratch = std::mem::take(&mut ws.stub);
-    let (processed, barriers, outcome, parents) = {
+    let (outcome, parents) = {
         let t = ws.traversal(g, exec, tcfg);
         let stub_scratch = &mut stub_scratch;
         let mut cursor: VertexId = 0;
         let roots_sink = &mut roots;
-        let (processed, barriers, outcome) = t.run_rounds(exec, move |s, round| {
+        let outcome = t.run_rounds(exec, move |s, round| {
             let t = s.traversal();
             let visited = t.colored();
             // The driver's serial step, tallied once per call: one
@@ -401,13 +382,11 @@ pub(crate) fn grow_forest(
             slot0.add(Counter::StubVertices, walked);
             more
         });
-        (processed, barriers, outcome, t.into_parents())
+        (outcome, t.into_parents())
     };
     ws.stub = stub_scratch;
     Grown {
         roots,
-        processed,
-        barriers,
         outcome,
         parents,
     }
@@ -442,7 +421,8 @@ mod tests {
     use crate::engine::Engine;
     use st_graph::gen;
     use st_graph::label::{random_permutation, relabel};
-    use st_graph::validate::{is_spanning_forest, is_spanning_tree};
+    use st_graph::validate::{count_components, is_spanning_forest, is_spanning_tree};
+    use st_obs::JobMetrics;
     use st_smp::StealPolicy;
 
     fn check_forest(g: &CsrGraph, p: usize) -> SpanningForest {
@@ -451,8 +431,15 @@ mod tests {
             is_spanning_forest(g, &f.parents),
             "invalid forest for p = {p}"
         );
-        assert_eq!(f.roots.len(), f.stats.components);
+        assert_eq!(f.roots.len(), count_components(g));
         f
+    }
+
+    /// Traversal rounds the driver ran: one stub span per round
+    /// preparation, plus the last one, which finds no next round.
+    fn driver_rounds(m: &JobMetrics) -> u64 {
+        let stub = m.phases.iter().find(|t| t.phase == Phase::Stub);
+        stub.map_or(0, |t| t.count) - 1
     }
 
     /// Component sizes, in no particular order.
@@ -496,9 +483,8 @@ mod tests {
             let f = check_forest(&g, p);
             assert_eq!(f.roots.len(), 6 + 50, "p = {p}");
             // The four components of B or B + 1 vertices fill the walk's
-            // budget and get a two-barrier round each; the session ends
-            // with one more barrier.
-            assert_eq!(f.stats.barriers, 2 * 4 + 1, "p = {p}");
+            // budget and get a round each.
+            assert_eq!(driver_rounds(&f.stats.metrics), 4, "p = {p}");
             // The isolated vertices are not walked.
             assert_eq!(f.stats.metrics.get(Counter::StubWalks), 6, "p = {p}");
         }
@@ -516,18 +502,17 @@ mod tests {
             let f = check_forest(&g, p);
             assert_eq!(f.roots.len(), sizes.len(), "p = {p}");
             // A component of exactly B vertices fills the budget too, so
-            // "big" counts sizes >= B.
-            let rounds = (f.stats.barriers - 1) / 2;
-            assert_eq!(rounds, big, "p = {p}");
+            // "big" counts sizes >= B. One stub span per round
+            // preparation, not per component.
             let m = &f.stats.metrics;
+            assert_eq!(driver_rounds(m), big as u64, "p = {p}");
+            // Each round costs two barriers; the session ends with one
+            // more (bottom-up sweeps add their own).
+            assert!(
+                m.per_rank[0].get(Counter::Barriers) > 2 * big as u64,
+                "p = {p}"
+            );
             assert_eq!(m.get(Counter::StubWalks), walked as u64, "p = {p}");
-            // One stub span per round preparation, not per component.
-            let stub_spans = m
-                .phases
-                .iter()
-                .find(|t| t.phase == Phase::Stub)
-                .map_or(0, |t| t.count);
-            assert_eq!(stub_spans, rounds as u64 + 1, "p = {p}");
         }
     }
 
@@ -707,9 +692,10 @@ mod tests {
     fn stats_are_populated() {
         let g = gen::random_connected(3_000, 4_500, 6);
         let f = check_forest(&g, 4);
-        assert_eq!(f.stats.per_proc_processed.len(), 4);
-        assert!(f.stats.total_processed() > 0);
-        assert!(f.stats.barriers >= 2);
+        let m = &f.stats.metrics;
+        assert_eq!(m.per_rank.len(), 4);
+        assert!(m.get(Counter::Processed) > 0);
+        assert!(m.per_rank[0].get(Counter::Barriers) >= 2);
         // Top-down expands every vertex at least once, so its processed
         // count is >= n (duplicates possible from benign races). The
         // default hybrid direction drops the frontier it holds when it
@@ -723,7 +709,7 @@ mod tests {
         };
         let f = Engine::new(4).run(&BaderCong::new(top_down), &g);
         assert!(is_spanning_forest(&g, &f.parents));
-        assert!(f.stats.total_processed() >= g.num_vertices());
+        assert!(f.stats.metrics.get(Counter::Processed) >= g.num_vertices() as u64);
     }
 
     #[test]

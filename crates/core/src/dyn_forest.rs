@@ -205,11 +205,8 @@ impl DynForest {
             .collect();
         SpanningForest {
             parents: self.parents.clone(),
-            stats: AlgoStats {
-                components: roots.len(),
-                ..AlgoStats::default()
-            },
             roots,
+            stats: AlgoStats::default(),
         }
     }
 

@@ -38,10 +38,10 @@ use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
-use st_obs::{Counter, CounterSet, JobMetrics, TraceSet};
+use st_obs::{now_ns, Counter, CounterSet, JobMetrics, Phase, TraceSet};
 use st_smp::pad::CacheAligned;
 use st_smp::steal::WorkQueue;
-use st_smp::{AtomicBitmap, AtomicU32Array, CancelToken, Executor, SpinLock};
+use st_smp::{AtomicBitmap, AtomicU32Array, CancelToken, Executor, SpinLock, TeamCtx};
 
 use crate::result::SpanningForest;
 use crate::stub::StubScratch;
@@ -214,7 +214,6 @@ impl Workspace {
         JobMetrics {
             trace_id: std::mem::take(&mut self.pending_trace_id),
             p,
-            wall_ns: queue_ns + exec_ns,
             queue_ns,
             exec_ns,
             totals: self.counters.merged(),
@@ -330,6 +329,25 @@ impl Workspace {
     pub fn parents_prefix(&self, n: usize) -> Vec<VertexId> {
         self.parent.snapshot_prefix(n)
     }
+}
+
+/// A team barrier with per-rank accounting: one [`Counter::Barriers`]
+/// episode, the wait in [`Counter::BarrierWaitNs`], and a
+/// [`Phase::Barrier`] span. Every barrier of an engine job passes
+/// through here, so any rank's `Barriers` is the job's episode count.
+/// A barrier is a full team rendezvous, so the `Instant` read around it
+/// is noise.
+pub(crate) fn timed_barrier(ctx: &TeamCtx<'_>, counters: &CounterSet, trace: &TraceSet) {
+    let t_ns = now_ns();
+    let t0 = Instant::now();
+    ctx.barrier();
+    let waited = t0.elapsed().as_nanos() as u64;
+    let slot = counters.rank(ctx.rank());
+    slot.incr(Counter::Barriers);
+    slot.add(Counter::BarrierWaitNs, waited);
+    trace
+        .rank(ctx.rank())
+        .record_span(Phase::Barrier, t_ns, waited);
 }
 
 /// Marker error: a job ended early because its [`CancelToken`] fired

@@ -17,15 +17,14 @@
 //! [`Workspace`] and the team comes from a
 //! persistent [`Executor`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use st_graph::{CsrGraph, VertexId};
 use st_obs::{now_ns, Counter, Phase};
 use st_smp::team::block_range;
 use st_smp::{CancelToken, Executor};
 
-use crate::engine::{Cancelled, SpanningAlgorithm, Workspace};
+use crate::engine::{timed_barrier, Cancelled, SpanningAlgorithm, Workspace};
 use crate::result::SpanningForest;
 use crate::sv::{graft_job, SvOutcome};
 
@@ -80,9 +79,6 @@ pub fn hcs_core(
     // races between a fast rank's next-round store and a slow rank's
     // current-round read.
     let shortcut_epoch = [AtomicU64::new(EMPTY), AtomicU64::new(EMPTY)];
-    let shortcut_rounds_total = AtomicUsize::new(0);
-    let barriers = AtomicUsize::new(0);
-    let iterations = AtomicUsize::new(0);
     // Cancellation: rank 0 stores before the iteration's first barrier,
     // everyone loads after the post-hook barrier (see `sv_core`).
     let aborted = AtomicBool::new(false);
@@ -92,18 +88,7 @@ pub fn hcs_core(
         let my_edges = block_range(rank, p, m);
         let my_verts = block_range(rank, p, n);
         let mut my_tree_edges = graft[rank].lock();
-        let bar = |counter: &AtomicUsize| {
-            let t_ns = now_ns();
-            let t0 = Instant::now();
-            if ctx.barrier() {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            let waited = t0.elapsed().as_nanos() as u64;
-            let slot = counters.rank(rank);
-            slot.incr(Counter::Barriers);
-            slot.add(Counter::BarrierWaitNs, waited);
-            trace.rank(rank).record_span(Phase::Barrier, t_ns, waited);
-        };
+        let bar = || timed_barrier(&ctx, counters, trace);
 
         let mut iter: u64 = 0;
         let mut sc_stamp: u64 = 0;
@@ -117,7 +102,7 @@ pub fn hcs_core(
             for v in my_verts.clone() {
                 cand[v].store(EMPTY, Ordering::Relaxed);
             }
-            bar(&barriers);
+            bar();
 
             // Min-reduction: every edge offers each endpoint's root the
             // other endpoint's root, if smaller.
@@ -134,7 +119,7 @@ pub fn hcs_core(
                     cand[dv as usize].fetch_min(pack(du, e), Ordering::Relaxed);
                 }
             }
-            bar(&barriers);
+            bar();
 
             // Hook: every root with a candidate hooks to the minimum.
             for v in my_verts.clone() {
@@ -153,7 +138,7 @@ pub fn hcs_core(
                 my_hooks += 1;
                 hook_epoch.store(iter, Ordering::Release);
             }
-            bar(&barriers);
+            bar();
             trace.rank(rank).record(Phase::Graft, t_hook);
 
             if aborted.load(Ordering::Acquire) {
@@ -161,7 +146,7 @@ pub fn hcs_core(
             }
             let changed = hook_epoch.load(Ordering::Acquire) == iter;
             if rank == 0 {
-                iterations.fetch_add(1, Ordering::Relaxed);
+                counters.rank(0).incr(Counter::GraftIterations);
             }
             if !changed {
                 break;
@@ -183,11 +168,11 @@ pub fn hcs_core(
                 if local_changed {
                     slot.store(sc_stamp, Ordering::Release);
                 }
-                bar(&barriers);
+                bar();
                 let again = slot.load(Ordering::Acquire) == sc_stamp;
                 sc_stamp += 1;
                 if rank == 0 {
-                    shortcut_rounds_total.fetch_add(1, Ordering::Relaxed);
+                    counters.rank(0).incr(Counter::ShortcutRounds);
                 }
                 if !again {
                     break;
@@ -203,20 +188,9 @@ pub fn hcs_core(
         let _ = ws.drain_graft(p);
         return Err(Cancelled);
     }
-    let labels = ws.labels.snapshot_prefix(n);
-    let tree_edges = ws.drain_graft(p);
-    let grafts = tree_edges.len();
-    let shortcut_rounds = shortcut_rounds_total.load(Ordering::Relaxed);
-    ws.counters
-        .rank(0)
-        .add(Counter::ShortcutRounds, shortcut_rounds as u64);
     Ok(HcsOutcome {
-        tree_edges,
-        labels,
-        iterations: iterations.load(Ordering::Relaxed),
-        grafts,
-        shortcut_rounds,
-        barriers: barriers.load(Ordering::Relaxed),
+        labels: ws.labels.snapshot_prefix(n),
+        tree_edges: ws.drain_graft(p),
     })
 }
 
@@ -354,7 +328,7 @@ mod tests {
     fn graft_count_matches() {
         let g = gen::random_gnm(400, 500, 2);
         let out = core(&g, 4);
-        assert_eq!(out.grafts, 400 - count_components(&g));
+        assert_eq!(out.tree_edges.len(), 400 - count_components(&g));
     }
 
     #[test]
@@ -376,14 +350,14 @@ mod tests {
     #[test]
     fn chain_iterations_logarithmic() {
         let g = gen::chain(1 << 12);
-        let out = core(&g, 2);
-        assert!(out.iterations <= 16, "iterations = {}", out.iterations);
+        let iterations = check(&g, 2).stats.metrics.get(Counter::GraftIterations);
+        assert!(iterations <= 16, "iterations = {iterations}");
     }
 
     #[test]
     fn empty_and_singletons() {
         let out = core(&CsrGraph::empty(5), 2);
-        assert_eq!(out.grafts, 0);
+        assert!(out.tree_edges.is_empty());
         assert_eq!(out.labels, vec![0, 1, 2, 3, 4]);
     }
 }

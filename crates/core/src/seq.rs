@@ -27,7 +27,6 @@ pub fn bfs_forest_from(g: &CsrGraph, start: VertexId) -> SpanningForest {
     let mut visited = vec![false; n];
     let mut roots = Vec::new();
     let mut queue = VecDeque::new();
-    let mut processed = 0usize;
 
     let mut run_from = |s: VertexId,
                         visited: &mut Vec<bool>,
@@ -40,7 +39,6 @@ pub fn bfs_forest_from(g: &CsrGraph, start: VertexId) -> SpanningForest {
         roots.push(s);
         queue.push_back(s);
         while let Some(v) = queue.pop_front() {
-            processed += 1;
             for &w in g.neighbors(v) {
                 if !visited[w as usize] {
                     visited[w as usize] = true;
@@ -59,15 +57,10 @@ pub fn bfs_forest_from(g: &CsrGraph, start: VertexId) -> SpanningForest {
         run_from(s, &mut visited, &mut parents, &mut roots);
     }
 
-    let components = roots.len();
     SpanningForest {
         parents,
         roots,
-        stats: AlgoStats {
-            components,
-            per_proc_processed: vec![processed],
-            ..AlgoStats::default()
-        },
+        stats: AlgoStats::default(),
     }
 }
 
@@ -89,7 +82,6 @@ pub fn dfs_forest(g: &CsrGraph) -> SpanningForest {
     let mut roots = Vec::new();
     // Stack of (vertex, index of the next neighbor to try).
     let mut stack: Vec<(VertexId, usize)> = Vec::new();
-    let mut processed = 0usize;
 
     for s in 0..n as VertexId {
         if visited[s as usize] {
@@ -98,7 +90,6 @@ pub fn dfs_forest(g: &CsrGraph) -> SpanningForest {
         visited[s as usize] = true;
         roots.push(s);
         stack.push((s, 0));
-        processed += 1;
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
             let nb = g.neighbors(v);
             if *i < nb.len() {
@@ -108,7 +99,6 @@ pub fn dfs_forest(g: &CsrGraph) -> SpanningForest {
                     visited[w as usize] = true;
                     parents[w as usize] = v;
                     stack.push((w, 0));
-                    processed += 1;
                 }
             } else {
                 stack.pop();
@@ -116,15 +106,10 @@ pub fn dfs_forest(g: &CsrGraph) -> SpanningForest {
         }
     }
 
-    let components = roots.len();
     SpanningForest {
         parents,
         roots,
-        stats: AlgoStats {
-            components,
-            per_proc_processed: vec![processed],
-            ..AlgoStats::default()
-        },
+        stats: AlgoStats::default(),
     }
 }
 
@@ -162,7 +147,9 @@ pub fn dfs_tree(g: &CsrGraph, root: VertexId) -> Option<Vec<VertexId>> {
 mod tests {
     use super::*;
     use st_graph::gen::{chain, complete, random_connected, random_gnm, star, torus2d};
-    use st_graph::validate::{forest_depths, is_spanning_forest, is_spanning_tree};
+    use st_graph::validate::{
+        count_components, forest_depths, is_spanning_forest, is_spanning_tree,
+    };
 
     #[test]
     fn bfs_tree_on_torus() {
@@ -188,12 +175,7 @@ mod tests {
         let g = random_gnm(100, 50, 3);
         let f = bfs_forest(&g);
         assert!(is_spanning_forest(&g, &f.parents));
-        assert_eq!(f.stats.components, f.roots.len());
-        assert_eq!(
-            f.stats.total_processed(),
-            g.num_vertices(),
-            "BFS processes every vertex exactly once"
-        );
+        assert_eq!(f.roots.len(), count_components(&g));
     }
 
     #[test]

@@ -36,14 +36,13 @@
 //! persistent [`Executor`]; both are reused across runs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 use st_graph::{CsrGraph, VertexId};
 use st_obs::{now_ns, Counter, Phase};
 use st_smp::team::block_range;
 use st_smp::{CancelToken, Executor};
 
-use crate::engine::{Cancelled, SpanningAlgorithm, Workspace};
+use crate::engine::{timed_barrier, Cancelled, SpanningAlgorithm, Workspace};
 use crate::orient::orient_forest;
 use crate::result::{AlgoStats, SpanningForest};
 
@@ -68,22 +67,15 @@ pub struct SvConfig {
     pub max_iterations: Option<usize>,
 }
 
-/// Raw result of the graft-and-shortcut engine.
+/// Raw result of the graft-and-shortcut engine. What the run cost
+/// (iterations, grafts, shortcut rounds, barriers) is in the
+/// workspace's counters.
 #[derive(Clone, Debug)]
 pub struct SvOutcome {
     /// One graph edge per graft; together a spanning forest (undirected).
     pub tree_edges: Vec<(VertexId, VertexId)>,
     /// Final hook array: `labels[v]` is the root label of v's component.
     pub labels: Vec<VertexId>,
-    /// Graft-and-shortcut iterations executed (including the final
-    /// no-graft iteration that detects convergence).
-    pub iterations: usize,
-    /// Total grafts (= tree edges).
-    pub grafts: usize,
-    /// Total pointer-jumping rounds across all iterations.
-    pub shortcut_rounds: usize,
-    /// Barrier episodes used.
-    pub barriers: usize,
 }
 
 /// Sentinel for an empty winner slot.
@@ -150,9 +142,6 @@ pub fn sv_core(
     // barrier, which is after every round-s read.
     let graft_epoch = AtomicU64::new(NO_WINNER);
     let shortcut_epoch = [AtomicU64::new(NO_WINNER), AtomicU64::new(NO_WINNER)];
-    let shortcut_rounds_total = std::sync::atomic::AtomicUsize::new(0);
-    let barriers = std::sync::atomic::AtomicUsize::new(0);
-    let iterations = std::sync::atomic::AtomicUsize::new(0);
     // Cancellation: rank 0 stores before the iteration's first barrier,
     // everyone loads after the post-graft barrier — same value on every
     // rank, so the team exits the loop in lockstep.
@@ -166,18 +155,7 @@ pub fn sv_core(
         // (disjoint per rank; the lock is uncontended and held for the
         // whole job).
         let mut my_tree_edges = graft[rank].lock();
-        let bar = |leader_count: &std::sync::atomic::AtomicUsize| {
-            let t_ns = now_ns();
-            let t0 = Instant::now();
-            if ctx.barrier() {
-                leader_count.fetch_add(1, Ordering::Relaxed);
-            }
-            let waited = t0.elapsed().as_nanos() as u64;
-            let slot = counters.rank(rank);
-            slot.incr(Counter::Barriers);
-            slot.add(Counter::BarrierWaitNs, waited);
-            trace.rank(rank).record_span(Phase::Barrier, t_ns, waited);
-        };
+        let bar = || timed_barrier(&ctx, counters, trace);
 
         let mut iter: u64 = 0;
         // A single global shortcut-round counter shared by all
@@ -203,7 +181,7 @@ pub fn sv_core(
                 for v in my_verts.clone() {
                     winner[v].store(NO_WINNER, Ordering::Relaxed);
                 }
-                bar(&barriers);
+                bar();
 
                 // --- Pass A: election. After the previous shortcut, D[u]
                 // is u's root.
@@ -220,7 +198,7 @@ pub fn sv_core(
                         winner[dv as usize].store(code(e, 1), Ordering::Relaxed);
                     }
                 }
-                bar(&barriers);
+                bar();
 
                 // --- Pass B: winners graft.
                 for e in my_edges.clone() {
@@ -245,7 +223,7 @@ pub fn sv_core(
             } else {
                 // --- Lock variant: single grafting pass with per-root
                 // locks.
-                bar(&barriers); // align the barrier count with pass-A's entry
+                bar(); // align the barrier count with pass-A's entry
                 for e in my_edges.clone() {
                     let (u, v) = edges[e];
                     for (a, b) in [(u, v), (v, u)] {
@@ -266,9 +244,9 @@ pub fn sv_core(
                         }
                     }
                 }
-                bar(&barriers); // align with the end of pass A
+                bar(); // align with the end of pass A
             }
-            bar(&barriers);
+            bar();
             trace.rank(rank).record(Phase::Graft, t_graft);
 
             if aborted.load(Ordering::Acquire) {
@@ -276,7 +254,7 @@ pub fn sv_core(
             }
             let changed = graft_epoch.load(Ordering::Acquire) == iter;
             if rank == 0 {
-                iterations.fetch_add(1, Ordering::Relaxed);
+                counters.rank(0).incr(Counter::GraftIterations);
             }
             if !changed {
                 break;
@@ -299,11 +277,11 @@ pub fn sv_core(
                 if local_changed {
                     slot.store(sc_stamp, Ordering::Release);
                 }
-                bar(&barriers);
+                bar();
                 let again = slot.load(Ordering::Acquire) == sc_stamp;
                 sc_stamp += 1;
                 if rank == 0 {
-                    shortcut_rounds_total.fetch_add(1, Ordering::Relaxed);
+                    counters.rank(0).incr(Counter::ShortcutRounds);
                 }
                 if !again {
                     break;
@@ -321,21 +299,9 @@ pub fn sv_core(
         let _ = ws.drain_graft(p);
         return Err(Cancelled);
     }
-    let labels = ws.labels.snapshot_prefix(n);
-    let tree_edges = ws.drain_graft(p);
-    let grafts = tree_edges.len();
-    let shortcut_rounds = shortcut_rounds_total.load(Ordering::Relaxed);
-    // Shortcut rounds are a team-wide quantity; book them on rank 0.
-    ws.counters
-        .rank(0)
-        .add(Counter::ShortcutRounds, shortcut_rounds as u64);
     Ok(SvOutcome {
-        tree_edges,
-        labels,
-        iterations: iterations.load(Ordering::Relaxed),
-        grafts,
-        shortcut_rounds,
-        barriers: barriers.load(Ordering::Relaxed),
+        labels: ws.labels.snapshot_prefix(n),
+        tree_edges: ws.drain_graft(p),
     })
 }
 
@@ -407,12 +373,8 @@ pub(crate) fn graft_job(
     };
     let parents = orient_forest(g.num_vertices(), &out.tree_edges, exec, ws);
     let stats = AlgoStats {
-        iterations: out.iterations,
-        grafts: out.grafts,
-        shortcut_rounds: out.shortcut_rounds,
-        barriers: out.barriers,
+        fallback_triggered: false,
         metrics: ws.finish_job(exec),
-        ..AlgoStats::default()
     };
     Ok(SpanningForest::from_parents(parents, stats))
 }
@@ -439,6 +401,11 @@ mod tests {
         .expect("inert token cannot cancel")
     }
 
+    /// Graft-and-shortcut iterations the forest's job ran.
+    fn iterations(f: &SpanningForest) -> u64 {
+        f.stats.metrics.get(Counter::GraftIterations)
+    }
+
     fn check(g: &CsrGraph, p: usize, cfg: SvConfig) -> SpanningForest {
         let f = Engine::new(p).run(&Sv::new(cfg), g);
         assert!(
@@ -454,7 +421,10 @@ mod tests {
         for p in [1, 2, 4] {
             let f = check(&g, p, SvConfig::default());
             assert_eq!(f.roots.len(), 1);
-            assert_eq!(f.stats.grafts, g.num_vertices() - 1);
+            assert_eq!(
+                f.stats.metrics.get(Counter::Grafts),
+                g.num_vertices() as u64 - 1
+            );
         }
     }
 
@@ -499,9 +469,9 @@ mod tests {
         let f = check(&g, 2, SvConfig::default());
         // iterations counts the final no-graft detection round too.
         assert!(
-            f.stats.iterations <= 3,
+            iterations(&f) <= 3,
             "row-major torus took {} iterations",
-            f.stats.iterations
+            iterations(&f)
         );
     }
 
@@ -515,10 +485,10 @@ mod tests {
         let h = relabel(&g, &perm);
         let f_rand = check(&h, 2, SvConfig::default());
         assert!(
-            f_rand.stats.iterations >= f_row.stats.iterations,
+            iterations(&f_rand) >= iterations(&f_row),
             "random {} < row-major {}",
-            f_rand.stats.iterations,
-            f_row.stats.iterations
+            iterations(&f_rand),
+            iterations(&f_row)
         );
     }
 
@@ -528,7 +498,7 @@ mod tests {
         let f = check(&g, 4, SvConfig::default());
         assert_eq!(f.roots.len(), 1);
         // Sequential labels: everything grafts toward 0 in one pass.
-        assert!(f.stats.iterations <= 3);
+        assert!(iterations(&f) <= 3);
     }
 
     #[test]
@@ -538,11 +508,11 @@ mod tests {
         let h = relabel(&g, &perm);
         let f = check(&h, 4, SvConfig::default());
         assert!(
-            f.stats.iterations >= 3,
+            iterations(&f) >= 3,
             "random-labeled chain converged suspiciously fast ({})",
-            f.stats.iterations
+            iterations(&f)
         );
-        assert!(f.stats.iterations <= 30);
+        assert!(iterations(&f) <= 30);
     }
 
     #[test]
@@ -552,7 +522,7 @@ mod tests {
         let init = vec![0, 0, 0, 3, 4];
         let out = core(&g, 2, Some(&init));
         // Grafts must connect {0,1,2}, {3}, {4}: exactly 2 tree edges.
-        assert_eq!(out.grafts, 2);
+        assert_eq!(out.tree_edges.len(), 2);
         let mut labels = out.labels.clone();
         labels.dedup();
         // All vertices end in one component.
@@ -574,13 +544,13 @@ mod tests {
         assert_eq!(out.labels[3], out.labels[4]);
         assert_ne!(out.labels[0], out.labels[3]);
         assert_ne!(out.labels[5], out.labels[0]);
-        assert_eq!(out.grafts, 3);
+        assert_eq!(out.tree_edges.len(), 3);
     }
 
     #[test]
     fn empty_and_edgeless() {
         let out = core(&CsrGraph::empty(0), 2, None);
-        assert_eq!(out.grafts, 0);
+        assert!(out.tree_edges.is_empty());
         let f = Engine::new(2).run(&Sv::default(), &CsrGraph::empty(4));
         assert_eq!(f.roots.len(), 4);
     }
@@ -590,7 +560,7 @@ mod tests {
         let g = gen::complete(64);
         let f = check(&g, 4, SvConfig::default());
         assert_eq!(f.roots.len(), 1);
-        assert!(f.stats.iterations <= 2);
+        assert!(iterations(&f) <= 2);
     }
 
     #[test]
@@ -609,7 +579,7 @@ mod tests {
             let g = gen::random_gnm(300, 350, seed);
             let out = core(&g, 3, None);
             let c = count_components(&g);
-            assert_eq!(out.grafts, 300 - c, "seed {seed}");
+            assert_eq!(out.tree_edges.len(), 300 - c, "seed {seed}");
         }
     }
 
@@ -632,7 +602,11 @@ mod tests {
             )
             .expect("inert token cannot cancel");
             let fresh = core(&g, 3, None);
-            assert_eq!(reused.grafts, fresh.grafts, "seed {seed}");
+            assert_eq!(
+                reused.tree_edges.len(),
+                fresh.tree_edges.len(),
+                "seed {seed}"
+            );
             assert_eq!(reused.labels, fresh.labels, "seed {seed}");
         }
     }

@@ -105,7 +105,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -118,6 +118,7 @@ use st_smp::{
 };
 
 use crate::config::RuntimeConfig;
+use crate::engine::timed_barrier;
 
 /// Which strategy phase 2 uses to expand the frontier (see the
 /// direction-optimizing section of the module docs).
@@ -535,10 +536,10 @@ impl<'a> Traversal<'a> {
         }
     }
 
-    /// Runs processor `ctx.rank()`'s share of the current round. Returns
-    /// the number of vertices this processor dequeued and processed,
-    /// plus the round outcome. All `p` ranks must call it exactly once
-    /// per round (the barrier schedules of the directions are uniform
+    /// Runs processor `ctx.rank()`'s share of the current round and
+    /// returns the round outcome; the vertices it processed land in the
+    /// rank's [`Counter::Processed`]. All `p` ranks must call it exactly
+    /// once per round (the barrier schedules of the directions are uniform
     /// by construction); [`Direction::Hybrid`] and
     /// [`Direction::BottomUp`] sweeps synchronize through the team
     /// barrier.
@@ -549,7 +550,7 @@ impl<'a> Traversal<'a> {
     /// always-on cost per round is a handful of Relaxed adds. The whole
     /// shift is recorded as one [`Phase::Traverse`] span (no-op without
     /// `obs-trace`).
-    pub fn run_worker_ctx(&self, ctx: &TeamCtx<'_>) -> (usize, TraversalOutcome) {
+    pub fn run_worker_ctx(&self, ctx: &TeamCtx<'_>) -> TraversalOutcome {
         let rank = ctx.rank();
         let t0 = now_ns();
         let mut tally = WorkerTally::default();
@@ -573,7 +574,7 @@ impl<'a> Traversal<'a> {
                         // and arrives here with its frontier state
                         // frozen; the sweep leader takes over from the
                         // far side of this barrier.
-                        self.timed_ctx_barrier(ctx);
+                        timed_barrier(ctx, self.counters, self.trace);
                         match self.bottom_up_phase(ctx, &mut state, &mut tally, false) {
                             BottomUpExit::Done(outcome) => break outcome,
                             BottomUpExit::SwitchBack => continue,
@@ -595,7 +596,7 @@ impl<'a> Traversal<'a> {
         }
         self.flush_tally(rank, &state, &tally);
         self.trace.rank(rank).record(Phase::Traverse, t0);
-        (state.processed, outcome)
+        outcome
     }
 
     /// Flushes a worker's round-local tallies to its counter slot.
@@ -908,7 +909,7 @@ impl<'a> Traversal<'a> {
                 }
             }
             first = false;
-            self.timed_ctx_barrier(ctx); // sweep start: ctl published
+            timed_barrier(ctx, self.counters, self.trace); // sweep start: ctl published
             match self.sweep_ctl.load(Ordering::Relaxed) {
                 CTL_DONE => {
                     self.trace.rank(rank).record(Phase::BottomUp, t0);
@@ -983,7 +984,7 @@ impl<'a> Traversal<'a> {
                 self.sweep_claims
                     .fetch_add(state.claims.len(), Ordering::Relaxed);
             }
-            self.timed_ctx_barrier(ctx); // sweep end: claims published
+            timed_barrier(ctx, self.counters, self.trace); // sweep end: claims published
         }
     }
 
@@ -1007,24 +1008,6 @@ impl<'a> Traversal<'a> {
             }
         }
         None
-    }
-
-    /// A team barrier with per-rank accounting: episode count, wait
-    /// time and a [`Phase::Barrier`] span. Barriers are already
-    /// heavyweight (a full team rendezvous), so the always-on `Instant`
-    /// read around each is noise. Returns `true` on exactly one rank.
-    fn timed_ctx_barrier(&self, ctx: &TeamCtx<'_>) -> bool {
-        let t_ns = now_ns();
-        let t0 = Instant::now();
-        let leader = ctx.barrier();
-        let waited = t0.elapsed().as_nanos() as u64;
-        let slot = self.counters.rank(ctx.rank());
-        slot.incr(Counter::Barriers);
-        slot.add(Counter::BarrierWaitNs, waited);
-        self.trace
-            .rank(ctx.rank())
-            .record_span(Phase::Barrier, t_ns, waited);
-        leader
     }
 
     /// One steal sweep for `rank`; updates the steal counters. Returns
@@ -1061,14 +1044,9 @@ impl<'a> Traversal<'a> {
     /// `exec` must be the same team whose detector this traversal was
     /// built against (`Workspace::traversal` ties them together).
     ///
-    /// Returns per-rank processed counts, the number of barrier episodes
-    /// executed, and the session outcome ([`TraversalOutcome::Starved`]
-    /// as soon as any round starves).
-    pub(crate) fn run_rounds<F>(
-        &self,
-        exec: &Executor,
-        prepare: F,
-    ) -> (Vec<usize>, usize, TraversalOutcome)
+    /// Returns the session outcome ([`TraversalOutcome::Starved`] as
+    /// soon as any round starves).
+    pub(crate) fn run_rounds<F>(&self, exec: &Executor, prepare: F) -> TraversalOutcome
     where
         F: FnMut(&mut Seeder<'_, 'a>, usize) -> bool + Send,
     {
@@ -1082,17 +1060,8 @@ impl<'a> Traversal<'a> {
         let finished = AtomicBool::new(false);
         let any_starved = AtomicBool::new(false);
         let any_cancelled = AtomicBool::new(false);
-        let barriers = AtomicUsize::new(0);
-        let processed = exec.run(|ctx| {
-            let mut total = 0usize;
+        exec.run(|ctx| {
             let mut round = 0usize;
-            // Barrier accounting: one episode + wait-time per rank, and
-            // one session episode counted by the leader.
-            let timed_barrier = |leader_counter: &AtomicUsize| {
-                if self.timed_ctx_barrier(&ctx) {
-                    leader_counter.fetch_add(1, Ordering::Relaxed);
-                }
-            };
             loop {
                 if ctx.rank() == 0 {
                     // Round boundary cancellation checkpoint: a job
@@ -1111,13 +1080,11 @@ impl<'a> Traversal<'a> {
                         }
                     }
                 }
-                timed_barrier(&barriers);
+                timed_barrier(&ctx, self.counters, self.trace);
                 if finished.load(Ordering::Acquire) {
                     break;
                 }
-                let (count, outcome) = self.run_worker_ctx(&ctx);
-                total += count;
-                match outcome {
+                match self.run_worker_ctx(&ctx) {
                     TraversalOutcome::Completed => {}
                     TraversalOutcome::Starved => any_starved.store(true, Ordering::Release),
                     TraversalOutcome::Cancelled => any_cancelled.store(true, Ordering::Release),
@@ -1126,31 +1093,22 @@ impl<'a> Traversal<'a> {
                 // read after it, so every rank takes the same branch —
                 // even when outcomes diverged (e.g. one rank saw
                 // AllDone while another observed the cancel token).
-                timed_barrier(&barriers);
+                timed_barrier(&ctx, self.counters, self.trace);
                 if any_starved.load(Ordering::Acquire) || any_cancelled.load(Ordering::Acquire) {
                     break;
                 }
                 round += 1;
             }
-            total
         });
         // Cancellation outranks starvation: a cancelled job is being
         // torn down, not asking for the SV fallback.
-        let outcome = if any_cancelled.load(Ordering::Acquire) {
+        if any_cancelled.load(Ordering::Acquire) {
             TraversalOutcome::Cancelled
         } else if any_starved.load(Ordering::Acquire) {
             TraversalOutcome::Starved
         } else {
             TraversalOutcome::Completed
-        };
-        (processed, barriers.load(Ordering::Relaxed), outcome)
-    }
-
-    /// Collisions observed so far (see module docs). Merged from the
-    /// per-rank counter slots; call between rounds or after the team
-    /// joins for exact values.
-    pub fn multi_colored(&self) -> usize {
-        self.counters.merged().get(Counter::MultiColored) as usize
+        }
     }
 
     /// The per-rank counter set this session writes into (the
@@ -1392,8 +1350,7 @@ mod tests {
         let t = ws.traversal(g, &exec, cfg);
         t.begin_round(root);
         exec.run(|ctx| {
-            let (_, outcome) = t.run_worker_ctx(&ctx);
-            assert_eq!(outcome, TraversalOutcome::Completed);
+            assert_eq!(t.run_worker_ctx(&ctx), TraversalOutcome::Completed);
         });
         let steals = t.counters().merged().get(Counter::Steals) as usize;
         (t.parents_vec(), steals)
@@ -1476,7 +1433,7 @@ mod tests {
         let mut ws = Workspace::new();
         let t = ws.traversal(&g, &exec, cfg);
         t.begin_round(0);
-        let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx).1);
+        let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx));
         assert!(
             outcomes.iter().all(|&o| o == TraversalOutcome::Starved),
             "expected starvation, got {outcomes:?}"
@@ -1508,14 +1465,12 @@ mod tests {
                 s.seed((v as usize) % p, v, v - 1);
             }
         }
-        let processed: Vec<usize> = exec.run(|ctx| {
-            let (count, outcome) = t.run_worker_ctx(&ctx);
-            assert_eq!(outcome, TraversalOutcome::Completed);
-            count
+        exec.run(|ctx| {
+            assert_eq!(t.run_worker_ctx(&ctx), TraversalOutcome::Completed);
         });
         // Everyone processed at least its seeds; the far-end processor
         // does the bulk (the chain is pathological by design).
-        assert!(processed.iter().sum::<usize>() >= n);
+        assert!(t.counters().merged().get(Counter::Processed) >= n as u64);
         let parents = t.parents_vec();
         assert!(is_spanning_tree(&g, &parents, 0));
     }
@@ -1596,7 +1551,7 @@ mod tests {
         let mut ws = Workspace::new();
         let t = ws.traversal(&g, &exec, cfg);
         t.begin_round(0);
-        let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx).1);
+        let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx));
         assert!(
             outcomes.iter().all(|&o| o == TraversalOutcome::Starved),
             "expected starvation, got {outcomes:?}"

@@ -29,7 +29,7 @@ fn run_direction(
     let outcomes = {
         let t = ws.traversal(g, &exec, cfg);
         t.begin_round(0);
-        exec.run(|ctx| t.run_worker_ctx(&ctx).1)
+        exec.run(|ctx| t.run_worker_ctx(&ctx))
     };
     let metrics = ws.finish_job(&exec);
     (ws.parents_prefix(g.num_vertices()), outcomes, metrics)
@@ -249,7 +249,7 @@ fn mid_run_cancellation_is_polled_on_the_bottom_up_path() {
     let out = {
         let t = ws.traversal(&g, &exec, cfg);
         t.begin_round((n - 1) as VertexId);
-        exec.run(|ctx| t.run_worker_ctx(&ctx).1)
+        exec.run(|ctx| t.run_worker_ctx(&ctx))
     };
     ws.finish_job(&exec);
     canceller.join().unwrap();

@@ -94,7 +94,6 @@ mod tests {
         JobMetrics {
             trace_id: 0,
             p: 2,
-            wall_ns: 500,
             queue_ns: 0,
             exec_ns: 500,
             totals: set.merged(),

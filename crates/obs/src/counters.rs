@@ -56,7 +56,13 @@ pub enum Counter {
     StarvationTrips,
     /// Successful grafts (SV/HCS hook edges won).
     Grafts,
-    /// Pointer-jumping shortcut rounds executed.
+    /// Graft-and-shortcut iterations executed, including the final
+    /// no-graft iteration that detects convergence (recorded by rank 0
+    /// once per iteration; the labeling-sensitivity experiment
+    /// CLAIM-SVLABEL counts these).
+    GraftIterations,
+    /// Pointer-jumping shortcut rounds executed (rank 0, once per
+    /// round).
     ShortcutRounds,
     /// Vertices appended to a stub spanning tree walk.
     StubVertices,
@@ -74,7 +80,7 @@ pub enum Counter {
 }
 
 /// Number of counter lanes.
-pub const NUM_COUNTERS: usize = 21;
+pub const NUM_COUNTERS: usize = 22;
 
 impl Counter {
     /// Every counter, in lane order.
@@ -94,6 +100,7 @@ impl Counter {
         Counter::DetectorWakes,
         Counter::StarvationTrips,
         Counter::Grafts,
+        Counter::GraftIterations,
         Counter::ShortcutRounds,
         Counter::StubVertices,
         Counter::StubWalks,
@@ -120,6 +127,7 @@ impl Counter {
             Counter::DetectorWakes => "detector_wakes",
             Counter::StarvationTrips => "starvation_trips",
             Counter::Grafts => "grafts",
+            Counter::GraftIterations => "graft_iterations",
             Counter::ShortcutRounds => "shortcut_rounds",
             Counter::StubVertices => "stub_vertices",
             Counter::StubWalks => "stub_walks",

@@ -11,8 +11,9 @@ pub use crate::trace::PhaseTotal;
 /// breakdowns, and (when `obs-trace` is compiled in) the recorded phase
 /// spans.
 ///
-/// Returned by `Workspace::finish_job` and carried on `AlgoStats`, so
-/// every `Engine` run hands one back.
+/// Returned by `Workspace::finish_job`. It is the one record of what an
+/// engine job did: every `Engine` run hands it back as
+/// `SpanningForest::stats.metrics`, and no other field copies a counter.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct JobMetrics {
     /// Trace id of the service job this report belongs to (0 when the
@@ -22,10 +23,6 @@ pub struct JobMetrics {
     pub trace_id: u64,
     /// Team size the job ran with.
     pub p: usize,
-    /// Total wall-clock nanoseconds attributed to the job: always
-    /// `queue_ns + exec_ns` (kept for compatibility with consumers that
-    /// predate the split).
-    pub wall_ns: u64,
     /// Nanoseconds the job spent waiting before execution began (zero
     /// outside a shared pool; the job service records its admission
     /// queue wait here).
@@ -52,6 +49,24 @@ impl JobMetrics {
     #[inline]
     pub fn get(&self, c: Counter) -> u64 {
         self.totals.get(c)
+    }
+
+    /// Total wall-clock nanoseconds attributed to the job:
+    /// `queue_ns + exec_ns`.
+    pub fn wall_ns(&self) -> u64 {
+        self.queue_ns + self.exec_ns
+    }
+
+    /// Load imbalance of the per-rank [`Counter::Processed`] counts: the
+    /// busiest rank's count over the mean (1.0 = perfectly balanced).
+    /// Returns 0.0 when nothing was processed.
+    pub fn load_imbalance(&self) -> f64 {
+        let processed = self.per_rank.iter().map(|s| s.get(Counter::Processed));
+        let (total, max) = processed.fold((0, 0), |(t, m), v| (t + v, m.max(v)));
+        if total == 0 {
+            return 0.0;
+        }
+        max as f64 * self.per_rank.len() as f64 / total as f64
     }
 
     /// Per-phase totals derived from the recorded [`spans`](Self::spans)
@@ -108,7 +123,6 @@ mod tests {
         JobMetrics {
             trace_id: 7,
             p: 2,
-            wall_ns: 1_000,
             queue_ns: 300,
             exec_ns: 700,
             totals: set.merged(),
@@ -148,6 +162,26 @@ mod tests {
         assert_eq!(m.get(Counter::Processed), 7);
         assert_eq!(m.get(Counter::Steals), 1);
         assert_eq!(m.per_rank.len(), 2);
+        assert_eq!(m.wall_ns(), 1_000);
+    }
+
+    #[test]
+    fn load_imbalance_math() {
+        let with = |processed: &[u64]| {
+            let set = CounterSet::new(processed.len());
+            for (r, &v) in processed.iter().enumerate() {
+                set.rank(r).add(Counter::Processed, v);
+            }
+            JobMetrics {
+                p: processed.len(),
+                per_rank: set.snapshots(processed.len()),
+                ..JobMetrics::default()
+            }
+        };
+        assert_eq!(JobMetrics::default().load_imbalance(), 0.0);
+        assert_eq!(with(&[0, 0]).load_imbalance(), 0.0);
+        assert!((with(&[10, 10, 10, 10]).load_imbalance() - 1.0).abs() < 1e-12);
+        assert!((with(&[40, 0, 0, 0]).load_imbalance() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -44,14 +44,14 @@ fn analyze(name: &str, g: &CsrGraph, engine: &mut Engine) {
         bc_time.as_secs_f64() * 1e3,
         forest.num_trees(),
         depth(&forest.parents),
-        forest.stats.steals
+        forest.stats.metrics.get(Counter::Steals)
     );
     println!(
         "  sv:         {:>8.1} ms, {} trees, max depth {:>4}, {} iterations",
         sv_time.as_secs_f64() * 1e3,
         sv_forest.num_trees(),
         depth(&sv_forest.parents),
-        sv_forest.stats.iterations
+        sv_forest.stats.metrics.get(Counter::GraftIterations)
     );
 }
 
@@ -85,8 +85,12 @@ fn main() {
     let sv_row = engine.run(&sv_algo, &shuffled);
     println!(
         "  sv iterations: {} (vs {} with construction order)",
-        sv_row.stats.iterations,
-        engine.run(&sv_algo, &hier).stats.iterations
+        sv_row.stats.metrics.get(Counter::GraftIterations),
+        engine
+            .run(&sv_algo, &hier)
+            .stats
+            .metrics
+            .get(Counter::GraftIterations)
     );
     let f = engine.run(&BaderCong::with_defaults(), &shuffled);
     assert!(is_spanning_forest(&shuffled, &f.parents));

@@ -56,8 +56,8 @@ fn main() {
             "   spanning forest: {} tree edges across {} trees (stats: {} steals, imbalance {:.2})",
             forest.num_tree_edges(),
             forest.num_trees(),
-            forest.stats.steals,
-            forest.stats.load_imbalance()
+            forest.stats.metrics.get(Counter::Steals),
+            forest.stats.metrics.load_imbalance()
         );
 
         // Degree-2 preprocessing: damaged meshes grow corridors of

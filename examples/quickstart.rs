@@ -43,10 +43,10 @@ fn main() {
     println!(
         "stats: {} vertices colored concurrently by >1 processor (paper: <10 per millions), \
          {} steals moving {} queue items, load imbalance {:.2}",
-        forest.stats.multi_colored,
-        forest.stats.steals,
-        forest.stats.stolen_items,
-        forest.stats.load_imbalance()
+        forest.stats.metrics.get(Counter::MultiColored),
+        forest.stats.metrics.get(Counter::Steals),
+        forest.stats.metrics.get(Counter::StolenItems),
+        forest.stats.metrics.load_imbalance()
     );
 
     // The same parent array answers connectivity questions.

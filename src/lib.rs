@@ -48,7 +48,7 @@
 //!     "{} trees, {} tree edges, {} race collisions",
 //!     forest.num_trees(),
 //!     forest.num_tree_edges(),
-//!     forest.stats.multi_colored
+//!     forest.stats.metrics.get(Counter::MultiColored)
 //! );
 //!
 //! // The same engine runs any algorithm behind the trait.

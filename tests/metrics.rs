@@ -21,8 +21,7 @@ fn traversal_metrics(g: &CsrGraph, p: usize) -> JobMetrics {
         let t = ws.traversal(g, &exec, TraversalConfig::default());
         t.begin_round(0);
         exec.run(|ctx| {
-            let (_, outcome) = t.run_worker_ctx(&ctx);
-            assert_eq!(outcome, TraversalOutcome::Completed);
+            assert_eq!(t.run_worker_ctx(&ctx), TraversalOutcome::Completed);
         });
     }
     ws.finish_job(&exec)
@@ -132,33 +131,95 @@ fn every_engine_job_returns_populated_metrics() {
         let m = &f.stats.metrics;
         assert_eq!(m.p, p, "algorithm #{i}");
         assert_eq!(m.per_rank.len(), p, "algorithm #{i}");
-        assert!(m.wall_ns > 0, "algorithm #{i}");
+        assert!(m.wall_ns() > 0, "algorithm #{i}");
         assert!(!m.totals.is_zero(), "algorithm #{i} reported no activity");
     }
-
-    // Convenience views agree with the full report.
-    let bc = &forests[0];
-    assert_eq!(
-        bc.stats.steals,
-        bc.stats.metrics.get(Counter::Steals) as usize
-    );
-    assert_eq!(
-        bc.stats.multi_colored,
-        bc.stats.metrics.get(Counter::MultiColored) as usize
-    );
-    let sv_f = &forests[1];
-    assert_eq!(
-        sv_f.stats.grafts,
-        sv_f.stats.metrics.get(Counter::Grafts) as usize
-    );
-    assert_eq!(
-        sv_f.stats.shortcut_rounds,
-        sv_f.stats.metrics.get(Counter::ShortcutRounds) as usize
-    );
-    assert!(sv_f.stats.metrics.get(Counter::Barriers) > 0);
+    assert!(forests[1].stats.metrics.get(Counter::Barriers) > 0);
     // The round driver seeds stub vertices before each traversal round.
-    assert!(bc.stats.metrics.get(Counter::StubWalks) > 0);
-    assert!(bc.stats.metrics.get(Counter::StubVertices) > 0);
+    let bc = &forests[0].stats.metrics;
+    assert!(bc.get(Counter::StubWalks) > 0);
+    assert!(bc.get(Counter::StubVertices) > 0);
+}
+
+/// The counters that carry the paper's counts, for every engine
+/// algorithm: barrier episodes are team rendezvous, so every rank
+/// reports the same `Barriers`; graft-and-shortcut grafts once per tree
+/// edge and counts its iterations; Bader–Cong runs no graft iteration
+/// unless it starves into the SV fallback.
+#[test]
+fn engine_counters_hold_the_paper_counts() {
+    let n = 1 << 14;
+    let g = gen::random_gnm(n, 3 * n / 2, 7);
+    let paper = BaderCong::new(Config {
+        traversal: TraversalConfig::paper_protocol(),
+        ..Config::default()
+    });
+    let lock = sv::Sv::new(SvConfig {
+        variant: GraftVariant::Lock,
+        ..SvConfig::default()
+    });
+    let algos: [(&dyn SpanningAlgorithm, bool); 5] = [
+        (&BaderCong::with_defaults(), false),
+        (&paper, false),
+        (&sv::Sv::new(SvConfig::default()), true),
+        (&lock, true),
+        (&Hcs, true),
+    ];
+    for p in [1usize, 2, 4] {
+        let mut engine = Engine::new(p);
+        for (algo, grafts) in algos {
+            let f = engine.run(algo, &g);
+            assert!(
+                is_spanning_forest(&g, &f.parents),
+                "{} p = {p}",
+                algo.name()
+            );
+            let m = &f.stats.metrics;
+            assert_rank_uniform_barriers(m, algo.name());
+            let iterations = m.get(Counter::GraftIterations);
+            if grafts {
+                assert_eq!(
+                    m.get(Counter::Grafts),
+                    (n - f.num_trees()) as u64,
+                    "{} p = {p}",
+                    algo.name()
+                );
+                assert!(iterations >= 1, "{} p = {p}", algo.name());
+            } else {
+                assert!(!f.stats.fallback_triggered, "{} p = {p}", algo.name());
+                assert_eq!(iterations, 0, "{} p = {p}", algo.name());
+            }
+        }
+    }
+
+    // A chain rooted a quarter of the way along starves: one rank
+    // crawls the long side while three sleep, and SV finishes the job.
+    let chain = gen::chain(20_000);
+    let starving = BaderCong::new(Config {
+        traversal: TraversalConfig {
+            starvation_threshold: Some(3),
+            ..TraversalConfig::default()
+        },
+        start_root: Some(5_000),
+        ..Config::default()
+    });
+    let f = Engine::new(4).run(&starving, &chain);
+    assert!(f.stats.fallback_triggered, "the chain should starve");
+    assert!(f.stats.metrics.get(Counter::GraftIterations) > 0);
+    assert_rank_uniform_barriers(&f.stats.metrics, "starved bader-cong");
+}
+
+fn assert_rank_uniform_barriers(m: &JobMetrics, name: &str) {
+    let barriers = m.per_rank[0].get(Counter::Barriers);
+    assert!(barriers > 0, "{name} p = {}", m.p);
+    for (rank, s) in m.per_rank.iter().enumerate() {
+        assert_eq!(
+            s.get(Counter::Barriers),
+            barriers,
+            "{name} p = {}: rank {rank}",
+            m.p
+        );
+    }
 }
 
 #[test]
