@@ -11,8 +11,9 @@
 //!   single CAS on a `hooks` slot; the winning edges — at most one per
 //!   hooked component — are exactly the new tree edges. The local
 //!   union-find state lives in the [`Workspace`] arena (`parent` and
-//!   `color` arrays over the ≤ 2·batch locals), so a stream of batches
-//!   allocates nothing.
+//!   `color` arrays over the ≤ 2·batch locals). Its `find` compresses
+//!   paths upward only, so every union-find chain stays strictly
+//!   increasing while ranks compress and link at once.
 //! * **Deletions** of non-tree edges are free. Cutting a tree edge
 //!   (u, v) leaves both halves properly rooted (the child side's parent
 //!   pointers already point at the cut point), so the maintainer finds
@@ -20,8 +21,17 @@
 //!   the edges incident to S for a *replacement edge* back to the rest
 //!   of the old component — in parallel, seeded from the workspace's
 //!   per-processor work queues with a CAS election slot, when S is
-//!   large. No replacement means the component genuinely split and S is
-//!   relabeled fresh.
+//!   large. No replacement means the component genuinely split and S
+//!   takes a label from the free pool.
+//!
+//! All state sits in flat `u32` arrays over the vertices. The tree is
+//! the parent array plus a first-child array and doubly linked sibling
+//! chains, so a link or a cut is an O(1) splice and a whole tree can be
+//! walked in preorder without a stack. Component labels are dense ids
+//! below n with their sizes in a label-indexed array; a merge retires
+//! the losers' labels onto a free stack and a split takes one back. The
+//! per-batch scratch belongs to the maintainer and is reset entry by
+//! entry, so once it has grown a batch stream allocates nothing.
 //!
 //! The maintainer is exact, not approximate — after every batch the
 //! forest is a true spanning forest of the new graph (the oracle
@@ -35,18 +45,19 @@
 //! its budget. The service then drops the half-repaired forest and
 //! falls back to the full Bader–Cong run.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use st_graph::delta::Neighbors;
 use st_graph::{VertexId, NO_VERTEX};
 use st_smp::Executor;
 
+use crate::connected::tree_roots;
 use crate::engine::Workspace;
 use crate::result::{AlgoStats, SpanningForest};
 
 /// Sentinel for the workspace-local union-find: an `EMPTY` parent marks
-/// a root, an `EMPTY` hook an unhooked component.
+/// a root, an `EMPTY` hook an unhooked component. It also marks labels
+/// the current batch has not touched.
 const EMPTY: u32 = u32::MAX;
 
 /// Election-slot sentinel: no replacement edge published yet.
@@ -103,75 +114,82 @@ impl Meter {
 
 /// A rooted spanning forest maintained incrementally across batches.
 ///
-/// Component identity is tracked by opaque `u64` labels drawn from a
-/// never-reused counter — splits mint fresh labels, merges keep the
-/// label of the largest constituent (fewest rewrites) — so label
-/// comparisons are exact with no generation ambiguity.
+/// Component identity is a dense `u32` label below n. Merges keep the
+/// label of the largest constituent (fewest rewrites) and free the
+/// others; splits take a free label. Equal labels mean the same
+/// component at any one moment, but a label says nothing across batches.
 #[derive(Clone, Debug)]
 pub struct DynForest {
     /// Rootward parent per vertex; [`NO_VERTEX`] at roots.
     parents: Vec<VertexId>,
-    /// Tree adjacency (each tree edge in both endpoint lists).
-    adj: Vec<Vec<VertexId>>,
+    /// Head of each vertex's child list; [`NO_VERTEX`] at leaves.
+    first_child: Vec<VertexId>,
+    /// Next and previous vertex in the parent's child list;
+    /// [`NO_VERTEX`] at the ends and at roots.
+    next_sibling: Vec<VertexId>,
+    prev_sibling: Vec<VertexId>,
     /// Component label per vertex.
-    comp: Vec<u64>,
-    /// Live labels with their component sizes.
-    comp_size: HashMap<u64, u32>,
-    /// Next fresh label.
-    next_label: u64,
+    comp: Vec<u32>,
+    /// Component size per label; 0 for labels on `free`.
+    size: Vec<u32>,
+    /// Labels no component holds.
+    free: Vec<u32>,
     /// Epoch-stamped BFS visit marks (no O(n) clear per deletion).
     mark: Vec<u32>,
     epoch: u32,
+    /// Per-batch scratch, kept to be reused by the next batch.
+    scratch: Scratch,
+}
+
+/// Buffers one batch needs, owned by the maintainer so that a stream of
+/// batches grows them once.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Batch-local index per component label; [`EMPTY`] for labels the
+    /// batch has not touched. Reset entry by entry after the mapping.
+    local_of: Vec<u32>,
+    /// Per local: its label and a member vertex (a batch endpoint).
+    locals: Vec<(u32, VertexId)>,
+    /// Cross-component inserts as (local a, local b, u, v).
+    edges: Vec<(u32, u32, VertexId, VertexId)>,
+    /// Per union-find root local: the largest member local and the
+    /// merged size.
+    groups: Vec<(u32, u32)>,
+    /// Frontiers of the smaller-side search, one per cut endpoint.
+    qa: Vec<VertexId>,
+    qb: Vec<VertexId>,
 }
 
 impl DynForest {
     /// Adopts an existing forest (typically a full Bader–Cong run) as
-    /// the maintenance baseline.
+    /// the maintenance baseline. Each tree is labeled by its root.
     pub fn from_forest(forest: &SpanningForest) -> Self {
         let n = forest.parents.len();
-        let parents = forest.parents.clone();
-        let mut adj = vec![Vec::new(); n];
-        for (v, &p) in parents.iter().enumerate() {
-            if p != NO_VERTEX {
-                adj[v].push(p);
-                adj[p as usize].push(v as VertexId);
-            }
+        let comp = tree_roots(&forest.parents);
+        let mut size = vec![0u32; n];
+        for &r in &comp {
+            size[r as usize] += 1;
         }
-        let mut comp = vec![0u64; n];
-        let mut comp_size = HashMap::new();
-        let mut next_label = 0u64;
-        let mut stack = Vec::new();
-        let mut seen = vec![false; n];
-        for (v, &p) in parents.iter().enumerate() {
-            if p != NO_VERTEX || seen[v] {
-                continue;
-            }
-            let label = next_label;
-            next_label += 1;
-            let mut size = 0u32;
-            stack.push(v as VertexId);
-            seen[v] = true;
-            while let Some(x) = stack.pop() {
-                comp[x as usize] = label;
-                size += 1;
-                for &y in &adj[x as usize] {
-                    if !seen[y as usize] {
-                        seen[y as usize] = true;
-                        stack.push(y);
-                    }
-                }
-            }
-            comp_size.insert(label, size);
-        }
-        Self {
-            parents,
-            adj,
+        let mut free = Vec::with_capacity(n);
+        free.extend((0..n as u32).rev().filter(|&l| size[l as usize] == 0));
+        let mut this = Self {
+            parents: vec![NO_VERTEX; n],
+            first_child: vec![NO_VERTEX; n],
+            next_sibling: vec![NO_VERTEX; n],
+            prev_sibling: vec![NO_VERTEX; n],
             comp,
-            comp_size,
-            next_label,
+            size,
+            free,
             mark: vec![0; n],
             epoch: 0,
+            scratch: Scratch::default(),
+        };
+        for (v, &p) in forest.parents.iter().enumerate() {
+            if p != NO_VERTEX {
+                this.attach(v as VertexId, p);
+            }
         }
+        this
     }
 
     /// Number of vertices.
@@ -181,11 +199,11 @@ impl DynForest {
 
     /// Number of components (= trees).
     pub fn num_components(&self) -> usize {
-        self.comp_size.len()
+        self.size.len() - self.free.len()
     }
 
     /// The component label of `v` (opaque; equal iff same component).
-    pub fn label(&self, v: VertexId) -> u64 {
+    pub fn label(&self, v: VertexId) -> u32 {
         self.comp[v as usize]
     }
 
@@ -217,7 +235,7 @@ impl DynForest {
     /// longer decides on this bound; it meters the actual repair with
     /// [`apply_batch_within`](Self::apply_batch_within) instead.
     pub fn touched_estimate(&self, batch: &st_graph::EdgeBatch) -> usize {
-        let mut labels: Vec<u64> = Vec::new();
+        let mut labels: Vec<u32> = Vec::new();
         for &(u, v) in &batch.deletes {
             if (u as usize) < self.parents.len() && self.is_tree_edge(u, v) {
                 labels.push(self.comp[u as usize]);
@@ -235,10 +253,7 @@ impl DynForest {
         }
         labels.sort_unstable();
         labels.dedup();
-        labels
-            .iter()
-            .map(|l| self.comp_size.get(l).copied().unwrap_or(0) as usize)
-            .sum()
+        labels.iter().map(|&l| self.size[l as usize] as usize).sum()
     }
 
     /// Applies one batch to the forest: deletions first (mirroring the
@@ -273,10 +288,15 @@ impl DynForest {
         budget: usize,
     ) -> Result<UpdateStats, OverBudget> {
         let mut meter = Meter(budget);
-        let mut stats = UpdateStats::default();
-        stats.absorb(self.delete_edges(g_after, &batch.deletes, exec, ws, &mut meter)?);
-        stats.absorb(self.insert_edges(&batch.inserts, exec, ws, &mut meter)?);
-        Ok(stats)
+        let mut s = std::mem::take(&mut self.scratch);
+        let repaired = self
+            .delete_edges(g_after, &batch.deletes, exec, ws, &mut s, &mut meter)
+            .and_then(|mut stats| {
+                stats.absorb(self.insert_edges(&batch.inserts, exec, ws, &mut s, &mut meter)?);
+                Ok(stats)
+            });
+        self.scratch = s;
+        repaired
     }
 
     // ------------------------------------------------------------------
@@ -292,6 +312,7 @@ impl DynForest {
         inserts: &[(VertexId, VertexId)],
         exec: &Executor,
         ws: &mut Workspace,
+        s: &mut Scratch,
         meter: &mut Meter,
     ) -> Result<UpdateStats, OverBudget> {
         let mut stats = UpdateStats::default();
@@ -299,31 +320,27 @@ impl DynForest {
         // dense local indices 0..k. Each local remembers a member vertex
         // (for the relabel walk) — every touched component has one,
         // because locals only arise from endpoints.
-        let mut local_of: HashMap<u64, u32> = HashMap::new();
-        let mut label_of: Vec<u64> = Vec::new();
-        let mut rep_of: Vec<VertexId> = Vec::new();
-        let mut edges: Vec<(u32, u32, VertexId, VertexId)> = Vec::new();
+        if s.local_of.len() < self.size.len() {
+            s.local_of.resize(self.size.len(), EMPTY);
+        }
+        s.locals.clear();
+        s.edges.clear();
         for &(u, v) in inserts {
             let (lu, lv) = (self.comp[u as usize], self.comp[v as usize]);
             if lu == lv {
                 continue;
             }
-            let a = *local_of.entry(lu).or_insert_with(|| {
-                label_of.push(lu);
-                rep_of.push(u);
-                (label_of.len() - 1) as u32
-            });
-            let b = *local_of.entry(lv).or_insert_with(|| {
-                label_of.push(lv);
-                rep_of.push(v);
-                (label_of.len() - 1) as u32
-            });
-            edges.push((a, b, u, v));
+            let a = s.local(lu, u);
+            let b = s.local(lv, v);
+            s.edges.push((a, b, u, v));
         }
-        if edges.is_empty() {
+        for &(label, _) in &s.locals {
+            s.local_of[label as usize] = EMPTY;
+        }
+        if s.edges.is_empty() {
             return Ok(stats);
         }
-        let k = label_of.len();
+        let k = s.locals.len();
 
         // Workspace arena: `parent` is the local union-find (EMPTY =
         // root), `color` the hooks array recording which batch edge
@@ -335,6 +352,7 @@ impl DynForest {
         ws.color.fill_prefix(k, EMPTY);
         let uf = &ws.parent;
         let hooks = &ws.color;
+        let edges = &s.edges;
 
         let hook_one = |i: usize| {
             let (a, b, ..) = edges[i];
@@ -369,38 +387,32 @@ impl DynForest {
         }
 
         // Sequential reconstruction. Group locals by final union-find
-        // root; each multi-member group is one merged component.
-        let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
+        // root; each multi-member group is one merged component whose
+        // largest member (the first, on ties) keeps its label.
+        s.groups.clear();
+        s.groups.resize(k, (EMPTY, 0));
         for l in 0..k as u32 {
-            groups.entry(find(uf, l)).or_default().push(l);
+            let size = self.size[s.locals[l as usize].0 as usize];
+            let group = &mut s.groups[find(uf, l) as usize];
+            if group.0 == EMPTY || size > self.size[s.locals[group.0 as usize].0 as usize] {
+                group.0 = l;
+            }
+            group.1 += size;
         }
         // Relabel FIRST, while the trees are still separate: each loser
-        // constituent's tree is reachable from its representative via
-        // the tree adjacency without bleeding into the winners.
-        for members in groups.values() {
-            if members.len() < 2 {
+        // constituent's tree is found from its representative without
+        // bleeding into the winners.
+        for l in 0..k as u32 {
+            let (winner, total) = s.groups[find(uf, l) as usize];
+            let (label, rep) = s.locals[l as usize];
+            if winner == l {
+                self.size[label as usize] = total;
                 continue;
             }
-            let mut total = 0u32;
-            let mut winner = members[0];
-            for &l in members {
-                let size = self.comp_size[&label_of[l as usize]];
-                total += size;
-                if size > self.comp_size[&label_of[winner as usize]] {
-                    winner = l;
-                }
-            }
-            let winner_label = label_of[winner as usize];
-            for &l in members {
-                if l == winner {
-                    continue;
-                }
-                let loser_label = label_of[l as usize];
-                meter.charge(self.comp_size[&loser_label] as usize)?;
-                stats.relabeled += self.relabel_tree(rep_of[l as usize], winner_label);
-                self.comp_size.remove(&loser_label);
-            }
-            self.comp_size.insert(winner_label, total);
+            meter.charge(self.size[label as usize] as usize)?;
+            stats.relabeled += self.relabel_tree(rep, s.locals[winner as usize].0);
+            self.size[label as usize] = 0;
+            self.free.push(label);
         }
         // Splice the trees along the hook edges. The hooks form a
         // forest over the locals, so each edge joins two distinct trees
@@ -420,9 +432,7 @@ impl DynForest {
                 (v, u)
             };
             self.reroot_at(x, meter)?;
-            self.parents[x as usize] = y;
-            self.adj[x as usize].push(y);
-            self.adj[y as usize].push(x);
+            self.attach(x, y);
             stats.tree_merges += 1;
         }
         Ok(stats)
@@ -439,6 +449,7 @@ impl DynForest {
         deletes: &[(VertexId, VertexId)],
         exec: &Executor,
         ws: &mut Workspace,
+        s: &mut Scratch,
         meter: &mut Meter,
     ) -> Result<UpdateStats, OverBudget> {
         let mut stats = UpdateStats::default();
@@ -446,44 +457,41 @@ impl DynForest {
             // Non-tree edges never touch the forest. (A duplicate
             // delete of the same tree edge lands here on its second
             // occurrence, after the first cut.)
-            let (child, parent) = if self.parents[u as usize] == v {
-                (u, v)
+            let child = if self.parents[u as usize] == v {
+                u
             } else if self.parents[v as usize] == u {
-                (v, u)
+                v
             } else {
                 continue;
             };
-            self.cut(child, parent);
+            let parent = self.parents[child as usize];
+            self.detach(child);
             // Both halves are rooted trees now; find the smaller one.
-            let (side, side_epoch) = self.smaller_side(child, parent, meter)?;
+            let (side, side_epoch) =
+                self.smaller_side(child, parent, &mut s.qa, &mut s.qb, meter)?;
             let old_label = self.comp[child as usize];
-            match self.find_replacement(g_after, (&side, side_epoch), old_label, exec, ws, meter)? {
+            match self.find_replacement(g_after, (side, side_epoch), old_label, exec, ws, meter)? {
                 Some((x, y)) => {
                     // Heal: re-root the cut-off side at x and hang it
                     // back under y. Labels and sizes are untouched —
                     // the component never actually split.
                     self.reroot_at(x, meter)?;
-                    self.parents[x as usize] = y;
-                    self.adj[x as usize].push(y);
-                    self.adj[y as usize].push(x);
+                    self.attach(x, y);
                     stats.replacements += 1;
                 }
                 None => {
-                    // True split: the smaller side becomes a fresh
-                    // component.
+                    // True split: the smaller side takes a free label.
                     meter.charge(side.len())?;
-                    let label = self.next_label;
-                    self.next_label += 1;
-                    for &x in &side {
+                    let label = self
+                        .free
+                        .pop()
+                        .expect("a split component leaves a label free");
+                    for &x in side {
                         self.comp[x as usize] = label;
                     }
-                    let s = side.len() as u32;
-                    self.comp_size.insert(label, s);
-                    let remaining = self
-                        .comp_size
-                        .get_mut(&old_label)
-                        .expect("cut component is live");
-                    *remaining -= s;
+                    let moved = side.len() as u32;
+                    self.size[label as usize] = moved;
+                    self.size[old_label as usize] -= moved;
                     stats.tree_splits += 1;
                     stats.relabeled += side.len();
                 }
@@ -492,31 +500,20 @@ impl DynForest {
         Ok(stats)
     }
 
-    /// Removes the tree edge (child, parent); the child side is left as
-    /// its own properly-rooted tree (every parent pointer in the child's
-    /// subtree already points toward `child`).
-    fn cut(&mut self, child: VertexId, parent: VertexId) {
-        debug_assert_eq!(self.parents[child as usize], parent);
-        self.parents[child as usize] = NO_VERTEX;
-        let ca = &mut self.adj[child as usize];
-        let at = ca.iter().position(|&x| x == parent).expect("tree adj");
-        ca.swap_remove(at);
-        let pa = &mut self.adj[parent as usize];
-        let at = pa.iter().position(|&x| x == child).expect("tree adj");
-        pa.swap_remove(at);
-    }
-
-    /// Alternating BFS from both cut endpoints over the tree adjacency;
-    /// returns the vertex list of the smaller side and the epoch its
-    /// members are marked with — O(min(|A|, |B|)) on each side. Every
-    /// dequeue is charged as it happens, so a cut through the middle of
-    /// a giant tree stops at the budget instead of walking half of it.
-    fn smaller_side(
+    /// Alternating BFS from both cut endpoints over the tree (parent
+    /// pointer and child chain); returns the vertex list of the smaller
+    /// side and the epoch its members are marked with —
+    /// O(min(|A|, |B|)) on each side. Every dequeue is charged as it
+    /// happens, so a cut through the middle of a giant tree stops at the
+    /// budget instead of walking half of it.
+    fn smaller_side<'q>(
         &mut self,
         a: VertexId,
         b: VertexId,
+        qa: &'q mut Vec<VertexId>,
+        qb: &'q mut Vec<VertexId>,
         meter: &mut Meter,
-    ) -> Result<(Vec<VertexId>, u32), OverBudget> {
+    ) -> Result<(&'q [VertexId], u32), OverBudget> {
         if self.epoch >= u32::MAX - 2 {
             self.mark.fill(0);
             self.epoch = 0;
@@ -524,40 +521,53 @@ impl DynForest {
         let ea = self.epoch + 1;
         let eb = self.epoch + 2;
         self.epoch += 2;
-        let mut qa = vec![a];
-        let mut qb = vec![b];
+        // A queue never holds more than its side's whole tree, so room
+        // for n (address space only until touched) means the search
+        // reallocates once per maintainer, not once per new largest cut.
+        qa.clear();
+        qb.clear();
+        qa.reserve(self.parents.len());
+        qb.reserve(self.parents.len());
+        qa.push(a);
+        qb.push(b);
         self.mark[a as usize] = ea;
         self.mark[b as usize] = eb;
         let (mut ha, mut hb) = (0usize, 0usize);
         loop {
             // Expand one vertex on the A side, then one on B; the side
             // that runs out of frontier first is the smaller tree.
-            if ha < qa.len() {
-                meter.charge(1)?;
-                let x = qa[ha];
-                ha += 1;
-                for &y in &self.adj[x as usize] {
-                    if self.mark[y as usize] != ea {
-                        self.mark[y as usize] = ea;
-                        qa.push(y);
-                    }
-                }
-            } else {
+            if ha == qa.len() {
                 return Ok((qa, ea));
             }
-            if hb < qb.len() {
-                meter.charge(1)?;
-                let x = qb[hb];
-                hb += 1;
-                for &y in &self.adj[x as usize] {
-                    if self.mark[y as usize] != eb {
-                        self.mark[y as usize] = eb;
-                        qb.push(y);
-                    }
-                }
-            } else {
+            meter.charge(1)?;
+            self.expand(qa[ha], ea, qa);
+            ha += 1;
+            if hb == qb.len() {
                 return Ok((qb, eb));
             }
+            meter.charge(1)?;
+            self.expand(qb[hb], eb, qb);
+            hb += 1;
+        }
+    }
+
+    /// Marks `x`'s tree neighbours (its parent and children) with
+    /// `epoch` and queues those not marked yet.
+    fn expand(&mut self, x: VertexId, epoch: u32, queue: &mut Vec<VertexId>) {
+        let mut visit = |y: VertexId| {
+            if self.mark[y as usize] != epoch {
+                self.mark[y as usize] = epoch;
+                queue.push(y);
+            }
+        };
+        let p = self.parents[x as usize];
+        if p != NO_VERTEX {
+            visit(p);
+        }
+        let mut c = self.first_child[x as usize];
+        while c != NO_VERTEX {
+            visit(c);
+            c = self.next_sibling[c as usize];
         }
     }
 
@@ -572,7 +582,7 @@ impl DynForest {
         &self,
         g_after: &G,
         (side, side_epoch): (&[VertexId], u32),
-        old_label: u64,
+        old_label: u32,
         exec: &Executor,
         ws: &mut Workspace,
         meter: &mut Meter,
@@ -644,16 +654,55 @@ impl DynForest {
     // Shared tree surgery.
     // ------------------------------------------------------------------
 
+    /// Hangs the root `x` under `y`: sets its parent and pushes it on
+    /// the front of `y`'s child list.
+    fn attach(&mut self, x: VertexId, y: VertexId) {
+        debug_assert_eq!(self.parents[x as usize], NO_VERTEX);
+        let head = self.first_child[y as usize];
+        self.parents[x as usize] = y;
+        self.prev_sibling[x as usize] = NO_VERTEX;
+        self.next_sibling[x as usize] = head;
+        if head != NO_VERTEX {
+            self.prev_sibling[head as usize] = x;
+        }
+        self.first_child[y as usize] = x;
+    }
+
+    /// Cuts `x` from its parent, unsplicing it from the parent's child
+    /// list. `x`'s subtree is left as its own properly rooted tree
+    /// (every parent pointer in it already points toward `x`).
+    fn detach(&mut self, x: VertexId) {
+        let (prev, next) = (self.prev_sibling[x as usize], self.next_sibling[x as usize]);
+        if prev == NO_VERTEX {
+            self.first_child[self.parents[x as usize] as usize] = next;
+        } else {
+            self.next_sibling[prev as usize] = next;
+        }
+        if next != NO_VERTEX {
+            self.prev_sibling[next as usize] = prev;
+        }
+        self.parents[x as usize] = NO_VERTEX;
+        self.prev_sibling[x as usize] = NO_VERTEX;
+        self.next_sibling[x as usize] = NO_VERTEX;
+    }
+
     /// Makes `v` the root of its tree by reversing the parent pointers
-    /// along the single path v → old root; every other pointer in the
-    /// tree is already oriented correctly. Each step is charged.
+    /// along the single path v → old root, moving each vertex on it
+    /// from its old parent's child list into the list of the vertex
+    /// below it; every other pointer in the tree is already oriented
+    /// correctly. Each step is charged.
     fn reroot_at(&mut self, v: VertexId, meter: &mut Meter) -> Result<(), OverBudget> {
         let mut prev = NO_VERTEX;
         let mut cur = v;
         while cur != NO_VERTEX {
             meter.charge(1)?;
             let next = self.parents[cur as usize];
-            self.parents[cur as usize] = prev;
+            if next != NO_VERTEX {
+                self.detach(cur);
+            }
+            if prev != NO_VERTEX {
+                self.attach(cur, prev);
+            }
             prev = cur;
             cur = next;
         }
@@ -678,74 +727,149 @@ impl DynForest {
         }
     }
 
+    /// The vertex after `x` in a preorder walk of `root`'s subtree, or
+    /// [`NO_VERTEX`] once the walk is done: down the first child, else
+    /// on to the next sibling of `x` or of its nearest ancestor below
+    /// `root` that has one. No stack.
+    fn preorder_next(&self, mut x: VertexId, root: VertexId) -> VertexId {
+        let c = self.first_child[x as usize];
+        if c != NO_VERTEX {
+            return c;
+        }
+        while x != root {
+            let s = self.next_sibling[x as usize];
+            if s != NO_VERTEX {
+                return s;
+            }
+            x = self.parents[x as usize];
+        }
+        NO_VERTEX
+    }
+
     /// Rewrites the component label of every vertex in `start`'s tree;
     /// returns how many were rewritten.
-    fn relabel_tree(&mut self, start: VertexId, label: u64) -> usize {
-        let mut stack = vec![start];
-        let before = self.comp[start as usize];
-        debug_assert_ne!(before, label);
-        self.comp[start as usize] = label;
-        let mut count = 1usize;
-        while let Some(x) = stack.pop() {
-            // Iterate over indices to appease the borrow checker while
-            // mutating `comp`.
-            for i in 0..self.adj[x as usize].len() {
-                let y = self.adj[x as usize][i];
-                if self.comp[y as usize] == before {
-                    self.comp[y as usize] = label;
-                    count += 1;
-                    stack.push(y);
-                }
-            }
+    fn relabel_tree(&mut self, start: VertexId, label: u32) -> usize {
+        let mut root = start;
+        while self.parents[root as usize] != NO_VERTEX {
+            root = self.parents[root as usize];
+        }
+        debug_assert_ne!(self.comp[root as usize], label);
+        let mut count = 0usize;
+        let mut x = root;
+        while x != NO_VERTEX {
+            self.comp[x as usize] = label;
+            count += 1;
+            x = self.preorder_next(x, root);
         }
         count
     }
 
-    /// Internal-consistency audit for tests: parent pointers acyclic and
-    /// mirrored in `adj`, labels uniform per tree, sizes exact.
+    /// Internal-consistency audit for tests: child lists mirror the
+    /// parent pointers, the forest is acyclic, labels are uniform per
+    /// tree, sizes are exact, and the label pool holds every label no
+    /// component uses, once.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.parents.len();
-        let mut seen_sizes: HashMap<u64, u32> = HashMap::new();
+        let mut pointers = vec![0u32; n];
         for v in 0..n {
-            *seen_sizes.entry(self.comp[v]).or_insert(0) += 1;
             let p = self.parents[v];
-            if p != NO_VERTEX {
-                if !self.adj[v].contains(&p) || !self.adj[p as usize].contains(&(v as VertexId)) {
-                    return Err(format!("tree edge ({v}, {p}) missing from adj"));
-                }
-                if self.comp[v] != self.comp[p as usize] {
-                    return Err(format!("edge ({v}, {p}) crosses labels"));
-                }
+            if p == NO_VERTEX {
+                continue;
+            }
+            pointers[p as usize] += 1;
+            if self.comp[v] != self.comp[p as usize] {
+                return Err(format!("edge ({v}, {p}) crosses labels"));
             }
         }
-        if seen_sizes != self.comp_size {
-            return Err(format!(
-                "size drift: counted {seen_sizes:?} vs tracked {:?}",
-                self.comp_size
-            ));
-        }
-        // Acyclicity: rootward walks terminate within n steps.
-        for v in 0..n {
-            let mut cur = v as VertexId;
-            for _ in 0..=n {
-                if cur == NO_VERTEX {
+        for (x, &pointed) in pointers.iter().enumerate() {
+            let mut children = 0u32;
+            let mut prev = NO_VERTEX;
+            let mut c = self.first_child[x];
+            while c != NO_VERTEX {
+                if self.parents[c as usize] != x as VertexId {
+                    return Err(format!(
+                        "{c} is on {x}'s child list but its parent is not {x}"
+                    ));
+                }
+                if self.prev_sibling[c as usize] != prev {
+                    return Err(format!("sibling links around {c} are not mirrored"));
+                }
+                children += 1;
+                if children > pointed {
                     break;
                 }
-                cur = self.parents[cur as usize];
+                prev = c;
+                c = self.next_sibling[c as usize];
             }
-            if cur != NO_VERTEX {
-                return Err(format!("parent cycle reachable from {v}"));
+            if children != pointed {
+                return Err(format!(
+                    "{x} lists {children} children but {pointed} vertices point at it"
+                ));
             }
+        }
+        // Acyclicity: the preorder walks from the roots reach every
+        // vertex (a parent cycle is unreachable from any root).
+        let mut reached = 0usize;
+        for r in (0..n as VertexId).filter(|&r| self.parents[r as usize] == NO_VERTEX) {
+            let mut x = r;
+            while x != NO_VERTEX {
+                reached += 1;
+                x = self.preorder_next(x, r);
+            }
+        }
+        if reached != n {
+            return Err(format!(
+                "parent cycle: {} vertices unreachable from a root",
+                n - reached
+            ));
+        }
+        let mut counted = vec![0u32; n];
+        for &l in &self.comp {
+            counted[l as usize] += 1;
+        }
+        if counted != self.size {
+            return Err("component sizes drifted from the labels".into());
+        }
+        let mut pooled = vec![false; n];
+        for &l in &self.free {
+            if self.size[l as usize] != 0 || std::mem::replace(&mut pooled[l as usize], true) {
+                return Err(format!("label {l} is both live and free, or free twice"));
+            }
+        }
+        let live = self.size.iter().filter(|&&s| s > 0).count();
+        if live + self.free.len() != n {
+            return Err(format!(
+                "{} labels neither live nor free",
+                n - live - self.free.len()
+            ));
         }
         Ok(())
     }
 }
 
+impl Scratch {
+    /// The batch-local index of `label`, allocating the next one (with
+    /// `member` as its representative) on first sight.
+    fn local(&mut self, label: u32, member: VertexId) -> u32 {
+        let slot = &mut self.local_of[label as usize];
+        if *slot == EMPTY {
+            *slot = self.locals.len() as u32;
+            self.locals.push((label, member));
+        }
+        *slot
+    }
+}
+
 /// Union-find `find` with path compression over the workspace array.
-/// `EMPTY` parents mark roots; compression writes only move entries
-/// rootward, so concurrent finds and CAS-hook links stay safe (the
-/// Snippet-1 protocol: links happen only at roots, via the hook CAS).
+/// `EMPTY` parents mark roots. Links go from a smaller root to a larger
+/// one (the hook CAS), so every chain is strictly increasing. The
+/// compression keeps it so: it writes `root` over an entry only while
+/// that entry is still below `root`, and stops at the first entry that
+/// is `root`, `EMPTY` or already past `root` (another rank compressed
+/// it to a root that has since been linked higher). Writing a smaller
+/// `root` over such an entry would point it downward and could close a
+/// cycle that no later `find` leaves.
 fn find(uf: &st_smp::AtomicU32Array, start: u32) -> u32 {
     let mut root = start;
     loop {
@@ -755,11 +879,11 @@ fn find(uf: &st_smp::AtomicU32Array, start: u32) -> u32 {
         }
         root = p;
     }
-    // Compress the path behind us.
+    // Compress the path behind us, upward only.
     let mut cur = start;
-    while cur != root {
+    loop {
         let p = uf.load(cur as usize, Ordering::Acquire);
-        if p == EMPTY || p == root {
+        if p >= root {
             break;
         }
         uf.store(cur as usize, root, Ordering::Release);
@@ -871,37 +995,60 @@ mod tests {
     #[test]
     fn mixed_batch_stream_tracks_the_oracle() {
         let exec = Executor::new(4);
-        let g = gen::random_gnm(300, 500, 7);
-        // A deterministic pseudo-random stream of mixed batches.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut view = GraphView::Flat(Arc::new(g.clone()));
-        let mut ws = Workspace::new();
-        let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
-        for _ in 0..30 {
-            let mut batch = EdgeBatch::new();
-            for _ in 0..10 {
-                let u = (next() % 300) as VertexId;
-                let v = (next() % 300) as VertexId;
-                if u == v {
-                    continue;
-                }
-                if next() % 2 == 0 {
-                    batch = batch.insert(u, v);
+        // Two inputs. A random graph takes uniform random edits. A long
+        // cycle, whose BFS tree is two deep paths, has one edge cut per
+        // batch while the previous cut edge comes back: the cut heals
+        // through that edge, so each heal re-roots the chain between
+        // the two cuts.
+        let ring_n = 4000u32;
+        let ring: Vec<_> = (0..ring_n).map(|i| (i, (i + 1) % ring_n)).collect();
+        let ring = st_graph::CsrGraph::from_edge_list(&st_graph::EdgeList::from_edges(
+            ring_n as usize,
+            ring,
+        ));
+        for (g, is_ring) in [(gen::random_gnm(300, 500, 7), false), (ring, true)] {
+            let n = g.num_vertices() as u64;
+            // A deterministic pseudo-random stream of mixed batches.
+            let mut state = 0x9e3779b97f4a7c15u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut view = GraphView::Flat(Arc::new(g.clone()));
+            let mut ws = Workspace::new();
+            let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
+            let (mut last_cut, mut heals) = (None, 0);
+            for _ in 0..30 {
+                let mut batch = EdgeBatch::new();
+                if is_ring {
+                    let c = ring_n / 4 + (next() % (n / 2)) as VertexId;
+                    batch = batch.delete(c, c + 1);
+                    if let Some(b) = last_cut.replace(c) {
+                        batch = batch.insert(b, b + 1);
+                    }
                 } else {
-                    batch = batch.delete(u, v);
+                    for _ in 0..10 {
+                        let u = (next() % n) as VertexId;
+                        let v = (next() % n) as VertexId;
+                        if u == v {
+                            continue;
+                        }
+                        if next() % 2 == 0 {
+                            batch = batch.insert(u, v);
+                        } else {
+                            batch = batch.delete(u, v);
+                        }
+                    }
                 }
+                let (nv, _) = view.apply(&batch).unwrap();
+                heals += forest.apply_batch(&nv, &batch, &exec, &mut ws).replacements;
+                view = nv;
+                let flat = view.materialize();
+                assert_oracle(&forest, &flat);
             }
-            let (nv, _) = view.apply(&batch).unwrap();
-            forest.apply_batch(&nv, &batch, &exec, &mut ws);
-            view = nv;
-            let flat = view.materialize();
-            assert_oracle(&forest, &flat);
+            assert!(!is_ring || heals >= 20, "only {heals} ring cuts healed");
         }
     }
 

@@ -74,7 +74,8 @@ pub struct Workspace {
     /// Per-vertex `u32` claims: the hooks of
     /// [`DynForest`](crate::dyn_forest::DynForest)'s component merge.
     pub(crate) color: AtomicU32Array,
-    /// Traversal tree parents.
+    /// Traversal tree parents; also the union-find of
+    /// [`DynForest`](crate::dyn_forest::DynForest)'s component merge.
     pub(crate) parent: AtomicU32Array,
     /// Graft-and-shortcut hook array (SV's `D`, HCS/Borůvka's labels).
     pub(crate) labels: AtomicU32Array,

@@ -1,4 +1,4 @@
-//! Models: the two sync protocols the batch-dynamic forest maintainer
+//! Models: the sync protocols the batch-dynamic forest maintainer
 //! (st-core `dyn_forest`) adds on top of the workspace arena.
 //!
 //! Insertion waves union touched components with the CAS-hook idiom:
@@ -8,6 +8,14 @@
 //! and store there is a window where the hook is taken but the parent
 //! still reads EMPTY, which `find` must (and does) treat as "still a
 //! root".
+//!
+//! Links go from a smaller root to a larger one, so every union-find
+//! chain is strictly increasing. `find`'s path compression runs while
+//! other ranks compress and link, and must keep that order: it may
+//! only move an entry upward. A copy of the compression that wrote its
+//! (possibly stale) root over any non-root entry closed 2-cycles and
+//! hung the parallel insert; its model is kept as a seeded bug the
+//! checker must find.
 //!
 //! Deletion's parallel replacement scan elects one crossing edge into a
 //! shared `AtomicU64` slot (packed `(x << 32) | y`, `u64::MAX` = no
@@ -82,6 +90,102 @@ fn hook_claim_makes_the_parent_store_exclusive() {
             }
         }
     });
+}
+
+/// `dyn_forest::find`: walk to the root, then compress the path behind
+/// it, stepping only while an entry is still below the root. Anything
+/// `>= root` (the root itself, EMPTY, or an entry another rank already
+/// compressed past a root that has since been linked) stops the walk.
+fn find(uf: &AtomicU32Array, start: u32) -> u32 {
+    let mut root = start;
+    loop {
+        let p = uf.load(root as usize, Ordering::Acquire);
+        if p == EMPTY {
+            break;
+        }
+        root = p;
+    }
+    let mut cur = start;
+    loop {
+        let p = uf.load(cur as usize, Ordering::Acquire);
+        if p >= root {
+            break;
+        }
+        uf.store(cur as usize, root, Ordering::Release);
+        cur = p;
+    }
+    root
+}
+
+/// The compression `find` used to run: it wrote `root` over every
+/// entry that was neither EMPTY nor `root`, including one already
+/// compressed past a stale `root`, pointing that entry downward.
+fn find_unguarded(uf: &AtomicU32Array, start: u32) -> u32 {
+    let mut root = start;
+    loop {
+        let p = uf.load(root as usize, Ordering::Acquire);
+        if p == EMPTY {
+            break;
+        }
+        root = p;
+    }
+    let mut cur = start;
+    while cur != root {
+        let p = uf.load(cur as usize, Ordering::Acquire);
+        if p == EMPTY || p == root {
+            break;
+        }
+        uf.store(cur as usize, root, Ordering::Release);
+        cur = p;
+    }
+    root
+}
+
+/// Two ranks run `find(0)` with compression while a third links root
+/// 1 under 2 and then 2 under 3 (start state `uf[0] = 1`). Whatever the
+/// interleaving, every entry must still point upward afterwards
+/// (`uf[i] > i` or EMPTY), so no chain can loop.
+fn compress_while_linking(find: fn(&AtomicU32Array, u32) -> u32) {
+    model(move || {
+        let uf = Arc::new(AtomicU32Array::new(4, EMPTY));
+        uf.store(0, 1, Ordering::Relaxed);
+        let finders: Vec<_> = (0..2)
+            .map(|_| {
+                let uf = Arc::clone(&uf);
+                thread::spawn(move || find(&uf, 0))
+            })
+            .collect();
+        let linker = {
+            let uf = Arc::clone(&uf);
+            thread::spawn(move || {
+                uf.store(1, 2, Ordering::Release);
+                uf.store(2, 3, Ordering::Release);
+            })
+        };
+        linker.join().unwrap();
+        for f in finders {
+            let root = f.join().unwrap();
+            assert!((1..=3).contains(&root), "find(0) returned {root}");
+        }
+        for i in 0..4u32 {
+            let p = uf.load(i as usize, Ordering::Acquire);
+            assert!(p == EMPTY || p > i, "uf[{i}] = {p} points downward");
+        }
+    });
+}
+
+#[test]
+fn find_compression_only_moves_entries_upward() {
+    compress_while_linking(find);
+}
+
+/// The checker must catch the unguarded compression: one rank reads
+/// root 1, the other compresses `uf[0]` to 2 after the first link, the
+/// second link lands, and the first rank writes 1 over `uf[2]`.
+#[test]
+#[should_panic(expected = "points downward")]
+fn unguarded_find_compression_is_caught() {
+    compress_while_linking(find_unguarded);
 }
 
 /// Replacement-edge election sentinel: no winner yet.

@@ -36,8 +36,10 @@
 //!   top-down test-then-`fetch_or` on one word; the bottom-up sweep
 //!   protocol) and the abort-byte rendezvous of the hybrid switch,
 //! * [`dyn_forest`] — the batch-dynamic maintainer's CAS-hook union
-//!   (claim-then-store exclusivity) and the replacement scan's
-//!   write-once edge election.
+//!   (claim-then-store exclusivity), its `find` compressing upward only
+//!   while another rank links (with the old unguarded compression kept
+//!   as a seeded bug the checker must catch), and the replacement
+//!   scan's write-once edge election.
 
 #![cfg(feature = "loom")]
 
