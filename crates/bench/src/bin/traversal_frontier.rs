@@ -3,12 +3,15 @@
 //! plus the direction-optimizing hybrid.
 //!
 //! ```text
-//! traversal_frontier [--scale L] [--p P] [--reps R] [--seed S] [--out FILE]
+//! traversal_frontier [--graph connected|gnm-1.5n|gnm-0.5n]
+//!                    [--scale L] [--p P] [--reps R] [--seed S] [--out FILE]
 //!                    [--sweep-scale L] [--sweep-p "1,2,4,8"] [--sweep-reps R]
 //!                    [--hugepages]
 //! ```
 //!
-//! Builds `random_connected(n = 2^L, m = 4n)` and times *only* the
+//! With `--graph gnm-1.5n` or `--graph gnm-0.5n` it times whole
+//! Bader–Cong forest jobs instead (see *Forest rows* below). By
+//! default it builds `random_connected(n = 2^L, m = 4n)` and times *only* the
 //! work-stealing traversal round (no stub phase, no driver, no degree-2
 //! preprocessing) under three configurations:
 //!
@@ -34,18 +37,34 @@
 //! workspace arenas). Pass `--metrics-json FILE` to additionally dump
 //! the full [`JobMetrics`] (per-rank counters and, under `obs-trace`,
 //! phase spans) of the last repetition of each protocol.
+//!
+//! ## Forest rows
+//!
+//! `--graph gnm-1.5n` builds `random_gnm(2^L, 1.5n)` (the paper's
+//! Fig. 3 input: a giant component and tens of thousands of small ones)
+//! and `--graph gnm-0.5n` builds `random_gnm(2^L, n/2)` (no giant
+//! component: at L = 20 and seed 7, 524,290 components, 1,611 of them
+//! with 32 or more vertices). Either times sequential BFS
+//! (`seq::bfs_forest`) and the default Bader–Cong forest job
+//! (`Engine::run`) at p = 1 and p = P, one untimed warm-up each, and
+//! validates every forest. The rows go into the `forest` section of
+//! `--out` under the workload's name, with `host_parallelism` from the
+//! host; the rest of an existing file is kept, and a run without
+//! `--graph` keeps an existing `forest` section in turn.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use st_bench::timing::measure_with_result;
-use st_core::engine::Workspace;
+use st_core::bader_cong::BaderCong;
+use st_core::engine::{Engine, Workspace};
+use st_core::seq;
 use st_core::traversal::{Direction, TraversalConfig, TraversalOutcome};
-use st_graph::gen::random_connected;
-use st_graph::validate::is_spanning_tree;
-use st_graph::CsrGraph;
-use st_obs::{Counter, JobMetrics, PhaseTotal};
+use st_graph::gen::{random_connected, random_gnm};
+use st_graph::validate::{count_components, is_spanning_forest, is_spanning_tree};
+use st_graph::{CsrGraph, VertexId};
+use st_obs::{Counter, JobMetrics, Phase, PhaseTotal};
 use st_smp::Executor;
 
 #[derive(Clone, Debug, Serialize)]
@@ -93,6 +112,35 @@ struct SweepReport {
     points: Vec<SweepPoint>,
 }
 
+/// One forest-job row: the default Bader–Cong job at `p`.
+#[derive(Clone, Debug, Serialize)]
+struct ForestRow {
+    p: usize,
+    median_s: f64,
+    min_s: f64,
+    max_s: f64,
+    /// Sequential BFS median over this row's median.
+    speedup_vs_bfs: f64,
+    rounds: usize,
+    stub_walks: usize,
+    phases: Vec<PhaseTotal>,
+}
+
+/// The forest rows of one graph, beside sequential BFS on it.
+#[derive(Clone, Debug, Serialize)]
+struct ForestReport {
+    workload: String,
+    n: usize,
+    m: usize,
+    components: usize,
+    reps: usize,
+    host_parallelism: usize,
+    bfs_median_s: f64,
+    bfs_min_s: f64,
+    bfs_max_s: f64,
+    rows: Vec<ForestRow>,
+}
+
 #[derive(Clone, Debug, Serialize)]
 struct FrontierReport {
     benchmark: String,
@@ -115,13 +163,26 @@ struct FrontierReport {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: traversal_frontier [--scale L] [--p P] [--reps R] [--seed S] [--out FILE] \
-         [--metrics-json FILE] [--sweep-scale L] [--sweep-p LIST] [--sweep-reps R] [--hugepages]"
+        "usage: traversal_frontier [--graph connected|gnm-1.5n|gnm-0.5n] [--scale L] [--p P] \
+         [--reps R] [--seed S] [--out FILE] [--metrics-json FILE] [--sweep-scale L] \
+         [--sweep-p LIST] [--sweep-reps R] [--hugepages]"
     );
     std::process::exit(2)
 }
 
+/// Which input the run measures.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum GraphChoice {
+    /// `random_connected(n, 4n)`: the traversal-round comparison.
+    Connected,
+    /// `random_gnm(n, 1.5n)`: forest rows.
+    Gnm15,
+    /// `random_gnm(n, n/2)`: forest rows.
+    Gnm05,
+}
+
 struct Opts {
+    graph: GraphChoice,
     scale: u32,
     p: usize,
     reps: usize,
@@ -136,6 +197,7 @@ struct Opts {
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
+        graph: GraphChoice::Connected,
         scale: 20,
         p: 8,
         reps: 5,
@@ -151,6 +213,14 @@ fn parse_args() -> Opts {
     while let Some(a) = args.next() {
         let mut need = |what: &str| args.next().unwrap_or_else(|| usage(what));
         match a.as_str() {
+            "--graph" => {
+                opts.graph = match need("--graph needs a value").as_str() {
+                    "connected" => GraphChoice::Connected,
+                    "gnm-1.5n" => GraphChoice::Gnm15,
+                    "gnm-0.5n" => GraphChoice::Gnm05,
+                    _ => usage("--graph must be connected, gnm-1.5n or gnm-0.5n"),
+                }
+            }
             "--scale" => {
                 opts.scale = need("--scale needs a value")
                     .parse()
@@ -228,23 +298,24 @@ fn maybe_hugepage(g: CsrGraph, want: bool) -> (CsrGraph, bool) {
 
 /// One phase-2 traversal round over connected `g`, on the persistent
 /// team with all scratch drawn from `ws`. Returns the job's
-/// [`JobMetrics`] (fresh counters per repetition); the parents stay in
-/// the workspace for validation after the timed section.
+/// [`JobMetrics`] (fresh counters per repetition) and the parent array,
+/// which is validated after the timed section.
 fn traverse_once(
     g: &CsrGraph,
     exec: &Executor,
     ws: &mut Workspace,
     cfg: TraversalConfig,
-) -> JobMetrics {
+) -> (JobMetrics, Vec<VertexId>) {
     ws.begin_job(exec);
-    {
+    let parents = {
         let t = ws.traversal(g, exec, cfg);
         t.begin_round(0);
         exec.run(|ctx| {
             assert_eq!(t.run_worker_ctx(&ctx), TraversalOutcome::Completed);
         });
-    }
-    ws.finish_job(exec)
+        t.into_parents()
+    };
+    (ws.finish_job(exec), parents)
 }
 
 fn run_protocol(
@@ -255,11 +326,10 @@ fn run_protocol(
     reps: usize,
     cfg: TraversalConfig,
 ) -> (ProtocolResult, JobMetrics) {
-    let (m, metrics) = measure_with_result(reps, || traverse_once(g, exec, ws, cfg.clone()));
-    // Validation reads the workspace after the timed section so the
-    // copy-out is not billed to the protocol.
+    let (m, (metrics, parents)) =
+        measure_with_result(reps, || traverse_once(g, exec, ws, cfg.clone()));
     assert!(
-        is_spanning_tree(g, &ws.parents_prefix(g.num_vertices()), 0),
+        is_spanning_tree(g, &parents, 0),
         "{name}: invalid spanning tree"
     );
     let count = |c: Counter| metrics.get(c) as usize;
@@ -301,8 +371,110 @@ fn run_protocol(
     (result, metrics)
 }
 
+/// Times `run` once untimed, then `reps` times; returns the timings and
+/// the last result.
+fn warm_measure<T>(reps: usize, mut run: impl FnMut() -> T) -> (st_bench::timing::Measurement, T) {
+    std::hint::black_box(run());
+    measure_with_result(reps, run)
+}
+
+/// The forest rows of `--graph gnm-*`, merged into `--out`.
+fn forest_rows(opts: &Opts) {
+    let n = 1usize << opts.scale;
+    let (m, workload) = match opts.graph {
+        GraphChoice::Gnm15 => (3 * n / 2, format!("random_gnm({n}, {})", 3 * n / 2)),
+        _ => (n / 2, format!("random_gnm({n}, {})", n / 2)),
+    };
+    eprintln!(
+        "forest rows: {workload}, p in 1 and {}, reps = {}",
+        opts.p, opts.reps
+    );
+    let g = random_gnm(n, m, opts.seed);
+    let components = count_components(&g);
+    let (bfs, forest) = warm_measure(opts.reps, || seq::bfs_forest(&g));
+    assert!(
+        is_spanning_forest(&g, &forest.parents),
+        "bfs: invalid forest"
+    );
+    eprintln!("  bfs        median {:.4}s", bfs.median());
+    let mut ps = vec![1, opts.p];
+    ps.dedup();
+    let rows = ps
+        .into_iter()
+        .map(|p| {
+            let mut engine = Engine::new(p);
+            let algo = BaderCong::with_defaults();
+            let (t, f) = warm_measure(opts.reps, || engine.run(&algo, &g));
+            assert!(
+                is_spanning_forest(&g, &f.parents),
+                "p = {p}: invalid forest"
+            );
+            assert_eq!(f.roots.len(), components, "p = {p}: wrong tree count");
+            let metrics = &f.stats.metrics;
+            let traverse = metrics.phases.iter().find(|t| t.phase == Phase::Traverse);
+            eprintln!(
+                "  p = {p:<6} median {:.4}s  ({:.2}x bfs)",
+                t.median(),
+                bfs.median() / t.median()
+            );
+            ForestRow {
+                p,
+                median_s: t.median(),
+                min_s: t.min(),
+                max_s: t.max(),
+                speedup_vs_bfs: bfs.median() / t.median(),
+                rounds: traverse.map_or(0, |t| t.count as usize / p),
+                stub_walks: metrics.get(Counter::StubWalks) as usize,
+                phases: metrics.phases.clone(),
+            }
+        })
+        .collect();
+    let report = ForestReport {
+        workload: workload.clone(),
+        n,
+        m: g.num_edges(),
+        components,
+        reps: opts.reps,
+        host_parallelism: std::thread::available_parallelism().map_or(1, |c| c.get()),
+        bfs_median_s: bfs.median(),
+        bfs_min_s: bfs.min(),
+        bfs_max_s: bfs.max(),
+        rows,
+    };
+    let mut doc = read_report(&opts.out);
+    let forest = doc
+        .entry("forest".to_owned())
+        .or_insert_with(|| Value::Object(BTreeMap::new()));
+    let Value::Object(forest) = forest else {
+        panic!("the forest section must be an object");
+    };
+    forest.insert(workload, report.to_value());
+    write_report(&opts.out, doc);
+}
+
+/// The JSON object in `path`, or an empty one when there is no file.
+fn read_report(path: &PathBuf) -> BTreeMap<String, Value> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return BTreeMap::new();
+    };
+    match serde_json::parse_value(&text).expect("--out holds JSON") {
+        Value::Object(top) => top,
+        _ => panic!("--out must hold a JSON object"),
+    }
+}
+
+fn write_report(path: &PathBuf, doc: BTreeMap<String, Value>) {
+    let json = serde_json::to_string_pretty(&Value::Object(doc)).expect("serialize report");
+    std::fs::write(path, json + "\n").expect("write report");
+    eprintln!("wrote {}", path.display());
+}
+
 fn main() {
     let opts = parse_args();
+    if opts.graph != GraphChoice::Connected {
+        forest_rows(&opts);
+        return;
+    }
     let n = 1usize << opts.scale;
     let m = 4 * n;
     eprintln!(
@@ -420,7 +592,12 @@ fn main() {
         speedup_hybrid,
         sweep,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&opts.out, json + "\n").expect("write report");
-    eprintln!("wrote {}", opts.out.display());
+    let Value::Object(mut doc) = report.to_value() else {
+        unreachable!("a report serializes to an object");
+    };
+    // The forest rows come from their own runs; keep them.
+    if let Some(forest) = read_report(&opts.out).remove("forest") {
+        doc.insert("forest".to_owned(), forest);
+    }
+    write_report(&opts.out, doc);
 }

@@ -23,16 +23,45 @@
 //! what the disconnected experiment inputs (2D60, 3D40, sparse random)
 //! require.
 //!
-//! Between rounds the driver finishes small components itself, so only
-//! large ones pay for a round (two barriers and a team wake-up). In one
-//! pass over the next roots it marks each isolated root as its own tree
-//! without walking, and walks every other root up to [`WALK_BUDGET`]
-//! vertices: a walk that ends short of the budget has covered its whole
-//! component and is marked; a walk that reaches it seeds its first
-//! `stub_factor · p` vertices, exactly the paper's stub for that root
-//! and seed, and releases the rest to the traversal. The pass records
-//! one stub span and one counter add per call, however many components
-//! it finishes.
+//! Small components never pay for a round (two barriers and a team
+//! wake-up): the driver finishes them with a walk of up to
+//! [`WALK_BUDGET`] vertices. A walk that ends short of the budget has
+//! covered its whole component, which is marked as a tree; isolated
+//! vertices are marked without a walk. A component the walk cannot
+//! exhaust gets a round: the walk from its smallest vertex seeds its
+//! first `stub_factor · p` vertices, exactly the paper's stub for that
+//! root and seed, and releases the rest to the traversal.
+//!
+//! On a team of one, a serial step does all of this between rounds, in
+//! id order, recording one stub span and one counter add per call. On
+//! a wider team the work is split three ways:
+//!
+//! 1. **Lead-in.** Before dispatch, the serial step covers the first
+//!    page of ids (1024, a 4 KiB page of parents) and stops at the first
+//!    component that needs a round, which then runs first. On inputs
+//!    with a giant component this is nearly always the giant, so the
+//!    team never walks its vertices in step 2.
+//! 2. **Team prepare.** Every rank scans its own page-aligned id range
+//!    and walks each uncolored vertex's component, claiming vertices
+//!    with one `fetch_or` each on the visited bitmap (`claim_walk` in
+//!    [`crate::stub`]). A walk that meets another walk's claim releases
+//!    its own claims and yields; one that covers its component re-roots
+//!    the tree at the smallest vertex. A walk that fills the budget
+//!    releases its claims too, but marks its vertices as part of a big
+//!    component, so later walks there stop at once. No vertex is lost:
+//!    a component stays uncolored only if some walk released it, and
+//!    that rank reports work left. No walk repeats forever: each rank
+//!    starts at most one walk per vertex of its range. One barrier ends
+//!    the phase, and the session when nothing is left. The loom model
+//!    `loom_models/prepare.rs` in st-smp checks the claim-and-yield
+//!    rule.
+//! 3. **Rounds.** The serial step resumes in id order over whatever
+//!    stayed uncolored: components that fill the budget (each rooted at
+//!    its smallest vertex, since every vertex below it is colored) and
+//!    the few that yields left behind.
+//!
+//! Every tree but the start root's is rooted at its smallest vertex,
+//! and the roots come out as [`SpanningForest::roots`] documents them.
 //!
 //! This driver (`grow_forest`, crate-private) is st-core's only one:
 //! orienting SV's and HCS's undirected tree edges ([`crate::orient`])
@@ -42,16 +71,19 @@ use st_graph::preprocess::{eliminate_degree2, Reduction};
 use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 use st_obs::{now_ns, Counter, Phase};
 use st_smp::mem::prefetch_read;
-use st_smp::{CancelToken, Executor};
+use st_smp::pad::CacheAligned;
+use st_smp::team::block_range;
+use st_smp::{AtomicBitmap, CancelToken, Executor, SpinLock, TeamCtx};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use crate::connected::tree_roots;
 use crate::engine::{Cancelled, Engine, SpanningAlgorithm, Workspace};
 use crate::orient::forest_adjacency;
 use crate::result::{AlgoStats, SpanningForest};
-use crate::stub::grow_stub_into;
+use crate::stub::{claim_walk, grow_stub_into, Claim, StubScratch};
 use crate::sv::{self, SvConfig};
-use crate::traversal::{TraversalConfig, TraversalOutcome};
+use crate::traversal::{Seeder, TraversalConfig, TraversalOutcome};
 
 /// How many vertices the round driver's stub walk may take before it
 /// gives a component a traversal round (the stub target, if larger).
@@ -266,7 +298,7 @@ impl BaderCong {
 
 /// What the forest driver leaves behind.
 pub(crate) struct Grown {
-    /// One root per tree, in the order the driver found them.
+    /// One root per tree: the start root first, then ascending ids.
     pub(crate) roots: Vec<VertexId>,
     /// How the session ended.
     pub(crate) outcome: TraversalOutcome,
@@ -275,16 +307,235 @@ pub(crate) struct Grown {
     pub(crate) parents: Vec<VertexId>,
 }
 
+/// Vertex ids per 4 KiB page of a `u32` parent array. The team prepare
+/// gives each rank a whole number of pages (hence of bitmap words), and
+/// the serial lead-in covers the first page.
+const PAGE_VERTICES: usize = 1024;
+
+/// The forest driver's scratch, kept in the workspace between jobs.
+#[derive(Debug, Default)]
+pub(crate) struct DriverScratch {
+    /// One walk scratch per rank; rank 0's also serves the serial steps.
+    walks: Vec<CacheAligned<SpinLock<StubScratch>>>,
+    /// The team prepare's roots, one bit each.
+    rooted: AtomicBitmap,
+    /// Vertices the team prepare found in components of at least the
+    /// walk budget.
+    big: AtomicBitmap,
+}
+
+/// The driver's serial step, run by one processor while the others
+/// wait: the lead-in before dispatch and every round preparation.
+struct Serial<'d> {
+    g: &'d CsrGraph,
+    walk: &'d SpinLock<StubScratch>,
+    start_root: Option<VertexId>,
+    budget: usize,
+    stub_target: usize,
+    seed: u64,
+    /// Every vertex below it is colored.
+    cursor: usize,
+    /// The roots this step found, in order.
+    roots: Vec<VertexId>,
+}
+
+impl Serial<'_> {
+    /// Finishes components below `end` in id order until one fills the
+    /// walk budget, which it seeds for a round (returning `true`); the
+    /// start root, when given, goes first. Records one stub span and
+    /// one add per counter, however many components it finishes.
+    fn prepare(&mut self, s: &mut Seeder<'_, '_>, round: usize, end: usize) -> bool {
+        let g = self.g;
+        let n = g.num_vertices();
+        let p = s.traversal().processors();
+        let visited = s.traversal().colored();
+        let mut walk = self.walk.lock();
+        let t_stub = now_ns();
+        let (mut walks, mut walked) = (0u64, 0u64);
+        let more = loop {
+            // The next component root: the smallest uncolored vertex
+            // (every vertex below the cursor is colored).
+            let root = match self.start_root {
+                Some(r) if self.roots.is_empty() && (r as usize) < n => r,
+                _ => match visited.next_clear(self.cursor, end) {
+                    Some(v) => {
+                        self.cursor = v;
+                        v as VertexId
+                    }
+                    None => break false,
+                },
+            };
+            self.roots.push(root);
+            // Roots ascend, so their CSR offsets are read as a sparse
+            // stream: fetch a few lines ahead.
+            prefetch_read(g.raw_offsets().as_ptr().wrapping_add(root as usize + 128));
+            if g.degree(root) == 0 {
+                // An isolated vertex is its own tree: no walk.
+                s.mark(root, NO_VERTEX);
+                continue;
+            }
+            // Phase 1: stub spanning tree, grown by "one processor",
+            // up to the budget.
+            let stub = grow_stub_into(
+                g,
+                root,
+                self.budget,
+                self.seed ^ (round as u64) ^ (walks << 32),
+                visited,
+                &mut walk,
+            );
+            walks += 1;
+            walked += stub.len() as u64;
+            if stub.len() < self.budget {
+                // The backtracking walk exhausted the component: it is
+                // fully covered, so no traversal round (and no
+                // barriers) are needed.
+                for (&v, &par) in stub.vertices.iter().zip(stub.parents.iter()) {
+                    s.mark(v, par);
+                }
+                continue;
+            }
+            // Big component: deal the walk's first `stub_target`
+            // vertices (the paper's O(p) stub) round-robin into the
+            // queues, release the rest to the traversal, and run a
+            // work-stealing round.
+            let (keep, release) = stub.vertices.split_at(self.stub_target);
+            for (i, (&v, &par)) in keep.iter().zip(stub.parents.iter()).enumerate() {
+                s.seed(i % p, v, par);
+            }
+            for &v in release {
+                visited.clear(v as usize, Ordering::Relaxed);
+            }
+            break true;
+        };
+        let t = s.traversal();
+        t.trace().rank(0).record(Phase::Stub, t_stub);
+        let slot0 = t.counters().rank(0);
+        slot0.add(Counter::StubWalks, walks);
+        slot0.add(Counter::StubVertices, walked);
+        more
+    }
+}
+
+/// The team prepare on one rank: scans `range` in id order and finishes
+/// every component that a [`claim_walk`] from its first uncolored vertex
+/// covers, rooted at its smallest vertex, marking isolated vertices
+/// without a walk; sets each root's bit in `rooted`. A walk that meets
+/// a big component marks its vertices in `big`, so later walks there
+/// stop at once. Returns whether it left anything uncolored: a walk
+/// that met a big component or another walk, whose claims it released.
+/// Counts only the walks that finished a component in
+/// [`Counter::StubWalks`], and every vertex walked in
+/// [`Counter::StubVertices`].
+fn prepare_range(
+    g: &CsrGraph,
+    s: &mut Seeder<'_, '_>,
+    rank: usize,
+    range: Range<usize>,
+    budget: usize,
+    driver: &DriverScratch,
+    walk: &mut StubScratch,
+) -> bool {
+    let t = s.traversal();
+    let visited = t.colored();
+    let t_stub = now_ns();
+    let (mut walks, mut walked, mut left) = (0u64, 0u64, false);
+    const W: usize = AtomicBitmap::WORD_BITS;
+    for w in range.start / W..range.end.div_ceil(W) {
+        let base = w * W;
+        let mut free = !visited.word(w, Ordering::Relaxed) & !driver.big.word(w, Ordering::Relaxed);
+        if range.end - base < W {
+            free &= (1u64 << (range.end - base)) - 1;
+        }
+        if free == 0 {
+            continue;
+        }
+        prefetch_read(g.raw_offsets().as_ptr().wrapping_add(base + 2 * W));
+        let mut isolated = 0u64;
+        while free != 0 {
+            let bit = free.trailing_zeros();
+            free &= free - 1;
+            let start = (base + bit as usize) as VertexId;
+            if g.degree(start) == 0 {
+                isolated |= 1 << bit;
+                continue;
+            }
+            if visited.get(start as usize, Ordering::Relaxed) {
+                // Claimed since the word was read.
+                continue;
+            }
+            let (end, tree) = claim_walk(g, start, budget, visited, &driver.big, walk);
+            walked += tree.len() as u64;
+            match end {
+                Claim::Covered(root) => {
+                    for (&v, &par) in tree.vertices.iter().zip(tree.parents.iter()) {
+                        s.mark(v, par);
+                    }
+                    driver.rooted.set(root as usize, Ordering::Relaxed);
+                    walks += 1;
+                }
+                Claim::Big | Claim::Blocked => {
+                    for &v in &tree.vertices {
+                        if end == Claim::Big {
+                            driver.big.set(v as usize, Ordering::Relaxed);
+                        }
+                        visited.clear(v as usize, Ordering::Relaxed);
+                    }
+                    left = true;
+                }
+            }
+        }
+        if isolated != 0 {
+            // Isolated vertices are each their own tree, and no walk
+            // reaches them: one `fetch_or` per word colors them.
+            s.mark_roots(w, isolated);
+            driver.rooted.set_word(w, isolated, Ordering::Relaxed);
+        }
+    }
+    t.trace().rank(rank).record(Phase::Stub, t_stub);
+    let slot = t.counters().rank(rank);
+    slot.add(Counter::StubWalks, walks);
+    slot.add(Counter::StubVertices, walked);
+    left
+}
+
+/// Rank `rank`'s share of the ids `0..n` in the team prepare: a
+/// contiguous run of whole pages ([`PAGE_VERTICES`]).
+fn page_range(rank: usize, p: usize, n: usize) -> Range<usize> {
+    let pages = block_range(rank, p, n.div_ceil(PAGE_VERTICES));
+    (pages.start * PAGE_VERTICES).min(n)..(pages.end * PAGE_VERTICES).min(n)
+}
+
+/// Merges the set bits of `team` below `n` (ascending) with `later`
+/// (ascending) onto the end of `roots`.
+fn merge_roots(roots: &mut Vec<VertexId>, team: &AtomicBitmap, n: usize, later: Vec<VertexId>) {
+    let mut later = later.into_iter().peekable();
+    for word_base in (0..n).step_by(AtomicBitmap::WORD_BITS) {
+        let mut bits = team.word(word_base / AtomicBitmap::WORD_BITS, Ordering::Relaxed);
+        while bits != 0 {
+            let r = (word_base + bits.trailing_zeros() as usize) as VertexId;
+            bits &= bits - 1;
+            while let Some(l) = later.next_if(|&l| l < r) {
+                roots.push(l);
+            }
+            roots.push(r);
+        }
+    }
+    roots.extend(later);
+}
+
 /// The forest driver: grows a spanning forest of `g` on `exec`'s team,
-/// one round per component its walk cannot exhaust (module docs).
+/// one round per component its walks cannot exhaust (module docs).
 ///
 /// The first tree is rooted at `start_root` (when in range), every
-/// other at the smallest vertex id of its component: the id-order scan
-/// picks the smallest uncolored vertex, and every vertex below it
-/// belongs to a finished component. Opens no job window, so the
-/// caller's job records the session's counters and spans. Bader–Cong
-/// runs it on the input graph; orientation ([`crate::orient`]) and the
-/// starvation fallback run it on a forest's adjacency.
+/// other at the smallest vertex id of its component: a serial step
+/// roots a component at the smallest uncolored vertex, every vertex
+/// below it belonging to a finished component, and a team walk re-roots
+/// the component it covers at its smallest vertex. Opens no job window, so
+/// the caller's job records the session's counters and spans.
+/// Bader–Cong runs it on the input graph; orientation
+/// ([`crate::orient`]) and the starvation fallback run it on a forest's
+/// adjacency.
 pub(crate) fn grow_forest(
     g: &CsrGraph,
     exec: &Executor,
@@ -295,11 +546,15 @@ pub(crate) fn grow_forest(
 ) -> Grown {
     let n = g.num_vertices();
     let p = exec.size();
-    let mut roots: Vec<VertexId> = Vec::new();
-    if n == 0 {
+    if n == 0 || tcfg.cancel.is_cancelled() {
+        let outcome = if n == 0 {
+            TraversalOutcome::Completed
+        } else {
+            TraversalOutcome::Cancelled
+        };
         return Grown {
-            roots,
-            outcome: TraversalOutcome::Completed,
+            roots: Vec::new(),
+            outcome,
             parents: Vec::new(),
         };
     }
@@ -307,84 +562,59 @@ pub(crate) fn grow_forest(
     let budget = WALK_BUDGET.max(stub_target);
     let seed = tcfg.seed;
 
-    // The walk's scratch leaves the workspace while the session borrows
-    // the rest of it.
-    let mut stub_scratch = std::mem::take(&mut ws.stub);
-    let (outcome, parents) = {
-        let t = ws.traversal(g, exec, tcfg);
-        let stub_scratch = &mut stub_scratch;
-        let mut cursor: VertexId = 0;
-        let roots_sink = &mut roots;
-        let outcome = t.run_rounds(exec, move |s, round| {
-            let t = s.traversal();
-            let visited = t.colored();
-            // The driver's serial step, tallied once per call: one
-            // stub span and one add per counter, however many
-            // components it finishes.
-            let t_stub = now_ns();
-            let (mut walks, mut walked) = (0u64, 0u64);
-            let more = loop {
-                // Pick the next component root: the smallest
-                // uncolored vertex (every vertex below the cursor is
-                // colored).
-                let root = match start_root {
-                    Some(r) if roots_sink.is_empty() && (r as usize) < n => Some(r),
-                    _ => t.next_uncolored(cursor).inspect(|&v| cursor = v),
-                };
-                let Some(root) = root else { break false };
-                roots_sink.push(root);
-                // Roots ascend, so their CSR offsets are read as a
-                // sparse stream: fetch a few lines ahead.
-                prefetch_read(g.raw_offsets().as_ptr().wrapping_add(root as usize + 128));
-                if g.degree(root) == 0 {
-                    // An isolated vertex is its own tree: no walk.
-                    s.mark(root, NO_VERTEX);
-                    continue;
-                }
-                // Phase 1: stub spanning tree, grown by "one
-                // processor" (the round driver), up to the budget.
-                let stub = grow_stub_into(
-                    g,
-                    root,
-                    budget,
-                    seed ^ (round as u64) ^ (walks << 32),
-                    visited,
-                    stub_scratch,
-                );
-                walks += 1;
-                walked += stub.len() as u64;
-                if stub.len() < budget {
-                    // The backtracking walk exhausted the component:
-                    // it is fully covered, so no traversal round (and
-                    // no barriers) are needed. Mark it and move to
-                    // the next component.
-                    for (&v, &par) in stub.vertices.iter().zip(stub.parents.iter()) {
-                        s.mark(v, par);
-                    }
-                    continue;
-                }
-                // Big component: deal the walk's first `stub_target`
-                // vertices (the paper's O(p) stub) round-robin into
-                // the queues, release the rest to the traversal, and
-                // run a work-stealing round.
-                let (keep, release) = stub.vertices.split_at(stub_target);
-                for (i, (&v, &par)) in keep.iter().zip(stub.parents.iter()).enumerate() {
-                    s.seed(i % p, v, par);
-                }
-                for &v in release {
-                    visited.clear(v as usize, Ordering::Relaxed);
-                }
-                break true;
-            };
-            t.trace().rank(0).record(Phase::Stub, t_stub);
-            let slot0 = t.counters().rank(0);
-            slot0.add(Counter::StubWalks, walks);
-            slot0.add(Counter::StubVertices, walked);
-            more
-        });
-        (outcome, t.into_parents())
+    // The driver's scratch leaves the workspace while the session
+    // borrows the rest of it.
+    let mut driver = std::mem::take(&mut ws.driver);
+    while driver.walks.len() < p {
+        driver
+            .walks
+            .push(CacheAligned::new(SpinLock::new(StubScratch::default())));
+    }
+    if p > 1 {
+        for bits in [&mut driver.rooted, &mut driver.big] {
+            bits.ensure_len(n);
+            bits.clear_prefix(n);
+        }
+    }
+    let mut serial = Serial {
+        g,
+        walk: &driver.walks[0],
+        start_root,
+        budget,
+        stub_target,
+        seed,
+        cursor: 0,
+        roots: Vec::new(),
     };
-    ws.stub = stub_scratch;
+    let (outcome, parents, lead_in) = {
+        let t = ws.traversal(g, exec, tcfg);
+        // Wider teams first run the lead-in: the serial step over the
+        // first page, before dispatch. On most inputs with a giant
+        // component it meets the giant there and seeds its round, which
+        // then runs before the team prepare, so the team never walks
+        // the giant.
+        let seeded = p > 1 && {
+            t.reset_round();
+            let mut s = t.seeder();
+            serial.prepare(&mut s, 0, n.min(PAGE_VERTICES))
+        };
+        let lead_in = serial.roots.len();
+        let driver = &driver;
+        let team = (p > 1).then_some(|ctx: &TeamCtx<'_>, s: &mut Seeder<'_, '_>| {
+            let rank = ctx.rank();
+            let range = page_range(rank, p, n);
+            let mut walk = driver.walks[rank].lock();
+            prepare_range(g, s, rank, range, budget, driver, &mut walk)
+        });
+        let outcome = t.run_rounds(exec, seeded, team, |s, round| serial.prepare(s, round, n));
+        (outcome, t.into_parents(), lead_in)
+    };
+    let mut roots = serial.roots;
+    if p > 1 {
+        let later = roots.split_off(lead_in);
+        merge_roots(&mut roots, &driver.rooted, n, later);
+    }
+    ws.driver = driver;
     Grown {
         roots,
         outcome,
@@ -435,11 +665,11 @@ mod tests {
         f
     }
 
-    /// Traversal rounds the driver ran: one stub span per round
-    /// preparation, plus the last one, which finds no next round.
+    /// Traversal rounds the driver ran: every rank records one
+    /// traverse span per round.
     fn driver_rounds(m: &JobMetrics) -> u64 {
-        let stub = m.phases.iter().find(|t| t.phase == Phase::Stub);
-        stub.map_or(0, |t| t.count) - 1
+        let traverse = m.phases.iter().find(|t| t.phase == Phase::Traverse);
+        traverse.map_or(0, |t| t.count) / m.p as u64
     }
 
     /// Component sizes, in no particular order.

@@ -342,15 +342,15 @@ impl DynForest {
         }
         let k = s.locals.len();
 
-        // Workspace arena: `parent` is the local union-find (EMPTY =
+        // Workspace arena: `uf` is the local union-find (EMPTY =
         // root), `color` the hooks array recording which batch edge
         // claimed each local root (Snippet-1 idiom: link smaller local
         // under larger via CAS on the hook slot).
-        ws.parent.ensure_len(k);
-        ws.parent.fill_prefix(k, EMPTY);
+        ws.uf.ensure_len(k);
+        ws.uf.fill_prefix(k, EMPTY);
         ws.color.ensure_len(k);
         ws.color.fill_prefix(k, EMPTY);
-        let uf = &ws.parent;
+        let uf = &ws.uf;
         let hooks = &ws.color;
         let edges = &s.edges;
 

@@ -6,12 +6,13 @@
 //! that shape in the API:
 //!
 //! * [`Workspace`] — an arena owning every scratch structure the
-//!   algorithms need (visited bitmap, color/parent arrays, hook labels,
-//!   election slots, per-rank work queues, graft lists, stub-walk
+//!   algorithms need (visited bitmap, union-find and hook arrays, hook
+//!   labels, election slots, per-rank work queues, graft lists, stub-walk
 //!   scratch). Arrays are grown geometrically and *never shrunk*, so
 //!   running a sequence of graphs reuses allocations instead of
 //!   re-malloc-ing per call — the dominant fixed cost once thread
-//!   spawning is gone.
+//!   spawning is gone. A traversal's parent array is not scratch: it
+//!   becomes the job's result, so each traversal allocates its own.
 //! * [`SpanningAlgorithm`] — the common interface all four parallel
 //!   algorithms implement (Bader–Cong, both SV variants, and HCS).
 //!   Consumers like [`crate::biconnected`] take
@@ -37,14 +38,14 @@
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
-use st_graph::{CsrGraph, VertexId, NO_VERTEX};
+use st_graph::{CsrGraph, VertexId};
 use st_obs::{now_ns, Counter, CounterSet, JobMetrics, Phase, TraceSet};
 use st_smp::pad::CacheAligned;
 use st_smp::steal::WorkQueue;
 use st_smp::{AtomicBitmap, AtomicU32Array, CancelToken, Executor, SpinLock, TeamCtx};
 
+use crate::bader_cong::DriverScratch;
 use crate::result::SpanningForest;
-use crate::stub::StubScratch;
 use crate::traversal::{Traversal, TraversalConfig};
 
 /// Sentinel for an empty election/candidate slot.
@@ -74,9 +75,9 @@ pub struct Workspace {
     /// Per-vertex `u32` claims: the hooks of
     /// [`DynForest`](crate::dyn_forest::DynForest)'s component merge.
     pub(crate) color: AtomicU32Array,
-    /// Traversal tree parents; also the union-find of
+    /// The union-find of
     /// [`DynForest`](crate::dyn_forest::DynForest)'s component merge.
-    pub(crate) parent: AtomicU32Array,
+    pub(crate) uf: AtomicU32Array,
     /// Graft-and-shortcut hook array (SV's `D`, HCS/Borůvka's labels).
     pub(crate) labels: AtomicU32Array,
     /// Iteration-start snapshot of `labels` (Borůvka).
@@ -93,8 +94,8 @@ pub struct Workspace {
     /// entry; the driver drains them after the team joins, keeping the
     /// capacity in the arena.
     pub(crate) graft: Vec<GraftList>,
-    /// Stub-walk scratch (Bader–Cong phase 1).
-    pub(crate) stub: StubScratch,
+    /// The forest driver's walk scratch and marks (Bader–Cong phase 1).
+    pub(crate) driver: DriverScratch,
     /// Per-rank observability counters (always on; reset per job).
     pub(crate) counters: CounterSet,
     /// Per-rank phase span rings (recording compiled in only with the
@@ -126,7 +127,6 @@ impl Workspace {
     pub fn reserve(&mut self, n: usize, m: usize) {
         let huge = hugepages_enabled();
         self.colored.ensure_len(n);
-        self.parent.ensure_len_with(n, huge);
         self.labels.ensure_len_with(n, huge);
         if self.edges.capacity() < m {
             self.edges.reserve(m - self.edges.len());
@@ -134,8 +134,8 @@ impl Workspace {
     }
 
     /// Readies the frontier state for a traversal-family run: visited
-    /// bitmap and parent prefixes reset, `p` empty queues, and the team
-    /// detector retuned to `threshold`.
+    /// bitmap prefix reset, `p` empty queues, and the team detector
+    /// retuned to `threshold`.
     pub(crate) fn prep_frontier(
         &mut self,
         n: usize,
@@ -145,8 +145,6 @@ impl Workspace {
     ) {
         self.colored.ensure_len(n);
         self.colored.clear_prefix(n);
-        self.parent.ensure_len_with(n, hugepages_enabled());
-        self.parent.fill_prefix(n, NO_VERTEX);
         while self.queues.len() < p {
             self.queues.push(CacheAligned::new(WorkQueue::new()));
         }
@@ -226,8 +224,10 @@ impl Workspace {
     }
 
     /// Builds a traversal session over `g` on `exec`'s team, resetting
-    /// the arena's visited/parent/queue state. The returned view borrows
-    /// the workspace for its lifetime; drop it (or let
+    /// the arena's visited/queue state and allocating the session's
+    /// parent array (zeroed, so untouched until the team writes it;
+    /// hugepage-advised under `ST_HUGEPAGES`). The returned view
+    /// borrows the workspace for its lifetime; drop it (or let
     /// [`Traversal::into_parents`] consume it) before reusing the
     /// workspace.
     pub fn traversal<'a>(
@@ -237,11 +237,12 @@ impl Workspace {
         cfg: TraversalConfig,
     ) -> Traversal<'a> {
         let p = exec.size();
-        self.prep_frontier(g.num_vertices(), p, exec, cfg.starvation_threshold);
+        let n = g.num_vertices();
+        self.prep_frontier(n, p, exec, cfg.starvation_threshold);
         Traversal::from_parts(
             g,
             &self.colored,
-            &self.parent,
+            AtomicU32Array::zeroed(n, hugepages_enabled()),
             &self.queues[..p],
             exec.detector(),
             &self.counters,
@@ -323,12 +324,6 @@ impl Workspace {
             out.extend(list.lock().drain(..));
         }
         out
-    }
-
-    /// Copies out the first `n` parent entries (the live prefix after a
-    /// run over an `n`-vertex graph).
-    pub fn parents_prefix(&self, n: usize) -> Vec<VertexId> {
-        self.parent.snapshot_prefix(n)
     }
 }
 

@@ -139,6 +139,110 @@ pub fn grow_stub_into<'s>(
     tree
 }
 
+/// How a [`claim_walk`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Claim {
+    /// The walk covered its whole component before the budget ran out;
+    /// the tree is re-rooted at the component's smallest vertex, given
+    /// here.
+    Covered(VertexId),
+    /// The component has at least the budget's number of vertices: the
+    /// tree reached the budget, or the walk met a vertex marked in `big`.
+    Big,
+    /// The walk met a vertex another walk holds.
+    Blocked,
+}
+
+/// A breadth-first claim of `start`'s component, safe to run on every
+/// processor at once: it stops as soon as it cannot tell that it alone
+/// covers the component. Unlike [`grow_stub_into`] it takes no random
+/// steps and reads each row once; it only finishes small components
+/// and finds big ones, whose stub the round driver walks afterwards.
+///
+/// Each vertex is claimed with one `fetch_or` ([`AtomicBitmap::set`]),
+/// the start included, so a vertex belongs to at most one walk at a
+/// time. A set bit that is not in this walk's tree belongs to another
+/// walk, since a finished component shares no edge with this one: the
+/// walk ends [`Claim::Blocked`] when it sees such a bit or its
+/// `fetch_or` loses a race. It ends [`Claim::Big`] when its tree
+/// reaches `budget` vertices or it sees a vertex whose bit is set in
+/// `big`, the caller's mark for vertices of components known to be
+/// that large. It ends [`Claim::Covered`] when it has read the row of
+/// every tree vertex and found only its own claims: the tree is then
+/// the component, which it re-roots at the smallest vertex by reversing
+/// the tree path from there.
+///
+/// On return the tree's vertices are still claimed; the caller keeps a
+/// covered tree and clears ([`AtomicBitmap::clear`]) any other. Relaxed
+/// order suffices: exclusivity comes from each bit's read-modify-writes
+/// alone, and the barrier that ends the phase publishes the rest.
+pub(crate) fn claim_walk<'s>(
+    g: &CsrGraph,
+    start: VertexId,
+    budget: usize,
+    visited: &AtomicBitmap,
+    big: &AtomicBitmap,
+    scratch: &'s mut StubScratch,
+) -> (Claim, &'s StubTree) {
+    let tree = &mut scratch.tree;
+    tree.vertices.clear();
+    tree.parents.clear();
+    if !visited.set(start as usize, Ordering::Relaxed) {
+        return (Claim::Blocked, tree);
+    }
+    tree.vertices.push(start);
+    tree.parents.push(NO_VERTEX);
+    let mut next = 0;
+    while let Some(&cur) = tree.vertices.get(next) {
+        next += 1;
+        for &w in g.neighbors(cur) {
+            if visited.get(w as usize, Ordering::Relaxed) {
+                if !tree.vertices.contains(&w) {
+                    return (Claim::Blocked, tree);
+                }
+                continue;
+            }
+            if big.get(w as usize, Ordering::Relaxed) {
+                return (Claim::Big, tree);
+            }
+            if !visited.set(w as usize, Ordering::Relaxed) {
+                return (Claim::Blocked, tree);
+            }
+            tree.vertices.push(w);
+            tree.parents.push(cur);
+            if tree.vertices.len() == budget {
+                return (Claim::Big, tree);
+            }
+        }
+    }
+    (Claim::Covered(reroot_at_smallest(tree)), tree)
+}
+
+/// Re-roots `tree` at its smallest vertex by reversing the tree path
+/// from there to the old root; returns the new root.
+fn reroot_at_smallest(tree: &mut StubTree) -> VertexId {
+    let (mut i, root) = tree
+        .vertices
+        .iter()
+        .copied()
+        .enumerate()
+        .min_by_key(|&(_, v)| v)
+        .expect("a walk holds its start");
+    let mut child = NO_VERTEX;
+    loop {
+        let parent = std::mem::replace(&mut tree.parents[i], child);
+        if parent == NO_VERTEX {
+            return root;
+        }
+        child = tree.vertices[i];
+        i = tree
+            .vertices
+            .iter()
+            .position(|&v| v == parent)
+            .expect("a tree parent is a tree vertex");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,5 +406,36 @@ mod tests {
         let g = CsrGraph::empty(3);
         let stub = grow_stub(&g, 1, 8, 0, never_visited);
         assert_eq!(stub.vertices, vec![1]);
+    }
+
+    #[test]
+    fn claim_walk_covers_reroots_and_stops() {
+        let g = chain(5);
+        let big = AtomicBitmap::new(5);
+        let mut scratch = StubScratch::default();
+        // From the middle: the whole chain, re-rooted at vertex 0.
+        let visited = AtomicBitmap::new(5);
+        let (end, tree) = claim_walk(&g, 3, 32, &visited, &big, &mut scratch);
+        assert_eq!(end, Claim::Covered(0));
+        let mut parents = vec![NO_VERTEX; 5];
+        for (&v, &p) in tree.vertices.iter().zip(&tree.parents) {
+            parents[v as usize] = p;
+        }
+        assert!(is_spanning_forest(&g, &parents));
+        assert_eq!(parents[0], NO_VERTEX);
+        // The budget is reached.
+        let visited = AtomicBitmap::new(5);
+        let (end, tree) = claim_walk(&g, 3, 3, &visited, &big, &mut scratch);
+        assert_eq!((end, tree.len()), (Claim::Big, 3));
+        // A vertex another walk holds blocks it.
+        let visited = AtomicBitmap::new(5);
+        visited.set(0, Ordering::Relaxed);
+        let (end, _) = claim_walk(&g, 3, 32, &visited, &big, &mut scratch);
+        assert_eq!(end, Claim::Blocked);
+        // A neighbour known to be in a big component stops it.
+        let visited = AtomicBitmap::new(5);
+        big.set(1, Ordering::Relaxed);
+        let (end, _) = claim_walk(&g, 3, 32, &visited, &big, &mut scratch);
+        assert_eq!(end, Claim::Big);
     }
 }

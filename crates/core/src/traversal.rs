@@ -88,13 +88,19 @@
 //!
 //! ## Engine integration
 //!
-//! A [`Traversal`] is a *borrowed view*: the visited bitmap, the parent
-//! array and the per-rank queues live in a reusable
-//! [`Workspace`](crate::engine::Workspace) arena, and the [`TerminationDetector`] is owned by the long-lived
-//! [`Executor`] team. Construct one with
+//! A [`Traversal`] is a *borrowed view*: the visited bitmap and the
+//! per-rank queues live in a reusable
+//! [`Workspace`](crate::engine::Workspace) arena, and the
+//! [`TerminationDetector`] is owned by the long-lived [`Executor`] team.
+//! Construct one with
 //! [`Workspace::traversal`](crate::engine::Workspace::traversal), which
-//! grows-and-resets the arrays for the target graph without reallocating
-//! across runs.
+//! grows-and-resets them for the target graph without reallocating
+//! across runs. The parent array is the view's own: a zeroed allocation
+//! per job that nobody resets. Every vertex the job colors gets its
+//! parent written by whoever colors it, so its pages are first touched
+//! by the team, and [`Traversal::into_parents`] hands the array out as
+//! the result without a copy, writing [`st_graph::NO_VERTEX`] only where
+//! a vertex stayed uncolored.
 //!
 //! Multi-round sessions belong to the forest driver in
 //! [`crate::bader_cong`], which also orients Shiloach–Vishkin's and
@@ -315,8 +321,9 @@ pub struct Traversal<'a> {
     /// Bit v is set once v is colored (visited). May be longer than
     /// `g.num_vertices()` (grown arena).
     colored: &'a AtomicBitmap,
-    /// `parent[v]`: tree parent, or [`st_graph::NO_VERTEX`].
-    parent: &'a AtomicU32Array,
+    /// `parent[v]`: v's tree parent once v is colored ([`NO_VERTEX`]
+    /// for a root); unspecified (zero) while v is uncolored.
+    parent: AtomicU32Array,
     queues: &'a [CacheAligned<WorkQueue<VertexId>>],
     detector: &'a TerminationDetector,
     /// Workspace-owned per-rank counters; workers flush their batched
@@ -355,16 +362,16 @@ pub struct Traversal<'a> {
 }
 
 impl<'a> Traversal<'a> {
-    /// Assembles a traversal view from workspace-owned parts. The
-    /// arrays must be initialized (`colored` prefix clear, `parent`
-    /// prefix [`st_graph::NO_VERTEX`]) and the queues empty;
+    /// Assembles a traversal view from workspace-owned parts and a
+    /// parent array of at least `g.num_vertices()` cells. The bitmap
+    /// prefix must be clear and the queues empty;
     /// [`Workspace::traversal`](crate::engine::Workspace::traversal)
-    /// guarantees all of it.
+    /// guarantees both.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         g: &'a CsrGraph,
         colored: &'a AtomicBitmap,
-        parent: &'a AtomicU32Array,
+        parent: AtomicU32Array,
         queues: &'a [CacheAligned<WorkQueue<VertexId>>],
         detector: &'a TerminationDetector,
         counters: &'a CounterSet,
@@ -400,9 +407,10 @@ impl<'a> Traversal<'a> {
         self.queues.len()
     }
 
-    /// The shared parent array (live prefix `g.num_vertices()`).
+    /// The shared parent array (live prefix `g.num_vertices()`; an
+    /// uncolored vertex's cell is unspecified).
     pub fn parent(&self) -> &AtomicU32Array {
-        self.parent
+        &self.parent
     }
 
     /// True when `v` has been colored.
@@ -410,9 +418,9 @@ impl<'a> Traversal<'a> {
         self.colored.get(v as usize, Ordering::Acquire)
     }
 
-    /// The visited bitmap itself, for the round driver's stub walk
-    /// ([`crate::stub::grow_stub_into`]), which claims in it while the
-    /// team waits at the barrier.
+    /// The visited bitmap itself, for the round driver's stub walks
+    /// ([`crate::stub`]), which claim in it: alone while the team waits
+    /// at a barrier, or on every rank at once in the team prepare.
     pub(crate) fn colored(&self) -> &'a AtomicBitmap {
         self.colored
     }
@@ -426,7 +434,7 @@ impl<'a> Traversal<'a> {
     }
 
     /// A [`Seeder`] for coloring and enqueueing vertices before a round
-    /// starts (single-threaded phase).
+    /// starts. One per rank in the team prepare, which only marks.
     pub(crate) fn seeder(&self) -> Seeder<'_, 'a> {
         Seeder {
             t: self,
@@ -447,7 +455,7 @@ impl<'a> Traversal<'a> {
     /// Resets the detector and round-local flags between per-component
     /// rounds. Must only be called while no worker is inside
     /// [`run_worker_ctx`](Self::run_worker_ctx) (i.e. between barriers).
-    fn reset_round(&self) {
+    pub(crate) fn reset_round(&self) {
         debug_assert!(self
             .queues
             .iter()
@@ -1034,20 +1042,37 @@ impl<'a> Traversal<'a> {
     /// engine under the forest driver
     /// ([`crate::bader_cong::grow_forest`]), its only caller.
     ///
-    /// Between rounds, rank 0 calls `prepare(seeder, round_index)` (all
-    /// other ranks wait at a barrier) to seed the next round's queues
-    /// through a [`Seeder`]. The seeder's tallies reach the shared
-    /// counters once per `prepare`. `prepare` returning `false` ends the
-    /// session. Dispatching the persistent team once and cycling rounds
-    /// with two barriers each keeps the rounds of a job cheap.
+    /// The session has up to three parts, each skipped when it has
+    /// nothing to do:
+    ///
+    /// 1. `seeded`: the driver seeded a round before dispatch; the team
+    ///    runs it first.
+    /// 2. `team` (given only when p > 1): every rank calls
+    ///    `team(ctx, seeder)` once with a seeder of its own; it returns
+    ///    whether it left work behind. One barrier ends the phase, and
+    ///    when no rank left work it also ends the session.
+    /// 3. Rounds: rank 0 calls `prepare(seeder, round_index)` (all
+    ///    other ranks wait at a barrier) to seed the next round's queues.
+    ///    `prepare` returning `false` ends the session.
+    ///
+    /// A seeder's tallies reach the shared counters once, when it drops.
+    /// Dispatching the persistent team once and cycling rounds with two
+    /// barriers each keeps the rounds of a job cheap.
     ///
     /// `exec` must be the same team whose detector this traversal was
     /// built against (`Workspace::traversal` ties them together).
     ///
     /// Returns the session outcome ([`TraversalOutcome::Starved`] as
     /// soon as any round starves).
-    pub(crate) fn run_rounds<F>(&self, exec: &Executor, prepare: F) -> TraversalOutcome
+    pub(crate) fn run_rounds<T, F>(
+        &self,
+        exec: &Executor,
+        seeded: bool,
+        team: Option<T>,
+        prepare: F,
+    ) -> TraversalOutcome
     where
+        T: Fn(&TeamCtx<'_>, &mut Seeder<'_, 'a>) -> bool + Sync,
         F: FnMut(&mut Seeder<'_, 'a>, usize) -> bool + Send,
     {
         use st_smp::SpinLock;
@@ -1058,10 +1083,43 @@ impl<'a> Traversal<'a> {
         );
         let prepare = SpinLock::new(prepare);
         let finished = AtomicBool::new(false);
+        let any_left = AtomicBool::new(false);
         let any_starved = AtomicBool::new(false);
         let any_cancelled = AtomicBool::new(false);
+        // One round on every rank, then the barrier that publishes its
+        // outcome; `true` when the session must stop.
+        let round = |ctx: &TeamCtx<'_>| {
+            match self.run_worker_ctx(ctx) {
+                TraversalOutcome::Completed => {}
+                TraversalOutcome::Starved => any_starved.store(true, Ordering::Release),
+                TraversalOutcome::Cancelled => any_cancelled.store(true, Ordering::Release),
+            }
+            // The abort flags are published before this barrier and
+            // read after it, so every rank takes the same branch — even
+            // when outcomes diverged (e.g. one rank saw AllDone while
+            // another observed the cancel token).
+            timed_barrier(ctx, self.counters, self.trace);
+            any_starved.load(Ordering::Acquire) || any_cancelled.load(Ordering::Acquire)
+        };
         exec.run(|ctx| {
-            let mut round = 0usize;
+            let mut index = 0usize;
+            if seeded {
+                if round(&ctx) {
+                    return;
+                }
+                index = 1;
+            }
+            if let Some(team) = &team {
+                let mut seeder = self.seeder();
+                if team(&ctx, &mut seeder) {
+                    any_left.store(true, Ordering::Release);
+                }
+                drop(seeder);
+                timed_barrier(&ctx, self.counters, self.trace);
+                if !any_left.load(Ordering::Acquire) {
+                    return;
+                }
+            }
             loop {
                 if ctx.rank() == 0 {
                     // Round boundary cancellation checkpoint: a job
@@ -1073,7 +1131,7 @@ impl<'a> Traversal<'a> {
                     } else {
                         self.reset_round();
                         let mut seeder = self.seeder();
-                        let more = (prepare.lock())(&mut seeder, round);
+                        let more = (prepare.lock())(&mut seeder, index);
                         drop(seeder); // flushes the seeding tallies
                         if !more {
                             finished.store(true, Ordering::Release);
@@ -1081,23 +1139,10 @@ impl<'a> Traversal<'a> {
                     }
                 }
                 timed_barrier(&ctx, self.counters, self.trace);
-                if finished.load(Ordering::Acquire) {
+                if finished.load(Ordering::Acquire) || round(&ctx) {
                     break;
                 }
-                match self.run_worker_ctx(&ctx) {
-                    TraversalOutcome::Completed => {}
-                    TraversalOutcome::Starved => any_starved.store(true, Ordering::Release),
-                    TraversalOutcome::Cancelled => any_cancelled.store(true, Ordering::Release),
-                }
-                // The abort flags are published before this barrier and
-                // read after it, so every rank takes the same branch —
-                // even when outcomes diverged (e.g. one rank saw
-                // AllDone while another observed the cancel token).
-                timed_barrier(&ctx, self.counters, self.trace);
-                if any_starved.load(Ordering::Acquire) || any_cancelled.load(Ordering::Acquire) {
-                    break;
-                }
-                round += 1;
+                index += 1;
             }
         });
         // Cancellation outranks starvation: a cancelled job is being
@@ -1123,25 +1168,51 @@ impl<'a> Traversal<'a> {
         self.trace
     }
 
-    /// Copies out the live prefix of the parent array (call after all
-    /// workers joined).
+    /// Copies out the parent array (call after all workers joined):
+    /// [`NO_VERTEX`] for every vertex left uncolored.
     pub fn parents_vec(&self) -> Vec<VertexId> {
-        self.parent.snapshot_prefix(self.g.num_vertices())
+        let mut parents = self.parent.snapshot_prefix(self.g.num_vertices());
+        unset_uncolored(self.colored, &mut parents);
+        parents
     }
 
-    /// Extracts the parent array, consuming the view (the backing
-    /// workspace array is left intact for reuse).
+    /// Hands the parent array out without copying it, consuming the
+    /// view (call after all workers joined): [`NO_VERTEX`] for every
+    /// vertex left uncolored, which after a completed forest session is
+    /// none.
     pub fn into_parents(self) -> Vec<VertexId> {
-        self.parents_vec()
+        let n = self.g.num_vertices();
+        let colored = self.colored;
+        let mut parents: Vec<VertexId> = self.parent.into();
+        parents.truncate(n);
+        unset_uncolored(colored, &mut parents);
+        parents
+    }
+}
+
+/// Writes [`NO_VERTEX`] over the parent of every vertex whose bit in
+/// `colored` is clear, reading a bitmap word at a time.
+fn unset_uncolored(colored: &AtomicBitmap, parents: &mut [VertexId]) {
+    let n = parents.len();
+    for word_base in (0..n).step_by(AtomicBitmap::WORD_BITS) {
+        let mut free = !colored.word(word_base / AtomicBitmap::WORD_BITS, Ordering::Relaxed);
+        if n - word_base < AtomicBitmap::WORD_BITS {
+            free &= (1u64 << (n - word_base)) - 1;
+        }
+        while free != 0 {
+            parents[word_base + free.trailing_zeros() as usize] = NO_VERTEX;
+            free &= free - 1;
+        }
     }
 }
 
 /// The round driver's handle for seeding a round: it colors vertices,
 /// sets their parents, and deals them into the queues while the team
 /// waits (before [`Traversal::run_worker_ctx`], or at the barrier
-/// inside [`Traversal::run_rounds`]). Its tallies — seeds published,
-/// and the frontier-estimate deltas — stay local and reach the shared
-/// counters once, when the seeder drops, instead of costing shared
+/// inside [`Traversal::run_rounds`]); in the team prepare each rank
+/// holds one and only marks. Its tallies — seeds published, and the
+/// frontier-estimate deltas — stay local and reach the shared counters
+/// once, when the seeder drops, instead of costing shared
 /// read-modify-writes per vertex.
 pub(crate) struct Seeder<'t, 'a> {
     t: &'t Traversal<'a>,
@@ -1175,6 +1246,21 @@ impl<'t, 'a> Seeder<'t, 'a> {
         }
         self.t.parent.store(v as usize, parent, Ordering::Release);
         self.marked += 1;
+    }
+
+    /// [`mark`](Self::mark) as a root every vertex `64·w + b` for bit
+    /// `b` of `mask`, coloring them with one `fetch_or`: for isolated
+    /// vertices, which no walk or traversal ever reaches, found a bitmap
+    /// word at a time.
+    pub fn mark_roots(&mut self, w: usize, mask: u64) {
+        let mut bits = mask;
+        while bits != 0 {
+            let v = w * AtomicBitmap::WORD_BITS + bits.trailing_zeros() as usize;
+            self.t.parent.store(v, NO_VERTEX, Ordering::Relaxed);
+            bits &= bits - 1;
+        }
+        self.t.colored.set_word(w, mask, Ordering::Release);
+        self.marked += mask.count_ones() as usize;
     }
 }
 

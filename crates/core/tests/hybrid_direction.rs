@@ -26,13 +26,14 @@ fn run_direction(
     let exec = Executor::new(p);
     let mut ws = Workspace::new();
     ws.begin_job(&exec);
-    let outcomes = {
+    let (parents, outcomes) = {
         let t = ws.traversal(g, &exec, cfg);
         t.begin_round(0);
-        exec.run(|ctx| t.run_worker_ctx(&ctx))
+        let outcomes = exec.run(|ctx| t.run_worker_ctx(&ctx));
+        (t.into_parents(), outcomes)
     };
     let metrics = ws.finish_job(&exec);
-    (ws.parents_prefix(g.num_vertices()), outcomes, metrics)
+    (parents, outcomes, metrics)
 }
 
 fn assert_tree(name: &str, p: usize, g: &CsrGraph, parents: &[VertexId], out: &[TraversalOutcome]) {

@@ -9,22 +9,27 @@
 //!
 //! Where that knee falls was measured on a 2-vCPU Xeon (2 MiB L2 per
 //! core): warm `Engine::run` of Bader–Cong at p = 2 against p = 1,
-//! seed 7, median of 7–9 runs per graph.
+//! seed 7, median of 9 runs per graph (p = 1 and p = 2 alternating),
+//! with the round driver's team prepare. Where three such runs
+//! disagreed, the row gives their range.
 //!
 //! | graph | n + m | p2 / p1 |
 //! |---|---|---|
-//! | G(2^10..2^12, 1.5n), torus 64² | ≤ 12 Ki | 0.45–0.85 |
-//! | G(2^14, 1.5n) | 40 Ki | 1.03 |
-//! | G(2^16, 1.5n) | 160 Ki | 1.18 |
-//! | connected(2^16, +4n) | 384 Ki | 1.37 |
-//! | G(2^17, 1.5n) | 320 Ki | 1.40 |
-//! | G(2^18, 1.5n) | 640 Ki | 1.62 |
-//! | G(2^20, 1.5n) | 2.5 Mi | 1.86 |
-//! | connected(2^20, +4n) | 6 Mi | 2.07 |
+//! | G(2^10..2^12, 1.5n), torus 64² | ≤ 12 Ki | 0.42–0.90 |
+//! | G(2^14, 1.5n) | 40 Ki | 1.18–1.42 |
+//! | G(2^16, 1.5n) | 160 Ki | 1.45–1.67 |
+//! | connected(2^16, +4n) | 384 Ki | 1.12–1.42 |
+//! | G(2^17, 1.5n) | 320 Ki | 1.55–1.76 |
+//! | G(2^18, 1.5n) | 640 Ki | 1.68–1.83 |
+//! | G(2^20, 1.5n) | 2.5 Mi | 1.77–1.91 |
+//! | connected(2^20, +4n) | 6 Mi | 1.59–1.75 |
 //!
-//! A grain of [`GRAIN`] = 256 Ki vertices + edges per rank reproduces
-//! the knee on every row: a job takes width `w` only if its n + m is at
-//! least `w · GRAIN`.
+//! A grain of [`GRAIN`] = 256 Ki vertices + edges per rank was set
+//! when the knee sat between 320 Ki and 640 Ki on every row: a job
+//! takes width `w` only if its n + m is at least `w · GRAIN`. Since the
+//! prepare pass runs on the team, G(2^16, 1.5n) and G(2^17, 1.5n)
+//! reach 1.5 at p = 2 as well while connected(2^16, +4n) does not, so
+//! the grain still keeps every graph below 512 Ki at width 1.
 
 /// Vertices plus edges each rank of a team must have before the team
 /// is worth its width.

@@ -34,6 +34,40 @@ impl AtomicU32Array {
         }
     }
 
+    /// An array of `len` zero cells from a zeroed allocation, so no
+    /// cell is written here: pages the allocator takes fresh from the
+    /// kernel are faulted in by whichever processor first touches them,
+    /// not by the caller. With `huge` set, the allocation is advised
+    /// with [`crate::mem::advise_hugepages`] before any such touch.
+    pub fn zeroed(len: usize, huge: bool) -> Self {
+        let mut zeros = std::mem::ManuallyDrop::new(vec![0u32; len]);
+        if huge {
+            crate::mem::advise_hugepages(zeros.as_ptr().cast(), len * std::mem::size_of::<u32>());
+        }
+        #[cfg(not(feature = "loom"))]
+        {
+            // SAFETY: `AtomicU32` has the size, alignment and bit
+            // validity of `u32`, and the vector's buffer is handed over
+            // whole (pointer, length and capacity), never freed twice.
+            let cells = unsafe {
+                Vec::from_raw_parts(
+                    zeros.as_mut_ptr().cast::<AtomicU32>(),
+                    zeros.len(),
+                    zeros.capacity(),
+                )
+            };
+            Self {
+                cells: cells.into_boxed_slice(),
+            }
+        }
+        #[cfg(feature = "loom")]
+        {
+            // The model checker's atomics are not `u32`-shaped.
+            drop(std::mem::ManuallyDrop::into_inner(zeros));
+            Self::new(len, 0)
+        }
+    }
+
     /// Builds from an existing vector of plain values.
     pub fn from_vec(values: Vec<u32>) -> Self {
         Self {
@@ -152,12 +186,30 @@ impl AtomicU32Array {
 }
 
 impl From<AtomicU32Array> for Vec<u32> {
+    /// Hands the cells over as plain values without copying them.
     fn from(arr: AtomicU32Array) -> Self {
-        arr.cells
-            .into_vec()
-            .into_iter()
-            .map(|c| c.into_inner())
-            .collect()
+        #[cfg(not(feature = "loom"))]
+        {
+            let mut cells = std::mem::ManuallyDrop::new(arr.cells.into_vec());
+            // SAFETY: as in `AtomicU32Array::zeroed`, the layouts match,
+            // and owning the array means no other reference to a cell
+            // is alive.
+            unsafe {
+                Vec::from_raw_parts(
+                    cells.as_mut_ptr().cast::<u32>(),
+                    cells.len(),
+                    cells.capacity(),
+                )
+            }
+        }
+        #[cfg(feature = "loom")]
+        {
+            arr.cells
+                .into_vec()
+                .into_iter()
+                .map(|c| c.into_inner())
+                .collect()
+        }
     }
 }
 
@@ -212,6 +264,14 @@ impl AtomicBitmap {
     pub fn set(&self, i: usize, order: Ordering) -> bool {
         let mask = 1 << (i % Self::WORD_BITS);
         self.words[i / Self::WORD_BITS].fetch_or(mask, order) & mask == 0
+    }
+
+    /// Sets the bits of `mask` in word `w` (bit `b` of `mask` is bit
+    /// `64·w + b` of the set) with one `fetch_or`, for a processor that
+    /// claims several vertices of one word at once.
+    #[inline]
+    pub fn set_word(&self, w: usize, mask: u64, order: Ordering) {
+        self.words[w].fetch_or(mask, order);
     }
 
     /// Clears bit `i` with one `fetch_and`; returns `true` when it was
@@ -370,6 +430,23 @@ mod tests {
         let a = AtomicU32Array::from_vec(vec![1, 2, 3]);
         let v: Vec<u32> = a.into();
         assert_eq!(v, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn zeroed_array_reads_zero_and_hands_its_stores_over() {
+        // Past 2 MiB the hint reaches `madvise`, which Miri cannot run.
+        let large = if cfg!(miri) { 64 } else { 3 << 20 };
+        for (len, huge) in [(0usize, false), (5, false), (large, true)] {
+            let a = AtomicU32Array::zeroed(len, huge);
+            assert_eq!(a.len(), len);
+            assert!(a.snapshot().iter().all(|&v| v == 0));
+            if len > 0 {
+                a.store(len - 1, 9, Ordering::Relaxed);
+            }
+            let v: Vec<u32> = a.into();
+            assert_eq!(v.len(), len);
+            assert_eq!(v.last().copied(), (len > 0).then_some(9));
+        }
     }
 
     #[test]

@@ -39,7 +39,11 @@
 //!   (claim-then-store exclusivity), its `find` compressing upward only
 //!   while another rank links (with the old unguarded compression kept
 //!   as a seeded bug the checker must catch), and the replacement
-//!   scan's write-once edge election.
+//!   scan's write-once edge election,
+//! * [`prepare`] — the forest driver's team prepare: walks that claim
+//!   components with `fetch_or` on the visited bitmap and release their
+//!   claims when they meet another walk (with a walk that yields
+//!   without releasing kept as a seeded bug the checker must catch).
 
 #![cfg(feature = "loom")]
 
@@ -50,4 +54,5 @@ mod dyn_forest;
 mod executor;
 mod locks;
 mod pool;
+mod prepare;
 mod queue;

@@ -169,11 +169,11 @@ fn steal_one_policy_under_oversubscription() {
     assert!(is_spanning_forest(&g, &f.parents));
 }
 
-/// Traversal rounds the forest driver ran: one stub span per round
-/// preparation, plus the last one, which finds no next round.
+/// Traversal rounds the forest driver ran: every rank records one
+/// traverse span per round.
 fn driver_rounds(m: &JobMetrics) -> u64 {
-    let stub = m.phases.iter().find(|t| t.phase == Phase::Stub);
-    stub.map_or(0, |t| t.count) - 1
+    let traverse = m.phases.iter().find(|t| t.phase == Phase::Traverse);
+    traverse.map_or(0, |t| t.count) / m.p as u64
 }
 
 #[test]
@@ -420,6 +420,110 @@ fn parallel_forest_insert_never_hangs() {
                 .unwrap_or_else(|e| panic!("p = {p}: repetition {rep} did not finish: {e}"));
             forest.check_invariants().unwrap();
             assert_eq!(forest.num_components(), components, "p = {p}, rep {rep}");
+        }
+    }
+}
+
+#[test]
+fn team_prepare_keeps_the_forest_contract() {
+    // The round driver's team prepare: every rank walks the small
+    // components of its own page-aligned id range at once, claiming
+    // vertices in the shared visited bitmap and releasing them when two
+    // walks meet. Three inputs: a critical random graph (no giant
+    // component, thousands of small ones and dozens of round-sized
+    // ones), a 2D60 mesh, and chains of 15 vertices that take the same
+    // offset in pages 1 to 15, so every chain straddles every rank
+    // split and ranks scanning their first pages start walks in the
+    // same chains. Each job runs on a worker thread behind a watchdog,
+    // so a walk that never ends fails the test instead of hanging it.
+    use bader_cong_spanning::graph::dsu::DisjointSets;
+    use bader_cong_spanning::smp::Executor;
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
+    const REPS: u64 = 12;
+    const LIMIT: Duration = Duration::from_secs(30);
+    const PAGE: u32 = 1024;
+
+    let n = 1usize << 16;
+    let mut chains = EdgeList::new(16 * PAGE as usize);
+    for offset in 0..PAGE {
+        for page in 2..16 {
+            chains.push((page - 1) * PAGE + offset, page * PAGE + offset);
+        }
+    }
+    let graphs = [
+        ("gnm", gen::random_gnm(n, n / 2, 7)),
+        ("mesh", gen::mesh2d_p(256, 256, 0.6, 7)),
+        ("chains", CsrGraph::from_edge_list(&chains)),
+    ];
+    for (name, g) in graphs {
+        let g = Arc::new(g);
+        let mut dsu = DisjointSets::new(g.num_vertices());
+        for (u, v) in g.edges() {
+            dsu.union(u, v);
+        }
+        // The smallest vertex of each vertex's component.
+        let mut smallest = vec![NO_VERTEX; g.num_vertices()];
+        for v in (0..g.num_vertices() as VertexId).rev() {
+            smallest[dsu.find(v) as usize] = v;
+        }
+        let smallest: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+            .map(|v| smallest[dsu.find(v) as usize])
+            .collect();
+        let components = count_components(&g);
+        let start = (g.num_vertices() / 2) as VertexId;
+        for p in [2usize, 4] {
+            let (tx, rx) = mpsc::channel();
+            let worker_g = Arc::clone(&g);
+            // Detached on purpose: a hung team cannot be joined.
+            std::thread::spawn(move || {
+                let exec = Executor::new(p);
+                let mut ws = Workspace::new();
+                for rep in 0..REPS {
+                    let cfg = Config {
+                        traversal: TraversalConfig {
+                            seed: rep,
+                            ..TraversalConfig::default()
+                        },
+                        // Every other job roots its first tree elsewhere.
+                        start_root: (rep % 2 == 1).then_some(start),
+                        ..Config::default()
+                    };
+                    ws.reserve(worker_g.num_vertices(), worker_g.num_edges());
+                    let forest = BaderCong::new(cfg)
+                        .run(&worker_g, &exec, &mut ws, &CancelToken::none())
+                        .expect("inert token cannot cancel");
+                    if tx.send(forest).is_err() {
+                        return;
+                    }
+                }
+            });
+            for rep in 0..REPS {
+                let f = rx.recv_timeout(LIMIT).unwrap_or_else(|e| {
+                    panic!("{name} p = {p}: repetition {rep} did not finish: {e}")
+                });
+                let at = format!("{name} p = {p} rep {rep}");
+                assert!(is_spanning_forest(&g, &f.parents), "{at}");
+                assert_eq!(f.roots.len(), components, "{at}");
+                let rest = if rep % 2 == 1 {
+                    assert_eq!(f.roots[0], start, "{at}: start root first");
+                    &f.roots[1..]
+                } else {
+                    &f.roots[..]
+                };
+                assert!(
+                    rest.windows(2).all(|w| w[0] < w[1]),
+                    "{at}: roots out of order"
+                );
+                for &r in rest {
+                    assert_eq!(f.parents[r as usize], NO_VERTEX, "{at}: {r} is no root");
+                    assert_eq!(
+                        r, smallest[r as usize],
+                        "{at}: tree not rooted at its smallest id"
+                    );
+                }
+            }
         }
     }
 }
