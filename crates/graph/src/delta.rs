@@ -15,8 +15,9 @@
 //!
 //! Overlay reads cost one hash probe before the row access, so a delta
 //! whose patch set has grown past a threshold fraction of the vertices
-//! should be flattened back to a plain CSR ([`CsrDelta::materialize`],
-//! gated by [`CsrDelta::patched_fraction`]); the catalog does this
+//! should be flattened back to a plain CSR ([`CsrDelta::materialize_on`]
+//! on a team, [`CsrDelta::materialize`] on the calling thread, gated by
+//! [`CsrDelta::patched_fraction`]); the catalog does this
 //! automatically.
 //!
 //! The [`Neighbors`] trait abstracts over both representations so graph
@@ -25,9 +26,13 @@
 //! either without materializing.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::repr::{CsrGraph, VertexId};
+use st_smp::team::block_range;
+use st_smp::Executor;
+
+use crate::repr::{check_rows, CsrGraph, VertexId};
 
 /// Read-only adjacency, implemented by both the flat [`CsrGraph`] and
 /// the copy-on-write [`CsrDelta`].
@@ -291,40 +296,159 @@ impl CsrDelta {
         true
     }
 
-    /// Flattens the overlay into a plain CSR. The patched rows are
-    /// sorted by vertex once; each run of unpatched base rows between
-    /// them is then one bulk copy of targets plus one shifted pass over
-    /// offsets, with no per-vertex lookup. The result is a fresh,
-    /// offset-contiguous graph suitable as the base of future deltas.
+    /// Flattens the overlay into a plain CSR on the calling thread: the
+    /// single-block case of [`materialize_on`](Self::materialize_on).
     pub fn materialize(&self) -> CsrGraph {
+        self.materialize_on(&Executor::new(1))
+    }
+
+    /// Flattens the overlay into a plain CSR on `team`, each rank
+    /// writing one block of whole 1024-vertex pages.
+    /// The result is a fresh, offset-contiguous graph suitable as the
+    /// base of future deltas.
+    ///
+    /// One team dispatch, no barrier. In pass one every rank reads the
+    /// patch table once: it keeps the patched rows of its own block and
+    /// sums how many arcs the patched rows below its block add or drop,
+    /// which with the base offset at its first vertex is the prefix
+    /// over the lower blocks' totals, i.e. where its targets start. In
+    /// pass two it writes its block: each run of unpatched base rows
+    /// between patched ones is one bulk copy of targets plus one shifted
+    /// pass over offsets, and each patched row is spliced in after the
+    /// run before it. Each rank then runs [`CsrGraph::from_raw_parts`]'s
+    /// row checks over what it wrote, so the pages it checks are the
+    /// pages it first touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `from_raw_parts`'s message if the result would not be
+    /// a structurally valid CSR.
+    pub fn materialize_on(&self, team: &Executor) -> CsrGraph {
+        self.flatten(team, FLATTEN_PAGE)
+    }
+
+    /// [`materialize_on`](Self::materialize_on) with blocks of whole
+    /// `page`-vertex pages.
+    fn flatten(&self, team: &Executor, page: usize) -> CsrGraph {
         let n = self.num_vertices();
+        let p = team.size();
+        let arcs = 2 * self.num_edges;
+        let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut targets: Vec<VertexId> = Vec::with_capacity(arcs);
+        let out = (RankOut(offsets.as_mut_ptr()), RankOut(targets.as_mut_ptr()));
+        let checks = team.run(|ctx| {
+            let pages = block_range(ctx.rank(), p, n.div_ceil(page));
+            let block = (pages.start * page).min(n)..(pages.end * page).min(n);
+            // SAFETY: the blocks of `block_range` partition 0..n, so each
+            // rank writes its own offsets (rank 0 also offsets[0]) and,
+            // by the prefix, its own targets; both arrays hold n + 1 and
+            // `arcs` elements.
+            unsafe { self.flatten_block(ctx.rank() == 0, block, arcs, &out.0, &out.1) }
+        });
+        if let Some(msg) = checks.into_iter().find_map(Result::err) {
+            panic!("{msg}");
+        }
+        // SAFETY: every rank returned Ok, so together they wrote
+        // offsets[0..=n] and targets[0..arcs].
+        unsafe {
+            offsets.set_len(n + 1);
+            targets.set_len(arcs);
+        }
+        CsrGraph::from_checked_rows(offsets.into(), targets.into())
+    }
+
+    /// One rank's share of [`flatten`](Self::flatten): the rows of
+    /// `block` (and offsets[0] when `first`). Writes nothing when the
+    /// patch table's arc count disagrees with `arcs`, which every rank
+    /// sees alike.
+    ///
+    /// # Safety
+    ///
+    /// `offsets` must be valid for n + 1 writes and `targets` for
+    /// `arcs`, and no other thread may write `block`'s offsets or its
+    /// targets (the other blocks of one partition of 0..n).
+    unsafe fn flatten_block(
+        &self,
+        first: bool,
+        block: Range<usize>,
+        arcs: usize,
+        offsets: &RankOut<usize>,
+        targets: &RankOut<VertexId>,
+    ) -> Result<(), String> {
         let (base_offsets, base_targets) = (self.base.raw_offsets(), self.base.raw_targets());
-        let mut patched: Vec<(usize, &[VertexId])> = self
-            .rows
-            .iter()
-            .map(|(&v, row)| (v as usize, row.as_slice()))
-            .collect();
-        patched.sort_unstable_by_key(|&(v, _)| v);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * self.num_edges);
-        offsets.push(0usize);
-        // `next` is the first vertex whose row is not yet emitted; the
-        // sentinel (n, []) flushes the base rows after the last patch.
-        let mut next = 0usize;
-        for (v, row) in patched.into_iter().chain([(n, &[][..])]) {
-            let (lo, hi) = (base_offsets[next], base_offsets[v]);
-            let start = targets.len();
-            offsets.extend(base_offsets[next + 1..=v].iter().map(|&o| o - lo + start));
-            targets.extend_from_slice(&base_targets[lo..hi]);
-            if v < n {
-                targets.extend_from_slice(row);
-                offsets.push(targets.len());
+        let (lo, hi) = (block.start, block.end);
+        // Pass one: this block's patched rows, the arcs gained by
+        // patched rows below it, and by all of them.
+        let mut mine: Vec<(usize, &[VertexId])> = Vec::new();
+        let (mut below, mut all) = (0isize, 0isize);
+        for (&v, row) in &self.rows {
+            let v = v as usize;
+            let gained = row.len() as isize - (base_offsets[v + 1] - base_offsets[v]) as isize;
+            all += gained;
+            if v < lo {
+                below += gained;
+            } else if v < hi {
+                mine.push((v, row.as_slice()));
+            }
+        }
+        if base_targets.len() as isize + all != arcs as isize {
+            return Err("offsets must end at targets.len()".into());
+        }
+        mine.sort_unstable_by_key(|&(v, _)| v);
+        let start = (base_offsets[lo] as isize + below) as usize;
+        // Pass two: `next` is the first vertex whose row is not yet
+        // written; the sentinel (hi, []) flushes the base rows after the
+        // last patch.
+        let (offsets, targets) = (offsets.0, targets.0);
+        if first {
+            // SAFETY: offsets[0] is this rank's alone (`first`).
+            unsafe { offsets.write(0) };
+        }
+        let mut at = start;
+        let mut next = lo;
+        for (v, row) in mine.into_iter().chain([(hi, &[][..])]) {
+            let (from, to) = (base_offsets[next], base_offsets[v]);
+            // SAFETY: rows next..v lie in this rank's block, and the base
+            // run from..to lands at targets[at..], inside the block's
+            // share of targets (the prefix says where it starts).
+            unsafe {
+                for (u, &o) in (next + 1..=v).zip(&base_offsets[next + 1..=v]) {
+                    offsets.add(u).write(o - from + at);
+                }
+                let run = &base_targets[from..to];
+                std::ptr::copy_nonoverlapping(run.as_ptr(), targets.add(at), run.len());
+                at += run.len();
+                if v < hi {
+                    std::ptr::copy_nonoverlapping(row.as_ptr(), targets.add(at), row.len());
+                    at += row.len();
+                    offsets.add(v + 1).write(at);
+                }
             }
             next = v + 1;
         }
-        CsrGraph::from_raw_parts(offsets, targets)
+        // SAFETY: the loop wrote offsets[lo + 1..=hi] and
+        // targets[start..at], and only this thread writes them.
+        let (ends, written) = unsafe {
+            (
+                std::slice::from_raw_parts(offsets.add(lo + 1), hi - lo),
+                std::slice::from_raw_parts(targets.add(start), at - start),
+            )
+        };
+        check_rows(start, ends, written, self.num_vertices())
     }
 }
+
+/// Vertices per page of the team flatten: a rank's block is a run of
+/// whole pages, so the ranks' writes meet at most at page edges.
+const FLATTEN_PAGE: usize = 1024;
+
+/// A raw pointer into one of the arrays the team flatten writes, shared
+/// by the ranks; each writes only its own block.
+struct RankOut<T>(*mut T);
+
+// SAFETY: ranks write disjoint elements through the pointer, and the
+// team run joins every rank before the owner reads the array.
+unsafe impl<T: Send> Sync for RankOut<T> {}
 
 impl Neighbors for CsrDelta {
     fn num_vertices(&self) -> usize {
@@ -369,12 +493,19 @@ impl GraphView {
         }
     }
 
-    /// A flat CSR of this version: free for flat views, one merge pass
-    /// for deltas. Callers should memoize per version.
+    /// A flat CSR of this version on the calling thread: the
+    /// single-block case of [`materialize_on`](Self::materialize_on).
     pub fn materialize(&self) -> Arc<CsrGraph> {
+        self.materialize_on(&Executor::new(1))
+    }
+
+    /// A flat CSR of this version: free for flat views, one team
+    /// flatten ([`CsrDelta::materialize_on`]) for deltas. Callers should
+    /// memoize per version.
+    pub fn materialize_on(&self, team: &Executor) -> Arc<CsrGraph> {
         match self {
             GraphView::Flat(g) => Arc::clone(g),
-            GraphView::Delta(d) => Arc::new(d.materialize()),
+            GraphView::Delta(d) => Arc::new(d.materialize_on(team)),
         }
     }
 }
@@ -555,6 +686,134 @@ mod tests {
             // graph, as the catalog does past its rebuild threshold.
             if round % 10 == 9 {
                 d = delta_of(flat);
+            }
+        }
+    }
+
+    /// The oracle for the team flatten: the overlay's rows read one by
+    /// one through `neighbors()` and laid end to end.
+    fn rows_of(d: &CsrDelta) -> (Vec<usize>, Vec<VertexId>) {
+        let mut offsets = vec![0];
+        let mut targets = Vec::new();
+        for v in 0..d.num_vertices() as VertexId {
+            targets.extend_from_slice(d.neighbors(v));
+            offsets.push(targets.len());
+        }
+        (offsets, targets)
+    }
+
+    /// Toggles (u, v): deletes it when present, else inserts it, so both
+    /// rows end up patched either way.
+    fn toggle(d: &CsrDelta, batch: EdgeBatch, u: VertexId, v: VertexId) -> EdgeBatch {
+        if d.has_edge(u, v) {
+            batch.delete(u, v)
+        } else {
+            batch.insert(u, v)
+        }
+    }
+
+    /// A random overlay for the flatten tests: a multigraph base with
+    /// self-loops and duplicates, three stacked random batches, then
+    /// `patch` toggled on top; `full` toggles a ring through every
+    /// vertex, patching them all.
+    fn random_overlay(n: usize, seed: u64, patch: &[(VertexId, VertexId)], full: bool) -> CsrDelta {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut base = crate::repr::EdgeList::new(n);
+        for _ in 0..if n == 0 { 0 } else { 2 * n } {
+            base.push((next() % n as u64) as u32, (next() % n as u64) as u32);
+        }
+        let mut d = delta_of(CsrGraph::from_edge_list(&base));
+        for _ in 0..if n < 2 { 0 } else { 3 } {
+            let mut batch = EdgeBatch::new();
+            for _ in 0..4 {
+                let (u, v) = ((next() % n as u64) as u32, (next() % n as u64) as u32);
+                if u != v {
+                    batch = toggle(&d, batch, u, v);
+                }
+            }
+            d = d.apply(&batch).unwrap().0;
+        }
+        let mut batch = EdgeBatch::new();
+        for &(u, v) in patch {
+            batch = toggle(&d, batch, u, v);
+        }
+        if full && n >= 2 {
+            for v in 0..n as u32 {
+                batch = toggle(&d, batch, v, (v + 1) % n as u32);
+            }
+        }
+        d.apply(&batch).unwrap().0
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The team flatten writes exactly the oracle's offsets and
+        /// targets at p ∈ {1, 2, 3, 4}, with pages of 1 to 8 vertices so
+        /// that most cases split into several blocks and patch the rows
+        /// on both sides of every block edge; one case in three patches
+        /// every row, and n = 0 and n not a multiple of p occur.
+        #[test]
+        fn team_flatten_matches_the_row_by_row_oracle(
+            n in 0usize..160,
+            seed in proptest::prelude::any::<u64>(),
+            page in 1usize..9,
+            mode in 0u8..3,
+        ) {
+            let mut edges = Vec::new();
+            for p in 1..=4 {
+                for rank in 1..p {
+                    let lo = block_range(rank, p, n.div_ceil(page)).start * page;
+                    if lo > 0 && lo < n {
+                        edges.push(((lo - 1) as VertexId, lo as VertexId));
+                    }
+                }
+            }
+            let d = random_overlay(n, seed, &edges, mode == 2);
+            if mode == 2 && n >= 2 {
+                proptest::prop_assert_eq!(d.patched_vertices(), n);
+            }
+            let (offsets, targets) = rows_of(&d);
+            for p in 1..=4 {
+                let flat = d.flatten(&Executor::new(p), page);
+                proptest::prop_assert_eq!(flat.raw_offsets(), &offsets[..]);
+                proptest::prop_assert_eq!(flat.raw_targets(), &targets[..]);
+                proptest::prop_assert_eq!(flat.num_edges(), d.num_edges());
+            }
+        }
+    }
+
+    /// At the real page size: several pages, n not a multiple of the
+    /// page or of p, and patched rows on both sides of every block edge.
+    #[test]
+    fn team_flatten_at_full_pages_matches_the_oracle() {
+        let n = 5 * FLATTEN_PAGE + 77;
+        let edges: Vec<_> = (1..=5)
+            .map(|k| (k * FLATTEN_PAGE) as VertexId)
+            .map(|lo| (lo - 1, lo))
+            .collect();
+        let d = random_overlay(n, 11, &edges, false);
+        let (offsets, targets) = rows_of(&d);
+        for p in 1..=4 {
+            let flat = d.materialize_on(&Executor::new(p));
+            assert_eq!(flat.raw_offsets(), &offsets[..], "p = {p}");
+            assert_eq!(flat.raw_targets(), &targets[..], "p = {p}");
+        }
+        assert_eq!(d.materialize(), d.materialize_on(&Executor::new(3)));
+    }
+
+    #[test]
+    fn empty_graphs_flatten_on_any_team() {
+        for n in [0, 1, 5] {
+            let d = delta_of(CsrGraph::empty(n));
+            for p in 1..=4 {
+                assert_eq!(d.materialize_on(&Executor::new(p)), CsrGraph::empty(n));
             }
         }
     }

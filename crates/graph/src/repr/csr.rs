@@ -70,22 +70,34 @@ impl CsrGraph {
         if *offsets.last().unwrap() != targets.len() {
             return Err("offsets must end at targets.len()".into());
         }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("offsets must be non-decreasing".into());
-        }
-        let n = offsets.len() - 1;
-        if !targets.iter().all(|&t| (t as usize) < n) {
-            return Err("all targets must be < n".into());
-        }
+        check_rows(0, &offsets[1..], &targets, offsets.len() - 1)?;
         if !targets.len().is_multiple_of(2) {
             return Err("undirected CSR must contain an even number of directed arcs".into());
         }
+        Ok(Self::from_checked_rows(offsets, targets))
+    }
+
+    /// Assembles a graph whose rows already passed [`check_rows`] block
+    /// by block (the team flatten of a [`CsrDelta`](crate::CsrDelta)),
+    /// so only the O(1) checks on the arrays' ends remain.
+    pub(crate) fn from_checked_rows(
+        offsets: SharedSlice<usize>,
+        targets: SharedSlice<VertexId>,
+    ) -> Self {
+        assert!(
+            offsets.first() == Some(&0) && offsets.last() == Some(&targets.len()),
+            "offsets must run from 0 to targets.len()"
+        );
+        assert!(
+            targets.len().is_multiple_of(2),
+            "undirected CSR must contain an even number of directed arcs"
+        );
         let num_edges = targets.len() / 2;
-        Ok(Self {
+        Self {
             offsets,
             targets,
             num_edges,
-        })
+        }
     }
 
     /// True when both CSR arrays alias an `mmap`ed file (the zero-copy
@@ -412,6 +424,32 @@ impl CsrGraph {
         }
         out
     }
+}
+
+/// The per-row half of a CSR's structural checks, over one block of
+/// rows: the block's row ends `ends` (its offsets after the first)
+/// never fall below the block's first offset `start` or below each
+/// other, and every target in `targets` names one of the graph's `n`
+/// vertices. [`CsrGraph::from_raw_parts`] runs it over the whole graph
+/// as one block; the team flatten of a [`CsrDelta`](crate::CsrDelta)
+/// runs it on each rank over the rows that rank wrote.
+pub(crate) fn check_rows(
+    start: usize,
+    ends: &[usize],
+    targets: &[VertexId],
+    n: usize,
+) -> Result<(), String> {
+    let mut last = start;
+    for &end in ends {
+        if end < last {
+            return Err("offsets must be non-decreasing".into());
+        }
+        last = end;
+    }
+    if !targets.iter().all(|&t| (t as usize) < n) {
+        return Err("all targets must be < n".into());
+    }
+    Ok(())
 }
 
 /// Degree summary of a graph.

@@ -11,6 +11,7 @@ mod edge_list;
 mod storage;
 
 pub use builder::GraphBuilder;
+pub(crate) use csr::check_rows;
 pub use csr::{CsrGraph, DegreeStats};
 pub use edge_list::EdgeList;
 pub use storage::{MapRegion, SharedSlice};

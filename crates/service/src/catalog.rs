@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex};
 use st_core::SpanningForest;
 use st_graph::io::LoadKind;
 use st_graph::{BatchError, BatchOutcome, CsrGraph, EdgeBatch, GraphView};
+use st_smp::Executor;
 
 use crate::spec::AlgorithmId;
 
@@ -96,9 +97,10 @@ impl From<BatchError> for ApplyError {
 
 struct Entry {
     view: GraphView,
-    /// Memoized flat CSR of `view` at `version` — populated lazily by
-    /// [`GraphCatalog::resolve_latest`] so repeated submissions against
-    /// a delta version pay for one materialization, not one per job.
+    /// Memoized flat CSR of `view` at `version` — filled by the first
+    /// [`GraphCatalog::flatten`] of the version (a job's, on its team)
+    /// so repeated reads of a delta version pay for one flatten, not
+    /// one per job.
     flat: Option<Arc<CsrGraph>>,
     version: u32,
 }
@@ -261,69 +263,80 @@ impl GraphCatalog {
         Ok((self.register(Arc::new(graph)), kind))
     }
 
-    /// The current graph under `id` as a flat CSR, with the exact ref
-    /// (including version) it resolves to right now.
-    ///
-    /// When the live version is a delta, this materializes it (outside
-    /// the catalog lock) and memoizes the result against the version,
-    /// so at most one submission per version pays the merge pass.
-    pub fn resolve_latest(&self, id: GraphId) -> Option<(Arc<CsrGraph>, GraphRef)> {
-        let view = {
-            let entries = self.entries.lock().unwrap();
-            let entry = entries.get(&id)?;
-            if let Some(flat) = &entry.flat {
-                return Some((
-                    Arc::clone(flat),
-                    GraphRef {
-                        id,
-                        version: entry.version,
-                    },
-                ));
-            }
-            (
-                entry.view.clone(),
-                GraphRef {
-                    id,
-                    version: entry.version,
-                },
-            )
+    /// The current version of `id` as a job should hold it, with its
+    /// exact ref: the memoized flat CSR when there is one, else the live
+    /// view. Flattens nothing; the view is a cheap `Arc`-level clone
+    /// that keeps its version alive.
+    pub fn snapshot(&self, id: GraphId) -> Option<(GraphView, GraphRef)> {
+        let entries = self.entries.lock().unwrap();
+        let entry = entries.get(&id)?;
+        let view = match &entry.flat {
+            Some(flat) => GraphView::Flat(Arc::clone(flat)),
+            None => entry.view.clone(),
         };
-        let (view, gref) = view;
-        let flat = view.materialize();
-        let mut entries = self.entries.lock().unwrap();
-        if let Some(entry) = entries.get_mut(&id) {
-            // Memoize only if the version we materialized is still the
-            // live one — a concurrent apply may have moved on.
-            if entry.version == gref.version && entry.flat.is_none() {
-                entry.flat = Some(Arc::clone(&flat));
-            }
-        }
-        Some((flat, gref))
+        Some((
+            view,
+            GraphRef {
+                id,
+                version: entry.version,
+            },
+        ))
     }
 
-    /// Resolves an *exact* pinned ref: the graph only if `gref.version`
-    /// is still the live version of `gref.id`. On a version mismatch
-    /// returns `Err(current_version)` so callers can distinguish "stale
-    /// pin" from "unknown graph" (`Ok(None)`-style is collapsed to the
-    /// outer `Option`).
+    /// Resolves an *exact* pinned ref as [`snapshot`](Self::snapshot)
+    /// does: the view only if `gref.version` is still the live version
+    /// of `gref.id`. On a version mismatch returns `Err(current_version)`
+    /// so callers can distinguish "stale pin" from "unknown graph"
+    /// (collapsed to the outer `Option`).
     #[allow(clippy::result_unit_err)]
-    pub fn resolve_pinned(&self, gref: GraphRef) -> Option<Result<Arc<CsrGraph>, u32>> {
-        let current = {
-            let entries = self.entries.lock().unwrap();
-            let entry = entries.get(&gref.id)?;
-            entry.version
-        };
-        if current != gref.version {
-            return Some(Err(current));
-        }
-        // Delegate to the memoizing path; re-check the version it
-        // actually resolved (an apply may land between the two locks).
-        let (graph, resolved) = self.resolve_latest(gref.id)?;
-        if resolved.version == gref.version {
-            Some(Ok(graph))
+    pub fn resolve_pinned(&self, gref: GraphRef) -> Option<Result<GraphView, u32>> {
+        let (view, live) = self.snapshot(gref.id)?;
+        Some(if live.version == gref.version {
+            Ok(view)
         } else {
-            Some(Err(resolved.version))
+            Err(live.version)
+        })
+    }
+
+    /// A flat CSR of `view`, the version `gref` names, flattened on
+    /// `team` ([`GraphView::materialize_on`]) unless the catalog already
+    /// holds one. While `gref` is the live version the result is
+    /// memoized against it, and a job that flattened alongside another
+    /// returns the memo, so every read of one version shares one
+    /// `Arc<CsrGraph>`. A superseded version is flattened but not kept.
+    pub fn flatten(&self, gref: GraphRef, view: &GraphView, team: &Executor) -> Arc<CsrGraph> {
+        if let GraphView::Flat(flat) = view {
+            return Arc::clone(flat);
         }
+        if let Some(flat) = self.memo(gref) {
+            return flat;
+        }
+        let flat = view.materialize_on(team);
+        let mut entries = self.entries.lock().unwrap();
+        match entries.get_mut(&gref.id) {
+            Some(entry) if entry.version == gref.version => {
+                Arc::clone(entry.flat.get_or_insert(flat))
+            }
+            _ => flat,
+        }
+    }
+
+    /// The memoized flat CSR of `gref`, if `gref` is live and has one.
+    fn memo(&self, gref: GraphRef) -> Option<Arc<CsrGraph>> {
+        let entries = self.entries.lock().unwrap();
+        let entry = entries.get(&gref.id)?;
+        (entry.version == gref.version)
+            .then(|| entry.flat.clone())
+            .flatten()
+    }
+
+    /// The current graph under `id` as a flat CSR, with the exact ref
+    /// (including version) it resolves to right now: [`flatten`](Self::flatten)
+    /// of the [`snapshot`](Self::snapshot) on the calling thread, for
+    /// callers that hold no team.
+    pub fn resolve_latest(&self, id: GraphId) -> Option<(Arc<CsrGraph>, GraphRef)> {
+        let (view, gref) = self.snapshot(id)?;
+        Some((self.flatten(gref, &view, &Executor::new(1)), gref))
     }
 
     /// Unregisters `id`. Later submissions addressing it fail with
@@ -692,7 +705,10 @@ mod tests {
         let gref = cat.register(Arc::new(gen::chain(3)));
         assert!(matches!(cat.resolve_pinned(gref), Some(Ok(_))));
         let v2 = cat.publish(gref.id, Arc::new(gen::chain(5))).unwrap();
-        assert_eq!(cat.resolve_pinned(gref), Some(Err(2)), "stale pin");
+        assert!(
+            matches!(cat.resolve_pinned(gref), Some(Err(2))),
+            "stale pin"
+        );
         assert!(matches!(cat.resolve_pinned(v2), Some(Ok(_))));
         cat.remove(gref.id);
         assert!(cat.resolve_pinned(v2).is_none(), "unknown graph");
@@ -709,6 +725,47 @@ mod tests {
         assert_eq!(r1, r2);
         assert!(Arc::ptr_eq(&a, &b), "second resolve reuses the memo");
         assert!(!a.neighbors(0).contains(&1));
+    }
+
+    #[test]
+    fn reads_of_one_delta_version_share_one_flatten() {
+        let cat = GraphCatalog::new();
+        let gref = cat.register(Arc::new(gen::torus2d(8, 8)));
+        let (v2, _) = cat
+            .apply(gref.id, &EdgeBatch::new().delete(0, 1), 1.0)
+            .unwrap();
+        let (view, at) = cat.snapshot(gref.id).unwrap();
+        assert_eq!(at, v2);
+        assert!(
+            matches!(view, GraphView::Delta(_)),
+            "resolving flattens nothing"
+        );
+        // Two jobs that resolved before either ran both hold the delta.
+        let team = Executor::new(2);
+        let a = cat.flatten(v2, &view, &team);
+        let b = cat.flatten(v2, &view, &team);
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "the second read shares the first's flatten"
+        );
+        assert!(!a.neighbors(0).contains(&1));
+        // Later reads resolve straight to the memo.
+        let GraphView::Flat(memo) = cat.snapshot(gref.id).unwrap().0 else {
+            panic!("a flattened version resolves flat");
+        };
+        assert!(Arc::ptr_eq(&memo, &a));
+        assert!(Arc::ptr_eq(&cat.resolve_latest(gref.id).unwrap().0, &a));
+        // A superseded version still flattens for the job holding it,
+        // but is not memoized against the live one.
+        cat.apply(gref.id, &EdgeBatch::new().delete(2, 3), 1.0)
+            .unwrap();
+        let old = cat.flatten(v2, &view, &team);
+        assert!(!Arc::ptr_eq(&old, &a));
+        assert_eq!(*old, *a);
+        assert!(matches!(
+            cat.snapshot(gref.id).unwrap().0,
+            GraphView::Delta(_)
+        ));
     }
 
     #[test]

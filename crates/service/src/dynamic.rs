@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use st_core::engine::SpanningAlgorithm;
 use st_core::{BaderCong, DynForest, SpanningForest, UpdateStats, Workspace};
 use st_graph::{BatchError, BatchOutcome, CsrGraph, EdgeBatch, GraphView, Neighbors};
-use st_smp::{CancelToken, ExecutorPool};
+use st_smp::{CancelToken, Executor, ExecutorPool};
 
 use crate::catalog::{ApplyError, GraphCatalog, GraphId, GraphRef};
 use crate::sizing::preferred_width;
@@ -136,13 +136,11 @@ impl From<BatchError> for UpdateError {
 }
 
 /// Seeds (or reseeds) a maintainer by running the static algorithm over
-/// a flat snapshot on a team leased at the sizing grain.
-fn run_static(g: &Arc<CsrGraph>, pool: &ExecutorPool, ws: &mut Workspace) -> SpanningForest {
-    let p = preferred_width(g.num_vertices(), g.num_edges(), pool.widths());
-    let lease = pool.lease(p);
+/// a flat snapshot on the update's team.
+fn run_static(g: &CsrGraph, team: &Executor, ws: &mut Workspace) -> SpanningForest {
     let algo = BaderCong::with_defaults();
     ws.reserve(g.num_vertices(), g.num_edges());
-    algo.run(g, &lease, ws, &CancelToken::new())
+    algo.run(g, team, ws, &CancelToken::new())
         .expect("a fresh token is never cancelled")
 }
 
@@ -182,13 +180,17 @@ pub(crate) fn apply_update(
         let (view, gref) = catalog.view(id).ok_or(UpdateError::UnknownGraph(id))?;
         let n = view.num_vertices();
         batch.validate(n)?;
+        // One lease for the whole attempt: the seeding run, every
+        // flatten, and the repair or recompute run on its team.
+        let lease = pool.lease(preferred_width(n, view.num_edges(), pool.widths()));
 
         // Sync the maintainer to the live version. First touch and any
         // out-of-band version bump (publish, direct apply, lost race)
-        // land here: a full static run over the current snapshot.
+        // land here: a full static run over the current snapshot, whose
+        // flatten the catalog keeps for reads of that version.
         if up.forest.is_none() || up.version != gref.version {
-            let flat = view.materialize();
-            let seeded = run_static(&flat, pool, &mut up.ws);
+            let flat = catalog.flatten(gref, &view, &lease);
+            let seeded = run_static(&flat, &lease, &mut up.ws);
             up.forest = Some(DynForest::from_forest(&seeded));
             up.version = gref.version;
         }
@@ -196,7 +198,7 @@ pub(crate) fn apply_update(
         // Successor view, computed outside the catalog lock.
         let (next, outcome) = view.apply(batch)?;
         let (next_view, mut flat) = if next.patched_fraction() > DEFAULT_DELTA_REBUILD_FRACTION {
-            let f = next.materialize();
+            let f = next.materialize_on(&lease);
             (GraphView::Flat(Arc::clone(&f)), Some(f))
         } else {
             (next, None)
@@ -209,7 +211,6 @@ pub(crate) fn apply_update(
         let forest = up.forest.as_mut().expect("seeded above");
         let m = next_view.num_edges();
         let repaired = cfg.repair_budget(n, m).and_then(|budget| {
-            let lease = pool.lease(preferred_width(n, m, pool.widths()));
             forest
                 .apply_batch_within(&next_view, batch, &lease, &mut up.ws, budget)
                 .ok()
@@ -217,13 +218,14 @@ pub(crate) fn apply_update(
         let incremental = repaired.is_some();
         let stats = repaired.unwrap_or_else(|| {
             // The snapshot also fills the catalog's flat memo for the
-            // new version, so the next read does not materialize again.
-            let snapshot = flat.get_or_insert_with(|| next_view.materialize());
-            let recomputed = run_static(snapshot, pool, &mut up.ws);
+            // new version, so the next read does not flatten again.
+            let snapshot = flat.get_or_insert_with(|| next_view.materialize_on(&lease));
+            let recomputed = run_static(snapshot, &lease, &mut up.ws);
             *forest = DynForest::from_forest(&recomputed);
             UpdateStats::default()
         });
         let components = forest.num_components();
+        drop(lease);
 
         match catalog.install(id, gref.version, next_view, flat) {
             Ok(new_ref) => {

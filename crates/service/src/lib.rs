@@ -42,10 +42,17 @@
 //! - **One core budget.** Each job leases as many of the
 //!   [`ServiceBuilder::cores`] as its graph can use
 //!   ([`sizing::preferred_width`]: one rank per [`sizing::GRAIN`]
-//!   vertices + edges, a grain measured on real cores) — a large graph
-//!   gets the whole machine, a small one a single core. A lease waits
-//!   only while no core is free, so a small job can wait behind a large
-//!   one that holds every core; no more ranks than cores ever run.
+//!   = 64 Ki vertices + edges, a grain measured on real cores) — from
+//!   G(2^16, 1.5n) up a graph gets both cores of a 2-core host, the
+//!   small-mixed shapes a single core. A lease waits only while no core
+//!   is free, so a small job can wait behind a large one that holds
+//!   every core; no more ranks than cores ever run.
+//! - **Versioned reads.** Catalog graphs change by [`EdgeBatch`]
+//!   ([`Service::apply`]), each batch a new copy-on-write version. A
+//!   job reading a version the catalog has not flattened yet carries
+//!   its overlay and flattens it on its own leased team before it runs
+//!   ([`GraphCatalog::flatten`]), once per version; submitting never
+//!   flattens anything.
 //! - **Deadlines and cancellation.** [`JobBuilder::deadline`] arms a
 //!   [`CancelToken`](st_smp::CancelToken) the traversal and
 //!   graft-and-shortcut kernels poll at their barrier and publication

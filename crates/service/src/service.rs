@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use st_core::engine::{SpanningAlgorithm, Workspace};
 use st_core::{BaderCong, RuntimeConfig, SpanningForest};
-use st_graph::{CsrGraph, EdgeBatch};
+use st_graph::{CsrGraph, EdgeBatch, GraphView, Neighbors as _};
 use st_obs::{PoolSnapshot, TraceId};
 use st_smp::{ladder, CancelToken, ExecutorPool};
 
@@ -28,7 +28,11 @@ type BoxedAlgorithm = Box<dyn SpanningAlgorithm + Send + Sync>;
 struct QueuedJob {
     /// Handle state, lane, and algorithm label index.
     tag: JobTag,
-    graph: Arc<CsrGraph>,
+    /// The version the job reads. Holding the view keeps the version
+    /// alive; a delta version is flattened on the job's own team when
+    /// it runs ([`GraphCatalog::flatten`]), never in the submitting
+    /// thread.
+    graph: GraphView,
     algo: BoxedAlgorithm,
     submitted_at: Instant,
     /// Explicit width request; `None` = let the sizing oracle decide.
@@ -552,16 +556,17 @@ impl Service {
 
     fn submit_spec_inner(&self, spec: JobSpec, block: bool) -> Result<Submitted, JobError> {
         let arrived = Instant::now();
-        // Resolve the selector to a pinned snapshot. A pinned selector
-        // whose version has been superseded may still be served from the
-        // result cache — the cache key is exact-version — so the stale
-        // error is deferred until after the cache lookup below.
+        // Resolve the selector to a pinned snapshot; nothing is
+        // flattened here. A pinned selector whose version has been
+        // superseded may still be served from the result cache — the
+        // cache key is exact-version — so the stale error is deferred
+        // until after the cache lookup below.
         let (graph, gref, stale) = match spec.graph {
             GraphSel::Latest(id) => {
                 let (graph, gref) = self
                     .shared
                     .catalog
-                    .resolve_latest(id)
+                    .snapshot(id)
                     .ok_or(JobError::UnknownGraph)?;
                 (Some(graph), gref, None)
             }
@@ -620,7 +625,7 @@ impl Service {
         }
         telemetry.gauges().on_cache_miss();
         // A stale pin that the cache could not serve cannot execute:
-        // the pinned version's CSR is gone (superseded or evicted).
+        // the catalog no longer holds the pinned version.
         let Some(graph) = graph else {
             let current = stale.unwrap_or(gref.version);
             return Err(self.reject(&tag, JobError::StaleVersion(current)));
@@ -864,7 +869,7 @@ impl JobBuilder<'_> {
         let state = Arc::clone(&tag.state);
         let job = QueuedJob {
             tag,
-            graph: self.graph,
+            graph: GraphView::Flat(self.graph),
             algo,
             submitted_at: Instant::now(),
             preferred_p: self.preferred_p,
@@ -928,7 +933,7 @@ fn elapsed_ns(since: Instant) -> u64 {
 }
 
 /// Runs one job start to finish: deadline/cancel pre-check, team lease,
-/// guarded execution, outcome accounting.
+/// guarded flatten and execution, outcome accounting.
 fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     // A token that fired while the job sat in the queue: resolve without
     // paying for a lease.
@@ -966,8 +971,14 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     // unwind (Executor survives panicked jobs) and the dispatcher
     // replaces its workspace, so the pool keeps serving other tenants.
     let run = catch_unwind(AssertUnwindSafe(|| {
-        ws.reserve(job.graph.num_vertices(), job.graph.num_edges());
-        job.algo.run(&job.graph, &lease, ws, token)
+        // Ad-hoc jobs carry flat graphs; a catalog job's delta version
+        // is flattened here, on the leased team, once per version.
+        let graph = match job.cache_slot {
+            Some(key) => shared.catalog.flatten(key.graph, &job.graph, &lease),
+            None => job.graph.materialize_on(&lease),
+        };
+        ws.reserve(graph.num_vertices(), graph.num_edges());
+        job.algo.run(&graph, &lease, ws, token)
     }));
     drop(lease);
     shared.telemetry.gauges().on_team_idle();

@@ -2,11 +2,14 @@
 //! registration and versioning, spec submission, the result cache's
 //! short-circuit, and the gauges that make its behavior observable.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bader_cong_spanning::prelude::*;
 use bader_cong_spanning::service::Submitted;
+use bader_cong_spanning::smp::Executor;
 
 fn small_service() -> Service {
     Service::builder()
@@ -477,4 +480,145 @@ fn removing_a_graph_drops_its_updater_state() {
         svc.apply(gref.id, &EdgeBatch::new().insert(0, 1)),
         Err(UpdateError::UnknownGraph(_))
     ));
+}
+
+/// Holds its team until `release` flips, then runs Bader–Cong;
+/// `started` flips once a dispatcher has picked the job up.
+struct Gate {
+    started: Arc<AtomicBool>,
+    release: Arc<AtomicBool>,
+}
+
+impl SpanningAlgorithm for Gate {
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+
+    fn run(
+        &self,
+        g: &CsrGraph,
+        exec: &Executor,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<SpanningForest, Cancelled> {
+        self.started.store(true, Ordering::Release);
+        while !self.release.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        BaderCong::with_defaults().run(g, exec, ws, cancel)
+    }
+}
+
+/// A pin admitted while its version was live runs against that version
+/// even when an update supersedes it before a dispatcher reaches it;
+/// afterwards the version is served from the cache for that exact key
+/// and reported stale for any other, as before reads flattened on the
+/// job's team.
+#[test]
+fn a_pin_superseded_in_the_queue_runs_its_version_then_reads_stale() {
+    let svc = Service::builder().cores(1).result_cache_capacity(8).build();
+    let gref = svc.catalog().register(Arc::new(gen::torus2d(8, 8)));
+    let v2 = svc
+        .apply(gref.id, &EdgeBatch::new().delete(0, 1).insert(0, 27))
+        .unwrap()
+        .graph;
+    let (view, _) = svc.catalog().snapshot(gref.id).unwrap();
+    assert!(matches!(view, GraphView::Delta(_)));
+    let v2_graph = view.materialize();
+
+    // Hold the one core so the pinned read waits in the queue.
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let gate = Gate {
+        started: Arc::clone(&started),
+        release: Arc::clone(&release),
+    };
+    let blocker = svc
+        .job(&Arc::new(gen::chain(4)))
+        .algorithm(gate)
+        .submit()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !started.load(Ordering::Acquire) {
+        assert!(Instant::now() < deadline, "the gate job never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued = svc.submit_spec(JobSpec::new(v2).seed(5)).unwrap();
+    assert!(!queued.cached);
+    // Supersede v2 through the catalog alone, which leases no core,
+    // with a version that cuts the torus in two: every edge between
+    // rows 3 and 4 and the wrap-around edges between rows 7 and 0.
+    let mut cut = EdgeBatch::new();
+    for col in 0..8u32 {
+        cut = cut
+            .delete(3 * 8 + col, 4 * 8 + col)
+            .delete(col, 7 * 8 + col);
+    }
+    let (v3, _) = svc.catalog().apply(gref.id, &cut, 1.0).unwrap();
+    release.store(true, Ordering::Release);
+    blocker.wait().unwrap();
+
+    let forest = queued.handle.wait().expect("an admitted pin runs");
+    assert!(is_spanning_forest(&v2_graph, &forest.parents));
+    assert_eq!(forest.num_trees(), 1, "ran on v2, not on the cut v3");
+    assert!(svc.submit_spec(JobSpec::new(v2).seed(5)).unwrap().cached);
+    assert_eq!(
+        svc.submit_spec(JobSpec::new(v2).seed(6)).unwrap_err(),
+        JobError::StaleVersion(v3.version)
+    );
+    let (live, now) = svc.catalog().resolve_latest(gref.id).unwrap();
+    assert_eq!(now, v3);
+    assert_eq!(count_components(&live), 2, "v3 stays v3");
+}
+
+/// Every read of a delta version served over G(2^16, 1.5n) on two cores
+/// is a spanning forest of an independently mirrored graph, with one
+/// tree per component, and ran on both cores.
+#[test]
+fn served_delta_reads_match_a_mirrored_oracle_on_two_cores() {
+    let svc = Service::builder().cores(2).build();
+    let n = 1usize << 16;
+    let base = gen::random_gnm(n, 3 * n / 2, 7);
+    let mut mirror: HashSet<(VertexId, VertexId)> = base.edges().filter(|&(u, v)| u != v).collect();
+    let gref = svc.catalog().register(Arc::new(base));
+    let mut rng = Rng(0x0dd5_eed5);
+    let mut inserted: Vec<(VertexId, VertexId)> = Vec::new();
+    for round in 0..20 {
+        // 16 edits, three inserts to one delete of an earlier insert.
+        let (mut batch, mut fresh) = (EdgeBatch::new(), Vec::new());
+        for op in 0..16 {
+            if op % 4 == 3 && !inserted.is_empty() {
+                let i = (rng.next() % inserted.len() as u64) as usize;
+                let (u, v) = inserted.swap_remove(i);
+                batch = batch.delete(u, v);
+                mirror.remove(&(u.min(v), u.max(v)));
+            } else {
+                let (u, v) = (rng.vertex(n), rng.vertex(n));
+                if u != v {
+                    fresh.push((u.min(v), u.max(v)));
+                    batch = batch.insert(u, v);
+                }
+            }
+        }
+        mirror.extend(fresh.iter().copied());
+        inserted.extend(fresh);
+        let version = svc.apply(gref.id, &batch).unwrap().graph;
+        let read = svc.submit_spec(JobSpec::new(version)).unwrap();
+        assert!(!read.cached, "round {round}: a new version misses");
+        let forest = read.handle.wait().unwrap();
+
+        let mut b = GraphBuilder::new(n);
+        b.extend(mirror.iter().copied());
+        let oracle = b.build();
+        assert!(
+            is_spanning_forest(&oracle, &forest.parents),
+            "round {round}: not a spanning forest of the mirrored graph"
+        );
+        assert_eq!(
+            forest.num_trees(),
+            count_components(&oracle),
+            "round {round}"
+        );
+        assert_eq!(forest.stats.metrics.p, 2, "round {round}: read ran narrow");
+    }
 }
