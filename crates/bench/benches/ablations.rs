@@ -66,10 +66,7 @@ fn ablate_sv_grafting(c: &mut Criterion) {
         ("election", GraftVariant::Election),
         ("lock", GraftVariant::Lock),
     ] {
-        let cfg = SvConfig {
-            variant,
-            ..SvConfig::default()
-        };
+        let cfg = SvConfig { variant };
         group.bench_function(name, |b| {
             b.iter(|| Engine::new(4).run(&sv::Sv::new(cfg), &g))
         });

@@ -292,10 +292,7 @@ fn lockvariant(opts: &Opts) {
     );
     for p in [1usize, 2, 4, 8] {
         let time = |variant| {
-            let cfg = SvConfig {
-                variant,
-                ..SvConfig::default()
-            };
+            let cfg = SvConfig { variant };
             // Median of 3.
             let mut times: Vec<f64> = (0..3)
                 .map(|_| {
@@ -414,7 +411,7 @@ fn mst_table(opts: &Opts) {
             b.total_weight,
             st_bench::report::fmt_seconds(mk.median()),
             st_bench::report::fmt_seconds(mb.median()),
-            b.iterations
+            b.metrics.get(Counter::GraftIterations)
         );
     }
     println!();

@@ -81,14 +81,12 @@ fn run(engine: &mut Engine, algo: &str, g: &st_graph::CsrGraph) -> SpanningFores
         "sv-election" => engine.run(
             &Sv::new(SvConfig {
                 variant: GraftVariant::Election,
-                ..SvConfig::default()
             }),
             g,
         ),
         "sv-lock" => engine.run(
             &Sv::new(SvConfig {
                 variant: GraftVariant::Lock,
-                ..SvConfig::default()
             }),
             g,
         ),

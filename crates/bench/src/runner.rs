@@ -200,7 +200,6 @@ pub fn run_cell(
                 } else {
                     GraftVariant::Election
                 },
-                ..SvConfig::default()
             });
             let (m, f) = with_engine(p, |e| {
                 crate::timing::measure_with_result(WALL_REPS, || e.run(&algo, g))

@@ -24,7 +24,7 @@ use st_graph::{CsrGraph, VertexId, NO_VERTEX};
 
 use crate::bader_cong::BaderCong;
 use crate::engine::Engine;
-use crate::tree::{preorder, Lca};
+use crate::tree::{offline_lca, preorder};
 
 /// An ear decomposition of a 2-edge-connected graph.
 #[derive(Clone, Debug)]
@@ -83,9 +83,9 @@ impl std::error::Error for EarError {}
 /// Bader–Cong spanning tree built on `engine`'s team as the skeleton.
 ///
 /// After the spanning tree, this takes O((n + m) log n) time on any tree
-/// shape: one rooting, one binary-lifting LCA query per non-tree edge, a
-/// sort of the labels, and one bottom-up sweep that visits each vertex's
-/// children once.
+/// shape: one rooting, one offline LCA pass answering every non-tree
+/// edge's query, a sort of the labels, and one bottom-up sweep that
+/// visits each vertex's children once.
 pub fn ear_decomposition(engine: &mut Engine, g: &CsrGraph) -> Result<EarDecomposition, EarError> {
     if g.num_edges() == 0 {
         return Err(EarError::Empty);
@@ -96,22 +96,22 @@ pub fn ear_decomposition(engine: &mut Engine, g: &CsrGraph) -> Result<EarDecompo
     }
     let parents = &forest.parents;
     let po = preorder(parents);
-    let lca = Lca::new(parents, &po);
 
     // Non-tree edges with their (lca depth, edge id) labels. Smaller
     // label = earlier ear; the master cycle E0 comes from the shallowest
     // lca.
     let is_tree_edge =
         |u: VertexId, v: VertexId| parents[u as usize] == v || parents[v as usize] == u;
-    let mut labeled: Vec<(u32, u32, VertexId, VertexId)> = Vec::new();
-    for u in g.vertices() {
-        for &v in g.neighbors(u) {
-            if u < v && !is_tree_edge(u, v) {
-                let id = labeled.len() as u32;
-                labeled.push((lca.depth(lca.lca(u, v)), id, u, v));
-            }
-        }
-    }
+    let non_tree: Vec<(VertexId, VertexId)> = g
+        .edges()
+        .filter(|&(u, v)| u < v && !is_tree_edge(u, v))
+        .collect();
+    let mut labeled: Vec<(u32, u32, VertexId, VertexId)> = non_tree
+        .iter()
+        .zip(offline_lca(&po, &non_tree))
+        .enumerate()
+        .map(|(id, (&(u, v), l))| (po.depth[l as usize], id as u32, u, v))
+        .collect();
     labeled.sort_unstable();
 
     // Each tree edge (v, p(v)) goes to the minimum-ranked non-tree edge

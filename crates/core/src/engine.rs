@@ -283,16 +283,13 @@ impl Workspace {
         }
     }
 
-    /// Grows the slot array to `n` and fills the prefix with
-    /// [`EMPTY_SLOT`].
+    /// Grows the slot array to `n`. It does not reset the prefix: every
+    /// hook phase clears its slots at the top of each iteration.
     pub(crate) fn ensure_slots(&mut self, n: usize) {
         if self.slots.len() < n {
             let target = n.max(self.slots.len() * 2);
             self.slots
                 .resize_with(target, || AtomicU64::new(EMPTY_SLOT));
-        }
-        for s in &self.slots[..n] {
-            s.store(EMPTY_SLOT, std::sync::atomic::Ordering::Relaxed);
         }
     }
 
@@ -459,7 +456,6 @@ mod tests {
             Box::new(Sv::new(SvConfig::default())),
             Box::new(Sv::new(SvConfig {
                 variant: GraftVariant::Lock,
-                ..SvConfig::default()
             })),
             Box::new(Hcs),
         ]

@@ -13,184 +13,69 @@
 //! (root, edge) key, so the output is independent of both the processor
 //! count and the scheduling — handy as a determinism oracle in tests.
 //!
-//! Like SV, all scratch lives in the caller's
-//! [`Workspace`] and the team comes from a
-//! persistent [`Executor`].
+//! Only the hook phase is HCS's own: the iteration around it is SV's
+//! `graft_and_shortcut` loop, so all scratch lives in the caller's
+//! [`Workspace`] and the team comes from a persistent [`Executor`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use st_graph::{CsrGraph, VertexId};
-use st_obs::{now_ns, Counter, Phase};
-use st_smp::team::block_range;
 use st_smp::{CancelToken, Executor};
 
-use crate::engine::{timed_barrier, Cancelled, SpanningAlgorithm, Workspace};
+use crate::engine::{Cancelled, SpanningAlgorithm, Workspace, EMPTY_SLOT};
 use crate::result::SpanningForest;
-use crate::sv::{graft_job, SvOutcome};
-
-/// Raw result of the HCS engine: the same shape as SV's, with hooks
-/// counted as grafts.
-pub type HcsOutcome = SvOutcome;
-
-const EMPTY: u64 = u64::MAX;
-
-/// Packs a candidate (target root, edge index) so that `fetch_min` picks
-/// the smallest target root, tie-broken by the smallest edge index.
-#[inline]
-fn pack(target: VertexId, edge: usize) -> u64 {
-    ((target as u64) << 32) | edge as u64
-}
+use crate::sv::{graft_and_shortcut, graft_job, pack, HookStep, SvOutcome};
 
 /// Runs min-hook-and-shortcut on an existing team, with all scratch in
 /// `ws`.
 ///
-/// Cooperatively cancellable exactly like [`sv_core`](crate::sv::sv_core):
-/// rank 0 polls `cancel` at the top of each hook-and-shortcut iteration
-/// and raises a shared abort flag that every rank reads behind the
-/// iteration's hook barrier, so the team leaves the session together. A
-/// cancelled run abandons its partial hooks; the workspace and team stay
-/// reusable.
+/// Cooperatively cancellable at iteration boundaries, exactly like
+/// [`sv_core`](crate::sv::sv_core).
 pub fn hcs_core(
     g: &CsrGraph,
     exec: &Executor,
     ws: &mut Workspace,
     cancel: &CancelToken,
-) -> Result<HcsOutcome, Cancelled> {
-    let p = exec.size();
-    let n = g.num_vertices();
-    ws.collect_edges(g);
-    let m = ws.edges.len();
-    assert!(m < u32::MAX as usize, "edge index must fit the packed key");
-    ws.init_labels(n, None);
-    ws.ensure_slots(n);
-    ws.ensure_graft(p);
-    ws.counters.ensure(p);
-    ws.trace.ensure(p);
-
-    let counters = &ws.counters;
-    let trace = &ws.trace;
-    let d = &ws.labels;
-    let cand: &[AtomicU64] = &ws.slots[..n];
-    let edges = &ws.edges[..];
-    let graft = &ws.graft[..p];
-
-    let hook_epoch = AtomicU64::new(EMPTY);
-    // Parity slots: see the matching comment in `sv.rs` — a single slot
-    // races between a fast rank's next-round store and a slow rank's
-    // current-round read.
-    let shortcut_epoch = [AtomicU64::new(EMPTY), AtomicU64::new(EMPTY)];
-    // Cancellation: rank 0 stores before the iteration's first barrier,
-    // everyone loads after the post-hook barrier (see `sv_core`).
-    let aborted = AtomicBool::new(false);
-
-    exec.run(|ctx| {
-        let rank = ctx.rank();
-        let my_edges = block_range(rank, p, m);
-        let my_verts = block_range(rank, p, n);
-        let mut my_tree_edges = graft[rank].lock();
-        let bar = || timed_barrier(&ctx, counters, trace);
-
-        let mut iter: u64 = 0;
-        let mut sc_stamp: u64 = 0;
-        let mut my_hooks: u64 = 0;
-        loop {
-            let t_hook = now_ns();
-            if rank == 0 && cancel.is_cancelled() {
-                aborted.store(true, Ordering::Release);
+) -> Result<SvOutcome, Cancelled> {
+    graft_and_shortcut(g, exec, ws, None, cancel, |step, h| {
+        let (d, cand, edges) = (&h.ws.labels, &h.ws.slots[..], &h.ws.edges[..]);
+        match step {
+            HookStep::Clear => {
+                for v in h.verts.clone() {
+                    cand[v].store(EMPTY_SLOT, Ordering::Relaxed);
+                }
             }
-            // Reset candidate slots.
-            for v in my_verts.clone() {
-                cand[v].store(EMPTY, Ordering::Relaxed);
-            }
-            bar();
-
             // Min-reduction: every edge offers each endpoint's root the
             // other endpoint's root, if smaller.
-            for e in my_edges.clone() {
-                let (u, v) = edges[e];
-                let du = d.load(u as usize, Ordering::Relaxed);
-                let dv = d.load(v as usize, Ordering::Relaxed);
-                if du == dv {
-                    continue;
-                }
-                if dv < du {
-                    cand[du as usize].fetch_min(pack(dv, e), Ordering::Relaxed);
-                } else {
-                    cand[dv as usize].fetch_min(pack(du, e), Ordering::Relaxed);
-                }
-            }
-            bar();
-
-            // Hook: every root with a candidate hooks to the minimum.
-            for v in my_verts.clone() {
-                if d.load(v, Ordering::Relaxed) != v as VertexId {
-                    continue; // not a root
-                }
-                let c = cand[v].load(Ordering::Relaxed);
-                if c == EMPTY {
-                    continue;
-                }
-                let target = (c >> 32) as VertexId;
-                let e = (c & 0xFFFF_FFFF) as usize;
-                debug_assert!(target < v as VertexId);
-                d.store(v, target, Ordering::Release);
-                my_tree_edges.push(edges[e]);
-                my_hooks += 1;
-                hook_epoch.store(iter, Ordering::Release);
-            }
-            bar();
-            trace.rank(rank).record(Phase::Graft, t_hook);
-
-            if aborted.load(Ordering::Acquire) {
-                break;
-            }
-            let changed = hook_epoch.load(Ordering::Acquire) == iter;
-            if rank == 0 {
-                counters.rank(0).incr(Counter::GraftIterations);
-            }
-            if !changed {
-                break;
-            }
-
-            // Shortcut to rooted stars (same protocol as SV).
-            let t_shortcut = now_ns();
-            loop {
-                let mut local_changed = false;
-                for v in my_verts.clone() {
-                    let dv = d.load(v, Ordering::Acquire);
-                    let ddv = d.load(dv as usize, Ordering::Acquire);
-                    if dv != ddv {
-                        d.store(v, ddv, Ordering::Release);
-                        local_changed = true;
+            HookStep::Offer => {
+                for e in h.edges.clone() {
+                    let (u, v) = edges[e];
+                    let du = d.load(u as usize, Ordering::Relaxed);
+                    let dv = d.load(v as usize, Ordering::Relaxed);
+                    if du != dv {
+                        let (root, target) = if dv < du { (du, dv) } else { (dv, du) };
+                        cand[root as usize].fetch_min(pack(target, e), Ordering::Relaxed);
                     }
                 }
-                let slot = &shortcut_epoch[(sc_stamp % 2) as usize];
-                if local_changed {
-                    slot.store(sc_stamp, Ordering::Release);
-                }
-                bar();
-                let again = slot.load(Ordering::Acquire) == sc_stamp;
-                sc_stamp += 1;
-                if rank == 0 {
-                    counters.rank(0).incr(Counter::ShortcutRounds);
-                }
-                if !again {
-                    break;
+            }
+            // Hook: every root with a candidate hooks to the minimum.
+            HookStep::Graft => {
+                for v in h.verts.clone() {
+                    if d.load(v, Ordering::Relaxed) != v as VertexId {
+                        continue; // not a root
+                    }
+                    let c = cand[v].load(Ordering::Relaxed);
+                    if c == EMPTY_SLOT {
+                        continue;
+                    }
+                    let target = (c >> 32) as VertexId;
+                    let e = (c & 0xFFFF_FFFF) as usize;
+                    debug_assert!(target < v as VertexId);
+                    d.store(v, target, Ordering::Release);
+                    h.tree_edges.push(edges[e]);
                 }
             }
-            trace.rank(rank).record(Phase::Shortcut, t_shortcut);
-            iter += 1;
         }
-        counters.rank(rank).add(Counter::Grafts, my_hooks);
-    });
-
-    if aborted.load(Ordering::Acquire) {
-        let _ = ws.drain_graft(p);
-        return Err(Cancelled);
-    }
-    Ok(HcsOutcome {
-        labels: ws.labels.snapshot_prefix(n),
-        tree_edges: ws.drain_graft(p),
     })
 }
 
@@ -223,9 +108,10 @@ mod tests {
     use st_graph::gen;
     use st_graph::label::{random_permutation, relabel};
     use st_graph::validate::{count_components, is_spanning_forest};
+    use st_obs::Counter;
 
     /// `hcs_core` on a fresh team of `p` and a fresh workspace.
-    fn core(g: &CsrGraph, p: usize) -> HcsOutcome {
+    fn core(g: &CsrGraph, p: usize) -> SvOutcome {
         let exec = Executor::new(p);
         hcs_core(g, &exec, &mut Workspace::new(), &CancelToken::none())
             .expect("inert token cannot cancel")

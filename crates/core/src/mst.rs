@@ -10,10 +10,10 @@
 //!   against.
 //! * [`boruvka`] — parallel Borůvka with the HCS-style atomic
 //!   min-reduction: every component finds its lexicographically minimum
-//!   incident edge by `fetch_min` over packed (weight, edge-id) keys,
-//!   hooks across it (mutual pairs broken toward the smaller root), and
-//!   pointer-jumps back to rooted stars — the graft-and-shortcut
-//!   skeleton with "minimum" instead of "any".
+//!   incident edge by `fetch_min` over packed (weight, edge-id) keys and
+//!   hooks across it (mutual pairs broken toward the smaller root). The
+//!   pointer jumping back to rooted stars is SV's graft-and-shortcut
+//!   loop, with "minimum" instead of "any" as its hook phase.
 //!
 //! Packing the unique edge id into the low bits makes every component's
 //! minimum *strict*, which is what rules out hook cycles longer than the
@@ -21,15 +21,16 @@
 //! cannot be its tail component's minimum because the previous cycle
 //! edge is also incident to it and smaller.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use st_graph::dsu::DisjointSets;
 use st_graph::weighted::{Weight, WeightedGraph};
 use st_graph::VertexId;
-use st_smp::team::block_range;
-use st_smp::Executor;
+use st_obs::JobMetrics;
+use st_smp::{CancelToken, Executor};
 
-use crate::engine::Workspace;
+use crate::engine::{Workspace, EMPTY_SLOT};
+use crate::sv::{graft_and_shortcut, pack, Hook, HookStep};
 
 /// Result of a minimum-spanning-forest computation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,10 +39,9 @@ pub struct MstResult {
     pub tree_edges: Vec<(VertexId, VertexId)>,
     /// Sum of the forest's edge weights.
     pub total_weight: u64,
-    /// Borůvka iterations (1 for Kruskal).
-    pub iterations: usize,
-    /// Barrier episodes (0 for Kruskal).
-    pub barriers: usize,
+    /// What the run did: Borůvka's job window (its `GraftIterations`,
+    /// `ShortcutRounds`, `Grafts` and `Barriers`); empty for Kruskal.
+    pub metrics: JobMetrics,
 }
 
 /// Sequential Kruskal: the baseline.
@@ -77,153 +77,88 @@ pub fn kruskal(wg: &WeightedGraph) -> MstResult {
     MstResult {
         tree_edges,
         total_weight,
-        iterations: 1,
-        barriers: 0,
+        metrics: JobMetrics::default(),
     }
-}
-
-const EMPTY: u64 = u64::MAX;
-
-#[inline]
-fn pack(w: Weight, edge: usize) -> u64 {
-    ((w as u64) << 32) | edge as u64
 }
 
 /// Parallel Borůvka minimum spanning forest on an existing team, with
 /// the hook array, snapshot, best-edge slots, and per-rank edge lists
-/// drawn from `ws`.
+/// drawn from `ws`. One job window: the result's `metrics` are the
+/// run's.
 pub fn boruvka(wg: &WeightedGraph, exec: &Executor, ws: &mut Workspace) -> MstResult {
-    let p = exec.size();
-    let n = wg.num_vertices();
-    let edges: Vec<(VertexId, VertexId, Weight)> = wg.weighted_edges().collect();
-    let m = edges.len();
-    assert!(m < u32::MAX as usize, "edge index must fit the packed key");
-
-    ws.init_labels(n, None);
+    // Aligned with the edge list the loop collects from the topology.
+    let weights: Vec<Weight> = wg.weighted_edges().map(|(_, _, w)| w).collect();
     // Iteration-start snapshot of d (rooted stars), for race-free hook
     // targets.
-    ws.snap.ensure_len(n);
-    ws.ensure_slots(n);
-    ws.ensure_graft(p);
-    let d = &ws.labels;
-    let snap = &ws.snap;
-    let best: &[AtomicU64] = &ws.slots[..n];
-    let graft = &ws.graft[..p];
+    ws.snap.ensure_len(wg.num_vertices());
+    let total_weight = AtomicU64::new(0);
 
-    let hook_epoch = AtomicU64::new(EMPTY);
-    let shortcut_epoch = [AtomicU64::new(EMPTY), AtomicU64::new(EMPTY)];
-    let barriers = AtomicUsize::new(0);
-    let iterations = AtomicUsize::new(0);
-
-    let per_rank_weight: Vec<u64> = exec.run(|ctx| {
-        let rank = ctx.rank();
-        let my_edges = block_range(rank, p, m);
-        let my_verts = block_range(rank, p, n);
-        let mut my_tree_edges = graft[rank].lock();
-        let mut my_weight = 0u64;
-        let bar = |counter: &AtomicUsize| {
-            if ctx.barrier() {
-                counter.fetch_add(1, Ordering::Relaxed);
+    let hook = |step: HookStep, h: &mut Hook<'_>| {
+        let (d, snap, best, edges) = (&h.ws.labels, &h.ws.snap, &h.ws.slots[..], &h.ws.edges[..]);
+        match step {
+            // Reset best slots and snapshot d (rooted stars).
+            HookStep::Clear => {
+                for v in h.verts.clone() {
+                    best[v].store(EMPTY_SLOT, Ordering::Relaxed);
+                    snap.store(v, d.load(v, Ordering::Relaxed), Ordering::Relaxed);
+                }
             }
-        };
-
-        let mut iter: u64 = 0;
-        let mut sc_stamp: u64 = 0;
-        loop {
-            // --- Reset best slots and snapshot d (rooted stars).
-            for v in my_verts.clone() {
-                best[v].store(EMPTY, Ordering::Relaxed);
-                snap.store(v, d.load(v, Ordering::Relaxed), Ordering::Relaxed);
-            }
-            bar(&barriers);
-
-            // --- Min-reduction: every edge offers itself to both
+            // Min-reduction: every edge offers itself to both
             // endpoint roots.
-            for e in my_edges.clone() {
-                let (u, v, w) = edges[e];
-                let du = snap.load(u as usize, Ordering::Relaxed);
-                let dv = snap.load(v as usize, Ordering::Relaxed);
-                if du == dv {
-                    continue;
-                }
-                let key = pack(w, e);
-                best[du as usize].fetch_min(key, Ordering::Relaxed);
-                best[dv as usize].fetch_min(key, Ordering::Relaxed);
-            }
-            bar(&barriers);
-
-            // --- Hook: every root crosses its strict-minimum edge;
-            // mutual pairs break toward the smaller root.
-            for v in my_verts.clone() {
-                if snap.load(v, Ordering::Relaxed) != v as VertexId {
-                    continue; // not a root at iteration start
-                }
-                let key = best[v].load(Ordering::Relaxed);
-                if key == EMPTY {
-                    continue;
-                }
-                let e = (key & 0xFFFF_FFFF) as usize;
-                let (eu, ev, w) = edges[e];
-                let ru = snap.load(eu as usize, Ordering::Relaxed);
-                let rv = snap.load(ev as usize, Ordering::Relaxed);
-                let other = if ru == v as VertexId { rv } else { ru };
-                debug_assert!(ru == v as VertexId || rv == v as VertexId);
-                // Mutual-minimum pair: both roots chose edge e. Only the
-                // larger root hooks, so the pair contributes one tree
-                // edge and no 2-cycle.
-                if best[other as usize].load(Ordering::Relaxed) == key && (v as VertexId) < other {
-                    continue;
-                }
-                d.store(v, other, Ordering::Release);
-                my_tree_edges.push((eu, ev));
-                my_weight += w as u64;
-                hook_epoch.store(iter, Ordering::Release);
-            }
-            bar(&barriers);
-
-            let changed = hook_epoch.load(Ordering::Acquire) == iter;
-            if rank == 0 {
-                iterations.fetch_add(1, Ordering::Relaxed);
-            }
-            if !changed {
-                break;
-            }
-
-            // --- Shortcut to rooted stars (parity-slot protocol, as in
-            // SV/HCS).
-            loop {
-                let mut local_changed = false;
-                for v in my_verts.clone() {
-                    let dv = d.load(v, Ordering::Acquire);
-                    let ddv = d.load(dv as usize, Ordering::Acquire);
-                    if dv != ddv {
-                        d.store(v, ddv, Ordering::Release);
-                        local_changed = true;
+            HookStep::Offer => {
+                for e in h.edges.clone() {
+                    let (u, v) = edges[e];
+                    let du = snap.load(u as usize, Ordering::Relaxed);
+                    let dv = snap.load(v as usize, Ordering::Relaxed);
+                    if du == dv {
+                        continue;
                     }
-                }
-                let slot = &shortcut_epoch[(sc_stamp % 2) as usize];
-                if local_changed {
-                    slot.store(sc_stamp, Ordering::Release);
-                }
-                bar(&barriers);
-                let again = slot.load(Ordering::Acquire) == sc_stamp;
-                sc_stamp += 1;
-                if !again {
-                    break;
+                    let key = pack(weights[e], e);
+                    best[du as usize].fetch_min(key, Ordering::Relaxed);
+                    best[dv as usize].fetch_min(key, Ordering::Relaxed);
                 }
             }
-            iter += 1;
+            // Hook: every root crosses its strict-minimum edge;
+            // mutual pairs break toward the smaller root.
+            HookStep::Graft => {
+                let mut weight = 0u64;
+                for v in h.verts.clone() {
+                    if snap.load(v, Ordering::Relaxed) != v as VertexId {
+                        continue; // not a root at iteration start
+                    }
+                    let key = best[v].load(Ordering::Relaxed);
+                    if key == EMPTY_SLOT {
+                        continue;
+                    }
+                    let e = (key & 0xFFFF_FFFF) as usize;
+                    let (eu, ev) = edges[e];
+                    let ru = snap.load(eu as usize, Ordering::Relaxed);
+                    let rv = snap.load(ev as usize, Ordering::Relaxed);
+                    let other = if ru == v as VertexId { rv } else { ru };
+                    debug_assert!(ru == v as VertexId || rv == v as VertexId);
+                    // Mutual-minimum pair: both roots chose edge e.
+                    // Only the larger root hooks, so the pair
+                    // contributes one tree edge and no 2-cycle.
+                    if best[other as usize].load(Ordering::Relaxed) == key
+                        && (v as VertexId) < other
+                    {
+                        continue;
+                    }
+                    d.store(v, other, Ordering::Release);
+                    h.tree_edges.push((eu, ev));
+                    weight += weights[e] as u64;
+                }
+                total_weight.fetch_add(weight, Ordering::Relaxed);
+            }
         }
-        my_weight
-    });
-
-    let tree_edges = ws.drain_graft(p);
-    let total_weight: u64 = per_rank_weight.into_iter().sum();
+    };
+    ws.begin_job(exec);
+    let out = graft_and_shortcut(wg.topology(), exec, ws, None, &CancelToken::none(), hook)
+        .expect("inert token cannot cancel");
     MstResult {
-        tree_edges,
-        total_weight,
-        iterations: iterations.load(Ordering::Relaxed),
-        barriers: barriers.load(Ordering::Relaxed),
+        tree_edges: out.tree_edges,
+        total_weight: total_weight.into_inner(),
+        metrics: ws.finish_job(exec),
     }
 }
 
@@ -233,6 +168,12 @@ mod tests {
     use crate::orient::orient_forest;
     use st_graph::gen::{complete, random_connected, random_gnm, torus2d};
     use st_graph::validate::{count_components, is_spanning_forest};
+    use st_obs::Counter;
+
+    /// Graft-and-shortcut iterations of a Borůvka run.
+    fn iterations(b: &MstResult) -> u64 {
+        b.metrics.get(Counter::GraftIterations)
+    }
 
     /// `boruvka` on a fresh team of `p`.
     fn boruvka_p(wg: &WeightedGraph, p: usize) -> MstResult {
@@ -308,9 +249,9 @@ mod tests {
         let wg = WeightedGraph::with_random_weights(&g, 10_000, 6);
         let b = boruvka_p(&wg, 4);
         assert!(
-            b.iterations <= 15,
+            iterations(&b) <= 15,
             "Borůvka took {} iterations on 4k vertices",
-            b.iterations
+            iterations(&b)
         );
         check_agreement(&wg, 4);
     }
@@ -330,7 +271,7 @@ mod tests {
         assert!(k.tree_edges.is_empty());
         let b = boruvka_p(&wg, 2);
         assert_eq!(b.total_weight, 0);
-        assert_eq!(b.iterations, 1);
+        assert_eq!(iterations(&b), 1);
     }
 
     #[test]

@@ -30,11 +30,14 @@
 //! vertex labeling (experiment CLAIM-SVLABEL): row-major torus labels
 //! finish in one iteration, random labels take up to ~log n.
 //!
-//! All scratch state (hook array, election slots, per-root locks, edge
-//! list, per-rank graft lists) lives in the caller's
-//! [`Workspace`], and the team comes from a
+//! The iteration is one team loop, `graft_and_shortcut`, that
+//! [`hcs`](crate::hcs) and [`mst::boruvka`](crate::mst::boruvka) share:
+//! each supplies only its hook phase. All scratch state (hook array,
+//! election slots, per-root locks, edge list, per-rank graft lists)
+//! lives in the caller's [`Workspace`], and the team comes from a
 //! persistent [`Executor`]; both are reused across runs.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use st_graph::{CsrGraph, VertexId};
@@ -42,7 +45,7 @@ use st_obs::{now_ns, Counter, Phase};
 use st_smp::team::block_range;
 use st_smp::{CancelToken, Executor};
 
-use crate::engine::{timed_barrier, Cancelled, SpanningAlgorithm, Workspace};
+use crate::engine::{timed_barrier, Cancelled, SpanningAlgorithm, Workspace, EMPTY_SLOT};
 use crate::orient::orient_forest;
 use crate::result::{AlgoStats, SpanningForest};
 
@@ -61,10 +64,6 @@ pub enum GraftVariant {
 pub struct SvConfig {
     /// Race-resolution variant.
     pub variant: GraftVariant,
-    /// Abort (panic) if this many iterations do not converge — a bug
-    /// guard only; SV terminates unconditionally because every iteration
-    /// either grafts or exits.
-    pub max_iterations: Option<usize>,
 }
 
 /// Raw result of the graft-and-shortcut engine. What the run cost
@@ -77,9 +76,6 @@ pub struct SvOutcome {
     /// Final hook array: `labels[v]` is the root label of v's component.
     pub labels: Vec<VertexId>,
 }
-
-/// Sentinel for an empty winner slot.
-const NO_WINNER: u64 = u64::MAX;
 
 /// Runs graft-and-shortcut on an existing team, with all scratch in `ws`.
 ///
@@ -103,128 +99,57 @@ pub fn sv_core(
     cfg: SvConfig,
     cancel: &CancelToken,
 ) -> Result<SvOutcome, Cancelled> {
-    let p = exec.size();
-    let n = g.num_vertices();
-    ws.collect_edges(g);
-    let m = ws.edges.len();
-    assert!(
-        m < (u32::MAX as usize) / 2,
-        "edge count exceeds election code space"
-    );
-    ws.init_labels(n, init);
-    // Election slots, one per vertex (only root slots are used).
-    ws.ensure_slots(n);
-    // Per-root graft locks for the Lock variant.
-    if matches!(cfg.variant, GraftVariant::Lock) {
-        ws.ensure_locks(n);
-    }
-    ws.ensure_graft(p);
-    // Grow (never reset) the observability slots: sv_core may run
-    // mid-job as the starvation fallback, whose counters must survive.
-    ws.counters.ensure(p);
-    ws.trace.ensure(p);
-
-    let counters = &ws.counters;
-    let trace = &ws.trace;
-    let d = &ws.labels;
-    let winner: &[AtomicU64] = &ws.slots[..n];
-    let locks = &ws.locks[..];
-    let edges = &ws.edges[..];
-    let graft = &ws.graft[..p];
-
-    // Epoch-stamped change flags (no reset races: each iteration/round
-    // compares against its own stamp). The graft epoch is safe as a
-    // single slot because two barriers separate its read from the next
-    // write; the shortcut epoch is read and re-written with only one
-    // barrier between rounds, so it uses parity slots — round s writes
-    // and reads slot s mod 2, and round s + 2 (the next writer of that
-    // slot) cannot start until every rank has passed round s + 1's
-    // barrier, which is after every round-s read.
-    let graft_epoch = AtomicU64::new(NO_WINNER);
-    let shortcut_epoch = [AtomicU64::new(NO_WINNER), AtomicU64::new(NO_WINNER)];
-    // Cancellation: rank 0 stores before the iteration's first barrier,
-    // everyone loads after the post-graft barrier — same value on every
-    // rank, so the team exits the loop in lockstep.
-    let aborted = AtomicBool::new(false);
-
-    exec.run(|ctx| {
-        let rank = ctx.rank();
-        let my_edges = block_range(rank, p, m);
-        let my_verts = block_range(rank, p, n);
-        // Each rank's tree edges collect into its workspace graft list
-        // (disjoint per rank; the lock is uncontended and held for the
-        // whole job).
-        let mut my_tree_edges = graft[rank].lock();
-        let bar = || timed_barrier(&ctx, counters, trace);
-
-        let mut iter: u64 = 0;
-        // A single global shortcut-round counter shared by all
-        // iterations; rounds are stamped with it.
-        let mut sc_stamp: u64 = 0;
-        // Grafts performed by this rank, flushed once at loop exit.
-        let mut my_grafts: u64 = 0;
-        loop {
-            let t_graft = now_ns();
-            if let Some(cap) = cfg.max_iterations {
-                assert!(
-                    (iter as usize) < cap,
-                    "SV failed to converge within {cap} iterations"
-                );
-            }
-            // Iteration-boundary cancellation checkpoint (one designated
-            // poller keeps the store/load ordered by the barriers below).
-            if rank == 0 && cancel.is_cancelled() {
-                aborted.store(true, Ordering::Release);
-            }
-            // --- Reset winner slots for this iteration (election only).
-            if matches!(cfg.variant, GraftVariant::Election) {
-                for v in my_verts.clone() {
-                    winner[v].store(NO_WINNER, Ordering::Relaxed);
-                }
-                bar();
-
-                // --- Pass A: election. After the previous shortcut, D[u]
-                // is u's root.
-                for e in my_edges.clone() {
-                    let (u, v) = edges[e];
-                    let du = d.load(u as usize, Ordering::Relaxed);
-                    let dv = d.load(v as usize, Ordering::Relaxed);
-                    if du == dv {
-                        continue;
+    match cfg.variant {
+        // `slots` are the winner slots; only roots' are used.
+        GraftVariant::Election => {
+            graft_and_shortcut(g, exec, ws, init, cancel, |step, h| {
+                let (d, winner, edges) = (&h.ws.labels, &h.ws.slots[..], &h.ws.edges[..]);
+                match step {
+                    HookStep::Clear => {
+                        for v in h.verts.clone() {
+                            winner[v].store(EMPTY_SLOT, Ordering::Relaxed);
+                        }
                     }
-                    if dv < du {
-                        winner[du as usize].store(code(e, 0), Ordering::Relaxed);
-                    } else {
-                        winner[dv as usize].store(code(e, 1), Ordering::Relaxed);
+                    // Pass A: election. After the previous shortcut,
+                    // D[u] is u's root.
+                    HookStep::Offer => {
+                        for e in h.edges.clone() {
+                            let (u, v) = edges[e];
+                            let du = d.load(u as usize, Ordering::Relaxed);
+                            let dv = d.load(v as usize, Ordering::Relaxed);
+                            if du != dv {
+                                let (root, dir) = if dv < du { (du, 0) } else { (dv, 1) };
+                                winner[root as usize].store(code(e, dir), Ordering::Relaxed);
+                            }
+                        }
+                    }
+                    // Pass B: winners graft.
+                    HookStep::Graft => {
+                        for e in h.edges.clone() {
+                            let (u, v) = edges[e];
+                            for (a, b, dir) in [(u, v, 0), (v, u, 1)] {
+                                let ra = d.load(a as usize, Ordering::Acquire);
+                                if winner[ra as usize].load(Ordering::Relaxed) == code(e, dir) {
+                                    let target = d.load(b as usize, Ordering::Acquire);
+                                    d.store(ra as usize, target, Ordering::Release);
+                                    h.tree_edges.push((u, v));
+                                }
+                            }
+                        }
                     }
                 }
-                bar();
-
-                // --- Pass B: winners graft.
-                for e in my_edges.clone() {
-                    let (u, v) = edges[e];
-                    let ru = d.load(u as usize, Ordering::Acquire);
-                    if winner[ru as usize].load(Ordering::Relaxed) == code(e, 0) {
-                        let target = d.load(v as usize, Ordering::Acquire);
-                        d.store(ru as usize, target, Ordering::Release);
-                        my_tree_edges.push((u, v));
-                        my_grafts += 1;
-                        graft_epoch.store(iter, Ordering::Release);
-                    }
-                    let rv = d.load(v as usize, Ordering::Acquire);
-                    if winner[rv as usize].load(Ordering::Relaxed) == code(e, 1) {
-                        let target = d.load(u as usize, Ordering::Acquire);
-                        d.store(rv as usize, target, Ordering::Release);
-                        my_tree_edges.push((u, v));
-                        my_grafts += 1;
-                        graft_epoch.store(iter, Ordering::Release);
-                    }
+            })
+        }
+        GraftVariant::Lock => {
+            ws.ensure_locks(g.num_vertices());
+            // A single grafting pass with per-root locks; the clear and
+            // offer steps are empty.
+            graft_and_shortcut(g, exec, ws, init, cancel, |step, h| {
+                if step != HookStep::Graft {
+                    return;
                 }
-            } else {
-                // --- Lock variant: single grafting pass with per-root
-                // locks.
-                bar(); // align the barrier count with pass-A's entry
-                for e in my_edges.clone() {
+                let (d, locks, edges) = (&h.ws.labels, &h.ws.locks[..], &h.ws.edges[..]);
+                for e in h.edges.clone() {
                     let (u, v) = edges[e];
                     for (a, b) in [(u, v), (v, u)] {
                         let ra = d.load(a as usize, Ordering::Acquire);
@@ -236,15 +161,147 @@ pub fn sv_core(
                                 let target = d.load(b as usize, Ordering::Acquire);
                                 if target < ra {
                                     d.store(ra as usize, target, Ordering::Release);
-                                    my_tree_edges.push((a, b));
-                                    my_grafts += 1;
-                                    graft_epoch.store(iter, Ordering::Release);
+                                    h.tree_edges.push((a, b));
                                 }
                             }
                         }
                     }
                 }
-                bar(); // align with the end of pass A
+            })
+        }
+    }
+}
+
+#[inline]
+fn code(edge: usize, dir: u64) -> u64 {
+    (edge as u64) * 2 + dir
+}
+
+/// Packs (`high`, edge index) so that `fetch_min` over keys picks the
+/// smallest `high`, tie-broken by the smallest edge index: HCS's and
+/// Borůvka's hook candidates.
+#[inline]
+pub(crate) fn pack(high: u32, edge: usize) -> u64 {
+    (u64::from(high) << 32) | edge as u64
+}
+
+/// The steps of one hook phase, in order. [`graft_and_shortcut`] puts a
+/// team barrier after each, so a step reads what every rank wrote in
+/// the steps before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum HookStep {
+    /// Reset this rank's block of per-vertex scratch (slots, snapshot).
+    Clear,
+    /// Edges offer their endpoints' roots a hook candidate.
+    Offer,
+    /// Roots hook, each pushing the graph edge it hooked across.
+    Graft,
+}
+
+/// One rank's view of a hook step.
+pub(crate) struct Hook<'a> {
+    /// The workspace, with the hook array and edge list set up.
+    pub(crate) ws: &'a Workspace,
+    /// This rank's block of edge indices.
+    pub(crate) edges: Range<usize>,
+    /// This rank's block of vertices.
+    pub(crate) verts: Range<usize>,
+    /// This rank's graft list: one graph edge per hook.
+    pub(crate) tree_edges: &'a mut Vec<(VertexId, VertexId)>,
+}
+
+/// The graft-and-shortcut team loop that SV, HCS and Borůvka share:
+/// every vertex starts as a rooted star (`init`, as in [`sv_core`]),
+/// and each iteration runs `hook`'s three steps, a barrier after each,
+/// then pointer-jumps every tree back to a rooted star. The loop ends
+/// after an iteration in which no rank hooked, or when rank 0 sees
+/// `cancel` fired at the top of an iteration (`Err(Cancelled)`, the
+/// partial grafts abandoned).
+///
+/// Counts `GraftIterations` and `ShortcutRounds` on rank 0 and each
+/// rank's `Grafts`, and takes every barrier through [`timed_barrier`],
+/// so an uncancelled run's `Barriers` is 3 × `GraftIterations` +
+/// `ShortcutRounds` on every rank. The per-vertex `slots` are sized
+/// here; a hook that uses them clears its block in its `Clear` step.
+pub(crate) fn graft_and_shortcut<H>(
+    g: &CsrGraph,
+    exec: &Executor,
+    ws: &mut Workspace,
+    init: Option<&[VertexId]>,
+    cancel: &CancelToken,
+    hook: H,
+) -> Result<SvOutcome, Cancelled>
+where
+    H: Fn(HookStep, &mut Hook<'_>) + Sync,
+{
+    let p = exec.size();
+    let n = g.num_vertices();
+    ws.collect_edges(g);
+    assert!(
+        ws.edges.len() < u32::MAX as usize / 2,
+        "edge index exceeds the election codes and packed keys"
+    );
+    ws.init_labels(n, init);
+    ws.ensure_slots(n);
+    ws.ensure_graft(p);
+    // Grow (never reset) the observability slots: sv_core may run
+    // mid-job as the starvation fallback, whose counters must survive.
+    ws.counters.ensure(p);
+    ws.trace.ensure(p);
+
+    let shared: &Workspace = ws;
+    let m = shared.edges.len();
+    let (d, counters, trace) = (&shared.labels, &shared.counters, &shared.trace);
+
+    // Epoch-stamped change flags (no reset races: each iteration/round
+    // compares against its own stamp). The graft epoch is safe as a
+    // single slot because two barriers separate its read from the next
+    // write; the shortcut epoch is read and re-written with only one
+    // barrier between rounds, so it uses parity slots — round s writes
+    // and reads slot s mod 2, and round s + 2 (the next writer of that
+    // slot) cannot start until every rank has passed round s + 1's
+    // barrier, which is after every round-s read.
+    let graft_epoch = AtomicU64::new(u64::MAX);
+    let shortcut_epoch = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
+    // Cancellation: rank 0 stores before the iteration's first barrier,
+    // everyone loads after the graft barrier — same value on every
+    // rank, so the team exits the loop in lockstep.
+    let aborted = AtomicBool::new(false);
+
+    exec.run(|ctx| {
+        let rank = ctx.rank();
+        let my_verts = block_range(rank, p, n);
+        // Each rank's tree edges collect into its workspace graft list
+        // (disjoint per rank; the lock is uncontended and held for the
+        // whole job).
+        let mut tree_edges = shared.graft[rank].lock();
+        let mut h = Hook {
+            ws: shared,
+            edges: block_range(rank, p, m),
+            verts: my_verts.clone(),
+            tree_edges: &mut tree_edges,
+        };
+        let bar = || timed_barrier(&ctx, counters, trace);
+
+        let mut iter: u64 = 0;
+        // A single global shortcut-round counter shared by all
+        // iterations; rounds are stamped with it.
+        let mut sc_stamp: u64 = 0;
+        loop {
+            let t_graft = now_ns();
+            // Iteration-boundary cancellation checkpoint (one designated
+            // poller keeps the store/load ordered by the barriers below).
+            if rank == 0 && cancel.is_cancelled() {
+                aborted.store(true, Ordering::Release);
+            }
+            hook(HookStep::Clear, &mut h);
+            bar();
+            hook(HookStep::Offer, &mut h);
+            bar();
+            let grafted = h.tree_edges.len();
+            hook(HookStep::Graft, &mut h);
+            if h.tree_edges.len() > grafted {
+                graft_epoch.store(iter, Ordering::Release);
             }
             bar();
             trace.rank(rank).record(Phase::Graft, t_graft);
@@ -260,7 +317,7 @@ pub fn sv_core(
                 break;
             }
 
-            // --- Shortcut: pointer-jump every vertex until all trees are
+            // Shortcut: pointer-jump every vertex until all trees are
             // rooted stars again.
             let t_shortcut = now_ns();
             loop {
@@ -290,7 +347,9 @@ pub fn sv_core(
             trace.rank(rank).record(Phase::Shortcut, t_shortcut);
             iter += 1;
         }
-        counters.rank(rank).add(Counter::Grafts, my_grafts);
+        counters
+            .rank(rank)
+            .add(Counter::Grafts, h.tree_edges.len() as u64);
     });
 
     if aborted.load(Ordering::Acquire) {
@@ -303,11 +362,6 @@ pub fn sv_core(
         labels: ws.labels.snapshot_prefix(n),
         tree_edges: ws.drain_graft(p),
     })
-}
-
-#[inline]
-fn code(edge: usize, dir: u64) -> u64 {
-    (edge as u64) * 2 + dir
 }
 
 /// Shiloach–Vishkin as a [`SpanningAlgorithm`] (either graft variant).
@@ -433,7 +487,6 @@ mod tests {
         let g = gen::torus2d(12, 12);
         let cfg = SvConfig {
             variant: GraftVariant::Lock,
-            ..SvConfig::default()
         };
         for p in [1, 4] {
             let f = check(&g, p, cfg);
@@ -452,10 +505,7 @@ mod tests {
     fn random_graph_all_variants() {
         let g = gen::random_gnm(1_500, 2_500, 13);
         for variant in [GraftVariant::Election, GraftVariant::Lock] {
-            let cfg = SvConfig {
-                variant,
-                ..SvConfig::default()
-            };
+            let cfg = SvConfig { variant };
             check(&g, 4, cfg);
         }
     }
@@ -561,16 +611,6 @@ mod tests {
         let f = check(&g, 4, SvConfig::default());
         assert_eq!(f.roots.len(), 1);
         assert!(iterations(&f) <= 2);
-    }
-
-    #[test]
-    fn max_iterations_guard_is_quiet_on_normal_runs() {
-        let g = gen::random_gnm(500, 800, 4);
-        let cfg = SvConfig {
-            max_iterations: Some(64),
-            ..SvConfig::default()
-        };
-        check(&g, 2, cfg);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The rooted-forest index and fast LCA.
+//! The rooted-forest index.
 //!
 //! Spanning trees are only useful as building blocks if the downstream
 //! algorithms can walk them efficiently. Biconnectivity and ear
@@ -7,10 +7,12 @@
 //! Sun): preorder numbers and subtree sizes, so that every subtree is one
 //! contiguous interval of the preorder. [`preorder`] builds that index
 //! once from a parent array, together with depths, a CSR-style children
-//! layout and the roots; [`Lca`] answers lowest-common-ancestor queries
-//! over it by binary lifting in O(log n) after O(n log n) setup.
+//! layout and the roots. Ear decomposition's lowest-common-ancestor
+//! queries are all known up front, so they are answered in one batch by
+//! Tarjan's offline algorithm over the index's children and a
+//! union-find, in O((n + q) α(n)) with O(n + q) extra memory.
 
-use st_graph::{VertexId, NO_VERTEX};
+use st_graph::{DisjointSets, VertexId, NO_VERTEX};
 
 /// The rooted-forest index of a parent array: preorder numbers, subtree
 /// sizes, depths and children.
@@ -113,93 +115,66 @@ pub fn preorder(parents: &[VertexId]) -> Preorder {
     }
 }
 
-/// Binary-lifting LCA structure over a rooted forest.
-#[derive(Clone, Debug)]
-pub struct Lca {
-    /// `up[k][v]` = 2^k-th ancestor of v ([`NO_VERTEX`] beyond the
-    /// root).
-    up: Vec<Vec<VertexId>>,
-    depth: Vec<u32>,
-}
+/// Lowest common ancestors of `queries` in the indexed forest, by
+/// Tarjan's offline algorithm: one depth-first pass over the children
+/// with a union-find. `answers[i]` is the LCA of `queries[i]`, or
+/// [`NO_VERTEX`] when its endpoints lie in different trees.
+pub(crate) fn offline_lca(index: &Preorder, queries: &[(VertexId, VertexId)]) -> Vec<VertexId> {
+    let n = index.pre.len();
+    // Each vertex's queries, CSR-style; a query sits at both endpoints.
+    let mut start = vec![0usize; n + 1];
+    for &(a, b) in queries {
+        start[a as usize + 1] += 1;
+        start[b as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut at = vec![0u32; start[n]];
+    let mut cursor = start.clone();
+    for (i, &(a, b)) in queries.iter().enumerate() {
+        for x in [a, b] {
+            at[cursor[x as usize]] = i as u32;
+            cursor[x as usize] += 1;
+        }
+    }
 
-impl Lca {
-    /// Builds the lifting tables (O(n log n)) for the forest `parents`,
-    /// taking depths from its [`preorder`] index.
-    pub fn new(parents: &[VertexId], index: &Preorder) -> Self {
-        let n = parents.len();
-        let depth = index.depth.clone();
-        let levels = (usize::BITS - n.max(2).leading_zeros()) as usize;
-        let mut up: Vec<Vec<VertexId>> = Vec::with_capacity(levels);
-        up.push(parents.to_vec());
-        for k in 1..levels {
-            let prev = &up[k - 1];
-            let next: Vec<VertexId> = (0..n)
-                .map(|v| {
-                    let mid = prev[v];
-                    if mid == NO_VERTEX {
-                        NO_VERTEX
-                    } else {
-                        prev[mid as usize]
+    // A finished vertex's set is merged into its parent's;
+    // `ancestor[find(w)]` is then the deepest vertex on the current path
+    // above w, which is lca(w, v) for the vertex v being finished.
+    let mut sets = DisjointSets::new(n);
+    let mut ancestor: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut done = vec![false; n];
+    let mut answers = vec![NO_VERTEX; queries.len()];
+    let mut stack: Vec<(VertexId, usize)> = Vec::new();
+    for &root in index.roots() {
+        stack.push((root, 0));
+        while let Some(&mut (v, ref mut next)) = stack.last_mut() {
+            if let Some(&c) = index.children(v).get(*next) {
+                *next += 1;
+                stack.push((c, 0));
+                continue;
+            }
+            stack.pop();
+            done[v as usize] = true;
+            for &i in &at[start[v as usize]..start[v as usize + 1]] {
+                let (a, b) = queries[i as usize];
+                let w = if a == v { b } else { a };
+                if done[w as usize] {
+                    let l = ancestor[sets.find(w) as usize];
+                    // An earlier tree's root is no ancestor of v.
+                    if index.is_ancestor(l, v) {
+                        answers[i as usize] = l;
                     }
-                })
-                .collect();
-            up.push(next);
-        }
-        Self { up, depth }
-    }
-
-    /// Depth of `v` (root = 0).
-    pub fn depth(&self, v: VertexId) -> u32 {
-        self.depth[v as usize]
-    }
-
-    /// The `k`-th ancestor of `v`, or [`NO_VERTEX`] if the chain is
-    /// shorter.
-    pub fn ancestor(&self, mut v: VertexId, mut k: u32) -> VertexId {
-        let mut level = 0;
-        while k > 0 && v != NO_VERTEX {
-            if k & 1 == 1 {
-                if level >= self.up.len() {
-                    return NO_VERTEX;
                 }
-                v = self.up[level][v as usize];
             }
-            k >>= 1;
-            level += 1;
-        }
-        v
-    }
-
-    /// Lowest common ancestor of `a` and `b`; [`NO_VERTEX`] when they
-    /// are in different trees.
-    pub fn lca(&self, mut a: VertexId, mut b: VertexId) -> VertexId {
-        if self.depth(a) < self.depth(b) {
-            std::mem::swap(&mut a, &mut b);
-        }
-        a = self.ancestor(a, self.depth(a) - self.depth(b));
-        if a == b || a == NO_VERTEX {
-            return a;
-        }
-        for level in (0..self.up.len()).rev() {
-            let ua = self.up[level][a as usize];
-            let ub = self.up[level][b as usize];
-            if ua != ub {
-                if ua == NO_VERTEX || ub == NO_VERTEX {
-                    // Different trees: lifting diverges at the roots.
-                    continue;
-                }
-                a = ua;
-                b = ub;
+            if let Some(&(parent, _)) = stack.last() {
+                sets.union(parent, v);
+                ancestor[sets.find(parent) as usize] = parent;
             }
         }
-        let pa = self.up[0][a as usize];
-        let pb = self.up[0][b as usize];
-        if pa == pb {
-            pa
-        } else {
-            NO_VERTEX
-        }
     }
+    answers
 }
 
 #[cfg(test)]
@@ -215,9 +190,9 @@ mod tests {
             .collect()
     }
 
-    /// Builds the LCA structure of `parents` over its own index.
-    fn lca_of(parents: &[VertexId]) -> Lca {
-        Lca::new(parents, &preorder(parents))
+    /// The LCA of one pair, through the offline batch.
+    fn lca(parents: &[VertexId], a: VertexId, b: VertexId) -> VertexId {
+        offline_lca(&preorder(parents), &[(a, b)])[0]
     }
 
     /// Bader–Cong forests of random graphs: one random tree, and sparse
@@ -279,12 +254,24 @@ mod tests {
 
     #[test]
     fn lca_depth_matches_index() {
+        // Every vertex's LCA with itself is itself, and with its tree's
+        // root is that root; depths agree with the validator's.
         for parents in random_forests() {
             let po = preorder(&parents);
-            let l = Lca::new(&parents, &po);
             assert_eq!(po.depth, forest_depths(&parents));
-            for (v, &d) in po.depth.iter().enumerate() {
-                assert_eq!(l.depth(v as VertexId), d);
+            let n = parents.len() as VertexId;
+            let mut queries = Vec::new();
+            for v in 0..n {
+                let mut root = v;
+                while parents[root as usize] != NO_VERTEX {
+                    root = parents[root as usize];
+                }
+                queries.push((v, v));
+                queries.push((root, v));
+            }
+            let answers = offline_lca(&po, &queries);
+            for (&(a, b), &l) in queries.iter().zip(&answers) {
+                assert_eq!(l, a, "lca({a}, {b})");
             }
         }
     }
@@ -292,13 +279,10 @@ mod tests {
     #[test]
     fn lca_on_path() {
         let parents = path_parents(10);
-        let l = lca_of(&parents);
-        assert_eq!(l.lca(9, 3), 3);
-        assert_eq!(l.lca(3, 9), 3);
-        assert_eq!(l.lca(7, 7), 7);
-        assert_eq!(l.ancestor(9, 4), 5);
-        assert_eq!(l.ancestor(9, 9), 0);
-        assert_eq!(l.ancestor(9, 10), NO_VERTEX);
+        assert_eq!(lca(&parents, 9, 3), 3);
+        assert_eq!(lca(&parents, 3, 9), 3);
+        assert_eq!(lca(&parents, 7, 7), 7);
+        assert_eq!(lca(&parents, 0, 9), 0);
     }
 
     #[test]
@@ -306,31 +290,27 @@ mod tests {
         // Heap-indexed complete binary tree: parent(v) = (v-1)/2.
         let g = binary_tree(15);
         let parents = crate::seq::bfs_tree(&g, 0).unwrap();
-        let l = lca_of(&parents);
-        assert_eq!(l.lca(7, 8), 3); // siblings under 3
-        assert_eq!(l.lca(7, 4), 1);
-        assert_eq!(l.lca(7, 14), 0);
-        assert_eq!(l.lca(0, 9), 0);
+        let queries = [(7, 8), (7, 4), (7, 14), (0, 9)];
+        let answers = offline_lca(&preorder(&parents), &queries);
+        // Siblings under 3, cousins under 1, opposite halves, the root.
+        assert_eq!(answers, vec![3, 1, 0, 0]);
     }
 
     #[test]
     fn lca_cross_tree_is_no_vertex() {
         // Two separate paths.
         let parents = vec![NO_VERTEX, 0, NO_VERTEX, 2];
-        let l = lca_of(&parents);
-        assert_eq!(l.lca(1, 3), NO_VERTEX);
-        assert_eq!(l.lca(0, 2), NO_VERTEX);
+        let answers = offline_lca(&preorder(&parents), &[(1, 3), (0, 2), (3, 1), (1, 0)]);
+        assert_eq!(answers, vec![NO_VERTEX, NO_VERTEX, NO_VERTEX, 0]);
     }
 
     #[test]
     fn lca_matches_naive_walk_on_random_trees() {
-        let g = random_connected(300, 0, 9); // a random tree
-        let f = crate::engine::Engine::new(2).run(&crate::BaderCong::with_defaults(), &g);
-        let parents = f.parents;
-        let l = lca_of(&parents);
-        let depths = forest_depths(&parents);
-        let naive = |mut a: VertexId, mut b: VertexId| -> VertexId {
+        let naive = |parents: &[VertexId], depths: &[u32], mut a: VertexId, mut b: VertexId| {
             while a != b {
+                if a == NO_VERTEX || b == NO_VERTEX {
+                    return NO_VERTEX;
+                }
                 if depths[a as usize] >= depths[b as usize] {
                     a = parents[a as usize];
                 } else {
@@ -341,28 +321,31 @@ mod tests {
         };
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
-        for _ in 0..500 {
-            let a = rng.gen_range(0..300u32);
-            let b = rng.gen_range(0..300u32);
-            assert_eq!(l.lca(a, b), naive(a, b), "lca({a}, {b})");
+        // One random tree, then forests with many trees.
+        for parents in random_forests() {
+            let depths = forest_depths(&parents);
+            let queries: Vec<(VertexId, VertexId)> = (0..500)
+                .map(|_| (rng.gen_range(0..300u32), rng.gen_range(0..300u32)))
+                .collect();
+            let answers = offline_lca(&preorder(&parents), &queries);
+            for (&(a, b), &l) in queries.iter().zip(&answers) {
+                assert_eq!(l, naive(&parents, &depths, a, b), "lca({a}, {b})");
+            }
         }
     }
 
     #[test]
     fn depths_agree_with_validate() {
         let parents = path_parents(20);
-        let l = lca_of(&parents);
-        let reference = forest_depths(&parents);
-        for v in 0..20u32 {
-            assert_eq!(l.depth(v), reference[v as usize]);
-        }
+        assert_eq!(preorder(&parents).depth, forest_depths(&parents));
     }
 
     #[test]
     fn chain_graph_end_to_end() {
         let g = chain(64);
         let parents = crate::seq::bfs_tree(&g, 0).unwrap();
-        let l = lca_of(&parents);
-        assert_eq!(l.lca(63, 1), 1);
+        let po = preorder(&parents);
+        assert_eq!(po.depth[63], 63);
+        assert_eq!(offline_lca(&po, &[(63, 1)]), vec![1]);
     }
 }

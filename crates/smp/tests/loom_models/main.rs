@@ -43,7 +43,12 @@
 //! * [`prepare`] — the forest driver's team prepare: walks that claim
 //!   components with `fetch_or` on the visited bitmap and release their
 //!   claims when they meet another walk (with a walk that yields
-//!   without releasing kept as a seeded bug the checker must catch).
+//!   without releasing kept as a seeded bug the checker must catch),
+//! * [`graft`] — the graft-and-shortcut loop's termination protocol
+//!   (st-core SV, HCS and Borůvka): the graft epoch, the parity-slot
+//!   shortcut flags and the abort flag behind the team barrier, so both
+//!   ranks agree on every decision and leave together (with a single
+//!   shortcut slot kept as a seeded bug the checker must catch).
 
 #![cfg(feature = "loom")]
 
@@ -52,6 +57,7 @@ mod bottom_up;
 mod detector;
 mod dyn_forest;
 mod executor;
+mod graft;
 mod locks;
 mod pool;
 mod prepare;

@@ -32,7 +32,6 @@ fn main() {
     let sv_election = sv::Sv::new(SvConfig::default());
     let sv_lock = sv::Sv::new(SvConfig {
         variant: GraftVariant::Lock,
-        ..SvConfig::default()
     });
 
     for w in Workload::fig4_panels() {

@@ -47,7 +47,9 @@ fn main() {
         );
         println!(
             "   kruskal: {:>8.1} ms | boruvka(p={p}): {:>8.1} ms in {} iterations",
-            k_ms, b_ms, b.iterations
+            k_ms,
+            b_ms,
+            b.metrics.get(Counter::GraftIterations)
         );
         println!(
             "   forest: {} edges, total weight {} (verified equal) ✓",

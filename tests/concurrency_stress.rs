@@ -369,7 +369,6 @@ fn sv_lock_variant_under_contention() {
     let g = gen::star(3_000);
     let cfg = SvConfig {
         variant: GraftVariant::Lock,
-        ..SvConfig::default()
     };
     let f = Engine::new(8).run(&sv::Sv::new(cfg), &g);
     assert!(is_spanning_forest(&g, &f.parents));

@@ -47,7 +47,6 @@ fn sv_valid_on_every_workload() {
 fn sv_lock_variant_valid_on_every_workload() {
     let cfg = SvConfig {
         variant: GraftVariant::Lock,
-        ..SvConfig::default()
     };
     for w in all_workloads() {
         let g = w.build(N, SEED);

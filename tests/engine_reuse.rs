@@ -28,7 +28,6 @@ fn algorithms() -> Vec<Box<dyn SpanningAlgorithm>> {
         Box::new(Sv::new(SvConfig::default())),
         Box::new(Sv::new(SvConfig {
             variant: GraftVariant::Lock,
-            ..SvConfig::default()
         })),
         Box::new(Hcs),
     ]

@@ -156,7 +156,6 @@ fn engine_counters_hold_the_paper_counts() {
     });
     let lock = sv::Sv::new(SvConfig {
         variant: GraftVariant::Lock,
-        ..SvConfig::default()
     });
     let algos: [(&dyn SpanningAlgorithm, bool); 5] = [
         (&BaderCong::with_defaults(), false),
