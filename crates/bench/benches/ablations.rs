@@ -114,26 +114,6 @@ fn ablate_deg2(c: &mut Criterion) {
     group.finish();
 }
 
-/// `ablate_chunk`: owner dequeue batch size (1 = the paper's protocol).
-fn ablate_chunk(c: &mut Criterion) {
-    let g = Workload::RandomM15.build(scale(), 7);
-    let mut group = c.benchmark_group("ablate_chunk");
-    group.sample_size(10);
-    for batch in [1usize, 4, 16, 64] {
-        let cfg = Config {
-            traversal: TraversalConfig {
-                local_batch: batch,
-                ..TraversalConfig::default()
-            },
-            ..Config::default()
-        };
-        group.bench_with_input(BenchmarkId::new("batch", batch), &cfg, |b, cfg| {
-            b.iter(|| Engine::new(4).run(&BaderCong::new(cfg.clone()), &g))
-        });
-    }
-    group.finish();
-}
-
 /// `ablate_frontier`: the two-level work-stealing frontier. Sweeps the
 /// publication threshold from the paper's publish-everything protocol
 /// (threshold 1) to publish-never (sleeper-driven only). The committed
@@ -169,7 +149,6 @@ criterion_group!(
     ablate_stub,
     ablate_sv_grafting,
     ablate_deg2,
-    ablate_chunk,
     ablate_frontier
 );
 criterion_main!(benches);

@@ -12,8 +12,9 @@
 //!
 //! * `incremental` — the service is built with a recompute fraction
 //!   above 1, so [`Service::apply`] always repairs the maintained
-//!   forest in place (CAS-hook unions for inserts, replacement-edge
-//!   search for deletes);
+//!   forest in place, on the applying thread (a union-find over the
+//!   touched components for inserts, replacement-edge search for
+//!   deletes);
 //! * `recompute` — the recompute fraction is 0, so every batch falls
 //!   back to rerunning the static spanning-tree algorithm over the
 //!   post-batch snapshot.

@@ -16,8 +16,8 @@
 //! preprocessing) under three configurations:
 //!
 //! * `seed` — [`TraversalConfig::paper_protocol`]: `publish_threshold
-//!   = 1`, `local_batch = 1`; every discovered vertex goes through the
-//!   shared queue, one lock acquisition per push and per pop.
+//!   = 1`; every discovered vertex goes through the shared queue, one
+//!   lock acquisition per push and per pop.
 //! * `frontier` — [`TraversalConfig::default`]: the two-level frontier
 //!   with threshold publication and sleeper-driven donation, in the
 //!   default direction (hybrid). `ST_DIRECTION` flows through here,
@@ -72,7 +72,6 @@ struct ProtocolResult {
     protocol: String,
     direction: String,
     publish_threshold: usize,
-    local_batch: usize,
     median_s: f64,
     min_s: f64,
     max_s: f64,
@@ -348,7 +347,6 @@ fn run_protocol(
         protocol: name.to_owned(),
         direction: direction_name(cfg.direction).to_owned(),
         publish_threshold: cfg.publish_threshold,
-        local_batch: cfg.local_batch,
         median_s: m.median(),
         min_s: m.min(),
         max_s: m.max(),

@@ -4,25 +4,26 @@
 //! alive across [`EdgeBatch`](st_graph::EdgeBatch) applications without
 //! recomputing it from scratch:
 //!
-//! * **Insertions** run the gbbs CAS-hook union-find idiom over the
-//!   *components* touched by the batch (not the whole vertex set): each
-//!   batch edge whose endpoints carry different component labels races
-//!   to hook the smaller-indexed component root under the larger via a
-//!   single CAS on a `hooks` slot; the winning edges — at most one per
-//!   hooked component — are exactly the new tree edges. The local
-//!   union-find state lives in the [`Workspace`] arena (`parent` and
-//!   `color` arrays over the ≤ 2·batch locals). Its `find` compresses
-//!   paths upward only, so every union-find chain stays strictly
-//!   increasing while ranks compress and link at once.
+//! * **Insertions** union the *components* touched by the batch (not
+//!   the whole vertex set): the distinct labels at the batch's
+//!   endpoints become ≤ 2·batch dense locals, and a
+//!   [`DisjointSets`] over them takes the cross-component edges in
+//!   batch order. The edges whose `union` joined two sets — at most one
+//!   per merged-away component — are exactly the new tree edges.
 //! * **Deletions** of non-tree edges are free. Cutting a tree edge
 //!   (u, v) leaves both halves properly rooted (the child side's parent
 //!   pointers already point at the cut point), so the maintainer finds
-//!   the smaller half S by an alternating BFS in O(|S|), then searches
-//!   the edges incident to S for a *replacement edge* back to the rest
-//!   of the old component — in parallel, seeded from the workspace's
-//!   per-processor work queues with a CAS election slot, when S is
-//!   large. No replacement means the component genuinely split and S
-//!   takes a label from the free pool.
+//!   the smaller half S by an alternating BFS in O(|S|), then scans the
+//!   edges incident to S for a *replacement edge* back to the rest of
+//!   the old component, stopping at the first. No replacement means the
+//!   component genuinely split and S takes a label from the free pool.
+//!
+//! Both repairs run on the calling thread. They touch only the
+//! components a batch names, so they are the smallest jobs of an
+//! update, and a team fork costs more than it splits: hooking a
+//! 98,304-edge batch or scanning one 4,096-edge cut side ran slower on
+//! two processors than on one. The maintained forest is therefore a
+//! deterministic function of the forest, the batch and the graph.
 //!
 //! All state sits in flat `u32` arrays over the vertices. The tree is
 //! the parent array plus a first-child array and doubly linked sibling
@@ -45,31 +46,17 @@
 //! its budget. The service then drops the half-repaired forest and
 //! falls back to the full Bader–Cong run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use st_graph::delta::Neighbors;
-use st_graph::{VertexId, NO_VERTEX};
+use st_graph::{DisjointSets, VertexId, NO_VERTEX};
 use st_smp::Executor;
 
 use crate::connected::tree_roots;
 use crate::engine::Workspace;
 use crate::result::{AlgoStats, SpanningForest};
 
-/// Sentinel for the workspace-local union-find: an `EMPTY` parent marks
-/// a root, an `EMPTY` hook an unhooked component. It also marks labels
-/// the current batch has not touched.
+/// Marks labels the current batch has not touched, and groups no local
+/// has claimed yet.
 const EMPTY: u32 = u32::MAX;
-
-/// Election-slot sentinel: no replacement edge published yet.
-const NO_WINNER: u64 = u64::MAX;
-
-/// Below this many cross-component batch edges the CAS-hook phase runs
-/// sequentially — team handoff costs more than the loop.
-const PAR_INSERT_THRESHOLD: usize = 64;
-
-/// Below this many scanned edges the replacement search runs
-/// sequentially on the cutting thread.
-const PAR_SCAN_THRESHOLD: usize = 4096;
 
 /// What one batch did to the forest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -150,8 +137,11 @@ struct Scratch {
     local_of: Vec<u32>,
     /// Per local: its label and a member vertex (a batch endpoint).
     locals: Vec<(u32, VertexId)>,
-    /// Cross-component inserts as (local a, local b, u, v).
+    /// Cross-component inserts as (local a, local b, u, v); after the
+    /// union pass, only the new tree edges.
     edges: Vec<(u32, u32, VertexId, VertexId)>,
+    /// The union-find over the locals.
+    sets: DisjointSets,
     /// Per union-find root local: the largest member local and the
     /// merged size.
     groups: Vec<(u32, u32)>,
@@ -259,15 +249,16 @@ impl DynForest {
     /// Applies one batch to the forest: deletions first (mirroring the
     /// graph-layer order), then insertions. `g_after` must be the graph
     /// *with the batch already applied* — the replacement search scans
-    /// its adjacency. Parallel phases run on `exec` using `ws` scratch.
-    pub fn apply_batch<G: Neighbors + Sync>(
+    /// its adjacency. The repair runs on the calling thread; `_exec` and
+    /// `_ws` are unused and stay only for existing callers.
+    pub fn apply_batch<G: Neighbors>(
         &mut self,
         g_after: &G,
         batch: &st_graph::EdgeBatch,
-        exec: &Executor,
-        ws: &mut Workspace,
+        _exec: &Executor,
+        _ws: &mut Workspace,
     ) -> UpdateStats {
-        self.apply_batch_within(g_after, batch, exec, ws, usize::MAX)
+        self.apply_batch_within(g_after, batch, usize::MAX)
             .expect("an unbounded budget is never exceeded")
     }
 
@@ -279,20 +270,18 @@ impl DynForest {
     /// re-root step. Returns [`OverBudget`] as soon as the next charge
     /// would exceed `budget`; the forest is then half-repaired and must
     /// be discarded.
-    pub fn apply_batch_within<G: Neighbors + Sync>(
+    pub fn apply_batch_within<G: Neighbors>(
         &mut self,
         g_after: &G,
         batch: &st_graph::EdgeBatch,
-        exec: &Executor,
-        ws: &mut Workspace,
         budget: usize,
     ) -> Result<UpdateStats, OverBudget> {
         let mut meter = Meter(budget);
         let mut s = std::mem::take(&mut self.scratch);
         let repaired = self
-            .delete_edges(g_after, &batch.deletes, exec, ws, &mut s, &mut meter)
+            .delete_edges(g_after, &batch.deletes, &mut s, &mut meter)
             .and_then(|mut stats| {
-                stats.absorb(self.insert_edges(&batch.inserts, exec, ws, &mut s, &mut meter)?);
+                stats.absorb(self.insert_edges(&batch.inserts, &mut s, &mut meter)?);
                 Ok(stats)
             });
         self.scratch = s;
@@ -300,18 +289,16 @@ impl DynForest {
     }
 
     // ------------------------------------------------------------------
-    // Insertion: CAS-hook union-find over touched components.
+    // Insertion: union-find over touched components.
     // ------------------------------------------------------------------
 
     /// Splices the forest across `inserts`. Same-component edges are
-    /// no-ops; cross-component edges merge trees, at most one tree link
-    /// per component pair (extra parallel edges lose the CAS race or
-    /// find the components already joined).
+    /// no-ops; cross-component edges merge trees, one tree link per
+    /// union (an edge between components already joined earlier in the
+    /// batch adds none).
     fn insert_edges(
         &mut self,
         inserts: &[(VertexId, VertexId)],
-        exec: &Executor,
-        ws: &mut Workspace,
         s: &mut Scratch,
         meter: &mut Meter,
     ) -> Result<UpdateStats, OverBudget> {
@@ -342,58 +329,20 @@ impl DynForest {
         }
         let k = s.locals.len();
 
-        // Workspace arena: `uf` is the local union-find (EMPTY =
-        // root), `color` the hooks array recording which batch edge
-        // claimed each local root (Snippet-1 idiom: link smaller local
-        // under larger via CAS on the hook slot).
-        ws.uf.ensure_len(k);
-        ws.uf.fill_prefix(k, EMPTY);
-        ws.color.ensure_len(k);
-        ws.color.fill_prefix(k, EMPTY);
-        let uf = &ws.uf;
-        let hooks = &ws.color;
-        let edges = &s.edges;
+        // Union the locals in batch order, keeping only the edges that
+        // joined two sets: they form a spanning forest over the locals.
+        s.sets.reset(k);
+        let sets = &mut s.sets;
+        s.edges.retain(|&(a, b, ..)| sets.union(a, b));
 
-        let hook_one = |i: usize| {
-            let (a, b, ..) = edges[i];
-            loop {
-                let ra = find(uf, a);
-                let rb = find(uf, b);
-                if ra == rb {
-                    break;
-                }
-                let (small, large) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                if hooks.try_claim(small as usize, EMPTY, i as u32) {
-                    uf.store(small as usize, large, Ordering::Release);
-                    break;
-                }
-                // Lost the hook race: someone else linked `small`;
-                // re-find and retry.
-            }
-        };
-        if edges.len() >= PAR_INSERT_THRESHOLD && exec.size() > 1 {
-            let p = exec.size();
-            exec.run(|ctx| {
-                let mut i = ctx.rank();
-                while i < edges.len() {
-                    hook_one(i);
-                    i += p;
-                }
-            });
-        } else {
-            for i in 0..edges.len() {
-                hook_one(i);
-            }
-        }
-
-        // Sequential reconstruction. Group locals by final union-find
-        // root; each multi-member group is one merged component whose
-        // largest member (the first, on ties) keeps its label.
+        // Group locals by union-find root; each multi-member group is
+        // one merged component whose largest member (the first, on
+        // ties) keeps its label.
         s.groups.clear();
         s.groups.resize(k, (EMPTY, 0));
         for l in 0..k as u32 {
             let size = self.size[s.locals[l as usize].0 as usize];
-            let group = &mut s.groups[find(uf, l) as usize];
+            let group = &mut s.groups[s.sets.find(l) as usize];
             if group.0 == EMPTY || size > self.size[s.locals[group.0 as usize].0 as usize] {
                 group.0 = l;
             }
@@ -403,7 +352,7 @@ impl DynForest {
         // constituent's tree is found from its representative without
         // bleeding into the winners.
         for l in 0..k as u32 {
-            let (winner, total) = s.groups[find(uf, l) as usize];
+            let (winner, total) = s.groups[s.sets.find(l) as usize];
             let (label, rep) = s.locals[l as usize];
             if winner == l {
                 self.size[label as usize] = total;
@@ -414,18 +363,13 @@ impl DynForest {
             self.size[label as usize] = 0;
             self.free.push(label);
         }
-        // Splice the trees along the hook edges. The hooks form a
-        // forest over the locals, so each edge joins two distinct trees
-        // regardless of processing order: re-root one side at its
-        // endpoint, then hang it under the other. The side re-rooted is
-        // the one whose endpoint is nearer its root, so joining a small
-        // tree to a giant one never walks the giant's long paths.
-        for l in 0..k {
-            let i = hooks.load(l, Ordering::Acquire);
-            if i == EMPTY {
-                continue;
-            }
-            let (_, _, u, v) = edges[i as usize];
+        // Splice the trees along the union edges. They form a forest
+        // over the locals, so each joins two distinct trees: re-root one
+        // side at its endpoint, then hang it under the other. The side
+        // re-rooted is the one whose endpoint is nearer its root, so
+        // joining a small tree to a giant one never walks the giant's
+        // long paths.
+        for &(_, _, u, v) in &s.edges {
             let (x, y) = if self.nearer_root(u, v, meter)? {
                 (u, v)
             } else {
@@ -439,16 +383,14 @@ impl DynForest {
     }
 
     // ------------------------------------------------------------------
-    // Deletion: cut, smaller-side search, replacement election.
+    // Deletion: cut, smaller-side search, replacement scan.
     // ------------------------------------------------------------------
 
     /// Processes `deletes` against the post-batch graph `g_after`.
-    fn delete_edges<G: Neighbors + Sync>(
+    fn delete_edges<G: Neighbors>(
         &mut self,
         g_after: &G,
         deletes: &[(VertexId, VertexId)],
-        exec: &Executor,
-        ws: &mut Workspace,
         s: &mut Scratch,
         meter: &mut Meter,
     ) -> Result<UpdateStats, OverBudget> {
@@ -470,7 +412,7 @@ impl DynForest {
             let (side, side_epoch) =
                 self.smaller_side(child, parent, &mut s.qa, &mut s.qb, meter)?;
             let old_label = self.comp[child as usize];
-            match self.find_replacement(g_after, (side, side_epoch), old_label, exec, ws, meter)? {
+            match self.find_replacement(g_after, (side, side_epoch), old_label, meter)? {
                 Some((x, y)) => {
                     // Heal: re-root the cut-off side at x and hang it
                     // back under y. Labels and sizes are untouched —
@@ -573,18 +515,14 @@ impl DynForest {
 
     /// Scans the post-batch edges incident to `side` for an edge (x, y)
     /// with x inside, y outside but still in the old component — the
-    /// replacement that heals the cut. Large sides fan the scan out
-    /// over the team: vertices are dealt round-robin into the
-    /// workspace's per-rank queues and the first find wins a CAS
-    /// election; ranks poll the slot and bail early once it is decided.
-    /// The whole scan is charged before it starts.
-    fn find_replacement<G: Neighbors + Sync>(
+    /// replacement that heals the cut. The scan walks `side` in order
+    /// and stops at the first such edge; the whole scan is charged
+    /// before it starts.
+    fn find_replacement<G: Neighbors>(
         &self,
         g_after: &G,
         (side, side_epoch): (&[VertexId], u32),
         old_label: u32,
-        exec: &Executor,
-        ws: &mut Workspace,
         meter: &mut Meter,
     ) -> Result<Option<(VertexId, VertexId)>, OverBudget> {
         let accept = |x: VertexId, y: VertexId| {
@@ -598,56 +536,13 @@ impl DynForest {
         };
         let scan_size: usize = side.iter().map(|&x| g_after.degree(x)).sum();
         meter.charge(scan_size)?;
-        let p = exec.size();
-        if scan_size < PAR_SCAN_THRESHOLD || p < 2 || side.len() < p {
-            for &x in side {
-                for &y in g_after.neighbors(x) {
-                    if accept(x, y) {
-                        return Ok(Some((x, y)));
-                    }
-                }
-            }
-            return Ok(None);
-        }
-        // Parallel election. Seed the per-rank queues round-robin.
-        while ws.queues.len() < p {
-            ws.queues
-                .push(st_smp::CacheAligned::new(st_smp::WorkQueue::new()));
-        }
-        for q in &ws.queues[..p] {
-            while q.pop().is_some() {}
-        }
-        for (i, &x) in side.iter().enumerate() {
-            ws.queues[i % p].push(x);
-        }
-        let queues = &ws.queues[..p];
-        let slot = AtomicU64::new(NO_WINNER);
-        exec.run(|ctx| {
-            let rank = ctx.rank();
-            let mut since_poll = 0usize;
-            while let Some(x) = queues[rank].pop() {
-                if since_poll == 0 && slot.load(Ordering::Acquire) != NO_WINNER {
-                    return;
-                }
-                since_poll = (since_poll + 1) % 16;
-                for &y in g_after.neighbors(x) {
-                    if accept(x, y) {
-                        let packed = (u64::from(x) << 32) | u64::from(y);
-                        let _ = slot.compare_exchange(
-                            NO_WINNER,
-                            packed,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                        return;
-                    }
-                }
-            }
-        });
-        Ok(match slot.load(Ordering::Acquire) {
-            NO_WINNER => None,
-            packed => Some(((packed >> 32) as VertexId, packed as VertexId)),
-        })
+        Ok(side.iter().find_map(|&x| {
+            g_after
+                .neighbors(x)
+                .iter()
+                .find(|&&y| accept(x, y))
+                .map(|&y| (x, y))
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -861,37 +756,6 @@ impl Scratch {
     }
 }
 
-/// Union-find `find` with path compression over the workspace array.
-/// `EMPTY` parents mark roots. Links go from a smaller root to a larger
-/// one (the hook CAS), so every chain is strictly increasing. The
-/// compression keeps it so: it writes `root` over an entry only while
-/// that entry is still below `root`, and stops at the first entry that
-/// is `root`, `EMPTY` or already past `root` (another rank compressed
-/// it to a root that has since been linked higher). Writing a smaller
-/// `root` over such an entry would point it downward and could close a
-/// cycle that no later `find` leaves.
-fn find(uf: &st_smp::AtomicU32Array, start: u32) -> u32 {
-    let mut root = start;
-    loop {
-        let p = uf.load(root as usize, Ordering::Acquire);
-        if p == EMPTY {
-            break;
-        }
-        root = p;
-    }
-    // Compress the path behind us, upward only.
-    let mut cur = start;
-    loop {
-        let p = uf.load(cur as usize, Ordering::Acquire);
-        if p >= root {
-            break;
-        }
-        uf.store(cur as usize, root, Ordering::Release);
-        cur = p;
-    }
-    root
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,17 +763,20 @@ mod tests {
     use st_graph::{gen, validate::is_spanning_forest};
     use std::sync::Arc;
 
+    /// The repair without a budget.
+    fn repair<G: Neighbors>(forest: &mut DynForest, g: &G, batch: &EdgeBatch) -> UpdateStats {
+        forest.apply_batch_within(g, batch, usize::MAX).unwrap()
+    }
+
     fn maintained(
         g0: st_graph::CsrGraph,
         batches: &[EdgeBatch],
-        exec: &Executor,
     ) -> (DynForest, st_graph::CsrGraph) {
-        let mut ws = Workspace::new();
         let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g0));
         let mut view = GraphView::Flat(Arc::new(g0));
         for batch in batches {
             let (next, _) = view.apply(batch).unwrap();
-            forest.apply_batch(&next, batch, exec, &mut ws);
+            repair(&mut forest, &next, batch);
             view = next;
         }
         let flat = view.materialize();
@@ -938,21 +805,18 @@ mod tests {
 
     #[test]
     fn insert_merges_components() {
-        let exec = Executor::new(2);
         // Two disjoint chains 0-1-2 and 3-4-5.
         let el = st_graph::EdgeList::from_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5)]);
         let g = st_graph::CsrGraph::from_edge_list(&el);
         let batch = EdgeBatch::new().insert(2, 3);
-        let (forest, flat) = maintained(g, std::slice::from_ref(&batch), &exec);
+        let (forest, flat) = maintained(g, std::slice::from_ref(&batch));
         assert_eq!(forest.num_components(), 1);
         assert_oracle(&forest, &flat);
     }
 
     #[test]
-    fn parallel_insert_wave_is_exact() {
-        let exec = Executor::new(4);
-        // 256 isolated pairs, then one batch chaining them all together:
-        // enough cross-component edges to take the parallel CAS path.
+    fn insert_wave_with_duplicates_is_exact() {
+        // 256 isolated pairs, then one batch chaining them all together.
         let n = 512u32;
         let pairs: Vec<_> = (0..n / 2).map(|i| (2 * i, 2 * i + 1)).collect();
         let g =
@@ -961,40 +825,37 @@ mod tests {
         for i in 0..(n / 2 - 1) {
             batch = batch.insert(2 * i + 1, 2 * i + 2);
         }
-        // Parallel duplicates of the same merge must not double-link.
+        // Duplicates of the same merge must not double-link.
         for i in 0..(n / 2 - 1) {
             batch = batch.insert(2 * i + 1, 2 * i + 2);
         }
-        let (forest, flat) = maintained(g, std::slice::from_ref(&batch), &exec);
+        let (forest, flat) = maintained(g, std::slice::from_ref(&batch));
         assert_eq!(forest.num_components(), 1);
         assert_oracle(&forest, &flat);
     }
 
     #[test]
     fn delete_with_replacement_keeps_component_whole() {
-        let exec = Executor::new(2);
         // A 4-cycle: deleting any edge leaves it connected.
         let el = st_graph::EdgeList::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
         let g = st_graph::CsrGraph::from_edge_list(&el);
         let batch = EdgeBatch::new().delete(0, 1);
-        let (forest, flat) = maintained(g, std::slice::from_ref(&batch), &exec);
+        let (forest, flat) = maintained(g, std::slice::from_ref(&batch));
         assert_eq!(forest.num_components(), 1);
         assert_oracle(&forest, &flat);
     }
 
     #[test]
     fn delete_bridge_splits_component() {
-        let exec = Executor::new(2);
         let g = gen::chain(10);
         let batch = EdgeBatch::new().delete(4, 5);
-        let (forest, flat) = maintained(g, std::slice::from_ref(&batch), &exec);
+        let (forest, flat) = maintained(g, std::slice::from_ref(&batch));
         assert_eq!(forest.num_components(), 2);
         assert_oracle(&forest, &flat);
     }
 
     #[test]
     fn mixed_batch_stream_tracks_the_oracle() {
-        let exec = Executor::new(4);
         // Two inputs. A random graph takes uniform random edits. A long
         // cycle, whose BFS tree is two deep paths, has one edge cut per
         // batch while the previous cut edge comes back: the cut heals
@@ -1017,7 +878,6 @@ mod tests {
                 state
             };
             let mut view = GraphView::Flat(Arc::new(g.clone()));
-            let mut ws = Workspace::new();
             let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
             let (mut last_cut, mut heals) = (None, 0);
             for _ in 0..30 {
@@ -1043,7 +903,7 @@ mod tests {
                     }
                 }
                 let (nv, _) = view.apply(&batch).unwrap();
-                heals += forest.apply_batch(&nv, &batch, &exec, &mut ws).replacements;
+                heals += repair(&mut forest, &nv, &batch).replacements;
                 view = nv;
                 let flat = view.materialize();
                 assert_oracle(&forest, &flat);
@@ -1066,8 +926,6 @@ mod tests {
 
     #[test]
     fn cutting_the_middle_of_a_long_path_runs_over_a_small_budget() {
-        let exec = Executor::new(2);
-        let mut ws = Workspace::new();
         let g = gen::chain(1000);
         let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
         let batch = EdgeBatch::new().delete(499, 500);
@@ -1075,14 +933,13 @@ mod tests {
         // Either side of the cut has 500 vertices: the smaller-side
         // search alone needs ~1000 dequeues.
         assert_eq!(
-            forest.apply_batch_within(&next, &batch, &exec, &mut ws, 100),
+            forest.apply_batch_within(&next, &batch, 100),
             Err(OverBudget)
         );
     }
 
     #[test]
     fn an_unbounded_budget_matches_apply_batch() {
-        // One thread, so the CAS-hook races resolve the same way twice.
         let exec = Executor::new(1);
         let g = gen::random_gnm(300, 450, 11);
         let mut ws = Workspace::new();
@@ -1095,7 +952,7 @@ mod tests {
             let (next, _) = view.apply(&batch).unwrap();
             let a = plain.apply_batch(&next, &batch, &exec, &mut ws);
             let b = metered
-                .apply_batch_within(&next, &batch, &exec, &mut ws, usize::MAX)
+                .apply_batch_within(&next, &batch, usize::MAX)
                 .unwrap();
             assert_eq!(a, b);
             assert_eq!(plain.forest().parents, metered.forest().parents);
@@ -1106,9 +963,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_after_every_successful_budgeted_batch() {
-        let exec = Executor::new(2);
         let g = gen::random_gnm(400, 600, 5);
-        let mut ws = Workspace::new();
         let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
         let mut view = GraphView::Flat(Arc::new(g));
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
@@ -1117,7 +972,7 @@ mod tests {
             let batch = random_batch(&mut rng, &view, 8);
             let (next, _) = view.apply(&batch).unwrap();
             let flat = next.materialize();
-            match forest.apply_batch_within(&next, &batch, &exec, &mut ws, 150) {
+            match forest.apply_batch_within(&next, &batch, 150) {
                 Ok(_) => {
                     repaired += 1;
                     assert_oracle(&forest, &flat);
@@ -1161,17 +1016,16 @@ mod tests {
     }
 
     #[test]
-    fn large_cycle_uses_parallel_replacement_scan() {
-        let exec = Executor::new(4);
+    fn large_cycle_cut_heals_through_a_long_replacement_scan() {
         // One big cycle, so deleting an edge forces a half-graph side
-        // search and a replacement scan above the parallel threshold.
+        // search and a replacement scan over thousands of edges.
         let n = 20_000u32;
         let mut edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.push((n - 1, 0));
         let g =
             st_graph::CsrGraph::from_edge_list(&st_graph::EdgeList::from_edges(n as usize, edges));
         let batch = EdgeBatch::new().delete(0, 1);
-        let (forest, flat) = maintained(g, std::slice::from_ref(&batch), &exec);
+        let (forest, flat) = maintained(g, std::slice::from_ref(&batch));
         assert_eq!(forest.num_components(), 1);
         assert_oracle(&forest, &flat);
     }
@@ -1179,14 +1033,12 @@ mod tests {
     #[test]
     fn delta_view_and_flat_graph_agree_for_maintenance() {
         // Maintenance runs against the overlay, never materializing.
-        let exec = Executor::new(2);
         let g = gen::torus2d(16, 16);
-        let mut ws = Workspace::new();
         let mut forest = DynForest::from_forest(&crate::seq::bfs_forest(&g));
         let d0 = CsrDelta::from_base(Arc::new(g));
         let batch = EdgeBatch::new().delete(0, 1).delete(0, 16).insert(5, 200);
         let (d1, _) = d0.apply(&batch).unwrap();
-        forest.apply_batch(&d1, &batch, &exec, &mut ws);
+        repair(&mut forest, &d1, &batch);
         forest.check_invariants().unwrap();
         let flat = d1.materialize();
         assert!(is_spanning_forest(&flat, &forest.forest().parents));

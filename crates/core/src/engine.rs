@@ -6,8 +6,8 @@
 //! that shape in the API:
 //!
 //! * [`Workspace`] — an arena owning every scratch structure the
-//!   algorithms need (visited bitmap, union-find and hook arrays, hook
-//!   labels, election slots, per-rank work queues, graft lists, stub-walk
+//!   algorithms need (visited bitmap, graft-and-shortcut labels,
+//!   election slots, per-rank work queues, graft lists, stub-walk
 //!   scratch). Arrays are grown geometrically and *never shrunk*, so
 //!   running a sequence of graphs reuses allocations instead of
 //!   re-malloc-ing per call — the dominant fixed cost once thread
@@ -68,16 +68,12 @@ pub(crate) type GraftList = CacheAligned<SpinLock<Vec<(VertexId, VertexId)>>>;
 /// prefix) by the algorithm entry points, so no state leaks between
 /// runs. Building a fresh `Workspace` per call is always correct — the
 /// point of reusing one is to amortize allocation across a run sequence.
+/// [`DynForest`](crate::dyn_forest::DynForest) repairs run on one thread
+/// and keep their scratch in the maintainer, not here.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// The traversal's visited set, one bit per vertex.
     pub(crate) colored: AtomicBitmap,
-    /// Per-vertex `u32` claims: the hooks of
-    /// [`DynForest`](crate::dyn_forest::DynForest)'s component merge.
-    pub(crate) color: AtomicU32Array,
-    /// The union-find of
-    /// [`DynForest`](crate::dyn_forest::DynForest)'s component merge.
-    pub(crate) uf: AtomicU32Array,
     /// Graft-and-shortcut hook array (SV's `D`, HCS/Borůvka's labels).
     pub(crate) labels: AtomicU32Array,
     /// Iteration-start snapshot of `labels` (Borůvka).

@@ -163,11 +163,6 @@ pub struct TraversalConfig {
     pub starvation_threshold: Option<usize>,
     /// Seed for the per-processor victim-selection RNGs.
     pub seed: u64,
-    /// How many vertices the owner dequeues per queue-lock acquisition
-    /// (the `ablate_chunk` knob). 1 reproduces the paper's per-vertex
-    /// protocol exactly; larger batches amortize lock traffic at the
-    /// cost of making the in-flight batch unstealable.
-    pub local_batch: usize,
     /// Private-buffer size at which a worker publishes surplus frontier
     /// vertices to its shared stealable queue (see the module docs).
     /// `1` publishes every discovery immediately — the paper's protocol;
@@ -227,7 +222,6 @@ impl TraversalConfig {
             idle_timeout: Duration::from_micros(200),
             starvation_threshold: None,
             seed: 0x5eed,
-            local_batch: 1,
             publish_threshold: 64,
             cancel: CancelToken::none(),
             direction: Direction::Hybrid,
@@ -243,7 +237,6 @@ impl TraversalConfig {
     pub fn paper_protocol() -> Self {
         Self {
             publish_threshold: 1,
-            local_batch: 1,
             direction: Direction::TopDown,
             ..Self::base()
         }
@@ -653,7 +646,6 @@ impl<'a> Traversal<'a> {
         // hot loop skips the poll cadence entirely and cancellation
         // costs nothing unless a caller actually armed a token.
         let cancellable = self.cfg.cancel.is_live();
-        let batch_size = self.cfg.local_batch.max(1);
         let publish_threshold = self.cfg.publish_threshold.max(1);
         // On a threshold publication, keep the newest half of the buffer
         // private: those vertices are cache-hot and about to be popped.
@@ -663,10 +655,10 @@ impl<'a> Traversal<'a> {
         // Shared-queue refills pull at least half a threshold's worth so
         // the owner does not re-acquire the lock per vertex to drain its
         // own published surplus. With the paper protocol (threshold 1)
-        // this degenerates to `local_batch`, preserving the seed
-        // semantics; refilled vertices land in the private buffer and so
-        // remain eligible for sleeper-driven re-publication.
-        let refill_size = batch_size.max(keep_after_publish);
+        // this degenerates to one vertex per acquisition, preserving the
+        // seed semantics; refilled vertices land in the private buffer
+        // and so remain eligible for sleeper-driven re-publication.
+        let refill_size = keep_after_publish.max(1);
         let prefetch = self.cfg.prefetch_distance;
         let n = self.g.num_vertices();
         let state = &mut *state;
@@ -1558,26 +1550,6 @@ mod tests {
         // does the bulk (the chain is pathological by design).
         assert!(t.counters().merged().get(Counter::Processed) >= n as u64);
         let parents = t.parents_vec();
-        assert!(is_spanning_tree(&g, &parents, 0));
-    }
-
-    #[test]
-    fn local_batch_sizes_are_correct() {
-        let g = random_connected(3_000, 4_000, 17);
-        for batch in [1usize, 4, 32] {
-            let cfg = TraversalConfig {
-                local_batch: batch,
-                ..TraversalConfig::default()
-            };
-            let (parents, _) = traverse(&g, 4, 0, cfg);
-            assert!(is_spanning_tree(&g, &parents, 0), "batch {batch}");
-        }
-        // Zero batch clamps to 1 instead of hanging.
-        let cfg = TraversalConfig {
-            local_batch: 0,
-            ..TraversalConfig::default()
-        };
-        let (parents, _) = traverse(&g, 2, 0, cfg);
         assert!(is_spanning_tree(&g, &parents, 0));
     }
 

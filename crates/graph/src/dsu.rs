@@ -1,13 +1,14 @@
 //! Disjoint-set union (union-find).
 //!
-//! Used by the Kruskal MST baseline and as an independent oracle for the
-//! connectivity algorithms. Path halving + union by size gives the
-//! standard near-constant amortized operations.
+//! Used by the Kruskal MST baseline, by `DynForest`'s component merge
+//! and as an independent oracle for the connectivity algorithms. Path
+//! halving + union by size gives the standard near-constant amortized
+//! operations.
 
 use crate::repr::VertexId;
 
 /// A disjoint-set forest over `0..n`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DisjointSets {
     parent: Vec<VertexId>,
     size: Vec<u32>,
@@ -22,6 +23,16 @@ impl DisjointSets {
             size: vec![1; n],
             sets: n,
         }
+    }
+
+    /// Back to `n` singleton sets, keeping the allocations: a reset to
+    /// no more elements than were ever held allocates nothing.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as VertexId);
+        self.size.clear();
+        self.size.resize(n, 1);
+        self.sets = n;
     }
 
     /// Number of elements.
@@ -120,6 +131,19 @@ mod tests {
         for v in 0..n as VertexId {
             assert_eq!(d.find(v), d.find(0));
         }
+    }
+
+    #[test]
+    fn reset_starts_over_with_singletons() {
+        let mut d = DisjointSets::new(8);
+        for v in 1..8 {
+            d.union(v - 1, v);
+        }
+        d.reset(5);
+        assert_eq!((d.len(), d.num_sets()), (5, 5));
+        assert!(!d.same(0, 4));
+        assert!(d.union(0, 4));
+        assert_eq!(d.set_size(4), 2);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! The maintainer state lives here: one `GraphUpdater` per mutated
 //! graph, holding a [`DynForest`] synced to a specific catalog version
-//! plus a private [`Workspace`] arena. Updates to one graph serialize
+//! plus a private [`Workspace`] arena for its seeding and recompute
+//! runs. Updates to one graph serialize
 //! on the updater's mutex; updates to different graphs proceed
 //! concurrently. The catalog install itself is optimistic
 //! ([`GraphCatalog::install`] CASes on the version), so a racing direct
@@ -79,7 +80,8 @@ pub(crate) struct GraphUpdater {
     forest: Option<DynForest>,
     /// The catalog version `forest` describes.
     version: u32,
-    /// Private arena for repairs and reseeds; amortizes across batches.
+    /// Private arena for the seeding and recompute runs; amortizes
+    /// across batches. Repairs keep their scratch in the forest.
     ws: Workspace,
 }
 
@@ -181,7 +183,8 @@ pub(crate) fn apply_update(
         let n = view.num_vertices();
         batch.validate(n)?;
         // One lease for the whole attempt: the seeding run, every
-        // flatten, and the repair or recompute run on its team.
+        // flatten and a recompute run on its team. The repair itself
+        // runs on this thread.
         let lease = pool.lease(preferred_width(n, view.num_edges(), pool.widths()));
 
         // Sync the maintainer to the live version. First touch and any
@@ -210,11 +213,9 @@ pub(crate) fn apply_update(
         let up = &mut *up;
         let forest = up.forest.as_mut().expect("seeded above");
         let m = next_view.num_edges();
-        let repaired = cfg.repair_budget(n, m).and_then(|budget| {
-            forest
-                .apply_batch_within(&next_view, batch, &lease, &mut up.ws, budget)
-                .ok()
-        });
+        let repaired = cfg
+            .repair_budget(n, m)
+            .and_then(|budget| forest.apply_batch_within(&next_view, batch, budget).ok());
         let incremental = repaired.is_some();
         let stats = repaired.unwrap_or_else(|| {
             // The snapshot also fills the catalog's flat memo for the

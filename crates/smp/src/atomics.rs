@@ -4,9 +4,8 @@ use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A fixed-size array of atomic `u32` cells shared by all processors.
 ///
-/// This backs the `parent` array of the traversal algorithms, the
-/// dynamic forest's hook array, and the `parent`/`component` arrays of
-/// Shiloach–Vishkin: every cell
+/// This backs the `parent` array of the traversal algorithms and the
+/// label arrays of graft-and-shortcut: every cell
 /// can be read, written, and CASed concurrently. The paper's key
 /// correctness argument (§2, Fig. 1) is precisely that racy writes to
 /// `parent[w]` by multiple processors are benign — each candidate value
@@ -40,6 +39,9 @@ impl AtomicU32Array {
     /// not by the caller. With `huge` set, the allocation is advised
     /// with [`crate::mem::advise_hugepages`] before any such touch.
     pub fn zeroed(len: usize, huge: bool) -> Self {
+        // Only the hand-over below writes through `zeros`, and the loom
+        // build does not take it.
+        #[cfg_attr(feature = "loom", allow(unused_mut))]
         let mut zeros = std::mem::ManuallyDrop::new(vec![0u32; len]);
         if huge {
             crate::mem::advise_hugepages(zeros.as_ptr().cast(), len * std::mem::size_of::<u32>());
@@ -113,15 +115,6 @@ impl AtomicU32Array {
         self.cells[i].compare_exchange(current, new, success, failure)
     }
 
-    /// Convenience claim: CAS cell `i` from `empty` to `value` with
-    /// Acquire/Release ordering; returns true when this caller won.
-    #[inline]
-    pub fn try_claim(&self, i: usize, empty: u32, value: u32) -> bool {
-        self.cells[i]
-            .compare_exchange(empty, value, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
     /// Direct access to a cell (for fetch-ops not wrapped here).
     #[inline]
     pub fn cell(&self, i: usize) -> &AtomicU32 {
@@ -144,14 +137,6 @@ impl AtomicU32Array {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Stores `value` into the first `n` cells (sequential; for
-    /// re-initializing a reused array between runs).
-    pub fn fill_prefix(&self, n: usize, value: u32) {
-        for c in &self.cells[..n] {
-            c.store(value, Ordering::Relaxed);
-        }
     }
 
     /// Grows the array to at least `n` cells (geometric, so repeated
@@ -370,8 +355,9 @@ mod tests {
     #[test]
     fn claim_is_exclusive() {
         let a = AtomicU32Array::new(1, u32::MAX);
-        assert!(a.try_claim(0, u32::MAX, 5));
-        assert!(!a.try_claim(0, u32::MAX, 6));
+        let claim = |v| a.compare_exchange(0, u32::MAX, v, Ordering::AcqRel, Ordering::Acquire);
+        assert_eq!(claim(5), Ok(u32::MAX));
+        assert_eq!(claim(6), Err(5));
         assert_eq!(a.load(0, Ordering::Relaxed), 5);
     }
 
@@ -389,7 +375,15 @@ mod tests {
                 let wins = &wins;
                 s.spawn(move |_| {
                     for i in 0..N {
-                        if a.try_claim(i, u32::MAX, rank as u32) {
+                        if a.compare_exchange(
+                            i,
+                            u32::MAX,
+                            rank as u32,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_ok()
+                        {
                             wins[rank].fetch_add(1, Ordering::Relaxed);
                         }
                     }

@@ -109,8 +109,9 @@ impl<T> WorkQueue<T> {
     /// Dequeues up to `k` items from the front into `out` under a single
     /// lock acquisition; returns how many moved. Batching amortizes the
     /// queue lock when the owner's per-vertex work is tiny (the
-    /// `ablate_chunk` design knob); items moved out are no longer
-    /// stealable, exactly like a single dequeued vertex.
+    /// traversal's refill from its own published surplus); items moved
+    /// out are no longer stealable, exactly like a single dequeued
+    /// vertex.
     pub fn pop_chunk(&self, out: &mut VecDeque<T>, k: usize) -> usize {
         if k == 0 {
             return 0;

@@ -35,11 +35,6 @@
 //! * [`bottom_up`] — the traversal's visited-bitmap claims (two ranks'
 //!   top-down test-then-`fetch_or` on one word; the bottom-up sweep
 //!   protocol) and the abort-byte rendezvous of the hybrid switch,
-//! * [`dyn_forest`] — the batch-dynamic maintainer's CAS-hook union
-//!   (claim-then-store exclusivity), its `find` compressing upward only
-//!   while another rank links (with the old unguarded compression kept
-//!   as a seeded bug the checker must catch), and the replacement
-//!   scan's write-once edge election,
 //! * [`prepare`] — the forest driver's team prepare: walks that claim
 //!   components with `fetch_or` on the visited bitmap and release their
 //!   claims when they meet another walk (with a walk that yields
@@ -55,7 +50,6 @@
 mod barriers;
 mod bottom_up;
 mod detector;
-mod dyn_forest;
 mod executor;
 mod graft;
 mod locks;

@@ -375,52 +375,21 @@ fn sv_lock_variant_under_contention() {
 }
 
 #[test]
-fn parallel_forest_insert_never_hangs() {
+fn large_insert_batch_matches_the_oracle() {
     // Every edge of a random graph as one insert batch into an edgeless
-    // forest: about 24k cross-component edges race the CAS-hook
-    // union-find on the team while each rank's `find` compresses paths.
-    // A compression that pointed an entry downward closed union-find
-    // cycles here and left every rank spinning, so each repetition runs
-    // on a worker thread behind a watchdog and a hang fails the test.
-    use bader_cong_spanning::smp::Executor;
-    use std::sync::mpsc;
-    use std::sync::Arc;
-    use std::time::Duration;
-    const REPS: usize = 100;
-    const LIMIT: Duration = Duration::from_secs(30);
-
+    // forest: about 24k cross-component edges in one union pass.
     let n = 1usize << 14;
-    let g = Arc::new(gen::random_gnm(n, n + n / 2, 7));
-    let components = count_components(&g);
+    let g = gen::random_gnm(n, n + n / 2, 7);
     let edgeless = CsrGraph::from_edge_list(&EdgeList::from_edges(n, Vec::new()));
-    let base = Arc::new(DynForest::from_forest(&seq::bfs_forest(&edgeless)));
-    let batch = Arc::new(EdgeBatch {
+    let mut forest = DynForest::from_forest(&seq::bfs_forest(&edgeless));
+    let batch = EdgeBatch {
         inserts: g.edges().collect(),
         deletes: Vec::new(),
-    });
-    for p in [2usize, 4] {
-        let (tx, rx) = mpsc::channel();
-        let (g, base, batch) = (Arc::clone(&g), Arc::clone(&base), Arc::clone(&batch));
-        // Detached on purpose: a hung team cannot be joined.
-        std::thread::spawn(move || {
-            let exec = Executor::new(p);
-            let mut ws = Workspace::new();
-            for _ in 0..REPS {
-                let mut forest = (*base).clone();
-                forest.apply_batch(&*g, &batch, &exec, &mut ws);
-                if tx.send(forest).is_err() {
-                    return;
-                }
-            }
-        });
-        for rep in 0..REPS {
-            let forest = rx
-                .recv_timeout(LIMIT)
-                .unwrap_or_else(|e| panic!("p = {p}: repetition {rep} did not finish: {e}"));
-            forest.check_invariants().unwrap();
-            assert_eq!(forest.num_components(), components, "p = {p}, rep {rep}");
-        }
-    }
+    };
+    forest.apply_batch_within(&g, &batch, usize::MAX).unwrap();
+    forest.check_invariants().unwrap();
+    assert_eq!(forest.num_components(), count_components(&g));
+    assert!(is_spanning_forest(&g, &forest.forest().parents));
 }
 
 #[test]

@@ -130,3 +130,82 @@ fn model_predictions_are_stable_quantities() {
     assert_eq!(sv1.shortcut_rounds, sv2.shortcut_rounds);
     assert_eq!(sv1.tree_edges, sv2.tree_edges);
 }
+
+#[test]
+fn dyn_forest_repairs_do_not_depend_on_the_team_width() {
+    // One batch stream on a 64 x 64 torus: the tree-edge cut with the
+    // largest smaller side (over a thousand vertices, so the
+    // replacement scan passes 4,096 edges), a batch that isolates 128
+    // vertices, then 256 inserts, most across components, that join
+    // them back. Each width must leave the same parents and the same
+    // component partition after every batch.
+    use bader_cong_spanning::graph::Neighbors;
+    use bader_cong_spanning::smp::Executor;
+    use std::sync::Arc;
+    let g = gen::torus2d(64, 64);
+    let n = g.num_vertices();
+    let seed = seq::bfs_forest(&g);
+
+    let sizes = st_core::tree::preorder(&seed.parents).sz;
+    let child = (0..n)
+        .filter(|&v| seed.parents[v] != NO_VERTEX)
+        .max_by_key(|&v| sizes[v].min(n as u32 - sizes[v]))
+        .unwrap();
+    let side = sizes[child].min(n as u32 - sizes[child]) as usize;
+    assert!(
+        4 * side >= 4096,
+        "the cut's smaller side has {side} vertices"
+    );
+    let mut stream = vec![EdgeBatch::new().delete(child as VertexId, seed.parents[child])];
+    let (after_cut, _) = GraphView::Flat(Arc::new(g.clone()))
+        .apply(&stream[0])
+        .unwrap();
+    let isolated: Vec<VertexId> = (0..128).map(|i| (i * 31 + 7) as VertexId).collect();
+    let mut isolate = EdgeBatch::new();
+    for &v in &isolated {
+        for &w in after_cut.neighbors(v) {
+            isolate = isolate.delete(v, w);
+        }
+    }
+    stream.push(isolate);
+    let mut join = EdgeBatch::new();
+    for (i, &v) in isolated.iter().enumerate() {
+        join = join.insert(v, isolated[(i + 1) % isolated.len()]);
+        join = join.insert(v, (v + n as VertexId / 2 + 5) % n as VertexId);
+    }
+    stream.push(join);
+
+    let partition = |f: &DynForest| {
+        let mut first = vec![NO_VERTEX; n];
+        (0..n as VertexId)
+            .map(|v| {
+                let head = &mut first[f.label(v) as usize];
+                if *head == NO_VERTEX {
+                    *head = v;
+                }
+                *head
+            })
+            .collect::<Vec<_>>()
+    };
+    let runs: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|p| {
+            let exec = Executor::new(p);
+            let mut ws = Workspace::new();
+            let mut forest = DynForest::from_forest(&seed);
+            let mut view = GraphView::Flat(Arc::new(g.clone()));
+            let mut states = Vec::new();
+            for batch in &stream {
+                let (next, _) = view.apply(batch).unwrap();
+                forest.apply_batch(&next, batch, &exec, &mut ws);
+                view = next;
+                let parents = forest.forest().parents;
+                assert!(is_spanning_forest(&view.materialize(), &parents), "p = {p}");
+                states.push((parents, partition(&forest)));
+            }
+            states
+        })
+        .collect();
+    assert!(runs[1] == runs[0], "p = 2 repairs differ from p = 1");
+    assert!(runs[2] == runs[0], "p = 4 repairs differ from p = 1");
+}
