@@ -226,6 +226,11 @@ impl CsrDelta {
     /// Applies `batch` (deletes first, then inserts), returning the
     /// successor delta and what actually changed. `self` is untouched;
     /// rows not named by the batch are shared between the versions.
+    ///
+    /// The successor starts as a clone of the patch table (one `Arc`
+    /// per patched row), so an apply costs O(patched rows) on top of
+    /// the batch's own edits. Stacking each batch on a flat CSR keeps
+    /// that table to the batch's rows.
     pub fn apply(&self, batch: &EdgeBatch) -> Result<(CsrDelta, BatchOutcome), BatchError> {
         batch.validate(self.num_vertices())?;
         let mut next = self.clone();
@@ -477,11 +482,10 @@ impl GraphView {
     /// the caller decides when to flatten via
     /// [`patched_fraction`](Self::patched_fraction)).
     pub fn apply(&self, batch: &EdgeBatch) -> Result<(GraphView, BatchOutcome), BatchError> {
-        let delta = match self {
-            GraphView::Flat(g) => CsrDelta::from_base(Arc::clone(g)),
-            GraphView::Delta(d) => (**d).clone(),
+        let (next, outcome) = match self {
+            GraphView::Flat(g) => CsrDelta::from_base(Arc::clone(g)).apply(batch)?,
+            GraphView::Delta(d) => d.apply(batch)?,
         };
-        let (next, outcome) = delta.apply(batch)?;
         Ok((GraphView::Delta(Arc::new(next)), outcome))
     }
 
@@ -501,7 +505,7 @@ impl GraphView {
 
     /// A flat CSR of this version: free for flat views, one team
     /// flatten ([`CsrDelta::materialize_on`]) for deltas. Callers should
-    /// memoize per version.
+    /// keep the result per version.
     pub fn materialize_on(&self, team: &Executor) -> Arc<CsrGraph> {
         match self {
             GraphView::Flat(g) => Arc::clone(g),

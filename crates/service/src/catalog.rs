@@ -15,11 +15,13 @@
 //! be served for the new ones. Nothing is invalidated eagerly; stale
 //! entries simply stop matching and age out of the LRU.
 //!
-//! The [`ResultCache`] completes the addressed path: spanning-forest
-//! jobs are deterministic given `(graph version, algorithm, seed)`
-//! apart from scheduling noise in the stats, so a bounded
+//! The [`ResultCache`] completes the addressed path: a bounded
 //! least-recently-used map keyed on [`CacheKey`] lets the service
-//! answer repeat submissions without leasing a team at all. It is
+//! answer repeat submissions without leasing a team at all. It serves
+//! the first forest computed for a key. That forest is not the only
+//! one the key could produce — Bader–Cong at p > 1 may pick a
+//! different tree on every run — so the guarantee is a valid spanning
+//! forest of the key's graph version, not a particular one. It is
 //! bounded by entries and by bytes ([`RESULT_CACHE_MAX_BYTES`]), so a
 //! few forests of a huge graph cannot pin gigabytes.
 
@@ -96,12 +98,11 @@ impl From<BatchError> for ApplyError {
 }
 
 struct Entry {
+    /// The live version as readers and writers take it. A flat CSR
+    /// replaces an overlay as soon as one exists for the version (see
+    /// [`GraphCatalog::flatten`]), so the next write stacks its batch
+    /// on that CSR instead of on the overlay's history.
     view: GraphView,
-    /// Memoized flat CSR of `view` at `version` — filled by the first
-    /// [`GraphCatalog::flatten`] of the version (a job's, on its team)
-    /// so repeated reads of a delta version pay for one flatten, not
-    /// one per job.
-    flat: Option<Arc<CsrGraph>>,
     version: u32,
 }
 
@@ -150,8 +151,7 @@ impl GraphCatalog {
         entries.insert(
             id,
             Entry {
-                view: GraphView::Flat(Arc::clone(&graph)),
-                flat: Some(graph),
+                view: GraphView::Flat(graph),
                 version: 1,
             },
         );
@@ -166,8 +166,7 @@ impl GraphCatalog {
         let mut entries = self.entries.lock().unwrap();
         let entry = entries.get_mut(&id)?;
         entry.version += 1;
-        entry.view = GraphView::Flat(Arc::clone(&graph));
-        entry.flat = Some(graph);
+        entry.view = GraphView::Flat(graph);
         Some(GraphRef {
             id,
             version: entry.version,
@@ -175,8 +174,10 @@ impl GraphCatalog {
     }
 
     /// The current view of `id` with its exact ref — the read half of
-    /// the optimistic apply protocol. The view is a cheap `Arc`-level
-    /// clone; holding it never blocks writers.
+    /// the optimistic apply protocol, and what a job holds. The view is
+    /// the version's flat CSR once one exists, else its overlay; either
+    /// way a cheap `Arc`-level clone that keeps the version alive and
+    /// never blocks writers. Flattens nothing.
     pub fn view(&self, id: GraphId) -> Option<(GraphView, GraphRef)> {
         let entries = self.entries.lock().unwrap();
         let entry = entries.get(&id)?;
@@ -194,8 +195,9 @@ impl GraphCatalog {
     /// optimistic apply protocol. Fails with [`ApplyError::Conflict`]
     /// when another writer moved the version first, so a stale
     /// computation can never clobber a newer one. `flat` carries an
-    /// already-materialized CSR when the writer flattened (rebuild
-    /// threshold crossed); otherwise materialization stays lazy.
+    /// already-materialized CSR of `view` when the writer flattened
+    /// (rebuild threshold crossed, or a recompute); it then becomes the
+    /// version's view. Otherwise materialization stays lazy.
     pub fn install(
         &self,
         id: GraphId,
@@ -212,8 +214,7 @@ impl GraphCatalog {
             });
         }
         entry.version += 1;
-        entry.view = view;
-        entry.flat = flat;
+        entry.view = flat.map_or(view, GraphView::Flat);
         Ok(GraphRef {
             id,
             version: entry.version,
@@ -241,12 +242,7 @@ impl GraphCatalog {
             // Compute the successor outside the catalog lock: readers
             // and other graphs stay unblocked during the row edits.
             let (next, outcome) = view.apply(batch)?;
-            let (next, flat) = if next.patched_fraction() > rebuild_fraction {
-                let flat = next.materialize();
-                (GraphView::Flat(Arc::clone(&flat)), Some(flat))
-            } else {
-                (next, None)
-            };
+            let flat = (next.patched_fraction() > rebuild_fraction).then(|| next.materialize());
             match self.install(id, gref.version, next, flat) {
                 Ok(new_ref) => return Ok((new_ref, outcome)),
                 Err(ApplyError::Conflict { .. }) => continue,
@@ -263,34 +259,14 @@ impl GraphCatalog {
         Ok((self.register(Arc::new(graph)), kind))
     }
 
-    /// The current version of `id` as a job should hold it, with its
-    /// exact ref: the memoized flat CSR when there is one, else the live
-    /// view. Flattens nothing; the view is a cheap `Arc`-level clone
-    /// that keeps its version alive.
-    pub fn snapshot(&self, id: GraphId) -> Option<(GraphView, GraphRef)> {
-        let entries = self.entries.lock().unwrap();
-        let entry = entries.get(&id)?;
-        let view = match &entry.flat {
-            Some(flat) => GraphView::Flat(Arc::clone(flat)),
-            None => entry.view.clone(),
-        };
-        Some((
-            view,
-            GraphRef {
-                id,
-                version: entry.version,
-            },
-        ))
-    }
-
-    /// Resolves an *exact* pinned ref as [`snapshot`](Self::snapshot)
-    /// does: the view only if `gref.version` is still the live version
+    /// Resolves an *exact* pinned ref as [`view`](Self::view) does: the
+    /// view only if `gref.version` is still the live version
     /// of `gref.id`. On a version mismatch returns `Err(current_version)`
     /// so callers can distinguish "stale pin" from "unknown graph"
     /// (collapsed to the outer `Option`).
     #[allow(clippy::result_unit_err)]
     pub fn resolve_pinned(&self, gref: GraphRef) -> Option<Result<GraphView, u32>> {
-        let (view, live) = self.snapshot(gref.id)?;
+        let (view, live) = self.view(gref.id)?;
         Some(if live.version == gref.version {
             Ok(view)
         } else {
@@ -300,42 +276,39 @@ impl GraphCatalog {
 
     /// A flat CSR of `view`, the version `gref` names, flattened on
     /// `team` ([`GraphView::materialize_on`]) unless the catalog already
-    /// holds one. While `gref` is the live version the result is
-    /// memoized against it, and a job that flattened alongside another
-    /// returns the memo, so every read of one version shares one
+    /// holds one. While `gref` is the live version the result becomes
+    /// its view, and a job that flattened alongside another returns the
+    /// winner's, so every read of one version shares one
     /// `Arc<CsrGraph>`. A superseded version is flattened but not kept.
     pub fn flatten(&self, gref: GraphRef, view: &GraphView, team: &Executor) -> Arc<CsrGraph> {
         if let GraphView::Flat(flat) = view {
             return Arc::clone(flat);
         }
-        if let Some(flat) = self.memo(gref) {
-            return flat;
+        if let Some((GraphView::Flat(flat), live)) = self.view(gref.id) {
+            if live == gref {
+                return flat;
+            }
         }
         let flat = view.materialize_on(team);
         let mut entries = self.entries.lock().unwrap();
         match entries.get_mut(&gref.id) {
-            Some(entry) if entry.version == gref.version => {
-                Arc::clone(entry.flat.get_or_insert(flat))
-            }
+            Some(entry) if entry.version == gref.version => match &entry.view {
+                GraphView::Flat(won) => Arc::clone(won),
+                GraphView::Delta(_) => {
+                    entry.view = GraphView::Flat(Arc::clone(&flat));
+                    flat
+                }
+            },
             _ => flat,
         }
     }
 
-    /// The memoized flat CSR of `gref`, if `gref` is live and has one.
-    fn memo(&self, gref: GraphRef) -> Option<Arc<CsrGraph>> {
-        let entries = self.entries.lock().unwrap();
-        let entry = entries.get(&gref.id)?;
-        (entry.version == gref.version)
-            .then(|| entry.flat.clone())
-            .flatten()
-    }
-
     /// The current graph under `id` as a flat CSR, with the exact ref
     /// (including version) it resolves to right now: [`flatten`](Self::flatten)
-    /// of the [`snapshot`](Self::snapshot) on the calling thread, for
-    /// callers that hold no team.
+    /// of the [`view`](Self::view) on the calling thread, for callers
+    /// that hold no team.
     pub fn resolve_latest(&self, id: GraphId) -> Option<(Arc<CsrGraph>, GraphRef)> {
-        let (view, gref) = self.snapshot(id)?;
+        let (view, gref) = self.view(id)?;
         Some((self.flatten(gref, &view, &Executor::new(1)), gref))
     }
 
@@ -734,7 +707,7 @@ mod tests {
         let (v2, _) = cat
             .apply(gref.id, &EdgeBatch::new().delete(0, 1), 1.0)
             .unwrap();
-        let (view, at) = cat.snapshot(gref.id).unwrap();
+        let (view, at) = cat.view(gref.id).unwrap();
         assert_eq!(at, v2);
         assert!(
             matches!(view, GraphView::Delta(_)),
@@ -749,23 +722,91 @@ mod tests {
             "the second read shares the first's flatten"
         );
         assert!(!a.neighbors(0).contains(&1));
-        // Later reads resolve straight to the memo.
-        let GraphView::Flat(memo) = cat.snapshot(gref.id).unwrap().0 else {
-            panic!("a flattened version resolves flat");
+        // The flat CSR is now the live version's view.
+        let (GraphView::Flat(live), at) = cat.view(gref.id).unwrap() else {
+            panic!("a flattened live version is viewed flat");
         };
-        assert!(Arc::ptr_eq(&memo, &a));
+        assert_eq!(at, v2);
+        assert!(Arc::ptr_eq(&live, &a));
         assert!(Arc::ptr_eq(&cat.resolve_latest(gref.id).unwrap().0, &a));
-        // A superseded version still flattens for the job holding it,
-        // but is not memoized against the live one.
-        cat.apply(gref.id, &EdgeBatch::new().delete(2, 3), 1.0)
+    }
+
+    #[test]
+    fn flattening_a_superseded_version_leaves_the_live_view() {
+        let cat = GraphCatalog::new();
+        let gref = cat.register(Arc::new(gen::torus2d(8, 8)));
+        let (v2, _) = cat
+            .apply(gref.id, &EdgeBatch::new().delete(0, 1), 1.0)
             .unwrap();
-        let old = cat.flatten(v2, &view, &team);
-        assert!(!Arc::ptr_eq(&old, &a));
-        assert_eq!(*old, *a);
-        assert!(matches!(
-            cat.snapshot(gref.id).unwrap().0,
-            GraphView::Delta(_)
-        ));
+        let (old_view, _) = cat.view(gref.id).unwrap();
+        let (v3, _) = cat
+            .apply(gref.id, &EdgeBatch::new().delete(2, 3), 1.0)
+            .unwrap();
+        let (GraphView::Delta(live), _) = cat.view(gref.id).unwrap() else {
+            panic!("nothing flattened v3");
+        };
+        // The job holding v2 still gets its version, flat...
+        let old = cat.flatten(v2, &old_view, &Executor::new(2));
+        assert!(!old.neighbors(0).contains(&1));
+        assert!(
+            old.neighbors(2).contains(&3),
+            "v2 predates the second delete"
+        );
+        // ...and the live entry keeps its own view.
+        let (GraphView::Delta(after), at) = cat.view(gref.id).unwrap() else {
+            panic!("a superseded flatten replaced the live view");
+        };
+        assert_eq!(at, v3);
+        assert!(Arc::ptr_eq(&live, &after));
+    }
+
+    #[test]
+    fn writes_between_reads_stack_on_the_flat_csr() {
+        let cat = GraphCatalog::new();
+        let n = 1 << 10;
+        let gref = cat.register(Arc::new(gen::random_gnm(n, 3 * n / 2, 3)));
+        let team = Executor::new(1);
+        for round in 0..20u32 {
+            // Eight fresh chords (16 edits' worth of rows), then a read.
+            let mut batch = EdgeBatch::new();
+            for i in 0..8u32 {
+                let u = (round * 37 + i * 101) % n as u32;
+                batch = batch
+                    .delete(u, (u + 1) % n as u32)
+                    .insert(u, (u + 512) % n as u32);
+            }
+            assert_eq!(batch.len(), 16);
+            let (at, _) = cat.apply(gref.id, &batch, 1.0).unwrap();
+            let (view, _) = cat.view(gref.id).unwrap();
+            let GraphView::Delta(delta) = &view else {
+                panic!("the write left an overlay");
+            };
+            assert!(
+                delta.patched_vertices() <= 2 * batch.len(),
+                "round {round}: {} patched rows for a {}-edit batch",
+                delta.patched_vertices(),
+                batch.len()
+            );
+            cat.flatten(at, &view, &team);
+            assert!(matches!(cat.view(gref.id).unwrap().0, GraphView::Flat(_)));
+        }
+    }
+
+    #[test]
+    fn install_with_a_flat_csr_makes_it_the_view() {
+        let cat = GraphCatalog::new();
+        let gref = cat.register(Arc::new(gen::chain(4)));
+        let (view, r) = cat.view(gref.id).unwrap();
+        let (next, _) = view.apply(&EdgeBatch::new().insert(0, 3)).unwrap();
+        let g = next.materialize();
+        let v2 = cat
+            .install(gref.id, r.version, next, Some(Arc::clone(&g)))
+            .unwrap();
+        let (GraphView::Flat(live), at) = cat.view(gref.id).unwrap() else {
+            panic!("the installed CSR is the view");
+        };
+        assert_eq!(at, v2);
+        assert!(Arc::ptr_eq(&live, &g));
     }
 
     #[test]

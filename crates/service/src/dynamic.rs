@@ -179,7 +179,7 @@ pub(crate) fn apply_update(
         up
     });
     loop {
-        let (view, gref) = catalog.view(id).ok_or(UpdateError::UnknownGraph(id))?;
+        let (mut view, gref) = catalog.view(id).ok_or(UpdateError::UnknownGraph(id))?;
         let n = view.num_vertices();
         batch.validate(n)?;
         // One lease for the whole attempt: the seeding run, every
@@ -190,12 +190,14 @@ pub(crate) fn apply_update(
         // Sync the maintainer to the live version. First touch and any
         // out-of-band version bump (publish, direct apply, lost race)
         // land here: a full static run over the current snapshot, whose
-        // flatten the catalog keeps for reads of that version.
+        // flatten the catalog keeps as that version's view and this
+        // batch stacks on.
         if up.forest.is_none() || up.version != gref.version {
             let flat = catalog.flatten(gref, &view, &lease);
             let seeded = run_static(&flat, &lease, &mut up.ws);
             up.forest = Some(DynForest::from_forest(&seeded));
             up.version = gref.version;
+            view = GraphView::Flat(flat);
         }
 
         // Successor view, computed outside the catalog lock.
@@ -218,8 +220,8 @@ pub(crate) fn apply_update(
             .and_then(|budget| forest.apply_batch_within(&next_view, batch, budget).ok());
         let incremental = repaired.is_some();
         let stats = repaired.unwrap_or_else(|| {
-            // The snapshot also fills the catalog's flat memo for the
-            // new version, so the next read does not flatten again.
+            // The snapshot also installs as the new version's view, so
+            // the next read does not flatten again.
             let snapshot = flat.get_or_insert_with(|| next_view.materialize_on(&lease));
             let recomputed = run_static(snapshot, &lease, &mut up.ws);
             *forest = DynForest::from_forest(&recomputed);

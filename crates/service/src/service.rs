@@ -563,11 +563,7 @@ impl Service {
         // until after the cache lookup below.
         let (graph, gref, stale) = match spec.graph {
             GraphSel::Latest(id) => {
-                let (graph, gref) = self
-                    .shared
-                    .catalog
-                    .snapshot(id)
-                    .ok_or(JobError::UnknownGraph)?;
+                let (graph, gref) = self.shared.catalog.view(id).ok_or(JobError::UnknownGraph)?;
                 (Some(graph), gref, None)
             }
             GraphSel::Pinned(gref) => match self.shared.catalog.resolve_pinned(gref) {

@@ -1,6 +1,7 @@
 //! Remote client: start an in-process server, then drive it purely
 //! over TCP — register a graph, submit jobs (watching the result cache
-//! kick in), cancel one, and scrape the Prometheus metrics page.
+//! kick in), update the graph and read the version the update made,
+//! cancel a job, and scrape the Prometheus metrics page.
 //!
 //! ```text
 //! cargo run --release --example remote_client
@@ -16,6 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bader_cong_spanning::prelude::*;
+use bader_cong_spanning::service::net::RemoteGraph;
 
 fn main() {
     // A service with a 4-core budget, wrapped by the TCP
@@ -36,7 +38,7 @@ fn main() {
 
     // Upload a graph once; afterwards every job names it by id.
     let n = 200_000;
-    let g = gen::random_gnm(n, 3 * n / 2, 42);
+    let g = Arc::new(gen::random_gnm(n, 3 * n / 2, 42));
     let remote = client.register(&g).expect("registering the graph");
     println!(
         "registered {} vertices / {} edges as id {} v{}",
@@ -69,6 +71,47 @@ fn main() {
         started.elapsed(),
         reply.cached
     );
+
+    // Writes go over the wire too: one UPDATE, then a read pinned to
+    // the version it produced, checked against a local copy of the
+    // updated graph.
+    let u = (0..n as VertexId)
+        .find(|&v| !g.neighbors(v).is_empty())
+        .expect("the graph has edges");
+    let deletes = [(u, g.neighbors(u)[0])];
+    let inserts = [(0, n as VertexId - 1), (1, n as VertexId / 2)];
+    let update = client
+        .update(remote.id, &inserts, &deletes)
+        .expect("update");
+    let batch = deletes
+        .iter()
+        .fold(EdgeBatch::new(), |b, &(u, v)| b.delete(u, v));
+    let batch = inserts.iter().fold(batch, |b, &(u, v)| b.insert(u, v));
+    let (local, _) = GraphView::Flat(Arc::clone(&g))
+        .apply(&batch)
+        .expect("the batch names real vertices");
+    let local = local.materialize();
+    let updated = RemoteGraph {
+        version: update.version,
+        ..remote
+    };
+    let reply = client
+        .submit(SubmitRequest::new(updated).pinned())
+        .expect("submit");
+    let forest = client.wait(reply.ticket).expect("wait");
+    println!(
+        "update to v{} ({}, {} components), then a pinned read: {} trees",
+        update.version,
+        if update.incremental {
+            "repaired"
+        } else {
+            "recomputed"
+        },
+        update.components,
+        forest.num_trees()
+    );
+    assert!(forest.is_valid_for(&local));
+    assert_eq!(forest.num_trees() as u64, update.components);
 
     // Cancellation propagates remotely: fire the token by ticket.
     let doomed = client

@@ -522,7 +522,7 @@ fn a_pin_superseded_in_the_queue_runs_its_version_then_reads_stale() {
         .apply(gref.id, &EdgeBatch::new().delete(0, 1).insert(0, 27))
         .unwrap()
         .graph;
-    let (view, _) = svc.catalog().snapshot(gref.id).unwrap();
+    let (view, _) = svc.catalog().view(gref.id).unwrap();
     assert!(matches!(view, GraphView::Delta(_)));
     let v2_graph = view.materialize();
 

@@ -747,3 +747,91 @@ fn a_held_forest_survives_its_cache_eviction() {
     assert_eq!(held.roots, roots);
     assert!(is_spanning_forest(&g, &held.parents));
 }
+
+/// Drives 200 updates of 3 inserts and 1 delete through
+/// `Service::apply` on `random_gnm(2^10, 1.5n)` and checks every
+/// forest a client can receive against the oracle. With
+/// `read_each_batch`, a pinned read follows each update; without, the
+/// stream runs unread past the 25% overlay rebuild and one read ends
+/// it. A local overlay chain mirrors the graph, so the oracle's
+/// component count never reads through the catalog.
+fn update_stream_matches_the_oracle(read_each_batch: bool) {
+    use bader_cong_spanning::graph::validate::{check_spanning_forest, count_components};
+    use bader_cong_spanning::graph::Neighbors;
+
+    let n = 1usize << 10;
+    let svc = Service::builder().cores(2).result_cache_capacity(4).build();
+    let id = svc
+        .catalog()
+        .register(Arc::new(gen::random_gnm(n, 3 * n / 2, 5)))
+        .id;
+    let mut mirror = svc.catalog().view(id).unwrap().0;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = |below: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below as u64) as u32
+    };
+    let read_and_check = |gref: GraphRef, seed: u64| {
+        let forest = svc
+            .submit_spec(JobSpec::new(gref).seed(seed))
+            .unwrap()
+            .handle
+            .wait()
+            .expect("no deadline, no cancel");
+        let (live, at) = svc.catalog().resolve_latest(id).unwrap();
+        assert_eq!(at, gref);
+        let check = check_spanning_forest(&live, &forest.parents);
+        assert!(check.is_valid(), "read of {gref:?}: {check:?}");
+    };
+    let mut mirror_crossed_rebuild = false;
+    for i in 0..200u64 {
+        let mut batch = EdgeBatch::new();
+        let u = loop {
+            let u = next(n);
+            if !mirror.neighbors(u).is_empty() {
+                break u;
+            }
+        };
+        let row = mirror.neighbors(u);
+        batch = batch.delete(u, row[next(row.len()) as usize]);
+        for _ in 0..3 {
+            let (a, b) = (next(n), next(n));
+            if a != b {
+                batch = batch.insert(a, b);
+            }
+        }
+        let report = svc.apply(id, &batch).unwrap();
+        mirror = mirror.apply(&batch).unwrap().0;
+        mirror_crossed_rebuild |= mirror.patched_fraction() > 0.25;
+        assert_eq!(
+            report.components,
+            count_components(&mirror.materialize()),
+            "batch {i}"
+        );
+        if read_each_batch {
+            // The batch stacked on the flat CSR the last read left.
+            if let GraphView::Delta(delta) = svc.catalog().view(id).unwrap().0 {
+                assert!(delta.patched_vertices() <= 2 * batch.len(), "batch {i}");
+            }
+            read_and_check(report.graph, i);
+        }
+    }
+    assert!(
+        mirror_crossed_rebuild,
+        "the stream is long enough to rebuild"
+    );
+    let (_, live) = svc.catalog().view(id).unwrap();
+    read_and_check(live, 7);
+}
+
+#[test]
+fn updates_read_after_every_batch_match_the_oracle() {
+    update_stream_matches_the_oracle(true);
+}
+
+#[test]
+fn unread_updates_past_the_rebuild_then_one_read_match_the_oracle() {
+    update_stream_matches_the_oracle(false);
+}
