@@ -17,7 +17,8 @@
 //!   deletes);
 //! * `recompute` — the recompute fraction is 0, so every batch falls
 //!   back to rerunning the static spanning-tree algorithm over the
-//!   post-batch snapshot.
+//!   post-batch snapshot, as a dispatcher job that passes admission
+//!   like any read.
 //!
 //! Both modes replay the *same* deterministic batch stream (three
 //! random insertions to one deletion of a previously inserted edge),
@@ -152,7 +153,7 @@ fn batch_stream(n: usize, batches: usize, size: usize, seed: u64) -> Vec<EdgeBat
 /// Applies `stream` to a fresh service in the given maintenance mode,
 /// returning per-batch latencies (seconds) and the final component
 /// count the maintainer reports. An untimed empty batch first seeds
-/// the service's forest maintainer (one full static run), so no timed
+/// the service's forest maintainer (one default read job), so no timed
 /// batch pays for it.
 fn run_mode(
     base: &Arc<CsrGraph>,

@@ -226,11 +226,12 @@ impl GraphCatalog {
     /// overlay's patched fraction exceeds `rebuild_fraction` the new
     /// version is flattened to a fresh contiguous CSR instead.
     ///
-    /// This is the catalog-only mutation path (no forest maintenance) —
-    /// the service's [`Service::apply`](crate::Service::apply) wraps it
-    /// together with the incremental maintainer. Concurrent applies to
-    /// the same id retry internally, so callers always see either
-    /// success or a real error.
+    /// This is the catalog-only mutation path (no forest maintenance).
+    /// The service's [`Service::apply`](crate::Service::apply) takes the
+    /// same successor step and [`install`](Self::install), with its
+    /// forest repair between them. Concurrent applies to the same id
+    /// retry internally, so callers always see either success or a real
+    /// error.
     pub fn apply(
         &self,
         id: GraphId,
@@ -239,11 +240,8 @@ impl GraphCatalog {
     ) -> Result<(GraphRef, BatchOutcome), ApplyError> {
         loop {
             let (view, gref) = self.view(id).ok_or(ApplyError::UnknownGraph(id))?;
-            // Compute the successor outside the catalog lock: readers
-            // and other graphs stay unblocked during the row edits.
-            let (next, outcome) = view.apply(batch)?;
-            let flat = (next.patched_fraction() > rebuild_fraction).then(|| next.materialize());
-            match self.install(id, gref.version, next, flat) {
+            let (next, outcome) = successor(&view, batch, rebuild_fraction)?;
+            match self.install(id, gref.version, next, None) {
                 Ok(new_ref) => return Ok((new_ref, outcome)),
                 Err(ApplyError::Conflict { .. }) => continue,
                 Err(e) => return Err(e),
@@ -349,6 +347,22 @@ impl GraphCatalog {
         out.sort_by_key(|(r, _, _)| r.id);
         out
     }
+}
+
+/// The write step of [`GraphCatalog::apply`] and `Service::apply`: the
+/// successor of `view` under `batch`, flattened on the calling thread
+/// once its patched fraction exceeds `rebuild_fraction`. Runs outside
+/// the catalog lock; the caller installs it.
+pub(crate) fn successor(
+    view: &GraphView,
+    batch: &EdgeBatch,
+    rebuild_fraction: f64,
+) -> Result<(GraphView, BatchOutcome), BatchError> {
+    let (next, outcome) = view.apply(batch)?;
+    if next.patched_fraction() > rebuild_fraction {
+        return Ok((GraphView::Flat(next.materialize()), outcome));
+    }
+    Ok((next, outcome))
 }
 
 /// Everything that determines a catalog-addressed job's forest.

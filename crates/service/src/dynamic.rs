@@ -1,31 +1,34 @@
 //! Batch-dynamic graphs: the service's versioned mutation path.
 //!
-//! [`Service::apply`](crate::Service::apply) takes an [`EdgeBatch`] for
-//! a catalog graph, produces a new graph *version* (a copy-on-write
-//! overlay, flattened past a rebuild threshold), and keeps that graph's
-//! spanning forest current — incrementally when the repair fits a
-//! work budget, by full recompute when it does not.
+//! [`Service::apply`] takes an [`EdgeBatch`] for a catalog graph,
+//! produces a new graph *version* (a copy-on-write overlay, flattened
+//! past a rebuild threshold), and keeps that graph's spanning forest
+//! current — incrementally when the repair fits a work budget, by full
+//! recompute when it does not.
 //!
 //! The maintainer state lives here: one `GraphUpdater` per mutated
-//! graph, holding a [`DynForest`] synced to a specific catalog version
-//! plus a private [`Workspace`] arena for its seeding and recompute
-//! runs. Updates to one graph serialize
-//! on the updater's mutex; updates to different graphs proceed
-//! concurrently. The catalog install itself is optimistic
-//! ([`GraphCatalog::install`] CASes on the version), so a racing direct
-//! [`GraphCatalog::apply`] or [`GraphCatalog::publish`] never loses an
-//! update — the service path just reseeds its forest and retries.
+//! graph, holding a [`DynForest`] synced to a specific catalog version.
+//! Repairs run on the calling thread. Its seeding and recompute runs
+//! are dispatcher jobs: the seed is the version's default read, cached
+//! like any other, and a recompute is a job over the successor's CSR.
+//! Updates to one graph serialize on the updater's mutex; updates to
+//! different graphs proceed concurrently. The catalog install itself is
+//! optimistic ([`install`](crate::GraphCatalog::install) CASes on the
+//! version), so a racing direct [`apply`](crate::GraphCatalog::apply)
+//! or [`publish`](crate::GraphCatalog::publish) on the catalog never
+//! loses an update — the service path just reseeds its forest and
+//! retries.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use st_core::engine::SpanningAlgorithm;
-use st_core::{BaderCong, DynForest, SpanningForest, UpdateStats, Workspace};
-use st_graph::{BatchError, BatchOutcome, CsrGraph, EdgeBatch, GraphView, Neighbors};
-use st_smp::{CancelToken, Executor, ExecutorPool};
+use st_core::{DynForest, UpdateStats};
+use st_graph::{BatchError, BatchOutcome, EdgeBatch, GraphView, Neighbors};
 
-use crate::catalog::{ApplyError, GraphCatalog, GraphId, GraphRef};
-use crate::sizing::preferred_width;
+use crate::catalog::{self, ApplyError, GraphId, GraphRef};
+use crate::job::{JobError, JobHandle};
+use crate::service::Service;
+use crate::spec::JobSpec;
 
 /// Overlay patched-fraction above which a new version is flattened to
 /// a contiguous CSR instead of stacking another delta.
@@ -41,58 +44,28 @@ pub const DEFAULT_DELTA_REBUILD_FRACTION: f64 = 0.25;
 /// a unit of repair work costs far less than a unit of a recompute.
 pub const DEFAULT_DYN_RECOMPUTE_FRACTION: f64 = 1.0;
 
-/// Resolved dynamic-update knobs (builder → defaults).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DynConfig {
-    /// Repair-work budget as a fraction of n + m; past it, recompute.
-    pub recompute_fraction: f64,
-}
-
-impl DynConfig {
-    /// The work budget for one repair on a graph of `n` vertices and
-    /// `m` edges: `None` recomputes without trying (fraction 0),
-    /// `usize::MAX` never gives up (fraction above 1).
-    fn repair_budget(&self, n: usize, m: usize) -> Option<usize> {
-        let f = self.recompute_fraction;
-        if f == 0.0 {
-            None
-        } else if f > 1.0 {
-            Some(usize::MAX)
-        } else {
-            Some((f * (n + m) as f64) as usize)
-        }
-    }
-}
-
-impl Default for DynConfig {
-    fn default() -> Self {
-        Self {
-            recompute_fraction: DEFAULT_DYN_RECOMPUTE_FRACTION,
-        }
+/// The work budget for one repair on a graph of `n` vertices and `m`
+/// edges at `fraction` of n + m: `None` recomputes without trying
+/// (fraction 0), `usize::MAX` never gives up (fraction above 1).
+fn repair_budget(fraction: f64, n: usize, m: usize) -> Option<usize> {
+    if fraction == 0.0 {
+        None
+    } else if fraction > 1.0 {
+        Some(usize::MAX)
+    } else {
+        Some((fraction * (n + m) as f64) as usize)
     }
 }
 
 /// Per-graph incremental maintainer: a forest synced to one catalog
-/// version, plus the scratch arena its repairs run in.
+/// version. Repairs keep their scratch in the forest.
+#[derive(Default)]
 pub(crate) struct GraphUpdater {
     /// `None` until the first `apply` seeds it (or after a lost install
-    /// race invalidates it).
+    /// race or a failed recompute invalidates it).
     forest: Option<DynForest>,
     /// The catalog version `forest` describes.
     version: u32,
-    /// Private arena for the seeding and recompute runs; amortizes
-    /// across batches. Repairs keep their scratch in the forest.
-    ws: Workspace,
-}
-
-impl GraphUpdater {
-    fn new() -> Self {
-        Self {
-            forest: None,
-            version: 0,
-            ws: Workspace::new(),
-        }
-    }
 }
 
 /// What one applied batch did.
@@ -111,13 +84,17 @@ pub struct UpdateReport {
     pub stats: UpdateStats,
 }
 
-/// Why an update could not be applied.
+/// Why an update could not be applied. Nothing is installed on any of
+/// these.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UpdateError {
     /// The graph id is not (or no longer) in the catalog.
     UnknownGraph(GraphId),
     /// The batch references vertices outside the graph.
     Batch(BatchError),
+    /// The seed or recompute job the update needed was refused at
+    /// admission (a full quota, shutdown) or did not finish.
+    Job(JobError),
 }
 
 impl std::fmt::Display for UpdateError {
@@ -125,6 +102,7 @@ impl std::fmt::Display for UpdateError {
         match self {
             Self::UnknownGraph(id) => write!(f, "unknown graph {id:?}"),
             Self::Batch(e) => write!(f, "invalid batch: {e}"),
+            Self::Job(e) => write!(f, "forest job failed: {e}"),
         }
     }
 }
@@ -137,100 +115,97 @@ impl From<BatchError> for UpdateError {
     }
 }
 
-/// Seeds (or reseeds) a maintainer by running the static algorithm over
-/// a flat snapshot on the update's team.
-fn run_static(g: &CsrGraph, team: &Executor, ws: &mut Workspace) -> SpanningForest {
-    let algo = BaderCong::with_defaults();
-    ws.reserve(g.num_vertices(), g.num_edges());
-    algo.run(g, team, ws, &CancelToken::new())
-        .expect("a fresh token is never cancelled")
+impl From<JobError> for UpdateError {
+    fn from(e: JobError) -> Self {
+        Self::Job(e)
+    }
 }
 
 /// The whole update: resolve the live view, compute the successor view
 /// outside the catalog lock, repair the forest against it within the
 /// work budget (recomputing it when the repair runs over), and install
-/// both atomically-by-version. Retries on install conflicts.
+/// the successor atomically-by-version. Retries on install conflicts.
 pub(crate) fn apply_update(
-    catalog: &GraphCatalog,
-    pool: &ExecutorPool,
+    svc: &Service,
     updaters: &Mutex<HashMap<GraphId, Arc<Mutex<GraphUpdater>>>>,
-    cfg: DynConfig,
+    recompute_fraction: f64,
     id: GraphId,
     batch: &EdgeBatch,
 ) -> Result<UpdateReport, UpdateError> {
-    let slot = {
-        let mut map = updaters.lock().unwrap();
-        Arc::clone(
-            map.entry(id)
-                .or_insert_with(|| Arc::new(Mutex::new(GraphUpdater::new()))),
-        )
-    };
+    let catalog = svc.catalog();
+    let slot = Arc::clone(updaters.lock().unwrap().entry(id).or_default());
     // Service-path updates to one graph serialize here; conflicts below
     // can only come from direct catalog writers (apply/publish).
     let mut up = slot.lock().unwrap_or_else(|poisoned| {
         // An earlier apply panicked mid-repair. The catalog was not
         // touched (install is the last step), but the maintainer's
-        // forest and scratch may be half-written: drop both so this
-        // apply reseeds from the live version.
+        // forest may be half-written: drop it so this apply reseeds
+        // from the live version.
         slot.clear_poison();
         let mut up = poisoned.into_inner();
         up.forest = None;
-        up.ws = Workspace::new();
         up
     });
+    let up = &mut *up;
     loop {
-        let (mut view, gref) = catalog.view(id).ok_or(UpdateError::UnknownGraph(id))?;
+        let (view, gref) = catalog.view(id).ok_or(UpdateError::UnknownGraph(id))?;
         let n = view.num_vertices();
         batch.validate(n)?;
-        // One lease for the whole attempt: the seeding run, every
-        // flatten and a recompute run on its team. The repair itself
-        // runs on this thread.
-        let lease = pool.lease(preferred_width(n, view.num_edges(), pool.widths()));
 
         // Sync the maintainer to the live version. First touch and any
         // out-of-band version bump (publish, direct apply, lost race)
-        // land here: a full static run over the current snapshot, whose
-        // flatten the catalog keeps as that version's view and this
-        // batch stacks on.
+        // land here: the version's default read, from the result cache
+        // when it already ran, else a job that flattens the version on
+        // its team and leaves that CSR as the view the batch stacks on
+        // once the loop reads it again.
         if up.forest.is_none() || up.version != gref.version {
-            let flat = catalog.flatten(gref, &view, &lease);
-            let seeded = run_static(&flat, &lease, &mut up.ws);
-            up.forest = Some(DynForest::from_forest(&seeded));
-            up.version = gref.version;
-            view = GraphView::Flat(flat);
+            let seed = svc
+                .submit_spec(JobSpec::new(gref))
+                .and_then(|submitted| submitted.handle.wait());
+            match seed {
+                Ok(forest) => {
+                    up.forest = Some(DynForest::from_forest(&forest));
+                    up.version = gref.version;
+                }
+                // Superseded before the job was admitted: sync to the
+                // winner.
+                Err(JobError::StaleVersion(_)) => {}
+                Err(JobError::UnknownGraph) => return Err(UpdateError::UnknownGraph(id)),
+                Err(e) => return Err(e.into()),
+            }
+            continue;
         }
+        let forest = up.forest.as_mut().expect("synced above");
 
         // Successor view, computed outside the catalog lock.
-        let (next, outcome) = view.apply(batch)?;
-        let (next_view, mut flat) = if next.patched_fraction() > DEFAULT_DELTA_REBUILD_FRACTION {
-            let f = next.materialize_on(&lease);
-            (GraphView::Flat(Arc::clone(&f)), Some(f))
-        } else {
-            (next, None)
-        };
+        let (mut next, outcome) = catalog::successor(&view, batch, DEFAULT_DELTA_REBUILD_FRACTION)?;
 
         // Repair first, metered: a repair that runs over its budget
         // leaves a half-repaired forest, which the recompute below
         // replaces before anything installs.
-        let up = &mut *up;
-        let forest = up.forest.as_mut().expect("seeded above");
-        let m = next_view.num_edges();
-        let repaired = cfg
-            .repair_budget(n, m)
-            .and_then(|budget| forest.apply_batch_within(&next_view, batch, budget).ok());
+        let repaired = repair_budget(recompute_fraction, n, next.num_edges())
+            .and_then(|budget| forest.apply_batch_within(&next, batch, budget).ok());
         let incremental = repaired.is_some();
-        let stats = repaired.unwrap_or_else(|| {
-            // The snapshot also installs as the new version's view, so
-            // the next read does not flatten again.
-            let snapshot = flat.get_or_insert_with(|| next_view.materialize_on(&lease));
-            let recomputed = run_static(snapshot, &lease, &mut up.ws);
-            *forest = DynForest::from_forest(&recomputed);
-            UpdateStats::default()
-        });
+        let stats = match repaired {
+            Some(stats) => stats,
+            None => {
+                // The flat successor also installs as the new version's
+                // view, so the next read does not flatten again.
+                let flat = next.materialize();
+                next = GraphView::Flat(Arc::clone(&flat));
+                match svc.job(&flat).submit().and_then(JobHandle::wait) {
+                    Ok(recomputed) => *forest = DynForest::from_forest(&recomputed),
+                    Err(e) => {
+                        up.forest = None;
+                        return Err(e.into());
+                    }
+                }
+                UpdateStats::default()
+            }
+        };
         let components = forest.num_components();
-        drop(lease);
 
-        match catalog.install(id, gref.version, next_view, flat) {
+        match catalog.install(id, gref.version, next, None) {
             Ok(new_ref) => {
                 up.version = new_ref.version;
                 return Ok(UpdateReport {
@@ -246,20 +221,11 @@ pub(crate) fn apply_update(
                 // computed. The forest now describes a successor that
                 // never existed — drop it and redo against the winner.
                 up.forest = None;
-                continue;
             }
-            Err(ApplyError::UnknownGraph(_)) => return Err(UpdateError::UnknownGraph(id)),
-            Err(ApplyError::Batch(e)) => return Err(UpdateError::Batch(e)),
+            // `install` fails only on a conflict or an unknown graph.
+            Err(_) => return Err(UpdateError::UnknownGraph(id)),
         }
     }
-}
-
-/// Drops the maintainer for a removed graph (no-op when never mutated).
-pub(crate) fn drop_updater(
-    updaters: &Mutex<HashMap<GraphId, Arc<Mutex<GraphUpdater>>>>,
-    id: GraphId,
-) {
-    updaters.lock().unwrap().remove(&id);
 }
 
 #[cfg(test)]
@@ -270,16 +236,14 @@ mod tests {
 
     #[test]
     fn a_repair_over_budget_recomputes_to_the_oracle_count() {
-        let catalog = GraphCatalog::new();
-        let pool = ExecutorPool::new(st_smp::ladder(2));
+        let svc = Service::builder().cores(2).build();
+        let catalog = svc.catalog();
         let updaters = Mutex::new(HashMap::new());
         // A budget of ~20 units, far below the ~1000 dequeues a cut
         // through the middle of a 1000-vertex path needs.
-        let cfg = DynConfig {
-            recompute_fraction: 0.01,
-        };
+        let fraction = 0.01;
         let id = catalog.register(Arc::new(gen::chain(1000))).id;
-        let apply = |batch: &EdgeBatch| apply_update(&catalog, &pool, &updaters, cfg, id, batch);
+        let apply = |batch: &EdgeBatch| apply_update(&svc, &updaters, fraction, id, batch);
         assert!(apply(&EdgeBatch::new()).unwrap().incremental, "seeding");
 
         let cut = apply(&EdgeBatch::new().delete(499, 500)).unwrap();
@@ -300,14 +264,13 @@ mod tests {
 
     #[test]
     fn a_panic_inside_the_updater_does_not_wedge_the_graph() {
-        let catalog = GraphCatalog::new();
-        let pool = ExecutorPool::new(st_smp::ladder(2));
+        let svc = Service::builder().cores(2).build();
+        let catalog = svc.catalog();
         let updaters = Mutex::new(HashMap::new());
-        let cfg = DynConfig::default();
+        let fraction = DEFAULT_DYN_RECOMPUTE_FRACTION;
         let id = catalog.register(Arc::new(gen::torus2d(8, 8))).id;
         let first = EdgeBatch::new().insert(0, 27);
-        let seeded =
-            apply_update(&catalog, &pool, &updaters, cfg, id, &first).expect("seeding apply");
+        let seeded = apply_update(&svc, &updaters, fraction, id, &first).expect("seeding apply");
 
         let slot = Arc::clone(&updaters.lock().unwrap()[&id]);
         let poisoner = std::thread::spawn(move || {
@@ -325,7 +288,7 @@ mod tests {
                 .delete(3 * 8 + col, 4 * 8 + col)
                 .delete(col, 7 * 8 + col);
         }
-        let report = apply_update(&catalog, &pool, &updaters, cfg, id, &cut)
+        let report = apply_update(&svc, &updaters, fraction, id, &cut)
             .expect("a poisoned updater must recover, not panic");
         let (live, _) = catalog.resolve_latest(id).expect("graph is registered");
         assert_eq!(report.graph.version, seeded.graph.version + 1);

@@ -46,7 +46,9 @@
 //!   G(2^16, 1.5n) up a graph gets both cores of a 2-core host, the
 //!   small-mixed shapes a single core. A lease waits only while no core
 //!   is free, so a small job can wait behind a large one that holds
-//!   every core; no more ranks than cores ever run.
+//!   every core; no more ranks than cores ever run. Only the
+//!   dispatcher leases: an update's seed and recompute forests are
+//!   ordinary jobs, and its repair runs on the calling thread.
 //! - **Versioned reads.** Catalog graphs change by [`EdgeBatch`]
 //!   ([`Service::apply`]), each batch a new copy-on-write version. A
 //!   job reading a version the catalog has not flattened yet carries

@@ -26,6 +26,7 @@ use st_core::ConfigError;
 use st_core::{RuntimeConfig, SpanningForest};
 use st_obs::TraceId;
 
+use crate::dynamic::UpdateError;
 use crate::job::{JobError, JobHandle, Priority};
 use crate::net::forest::write_forest_frame;
 use crate::net::proto::{ops, write_frame, Cursor, Status, DEFAULT_MAX_FRAME_BYTES};
@@ -388,18 +389,19 @@ fn resp_with(status: Status, body: &[u8]) -> Reply {
     Reply::Payload(out)
 }
 
-fn job_error_status(err: &JobError) -> Status {
-    match err {
+/// A failed job's reply: its status, with the message of a panic.
+fn job_error_reply(err: &JobError) -> Reply {
+    resp(match err {
         JobError::Backpressure => Status::Backpressure,
         JobError::Cancelled => Status::Cancelled,
         JobError::DeadlineExceeded => Status::DeadlineExceeded,
-        JobError::Panicked(_) => Status::Panicked,
+        JobError::Panicked(msg) => return resp_with(Status::Panicked, msg.as_bytes()),
         JobError::ShuttingDown => Status::ShuttingDown,
         JobError::UnknownGraph => Status::UnknownGraph,
         JobError::QuotaExceeded => Status::QuotaExceeded,
         JobError::DeadlineUnmeetable => Status::DeadlineUnmeetable,
         JobError::StaleVersion(_) => Status::StaleVersion,
-    }
+    })
 }
 
 /// Parses and executes one request, returning `(response, close
@@ -503,7 +505,7 @@ fn handle_request(
                     resp_with(Status::StaleVersion, &current.to_le_bytes()),
                     false,
                 ),
-                Err(e) => (resp(job_error_status(&e)), false),
+                Err(e) => (job_error_reply(&e), false),
             }
         }
         ops::WAIT => {
@@ -516,10 +518,7 @@ fn handle_request(
             match handle.wait() {
                 // The forest is most of the reply; it is not copied.
                 Ok(forest) => (Reply::Forest(forest), false),
-                Err(JobError::Panicked(msg)) => {
-                    (resp_with(Status::Panicked, msg.as_bytes()), false)
-                }
-                Err(e) => (resp(job_error_status(&e)), false),
+                Err(e) => (job_error_reply(&e), false),
             }
         }
         ops::CANCEL => {
@@ -569,13 +568,12 @@ fn handle_request(
                     body.extend_from_slice(&(report.outcome.edges_removed as u64).to_le_bytes());
                     (resp_with(Status::Ok, &body), false)
                 }
-                Err(crate::dynamic::UpdateError::UnknownGraph(_)) => {
-                    (resp(Status::UnknownGraph), false)
-                }
-                Err(crate::dynamic::UpdateError::Batch(e)) => (
+                Err(UpdateError::UnknownGraph(_)) => (resp(Status::UnknownGraph), false),
+                Err(UpdateError::Batch(e)) => (
                     resp_with(Status::Malformed, e.to_string().as_bytes()),
                     false,
                 ),
+                Err(UpdateError::Job(e)) => (job_error_reply(&e), false),
             }
         }
         _ => (resp(Status::Malformed), false),

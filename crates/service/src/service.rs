@@ -171,8 +171,8 @@ struct Shared {
     /// path ([`Service::apply`]); the per-slot inner mutex serializes
     /// updates to one graph while leaving other graphs free.
     updaters: Mutex<HashMap<GraphId, Arc<Mutex<dynamic::GraphUpdater>>>>,
-    /// Resolved dynamic-update knobs (builder → defaults).
-    dyn_cfg: dynamic::DynConfig,
+    /// [`Service::apply`]'s repair-work budget as a fraction of n + m.
+    dyn_recompute_fraction: f64,
 }
 
 impl Shared {
@@ -350,15 +350,12 @@ impl ServiceBuilder {
             self.tenant_quota != Some(0),
             "a tenant quota of zero would reject every submission"
         );
-        let dyn_cfg = dynamic::DynConfig {
-            recompute_fraction: self
-                .dyn_recompute_fraction
-                .unwrap_or(dynamic::DEFAULT_DYN_RECOMPUTE_FRACTION),
-        };
+        let dyn_recompute_fraction = self
+            .dyn_recompute_fraction
+            .unwrap_or(dynamic::DEFAULT_DYN_RECOMPUTE_FRACTION);
         assert!(
-            dyn_cfg.recompute_fraction.is_finite() && dyn_cfg.recompute_fraction >= 0.0,
-            "dynamic recompute fraction must be finite and >= 0, got {}",
-            dyn_cfg.recompute_fraction
+            dyn_recompute_fraction.is_finite() && dyn_recompute_fraction >= 0.0,
+            "dynamic recompute fraction must be finite and >= 0, got {dyn_recompute_fraction}"
         );
 
         let shared = Arc::new(Shared {
@@ -373,7 +370,7 @@ impl ServiceBuilder {
             cache: ResultCache::new(cache_capacity),
             telemetry: Telemetry::new(journal_capacity, slow_threshold_ns),
             updaters: Mutex::new(HashMap::new()),
-            dyn_cfg,
+            dyn_recompute_fraction,
         });
         // One dispatcher per core: every lease holds at least one core,
         // so that is enough to keep the whole budget busy.
@@ -500,7 +497,7 @@ impl Service {
         let removed = self.shared.catalog.remove(id);
         if removed {
             self.shared.cache.purge_graph(id);
-            dynamic::drop_updater(&self.shared.updaters, id);
+            self.shared.updaters.lock().unwrap().remove(&id);
         }
         removed
     }
@@ -509,23 +506,32 @@ impl Service {
     /// graph `id`, producing a new version and keeping its spanning
     /// forest current.
     ///
-    /// The forest is first repaired *incrementally*, with the repair's
-    /// work metered against a budget of the recompute fraction × (n + m)
-    /// (see [`ServiceBuilder::dyn_recompute_fraction`]). A repair that
-    /// runs over is discarded and the static algorithm recomputes the
-    /// forest from scratch. Either way the report says which path ran
-    /// and what the batch actually changed.
+    /// The forest is first repaired *incrementally* on the calling
+    /// thread, with the repair's work metered against a budget of the
+    /// recompute fraction × (n + m) (see
+    /// [`ServiceBuilder::dyn_recompute_fraction`]). A repair that runs
+    /// over is discarded and a Bader–Cong job over the new version
+    /// recomputes the forest. The forest is seeded from the version's
+    /// default read, `JobSpec::new(gref)`: a cache hit when that read
+    /// already ran, else a job whose forest is cached under the
+    /// version's default key. Seed and recompute are ordinary jobs of
+    /// the anonymous tenant and pass admission. The report says which
+    /// path ran and what the batch actually changed.
     ///
     /// Jobs already in flight keep the version they were admitted with;
     /// results cached against older versions stay valid for pinned
     /// submissions and simply never match latest-addressed ones again.
+    ///
+    /// Nothing installs on an error: [`UpdateError::UnknownGraph`],
+    /// [`UpdateError::Batch`] for a vertex outside the graph, or
+    /// [`UpdateError::Job`] when the seed or recompute job is refused
+    /// at admission (say [`JobError::QuotaExceeded`]) or fails.
     pub fn apply(&self, id: GraphId, batch: &EdgeBatch) -> Result<UpdateReport, UpdateError> {
         let started = Instant::now();
         let out = dynamic::apply_update(
-            &self.shared.catalog,
-            &self.shared.pool,
+            self,
             &self.shared.updaters,
-            self.shared.dyn_cfg,
+            self.shared.dyn_recompute_fraction,
             id,
             batch,
         );

@@ -325,13 +325,12 @@ mod tests {
     fn every_algorithm_instantiates_and_runs() {
         use st_core::engine::Workspace;
         let g = st_graph::gen::torus2d(8, 8);
-        let pool = st_smp::ExecutorPool::new(st_smp::ladder(2));
+        let team = st_smp::Executor::new(2);
         let mut ws = Workspace::new();
         for algo in AlgorithmId::ALL {
             let boxed = algo.instantiate(7);
-            let lease = pool.lease(2);
             let forest = boxed
-                .run(&g, &lease, &mut ws, &st_smp::CancelToken::new())
+                .run(&g, &team, &mut ws, &st_smp::CancelToken::new())
                 .unwrap_or_else(|_| panic!("{algo} cancelled unexpectedly"));
             assert_eq!(forest.num_trees(), 1, "{algo}");
             assert!(forest.is_valid_for(&g), "{algo}");

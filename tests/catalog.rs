@@ -317,12 +317,50 @@ fn recompute_fraction_zero_forces_the_fallback_path() {
         .dyn_recompute_fraction(0.0)
         .build();
     let gref = svc.catalog().register(Arc::new(gen::torus2d(8, 8)));
+    // A default read first, so the update's seed comes from the cache
+    // and the one job the update dispatches is its recompute.
+    svc.submit_spec(JobSpec::new(gref))
+        .unwrap()
+        .handle
+        .wait()
+        .unwrap();
+    let dequeued = |s: &bader_cong_spanning::obs::PoolSnapshot| {
+        s.dequeued_high + s.dequeued_normal + s.dequeued_low
+    };
+    let before = svc.snapshot();
     let report = svc.apply(gref.id, &EdgeBatch::new().insert(0, 63)).unwrap();
     assert!(!report.incremental, "fraction 0 must always recompute");
     assert_eq!(report.components, 1);
     let page = svc.render_metrics();
     assert!(page.contains("st_service_updates_recomputed_total 1"));
     assert!(page.contains("st_service_updates_incremental_total 0"));
+    let after = svc.snapshot();
+    assert_eq!(
+        after.cache_hits,
+        before.cache_hits + 1,
+        "seeded from the cache"
+    );
+    assert_eq!(
+        dequeued(&after),
+        dequeued(&before) + 1,
+        "the recompute ran as a dispatched job"
+    );
+
+    // The recompute's flat CSR is the new version's view, and a read of
+    // that version serves a spanning forest of it.
+    let (view, live) = svc.catalog().view(gref.id).unwrap();
+    assert_eq!(live, report.graph);
+    assert!(matches!(view, GraphView::Flat(_)));
+    let forest = svc
+        .submit_spec(JobSpec::new(report.graph))
+        .unwrap()
+        .handle
+        .wait()
+        .unwrap();
+    let (flat, _) = svc.catalog().resolve_latest(gref.id).unwrap();
+    let check = bader_cong_spanning::graph::validate::check_spanning_forest(&flat, &forest.parents);
+    assert!(check.is_valid(), "{check:?}");
+    assert_eq!(forest.num_trees(), count_components(&flat));
 }
 
 /// Regression: at default knobs, small batches against a graph with a

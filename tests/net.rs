@@ -573,6 +573,66 @@ fn remote_tenant_quota_is_a_typed_error() {
     server.shutdown();
 }
 
+/// An UPDATE's seed is a job of the anonymous tenant: with that
+/// tenant's one queued slot taken, the update is refused with the
+/// quota's status, the session goes on, and the same update applies
+/// once the queue drains.
+#[test]
+fn remote_update_whose_seed_is_over_quota_is_a_typed_error() {
+    let svc = Arc::new(
+        Service::builder()
+            .cores(1)
+            .queue_capacity(8)
+            .result_cache_capacity(8)
+            .tenant_quota(1)
+            .build(),
+    );
+    let server = Server::start(Arc::clone(&svc), ServerConfig::default()).expect("bind loopback");
+    let g = Arc::new(gen::torus2d(8, 8));
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let remote = c.register(&g).unwrap();
+
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let gate = Gate {
+        started: Arc::clone(&started),
+        release: Arc::clone(&release),
+    };
+    let busy = svc.job(&g).algorithm(gate).submit().expect("queue empty");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !started.load(Ordering::Acquire) {
+        assert!(Instant::now() < deadline, "gate job never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued = svc.job(&g).submit().expect("within quota");
+
+    // The refusal must come while the gate still holds the core; an
+    // update that waits for one instead times out here, and the gate
+    // is released either way so the service can shut down.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let session = std::thread::spawn(move || {
+        let refused = c.update(remote.id, &[(0, 27)], &[]);
+        let _ = tx.send(refused);
+        c
+    });
+    let refused = rx.recv_timeout(Duration::from_secs(5));
+    release.store(true, Ordering::Release);
+    busy.wait().unwrap();
+    queued.wait().unwrap();
+    let mut c = session.join().unwrap();
+    let err = refused
+        .expect("the update waited for the held core")
+        .expect_err("the seed is over quota");
+    assert_eq!(err.status(), Some(Status::QuotaExceeded), "{err}");
+    assert!(matches!(err, WireError::Remote { .. }), "{err}");
+    assert_eq!(c.ping(b"alive").unwrap(), b"alive");
+    let up = c.update(remote.id, &[(0, 27)], &[]).unwrap();
+    assert_eq!(up.version, remote.version + 1);
+    assert_eq!(up.edges_added, 1);
+    assert_eq!(up.components, 1);
+    server.shutdown();
+}
+
 #[test]
 fn remote_unmeetable_deadline_is_a_typed_error() {
     let (server, svc) = serve(1, 8);

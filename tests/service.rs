@@ -835,3 +835,96 @@ fn updates_read_after_every_batch_match_the_oracle() {
 fn unread_updates_past_the_rebuild_then_one_read_match_the_oracle() {
     update_stream_matches_the_oracle(false);
 }
+
+/// An update's seed is the version's default read: when that read
+/// already ran, the seed is its cached forest and no job runs for it.
+#[test]
+fn an_updates_seed_is_the_cached_default_read() {
+    use bader_cong_spanning::graph::validate::count_components;
+
+    let svc = Service::builder().cores(2).result_cache_capacity(4).build();
+    let gref = svc
+        .catalog()
+        .register(Arc::new(gen::random_gnm(2_000, 3_000, 3)));
+    svc.submit_spec(JobSpec::new(gref))
+        .unwrap()
+        .handle
+        .wait()
+        .expect("no deadline, no cancel");
+    let dequeued = |s: &bader_cong_spanning::obs::PoolSnapshot| {
+        s.dequeued_high + s.dequeued_normal + s.dequeued_low
+    };
+    let before = svc.snapshot();
+    let report = svc
+        .apply(gref.id, &EdgeBatch::new().insert(0, 1999))
+        .unwrap();
+    let after = svc.snapshot();
+    assert!(report.incremental);
+    assert_eq!(
+        after.cache_hits,
+        before.cache_hits + 1,
+        "seeded from the cache"
+    );
+    assert_eq!(
+        dequeued(&after),
+        dequeued(&before),
+        "no job ran for the seed"
+    );
+    let (live, at) = svc.catalog().resolve_latest(gref.id).unwrap();
+    assert_eq!(at, report.graph);
+    assert_eq!(report.components, count_components(&live));
+}
+
+/// The seed job passes admission: refused by the tenant quota, the
+/// update installs nothing, and the same batch applies once the queue
+/// drains.
+#[test]
+fn an_update_whose_seed_is_over_quota_installs_nothing() {
+    use bader_cong_spanning::graph::validate::count_components;
+    use bader_cong_spanning::service::UpdateError;
+
+    let svc = Service::builder()
+        .cores(1)
+        .queue_capacity(8)
+        .tenant_quota(1)
+        .build();
+    let g = Arc::new(gen::torus2d(8, 8));
+    let gref = svc.catalog().register(Arc::clone(&g));
+    let (gate, started, release) = Gate::new();
+    let gated = svc.job(&g).algorithm(gate).submit().expect("open");
+    wait_until("gate job to occupy the team", || {
+        started.load(Ordering::Acquire)
+    });
+    // The anonymous tenant's one queued slot is taken.
+    let queued = svc.job(&g).submit().expect("within quota");
+
+    let batch = EdgeBatch::new().delete(0, 1).insert(0, 27);
+    // The refusal must come while the gate still holds the core; an
+    // update that waits for one instead times out here, and the gate
+    // is released either way so the service can shut down.
+    let refused = std::thread::scope(|s| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (svc, batch) = (&svc, &batch);
+        s.spawn(move || tx.send(svc.apply(gref.id, batch)));
+        let refused = rx.recv_timeout(Duration::from_secs(5));
+        release.store(true, Ordering::Release);
+        refused
+    });
+    for h in [gated, queued] {
+        assert!(h.wait().is_ok());
+    }
+    assert_eq!(
+        refused
+            .expect("the update waited for the held core")
+            .unwrap_err(),
+        UpdateError::Job(JobError::QuotaExceeded)
+    );
+    let (same, at) = svc.catalog().resolve_latest(gref.id).unwrap();
+    assert_eq!(at, gref, "a refused seed installs nothing");
+    assert!(Arc::ptr_eq(&same, &g));
+    let report = svc.apply(gref.id, &batch).expect("the queue drained");
+    assert_eq!(report.graph.version, gref.version + 1);
+    let (live, _) = svc.catalog().resolve_latest(gref.id).unwrap();
+    assert_eq!(report.components, count_components(&live));
+    assert_eq!(svc.shutdown().rejected_quota, 1);
+}
